@@ -261,18 +261,19 @@ func BenchmarkAblationPipelined(b *testing.B) {
 }
 
 // BenchmarkAblationPrimIndex is DESIGN.md A5: linear leaf probing (the
-// paper's engine) vs reader-literal indexed dispatch, at a high rule
-// count where the difference matters.
+// paper's engine, kept as the interpreted reference) vs the compiled
+// reader-symbol index (the default), at a high rule count where the
+// difference matters.
 func BenchmarkAblationPrimIndex(b *testing.B) {
 	w := bench.Fig9Workload(20_000, 250, 1, false)
 	for _, mode := range []struct {
-		name  string
-		index bool
-	}{{"linear-probe", false}, {"indexed", true}} {
+		name        string
+		interpreted bool
+	}{{"linear-probe", true}, {"indexed", false}} {
 		b.Run(mode.name, func(b *testing.B) {
 			var last bench.Result
 			for i := 0; i < b.N; i++ {
-				r, err := bench.RunRCEDA(w, bench.Options{IndexPrimitives: mode.index})
+				r, err := bench.RunRCEDA(w, bench.Options{Interpreted: mode.interpreted})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -283,16 +284,16 @@ func BenchmarkAblationPrimIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSharded is DESIGN.md A6: rules partitioned across
-// parallel engines. On multi-core hosts this scales with shard count; on
-// one core it measures the coordination overhead.
+// BenchmarkAblationSharded is DESIGN.md A6: the key-space sharded engine
+// (internal/core/shard). On multi-core hosts this scales with shard count;
+// on one core it measures the coordination overhead.
 func BenchmarkAblationSharded(b *testing.B) {
 	w := bench.Fig9Workload(20_000, 100, 1, false)
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			var last bench.Result
 			for i := 0; i < b.N; i++ {
-				r, err := bench.RunSharded(w, n, bench.Options{})
+				r, err := bench.RunShardEngine(w, n, bench.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

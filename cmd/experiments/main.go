@@ -7,7 +7,7 @@
 //	experiments fig8              pseudo-event walkthrough (paper §4.5)
 //	experiments fig9 [-quick]     processing time vs #events and vs #rules (paper §5)
 //	experiments ablation [-quick] sub-graph merging, ECA throughput, contexts
-//	experiments shard [-quick]    sharded engine throughput sweep (writes BENCH_shard.json)
+//	experiments shard [-quick]    sharded engine throughput sweep
 //	experiments hotpath [-quick] [-check]
 //	                              compiled vs interpreted hot path (writes BENCH_hotpath.json;
 //	                              -check gates against the committed baseline)
@@ -190,7 +190,8 @@ func hotpathCheck(rep, baseline *bench.HotpathReport, events, nrules int) error 
 }
 
 // shardSweep measures the sharded engine (internal/core/shard) against the
-// single engine on the supply-chain workload and writes BENCH_shard.json.
+// single engine on the supply-chain workload. It prints only; the committed
+// sharded figure is shard.throughput_eps in the repository benchmark.
 func shardSweep(quick bool) {
 	// 400 rules ≈ 80 production lines × 5 rule families: the scale the
 	// sharded engine is built for — single-engine leaf probing grows with
@@ -205,15 +206,6 @@ func shardSweep(quick bool) {
 		panic(err)
 	}
 	rep.PrintTable(os.Stdout)
-	f, err := os.Create("BENCH_shard.json")
-	if err != nil {
-		panic(err)
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		panic(err)
-	}
-	fmt.Println("wrote BENCH_shard.json")
 	fmt.Println()
 }
 
@@ -424,18 +416,18 @@ func ablation(quick bool) {
 		ms(ec.Elapsed), ec.Detections)
 	fmt.Println()
 
-	fmt.Println("=== A5: primitive-pattern indexing (beyond the paper) ===")
+	fmt.Println("=== A5: primitive dispatch — linear leaf probing vs compiled symbol index (beyond the paper) ===")
 	w5 := bench.Fig9Workload(events, 500, 1, false)
-	lin, err := bench.RunRCEDA(w5, bench.Options{})
+	lin, err := bench.RunRCEDA(w5, bench.Options{Interpreted: true})
 	if err != nil {
 		panic(err)
 	}
-	idx, err := bench.RunRCEDA(w5, bench.Options{IndexPrimitives: true})
+	idx, err := bench.RunRCEDA(w5, bench.Options{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("linear probe (paper): %8.1f ms, %d detections (500 rules)\n", ms(lin.Elapsed), lin.Detections)
-	fmt.Printf("reader-literal index: %8.1f ms, %d detections\n", ms(idx.Elapsed), idx.Detections)
+	fmt.Printf("linear probe, interpreted (paper): %8.1f ms, %d detections (500 rules)\n", ms(lin.Elapsed), lin.Detections)
+	fmt.Printf("symbol index, compiled (default) : %8.1f ms, %d detections\n", ms(idx.Elapsed), idx.Detections)
 	fmt.Println()
 
 	fmt.Println("=== A4: direct vs pipelined ingestion (channel-staged Fig. 2) ===")
@@ -451,9 +443,9 @@ func ablation(quick bool) {
 	fmt.Printf("pipelined: %8.1f ms, %d detections (incl. dedup stage)\n", ms(piped.Elapsed), piped.Detections)
 	fmt.Println()
 
-	fmt.Println("=== A6: rule-sharded parallelism (beyond the paper) ===")
+	fmt.Println("=== A6: key-space sharded engine, internal/core/shard (beyond the paper) ===")
 	for _, n := range []int{1, 2, 4, 8} {
-		r, err := bench.RunSharded(w5, n, bench.Options{})
+		r, err := bench.RunShardEngine(w5, n, bench.Options{})
 		if err != nil {
 			panic(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	pctx "rcep/internal/core/context"
@@ -102,11 +101,10 @@ func (w *Workload) parseRules() (*rules.RuleSet, error) {
 
 // Options tune a run.
 type Options struct {
-	Context         pctx.Context
-	DisableMerging  bool
-	IncludeActions  bool // run conditions and actions (excluded by default, as in the paper)
-	IndexPrimitives bool // A5: reader-literal dispatch instead of probing every leaf
-	Interpreted     bool // force the per-event AST interpreter (oracle for the compiled hot path)
+	Context        pctx.Context
+	DisableMerging bool
+	IncludeActions bool // run conditions and actions (excluded by default, as in the paper)
+	Interpreted    bool // force the per-event AST interpreter: linear leaf probing, the reference for the compiled hot path (A5)
 }
 
 // Result is one measured run.
@@ -159,13 +157,12 @@ func RunRCEDA(w *Workload, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	eng, err := detect.New(detect.Config{
-		Graph:           b.Finalize(),
-		Context:         opts.Context,
-		Groups:          w.Groups,
-		TypeOf:          w.TypeOf,
-		OnDetect:        onDetect,
-		IndexPrimitives: opts.IndexPrimitives,
-		Interpreted:     opts.Interpreted,
+		Graph:       b.Finalize(),
+		Context:     opts.Context,
+		Groups:      w.Groups,
+		TypeOf:      w.TypeOf,
+		OnDetect:    onDetect,
+		Interpreted: opts.Interpreted,
 	})
 	if err != nil {
 		return Result{}, err
@@ -224,9 +221,9 @@ func RunECA(w *Workload) (Result, error) {
 }
 
 // RunPipelined measures the workload flowing through the concurrent
-// Fig. 2 pipeline (source goroutine → dedup stage → engine goroutine)
-// instead of direct single-threaded ingestion — the A4 ablation
-// quantifying channel-stage overhead/benefit.
+// Fig. 2 pipeline (source goroutine → dedup stage → engine goroutine) in
+// ingestChunk-sized batches instead of direct single-threaded ingestion —
+// the A4 ablation quantifying channel-stage overhead/benefit.
 func RunPipelined(w *Workload, opts Options) (Result, error) {
 	rs, err := w.parseRules()
 	if err != nil {
@@ -249,10 +246,10 @@ func RunPipelined(w *Workload, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	start := time.Now()
-	err = pipeline.Run(context.Background(), pipeline.Config{
-		Source: pipeline.SliceSource(w.Observations),
+	err = pipeline.RunBatches(context.Background(), pipeline.BatchedConfig{
+		Source: pipeline.BatchSliceSource(chunks(w.Observations)),
 		Stages: []pipeline.StageFunc{pipeline.Dedup(time.Second)},
-		Sink:   eng.Ingest,
+		Sink:   func(b event.Batch) error { return eng.IngestBatch(b) },
 	})
 	if err != nil {
 		return Result{}, err
@@ -267,93 +264,20 @@ func RunPipelined(w *Workload, opts Options) (Result, error) {
 	}, nil
 }
 
-// RunSharded partitions the RULES across n engines, runs each engine in
-// its own goroutine over the full observation stream, and unions the
-// detections — the A6 scale-out ablation. Rules partition cleanly
-// (detection state is per-rule-graph), so results must equal a single
-// engine's.
-func RunSharded(w *Workload, n int, opts Options) (Result, error) {
-	if n < 1 {
-		return Result{}, fmt.Errorf("bench: need at least one shard")
-	}
-	rs, err := w.parseRules()
-	if err != nil {
-		return Result{}, err
-	}
-	type shard struct {
-		eng        *detect.Engine
-		detections uint64
-	}
-	shards := make([]*shard, n)
-	for i := range shards {
-		b := graph.NewBuilder()
-		sh := &shard{}
-		idx := 0
-		for j, r := range rs.Rules {
-			if j%n != i {
-				continue
-			}
-			if _, err := b.AddRule(idx, r.Event); err != nil {
-				return Result{}, err
-			}
-			idx++
-		}
-		if idx == 0 {
-			// Fewer rules than shards: an empty graph is still valid.
-			shards[i] = nil
-			continue
-		}
-		eng, err := detect.New(detect.Config{
-			Graph:           b.Finalize(),
-			Context:         opts.Context,
-			Groups:          w.Groups,
-			TypeOf:          w.TypeOf,
-			IndexPrimitives: opts.IndexPrimitives,
-			OnDetect:        func(int, *event.Instance) { sh.detections++ },
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		sh.eng = eng
-		shards[i] = sh
-	}
+// ingestChunk is the read-cycle batch size every batched driver
+// (RunPipelined, RunShardEngine, the hotpath batched series) feeds at.
+const ingestChunk = 256
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			for _, o := range w.Observations {
-				if err := sh.eng.Ingest(o); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			sh.eng.Close()
-		}(i, sh)
+// chunks splits a stream into ingestChunk-sized batches (the last may be
+// short); the batches alias obs.
+func chunks(obs []event.Observation) [][]event.Observation {
+	var out [][]event.Observation
+	for len(obs) > 0 {
+		n := min(ingestChunk, len(obs))
+		out = append(out, obs[:n])
+		obs = obs[n:]
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	var detections uint64
-	for i, sh := range shards {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
-		if sh != nil {
-			detections += sh.detections
-		}
-	}
-	return Result{
-		Events:     len(w.Observations),
-		Rules:      len(rs.Rules),
-		Elapsed:    elapsed,
-		Detections: detections,
-	}, nil
+	return out
 }
 
 func noopProcs() rules.Procs {

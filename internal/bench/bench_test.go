@@ -107,26 +107,6 @@ func TestRunPipelinedSmoke(t *testing.T) {
 	}
 }
 
-func TestRunShardedMatchesSingleEngine(t *testing.T) {
-	w := Fig9Workload(1500, 15, 1, false)
-	single, err := RunRCEDA(w, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 4, 32} {
-		sharded, err := RunSharded(w, n, Options{})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", n, err)
-		}
-		if sharded.Detections != single.Detections {
-			t.Errorf("shards=%d: detections %d, want %d", n, sharded.Detections, single.Detections)
-		}
-	}
-	if _, err := RunSharded(w, 0, Options{}); err == nil {
-		t.Errorf("zero shards accepted")
-	}
-}
-
 func TestContextOption(t *testing.T) {
 	w := Fig9Workload(600, 5, 1, false)
 	for _, c := range pctx.All() {

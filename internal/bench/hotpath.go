@@ -69,10 +69,6 @@ const (
 	modeBatched                        // IngestBatch in read-cycle chunks, compiled plans
 )
 
-// hotpathBatch is the read-cycle batch size the batched series feeds —
-// the same chunking the sharded ingest loop has always used.
-const hotpathBatch = 256
-
 // hotpathEngine builds the engine for one cell and returns its ingest
 // and close hooks. shards ≤ 1 runs the single detect engine; larger
 // counts run the sharded engine with routed batches.
@@ -99,13 +95,10 @@ func hotpathEngine(w *Workload, shards int, mode hotpathMode, onDetect func(int,
 			return nil, nil, 0, err
 		}
 		if mode == modeBatched {
+			batches := chunks(w.Observations)
 			ingest = func() error {
-				for lo := 0; lo < len(w.Observations); lo += hotpathBatch {
-					hi := lo + hotpathBatch
-					if hi > len(w.Observations) {
-						hi = len(w.Observations)
-					}
-					if err := eng.IngestBatch(w.Observations[lo:hi]); err != nil {
+				for _, b := range batches {
+					if err := eng.IngestBatch(b); err != nil {
 						return err
 					}
 				}
@@ -139,13 +132,10 @@ func hotpathEngine(w *Workload, shards int, mode hotpathMode, onDetect func(int,
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	batches := chunks(w.Observations)
 	ingest = func() error {
-		for lo := 0; lo < len(w.Observations); lo += hotpathBatch {
-			hi := lo + hotpathBatch
-			if hi > len(w.Observations) {
-				hi = len(w.Observations)
-			}
-			if err := eng.IngestBatch(w.Observations[lo:hi]); err != nil {
+		for _, b := range batches {
+			if err := eng.IngestBatch(b); err != nil {
 				return err
 			}
 		}

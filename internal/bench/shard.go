@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -26,26 +25,21 @@ func RunShardEngine(w *Workload, n int, opts Options) (Result, error) {
 	}
 	var detections uint64
 	eng, err := shard.New(shard.Config{
-		Rules:           shRules,
-		Shards:          n,
-		Context:         opts.Context,
-		Groups:          w.Groups,
-		TypeOf:          w.TypeOf,
-		IndexPrimitives: opts.IndexPrimitives,
-		Interpreted:     opts.Interpreted,
-		OnDetect:        func(int, *event.Instance) { detections++ },
+		Rules:       shRules,
+		Shards:      n,
+		Context:     opts.Context,
+		Groups:      w.Groups,
+		TypeOf:      w.TypeOf,
+		Interpreted: opts.Interpreted,
+		OnDetect:    func(int, *event.Instance) { detections++ },
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	const batch = 256
+	batches := chunks(w.Observations)
 	start := time.Now()
-	for lo := 0; lo < len(w.Observations); lo += batch {
-		hi := lo + batch
-		if hi > len(w.Observations) {
-			hi = len(w.Observations)
-		}
-		if err := eng.IngestBatch(w.Observations[lo:hi]); err != nil {
+	for _, b := range batches {
+		if err := eng.IngestBatch(b); err != nil {
 			return Result{}, err
 		}
 	}
@@ -65,24 +59,24 @@ func RunShardEngine(w *Workload, n int, opts Options) (Result, error) {
 
 // ShardPoint is one measured shard count.
 type ShardPoint struct {
-	Shards     int     `json:"shards"`  // requested
-	Workers    int     `json:"workers"` // partition's actual shard count
-	ElapsedNS  int64   `json:"elapsed_ns"`
-	Throughput float64 `json:"throughput_eps"`
-	Detections uint64  `json:"detections"`
-	Speedup    float64 `json:"speedup_vs_single"`
+	Shards     int // requested
+	Workers    int // partition's actual shard count
+	ElapsedNS  int64
+	Throughput float64
+	Detections uint64
+	Speedup    float64
 }
 
-// ShardReport is the BENCH_shard.json schema: a single-engine baseline
-// plus one point per shard count on the same supply-chain workload.
+// ShardReport is a single-engine baseline plus one point per shard count
+// on the same supply-chain workload.
 type ShardReport struct {
-	Workload     string       `json:"workload"`
-	Events       int          `json:"events"`
-	Rules        int          `json:"rules"`
-	BaselineNS   int64        `json:"baseline_elapsed_ns"`
-	BaselineEPS  float64      `json:"baseline_throughput_eps"`
-	BaselineDets uint64       `json:"baseline_detections"`
-	Points       []ShardPoint `json:"points"`
+	Workload     string
+	Events       int
+	Rules        int
+	BaselineNS   int64
+	BaselineEPS  float64
+	BaselineDets uint64
+	Points       []ShardPoint
 }
 
 // SweepShards measures the sharded engine at each shard count against the
@@ -129,13 +123,6 @@ func SweepShards(shardCounts []int, events, nrules int, seed int64) (*ShardRepor
 		})
 	}
 	return rep, nil
-}
-
-// WriteJSON renders the report for BENCH_shard.json.
-func (r *ShardReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // PrintTable renders the sweep like the other benchmark series.

@@ -1,7 +1,10 @@
 package detect
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -60,43 +63,79 @@ func TestIngestBatchAtomicOnStale(t *testing.T) {
 	}
 }
 
-// TestIngestBatchEquivalentToIngest: chunked batch ingestion of a stream
-// produces exactly the detections of one-at-a-time ingestion.
+// TestIngestBatchEquivalentToIngest pins "Ingest is IngestBatch of one" in
+// both execution modes: however a stream is cut into IngestBatch calls —
+// one call, two calls split at every point, or batches of one — the
+// detections and the checkpoint taken after the last observation are
+// exactly those of one-at-a-time Ingest.
 func TestIngestBatchEquivalentToIngest(t *testing.T) {
 	rules := map[int]event.Expr{
 		1: seqWithin(prim("r1", "o", "t1"), prim("r2", "o", "t2"), 10*time.Second),
 		2: seqWithin(prim("r2", "o", "t1"), prim("r3", "o", "t2"), 10*time.Second),
+		// A negation window: its pseudo event is due between observations,
+		// so the drain-before-the-observation half of the step is exercised.
+		3: &event.Within{
+			X:   &event.And{L: prim("r1", "p", "tp"), R: &event.Not{X: prim("r4", "q", "tq")}},
+			Max: 2 * time.Second,
+		},
 	}
 	stream := []event.Observation{
 		obs("r1", "a", 1), obs("r2", "a", 2), obs("r3", "a", 3),
-		obs("r1", "b", 3), obs("r2", "b", 4), obs("r3", "b", 9),
+		obs("r1", "b", 3), obs("r2", "b", 4), obs("r4", "x", 4.5), obs("r3", "b", 9),
 	}
-	one := newHarness(t, rules, nil)
-	one.feed(stream...)
-	one.eng.Close()
-
-	batched := newHarness(t, rules, nil)
-	if err := batched.eng.IngestBatch(stream[:4]); err != nil {
-		t.Fatalf("IngestBatch: %v", err)
-	}
-	if err := batched.eng.IngestBatch(stream[4:]); err != nil {
-		t.Fatalf("IngestBatch: %v", err)
-	}
-	batched.eng.Close()
-
-	if len(one.sights) == 0 {
-		t.Fatalf("oracle run produced no detections")
-	}
-	if len(one.sights) != len(batched.sights) {
-		t.Fatalf("batched run: %d detections, one-at-a-time: %d", len(batched.sights), len(one.sights))
-	}
-	for i := range one.sights {
-		if one.sights[i].rule != batched.sights[i].rule ||
-			one.sights[i].inst.String() != batched.sights[i].inst.String() {
-			t.Fatalf("detection %d differs: %d %v vs %d %v", i,
-				batched.sights[i].rule, batched.sights[i].inst,
-				one.sights[i].rule, one.sights[i].inst)
+	// run feeds the stream cut at the given indices and returns the
+	// detections (after Close) and the pre-Close checkpoint.
+	run := func(t *testing.T, interpreted, perObs bool, cuts ...int) ([]string, []byte) {
+		t.Helper()
+		h := newHarness(t, rules, func(c *Config) { c.Interpreted = interpreted })
+		if perObs {
+			h.feed(stream...)
+		} else {
+			lo := 0
+			for _, hi := range append(cuts, len(stream)) {
+				if err := h.eng.IngestBatch(stream[lo:hi]); err != nil {
+					t.Fatalf("IngestBatch(%d:%d): %v", lo, hi, err)
+				}
+				lo = hi
+			}
 		}
+		var ck bytes.Buffer
+		if err := h.eng.SaveCheckpoint(&ck); err != nil {
+			t.Fatalf("SaveCheckpoint: %v", err)
+		}
+		h.eng.Close()
+		var sigs []string
+		for _, d := range h.sights {
+			sigs = append(sigs, fmt.Sprintf("%d %v #%d", d.rule, d.inst, d.inst.Seq))
+		}
+		return sigs, ck.Bytes()
+	}
+	for _, mode := range []struct {
+		name        string
+		interpreted bool
+	}{{"compiled", false}, {"interpreted", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			want, wantCk := run(t, mode.interpreted, true)
+			if len(want) < 3 {
+				t.Fatalf("one-at-a-time run produced %d detections; workload is vacuous", len(want))
+			}
+			feeds := map[string][]int{"one call": nil}
+			var ones []int
+			for i := 1; i < len(stream); i++ {
+				feeds[fmt.Sprintf("split at %d", i)] = []int{i}
+				ones = append(ones, i)
+			}
+			feeds["batches of one"] = ones
+			for name, cuts := range feeds {
+				got, gotCk := run(t, mode.interpreted, false, cuts...)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: detections\n got %v\nwant %v", name, got, want)
+				}
+				if !bytes.Equal(gotCk, wantCk) {
+					t.Errorf("%s: checkpoint differs from one-at-a-time ingest\n got %s\nwant %s", name, gotCk, wantCk)
+				}
+			}
+		})
 	}
 }
 

@@ -194,7 +194,7 @@ func (e *Engine) buildPlans() {
 }
 
 // ingestCompiled dispatches one observation through the compiled plans.
-// It mirrors the interpreted loop in Ingest/matchAndEmit exactly —
+// It mirrors the interpreted probe loop in step exactly —
 // including Seq numbering — but compares interned symbols and fills
 // pre-sorted binding templates. The observation is passed by pointer so
 // the dispatch loop never copies the struct.

@@ -56,20 +56,13 @@ type Config struct {
 	// Fig. 6b) — this cap is the backstop.
 	MaxOpenSequence int
 
-	// IndexPrimitives routes each observation only to primitive
-	// patterns whose reader literal matches (plus patterns with
-	// variable readers), instead of probing every leaf — an
-	// optimization beyond the paper that flattens the per-rule matching
-	// cost (ablation A5). Default off to mirror the paper's engine. It
-	// governs the interpreted path only: compiled plans always dispatch
-	// through the symbol index.
-	IndexPrimitives bool
-
-	// Interpreted forces the legacy per-event interpretation path
-	// (Term/Pred AST walks, string compares). Default off: the engine
-	// compiles primitive patterns into prepared plans at construction
-	// (compile.go) and interns reader/object strings at ingest. The
-	// interpreted path is kept as the oracle for equivalence testing.
+	// Interpreted forces the paper's per-event interpretation path: every
+	// observation linearly probes every leaf pattern (Term/Pred AST walks,
+	// string compares). Default off: the engine compiles primitive
+	// patterns into prepared plans at construction (compile.go), interns
+	// reader/object strings at ingest and dispatches through a
+	// reader-symbol index. The interpreted path is kept as the reference
+	// for equivalence testing.
 	Interpreted bool
 
 	// Interner supplies a shared intern table for the compiled path —
@@ -106,12 +99,6 @@ type Engine struct {
 	seq     uint64 // instance arrival counter
 	pseq    uint64 // pseudo scheduling counter
 	m       Metrics
-
-	// primIndex routes observations by reader literal; primWild holds
-	// patterns with variable/anonymous readers. Nil when indexing is
-	// off.
-	primIndex map[string][]*graph.Node
-	primWild  []*graph.Node
 
 	// groupCache and typeCache memoize the group(r) and type(o)
 	// functions: reader groups and object types are deployment
@@ -380,16 +367,6 @@ func New(cfg Config) (*Engine, error) {
 			e.states[n.ID].right = limit(newBuffer(n.JoinVars))
 		}
 	}
-	if cfg.IndexPrimitives {
-		e.primIndex = map[string][]*graph.Node{}
-		for _, p := range cfg.Graph.Prims {
-			if t := p.Prim.Reader; !t.IsVar() && t.Lit != "" {
-				e.primIndex[t.Lit] = append(e.primIndex[t.Lit], p)
-			} else {
-				e.primWild = append(e.primWild, p)
-			}
-		}
-	}
 	if !cfg.Interpreted {
 		e.compiled = true
 		e.intern = cfg.Interner
@@ -436,79 +413,59 @@ func (e *Engine) Now() event.Time { return e.now }
 // Metrics returns a snapshot of activity counters.
 func (e *Engine) Metrics() Metrics { return e.m }
 
-// Ingest feeds one observation. Observations must arrive in non-decreasing
-// timestamp order; pending pseudo events scheduled strictly before the
-// observation's time fire first (the engine always consumes the earliest
-// event of the observation and pseudo queues, paper §4.5).
+// Ingest feeds one observation — IngestBatch of one. Observations must
+// arrive in non-decreasing timestamp order.
 func (e *Engine) Ingest(obs event.Observation) error {
 	if e.now != event.MinTime && obs.At < e.now {
 		return fmt.Errorf("%w: got %s, engine at %s", ErrOutOfOrder, obs.At, e.now)
 	}
-	e.drainPseudo(obs.At, true)
-	e.now = obs.At
-	e.m.Observations++
-	if e.compiled {
-		e.ingestCompiled(&obs)
-		return nil
-	}
-	if e.primIndex != nil {
-		// Indexed dispatch preserves node-ID order across the two
-		// candidate sets so detections stay deterministic.
-		lit := e.primIndex[obs.Reader]
-		wild := e.primWild
-		for len(lit) > 0 || len(wild) > 0 {
-			var next *graph.Node
-			switch {
-			case len(lit) == 0:
-				next, wild = wild[0], wild[1:]
-			case len(wild) == 0:
-				next, lit = lit[0], lit[1:]
-			case lit[0].ID < wild[0].ID:
-				next, lit = lit[0], lit[1:]
-			default:
-				next, wild = wild[0], wild[1:]
-			}
-			e.matchAndEmit(next, obs)
-		}
-		return nil
-	}
-	for _, prim := range e.g.Prims {
-		e.matchAndEmit(prim, obs)
-	}
+	e.step(&obs)
 	return nil
 }
 
-func (e *Engine) matchAndEmit(prim *graph.Node, obs event.Observation) {
-	binds, ok := e.matchPrim(prim, obs)
-	if !ok {
+// step applies one observation known to be in order: pending pseudo
+// events scheduled strictly before its time fire first (the engine always
+// consumes the earliest event of the observation and pseudo queues, paper
+// §4.5), the clock advances, and the observation is dispatched — through
+// the compiled symbol index, or on the interpreted reference by probing
+// every leaf pattern as the paper's engine does.
+func (e *Engine) step(o *event.Observation) {
+	if len(e.pq) > 0 && e.pq[0].exec < o.At {
+		e.drainPseudo(o.At, true)
+	}
+	e.now = o.At
+	e.m.Observations++
+	if e.compiled {
+		e.ingestCompiled(o)
 		return
 	}
-	e.m.PrimMatches++
-	inst := e.newInstance(obs.At, obs.At, binds, e.nextSeq())
-	e.emit(prim, inst)
+	for _, prim := range e.g.Prims {
+		binds, ok := e.matchPrim(prim, *o)
+		if !ok {
+			continue
+		}
+		e.m.PrimMatches++
+		e.emit(prim, e.newInstance(o.At, o.At, binds, e.nextSeq()))
+	}
 }
 
 // IngestBatch feeds a whole batch in timestamp order. The call is atomic
 // with respect to ordering failures: if the earliest observation in the
 // batch precedes the engine's current time, IngestBatch returns
-// ErrOutOfOrder and NO observation is applied. (Ingest can fail only on
-// ordering, and every later observation in the sorted batch is ≥ the
-// first, so a mid-batch failure is impossible — the historical "applied
-// prefix" state cannot occur.)
+// ErrOutOfOrder and NO observation is applied; every later observation in
+// the sorted batch is ≥ the first, so a mid-batch failure is impossible.
 //
-// This is the batch fast path of DESIGN.md §12: an already-sorted batch
-// (the normal case — read cycles arrive in order) is consumed in place
-// with no copy; an unsorted one is stably sorted into an engine-owned
-// scratch buffer, never mutating the caller's slice. On the compiled path
-// the per-event entry overhead (pseudo-queue probe, clock store, dispatch)
-// is inlined into one loop, so the batch costs one function call plus the
-// per-observation matching work.
+// An already-sorted batch (the normal case — read cycles arrive in order)
+// is consumed in place with no copy; an unsorted one is stably sorted into
+// an engine-owned scratch buffer, never mutating the caller's slice. On
+// the compiled path step is inlined into the loop, so the batch costs one
+// function call plus the per-observation matching work.
 func (e *Engine) IngestBatch(batch []event.Observation) error {
 	if len(batch) == 0 {
 		return nil
 	}
 	sorted := batch
-	if !sortedByAt(batch) {
+	if !event.Batch(batch).Sorted() {
 		e.batchScratch = append(e.batchScratch[:0], batch...)
 		sorted = e.batchScratch
 		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
@@ -517,18 +474,15 @@ func (e *Engine) IngestBatch(batch []event.Observation) error {
 		return fmt.Errorf("%w: batch starts at %s, engine at %s", ErrOutOfOrder, sorted[0].At, e.now)
 	}
 	if !e.compiled {
-		for _, o := range sorted {
-			if err := e.Ingest(o); err != nil {
-				return err
-			}
+		for i := range sorted {
+			e.step(&sorted[i])
 		}
 		return nil
 	}
+	// step, inlined: this loop is the engine's hot path.
 	e.m.Observations += uint64(len(sorted))
 	for i := range sorted {
 		o := &sorted[i]
-		// Identical to Ingest's preamble, amortized: the pseudo queue is
-		// probed only when non-empty, and the clock stores monotonically.
 		if len(e.pq) > 0 && e.pq[0].exec < o.At {
 			e.drainPseudo(o.At, true)
 		}
@@ -536,17 +490,6 @@ func (e *Engine) IngestBatch(batch []event.Observation) error {
 		e.ingestCompiled(o)
 	}
 	return nil
-}
-
-// sortedByAt reports whether the batch is already in non-decreasing
-// timestamp order.
-func sortedByAt(batch []event.Observation) bool {
-	for i := 1; i < len(batch); i++ {
-		if batch[i].At < batch[i-1].At {
-			return false
-		}
-	}
-	return true
 }
 
 // AdvanceTo moves virtual time forward to t with no intervening

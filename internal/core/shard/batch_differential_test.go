@@ -106,7 +106,7 @@ func TestBatchVsSingleAllWidths(t *testing.T) {
 		// Sharded widths: the per-obs shard run is the sequence oracle
 		// for the chunked one at the same width.
 		for _, n := range []int{1, 2, 4, 8} {
-			perObs := runShard(t, rules, stream, n, false)
+			perObs := runShard(t, rules, stream, n)
 			chunked := runShardChunked(t, rules, chunks, n)
 			diffStrings(t, "batched vs single", perObs, chunked)
 		}

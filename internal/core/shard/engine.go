@@ -16,8 +16,8 @@ import (
 var ErrClosed = errors.New("shard: engine is closed")
 
 // Config configures a sharded engine. The detection-semantics fields
-// (Context, Groups, TypeOf, buffer caps, IndexPrimitives) mean exactly
-// what they do in detect.Config and are applied to every shard.
+// (Context, Groups, TypeOf, buffer caps) mean exactly what they do in
+// detect.Config and are applied to every shard.
 type Config struct {
 	// Rules is the rule set to partition. IDs are the graph rule IDs
 	// reported to OnDetect and must be unique.
@@ -33,7 +33,6 @@ type Config struct {
 	TypeOf   func(object string) string
 	OnDetect func(ruleID int, inst *event.Instance)
 
-	IndexPrimitives    bool
 	MaxPartitionBuffer int
 	MaxHistory         int
 	MaxOpenSequence    int
@@ -67,8 +66,7 @@ type Config struct {
 type opKind uint8
 
 const (
-	opObs      opKind = iota // deliver an observation to the shard engine
-	opObsBatch               // deliver a routed observation sub-batch (pooled)
+	opObsBatch opKind = iota // deliver a routed observation sub-batch (pooled)
 	opAdvance                // AdvanceTo with no observation
 	opCatchUp                // AdvanceBefore: barrier pre-advance to the router's clock
 	opDrain                  // detect.Engine.Close: fire all pending pseudo events
@@ -78,7 +76,6 @@ const (
 // envelope is one unit of work shipped to a shard worker.
 type envelope struct {
 	op    opKind
-	obs   event.Observation
 	batch event.Batch // opObsBatch payload; worker recycles it after ingest
 	at    event.Time
 	ack   *sync.WaitGroup
@@ -116,12 +113,6 @@ func (w *worker) loop() {
 	for batch := range w.ch {
 		for _, env := range batch {
 			switch env.op {
-			case opObs:
-				if w.err == nil {
-					if err := w.eng.Ingest(env.obs); err != nil {
-						w.err = fmt.Errorf("shard %d: %w", w.id, err)
-					}
-				}
 			case opObsBatch:
 				// The router routed and ordered the sub-batch; the engine's
 				// batch fast path consumes it in place, then the backing
@@ -281,7 +272,6 @@ func New(cfg Config) (*Engine, error) {
 					fire: w.eng.Now(), rule: rid, seq: w.seq, inst: inst,
 				})
 			},
-			IndexPrimitives:    cfg.IndexPrimitives,
 			MaxPartitionBuffer: cfg.MaxPartitionBuffer,
 			MaxHistory:         cfg.MaxHistory,
 			MaxOpenSequence:    cfg.MaxOpenSequence,
@@ -372,13 +362,10 @@ func (e *Engine) flush(s int) {
 	e.workers[s].ch <- batch
 }
 
-// Ingest feeds one observation, fanning it out to the shards whose leaf
-// key spaces can match it. Observations must arrive in non-decreasing
-// timestamp order, exactly as for detect.Engine.
+// Ingest feeds one observation — IngestBatch of one. Observations must
+// arrive in non-decreasing timestamp order, exactly as for detect.Engine.
 func (e *Engine) Ingest(o event.Observation) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ingestLocked(o)
+	return e.IngestBatch([]event.Observation{o})
 }
 
 // IngestBatch feeds a whole batch in timestamp order, taking the router
@@ -402,31 +389,27 @@ func (e *Engine) IngestBatch(batch []event.Observation) error {
 	}
 	sorted := batch
 	if !event.Batch(batch).Sorted() {
-		e.sortScratch = append(e.sortScratch[:0], batch...)
-		sorted = e.sortScratch
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
+		// Sorting its own variable keeps the caller's slice (Ingest's
+		// batch of one) off the heap.
+		scratch := append(e.sortScratch[:0], batch...)
+		sort.SliceStable(scratch, func(i, j int) bool { return scratch[i].At < scratch[j].At })
+		e.sortScratch, sorted = scratch, scratch
 	}
 	if e.now != event.MinTime && sorted[0].At < e.now {
 		return fmt.Errorf("%w: batch starts at %s, engine at %s", detect.ErrOutOfOrder, sorted[0].At, e.now)
 	}
 	for _, o := range sorted {
-		if err := e.ingestLocked(o); err != nil {
+		if err := e.routeLocked(o); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (e *Engine) ingestLocked(o event.Observation) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.err != nil {
-		return e.err
-	}
-	if e.now != event.MinTime && o.At < e.now {
-		return fmt.Errorf("%w: got %s, engine at %s", detect.ErrOutOfOrder, o.At, e.now)
-	}
+// routeLocked advances the router clock to an in-order observation and
+// fans it out to the shards whose leaf key spaces can match it. A shard
+// failure surfaced by the periodic barrier ends the batch.
+func (e *Engine) routeLocked(o event.Observation) error {
 	e.now = o.At
 	e.idx++
 	e.ingested++

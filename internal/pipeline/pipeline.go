@@ -5,16 +5,15 @@
 // inherent (channel sends block) and cancellation propagates through a
 // context.
 //
-// The pipeline serializes all observations into the final sink stage, so
-// a classic single-goroutine detection engine can be fed directly. A
-// sharded engine (internal/core/shard, rcep Config.Shards > 1) fans the
-// serialized stream back out across its shard workers behind the same
-// Sink function; wrap it in a BatchSink to amortize the fan-out lock.
-//
-// RunBatches is the batched variant (DESIGN.md §12): channels carry whole
-// read-cycle batches (event.Batch), so every hop — source emit, stage
-// hand-off, sink call — costs one channel operation per read cycle
-// instead of per observation.
+// There is one runner. RunBatches moves whole read-cycle batches
+// (event.Batch) over the channels, so every hop — source emit, stage
+// hand-off, sink call — costs one channel operation per read cycle; Run
+// is the same runner fed batches of one. Either way the pipeline
+// serializes everything into the final sink stage, so a single-goroutine
+// detect.Engine can be fed directly, and a sharded engine
+// (internal/core/shard, rcep Config.Shards > 1) fans the serialized
+// stream back out across its workers behind the same sink (its
+// IngestBatch takes the router lock once per batch).
 package pipeline
 
 import (
@@ -88,11 +87,9 @@ func (e *SourceError) Unwrap() error { return e.Err }
 // sink has been flushed when Run returns nil; callers still Close()
 // their engine to complete pending pseudo events.
 //
-// A source failure does not tear the pipeline down mid-flight: the
-// stages drain and flush everything the source emitted before dying, the
-// sink consumes it all, and only then does Run return the *SourceError.
-// This is what makes supervised restarts loss-free — nothing emitted is
-// dropped on the floor.
+// Run is RunBatches with every emitted observation travelling as a
+// pooled batch of one, so both share one runner and one set of draining
+// and error semantics.
 func Run(ctx context.Context, cfg Config) error {
 	if cfg.Source == nil || cfg.Sink == nil {
 		return errors.New("pipeline: Source and Sink are required")
@@ -101,187 +98,23 @@ func Run(ctx context.Context, cfg Config) error {
 	if buf <= 0 {
 		buf = 256
 	}
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	nStages := len(cfg.Stages)
-	chans := make([]chan event.Observation, nStages+1)
-	for i := range chans {
-		chans[i] = make(chan event.Observation, buf)
-	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	record := func(err error) {
-		if err == nil {
-			return
-		}
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	fail := func(err error) {
-		if err == nil {
-			return
-		}
-		record(err)
-		cancel()
-	}
-	send := func(ch chan<- event.Observation) func(event.Observation) error {
-		return func(o event.Observation) error {
-			select {
-			case ch <- o:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-	}
-
-	// Source goroutine. A source failure is recorded without cancelling:
-	// closing chans[0] lets the stages drain, flush, and deliver every
-	// observation emitted before the failure. With a ShedPolicy, a full
-	// admission channel evicts its oldest observation instead of blocking
-	// the source; eviction and consumption race benignly (channel ops are
-	// atomic, and either way a slot frees up).
-	admit := send(chans[0])
-	if cfg.Shed != nil {
-		ch := chans[0]
-		admit = func(o event.Observation) error {
-			for {
-				select {
-				case ch <- o:
-					return nil
-				case <-ctx.Done():
-					return ctx.Err()
-				default:
-				}
-				select {
-				case old := <-ch:
-					cfg.Shed.drop(old)
-				default: // the consumer drained it first
-				}
-			}
-		}
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(chans[0])
-		if err := cfg.Source(ctx, admit); err != nil && !errors.Is(err, context.Canceled) {
-			record(&SourceError{Err: err})
-		}
-	}()
-
-	// Stage goroutines.
-	for i, mk := range cfg.Stages {
-		in, out := chans[i], chans[i+1]
-		stage := mk(send(out))
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer close(out)
-			for {
-				select {
-				case o, ok := <-in:
-					if !ok {
-						if err := stage.Flush(); err != nil && !errors.Is(err, context.Canceled) {
-							fail(fmt.Errorf("pipeline: stage %d flush: %w", i, err))
-						}
-						return
-					}
-					if err := stage.Push(o); err != nil {
-						if !errors.Is(err, context.Canceled) {
-							fail(fmt.Errorf("pipeline: stage %d: %w", i, err))
-						}
-						return
-					}
-				case <-ctx.Done():
-					return
-				}
-			}
-		}(i)
-	}
-
-	// Sink goroutine: the single consumer feeding the engine.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		last := chans[nStages]
-		for {
-			select {
-			case o, ok := <-last:
-				if !ok {
-					return
-				}
+	return runBatches(ctx, BatchedConfig{
+		Source: func(ctx context.Context, emit func(event.Batch) error) error {
+			return cfg.Source(ctx, func(o event.Observation) error {
+				return emit(append(event.GetBatch(), o))
+			})
+		},
+		Stages: cfg.Stages,
+		Sink: func(b event.Batch) error {
+			for _, o := range b {
 				if err := cfg.Sink(o); err != nil {
-					fail(fmt.Errorf("pipeline: sink: %w", err))
-					return
+					return err
 				}
-			case <-ctx.Done():
-				return
 			}
-		}
-	}()
-
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return firstErr
-	}
-	// External cancellation with no recorded failure still surfaces
-	// deterministically instead of reporting a clean run.
-	if err := parent.Err(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// BatchSink adapts an engine's batch-ingestion path into a pipeline Sink,
-// grouping consecutive observations into fixed-size batches. The sharded
-// engine takes one router lock per batch instead of per observation, so
-// feeding it through a BatchSink keeps the pipeline's serialization cheap.
-// Call Flush once after Run returns cleanly; Push must not be called
-// concurrently (the pipeline's single sink goroutine satisfies this).
-type BatchSink struct {
-	ingest func([]event.Observation) error
-	buf    []event.Observation
-	size   int
-}
-
-// NewBatchSink wraps ingest (e.g. the sharded engine's IngestBatch) into a
-// sink flushing every size observations; size < 1 means 64.
-func NewBatchSink(size int, ingest func([]event.Observation) error) *BatchSink {
-	if size < 1 {
-		size = 64
-	}
-	return &BatchSink{ingest: ingest, size: size, buf: make([]event.Observation, 0, size)}
-}
-
-// Push buffers one observation, forwarding a full batch.
-func (b *BatchSink) Push(o event.Observation) error {
-	b.buf = append(b.buf, o)
-	if len(b.buf) >= b.size {
-		return b.Flush()
-	}
-	return nil
-}
-
-// Flush forwards the buffered partial batch.
-func (b *BatchSink) Flush() error {
-	if len(b.buf) == 0 {
-		return nil
-	}
-	err := b.ingest(b.buf)
-	b.buf = b.buf[:0]
-	return err
+			return nil
+		},
+		Buffer: buf,
+	}, cfg.Shed)
 }
 
 // BatchSource produces whole observation batches — typically one per
@@ -314,10 +147,23 @@ type BatchedConfig struct {
 }
 
 // RunBatches executes a batched pipeline until the source ends or any
-// stage fails, with the same draining and error semantics as Run: a
-// source failure lets the stages flush everything already emitted before
-// RunBatches returns the *SourceError.
+// stage fails, returning the first error (or the context's error on
+// cancellation).
+//
+// A source failure does not tear the pipeline down mid-flight: the
+// stages drain and flush everything the source emitted before dying, the
+// sink consumes it all, and only then does RunBatches return the
+// *SourceError. This is what makes supervised restarts loss-free —
+// nothing emitted is dropped on the floor.
 func RunBatches(ctx context.Context, cfg BatchedConfig) error {
+	return runBatches(ctx, cfg, nil)
+}
+
+// runBatches is the one runner behind Run and RunBatches: a source, one
+// goroutine per stage and a sink, joined by bounded channels of batches.
+// With shed set, the admission channel (source → first stage) evicts its
+// oldest batch instead of blocking the source.
+func runBatches(ctx context.Context, cfg BatchedConfig, shed *ShedPolicy) error {
 	if cfg.Source == nil || cfg.Sink == nil {
 		return errors.New("pipeline: Source and Sink are required")
 	}
@@ -329,8 +175,7 @@ func RunBatches(ctx context.Context, cfg BatchedConfig) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	nStages := len(cfg.Stages)
-	chans := make([]chan event.Batch, nStages+1)
+	chans := make([]chan event.Batch, len(cfg.Stages)+1)
 	for i := range chans {
 		chans[i] = make(chan event.Batch, buf)
 	}
@@ -341,9 +186,6 @@ func RunBatches(ctx context.Context, cfg BatchedConfig) error {
 		firstErr error
 	)
 	record := func(err error) {
-		if err == nil {
-			return
-		}
 		mu.Lock()
 		if firstErr == nil {
 			firstErr = err
@@ -351,9 +193,6 @@ func RunBatches(ctx context.Context, cfg BatchedConfig) error {
 		mu.Unlock()
 	}
 	fail := func(err error) {
-		if err == nil {
-			return
-		}
 		record(err)
 		cancel()
 	}
@@ -368,12 +207,56 @@ func RunBatches(ctx context.Context, cfg BatchedConfig) error {
 			}
 		}
 	}
+	// consume feeds fn every batch from in. It reports closed when in ended
+	// (the upstream goroutine finished) and a nil error with closed unset
+	// when the run was cancelled.
+	consume := func(in <-chan event.Batch, fn func(event.Batch) error) (closed bool, err error) {
+		for {
+			select {
+			case b, ok := <-in:
+				if !ok {
+					return true, nil
+				}
+				if err := fn(b); err != nil {
+					return false, err
+				}
+			case <-ctx.Done():
+				return false, nil
+			}
+		}
+	}
 
+	// Source goroutine. A source failure is recorded without cancelling:
+	// closing chans[0] lets the stages drain, flush, and deliver every
+	// batch emitted before the failure. With a ShedPolicy, a full admission
+	// channel evicts its oldest batch instead of blocking the source;
+	// eviction and consumption race benignly (channel ops are atomic, and
+	// either way a slot frees up).
+	admit := send(chans[0])
+	if shed != nil {
+		admit = func(b event.Batch) error {
+			for {
+				select {
+				case chans[0] <- b:
+					return nil
+				case <-ctx.Done():
+					event.PutBatch(b)
+					return ctx.Err()
+				default:
+				}
+				select {
+				case old := <-chans[0]:
+					shed.drop(old)
+				default: // the consumer drained it first
+				}
+			}
+		}
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(chans[0])
-		if err := cfg.Source(ctx, send(chans[0])); err != nil && !errors.Is(err, context.Canceled) {
+		if err := cfg.Source(ctx, admit); err != nil && !errors.Is(err, context.Canceled) {
 			record(&SourceError{Err: err})
 		}
 	}()
@@ -405,75 +288,49 @@ func RunBatches(ctx context.Context, cfg BatchedConfig) error {
 		go func(i int) {
 			defer wg.Done()
 			defer close(out)
-			for {
-				select {
-				case b, ok := <-in:
-					if !ok {
-						if err := stage.Flush(); err != nil && !errors.Is(err, context.Canceled) {
-							fail(fmt.Errorf("pipeline: stage %d flush: %w", i, err))
-							return
-						}
-						if err := seal(); err != nil && !errors.Is(err, context.Canceled) {
-							fail(fmt.Errorf("pipeline: stage %d flush: %w", i, err))
-						}
-						return
+			what := fmt.Sprintf("stage %d", i)
+			closed, err := consume(in, func(b event.Batch) error {
+				defer event.PutBatch(b)
+				for _, o := range b {
+					if err := stage.Push(o); err != nil {
+						return err
 					}
-					var err error
-					for _, o := range b {
-						if err = stage.Push(o); err != nil {
-							break
-						}
-					}
-					event.PutBatch(b)
-					if err == nil {
-						err = seal()
-					}
-					if err != nil {
-						if !errors.Is(err, context.Canceled) {
-							fail(fmt.Errorf("pipeline: stage %d: %w", i, err))
-						}
-						return
-					}
-				case <-ctx.Done():
-					return
 				}
+				return seal()
+			})
+			if closed {
+				what += " flush"
+				if err = stage.Flush(); err == nil {
+					err = seal()
+				}
+			}
+			if err != nil && !errors.Is(err, context.Canceled) {
+				fail(fmt.Errorf("pipeline: %s: %w", what, err))
 			}
 		}(i)
 	}
 
-	// Sink goroutine: one call per batch; the batch recycles afterwards.
+	// Sink goroutine: the single consumer feeding the engine, one call
+	// per batch; the batch recycles afterwards.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		last := chans[nStages]
-		for {
-			select {
-			case b, ok := <-last:
-				if !ok {
-					return
-				}
-				err := cfg.Sink(b)
-				event.PutBatch(b)
-				if err != nil {
-					fail(fmt.Errorf("pipeline: sink: %w", err))
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
+		_, err := consume(chans[len(cfg.Stages)], func(b event.Batch) error {
+			defer event.PutBatch(b)
+			return cfg.Sink(b)
+		})
+		if err != nil {
+			fail(fmt.Errorf("pipeline: sink: %w", err))
 		}
 	}()
 
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
 	if firstErr != nil {
 		return firstErr
 	}
-	if err := parent.Err(); err != nil {
-		return err
-	}
-	return nil
+	// External cancellation with no recorded failure still surfaces
+	// deterministically instead of reporting a clean run.
+	return parent.Err()
 }
 
 // BatchSliceSource adapts pre-built batches into a BatchSource; each

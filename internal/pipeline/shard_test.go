@@ -14,9 +14,10 @@ import (
 	"rcep/internal/sim"
 )
 
-// TestPipelineFeedsShardedEngine runs the full concurrent path — source,
-// filtering stages, batch sink — into the sharded engine and checks it
-// detects exactly what a single engine fed by the same pipeline detects.
+// TestPipelineFeedsShardedEngine runs the full concurrent path — batch
+// source, filtering stages, batch sink — into the sharded engine and
+// checks it detects exactly what a single engine fed by the same pipeline
+// detects.
 func TestPipelineFeedsShardedEngine(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Lines = 2
@@ -31,21 +32,23 @@ func TestPipelineFeedsShardedEngine(t *testing.T) {
 		return inst.String() + "#" + rs.Rules[rid].ID
 	}
 
-	runPipe := func(sink func(event.Observation) error, flush func() error) {
+	// 32-observation batches; the residue rides in a short last batch.
+	var batches [][]event.Observation
+	for obs := sc.Observations; len(obs) > 0; {
+		n := min(32, len(obs))
+		batches = append(batches, obs[:n])
+		obs = obs[n:]
+	}
+	runPipe := func(sink func([]event.Observation) error) {
 		t.Helper()
-		err := Run(context.Background(), Config{
-			Source: SliceSource(sc.Observations),
+		err := RunBatches(context.Background(), BatchedConfig{
+			Source: BatchSliceSource(batches),
 			Stages: []StageFunc{Dedup(time.Second)},
-			Sink:   sink,
+			Sink:   func(b event.Batch) error { return sink(b) },
 			Buffer: 8,
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if flush != nil {
-			if err := flush(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 
@@ -67,7 +70,7 @@ func TestPipelineFeedsShardedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runPipe(single.Ingest, nil)
+	runPipe(single.IngestBatch)
 	single.Close()
 	if len(want) == 0 {
 		t.Fatal("single-engine pipeline detected nothing; workload is vacuous")
@@ -90,8 +93,7 @@ func TestPipelineFeedsShardedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewBatchSink(32, sharded.IngestBatch)
-	runPipe(sink.Push, sink.Flush)
+	runPipe(sharded.IngestBatch)
 	sharded.Close()
 	if err := sharded.Err(); err != nil {
 		t.Fatal(err)
@@ -106,29 +108,5 @@ func TestPipelineFeedsShardedEngine(t *testing.T) {
 		if want[i] != got[i] {
 			t.Fatalf("detection %d: %s vs single %s", i, got[i], want[i])
 		}
-	}
-}
-
-// TestBatchSinkFlushesResidue: a stream not divisible by the batch size
-// still delivers everything once Flush runs.
-func TestBatchSinkFlushesResidue(t *testing.T) {
-	var seen int
-	sink := NewBatchSink(4, func(batch []event.Observation) error {
-		seen += len(batch)
-		return nil
-	})
-	for i := 0; i < 10; i++ {
-		if err := sink.Push(o("r", "x", float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if seen != 8 {
-		t.Fatalf("before Flush: %d delivered, want 8 (two full batches)", seen)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 10 {
-		t.Fatalf("after Flush: %d delivered, want 10", seen)
 	}
 }

@@ -10,9 +10,9 @@ import (
 // one, a slow sink backpressures all the way into the source (nothing is
 // lost, latency grows without bound). With one, the admission boundary —
 // the bounded channel between the source and the first stage — sheds its
-// oldest queued observation whenever the source would otherwise block,
-// so a saturated pipeline keeps bounded latency and degrades coverage,
-// oldest-first, instead.
+// oldest queued batch (under Run, one observation) whenever the source
+// would otherwise block, so a saturated pipeline keeps bounded latency
+// and degrades coverage, oldest-first, instead.
 //
 // Shedding never reorders: the survivors are a subsequence of the
 // emitted stream, so downstream detection stays correct on what was
@@ -29,9 +29,14 @@ type ShedPolicy struct {
 // Shed reports how many observations have been dropped.
 func (p *ShedPolicy) Shed() uint64 { return p.n.Load() }
 
-func (p *ShedPolicy) drop(o event.Observation) {
-	p.n.Add(1)
+// drop sheds one evicted batch, counting observations, not batches, and
+// recycles it.
+func (p *ShedPolicy) drop(b event.Batch) {
+	p.n.Add(uint64(len(b)))
 	if p.OnShed != nil {
-		p.OnShed(o)
+		for _, o := range b {
+			p.OnShed(o)
+		}
 	}
+	event.PutBatch(b)
 }

@@ -3,8 +3,10 @@ package wire
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -45,6 +47,91 @@ func TestBatchFrameEndToEnd(t *testing.T) {
 	}
 	if stats.Observations != 2 || stats.Detections != 1 {
 		t.Fatalf("stats after batch: %+v", stats)
+	}
+
+	// With filter stages configured, an obs frame is a batch of one through
+	// the same hand-off: the same stream sent as obs frames and as batch
+	// frames must produce the identical fire sequence, on a single and on a
+	// sharded engine.
+	const stagedRules = `
+CREATE RULE a, dock 1 then dock 2
+ON WITHIN(observation('dock1', o, t1); observation('dock2', o, t2), 10sec)
+IF true
+DO INSERT INTO ALERTS VALUES ('a', o, t1)
+CREATE RULE b, dock 3 then dock 4
+ON WITHIN(observation('dock3', o, t1); observation('dock4', o, t2), 10sec)
+IF true
+DO INSERT INTO ALERTS VALUES ('b', o, t1)
+`
+	// Duplicate reads (dropped by dedup) and late arrivals within the
+	// reorder slack; no two completions share an instant.
+	stream := []BatchObs{
+		{Reader: "dock1", Object: "p1", AtNS: int64(sec(1))},
+		{Reader: "dock3", Object: "q1", AtNS: int64(sec(1.5))},
+		{Reader: "dock1", Object: "p1", AtNS: int64(sec(1.2))}, // late duplicate
+		{Reader: "dock2", Object: "p1", AtNS: int64(sec(3))},
+		{Reader: "dock1", Object: "p2", AtNS: int64(sec(2.5))}, // late
+		{Reader: "dock4", Object: "q1", AtNS: int64(sec(4))},
+		{Reader: "dock4", Object: "q1", AtNS: int64(sec(4.1))}, // duplicate
+		{Reader: "dock3", Object: "q2", AtNS: int64(sec(5))},
+		{Reader: "dock2", Object: "p2", AtNS: int64(sec(6))},
+		{Reader: "dock4", Object: "q2", AtNS: int64(sec(7))},
+		{Reader: "dock1", Object: "p3", AtNS: int64(sec(8))},
+	}
+	runStaged := func(t *testing.T, shards, chunk int) []string {
+		t.Helper()
+		srv, err := NewServer(rcep.Config{Rules: stagedRules, Shards: shards},
+			WithDedup(500*time.Millisecond), WithReorder(2*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		go func() { _ = srv.Serve(l) }()
+		c, err := Dial(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(stream); lo += max(chunk, 1) {
+			if chunk == 0 {
+				o := stream[lo]
+				err = c.Send(o.Reader, o.Object, time.Duration(o.AtNS))
+			} else {
+				err = c.SendBatch(stream[lo:min(lo+chunk, len(stream))])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Advance(sec(60)); err != nil { // releases the reorder buffer
+			t.Fatal(err)
+		}
+		stats, err := c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Observations != 9 { // 11 sent, 2 duplicates dropped
+			t.Fatalf("shards=%d chunk=%d: %d observations reached the engine, want 9", shards, chunk, stats.Observations)
+		}
+		var fires []string
+		for _, m := range c.Firings() {
+			fires = append(fires, fmt.Sprintf("%s %d-%d %v", m.Rule, m.BeginNS, m.EndNS, m.Bindings))
+		}
+		return fires
+	}
+	for _, shards := range []int{0, 4} {
+		want := runStaged(t, shards, 0)
+		if len(want) != 4 {
+			t.Fatalf("shards=%d: obs frames fired %d times, want 4: %v", shards, len(want), want)
+		}
+		for _, chunk := range []int{1, 3, len(stream)} {
+			if got := runStaged(t, shards, chunk); !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d: batch frames of %d fired\n got %v\nwant %v", shards, chunk, got, want)
+			}
+		}
 	}
 }
 

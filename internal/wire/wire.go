@@ -159,16 +159,20 @@ type Server struct {
 	// emu serializes engine access; cmu guards the client registry.
 	// They are distinct because rule firings broadcast while the engine
 	// lock is held.
-	emu         sync.Mutex
-	cmu         sync.Mutex
-	eng         *rcep.Engine
-	ingest      func(event.Observation) error // stage chain ending in the engine
-	ingestBatch func(event.Batch) error       // whole-batch path (direct when no stages)
-	flush       func() error                  // reorder flush, when configured
-	clients     map[*clientConn]bool
-	closing     bool
-	wg          sync.WaitGroup // live connection handlers
-	opts        serverOpts
+	emu sync.Mutex
+	cmu sync.Mutex
+	eng *rcep.Engine
+	// stages is the configured filter chain (reorder in front of dedup);
+	// its terminal appends survivors to pend for handOff. Nil when no
+	// filter is configured. flush releases the reorder buffer into the
+	// engine. All three are guarded by emu.
+	stages  func(event.Observation) error
+	pend    event.Batch
+	flush   func() error
+	clients map[*clientConn]bool
+	closing bool
+	wg      sync.WaitGroup // live connection handlers
+	opts    serverOpts
 
 	// seqMu guards lastSeq: highest sequence number applied per client
 	// ID. The map outlives individual connections so a reconnecting
@@ -311,58 +315,27 @@ func NewServer(cfg rcep.Config, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	s.eng = eng
-	// The ingest chain runs under emu: engine, then dedup, then reorder
-	// in front (stages are stateful and single-writer).
-	s.ingest = func(o event.Observation) error {
-		if err := eng.Ingest(o.Reader, o.Object, time.Duration(o.At)); err != nil {
-			return err
-		}
-		// A sharded engine delivers detections at barriers; the protocol
-		// promises prompt firing broadcasts, so force delivery per frame
-		// (no-op on a single engine).
-		return eng.Flush()
-	}
-	if so.dedupWindow > 0 {
-		d := stream.NewDedup(so.dedupWindow, s.ingest)
-		s.ingest = d.Push
-	}
-	if so.reorderSlack > 0 {
-		r := stream.NewReorder(so.reorderSlack, s.ingest)
-		s.ingest = r.Push
-		s.flush = r.Flush
-	}
-	hasStages := so.dedupWindow > 0 || so.reorderSlack > 0
-	// Canonicalize at the very head of the chain: every JSON frame
-	// decodes fresh reader/object strings, and interning them here means
-	// the dedup window, the reorder buffer and all engine state share one
-	// instance per distinct value instead of one per frame.
-	intern := eng.Interner()
-	if intern != nil {
-		next := s.ingest
-		s.ingest = func(o event.Observation) error {
-			return next(intern.CanonObservation(o))
-		}
-	}
-	// Batch frames take the whole-batch engine path when no per-obs
-	// filter stage is configured; with stages the batch unpacks through
-	// the same chain singles use, so filtering semantics are identical
-	// either way.
-	if hasStages {
-		s.ingestBatch = func(b event.Batch) error {
-			for _, o := range b {
-				if err := s.ingest(o); err != nil {
-					return err
-				}
-			}
+	// The filter chain runs under emu (stages are stateful and
+	// single-writer): reorder in front of dedup, survivors collected in
+	// pend for one engine hand-off per frame.
+	if so.dedupWindow > 0 || so.reorderSlack > 0 {
+		s.stages = func(o event.Observation) error {
+			s.pend = append(s.pend, o)
 			return nil
 		}
-	} else {
-		s.ingestBatch = func(b event.Batch) error {
-			b.Canon(intern)
-			if err := eng.IngestEvents(b); err != nil {
+	}
+	if so.dedupWindow > 0 {
+		s.stages = stream.NewDedup(so.dedupWindow, s.stages).Push
+	}
+	if so.reorderSlack > 0 {
+		r := stream.NewReorder(so.reorderSlack, s.stages)
+		s.stages = r.Push
+		s.flush = func() error {
+			s.pend = s.pend[:0]
+			if err := r.Flush(); err != nil {
 				return err
 			}
-			return eng.Flush()
+			return s.handOff(s.pend)
 		}
 	}
 	if so.admitCap > 0 {
@@ -372,6 +345,53 @@ func NewServer(cfg rcep.Config, opts ...Option) (*Server, error) {
 		go s.pump()
 	}
 	return s, nil
+}
+
+// ingestBatch is the one way observations reach the engine: a batch frame's
+// contents, or an obs frame as a batch of one. The caller holds emu.
+func (s *Server) ingestBatch(b event.Batch) error {
+	// Canonicalize at the very head: every JSON frame decodes fresh
+	// reader/object strings, and interning them here means the dedup
+	// window, the reorder buffer and all engine state share one instance
+	// per distinct value instead of one per frame.
+	b.Canon(s.eng.Interner())
+	if s.stages != nil {
+		s.pend = s.pend[:0]
+		for _, o := range b {
+			if err := s.stages(o); err != nil {
+				return err
+			}
+		}
+		b = s.pend
+	}
+	return s.handOff(b)
+}
+
+// handOff gives the engine one frame's surviving observations. A sharded
+// engine delivers detections at barriers; the protocol promises prompt
+// firing broadcasts, so delivery is forced per frame (a no-op on a single
+// engine).
+func (s *Server) handOff(b event.Batch) error {
+	if len(b) == 0 {
+		return nil
+	}
+	if err := s.eng.IngestEvents(b); err != nil {
+		return err
+	}
+	return s.eng.Flush()
+}
+
+// frameBatch copies a frame's observations — one, for an obs frame — into
+// a pooled batch.
+func frameBatch(m Message) event.Batch {
+	b := event.GetBatch()
+	if m.Type == "obs" {
+		return append(b, event.Observation{Reader: m.Reader, Object: m.Object, At: event.Time(m.AtNS)})
+	}
+	for _, o := range m.Batch {
+		b = append(b, event.Observation{Reader: o.Reader, Object: o.Object, At: event.Time(o.AtNS)})
+	}
+	return b
 }
 
 // Engine returns the underlying engine, e.g. to register procedures
@@ -562,23 +582,14 @@ func (s *Server) handle(conn net.Conn) {
 				reply(Message{Type: "error", Msg: fmt.Sprintf("batch of %d observations exceeds limit %d", len(m.Batch), MaxBatchFrame)})
 				continue
 			}
-			// Sequenced frames apply at most once per (client_id, seq);
-			// stale replays are dropped but still acked so the sender
-			// can release its buffer.
-			fresh := true
 			if m.ClientID != "" && m.Seq > 0 {
 				cc.ids[m.ClientID] = true
-				fresh, _ = s.claimSeq(m.ClientID, m.Seq)
-			}
-			if !fresh {
-				reply(Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
-				continue
 			}
 			if s.admit != nil {
 				s.admitFrame(cc, m)
 				continue
 			}
-			s.applyFrame(cc, m)
+			s.applyFrame(cc, m, false)
 		case "hello":
 			// Resume probe: tell the client how far this feed already got,
 			// and which protocol extensions this server speaks.
@@ -622,27 +633,22 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// applyFrame runs one fresh obs/advance frame through the ingest chain
-// and sends the error/ack replies — the synchronous tail of the handler,
-// also run by the admission pump.
-func (s *Server) applyFrame(cc *clientConn, m Message) {
+// applyFrame claims one obs/batch/advance frame (unless the admission
+// queue already did), runs it into the engine and sends the error/ack
+// replies — the synchronous tail of the handler, also run by the
+// admission pump.
+func (s *Server) applyFrame(cc *clientConn, m Message, claimed bool) {
 	var err error
 	s.emu.Lock()
-	switch m.Type {
-	case "obs":
-		err = s.ingest(event.Observation{
-			Reader: m.Reader, Object: m.Object, At: event.Time(m.AtNS),
-		})
-	case "batch":
+	switch {
+	case !claimed && !s.claim(m):
+		// Stale replay: dropped, but still acked below so the sender can
+		// release its buffer.
+	case m.Type == "obs" || m.Type == "batch":
 		// One pooled batch per frame; the engine path consumes it
 		// synchronously, so it recycles immediately.
-		b := event.GetBatch()
-		for _, o := range m.Batch {
-			b = append(b, event.Observation{Reader: o.Reader, Object: o.Object, At: event.Time(o.AtNS)})
-		}
-		if len(b) > 0 {
-			err = s.ingestBatch(b)
-		}
+		b := frameBatch(m)
+		err = s.ingestBatch(b)
 		event.PutBatch(b)
 	default:
 		if s.flush != nil {
@@ -664,13 +670,15 @@ func (s *Server) applyFrame(cc *clientConn, m Message) {
 	}
 }
 
-// admitFrame enqueues one fresh frame on the admission queue, applying
-// the configured overload policy when it is full.
+// admitFrame claims one frame and enqueues it on the admission queue,
+// applying the configured overload policy when it is full.
 func (s *Server) admitFrame(cc *clientConn, m Message) {
 	a := s.admit
 	var dropped []admitted
 	a.mu.Lock()
-	for len(a.q) >= a.cap && !a.closed {
+	// A replay already known stale must not shed or wait to make room.
+	stale := m.ClientID != "" && m.Seq > 0 && m.Seq <= s.ackedSeq(m.ClientID)
+	for !stale && len(a.q) >= a.cap && !a.closed {
 		if a.drop {
 			if i := oldestSheddable(a.q); i >= 0 {
 				dropped = append(dropped, a.q[i])
@@ -683,11 +691,16 @@ func (s *Server) admitFrame(cc *clientConn, m Message) {
 		// block the handler; the sender's unacked ring absorbs the stall.
 		a.cond.Wait()
 	}
-	if !a.closed {
-		a.q = append(a.q, admitted{m: m, cc: cc})
+	if !stale && !a.closed {
+		if stale = !s.claim(m); !stale {
+			a.q = append(a.q, admitted{m: m, cc: cc})
+		}
 	}
 	a.mu.Unlock()
 	a.cond.Broadcast()
+	if stale {
+		cc.reply(Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
+	}
 	// A shed frame was claimed at admission, so its sender still gets the
 	// cumulative ack and releases it — it is handled, just not applied.
 	for _, d := range dropped {
@@ -736,8 +749,21 @@ func (s *Server) pump() {
 		a.q = a.q[1:]
 		a.mu.Unlock()
 		a.cond.Broadcast()
-		s.applyFrame(e.cc, e.m)
+		s.applyFrame(e.cc, e.m, true)
 	}
+}
+
+// claim records a sequenced frame as handled and reports whether it is
+// fresh: sequenced frames apply at most once per (client_id, seq);
+// unsequenced ones always do. It runs under the lock that orders the
+// hand-off — emu, or the admission queue's — so a frame claimed on a dying
+// connection cannot be overtaken by its successor replayed on a new one.
+func (s *Server) claim(m Message) bool {
+	if m.ClientID == "" || m.Seq == 0 {
+		return true
+	}
+	fresh, _ := s.claimSeq(m.ClientID, m.Seq)
+	return fresh
 }
 
 // claimSeq records seq as applied for the client and reports whether the

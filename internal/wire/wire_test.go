@@ -322,7 +322,7 @@ func TestServerIngestCanonicalizes(t *testing.T) {
 			Object: "p" + strconv.Itoa(42),
 			At:     event.Time(time.Duration(i) * time.Second),
 		}
-		if err := srv.ingest(obs); err != nil {
+		if err := srv.ingestBatch(event.Batch{obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,7 +351,7 @@ func TestServerInterpretedNoInterner(t *testing.T) {
 	if srv.Engine().Interner() != nil {
 		t.Fatal("interpreted engine should expose no interner")
 	}
-	if err := srv.ingest(event.Observation{Reader: "dock1", Object: "p42", At: 0}); err != nil {
+	if err := srv.ingestBatch(event.Batch{{Reader: "dock1", Object: "p42", At: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Engine().Close(); err != nil {

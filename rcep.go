@@ -92,18 +92,12 @@ type Config struct {
 	// experiments; keep it on in production).
 	DisableMerging bool
 
-	// IndexPrimitives dispatches observations by reader literal instead
-	// of probing every leaf pattern — recommended for deployments with
-	// many rules over distinct readers. It governs the interpreted path
-	// only; the compiled path always dispatches by interned reader
-	// symbol.
-	IndexPrimitives bool
-
 	// Interpreted runs the per-event hot path through the AST
-	// interpreters (pattern matching, rule conditions and actions)
-	// instead of the plans compiled at CREATE RULE time. The compiled
-	// path is the default; the interpreter is kept as the oracle for
-	// equivalence and regression runs (see internal/bench).
+	// interpreters (linear probing of every leaf pattern, rule conditions
+	// and actions) instead of the plans compiled at CREATE RULE time,
+	// which dispatch each observation by interned reader symbol. The
+	// compiled path is the default; the interpreter is kept as the
+	// reference for equivalence and regression runs (see internal/bench).
 	Interpreted bool
 
 	// Shards, when > 1, partitions the rule set by reader/group key
@@ -251,7 +245,6 @@ func New(cfg Config) (*Engine, error) {
 			Groups:             cfg.Groups,
 			TypeOf:             cfg.TypeOf,
 			OnDetect:           onDetect,
-			IndexPrimitives:    cfg.IndexPrimitives,
 			MaxPartitionBuffer: cfg.MaxPartitionBuffer,
 			MaxHistory:         cfg.MaxHistory,
 			MaxOpenSequence:    cfg.MaxOpenSequence,
@@ -269,7 +262,6 @@ func New(cfg Config) (*Engine, error) {
 			Groups:             cfg.Groups,
 			TypeOf:             cfg.TypeOf,
 			OnDetect:           onDetect,
-			IndexPrimitives:    cfg.IndexPrimitives,
 			MaxPartitionBuffer: cfg.MaxPartitionBuffer,
 			MaxHistory:         cfg.MaxHistory,
 			MaxOpenSequence:    cfg.MaxOpenSequence,
