@@ -2,11 +2,15 @@ package detect
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
+	"rcep/internal/rules"
+	"rcep/internal/sim"
 )
 
 // Per-operator ingestion micro-benchmarks: cost of one observation
@@ -80,5 +84,52 @@ func BenchmarkIngestNonMatching(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = eng.Ingest(event.Observation{Reader: "other", Object: "o1", At: event.Time(i) * event.Time(time.Millisecond)})
+	}
+}
+
+// BenchmarkIngestInfieldShelf is the shelf-heavy probe behind
+// path_bulk_saturate's engine share: a bare engine fed in IngestBatch
+// calls of 256 from one line at 48 items per case and 20 shelf cycles
+// (100k observations, seed 1), with the shelf family — Rule 2 infield
+// filtering, one negation probe per shelf read — alone and with all three
+// path families. One op is the whole stream.
+func BenchmarkIngestInfieldShelf(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	cfg.Seed, cfg.Lines, cfg.DupProb, cfg.Badges = 1, 1, 0.05, 2
+	cfg.ItemsPerCase, cfg.ShelfCycles = 48, 20
+	const n = 100_000
+	perCase := cfg.ItemsPerCase + 4 + cfg.ShelfCycles*cfg.ItemsPerCase +
+		int(cfg.SellFraction*float64(cfg.ItemsPerCase))
+	cfg.CasesPerLine = int(math.Ceil(1.1*n/float64(perCase))) + 1
+	sc := sim.Generate(cfg)
+	if len(sc.Observations) < n {
+		b.Fatalf("generator produced %d observations, need %d", len(sc.Observations), n)
+	}
+	stream := sc.Observations[:n]
+	for _, families := range [][]string{{"shelf"}, {"dup", "shelf", "asset"}} {
+		rs, err := rules.ParseScript(sim.RuleScript(1, families))
+		if err != nil {
+			b.Fatal(err)
+		}
+		gb := graph.NewBuilder()
+		if err := rules.NewExecutor(rs, nil, nil, nil).Bind(gb); err != nil {
+			b.Fatal(err)
+		}
+		g := gb.Finalize()
+		b.Run(strings.Join(families, "+"), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eng, err := New(Config{Graph: g, Groups: sc.ChainGroups(), TypeOf: sc.Registry.TypeOf})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for lo := 0; lo < n; lo += 256 {
+					if err := eng.IngestBatch(stream[lo:min(lo+256, n)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+		})
 	}
 }

@@ -89,8 +89,14 @@ type checkpoint struct {
 	Pseudo      []ckPseudo `json:"pseudo,omitempty"`
 }
 
-// SaveCheckpoint writes the runtime state as JSON.
+// SaveCheckpoint writes the runtime state as JSON. Every buffer is swept
+// first, so the bytes do not depend on when reclaim last ran.
 func (e *Engine) SaveCheckpoint(w io.Writer) error {
+	for _, n := range e.g.Nodes {
+		if st := e.states[n.ID]; st.reclaimEvery > 0 {
+			e.reclaim(n, st)
+		}
+	}
 	ck := checkpoint{
 		Fingerprint: e.g.Fingerprint(),
 		Now:         e.now,
@@ -117,7 +123,7 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 		if st.hist != nil && st.hist.len() > 0 {
 			h := &ckHistory{}
 			index := map[*event.Instance]int{}
-			for i, in := range st.hist.entries {
+			for i, in := range st.hist.entries.items() {
 				h.Entries = append(h.Entries, toCk(in))
 				index[in] = i
 			}

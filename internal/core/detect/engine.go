@@ -250,6 +250,11 @@ type nodeState struct {
 	// closureDelay bounds how long after an instance's End this node may
 	// emit it (e.g. a TSEQ+ closure fires Hi after its last element).
 	closureDelay time.Duration
+
+	// Future arrivals end no earlier than the clock less lag; reclaim
+	// sweeps the buffers every reclaimEvery (0: nothing can expire).
+	lag, reclaimEvery time.Duration
+	reclaimAt         event.Time
 }
 
 // openSeq is an in-progress aperiodic sequence. starts tracks each
@@ -351,11 +356,25 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.states[n.ID] = st
 	}
-	// Closure delays and terminator wait-buffers need the full graph.
+	// Closure delays, terminator wait-buffers and history keys need the
+	// full graph.
 	for _, n := range cfg.Graph.Nodes {
 		e.states[n.ID].closureDelay = closureDelay(n)
 	}
 	for _, n := range cfg.Graph.Nodes {
+		if st := e.states[n.ID]; st.left != nil && n.NotChild < 0 && (n.HasWithin || n.Kind == graph.KindSeq && n.HasDist) {
+			// expired can hold here; anything buffered has expired against
+			// every future arrival one such span after it arrived.
+			st.lag = emitLag(n)
+			st.reclaimEvery = st.lag + max(n.Within+st.closureDelay, n.Hi, time.Nanosecond)
+		}
+		if n.NotChild >= 0 && len(n.JoinVars) > 0 {
+			// The first negation consumer keys the negated child's
+			// history; a consumer joining on other variables scans.
+			if h := e.states[n.Children[n.NotChild].Child().ID].hist; h.keyed == nil {
+				h.keyed = newKeyIndex[endList](n.JoinVars)
+			}
+		}
 		if n.Kind == graph.KindSeq && n.NotChild != 1 {
 			if closureDelay(n.Left()) > 0 {
 				// The initiator can close after the terminator arrives;
@@ -405,6 +424,20 @@ func closureDelay(n *graph.Node) time.Duration {
 		}
 		return d
 	}
+}
+
+// emitLag bounds how far behind the clock an instance n delivers can end:
+// closureDelay, except that a sequence takes both sides (a late-closing
+// initiator pairs with a waiting terminator) — reclaim needs a true bound.
+func emitLag(n *graph.Node) time.Duration {
+	if n.Kind == graph.KindSeqPlus || len(n.Children) == 0 {
+		return closureDelay(n)
+	}
+	var d time.Duration
+	for _, c := range n.Children {
+		d = max(d, emitLag(c))
+	}
+	return d
 }
 
 // Now returns the engine's current virtual time.

@@ -109,6 +109,40 @@ func TestAllocBudgetNegation(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetNewObject pins the cost of a join key's first sighting on
+// the duplicate-filter join: the interned object string is the partition
+// key and reclaimed partitions recycle, so an object never seen before
+// costs at most one allocation (amortized intern-table and slab growth).
+func TestAllocBudgetNewObject(t *testing.T) {
+	rule := &event.Within{
+		X:   &event.Seq{L: prim("r1", "o", "t1"), R: prim("r1", "o", "t2")},
+		Max: 5 * time.Second,
+	}
+	eng, err := New(Config{Graph: buildGraph(t, map[int]event.Expr{1: rule})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm, runs = 2000, 2000
+	names := make([]string, warm+runs+1)
+	for i := range names {
+		names[i] = fmt.Sprintf("epc-%d", i)
+	}
+	now, next := event.Time(0), 0
+	ingest := func() {
+		now += event.Time(time.Second)
+		if err := eng.Ingest(event.Observation{Reader: "r1", Object: names[next], At: now}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < warm; i++ {
+		ingest()
+	}
+	if avg := testing.AllocsPerRun(runs, ingest); avg > 1 {
+		t.Fatalf("first-seen object allocates %.2f/op, budget is 1", avg)
+	}
+}
+
 // TestPooledNoAliasingIntoDetections pins the pooling contract of
 // DESIGN.md §9: recycled pseudo events and filter bindings must never
 // alias into delivered detections. Every detection is rendered at

@@ -190,6 +190,9 @@ func (e *Engine) seqDeliver(p *graph.Node, from *graph.Node, inst *event.Instanc
 // the arriving side (nil when arrivals are never buffered), other the
 // opposite side. arrivedRight distinguishes sequence terminators.
 func (e *Engine) pair(p *graph.Node, st *nodeState, inst *event.Instance, mine, other *buffer, arrivedRight bool) {
+	if st.reclaimEvery > 0 && e.now >= st.reclaimAt {
+		e.reclaim(p, st)
+	}
 	if other == nil {
 		// Nothing to match against (e.g. a sequence initiator whose
 		// terminator never waits); just buffer the arrival.
@@ -211,7 +214,7 @@ func (e *Engine) pair(p *graph.Node, st *nodeState, inst *event.Instance, mine, 
 	switch e.ctx {
 	case pctx.Chronicle:
 		other.scan(inst.Binds, func(c *event.Instance) (bool, bool) {
-			if e.expired(p, c, inst, arrivedRight) {
+			if e.expired(p, c, inst.End, arrivedRight) {
 				return false, true
 			}
 			if cond(c) {
@@ -222,7 +225,7 @@ func (e *Engine) pair(p *graph.Node, st *nodeState, inst *event.Instance, mine, 
 		})
 	case pctx.Recent:
 		other.scan(inst.Binds, func(c *event.Instance) (bool, bool) {
-			if e.expired(p, c, inst, arrivedRight) {
+			if e.expired(p, c, inst.End, arrivedRight) {
 				return false, true
 			}
 			if cond(c) && (single == nil || c.Seq > single.Seq) {
@@ -232,7 +235,7 @@ func (e *Engine) pair(p *graph.Node, st *nodeState, inst *event.Instance, mine, 
 		})
 	case pctx.Continuous, pctx.Cumulative:
 		other.scan(inst.Binds, func(c *event.Instance) (bool, bool) {
-			if e.expired(p, c, inst, arrivedRight) {
+			if e.expired(p, c, inst.End, arrivedRight) {
 				return false, true
 			}
 			if cond(c) {
@@ -243,7 +246,7 @@ func (e *Engine) pair(p *graph.Node, st *nodeState, inst *event.Instance, mine, 
 		})
 	case pctx.Unrestricted:
 		other.scan(inst.Binds, func(c *event.Instance) (bool, bool) {
-			if e.expired(p, c, inst, arrivedRight) {
+			if e.expired(p, c, inst.End, arrivedRight) {
 				return false, true
 			}
 			if cond(c) {
@@ -324,27 +327,42 @@ func (e *Engine) pairCond(p *graph.Node, inst *event.Instance, arrivedRight bool
 	}
 }
 
-// expired reports whether a buffered candidate can no longer match the
-// current or any future arrival, so it can be purged (the paper's
-// first-class constraint checking during detection).
-func (e *Engine) expired(p *graph.Node, c, inst *event.Instance, arrivedRight bool) bool {
+// expired reports whether a buffered candidate can no longer match an
+// arrival ending at end, or any later one, so it can be purged (the
+// paper's first-class constraint checking during detection).
+func (e *Engine) expired(p *graph.Node, c *event.Instance, end event.Time, arrivedRight bool) bool {
 	if p.Kind == graph.KindSeq && arrivedRight {
 		// c is a pending initiator; future terminators end no earlier
-		// than inst.End.
-		if p.HasDist && c.End < inst.End.Add(-p.Hi) {
+		// than end.
+		if p.HasDist && c.End < end.Add(-p.Hi) {
 			return true
 		}
 	}
 	if p.HasWithin {
-		// Future arrivals end no earlier than inst.End; an old candidate
+		// Future arrivals end no earlier than end; an old candidate
 		// beginning more than Within before can never satisfy the
 		// interval constraint again.
 		slack := e.states[p.ID].closureDelay
-		if c.Begin < inst.End.Add(-p.Within-slack) {
+		if c.Begin < end.Add(-p.Within-slack) {
 			return true
 		}
 	}
 	return false
+}
+
+// reclaim drops p's pending instances that expired holds for against the
+// earliest End a future arrival can have. A scan drops them only when
+// their key returns; without this, an object read once would hold its
+// instance and partition forever. pair runs it once per reclaimEvery, so
+// an instance is swept at most twice: amortized O(1).
+func (e *Engine) reclaim(p *graph.Node, st *nodeState) {
+	st.reclaimAt = e.now.Add(st.reclaimEvery)
+	floor := e.now.Add(-st.lag)
+	// Only terminators scan a sequence's left buffer.
+	st.left.purge(func(c *event.Instance) bool { return e.expired(p, c, floor, p.Kind == graph.KindSeq) })
+	if st.right != nil {
+		st.right.purge(func(c *event.Instance) bool { return e.expired(p, c, floor, false) })
+	}
 }
 
 // combine builds the detected instance from an initiator/left candidate
@@ -564,15 +582,7 @@ func (e *Engine) occurs(n *graph.Node, a, b event.Time, filter event.Bindings) b
 	if n.Kind == graph.KindSeqPlus && !n.Pseudo {
 		e.lazyClose(n, st)
 	}
-	if st.hist == nil {
-		return false
-	}
-	found := false
-	st.hist.inWindow(a, b, filter, anyConsumer, func(*event.Instance) bool {
-		found = true
-		return false
-	})
-	return found
+	return st.hist != nil && st.hist.occurs(a, b, filter)
 }
 
 // fire executes a pseudo event (paper's pseudo-event handling in RCEDA).
