@@ -1,21 +1,19 @@
 // Command experiments regenerates the paper's figures and this
 // repository's ablations (see DESIGN.md §4 for the experiment index).
+// Performance claims come from the repository benchmark (BENCHMARK.json,
+// benchmark/README.md), not from these tables.
 //
 // Usage:
 //
 //	experiments fig4              correctness: RCEDA vs type-level ECA (paper §4.1)
 //	experiments fig8              pseudo-event walkthrough (paper §4.5)
 //	experiments fig9 [-quick]     processing time vs #events and vs #rules (paper §5)
-//	experiments ablation [-quick] sub-graph merging, ECA throughput, contexts
-//	experiments shard [-quick]    sharded engine throughput sweep
-//	experiments hotpath [-quick] [-check]
-//	                              compiled vs interpreted hot path (writes BENCH_hotpath.json;
-//	                              -check gates against the committed baseline)
-//	experiments all [-quick]      everything above
+//	experiments ablation [-quick] sub-graph merging, ECA throughput, dispatch, pipeline, shards, contexts
+//	experiments graph             the paper's five rules as a Graphviz event graph
+//	experiments all [-quick]      fig4, fig8, fig9 and ablation
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +37,6 @@ func main() {
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	quick := fs.Bool("quick", false, "smaller sweeps for fast runs")
-	check := fs.Bool("check", false, "hotpath: fail when compiled falls behind interpreted or the committed BENCH_hotpath.json baseline")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file (docs/OPERATIONS.md)")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	tracefile := fs.String("trace", "", "write a runtime execution trace to this file")
@@ -50,7 +47,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	stopProfiles = stop
 	defer stop()
 
 	switch cmd {
@@ -62,10 +58,6 @@ func main() {
 		fig9(*quick)
 	case "ablation":
 		ablation(*quick)
-	case "shard":
-		shardSweep(*quick)
-	case "hotpath":
-		hotpathSweep(*quick, *check)
 	case "graph":
 		graphDot()
 	case "all":
@@ -73,140 +65,14 @@ func main() {
 		fig8()
 		fig9(*quick)
 		ablation(*quick)
-		shardSweep(*quick)
-		hotpathSweep(*quick, *check)
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: experiments fig4|fig8|fig9|ablation|shard|hotpath|graph|all [-quick] [-check] [-cpuprofile f] [-memprofile f] [-trace f]")
+	fmt.Fprintln(os.Stderr, "usage: experiments fig4|fig8|fig9|ablation|graph|all [-quick] [-cpuprofile f] [-memprofile f] [-trace f]")
 	os.Exit(2)
-}
-
-// stopProfiles flushes any active profiles; exit paths that bypass
-// main's defer (the hotpath regression gate) call it before os.Exit so
-// the profile of a failing run — the one worth reading — survives.
-var stopProfiles = func() {}
-
-// hotpathSweep measures the compiled hot path against the interpreted
-// oracle and writes BENCH_hotpath.json. With check set, it exits nonzero
-// when the compiled single-shard run is slower than the interpreter or
-// regresses more than 10% below the committed baseline's throughput —
-// the CI regression gate.
-func hotpathSweep(quick, check bool) {
-	events, nrules := 100_000, 400
-	if quick {
-		events, nrules = 10_000, 100
-	}
-	fmt.Println("=== Hot path: compiled plans + interning vs AST interpreter ===")
-	var baseline *bench.HotpathReport
-	if check {
-		// Read the committed baseline before overwriting the file.
-		if f, err := os.Open("BENCH_hotpath.json"); err == nil {
-			baseline = &bench.HotpathReport{}
-			if err := json.NewDecoder(f).Decode(baseline); err != nil {
-				fmt.Fprintf(os.Stderr, "hotpath: unreadable baseline BENCH_hotpath.json: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		} else {
-			fmt.Fprintln(os.Stderr, "hotpath: -check without a committed BENCH_hotpath.json baseline")
-			os.Exit(1)
-		}
-	}
-	rep, err := bench.SweepHotpath([]int{1, 2, 4, 8}, events, nrules, 1)
-	if err != nil {
-		panic(err)
-	}
-	rep.PrintTable(os.Stdout)
-	f, err := os.Create("BENCH_hotpath.json")
-	if err != nil {
-		panic(err)
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		panic(err)
-	}
-	fmt.Println("wrote BENCH_hotpath.json")
-	if check {
-		if err := hotpathCheck(rep, baseline, events, nrules); err != nil {
-			fmt.Fprintf(os.Stderr, "hotpath: REGRESSION: %v\n", err)
-			stopProfiles()
-			os.Exit(1)
-		}
-		fmt.Println("hotpath check: OK")
-	}
-	fmt.Println()
-}
-
-// hotpathCheck is the regression gate: the compiled single-shard run must
-// beat the interpreter and stay within 10% of the committed baseline's
-// compiled throughput. Perf cells are noisy, so a failing cell is
-// re-measured (fresh engines, same workload) up to two more times and the
-// gate passes if any attempt does; a real regression fails all three.
-func hotpathCheck(rep, baseline *bench.HotpathReport, events, nrules int) error {
-	var baseEPS, baseBatchedEPS float64
-	if baseline.Events == rep.Events && baseline.Rules == rep.Rules {
-		for _, bp := range baseline.Points {
-			if bp.Shards == 1 {
-				baseEPS = bp.Compiled.EPS
-				baseBatchedEPS = bp.Batched.EPS
-			}
-		}
-	} else {
-		fmt.Printf("hotpath check: baseline shape (%d events, %d rules) differs from this run; gating on interpreted only\n",
-			baseline.Events, baseline.Rules)
-	}
-	attempt := func(p bench.HotpathPoint) error {
-		if p.Compiled.EPS < p.Interpreted.EPS {
-			return fmt.Errorf("compiled single-shard %.0f eps is below interpreted %.0f eps", p.Compiled.EPS, p.Interpreted.EPS)
-		}
-		if baseEPS > 0 && p.Compiled.EPS < baseEPS*0.9 {
-			return fmt.Errorf("compiled single-shard %.0f eps dropped >10%% below the committed baseline's %.0f eps", p.Compiled.EPS, baseEPS)
-		}
-		// Same 10% tolerance on the batched series, once a baseline that
-		// has one is committed (older baselines decode it as zero).
-		if baseBatchedEPS > 0 && p.Batched.EPS < baseBatchedEPS*0.9 {
-			return fmt.Errorf("batched single-shard %.0f eps dropped >10%% below the committed baseline's %.0f eps", p.Batched.EPS, baseBatchedEPS)
-		}
-		return nil
-	}
-	single := rep.Points[0]
-	if single.Shards != 1 {
-		return fmt.Errorf("sweep did not start at shards=1")
-	}
-	err := attempt(single)
-	for retry := 0; err != nil && retry < 2; retry++ {
-		fmt.Printf("hotpath check: attempt failed (%v); re-measuring shards=1\n", err)
-		again, serr := bench.SweepHotpath([]int{1}, events, nrules, 1)
-		if serr != nil {
-			return serr
-		}
-		err = attempt(again.Points[0])
-	}
-	return err
-}
-
-// shardSweep measures the sharded engine (internal/core/shard) against the
-// single engine on the supply-chain workload. It prints only; the committed
-// sharded figure is shard.throughput_eps in the repository benchmark.
-func shardSweep(quick bool) {
-	// 400 rules ≈ 80 production lines × 5 rule families: the scale the
-	// sharded engine is built for — single-engine leaf probing grows with
-	// the total rule count while each shard's stays per-line constant.
-	events, nrules := 100_000, 400
-	if quick {
-		events, nrules = 10_000, 100
-	}
-	fmt.Println("=== Shard sweep: key-space partitioned engine vs single engine ===")
-	rep, err := bench.SweepShards([]int{1, 2, 4, 8}, events, nrules, 1)
-	if err != nil {
-		panic(err)
-	}
-	rep.PrintTable(os.Stdout)
-	fmt.Println()
 }
 
 // graphDot prints the merged event graph for the paper's five rules in

@@ -18,6 +18,7 @@ import (
 	"rcep/internal/core/detect"
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
+	"rcep/internal/core/shard"
 	"rcep/internal/eca"
 	"rcep/internal/pipeline"
 	"rcep/internal/rules"
@@ -264,8 +265,55 @@ func RunPipelined(w *Workload, opts Options) (Result, error) {
 	}, nil
 }
 
+// RunShardEngine measures the sharded detection engine (key-space rule
+// partitioning + per-shard workers + routed fan-out, internal/core/shard)
+// on the workload. The observation stream is fed through the router in
+// batches; detections are counted at the merged fan-in, so the result is
+// comparable with RunRCEDA.
+func RunShardEngine(w *Workload, n int, opts Options) (Result, error) {
+	rs, err := w.parseRules()
+	if err != nil {
+		return Result{}, err
+	}
+	shRules := make([]shard.Rule, len(rs.Rules))
+	for i, r := range rs.Rules {
+		shRules[i] = shard.Rule{ID: i, Expr: r.Event}
+	}
+	var detections uint64
+	eng, err := shard.New(shard.Config{
+		Rules:       shRules,
+		Shards:      n,
+		Context:     opts.Context,
+		Groups:      w.Groups,
+		TypeOf:      w.TypeOf,
+		Interpreted: opts.Interpreted,
+		OnDetect:    func(int, *event.Instance) { detections++ },
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	start := time.Now()
+	for _, b := range chunks(w.Observations) {
+		if err := eng.IngestBatch(b); err != nil {
+			return Result{}, err
+		}
+	}
+	eng.Close()
+	elapsed := time.Since(start)
+	if err := eng.Err(); err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Events:     len(w.Observations),
+		Rules:      len(rs.Rules),
+		Elapsed:    elapsed,
+		Detections: detections,
+		Metrics:    eng.Metrics(),
+	}, nil
+}
+
 // ingestChunk is the read-cycle batch size every batched driver
-// (RunPipelined, RunShardEngine, the hotpath batched series) feeds at.
+// (RunPipelined, RunShardEngine) feeds at.
 const ingestChunk = 256
 
 // chunks splits a stream into ingestChunk-sized batches (the last may be

@@ -107,6 +107,32 @@ func TestRunPipelinedSmoke(t *testing.T) {
 	}
 }
 
+// TestRunShardEngineMatchesSingle pins the benchmark harness itself: the
+// sharded run must detect exactly what the single engine detects, at every
+// shard count, or the throughput numbers are meaningless.
+func TestRunShardEngineMatchesSingle(t *testing.T) {
+	w := Fig9Workload(800, 10, 1, false)
+	base, err := RunRCEDA(w, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Detections == 0 {
+		t.Fatal("workload produced no detections; benchmark is vacuous")
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		r, err := RunShardEngine(w, n, Options{})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", n, err)
+		}
+		if r.Detections != base.Detections {
+			t.Errorf("shards=%d: %d detections, single engine %d", n, r.Detections, base.Detections)
+		}
+		if r.Events != base.Events {
+			t.Errorf("shards=%d: %d events, want %d", n, r.Events, base.Events)
+		}
+	}
+}
+
 func TestContextOption(t *testing.T) {
 	w := Fig9Workload(600, 5, 1, false)
 	for _, c := range pctx.All() {
