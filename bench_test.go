@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"rcep/internal/bench"
-	pctx "rcep/internal/core/context"
 	"rcep/internal/core/detect"
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
@@ -190,24 +189,6 @@ func BenchmarkAblationBaselineECA(b *testing.B) {
 		}
 		reportPerEvent(b, last)
 	})
-}
-
-// BenchmarkAblationContexts is DESIGN.md A3: parameter-context cost.
-func BenchmarkAblationContexts(b *testing.B) {
-	w := bench.Fig9Workload(10_000, 25, 1, false)
-	for _, c := range pctx.All() {
-		b.Run(c.String(), func(b *testing.B) {
-			var last bench.Result
-			for i := 0; i < b.N; i++ {
-				r, err := bench.RunRCEDA(w, bench.Options{Context: c})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			reportPerEvent(b, last)
-		})
-	}
 }
 
 // BenchmarkActionsIncluded quantifies the action cost the paper excludes:

@@ -8,7 +8,7 @@
 //	experiments fig4              correctness: RCEDA vs type-level ECA (paper §4.1)
 //	experiments fig8              pseudo-event walkthrough (paper §4.5)
 //	experiments fig9 [-quick]     processing time vs #events and vs #rules (paper §5)
-//	experiments ablation [-quick] sub-graph merging, ECA throughput, dispatch, pipeline, shards, contexts
+//	experiments ablation [-quick] sub-graph merging, ECA throughput, dispatch, pipeline, shards
 //	experiments graph             the paper's five rules as a Graphviz event graph
 //	experiments all [-quick]      fig4, fig8, fig9 and ablation
 package main
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"rcep/internal/bench"
-	pctx "rcep/internal/core/context"
 	"rcep/internal/core/detect"
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
@@ -243,7 +242,7 @@ func fig9(quick bool) {
 	fmt.Println()
 }
 
-// ablation runs the A1–A3 experiments of DESIGN.md.
+// ablation runs the A1, A2, A4, A5 and A6 experiments of DESIGN.md.
 func ablation(quick bool) {
 	// 400 rules ≈ 80 production lines × 5 rule families: the scale the
 	// sharded engine is built for — single-engine leaf probing grows with
@@ -316,16 +315,6 @@ func ablation(quick bool) {
 			panic(err)
 		}
 		fmt.Printf("%d shard(s): %8.1f ms, %d detections\n", n, ms(r.Elapsed), r.Detections)
-	}
-	fmt.Println()
-
-	fmt.Println("=== A3: parameter contexts ===")
-	for _, c := range pctx.All() {
-		r, err := bench.RunRCEDA(w, bench.Options{Context: c})
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("%-13s: %8.1f ms, %d detections\n", c, ms(r.Elapsed), r.Detections)
 	}
 	fmt.Println()
 }

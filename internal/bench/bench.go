@@ -1,5 +1,5 @@
 // Package bench is the measurement harness for the paper's evaluation
-// (§5, Fig. 9) and this repository's ablations (DESIGN.md A1–A3). It
+// (§5, Fig. 9) and this repository's ablations (DESIGN.md §4). It
 // builds supply-chain workloads at a target primitive-event count and rule
 // count, runs them through RCEDA (or the type-level ECA baseline), and
 // reports total event processing time. Matching the paper's methodology,
@@ -14,7 +14,6 @@ import (
 	"math"
 	"time"
 
-	pctx "rcep/internal/core/context"
 	"rcep/internal/core/detect"
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
@@ -102,7 +101,6 @@ func (w *Workload) parseRules() (*rules.RuleSet, error) {
 
 // Options tune a run.
 type Options struct {
-	Context        pctx.Context
 	DisableMerging bool
 	IncludeActions bool // run conditions and actions (excluded by default, as in the paper)
 	Interpreted    bool // force the per-event AST interpreter: linear leaf probing, the reference for the compiled hot path (A5)
@@ -159,7 +157,6 @@ func RunRCEDA(w *Workload, opts Options) (Result, error) {
 	}
 	eng, err := detect.New(detect.Config{
 		Graph:       b.Finalize(),
-		Context:     opts.Context,
 		Groups:      w.Groups,
 		TypeOf:      w.TypeOf,
 		OnDetect:    onDetect,
@@ -238,7 +235,6 @@ func RunPipelined(w *Workload, opts Options) (Result, error) {
 	var detections uint64
 	eng, err := detect.New(detect.Config{
 		Graph:    b.Finalize(),
-		Context:  opts.Context,
 		Groups:   w.Groups,
 		TypeOf:   w.TypeOf,
 		OnDetect: func(int, *event.Instance) { detections++ },
@@ -283,7 +279,6 @@ func RunShardEngine(w *Workload, n int, opts Options) (Result, error) {
 	eng, err := shard.New(shard.Config{
 		Rules:       shRules,
 		Shards:      n,
-		Context:     opts.Context,
 		Groups:      w.Groups,
 		TypeOf:      w.TypeOf,
 		Interpreted: opts.Interpreted,

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	pctx "rcep/internal/core/context"
 )
 
 func TestFig9WorkloadSizing(t *testing.T) {
@@ -129,15 +127,6 @@ func TestRunShardEngineMatchesSingle(t *testing.T) {
 		}
 		if r.Events != base.Events {
 			t.Errorf("shards=%d: %d events, want %d", n, r.Events, base.Events)
-		}
-	}
-}
-
-func TestContextOption(t *testing.T) {
-	w := Fig9Workload(600, 5, 1, false)
-	for _, c := range pctx.All() {
-		if _, err := RunRCEDA(w, Options{Context: c}); err != nil {
-			t.Errorf("context %v: %v", c, err)
 		}
 	}
 }

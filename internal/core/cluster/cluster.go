@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	pctx "rcep/internal/core/context"
 	"rcep/internal/core/detect"
 	"rcep/internal/core/event"
 	"rcep/internal/core/shard"
@@ -29,17 +28,16 @@ var ErrClosed = errors.New("cluster: coordinator is closed")
 // full journal instead.
 var errAssignFailed = errors.New("cluster: shard assignment rejected")
 
-// Config configures a Coordinator. Rules, Shards, Context, Groups and
-// TypeOf must match every worker's WorkerConfig: both sides derive the
-// same partition and exchange shard numbers as indices into it.
+// Config configures a Coordinator. Rules, Shards, Groups and TypeOf must
+// match every worker's WorkerConfig: both sides derive the same partition
+// and exchange shard numbers as indices into it.
 type Config struct {
 	Rules   []shard.Rule
 	Shards  int // max shards, as in shard.Config (0 = one per rule class)
 	Workers []string
 
-	Context pctx.Context
-	Groups  func(reader string) []string
-	TypeOf  func(object string) string
+	Groups func(reader string) []string
+	TypeOf func(object string) string
 
 	// OnDetect receives the merged detections in deterministic
 	// (fire, rule, seq) order — the same order the in-process sharded

@@ -38,7 +38,6 @@ import (
 	"net"
 	"sync"
 
-	pctx "rcep/internal/core/context"
 	"rcep/internal/core/detect"
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
@@ -46,20 +45,17 @@ import (
 	"rcep/internal/wire"
 )
 
-// WorkerConfig configures a cluster worker. Rules, Shards, Context,
-// Groups and TypeOf must match the coordinator's exactly: both sides run
+// WorkerConfig configures a cluster worker. Rules, Shards, Groups and
+// TypeOf must match the coordinator's exactly: both sides run
 // shard.NewPartition over them and the shard numbers in assign frames
 // are indices into that shared partition.
 type WorkerConfig struct {
-	Rules   []shard.Rule
-	Shards  int
-	Context pctx.Context
-	Groups  func(reader string) []string
-	TypeOf  func(object string) string
+	Rules  []shard.Rule
+	Shards int
+	Groups func(reader string) []string
+	TypeOf func(object string) string
 
-	MaxPartitionBuffer int
-	MaxHistory         int
-	MaxOpenSequence    int
+	detect.Limits
 
 	// Interpreted selects the per-event AST interpreter in this worker's
 	// shard engines instead of the compiled plans (oracle mode).
@@ -404,10 +400,9 @@ func (w *Worker) newFeed(m wire.Message) (*feed, error) {
 	}
 	f.out = out
 	eng, err := detect.New(detect.Config{
-		Graph:   b.Finalize(),
-		Context: w.cfg.Context,
-		Groups:  w.cfg.Groups,
-		TypeOf:  w.cfg.TypeOf,
+		Graph:  b.Finalize(),
+		Groups: w.cfg.Groups,
+		TypeOf: w.cfg.TypeOf,
 		OnDetect: func(rid int, inst *event.Instance) {
 			f.dseq++
 			f.out.add(wire.ClusterDet{
@@ -416,10 +411,8 @@ func (w *Worker) newFeed(m wire.Message) (*feed, error) {
 				InstSeq: inst.Seq, Binds: inst.Binds,
 			})
 		},
-		MaxPartitionBuffer: w.cfg.MaxPartitionBuffer,
-		MaxHistory:         w.cfg.MaxHistory,
-		MaxOpenSequence:    w.cfg.MaxOpenSequence,
-		Interpreted:        w.cfg.Interpreted,
+		Limits:      w.cfg.Limits,
+		Interpreted: w.cfg.Interpreted,
 	})
 	if err != nil {
 		f.out.close()

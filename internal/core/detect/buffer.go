@@ -1,8 +1,8 @@
 // Package detect implements RCEDA, the RFID complex event detection
 // algorithm of paper §4: graph-driven detection where temporal constraints
 // are first-class, non-spontaneous events are completed by pseudo events,
-// and constituent instances are paired under a parameter context
-// (chronicle by default).
+// and constituent instances are paired under the chronicle parameter
+// context: the oldest admissible candidate, consumed by one detection.
 //
 // The engine is single-goroutine: observations must be fed in
 // non-decreasing timestamp order through Ingest. Use package stream to
@@ -156,15 +156,6 @@ func (b *buffer) add(in *event.Instance) {
 			*b.dropped++
 		}
 	}
-}
-
-// replaceAll empties the instance's partition and stores only it (the
-// "recent" context keeps the most recent initiator only).
-func (b *buffer) replaceAll(in *event.Instance) {
-	p := b.part(in.Binds, true)
-	b.size -= len(p.items) - 1
-	clear(p.items)
-	p.items = append(p.items[:0], in)
 }
 
 // scan visits the partition compatible with binds in arrival order. The

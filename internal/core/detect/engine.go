@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	pctx "rcep/internal/core/context"
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
 )
@@ -22,10 +21,6 @@ type Config struct {
 	// Graph is the finalized event graph (graph.Builder.Finalize).
 	Graph *graph.Graph
 
-	// Context is the parameter context; the zero value is Chronicle,
-	// the paper's choice for RFID streams.
-	Context pctx.Context
-
 	// Groups maps a reader EPC to the groups it belongs to. When nil,
 	// every reader is its own group (paper §2.1 default).
 	Groups func(reader string) []string
@@ -38,23 +33,8 @@ type Config struct {
 	// is detected, with the detected complex event instance.
 	OnDetect func(ruleID int, inst *event.Instance)
 
-	// MaxPartitionBuffer, when positive, bounds each join partition of
-	// every node's pending-instance buffers: the oldest instance is
-	// evicted past the cap and counted in Metrics.Dropped. Zero keeps
-	// the paper's unbounded semantics.
-	MaxPartitionBuffer int
-
-	// MaxHistory, when positive, bounds each node's retained occurrence
-	// history the same way.
-	MaxHistory int
-
-	// MaxOpenSequence, when positive, bounds an open SEQ+/TSEQ+ run: an
-	// input stream that never violates the adjacency bound (a conveyor
-	// that never pauses) otherwise grows the run without limit. On
-	// overflow the older half of the run is discarded (counted in
-	// Metrics.Dropped). Prefer WITHIN bounds on the sequence (paper
-	// Fig. 6b) — this cap is the backstop.
-	MaxOpenSequence int
+	// Limits bounds per-node state; the zero value is unbounded.
+	Limits
 
 	// Interpreted forces the paper's per-event interpretation path: every
 	// observation linearly probes every leaf pattern (Term/Pred AST walks,
@@ -72,6 +52,29 @@ type Config struct {
 	Interner *event.Interner
 }
 
+// Limits bounds per-node engine state for unruly inputs. Every layer that
+// builds detection engines embeds it and passes it down whole. Zero fields
+// keep the paper's unbounded semantics; evictions are lossy and counted in
+// Metrics.Dropped.
+type Limits struct {
+	// MaxPartitionBuffer, when positive, bounds each join partition of
+	// every node's pending-instance buffers: the oldest instance is
+	// evicted past the cap and counted in Metrics.Dropped.
+	MaxPartitionBuffer int
+
+	// MaxHistory, when positive, bounds each node's retained occurrence
+	// history the same way.
+	MaxHistory int
+
+	// MaxOpenSequence, when positive, bounds an open SEQ+/TSEQ+ run: an
+	// input stream that never violates the adjacency bound (a conveyor
+	// that never pauses) otherwise grows the run without limit. On
+	// overflow the older half of the run is discarded (counted in
+	// Metrics.Dropped). Prefer WITHIN bounds on the sequence (paper
+	// Fig. 6b) — this cap is the backstop.
+	MaxOpenSequence int
+}
+
 // Metrics counts engine activity; useful in tests and benchmarks.
 type Metrics struct {
 	Observations    uint64 // observations ingested
@@ -87,7 +90,6 @@ type Metrics struct {
 // concurrent use; feed it from a single goroutine.
 type Engine struct {
 	g        *graph.Graph
-	ctx      pctx.Context
 	groups   func(string) []string
 	typeOf   func(string) string
 	onDetect func(int, *event.Instance)
@@ -311,7 +313,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		g:          cfg.Graph,
-		ctx:        cfg.Context,
 		groups:     cfg.Groups,
 		typeOf:     cfg.TypeOf,
 		onDetect:   cfg.OnDetect,

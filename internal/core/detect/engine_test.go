@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	pctx "rcep/internal/core/context"
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
 )
@@ -612,39 +611,18 @@ func TestSelfSequence(t *testing.T) {
 	}
 }
 
-func TestContexts(t *testing.T) {
-	// History: initiators a@1, b@2; terminator x@3; then terminator y@4.
-	mk := func(ctx pctx.Context) []detection {
-		h := newHarness(t, map[int]event.Expr{
-			1: &event.Seq{L: prim("rA", "o1", "t1"), R: prim("rB", "o2", "t2")},
-		}, func(c *Config) { c.Context = ctx })
-		return h.run(obs("rA", "a", 1), obs("rA", "b", 2), obs("rB", "x", 3), obs("rB", "y", 4))
+func TestChroniclePairsOldestFirst(t *testing.T) {
+	// Initiators a@1, b@2; terminators x@3, y@4. Each terminator consumes
+	// the oldest pending initiator (paper §4.2).
+	h := newHarness(t, map[int]event.Expr{
+		1: &event.Seq{L: prim("rA", "o1", "t1"), R: prim("rB", "o2", "t2")},
+	}, nil)
+	var got []string
+	for _, d := range h.run(obs("rA", "a", 1), obs("rA", "b", 2), obs("rB", "x", 3), obs("rB", "y", 4)) {
+		got = append(got, d.inst.Binds.Val("o1").String()+"+"+d.inst.Binds.Val("o2").String())
 	}
-	pairs := func(ds []detection) []string {
-		var out []string
-		for _, d := range ds {
-			out = append(out, d.inst.Binds.Val("o1").String()+"+"+d.inst.Binds.Val("o2").String())
-		}
-		return out
-	}
-
-	if got := pairs(mk(pctx.Chronicle)); len(got) != 2 || got[0] != "a+x" || got[1] != "b+y" {
+	if len(got) != 2 || got[0] != "a+x" || got[1] != "b+y" {
 		t.Errorf("chronicle: %v", got)
-	}
-	if got := pairs(mk(pctx.Recent)); len(got) != 2 || got[0] != "b+x" || got[1] != "b+y" {
-		t.Errorf("recent: %v", got)
-	}
-	// Continuous: x pairs with (and consumes) both a and b; y finds none.
-	if got := pairs(mk(pctx.Continuous)); len(got) != 2 || got[0] != "a+x" || got[1] != "b+x" {
-		t.Errorf("continuous: %v", got)
-	}
-	// Cumulative: x consumes a and b into one detection.
-	if got := pairs(mk(pctx.Cumulative)); len(got) != 1 {
-		t.Errorf("cumulative: %v", got)
-	}
-	// Unrestricted: x pairs with a,b; y pairs with a,b.
-	if got := pairs(mk(pctx.Unrestricted)); len(got) != 4 {
-		t.Errorf("unrestricted: %v", got)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestBufferCapEvictsOldest(t *testing.T) {
 	rules := map[int]event.Expr{
 		1: &event.Seq{L: prim("rA", "o1", "t1"), R: prim("rB", "o2", "t2")},
 	}
-	eng, _ := buildEngine(t, Config{MaxPartitionBuffer: 10}, rules)
+	eng, _ := buildEngine(t, Config{Limits: Limits{MaxPartitionBuffer: 10}}, rules)
 	for i := 0; i < 100; i++ {
 		if err := eng.Ingest(obs("rA", "x", float64(i))); err != nil {
 			t.Fatal(err)
@@ -56,7 +56,7 @@ func TestBufferCapEvictsOldest(t *testing.T) {
 	var got []detection
 	engGot := eng
 	_ = engGot
-	eng2, sights := buildEngine(t, Config{MaxPartitionBuffer: 10}, map[int]event.Expr{
+	eng2, sights := buildEngine(t, Config{Limits: Limits{MaxPartitionBuffer: 10}}, map[int]event.Expr{
 		1: &event.Seq{L: prim("rA", "o1", "t1"), R: prim("rB", "o2", "t2")},
 	})
 	for i := 0; i < 100; i++ {
@@ -76,7 +76,7 @@ func TestHistoryCapEvictsOldest(t *testing.T) {
 			Max: 1000 * time.Second, // huge retention so only the cap prunes
 		},
 	}
-	eng, _ := buildEngine(t, Config{MaxHistory: 5}, rules)
+	eng, _ := buildEngine(t, Config{Limits: Limits{MaxHistory: 5}}, rules)
 	for i := 0; i < 50; i++ {
 		if err := eng.Ingest(obs("r2", "u", float64(i))); err != nil {
 			t.Fatal(err)

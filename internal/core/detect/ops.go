@@ -3,7 +3,6 @@ package detect
 import (
 	"time"
 
-	pctx "rcep/internal/core/context"
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
 )
@@ -53,8 +52,8 @@ func (e *Engine) deliver(p *graph.Node, from *graph.Node, inst *event.Instance) 
 }
 
 // andDeliver implements conjunction. With a negated conjunct it runs the
-// paper's Fig. 8 protocol; otherwise it pairs the two positive sides under
-// the parameter context.
+// paper's Fig. 8 protocol; otherwise it pairs the two positive sides in
+// chronicle order.
 func (e *Engine) andDeliver(p *graph.Node, from *graph.Node, inst *event.Instance) {
 	if p.NotChild >= 0 {
 		// WITHIN(P ∧ ¬N, w). Arrival of positive p: first check
@@ -186,107 +185,35 @@ func (e *Engine) seqDeliver(p *graph.Node, from *graph.Node, inst *event.Instanc
 }
 
 // pair matches an arriving instance against the opposite buffer of a
-// binary node under the engine's parameter context. mine is the buffer for
-// the arriving side (nil when arrivals are never buffered), other the
-// opposite side. arrivedRight distinguishes sequence terminators.
+// binary node under the chronicle context (paper §4.2): the oldest
+// admissible candidate is consumed and paired with the arrival; with none,
+// the arrival waits in mine. mine is the buffer for the arriving side (nil
+// when arrivals are never buffered), other the opposite side (nil when
+// there is nothing to match against). arrivedRight distinguishes sequence
+// terminators.
 func (e *Engine) pair(p *graph.Node, st *nodeState, inst *event.Instance, mine, other *buffer, arrivedRight bool) {
 	if st.reclaimEvery > 0 && e.now >= st.reclaimAt {
 		e.reclaim(p, st)
 	}
-	if other == nil {
-		// Nothing to match against (e.g. a sequence initiator whose
-		// terminator never waits); just buffer the arrival.
-		if mine != nil {
-			if e.ctx == pctx.Recent {
-				mine.replaceAll(inst)
-			} else {
-				mine.add(inst)
-			}
-		}
-		return
-	}
-	cond := e.pairCond(p, inst, arrivedRight)
-
-	// Chronicle and recent contexts match at most one candidate, so they
-	// track it in a scalar instead of growing a slice per pairing.
-	var single *event.Instance
-	var matches []*event.Instance
-	switch e.ctx {
-	case pctx.Chronicle:
+	var match *event.Instance
+	if other != nil {
+		cond := e.pairCond(p, inst, arrivedRight)
 		other.scan(inst.Binds, func(c *event.Instance) (bool, bool) {
 			if e.expired(p, c, inst.End, arrivedRight) {
 				return false, true
 			}
 			if cond(c) {
-				single = c
+				match = c
 				return false, false // consume, stop
 			}
 			return true, true
 		})
-	case pctx.Recent:
-		other.scan(inst.Binds, func(c *event.Instance) (bool, bool) {
-			if e.expired(p, c, inst.End, arrivedRight) {
-				return false, true
-			}
-			if cond(c) && (single == nil || c.Seq > single.Seq) {
-				single = c
-			}
-			return true, true
-		})
-	case pctx.Continuous, pctx.Cumulative:
-		other.scan(inst.Binds, func(c *event.Instance) (bool, bool) {
-			if e.expired(p, c, inst.End, arrivedRight) {
-				return false, true
-			}
-			if cond(c) {
-				matches = append(matches, c)
-				return false, true // consume, continue
-			}
-			return true, true
-		})
-	case pctx.Unrestricted:
-		other.scan(inst.Binds, func(c *event.Instance) (bool, bool) {
-			if e.expired(p, c, inst.End, arrivedRight) {
-				return false, true
-			}
-			if cond(c) {
-				matches = append(matches, c)
-			}
-			return true, true
-		})
 	}
-
 	switch {
-	case single != nil:
-		e.emit(p, e.combine(p, single, inst))
-		if e.ctx == pctx.Recent && mine != nil {
-			mine.replaceAll(inst)
-		}
-	case len(matches) == 0:
-		if mine != nil {
-			if e.ctx == pctx.Recent {
-				mine.replaceAll(inst)
-			} else {
-				mine.add(inst)
-			}
-		}
-	case e.ctx == pctx.Cumulative:
-		// All matches merge into one detection.
-		combined := inst
-		for _, c := range matches {
-			combined = e.combine(p, c, combined)
-		}
-		e.emit(p, combined)
-	default:
-		for _, c := range matches {
-			e.emit(p, e.combine(p, c, inst))
-		}
-		if e.ctx == pctx.Unrestricted && mine != nil {
-			mine.add(inst)
-		}
-		if e.ctx == pctx.Recent && mine != nil {
-			mine.replaceAll(inst)
-		}
+	case match != nil:
+		e.emit(p, e.combine(p, match, inst))
+	case mine != nil:
+		mine.add(inst)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	pctx "rcep/internal/core/context"
 	"rcep/internal/core/detect"
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
@@ -16,8 +15,8 @@ import (
 var ErrClosed = errors.New("shard: engine is closed")
 
 // Config configures a sharded engine. The detection-semantics fields
-// (Context, Groups, TypeOf, buffer caps) mean exactly what they do in
-// detect.Config and are applied to every shard.
+// (Groups, TypeOf, Limits) mean exactly what they do in detect.Config and
+// are applied to every shard.
 type Config struct {
 	// Rules is the rule set to partition. IDs are the graph rule IDs
 	// reported to OnDetect and must be unique.
@@ -28,14 +27,11 @@ type Config struct {
 	// key-space classes. Values < 1 mean 1.
 	Shards int
 
-	Context  pctx.Context
 	Groups   func(reader string) []string
 	TypeOf   func(object string) string
 	OnDetect func(ruleID int, inst *event.Instance)
 
-	MaxPartitionBuffer int
-	MaxHistory         int
-	MaxOpenSequence    int
+	detect.Limits
 
 	// Interpreted selects the per-event AST interpreter in every shard
 	// instead of the compiled plans — the oracle for equivalence runs.
@@ -262,21 +258,18 @@ func New(cfg Config) (*Engine, error) {
 		}
 		w := &worker{id: s, ch: make(chan []envelope, buffer), done: make(chan struct{})}
 		eng, err := detect.New(detect.Config{
-			Graph:   b.Finalize(),
-			Context: cfg.Context,
-			Groups:  cfg.Groups,
-			TypeOf:  cfg.TypeOf,
+			Graph:  b.Finalize(),
+			Groups: cfg.Groups,
+			TypeOf: cfg.TypeOf,
 			OnDetect: func(rid int, inst *event.Instance) {
 				w.seq++
 				w.dets = append(w.dets, detRec{
 					fire: w.eng.Now(), rule: rid, seq: w.seq, inst: inst,
 				})
 			},
-			MaxPartitionBuffer: cfg.MaxPartitionBuffer,
-			MaxHistory:         cfg.MaxHistory,
-			MaxOpenSequence:    cfg.MaxOpenSequence,
-			Interpreted:        cfg.Interpreted,
-			Interner:           intern,
+			Limits:      cfg.Limits,
+			Interpreted: cfg.Interpreted,
+			Interner:    intern,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("shard: %w", err)

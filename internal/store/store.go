@@ -6,6 +6,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -325,7 +326,7 @@ func (t *Table) Update(where func(Row) bool, set func(Row) (Row, error)) (int, e
 		for pos, idx := range t.indexes {
 			if !r[pos].Equal(nr[pos]) {
 				removeID(idx, indexKey(r[pos]), id)
-				idx[indexKey(nr[pos])] = append(idx[indexKey(nr[pos])], id)
+				addID(idx, indexKey(nr[pos]), id)
 			}
 		}
 		t.rows[id] = nr
@@ -370,6 +371,15 @@ func (t *Table) compactLocked() {
 		}
 	}
 	t.order = live
+}
+
+// addID inserts id into key's list in ascending order. IDs are assigned in
+// insertion order, so an index probe visits rows in the order a scan does,
+// even after an update moves a row onto a key holding newer rows.
+func addID(idx map[string][]int64, key string, id int64) {
+	ids := idx[key]
+	i, _ := slices.BinarySearch(ids, id)
+	idx[key] = slices.Insert(ids, i, id)
 }
 
 func removeID(idx map[string][]int64, key string, id int64) {

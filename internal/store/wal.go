@@ -140,7 +140,7 @@ func (t *Table) applyMutation(m Mutation) error {
 		for pos, idx := range t.indexes {
 			if !old[pos].Equal(m.Row[pos]) {
 				removeID(idx, indexKey(old[pos]), m.ID)
-				idx[indexKey(m.Row[pos])] = append(idx[indexKey(m.Row[pos])], m.ID)
+				addID(idx, indexKey(m.Row[pos]), m.ID)
 			}
 		}
 		t.rows[m.ID] = m.Row

@@ -27,7 +27,6 @@ import (
 	"io"
 	"time"
 
-	pctx "rcep/internal/core/context"
 	"rcep/internal/core/detect"
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
@@ -73,10 +72,6 @@ type Config struct {
 	// Rules is the rule script (DEFINE / CREATE RULE statements).
 	Rules string
 
-	// Context selects the parameter context by name: "chronicle"
-	// (default), "recent", "continuous", "cumulative", "unrestricted".
-	Context string
-
 	// Groups maps a reader to its groups; nil means every reader is its
 	// own group.
 	Groups func(reader string) []string
@@ -108,13 +103,11 @@ type Config struct {
 	// single engine. 0 or 1 keeps the classic single-goroutine engine.
 	Shards int
 
-	// MaxPartitionBuffer, MaxHistory and MaxOpenSequence bound per-node
-	// engine state for unruly inputs (see detect.Config); zero means
-	// unbounded, the paper's semantics. Evictions are lossy and counted
-	// in Metrics.Dropped.
-	MaxPartitionBuffer int
-	MaxHistory         int
-	MaxOpenSequence    int
+	// Limits (MaxPartitionBuffer, MaxHistory, MaxOpenSequence) bound
+	// per-node engine state for unruly inputs (see detect.Limits); zero
+	// means unbounded, the paper's semantics. Evictions are lossy and
+	// counted in Metrics.Dropped.
+	detect.Limits
 
 	// StoreSnapshot, when set, restores the embedded data store from a
 	// snapshot produced by SaveStore instead of opening a fresh one.
@@ -168,13 +161,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if len(rs.Rules) == 0 {
 		return nil, errors.New("rcep: no rules in script")
-	}
-	ctx := pctx.Chronicle
-	if cfg.Context != "" {
-		ctx, err = pctx.Parse(cfg.Context)
-		if err != nil {
-			return nil, fmt.Errorf("rcep: %w", err)
-		}
 	}
 	e := &Engine{
 		store: store.OpenRFID(),
@@ -239,16 +225,13 @@ func New(cfg Config) (*Engine, error) {
 			shRules[i] = shard.Rule{ID: i, Expr: r.Event}
 		}
 		e.sh, err = shard.New(shard.Config{
-			Rules:              shRules,
-			Shards:             cfg.Shards,
-			Context:            ctx,
-			Groups:             cfg.Groups,
-			TypeOf:             cfg.TypeOf,
-			OnDetect:           onDetect,
-			MaxPartitionBuffer: cfg.MaxPartitionBuffer,
-			MaxHistory:         cfg.MaxHistory,
-			MaxOpenSequence:    cfg.MaxOpenSequence,
-			Interpreted:        cfg.Interpreted,
+			Rules:       shRules,
+			Shards:      cfg.Shards,
+			Groups:      cfg.Groups,
+			TypeOf:      cfg.TypeOf,
+			OnDetect:    onDetect,
+			Limits:      cfg.Limits,
+			Interpreted: cfg.Interpreted,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("rcep: %w", err)
@@ -257,15 +240,12 @@ func New(cfg Config) (*Engine, error) {
 		e.shards = e.sh.Shards()
 	} else {
 		e.eng, err = detect.New(detect.Config{
-			Graph:              b.Finalize(),
-			Context:            ctx,
-			Groups:             cfg.Groups,
-			TypeOf:             cfg.TypeOf,
-			OnDetect:           onDetect,
-			MaxPartitionBuffer: cfg.MaxPartitionBuffer,
-			MaxHistory:         cfg.MaxHistory,
-			MaxOpenSequence:    cfg.MaxOpenSequence,
-			Interpreted:        cfg.Interpreted,
+			Graph:       b.Finalize(),
+			Groups:      cfg.Groups,
+			TypeOf:      cfg.TypeOf,
+			OnDetect:    onDetect,
+			Limits:      cfg.Limits,
+			Interpreted: cfg.Interpreted,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("rcep: %w", err)

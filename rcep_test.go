@@ -173,10 +173,6 @@ func TestFacadeErrors(t *testing.T) {
 CREATE RULE x, n ON NOT observation(r,o,t) IF true DO f()`}); err == nil {
 		t.Errorf("invalid rule accepted")
 	}
-	if _, err := New(Config{Context: "bogus", Rules: `
-CREATE RULE x, n ON observation(r,o,t) IF true DO f()`}); err == nil {
-		t.Errorf("bogus context accepted")
-	}
 	eng, err := New(Config{Rules: `
 CREATE RULE x, n ON observation(r,o,t) IF true DO missing_proc(o)`})
 	if err != nil {
