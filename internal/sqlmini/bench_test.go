@@ -77,22 +77,25 @@ func BenchmarkInsertWithParams(b *testing.B) {
 }
 
 func BenchmarkUpdateUCPattern(b *testing.B) {
-	// Rule 3's hot path: close the open period, insert a new one.
-	s := store.OpenRFID()
-	upd, _ := Parse(`UPDATE OBJECTLOCATION SET tend = t WHERE object_epc = o AND tend = 'UC'`)
-	ins, _ := Parse(`INSERT INTO OBJECTLOCATION VALUES (o, r, t, 'UC')`)
+	// Rule 3's UC update against a fixed 12k-row OBJECTLOCATION, the
+	// end-of-run size of the actions workload: close one object's open
+	// period, then reopen it, so neither the table nor any object's period
+	// list grows with b.N.
+	const objects = 4000
+	s := locationTable(b, objects)
+	closeUC := PrepareStmt(mustParse(b, `UPDATE OBJECTLOCATION SET tend = t WHERE object_epc = o AND tend = 'UC'`))
+	reopen := PrepareStmt(mustParse(b, `UPDATE OBJECTLOCATION SET tend = 'UC' WHERE object_epc = o AND tend = t`))
+	params := make([]event.Bindings, objects)
+	for i := range params {
+		params[i] = event.MakeBindings(map[string]event.Value{"o": locObject(i), "t": event.TimeValue(9)})
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		params := event.MakeBindings(map[string]event.Value{
-			"o": event.StringValue(fmt.Sprintf("obj%d", i%50)),
-			"r": event.StringValue("dock"),
-			"t": event.TimeValue(event.Time(i)),
-		})
-		if _, err := ExecStmt(s, upd, params); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ExecStmt(s, ins, params); err != nil {
-			b.Fatal(err)
+		p := params[i%objects]
+		for _, st := range []*PreparedStmt{closeUC, reopen} {
+			if res, err := st.Exec(s, p); err != nil || res.RowsAffected != 1 {
+				b.Fatalf("%v, %v", res, err)
+			}
 		}
 	}
 }

@@ -55,18 +55,18 @@ func explain(s *store.Store, st Stmt, params event.Bindings) (*Result, error) {
 	add := func(format string, args ...any) {
 		res.Rows = append(res.Rows, []event.Value{event.StringValue(fmt.Sprintf(format, args...))})
 	}
+	// describeAccess shows the match planner's choice for the table access,
+	// the same planMatch result execution runs.
 	describeAccess := func(table string, where Expr) {
 		tbl, err := s.Table(table)
 		if err != nil {
 			add("scan %s (table missing at plan time)", table)
 			return
 		}
-		if where != nil && !hasQualifiedRef(where) {
-			if p := indexProbe(s, tbl, where, params); p != nil {
-				add("index probe %s.%s = %s", table, p.indexCol, p.indexVal)
-				add("filter remaining predicate")
-				return
-			}
+		if p := planMatch(s, tbl, where, params).probe; p.Col != "" {
+			add("index probe %s.%s = %s", table, p.Col, p.Val)
+			add("filter remaining predicate")
+			return
 		}
 		add("full scan %s (%d rows)", table, tbl.Len())
 		if where != nil {
@@ -75,9 +75,13 @@ func explain(s *store.Store, st Stmt, params event.Bindings) (*Result, error) {
 	}
 	switch x := st.(type) {
 	case *Select:
-		describeAccess(x.Table, x.Where)
+		pushed := pushedWhere(x)
+		describeAccess(x.Table, pushed)
 		for _, j := range x.Joins {
 			add("nested-loop inner join %s ON ...", j.Table)
+		}
+		if x.Where != nil && pushed == nil {
+			add("filter WHERE")
 		}
 		if len(x.GroupBy) > 0 {
 			add("group by %v", x.GroupBy)
@@ -689,94 +693,117 @@ func elementView(params event.Bindings, i int) event.Bindings {
 	return out
 }
 
-// whereMatcher compiles the WHERE clause into a row predicate, and when an
-// indexed equality conjunct exists, an index probe plan.
-type plan struct {
-	indexCol string
-	indexVal event.Value
+// matcher is the match planner's result for a single-table WHERE: the
+// access path (a zero probe scans the table) and the environment every
+// candidate row's WHERE is evaluated in. It is returned by value, so
+// planning a statement allocates nothing.
+type matcher struct {
+	probe store.Probe
+	env   env
+	where Expr
 }
 
-// indexProbe looks for a top-level `col = <row-independent expr>` conjunct
-// over an indexed column.
-func indexProbe(s *store.Store, tbl *store.Table, where Expr, params event.Bindings) *plan {
-	var conjuncts []Expr
-	var collect func(Expr)
-	collect = func(x Expr) {
-		if b, ok := x.(*Binary); ok && b.Op == "AND" {
-			collect(b.L)
-			collect(b.R)
-			return
-		}
-		conjuncts = append(conjuncts, x)
-	}
-	if where == nil {
-		return nil
-	}
-	collect(where)
-	for _, c := range conjuncts {
-		b, ok := c.(*Binary)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		try := func(colSide, valSide Expr) *plan {
-			ref, ok := colSide.(*Ref)
-			if !ok {
-				return nil
-			}
-			if tbl.Schema().Index(ref.Name) < 0 || !tbl.HasIndex(ref.Name) {
-				return nil
-			}
-			ev := &env{store: s, params: params}
-			v, err := ev.eval(valSide) // fails if it references a column
-			if err != nil {
-				return nil
-			}
-			return &plan{indexCol: ref.Name, indexVal: v}
-		}
-		if p := try(b.L, b.R); p != nil {
-			return p
-		}
-		if p := try(b.R, b.L); p != nil {
-			return p
-		}
-	}
-	return nil
+// planMatch is the match planner behind SELECT, UPDATE, DELETE and
+// EXPLAIN. It probes the index of the first `col = <row-independent expr>`
+// conjunct of where's AND tree whose column is indexed and whose value
+// the index finds exactly (see probeable); otherwise it scans. Candidates
+// are re-checked against the whole WHERE either way.
+func planMatch(s *store.Store, tbl *store.Table, where Expr, params event.Bindings) matcher {
+	m := matcher{env: env{store: s, schema: tbl.Schema(), params: params}, where: where}
+	m.probe = m.findProbe(tbl, where)
+	return m
 }
 
-func matchRows(s *store.Store, tbl *store.Table, where Expr, params event.Bindings, visit func(id int64, r store.Row) bool) error {
-	ev := &env{store: s, schema: tbl.Schema(), params: params}
-	check := func(id int64, r store.Row) (bool, error) {
-		if where == nil {
-			return true, nil
-		}
-		ev.row = r
-		v, err := ev.eval(where)
-		if err != nil {
-			return false, err
-		}
-		return truthy(v), nil
+func (m *matcher) findProbe(tbl *store.Table, x Expr) store.Probe {
+	b, ok := x.(*Binary)
+	if !ok {
+		return store.Probe{}
 	}
-	var outerErr error
-	probe := indexProbe(s, tbl, where, params)
-	scan := func(id int64, r store.Row) bool {
-		ok, err := check(id, r)
-		if err != nil {
-			outerErr = err
-			return false
+	switch b.Op {
+	case "AND":
+		if p := m.findProbe(tbl, b.L); p.Col != "" {
+			return p
 		}
-		if !ok {
-			return true
+		return m.findProbe(tbl, b.R)
+	case "=":
+		if p := m.probeOn(tbl, b.L, b.R); p.Col != "" {
+			return p
 		}
-		return visit(id, r)
+		return m.probeOn(tbl, b.R, b.L)
 	}
-	if probe != nil {
-		if err := tbl.Lookup(probe.indexCol, probe.indexVal, scan); err != nil {
-			return err
-		}
-	} else {
-		tbl.Scan(scan)
+	return store.Probe{}
+}
+
+// probeOn plans `colSide = valSide` as a probe. The value side is
+// evaluated with the table schema set and no row, so a name that is both a
+// column and a parameter resolves to the column, as it does per row, and
+// fails: such a conjunct is row-dependent and cannot probe.
+func (m *matcher) probeOn(tbl *store.Table, colSide, valSide Expr) store.Probe {
+	ref, ok := colSide.(*Ref)
+	if !ok {
+		return store.Probe{}
 	}
-	return outerErr
+	pos := m.env.schema.Index(ref.Name)
+	if pos < 0 || !tbl.HasIndex(ref.Name) {
+		return store.Probe{}
+	}
+	v, err := m.env.eval(valSide)
+	if err != nil || !probeable(v, m.env.schema[pos].Type) {
+		return store.Probe{}
+	}
+	return store.Probe{Col: ref.Name, Val: v}
+}
+
+// probeable reports whether a hash-index probe for v on a column of the
+// given kind finds every row that `col = v` or `v = col` matches. The
+// index keys rows by display form, and compareValues converts between
+// kinds in ways a key cannot follow: `n = '5'` matches the int 5 through
+// its display form, and 0.0 equals -0.0 under another key. So v must have
+// the column's kind (floats excepted), or convert exactly: int and time
+// into each other, 'UC' into time. Null matches nothing and never probes.
+func probeable(v event.Value, kind event.Kind) bool {
+	switch v.Kind() {
+	case kind:
+		return kind != event.KindFloat
+	case event.KindInt:
+		return kind == event.KindTime
+	case event.KindTime:
+		return kind == event.KindInt
+	case event.KindString:
+		return kind == event.KindTime && v.Str() == "UC"
+	}
+	return false
+}
+
+// matches evaluates the WHERE against one candidate row.
+func (m *matcher) matches(r store.Row) (bool, error) {
+	if m.where == nil {
+		return true, nil
+	}
+	m.env.row = r
+	v, err := m.env.eval(m.where)
+	if err != nil {
+		return false, err
+	}
+	return truthy(v), nil
+}
+
+// matchRows calls visit on every row the plan matches, in insertion order.
+func (m *matcher) matchRows(tbl *store.Table, visit func(store.Row)) error {
+	var err error
+	check := func(_ int64, r store.Row) bool {
+		var ok bool
+		if ok, err = m.matches(r); ok {
+			visit(r)
+		}
+		return err == nil
+	}
+	if m.probe.Col == "" {
+		tbl.Scan(check)
+	} else if lerr := tbl.Lookup(m.probe.Col, m.probe.Val, check); lerr != nil {
+		return lerr
+	}
+	return err
 }
 
 func execUpdate(s *store.Store, up *Update, params event.Bindings) (*Result, error) {
@@ -797,38 +824,20 @@ func execUpdate(s *store.Store, up *Update, params event.Bindings) (*Result, err
 		}
 		sets = append(sets, setPos{p, a.Val})
 	}
-	ev := &env{store: s, schema: schema, params: params}
-	var evalErr error
-	n, err := tbl.Update(
-		func(r store.Row) bool {
-			if up.Where == nil {
-				return true
-			}
-			ev.row = r
-			v, err := ev.eval(up.Where)
+	m := planMatch(s, tbl, up.Where, params)
+	n, err := tbl.UpdateWhere(m.probe, m.matches, func(r store.Row) (store.Row, error) {
+		m.env.row = r
+		for _, sp := range sets {
+			v, err := m.env.eval(sp.val)
 			if err != nil {
-				evalErr = err
-				return false
+				return nil, err
 			}
-			return truthy(v)
-		},
-		func(r store.Row) (store.Row, error) {
-			ev.row = r
-			for _, sp := range sets {
-				v, err := ev.eval(sp.val)
-				if err != nil {
-					return nil, err
-				}
-				r[sp.pos] = v
-			}
-			return r, nil
-		},
-	)
+			r[sp.pos] = v
+		}
+		return r, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if evalErr != nil {
-		return nil, evalErr
 	}
 	return &Result{RowsAffected: n}, nil
 }
@@ -838,22 +847,10 @@ func execDelete(s *store.Store, del *Delete, params event.Bindings) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	ev := &env{store: s, schema: tbl.Schema(), params: params}
-	var evalErr error
-	n := tbl.Delete(func(r store.Row) bool {
-		if del.Where == nil {
-			return true
-		}
-		ev.row = r
-		v, err := ev.eval(del.Where)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		return truthy(v)
-	})
-	if evalErr != nil {
-		return nil, evalErr
+	m := planMatch(s, tbl, del.Where, params)
+	n, err := tbl.DeleteWhere(m.probe, m.matches)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{RowsAffected: n}, nil
 }
@@ -1051,8 +1048,8 @@ func (re *relEnv) eval(x Expr) (event.Value, error) {
 	return event.Null, fmt.Errorf("sqlmini: unsupported expression %T", x)
 }
 
-// tableRelation loads one table as a relation, using the index probe when
-// a single-table WHERE allows it (joins always scan).
+// tableRelation loads the rows of one table that where (nil: every row)
+// matches as a relation, through the match planner.
 func tableRelation(s *store.Store, name, alias string, where Expr, params event.Bindings) (*relation, error) {
 	tbl, err := s.Table(name)
 	if err != nil {
@@ -1067,36 +1064,23 @@ func tableRelation(s *store.Store, name, alias string, where Expr, params event.
 		rel.quals = append(rel.quals, qual)
 		rel.names = append(rel.names, c.Name)
 	}
-	if where != nil && !hasQualifiedRef(where) {
-		// Fast path: push the filter into the (possibly indexed) scan.
-		if err := matchRows(s, tbl, where, params, func(_ int64, r store.Row) bool {
-			rel.rows = append(rel.rows, append([]event.Value(nil), r...))
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		return rel, nil
-	}
-	tbl.Scan(func(_ int64, r store.Row) bool {
+	m := planMatch(s, tbl, where, params)
+	if err := m.matchRows(tbl, func(r store.Row) {
 		rel.rows = append(rel.rows, append([]event.Value(nil), r...))
-		return true
-	})
-	if where != nil {
-		re := &relEnv{store: s, rel: rel, params: params}
-		kept := rel.rows[:0]
-		for _, row := range rel.rows {
-			re.row = row
-			v, err := re.eval(where)
-			if err != nil {
-				return nil, err
-			}
-			if truthy(v) {
-				kept = append(kept, row)
-			}
-		}
-		rel.rows = kept
+	}); err != nil {
+		return nil, err
 	}
 	return rel, nil
+}
+
+// pushedWhere returns the WHERE that buildRelation evaluates while reading
+// the FROM table, and so plans against its indexes, or nil when joins or
+// qualified column references keep it above the table.
+func pushedWhere(sel *Select) Expr {
+	if len(sel.Joins) > 0 || hasQualifiedRef(sel.Where) {
+		return nil
+	}
+	return sel.Where
 }
 
 // hasQualifiedRef reports whether the expression uses any table-qualified
@@ -1137,11 +1121,8 @@ func hasQualifiedRef(x Expr) bool {
 
 // buildRelation evaluates FROM + JOINs + WHERE into one relation.
 func buildRelation(s *store.Store, sel *Select, params event.Bindings) (*relation, error) {
-	if len(sel.Joins) == 0 {
-		// Fast path: WHERE pushed into the (possibly indexed) table scan.
-		return tableRelation(s, sel.Table, sel.Alias, sel.Where, params)
-	}
-	rel, err := tableRelation(s, sel.Table, sel.Alias, nil, params)
+	pushed := pushedWhere(sel)
+	rel, err := tableRelation(s, sel.Table, sel.Alias, pushed, params)
 	if err != nil {
 		return nil, err
 	}
@@ -1171,7 +1152,7 @@ func buildRelation(s *store.Store, sel *Select, params event.Bindings) (*relatio
 		}
 		rel = joined
 	}
-	if sel.Where != nil {
+	if sel.Where != nil && pushed == nil {
 		re := &relEnv{store: s, rel: rel, params: params}
 		kept := rel.rows[:0]
 		for _, row := range rel.rows {

@@ -181,18 +181,32 @@ func TestExplain(t *testing.T) {
 		}
 		return steps
 	}
-	// Indexed equality → index probe.
-	steps := plan(`EXPLAIN SELECT * FROM OBJECTLOCATION WHERE object_epc = 'case1'`)
-	if len(steps) == 0 || !strings.Contains(steps[0], "index probe") {
-		t.Errorf("indexed plan: %v", steps)
-	}
-	// Non-indexed → full scan.
-	steps = plan(`EXPLAIN SELECT * FROM OBJECTLOCATION WHERE loc_id = 'x'`)
-	if len(steps) == 0 || !strings.Contains(steps[0], "full scan") {
-		t.Errorf("scan plan: %v", steps)
+	// SELECT, UPDATE and DELETE show the match planner's choice: a probe
+	// on the indexed object_epc, a scan on loc_id, and a scan when the
+	// value side names a column, even one a parameter shadows.
+	shadow := event.MakeBindings(map[string]event.Value{"loc_id": event.StringValue("case1")})
+	for _, tc := range []struct {
+		sql    string
+		params event.Bindings
+		want   string
+	}{
+		{`EXPLAIN SELECT * FROM OBJECTLOCATION WHERE object_epc = 'case1'`, nil, "index probe OBJECTLOCATION.object_epc = case1"},
+		{`EXPLAIN SELECT * FROM OBJECTLOCATION WHERE loc_id = 'x'`, nil, "full scan"},
+		{`EXPLAIN SELECT * FROM OBJECTLOCATION WHERE object_epc = loc_id`, shadow, "full scan"},
+		{`EXPLAIN UPDATE OBJECTLOCATION SET loc_id = 'x' WHERE object_epc = 'case1'`, nil, "index probe OBJECTLOCATION.object_epc = case1"},
+		{`EXPLAIN UPDATE OBJECTLOCATION SET loc_id = 'x' WHERE loc_id = 'x'`, nil, "full scan"},
+		{`EXPLAIN UPDATE OBJECTLOCATION SET tend = 5 WHERE object_epc = loc_id`, shadow, "full scan"},
+		{`EXPLAIN DELETE FROM OBJECTLOCATION WHERE tend = 'UC' AND object_epc = 'case1'`, nil, "index probe OBJECTLOCATION.object_epc = case1"},
+		{`EXPLAIN DELETE FROM OBJECTLOCATION WHERE loc_id = 'x'`, nil, "full scan"},
+		{`EXPLAIN DELETE FROM OBJECTLOCATION WHERE loc_id = object_epc`, shadow, "full scan"},
+	} {
+		res := mustExec(t, s, tc.sql, tc.params)
+		if len(res.Rows) == 0 || !strings.HasPrefix(res.Rows[0][0].Str(), tc.want) {
+			t.Errorf("%s: plan %v, want %q first", tc.sql, res.Rows, tc.want)
+		}
 	}
 	// Joins, grouping, ordering show up as steps.
-	steps = plan(`EXPLAIN SELECT l.loc_id, COUNT(*) FROM OBJECTCONTAINMENT c
+	steps := plan(`EXPLAIN SELECT l.loc_id, COUNT(*) FROM OBJECTCONTAINMENT c
 JOIN OBJECTLOCATION l ON c.parent_epc = l.object_epc
 GROUP BY l.loc_id ORDER BY count LIMIT 3`)
 	joined := strings.Join(steps, "\n")

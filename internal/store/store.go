@@ -164,9 +164,23 @@ type Table struct {
 	nextID  int64
 	indexes map[int]map[string][]int64 // column pos → value key → row IDs
 
+	// matched and updated are UpdateWhere/DeleteWhere scratch, reused
+	// under the write lock: the IDs a statement matched and, for an
+	// update, their new rows.
+	matched []int64
+	updated []Row
+
 	// journal, when set, observes every physical mutation under the
 	// table lock (see Store.SetJournal / the wal package file).
 	journal func(Mutation)
+}
+
+// Probe restricts UpdateWhere and DeleteWhere to the rows whose column Col
+// equals Val (coerced to the column type), found through Col's hash index
+// when it has one. The zero Probe selects every row.
+type Probe struct {
+	Col string
+	Val event.Value
 }
 
 // Name returns the table name.
@@ -268,10 +282,7 @@ func (t *Table) Lookup(col string, v event.Value, visit func(id int64, r Row) bo
 	if pos < 0 {
 		return fmt.Errorf("store: %s: no such column %s", t.name, col)
 	}
-	cv, err := Coerce(v, t.schema[pos].Type)
-	if err != nil {
-		cv = v // fall back to raw comparison
-	}
+	cv := probeKey(v, t.schema[pos].Type)
 	t.mu.RLock()
 	if idx, ok := t.indexes[pos]; ok {
 		ids := idx[indexKey(cv)]
@@ -304,25 +315,42 @@ func (t *Table) Lookup(col string, v event.Value, visit func(id int64, r Row) bo
 // Update rewrites every row matching where with the assignments produced
 // by set (given the current row); it returns the number of rows updated.
 func (t *Table) Update(where func(Row) bool, set func(Row) (Row, error)) (int, error) {
+	return t.UpdateWhere(Probe{}, func(r Row) (bool, error) { return where(r), nil }, set)
+}
+
+// Delete removes every row matching where and returns the count.
+func (t *Table) Delete(where func(Row) bool) int {
+	n, _ := t.DeleteWhere(Probe{}, func(r Row) (bool, error) { return where(r), nil })
+	return n
+}
+
+// UpdateWhere rewrites the rows p selects that where accepts with the
+// assignments set produces from a copy of each, and returns their count.
+// Rows are rewritten and journaled in insertion order. The statement is
+// atomic: if where, set or a column coercion fails, no row changes.
+func (t *Table) UpdateWhere(p Probe, where func(Row) (bool, error), set func(Row) (Row, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for _, id := range t.order {
-		r, ok := t.rows[id]
-		if !ok || !where(r) {
-			continue
-		}
-		nr, err := set(r.clone())
+	if err := t.matchLocked(p, where); err != nil {
+		return 0, err
+	}
+	defer func() { clear(t.updated); t.updated = t.updated[:0] }()
+	for _, id := range t.matched {
+		nr, err := set(t.rows[id].clone())
 		if err != nil {
-			return n, err
+			return 0, err
 		}
 		for i := range nr {
 			cv, err := Coerce(nr[i], t.schema[i].Type)
 			if err != nil {
-				return n, fmt.Errorf("store: %s.%s: %v", t.name, t.schema[i].Name, err)
+				return 0, fmt.Errorf("store: %s.%s: %v", t.name, t.schema[i].Name, err)
 			}
 			nr[i] = cv
 		}
+		t.updated = append(t.updated, nr)
+	}
+	for i, id := range t.matched {
+		r, nr := t.rows[id], t.updated[i]
 		for pos, idx := range t.indexes {
 			if !r[pos].Equal(nr[pos]) {
 				removeID(idx, indexKey(r[pos]), id)
@@ -333,21 +361,21 @@ func (t *Table) Update(where func(Row) bool, set func(Row) (Row, error)) (int, e
 		if t.journal != nil {
 			t.journal(Mutation{Table: t.name, Op: OpUpdate, ID: id, Row: nr.clone()})
 		}
-		n++
 	}
-	return n, nil
+	return len(t.matched), nil
 }
 
-// Delete removes every row matching where and returns the count.
-func (t *Table) Delete(where func(Row) bool) int {
+// DeleteWhere removes the rows p selects that where accepts and returns
+// their count. Rows are deleted and journaled in insertion order; if where
+// fails, no row is deleted.
+func (t *Table) DeleteWhere(p Probe, where func(Row) (bool, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for _, id := range t.order {
-		r, ok := t.rows[id]
-		if !ok || !where(r) {
-			continue
-		}
+	if err := t.matchLocked(p, where); err != nil {
+		return 0, err
+	}
+	for _, id := range t.matched {
+		r := t.rows[id]
 		for pos, idx := range t.indexes {
 			removeID(idx, indexKey(r[pos]), id)
 		}
@@ -355,12 +383,55 @@ func (t *Table) Delete(where func(Row) bool) int {
 		if t.journal != nil {
 			t.journal(Mutation{Table: t.name, Op: OpDelete, ID: id})
 		}
-		n++
 	}
+	n := len(t.matched)
 	if n > 0 && len(t.rows)*2 < len(t.order) {
 		t.compactLocked()
 	}
-	return n
+	return n, nil
+}
+
+// matchLocked fills t.matched with the IDs of the live rows p selects that
+// where accepts, in ascending ID (insertion) order. On a where error
+// t.matched is left empty. The caller holds the write lock.
+func (t *Table) matchLocked(p Probe, where func(Row) (bool, error)) error {
+	t.matched = t.matched[:0]
+	candidates, pos := t.order, -1
+	var key event.Value
+	if p.Col != "" {
+		if pos = t.schema.Index(p.Col); pos < 0 {
+			return fmt.Errorf("store: %s: no such column %s", t.name, p.Col)
+		}
+		key = probeKey(p.Val, t.schema[pos].Type)
+		if idx, ok := t.indexes[pos]; ok {
+			candidates = idx[indexKey(key)]
+		}
+	}
+	for _, id := range candidates {
+		r, ok := t.rows[id]
+		if !ok || pos >= 0 && !r[pos].Equal(key) {
+			continue
+		}
+		ok, err := where(r)
+		if err != nil {
+			t.matched = t.matched[:0]
+			return err
+		}
+		if ok {
+			t.matched = append(t.matched, id)
+		}
+	}
+	return nil
+}
+
+// probeKey is the value an equality probe on a column of the given kind
+// compares with: v coerced to the column type, or v itself when it does
+// not coerce.
+func probeKey(v event.Value, kind event.Kind) event.Value {
+	if cv, err := Coerce(v, kind); err == nil {
+		return cv
+	}
+	return v
 }
 
 func (t *Table) compactLocked() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -300,6 +301,38 @@ func TestIndexMaintainedAcrossUpdateDelete(t *testing.T) {
 	tbl.Delete(func(r Row) bool { return r[0].Str() == "b" })
 	if countKey("b") != 0 || countKey("a") != 5 {
 		t.Fatalf("after delete: a=%d b=%d", countKey("a"), countKey("b"))
+	}
+}
+
+// TestProbeWithoutIndexFallsBack: a Probe selects the same rows, in the
+// same order, whether or not its column is indexed, and a probe on a
+// missing column changes nothing.
+func TestProbeWithoutIndexFallsBack(t *testing.T) {
+	var logs [2][]Mutation
+	for i, indexed := range []bool{false, true} {
+		tbl := newTestTable(t)
+		tbl.journal = func(m Mutation) { logs[i] = append(logs[i], m) }
+		for n := 0; n < 12; n++ {
+			_ = tbl.Insert([]event.Value{event.StringValue(fmt.Sprintf("e%d", n%3)), event.IntValue(int64(n)), event.TimeValue(0)})
+		}
+		if indexed {
+			_ = tbl.CreateIndex("epc")
+		}
+		odd := func(r Row) (bool, error) { return r[1].Int()%2 == 1, nil }
+		n, err := tbl.UpdateWhere(Probe{Col: "epc", Val: event.StringValue("e1")}, odd,
+			func(r Row) (Row, error) { r[0] = event.StringValue("e0"); return r, nil })
+		if err != nil || n != 2 {
+			t.Fatalf("indexed=%v: UpdateWhere n=%d err=%v", indexed, n, err)
+		}
+		if n, err := tbl.DeleteWhere(Probe{Col: "epc", Val: event.StringValue("e0")}, odd); err != nil || n != 4 {
+			t.Fatalf("indexed=%v: DeleteWhere n=%d err=%v", indexed, n, err)
+		}
+		if _, err := tbl.DeleteWhere(Probe{Col: "bogus"}, odd); err == nil {
+			t.Errorf("indexed=%v: probe on a missing column accepted", indexed)
+		}
+	}
+	if !reflect.DeepEqual(logs[0], logs[1]) {
+		t.Errorf("journals differ:\nscan  %v\nindex %v", logs[0], logs[1])
 	}
 }
 
