@@ -447,10 +447,19 @@ func (c *Coordinator) startLinkLocked(s, wkr int, useCk bool) error {
 		return fmt.Errorf("cluster: shard %d on %s: %w", s, addr, err)
 	}
 	lk.assignSeq = seq
-	for _, j := range replay {
-		m := wire.Message{Type: "obs", Reader: j.reader, Object: j.object, AtNS: int64(j.at)}
-		if j.adv {
-			m = wire.Message{Type: "advance", AtNS: int64(j.at)}
+	// Replay in journal order: each run of observations rides batch
+	// frames of at most maxShipBatch, each advance its own frame.
+	for len(replay) > 0 {
+		m := wire.Message{Type: "advance", AtNS: int64(replay[0].at)}
+		if replay[0].adv {
+			replay = replay[1:]
+		} else {
+			m = wire.Message{Type: "batch"}
+			for len(replay) > 0 && !replay[0].adv && len(m.Batch) < maxShipBatch {
+				j := replay[0]
+				m.Batch = append(m.Batch, wire.BatchObs{Reader: j.reader, Object: j.object, AtNS: int64(j.at)})
+				replay = replay[1:]
+			}
 		}
 		if _, err := client.SendFrame(m); err != nil {
 			client.Abort()
@@ -566,10 +575,9 @@ const maxShipBatch = 256
 // sealObsLocked ships shard s's pending observations as one sequenced
 // batch frame — the amortization that makes the coordinator's fan-out
 // cost one link write per read cycle instead of one per observation.
-// A lone pending observation goes as a plain obs frame (same bytes the
-// journal replay path emits). The pending slice is handed to the wire
-// layer, which marshals it asynchronously, so it is released rather
-// than recycled. Must run before any non-obs frame is sent on the
+// The pending slice is handed to the wire layer, which marshals it
+// asynchronously, so it is released rather than recycled. Must run
+// before any non-batch frame is sent on the
 // shard's link: a sync or advance overtaking unsent observations would
 // move the worker's clock past them and poison the feed with
 // out-of-order errors.
@@ -579,10 +587,6 @@ func (c *Coordinator) sealObsLocked(s int) {
 		return
 	}
 	c.obsPend[s] = nil
-	if len(pend) == 1 {
-		c.sendShardLocked(s, wire.Message{Type: "obs", Reader: pend[0].Reader, Object: pend[0].Object, AtNS: pend[0].AtNS})
-		return
-	}
 	c.sendShardLocked(s, wire.Message{Type: "batch", Batch: pend})
 }
 

@@ -237,12 +237,21 @@ func (w *Worker) handle(conn net.Conn) {
 			w.mu.Unlock()
 			reply(wire.Message{Type: "stats", Observations: obs, Detections: dets})
 			return
-		case "assign", "obs", "batch", "advance", "sync", "ckpt", "drain":
+		case "assign", "batch", "advance", "sync", "ckpt", "drain":
+			// An oversized batch is refused before its seq is claimed,
+			// exactly as wire.Server does.
+			if len(m.Batch) > wire.MaxBatchFrame {
+				reply(wire.Message{Type: "error", Seq: m.Seq, Msg: fmt.Sprintf("cluster: batch of %d observations exceeds limit %d", len(m.Batch), wire.MaxBatchFrame)})
+				continue
+			}
 			if !w.sequenced(m, reply) {
 				return
 			}
 		default:
 			reply(wire.Message{Type: "error", Seq: m.Seq, Msg: fmt.Sprintf("cluster: unknown frame type %q", m.Type)})
+			if m.ClientID != "" && m.Seq > 0 {
+				return // refuse without claiming, like sequenced
+			}
 		}
 	}
 }
@@ -315,12 +324,6 @@ func (w *Worker) sequenced(m wire.Message, reply func(wire.Message)) bool {
 	}
 	f.lastSeq = m.Seq
 	switch m.Type {
-	case "obs":
-		f.obs++
-		o := event.Observation{Reader: m.Reader, Object: m.Object, At: event.Time(m.AtNS)}
-		if err := f.eng.Ingest(o); err != nil {
-			reply(wire.Message{Type: "error", Shard: f.shard, Seq: m.Seq, Msg: err.Error()})
-		}
 	case "batch":
 		// One coordinator fan-out cycle in one frame: unpack into a
 		// pooled batch and take the engine's batched fast path. The

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,8 +16,8 @@ import (
 )
 
 // Batch frame coverage (DESIGN.md §12): one read cycle rides one frame
-// with one seq, empty and oversized frames degrade predictably, and the
-// reliable client negotiates the feature before using it.
+// with one seq, a lone observation is a batch of one, and empty and
+// oversized frames degrade predictably.
 
 func TestBatchFrameEndToEnd(t *testing.T) {
 	_, addr := startServer(t, rcep.Config{Rules: dupRule})
@@ -49,10 +51,10 @@ func TestBatchFrameEndToEnd(t *testing.T) {
 		t.Fatalf("stats after batch: %+v", stats)
 	}
 
-	// With filter stages configured, an obs frame is a batch of one through
-	// the same hand-off: the same stream sent as obs frames and as batch
-	// frames must produce the identical fire sequence, on a single and on a
-	// sharded engine.
+	// With filter stages configured, the framing of a stream is invisible:
+	// the same stream sent one observation at a time (Send) and in batch
+	// frames of several must produce the identical fire sequence, on a
+	// single and on a sharded engine.
 	const stagedRules = `
 CREATE RULE a, dock 1 then dock 2
 ON WITHIN(observation('dock1', o, t1); observation('dock2', o, t2), 10sec)
@@ -125,7 +127,7 @@ DO INSERT INTO ALERTS VALUES ('b', o, t1)
 	for _, shards := range []int{0, 4} {
 		want := runStaged(t, shards, 0)
 		if len(want) != 4 {
-			t.Fatalf("shards=%d: obs frames fired %d times, want 4: %v", shards, len(want), want)
+			t.Fatalf("shards=%d: single observations fired %d times, want 4: %v", shards, len(want), want)
 		}
 		for _, chunk := range []int{1, 3, len(stream)} {
 			if got := runStaged(t, shards, chunk); !reflect.DeepEqual(got, want) {
@@ -153,7 +155,7 @@ func TestBatchFrameEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Observations != 1 {
-		t.Fatalf("Observations = %d after empty batch + one obs, want 1", stats.Observations)
+		t.Fatalf("Observations = %d after empty batch + one observation, want 1", stats.Observations)
 	}
 }
 
@@ -220,38 +222,99 @@ func TestBatchFrameOversized(t *testing.T) {
 	}
 }
 
-func TestReliableBatchNegotiation(t *testing.T) {
-	_, addr := startServer(t, rcep.Config{Rules: dupRule})
-	c, err := DialReliable(addr, ReliableOptions{ClientID: "feed-b", Buffer: 16})
-	if err != nil {
-		t.Fatal(err)
+// TestSendBatchSplitsAtMaxBatchFrame: a read cycle larger than
+// MaxBatchFrame travels as several frames instead of one the server
+// refuses. A refused frame's seq is never claimed, so the next frame's
+// cumulative ack would release it from the ring unapplied — the cycle
+// would be lost without an error from SendBatch, Flush or Close.
+func TestSendBatchSplitsAtMaxBatchFrame(t *testing.T) {
+	// A rule no observation here matches: the engine only counts.
+	const quietRule = `
+CREATE RULE q, never matched
+ON WITHIN(observation('nowhere', o, t1); observation('nowhere', o, t2), 5sec)
+IF true
+DO INSERT INTO ALERTS VALUES ('q', o, t1)
+`
+	big := make([]BatchObs, MaxBatchFrame+1)
+	for i := range big {
+		big[i] = BatchObs{Reader: "dock1", Object: "p" + strconv.Itoa(i), AtNS: int64(i)}
 	}
-	if err := c.SendBatch([]BatchObs{
-		{Reader: "dock1", Object: "p7", AtNS: 0},
-		{Reader: "dock1", Object: "p7", AtNS: int64(time.Second)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !c.BatchNegotiated() {
-		t.Fatal("server advertises batch but client did not negotiate it")
-	}
-	stats, err := c.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Observations != 2 {
-		t.Fatalf("Observations = %d via reliable batch, want 2", stats.Observations)
-	}
+	one := []BatchObs{{Reader: "dock1", Object: "last", AtNS: int64(len(big))}}
+	const want = MaxBatchFrame + 2
+
+	t.Run("reliable", func(t *testing.T) {
+		_, addr := startServer(t, rcep.Config{Rules: quietRule})
+		var errFrames atomic.Int32
+		c, err := DialReliable(addr, ReliableOptions{
+			ClientID: "feed-big",
+			OnFrame: func(m Message) {
+				if m.Type == "error" {
+					errFrames.Add(1)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Wait out the hello exchange so the feed is in its steady state.
+		if err := c.Advance(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SendBatch(big); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SendBatch(one); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Observations != want || errFrames.Load() != 0 {
+			t.Fatalf("Observations = %d with %d error frames, want %d and none", stats.Observations, errFrames.Load(), want)
+		}
+	})
+	t.Run("plain", func(t *testing.T) {
+		_, addr := startServer(t, rcep.Config{Rules: quietRule})
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SendBatch(big); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SendBatch(one); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case m, ok := <-c.result:
+			if ok {
+				t.Fatalf("unexpected reply %+v", m)
+			}
+		default:
+		}
+		if stats.Observations != want {
+			t.Fatalf("Observations = %d, want %d", stats.Observations, want)
+		}
+	})
 }
 
 // FuzzBatchFrame throws raw bytes at a live connection handler — torn
 // JSON, truncated batch arrays, hostile field values — and requires
 // only that the handler neither panics nor hangs. Seeds cover the
-// interesting shapes: a healthy batch, an empty one, torn frames, and
-// out-of-order timestamps.
+// interesting shapes: a healthy batch, an empty one, torn frames,
+// out-of-order timestamps, and a legacy "obs" frame (refused as an
+// unknown type).
 func FuzzBatchFrame(f *testing.F) {
 	f.Add([]byte(`{"type":"batch","batch":[{"reader":"r1","object":"a","at_ns":0},{"reader":"r1","object":"a","at_ns":1000}]}`))
 	f.Add([]byte(`{"type":"batch","batch":[]}`))

@@ -38,7 +38,7 @@ func spoolWith(t *testing.T, path string, n int) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
-		m := Message{Type: "obs", ClientID: "edge", Seq: uint64(i), Reader: "r1", Object: "o", AtNS: int64(i)}
+		m := Message{Type: "batch", ClientID: "edge", Seq: uint64(i), Batch: []BatchObs{{Reader: "r1", Object: "o", AtNS: int64(i)}}}
 		if err := sp.Append(m); err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestSpoolQuarantinesTornTail(t *testing.T) {
 
 	// The spool keeps working: the torn frame's seq was never confirmed,
 	// so the feed re-journals from seq 3 and a clean reopen sees it.
-	if err := sp.Append(Message{Type: "obs", ClientID: "edge", Seq: 3, Reader: "r1", Object: "o", AtNS: 3}); err != nil {
+	if err := sp.Append(Message{Type: "batch", ClientID: "edge", Seq: 3, Batch: []BatchObs{{Reader: "r1", Object: "o", AtNS: 3}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sp.Close(); err != nil {
@@ -163,11 +163,11 @@ func TestTrySendFrameRingFull(t *testing.T) {
 	}
 	defer c.Abort()
 	for i := 0; i < 2; i++ {
-		if _, err := c.TrySendFrame(Message{Type: "obs", Reader: "r", Object: "o", AtNS: int64(i)}); err != nil {
+		if _, err := c.TrySendFrame(Message{Type: "batch", Batch: []BatchObs{{Reader: "r", Object: "o", AtNS: int64(i)}}}); err != nil {
 			t.Fatalf("TrySendFrame %d: %v", i, err)
 		}
 	}
-	if _, err := c.TrySendFrame(Message{Type: "obs", Reader: "r", Object: "o", AtNS: 2}); !errors.Is(err, ErrRingFull) {
+	if _, err := c.TrySendFrame(Message{Type: "batch", Batch: []BatchObs{{Reader: "r", Object: "o", AtNS: 2}}}); !errors.Is(err, ErrRingFull) {
 		t.Fatalf("full ring: err = %v, want ErrRingFull", err)
 	}
 	if c.Unacked() != 2 {
@@ -194,7 +194,7 @@ func TestReliableClientShedsOldestDuringOutage(t *testing.T) {
 		Backoff:          time.Millisecond,
 		MaxBackoff:       10 * time.Millisecond,
 		DropOldestOnFull: true,
-		OnShed:           func(m Message) { shedObs = append(shedObs, m.AtNS) },
+		OnShed:           func(m Message) { shedObs = append(shedObs, m.Batch[0].AtNS) },
 	})
 	if err != nil {
 		t.Fatal(err)

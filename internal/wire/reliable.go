@@ -19,7 +19,7 @@ import (
 var ErrRingFull = errors.New("wire: unacked ring is full")
 
 // ReliableClient is the fault-tolerant counterpart of Client for edge
-// readers: every obs/advance frame gets a monotonically increasing
+// readers: every batch/advance frame gets a monotonically increasing
 // sequence number and stays in a bounded in-memory ring (optionally
 // journaled to a Spool) until the server acknowledges it. When the
 // connection drops, the client reconnects with exponential backoff plus
@@ -54,11 +54,7 @@ type ReliableClient struct {
 	doneCh  chan struct{} // closed when the connection manager exits
 	randf   func() float64
 
-	// batchOK is set when a hello ack advertises FeatureBatch. SendBatch
-	// uses whole-batch frames only after the capability is confirmed,
-	// falling back to single-observation frames otherwise — the
-	// protocol-compatible path against servers predating batch frames.
-	batchOK bool
+	greeted bool // an ack has arrived: the first one answers the session's hello
 }
 
 // ReliableOptions tunes a ReliableClient. The zero value of every field
@@ -116,7 +112,7 @@ type ReliableOptions struct {
 
 	// DropOldestOnFull switches the overload policy from backpressure to
 	// load shedding: when the unacked ring is full, the oldest sheddable
-	// frame (type "obs") is dropped — and counted via Shed/OnShed —
+	// frame (type "batch") is dropped — and counted via Shed/OnShed —
 	// instead of the send blocking. Saturation then costs coverage of the
 	// oldest observations, never latency or ordering: the server applies
 	// sequenced frames in seq order and tolerates gaps, so the surviving
@@ -245,45 +241,35 @@ func DialReliable(addr string, opt ReliableOptions) (*ReliableClient, error) {
 	return c, nil
 }
 
-// Send streams one observation through the reliable feed. It blocks only
-// when the unacked ring is full, and fails once the client is closing or
-// terminally failed.
+// Send streams one observation through the reliable feed as a batch of
+// one. It blocks only when the unacked ring is full, and fails once the
+// client is closing or terminally failed.
 func (c *ReliableClient) Send(reader, object string, at time.Duration) error {
-	_, err := c.enqueue(Message{Type: "obs", Reader: reader, Object: object, AtNS: int64(at)})
-	return err
+	return c.SendBatch([]BatchObs{{Reader: reader, Object: object, AtNS: int64(at)}})
 }
 
 // SendBatch streams one read cycle of observations through the reliable
-// feed. Once the server has advertised batch support (the hello ack's
-// features), the whole cycle travels as one sequenced frame — one seq,
-// one ack, one engine hand-off; against an older server, or before the
-// first hello ack arrives, it degrades to per-observation frames with
-// identical engine semantics. The input slice is not retained.
+// feed: one sequenced batch frame — one seq, one ack, one engine
+// hand-off — per MaxBatchFrame observations. The input slice is not
+// retained.
 func (c *ReliableClient) SendBatch(batch []BatchObs) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	c.mu.Lock()
-	useBatch := c.batchOK
-	c.mu.Unlock()
-	if useBatch {
-		_, err := c.enqueue(Message{Type: "batch", Batch: append([]BatchObs(nil), batch...)})
-		return err
-	}
-	for _, o := range batch {
-		if _, err := c.enqueue(Message{Type: "obs", Reader: o.Reader, Object: o.Object, AtNS: o.AtNS}); err != nil {
+	for len(batch) > 0 {
+		n := min(len(batch), MaxBatchFrame)
+		if _, err := c.enqueue(Message{Type: "batch", Batch: append([]BatchObs(nil), batch[:n]...)}); err != nil {
 			return err
 		}
+		batch = batch[n:]
 	}
 	return nil
 }
 
-// BatchNegotiated reports whether the server has advertised batch-frame
-// support on this feed yet (see SendBatch).
+// BatchNegotiated reports whether the server has answered this feed's
+// first hello. It is a leftover of the batch-frame handshake, kept only
+// for the benchmark's connect wait; it goes in the next benchmark change.
 func (c *ReliableClient) BatchNegotiated() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.batchOK
+	return c.greeted
 }
 
 // Advance moves the server's virtual clock forward, with the same
@@ -340,9 +326,9 @@ func (c *ReliableClient) Shed() uint64 {
 	return c.shed
 }
 
-// shedOldestLocked drops the oldest sheddable ("obs" or "batch") frame
-// from the ring, reporting whether a slot was freed. Only observations
-// are safe to shed: the server applies frames in seq order but tolerates
+// shedOldestLocked drops the oldest sheddable (batch) frame from the
+// ring, reporting whether a slot was freed. Only observations are safe
+// to shed: the server applies frames in seq order but tolerates
 // seq gaps, and a missing observation (or whole read cycle) degrades
 // coverage, while a missing advance/assign/sync frame would corrupt
 // protocol state.
@@ -351,10 +337,10 @@ func (c *ReliableClient) shedOldestLocked() bool {
 		return false
 	}
 	for i := range c.ring {
-		if c.ring[i].Type == "obs" || c.ring[i].Type == "batch" {
+		if c.ring[i].Type == "batch" {
 			dropped := c.ring[i]
 			c.ring = append(c.ring[:i], c.ring[i+1:]...)
-			c.shed += shedCost(dropped)
+			c.shed += uint64(len(dropped.Batch))
 			if cb := c.opt.OnShed; cb != nil {
 				cb(dropped)
 			}
@@ -676,15 +662,6 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 			}
 			switch m.Type {
 			case "ack":
-				if len(m.Features) > 0 {
-					c.mu.Lock()
-					for _, f := range m.Features {
-						if f == FeatureBatch {
-							c.batchOK = true
-						}
-					}
-					c.mu.Unlock()
-				}
 				c.handleAck(m.Seq)
 			case "fire":
 				c.mu.Lock()
@@ -791,6 +768,7 @@ out:
 // handleAck releases every ring frame covered by the cumulative ack.
 func (c *ReliableClient) handleAck(seq uint64) {
 	c.mu.Lock()
+	c.greeted = true
 	if seq > c.acked {
 		if seq >= c.next {
 			// The server knows this client ID from a previous life with

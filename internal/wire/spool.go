@@ -19,6 +19,11 @@ import (
 //
 // Entries: {"seq":N,"m":{...}} journals a frame, {"ack":N} a cumulative
 // ack. Opening compacts the file down to the still-unacked frames.
+//
+// Spools written by older clients journal one "obs" frame per
+// observation; opening turns each into a one-observation batch frame
+// under the same seq, so the compacted file and Pending hold only the
+// frames this package still sends.
 type Spool struct {
 	mu          sync.Mutex
 	path        string
@@ -112,6 +117,15 @@ func (s *Spool) replay(r io.Reader) error {
 					return rerr
 				}
 				break
+			}
+			if e.M != nil && e.M.Type == "obs" {
+				// An older client's single-observation frame: its reader,
+				// object and at_ns fields are exactly a BatchObs.
+				var legacy struct {
+					M BatchObs `json:"m"`
+				}
+				_ = json.Unmarshal(line, &legacy) // the line already decoded once
+				e.M.Type, e.M.AtNS, e.M.Batch = "batch", 0, []BatchObs{legacy.M}
 			}
 			s.applyEntry(&e, frames, &order)
 		}

@@ -6,7 +6,6 @@
 //
 // Client → server messages:
 //
-//	{"type":"obs","reader":"r1","object":"o1","at_ns":1000000000}
 //	{"type":"batch","batch":[{"reader":"r1","object":"o1","at_ns":N},...]}
 //	{"type":"advance","at_ns":5000000000}   // idle-time progress
 //	{"type":"query","sql":"SELECT ..."}
@@ -24,21 +23,21 @@
 //	{"type":"error","msg":"..."}
 //	{"type":"stats","observations":N,"detections":M,"shards":K}   // reply to bye
 //
-// Batch frames carry one read cycle of observations (DESIGN.md §12) under
-// a single sequence number: one JSON frame, one dedupe decision and one
-// engine hand-off per reader report instead of per tag. The reply to a
-// hello frame advertises the server's support in "features", so a
-// reliable client can fall back to single-observation frames against an
-// older server; the frame's observations apply in order, exactly as the
-// equivalent run of obs frames would.
+// The batch frame is the one frame that carries observations: one read
+// cycle (DESIGN.md §12) under a single sequence number, so one JSON
+// frame, one dedupe decision and one engine hand-off per reader report
+// instead of per tag. A lone observation is a batch of one.
 //
-// Reliable delivery: obs/advance frames may carry client_id and a
+// Reliable delivery: batch/advance frames may carry client_id and a
 // monotonically increasing seq (starting at 1). The server applies each
 // (client_id, seq) at most once — a reconnecting client replays unacked
 // frames and duplicates are dropped, turning at-least-once delivery into
 // engine-side exactly-once. Acks are cumulative: ack N covers every seq
 // ≤ N. A hello frame is answered with the highest seq applied for that
 // client, so a resuming client can skip frames the server already has.
+// A sequenced frame of a type the server does not know is refused: an
+// error reply, then the connection closes without claiming the seq, so
+// the next frame's cumulative ack cannot release it unapplied.
 package wire
 
 import (
@@ -59,23 +58,16 @@ import (
 type Message struct {
 	Type string `json:"type"`
 
-	// obs / advance. Timestamps carry no omitempty: t=0 is a legitimate
-	// observation time and must survive the wire.
-	Reader string `json:"reader,omitempty"`
-	Object string `json:"object,omitempty"`
-	AtNS   int64  `json:"at_ns"`
+	// advance. Timestamps carry no omitempty: t=0 is a legitimate time
+	// and must survive the wire.
+	AtNS int64 `json:"at_ns"`
 
 	// batch: one read cycle of observations under one seq. Bounded by
 	// MaxBatchFrame; an oversized frame is rejected before its seq is
 	// claimed, so the sender can re-chunk and resend without a gap.
 	Batch []BatchObs `json:"batch,omitempty"`
 
-	// ack (reply to hello): protocol capabilities of the serving peer.
-	// Absent on older servers — the negotiation that keeps batch frames
-	// protocol-compatible.
-	Features []string `json:"features,omitempty"`
-
-	// reliable delivery (obs/advance/batch/hello/ack)
+	// reliable delivery (batch/advance/hello/ack)
 	ClientID string `json:"client_id,omitempty"`
 	Seq      uint64 `json:"seq,omitempty"`
 
@@ -106,7 +98,7 @@ type Message struct {
 	Queue int    `json:"queue,omitempty"`
 
 	// cluster mode (internal/core/cluster). Coordinator → worker frames
-	// reuse the sequenced obs/advance machinery and add: "assign" (host
+	// reuse the sequenced batch/advance machinery and add: "assign" (host
 	// shard Shard, restoring Ck and resuming the detection counter at
 	// DetSeq), "sync" (catch up to AtNS and return buffered detections),
 	// "ckpt" (return a checkpoint), "drain" (close the shard engine).
@@ -132,10 +124,6 @@ type BatchObs struct {
 // malicious or buggy sender cannot force an unbounded allocation or an
 // arbitrarily long engine stall under the ingest lock.
 const MaxBatchFrame = 65536
-
-// FeatureBatch is the hello-ack feature string advertising batch-frame
-// support.
-const FeatureBatch = "batch"
 
 // ClusterDet is one detection shipped from a cluster worker to the
 // coordinator at a delivery barrier. Dseq is the worker-side per-shard
@@ -347,8 +335,8 @@ func NewServer(cfg rcep.Config, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// ingestBatch is the one way observations reach the engine: a batch frame's
-// contents, or an obs frame as a batch of one. The caller holds emu.
+// ingestBatch is the one way observations reach the engine: a batch
+// frame's contents. The caller holds emu.
 func (s *Server) ingestBatch(b event.Batch) error {
 	// Canonicalize at the very head: every JSON frame decodes fresh
 	// reader/object strings, and interning them here means the dedup
@@ -381,13 +369,9 @@ func (s *Server) handOff(b event.Batch) error {
 	return s.eng.Flush()
 }
 
-// frameBatch copies a frame's observations — one, for an obs frame — into
-// a pooled batch.
+// frameBatch copies a batch frame's observations into a pooled batch.
 func frameBatch(m Message) event.Batch {
 	b := event.GetBatch()
-	if m.Type == "obs" {
-		return append(b, event.Observation{Reader: m.Reader, Object: m.Object, At: event.Time(m.AtNS)})
-	}
 	for _, o := range m.Batch {
 		b = append(b, event.Observation{Reader: o.Reader, Object: o.Object, At: event.Time(o.AtNS)})
 	}
@@ -574,7 +558,7 @@ func (s *Server) handle(conn net.Conn) {
 			return // disconnect, deadline expiry, or garbage: drop the connection
 		}
 		switch m.Type {
-		case "obs", "advance", "batch":
+		case "advance", "batch":
 			// An oversized batch is rejected before its seq is claimed:
 			// the sender can re-chunk and resend under the same seq
 			// without leaving a dedupe gap.
@@ -591,12 +575,11 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			s.applyFrame(cc, m, false)
 		case "hello":
-			// Resume probe: tell the client how far this feed already got,
-			// and which protocol extensions this server speaks.
+			// Resume probe: tell the client how far this feed already got.
 			if m.ClientID != "" {
 				cc.ids[m.ClientID] = true
 			}
-			reply(Message{Type: "ack", Seq: s.ackedSeq(m.ClientID), Features: []string{FeatureBatch}})
+			reply(Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
 		case "ping":
 			// Client-side keepalive probe (ReliableOptions.Keepalive).
 			reply(Message{Type: "pong"})
@@ -629,11 +612,17 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		default:
 			reply(Message{Type: "error", Msg: fmt.Sprintf("unknown message type %q", m.Type)})
+			if m.ClientID != "" && m.Seq > 0 {
+				// A sequenced frame this server cannot apply must not be
+				// acked by its successor's cumulative ack: close without
+				// claiming, so the sender keeps it unacked.
+				return
+			}
 		}
 	}
 }
 
-// applyFrame claims one obs/batch/advance frame (unless the admission
+// applyFrame claims one batch/advance frame (unless the admission
 // queue already did), runs it into the engine and sends the error/ack
 // replies — the synchronous tail of the handler, also run by the
 // admission pump.
@@ -644,7 +633,7 @@ func (s *Server) applyFrame(cc *clientConn, m Message, claimed bool) {
 	case !claimed && !s.claim(m):
 		// Stale replay: dropped, but still acked below so the sender can
 		// release its buffer.
-	case m.Type == "obs" || m.Type == "batch":
+	case m.Type == "batch":
 		// One pooled batch per frame; the engine path consumes it
 		// synchronously, so it recycles immediately.
 		b := frameBatch(m)
@@ -682,7 +671,7 @@ func (s *Server) admitFrame(cc *clientConn, m Message) {
 		if a.drop {
 			if i := oldestSheddable(a.q); i >= 0 {
 				dropped = append(dropped, a.q[i])
-				a.shed += shedCost(a.q[i].m)
+				a.shed += uint64(len(a.q[i].m.Batch))
 				a.q = append(a.q[:i], a.q[i+1:]...)
 				continue
 			}
@@ -710,25 +699,15 @@ func (s *Server) admitFrame(cc *clientConn, m Message) {
 	}
 }
 
-// oldestSheddable finds the oldest coverage-only frame: observations and
-// observation batches may be shed, advance frames never (they carry clock
-// state).
+// oldestSheddable finds the oldest coverage-only frame: batch frames may
+// be shed, advance frames never (they carry clock state).
 func oldestSheddable(q []admitted) int {
 	for i := range q {
-		if q[i].m.Type == "obs" || q[i].m.Type == "batch" {
+		if q[i].m.Type == "batch" {
 			return i
 		}
 	}
 	return -1
-}
-
-// shedCost is how many observations dropping a frame costs — what the
-// shed counter (a count of observations, not frames) advances by.
-func shedCost(m Message) uint64 {
-	if m.Type == "batch" {
-		return uint64(len(m.Batch))
-	}
-	return 1
 }
 
 // pump drains the admission queue into the engine in arrival order,
@@ -889,20 +868,22 @@ func (c *Client) write(m Message) error {
 	return c.enc.Encode(m)
 }
 
-// Send streams one observation.
+// Send streams one observation as a batch of one.
 func (c *Client) Send(reader, object string, at time.Duration) error {
-	return c.write(Message{Type: "obs", Reader: reader, Object: object, AtNS: int64(at)})
+	return c.SendBatch([]BatchObs{{Reader: reader, Object: object, AtNS: int64(at)}})
 }
 
-// SendBatch streams one read cycle of observations as a single batch
-// frame. The server must support batch frames (any server of this
-// version; see FeatureBatch) — for negotiated fallback against older
-// servers use ReliableClient.SendBatch.
+// SendBatch streams one read cycle of observations, as one batch frame
+// per MaxBatchFrame observations.
 func (c *Client) SendBatch(batch []BatchObs) error {
-	if len(batch) == 0 {
-		return nil
+	for len(batch) > 0 {
+		n := min(len(batch), MaxBatchFrame)
+		if err := c.write(Message{Type: "batch", Batch: batch[:n]}); err != nil {
+			return err
+		}
+		batch = batch[n:]
 	}
-	return c.write(Message{Type: "batch", Batch: batch})
+	return nil
 }
 
 // Advance moves the server's virtual clock forward.

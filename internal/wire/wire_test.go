@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"net"
 	"reflect"
 	"strconv"
@@ -240,13 +241,13 @@ func TestWireReorderAndDedupStages(t *testing.T) {
 // legitimate; its timestamp fields must survive JSON encoding instead of
 // being dropped by omitempty.
 func TestMessageZeroTimestampRoundTrip(t *testing.T) {
-	obs := Message{Type: "obs", Reader: "r1", Object: "o1", AtNS: 0}
+	obs := Message{Type: "batch", Batch: []BatchObs{{Reader: "r1", Object: "o1", AtNS: 0}}}
 	b, err := json.Marshal(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), `"at_ns":0`) {
-		t.Fatalf("at_ns dropped at t=0: %s", b)
+	if !strings.Contains(string(b), `{"reader":"r1","object":"o1","at_ns":0}`) {
+		t.Fatalf("batch at_ns dropped at t=0: %s", b)
 	}
 	var back Message
 	if err := json.Unmarshal(b, &back); err != nil {
@@ -293,6 +294,46 @@ func TestWireUnknownMessage(t *testing.T) {
 	}
 	if !strings.Contains(string(buf[:n]), "unknown message type") {
 		t.Fatalf("reply: %s", buf[:n])
+	}
+}
+
+// TestSequencedUnknownFrameRefused: a sequenced frame the server cannot
+// apply — an unknown type, or the "obs" frame of an older client — is
+// answered with an error and the connection closes without claiming its
+// seq. Were the frame behind it applied, its cumulative ack would release
+// the refused frame from the sender's ring as if it had been applied.
+func TestSequencedUnknownFrameRefused(t *testing.T) {
+	for _, tc := range []struct{ name, frame string }{
+		{"bogus", `{"type":"bogus","client_id":"f1","seq":1}`},
+		{"legacy-obs", `{"type":"obs","reader":"r1","object":"o1","at_ns":0,"client_id":"f1","seq":1}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, rcep.Config{Rules: dupRule})
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			dec := json.NewDecoder(conn)
+			if _, err := conn.Write([]byte(tc.frame + "\n")); err != nil {
+				t.Fatal(err)
+			}
+			var m Message
+			if err := dec.Decode(&m); err != nil || m.Type != "error" {
+				t.Fatalf("reply %+v (%v), want error", m, err)
+			}
+			_, _ = conn.Write([]byte(`{"type":"advance","at_ns":1000,"client_id":"f1","seq":2}` + "\n"))
+			var next Message
+			if err := dec.Decode(&next); err == nil {
+				t.Fatalf("connection left open, next reply %+v", next)
+			} else if ne := (net.Error)(nil); errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("connection left open: %v", err)
+			}
+			if got := srv.ackedSeq("f1"); got != 0 {
+				t.Fatalf("ackedSeq = %d after a refused frame, want 0", got)
+			}
+		})
 	}
 }
 
