@@ -243,7 +243,7 @@ func BenchmarkAblationPipelined(b *testing.B) {
 
 // BenchmarkAblationPrimIndex is DESIGN.md A5: linear leaf probing (the
 // paper's engine, kept as the interpreted reference) vs the compiled
-// reader-symbol index (the default), at a high rule count where the
+// per-reader dispatch lists (the default), at a high rule count where the
 // difference matters.
 func BenchmarkAblationPrimIndex(b *testing.B) {
 	w := bench.Fig9Workload(20_000, 250, 1, false)

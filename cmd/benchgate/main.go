@@ -19,11 +19,17 @@
 // Times (setup_s, throughput_eps, latency_p50_us) are printed beside the
 // counts and never gated: identical code drifts 10–20% between runs on a
 // shared host, more than any bound one pair of runs could hold. A
-// time-based claim needs alternating pairs of the benchmark's own runs.
+// time-based claim needs alternating pairs of the benchmark's own runs,
+// which -pairs makes: N untraced pairs per workload at the contract's
+// run_seconds, the side that runs first flipping each pair. For each time
+// metric it reports the pairs the change won, the median change/parent
+// ratio with its interquartile range, and an exact two-sided sign-test p.
+// It is a report and fails only when a run does.
 //
 // Usage, from the change's checkout, with the parent unpacked elsewhere:
 //
 //	go run ./cmd/benchgate -base ../parent
+//	go run ./cmd/benchgate -base ../parent -pairs 10 -workload detect_only
 //
 // The report is Markdown on stdout; the exit status is 1 on any failure.
 package main
@@ -53,8 +59,9 @@ const layerBound = 0.05
 
 // contract is the part of BENCHMARK.json the gate reads.
 type contract struct {
-	Command   []string `json:"command"`
-	Workloads []struct {
+	Command    []string `json:"command"`
+	RunSeconds int      `json:"run_seconds"`
+	Workloads  []struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []metricSpec `json:"end_to_end"`
@@ -108,13 +115,13 @@ var digestRE = regexp.MustCompile(`reference detections (\S+)`)
 // runBenchmark runs one workload in the checkout at dir with the command
 // its BENCHMARK.json names. A run the oracle marks incorrect exits non-zero
 // but still prints its result line; only a missing line is an error.
-func runBenchmark(dir string, command []string, workload string, traced bool) (*run, error) {
+func runBenchmark(dir string, command []string, workload string, seconds int, traced bool) (*run, error) {
 	trace := "0"
 	if traced {
 		trace = "1"
 	}
 	args := append(append([]string(nil), command[1:]...), "--workload", workload, "--seed", "1",
-		"--seconds", strconv.Itoa(runSeconds), "--trace", trace)
+		"--seconds", strconv.Itoa(seconds), "--trace", trace)
 	cmd := exec.Command(command[0], args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -233,14 +240,29 @@ func loadContract(dir string) (*contract, error) {
 	return c, nil
 }
 
+// names is a repeatable string flag.
+type names []string
+
+func (n *names) String() string     { return strings.Join(*n, ",") }
+func (n *names) Set(v string) error { *n = append(*n, v); return nil }
+
 func main() {
 	base := flag.String("base", "", "checkout of the parent commit to compare against (required)")
+	pairs := flag.Int("pairs", 0, "instead of gating, run this many alternating pairs and report the times")
+	var workloads names
+	flag.Var(&workloads, "workload", "with -pairs, a workload to run (repeatable; default all)")
 	flag.Parse()
-	if *base == "" || flag.NArg() > 0 {
+	if *base == "" || flag.NArg() > 0 || *pairs < 0 || len(workloads) > 0 && *pairs == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := gate(*base); err != nil {
+	var err error
+	if *pairs > 0 {
+		err = runPairs(*base, *pairs, workloads)
+	} else {
+		err = gate(*base)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
@@ -266,10 +288,10 @@ func gate(base string) error {
 		}
 		var parent, head [2]*run
 		for i, traced := range []bool{false, true} {
-			if parent[i], err = runBenchmark(base, pc.Command, wl.Name, traced); err != nil {
+			if parent[i], err = runBenchmark(base, pc.Command, wl.Name, runSeconds, traced); err != nil {
 				return fmt.Errorf("parent: %w", err)
 			}
-			if head[i], err = runBenchmark(".", c.Command, wl.Name, traced); err != nil {
+			if head[i], err = runBenchmark(".", c.Command, wl.Name, runSeconds, traced); err != nil {
 				return err
 			}
 		}

@@ -41,15 +41,15 @@ const (
 // equal in every ParseScalar interpretation, and mixed kinds fall back to
 // string comparison (see matchPrim).
 //
-// memo caches the verdict per argument symbol (0 unknown, 1 pass,
-// 2 fail): a predicate's outcome is a pure function of its argument
-// string — group and type maps are deployment constants (paper §2.1) and
-// val is a rule literal — so after the first evaluation for a given
-// symbol the hot path never touches strings again. The cache grows with
-// the intern table, one byte per symbol per predicate.
+// memo caches an object predicate's verdict per object symbol (0 unknown,
+// 1 pass, 2 fail): the outcome is a pure function of its argument string —
+// group and type maps are deployment constants (paper §2.1) and val is a
+// rule literal — so after the first evaluation for a given symbol the hot
+// path never touches strings again. The cache grows with the intern
+// table, one byte per symbol per object predicate. Reader predicates need
+// no memo: dispatch evaluates them once per reader (plansFor).
 type predPlan struct {
 	kind uint8
-	src  uint8
 	op   event.CmpOp
 	val  string
 	memo []uint8
@@ -70,7 +70,11 @@ type primPlan struct {
 	readerLit, objectLit bool
 	readerSym, objectSym event.Symbol
 
-	preds []predPlan
+	// readerPreds are the predicates on the reader (group(r), type(r),
+	// bare r op 'v'): pure functions of the reader symbol, applied once
+	// per reader when its dispatch list is built. preds are the
+	// predicates on the object, evaluated per probe.
+	readerPreds, preds []predPlan
 
 	// binds is the pattern's binding template in final sorted order,
 	// replicating the Set-insertion semantics of the interpreted builder
@@ -121,7 +125,12 @@ func compilePrim(n *graph.Node, intern *event.Interner) *primPlan {
 			pl.dead = true
 			return pl
 		}
-		pl.preds = append(pl.preds, predPlan{kind: kind, src: src, op: pred.Op, val: pred.Val})
+		pp := predPlan{kind: kind, op: pred.Op, val: pred.Val}
+		if src == srcReader {
+			pl.readerPreds = append(pl.readerPreds, pp)
+		} else {
+			pl.preds = append(pl.preds, pp)
+		}
 	}
 	add := func(v string, src uint8) {
 		i := sort.Search(len(pl.binds), func(i int) bool { return pl.binds[i].varName >= v })
@@ -159,54 +168,61 @@ func compilePredArg(p *event.Prim, arg string) (uint8, bool) {
 	return 0, false
 }
 
-// buildPlans compiles every primitive pattern and builds the
-// symbol-indexed dispatch table: dispatch[readerSym] lists the plans an
-// observation with that reader can match, in node-ID order (the same
-// order the interpreted engine probes, indexed or not — graph.Prims is
-// ID-ordered). Readers interned after construction fall back to
-// wildPlans, the patterns with variable or anonymous reader positions.
-// Dead plans — patterns the interpreted matcher would reject on every
-// observation — are elided from the tables entirely: neither path ever
-// matches them, so skipping them cannot shift Seq numbering.
+// buildPlans compiles every primitive pattern into e.plans, in node-ID
+// order (graph.Prims is ID-ordered, the order the interpreted engine
+// probes). Dead plans — patterns the interpreted matcher would reject on
+// every observation — are left out: neither path ever matches them, so
+// skipping them cannot shift Seq numbering.
 func (e *Engine) buildPlans() {
-	byLit := map[event.Symbol][]*primPlan{}
 	for _, p := range e.g.Prims {
-		pl := compilePrim(p, e.intern)
-		if pl.dead {
+		if pl := compilePrim(p, e.intern); !pl.dead {
+			pl.guard = e.states[p.ID].guard
+			e.plans = append(e.plans, pl)
+		}
+	}
+	e.dispatch = map[event.Symbol][]*primPlan{}
+}
+
+// plansFor builds a reader's dispatch list on the engine's first sight of
+// it: the plans, in node-ID order, whose reader literal and reader
+// predicates admit the reader. A plan left out is one matchPlan would
+// have rejected before binding or guard, so Seq numbering cannot move.
+// The cache holds one entry per distinct reader the engine has seen, not
+// one per interned symbol.
+func (e *Engine) plansFor(rsym event.Symbol, reader string) []*primPlan {
+	var list []*primPlan
+next:
+	for _, pl := range e.plans {
+		if pl.readerLit && pl.readerSym != rsym {
 			continue
 		}
-		pl.guard = e.states[p.ID].guard
-		if pl.readerLit {
-			byLit[pl.readerSym] = append(byLit[pl.readerSym], pl)
-		} else {
-			e.wildPlans = append(e.wildPlans, pl)
+		for i := range pl.readerPreds {
+			if !e.predPass(&pl.readerPreds[i], reader, rsym) {
+				continue next
+			}
 		}
+		list = append(list, pl)
 	}
-	e.dispatch = make([][]*primPlan, e.intern.Len()+1)
-	for sym := range e.dispatch {
-		e.dispatch[sym] = e.wildPlans
-	}
-	for sym, lits := range byLit {
-		merged := append(append(make([]*primPlan, 0, len(lits)+len(e.wildPlans)), lits...), e.wildPlans...)
-		sort.Slice(merged, func(i, j int) bool { return merged[i].node.ID < merged[j].node.ID })
-		e.dispatch[sym] = merged
-	}
+	e.dispatch[rsym] = list
+	return list
 }
 
 // ingestCompiled dispatches one observation through the compiled plans.
 // It mirrors the interpreted probe loop in step exactly —
-// including Seq numbering — but compares interned symbols and fills
-// pre-sorted binding templates. The observation is passed by pointer so
-// the dispatch loop never copies the struct.
+// including Seq numbering — but probes only the reader's dispatch list,
+// compares interned symbols and fills pre-sorted binding templates. The
+// observation is passed by pointer so the dispatch loop never copies the
+// struct.
 func (e *Engine) ingestCompiled(obs *event.Observation) {
 	rsym := e.symOf(obs.Reader)
-	osym := e.symOf(obs.Object)
-	plans := e.wildPlans
-	if int(rsym) < len(e.dispatch) {
-		plans = e.dispatch[rsym]
+	plans, ok := e.dispatch[rsym]
+	if !ok {
+		plans = e.plansFor(rsym, obs.Reader)
 	}
+	e.m.PlanProbes += uint64(len(plans))
+	osym := e.symOf(obs.Object)
 	for _, pl := range plans {
-		binds, ok := e.matchPlan(pl, obs, rsym, osym)
+		binds, ok := e.matchPlan(pl, obs, osym)
 		if !ok {
 			continue
 		}
@@ -216,52 +232,31 @@ func (e *Engine) ingestCompiled(obs *event.Observation) {
 	}
 }
 
-// matchPlan matches one observation against a compiled pattern.
-func (e *Engine) matchPlan(pl *primPlan, obs *event.Observation, rsym, osym event.Symbol) (event.Bindings, bool) {
-	if pl.readerLit && pl.readerSym != rsym {
-		return nil, false
-	}
+// matchPlan matches one observation against a compiled pattern from its
+// reader's dispatch list: the reader is already known to pass, so only
+// the object, the bindings and the guard remain.
+func (e *Engine) matchPlan(pl *primPlan, obs *event.Observation, osym event.Symbol) (event.Bindings, bool) {
 	if pl.objectLit && pl.objectSym != osym {
 		return nil, false
 	}
 	for i := range pl.preds {
 		pp := &pl.preds[i]
-		var arg string
-		var argSym event.Symbol
-		if pp.src == srcReader {
-			arg, argSym = obs.Reader, rsym
-		} else {
-			arg, argSym = obs.Object, osym
-		}
-		if int(argSym) < len(pp.memo) {
-			switch pp.memo[argSym] {
+		if int(osym) < len(pp.memo) {
+			switch pp.memo[osym] {
 			case 1:
 				continue
 			case 2:
 				return nil, false
 			}
 		}
-		pass := false
-		switch pp.kind {
-		case predGroup:
-			for _, g := range e.groupsOfSym(argSym, arg) {
-				if pp.op.Eval(compareStr(g, pp.val)) {
-					pass = true
-					break
-				}
-			}
-		case predType:
-			pass = pp.op.Eval(compareStr(e.typeOfSym(argSym, arg), pp.val))
-		default:
-			pass = pp.op.Eval(compareStr(arg, pp.val))
-		}
-		if i := int(argSym); i >= len(pp.memo) {
+		pass := e.predPass(pp, obs.Object, osym)
+		if i := int(osym); i >= len(pp.memo) {
 			pp.memo = append(pp.memo, make([]uint8, i+1-len(pp.memo))...)
 		}
 		if pass {
-			pp.memo[argSym] = 1
+			pp.memo[osym] = 1
 		} else {
-			pp.memo[argSym] = 2
+			pp.memo[osym] = 2
 			return nil, false
 		}
 	}
@@ -283,6 +278,24 @@ func (e *Engine) matchPlan(pl *primPlan, obs *event.Observation, rsym, osym even
 		return nil, false
 	}
 	return binds, true
+}
+
+// predPass evaluates one compiled predicate on an attribute value. It is
+// the one predicate evaluator of the compiled path: plansFor applies it
+// to readers, matchPlan to objects.
+func (e *Engine) predPass(pp *predPlan, arg string, sym event.Symbol) bool {
+	switch pp.kind {
+	case predGroup:
+		for _, g := range e.groupsOfSym(sym, arg) {
+			if pp.op.Eval(compareStr(g, pp.val)) {
+				return true
+			}
+		}
+		return false
+	case predType:
+		return pp.op.Eval(compareStr(e.typeOfSym(sym, arg), pp.val))
+	}
+	return pp.op.Eval(compareStr(arg, pp.val))
 }
 
 // groupsOfSym memoizes the group function in a flat slice indexed by

@@ -40,9 +40,10 @@ type Config struct {
 	// observation linearly probes every leaf pattern (Term/Pred AST walks,
 	// string compares). Default off: the engine compiles primitive
 	// patterns into prepared plans at construction (compile.go), interns
-	// reader/object strings at ingest and dispatches through a
-	// reader-symbol index. The interpreted path is kept as the reference
-	// for equivalence testing.
+	// reader/object strings at ingest and probes only the plans the
+	// reader's literal and reader predicates admit (one dispatch list per
+	// distinct reader). The interpreted path is kept as the reference for
+	// equivalence testing.
 	Interpreted bool
 
 	// Interner supplies a shared intern table for the compiled path —
@@ -78,6 +79,7 @@ type Limits struct {
 // Metrics counts engine activity; useful in tests and benchmarks.
 type Metrics struct {
 	Observations    uint64 // observations ingested
+	PlanProbes      uint64 // primitive patterns probed (dispatch list lengths summed)
 	PrimMatches     uint64 // primitive pattern matches
 	Emitted         uint64 // event instances emitted by graph nodes
 	PseudoScheduled uint64 // pseudo events scheduled
@@ -108,15 +110,16 @@ type Engine struct {
 	groupCache map[string][]string
 	typeCache  map[string]string
 
-	// Compiled hot path (compile.go). dispatch is indexed by reader
-	// Symbol; wildPlans holds patterns with variable/anonymous readers;
-	// groupsBySym/typeBySym are flat per-symbol memoizations replacing
-	// the string-keyed caches above; filterPool and psPool are
+	// Compiled hot path (compile.go). plans holds every live primitive
+	// plan in node-ID order; dispatch maps each reader Symbol the engine
+	// has seen to the plans that reader can match, built lazily by
+	// plansFor; groupsBySym/typeBySym are flat per-symbol memoizations
+	// replacing the string-keyed caches above; filterPool and psPool are
 	// freelists for transient query filters and fired pseudo events.
 	compiled    bool
 	intern      *event.Interner
-	dispatch    [][]*primPlan
-	wildPlans   []*primPlan
+	plans       []*primPlan
+	dispatch    map[event.Symbol][]*primPlan
 	groupsBySym [][]string
 	groupsSet   []bool
 	typeBySym   []string
@@ -461,8 +464,8 @@ func (e *Engine) Ingest(obs event.Observation) error {
 // events scheduled strictly before its time fire first (the engine always
 // consumes the earliest event of the observation and pseudo queues, paper
 // §4.5), the clock advances, and the observation is dispatched — through
-// the compiled symbol index, or on the interpreted reference by probing
-// every leaf pattern as the paper's engine does.
+// its reader's compiled dispatch list, or on the interpreted reference by
+// probing every leaf pattern as the paper's engine does.
 func (e *Engine) step(o *event.Observation) {
 	if len(e.pq) > 0 && e.pq[0].exec < o.At {
 		e.drainPseudo(o.At, true)
@@ -473,6 +476,7 @@ func (e *Engine) step(o *event.Observation) {
 		e.ingestCompiled(o)
 		return
 	}
+	e.m.PlanProbes += uint64(len(e.g.Prims))
 	for _, prim := range e.g.Prims {
 		binds, ok := e.matchPrim(prim, *o)
 		if !ok {

@@ -573,6 +573,7 @@ func (e *Engine) Metrics() detect.Metrics {
 	var m detect.Metrics
 	for _, w := range e.workers {
 		sm := w.eng.Metrics()
+		m.PlanProbes += sm.PlanProbes
 		m.PrimMatches += sm.PrimMatches
 		m.Emitted += sm.Emitted
 		m.PseudoScheduled += sm.PseudoScheduled

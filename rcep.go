@@ -90,7 +90,8 @@ type Config struct {
 	// Interpreted runs the per-event hot path through the AST
 	// interpreters (linear probing of every leaf pattern, rule conditions
 	// and actions) instead of the plans compiled at CREATE RULE time,
-	// which dispatch each observation by interned reader symbol. The
+	// which dispatch each observation to the plans its reader can match
+	// (by literal, group and type), looked up by interned symbol. The
 	// compiled path is the default; the interpreter is kept as the
 	// reference for equivalence and regression runs (see internal/bench).
 	Interpreted bool
