@@ -146,13 +146,13 @@ func BenchmarkFig4Correctness(b *testing.B) {
 func BenchmarkAblationSubgraphMerging(b *testing.B) {
 	w := bench.Fig9Workload(20_000, 100, 1, false)
 	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"merged", false}, {"unmerged", true}} {
+		name  string
+		gopts []graph.Option
+	}{{"merged", nil}, {"unmerged", []graph.Option{graph.WithoutMerging()}}} {
 		b.Run(mode.name, func(b *testing.B) {
 			var last bench.Result
 			for i := 0; i < b.N; i++ {
-				r, err := bench.RunRCEDA(w, bench.Options{DisableMerging: mode.disable})
+				r, err := bench.RunRCEDA(w, bench.Options{}, mode.gopts...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -241,30 +241,6 @@ func BenchmarkAblationPipelined(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPrimIndex is DESIGN.md A5: linear leaf probing (the
-// paper's engine, kept as the interpreted reference) vs the compiled
-// per-reader dispatch lists (the default), at a high rule count where the
-// difference matters.
-func BenchmarkAblationPrimIndex(b *testing.B) {
-	w := bench.Fig9Workload(20_000, 250, 1, false)
-	for _, mode := range []struct {
-		name        string
-		interpreted bool
-	}{{"linear-probe", true}, {"indexed", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var last bench.Result
-			for i := 0; i < b.N; i++ {
-				r, err := bench.RunRCEDA(w, bench.Options{Interpreted: mode.interpreted})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			reportPerEvent(b, last)
-		})
-	}
-}
-
 // BenchmarkAblationSharded is DESIGN.md A6: the key-space sharded engine
 // (internal/core/shard). On multi-core hosts this scales with shard count;
 // on one core it measures the coordination overhead.
@@ -274,7 +250,7 @@ func BenchmarkAblationSharded(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			var last bench.Result
 			for i := 0; i < b.N; i++ {
-				r, err := bench.RunShardEngine(w, n, bench.Options{})
+				r, err := bench.RunShardEngine(w, n)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,7 +8,7 @@
 //	experiments fig4              correctness: RCEDA vs type-level ECA (paper §4.1)
 //	experiments fig8              pseudo-event walkthrough (paper §4.5)
 //	experiments fig9 [-quick]     processing time vs #events and vs #rules (paper §5)
-//	experiments ablation [-quick] sub-graph merging, ECA throughput, dispatch, pipeline, shards
+//	experiments ablation [-quick] sub-graph merging, ECA throughput, pipeline, shards
 //	experiments graph             the paper's five rules as a Graphviz event graph
 //	experiments all [-quick]      fig4, fig8, fig9 and ablation
 package main
@@ -242,7 +242,7 @@ func fig9(quick bool) {
 	fmt.Println()
 }
 
-// ablation runs the A1, A2, A4, A5 and A6 experiments of DESIGN.md.
+// ablation runs the A1, A2, A4 and A6 experiments of DESIGN.md.
 func ablation(quick bool) {
 	// 400 rules ≈ 80 production lines × 5 rule families: the scale the
 	// sharded engine is built for — single-engine leaf probing grows with
@@ -258,7 +258,7 @@ func ablation(quick bool) {
 	if err != nil {
 		panic(err)
 	}
-	off, err := bench.RunRCEDA(w, bench.Options{DisableMerging: true})
+	off, err := bench.RunRCEDA(w, bench.Options{}, graph.WithoutMerging())
 	if err != nil {
 		panic(err)
 	}
@@ -281,23 +281,6 @@ func ablation(quick bool) {
 		ms(ec.Elapsed), ec.Detections)
 	fmt.Println()
 
-	fmt.Println("=== A5: primitive dispatch — linear leaf probing vs compiled per-reader dispatch lists (beyond the paper) ===")
-	w5 := bench.Fig9Workload(events, 500, 1, false)
-	lin, err := bench.RunRCEDA(w5, bench.Options{Interpreted: true})
-	if err != nil {
-		panic(err)
-	}
-	idx, err := bench.RunRCEDA(w5, bench.Options{})
-	if err != nil {
-		panic(err)
-	}
-	probes := func(r bench.Result) float64 { return float64(r.Metrics.PlanProbes) / float64(r.Metrics.Observations) }
-	fmt.Printf("linear probe, interpreted (paper)  : %8.1f ms, %d detections, %.1f plan probes/obs (500 rules)\n",
-		ms(lin.Elapsed), lin.Detections, probes(lin))
-	fmt.Printf("reader dispatch, compiled (default): %8.1f ms, %d detections, %.1f plan probes/obs\n",
-		ms(idx.Elapsed), idx.Detections, probes(idx))
-	fmt.Println()
-
 	fmt.Println("=== A4: direct vs pipelined ingestion (channel-staged Fig. 2) ===")
 	direct, err := bench.RunRCEDA(w, bench.Options{})
 	if err != nil {
@@ -312,8 +295,9 @@ func ablation(quick bool) {
 	fmt.Println()
 
 	fmt.Println("=== A6: key-space sharded engine, internal/core/shard (beyond the paper) ===")
+	w6 := bench.Fig9Workload(events, 500, 1, false)
 	for _, n := range []int{1, 2, 4, 8} {
-		r, err := bench.RunShardEngine(w5, n, bench.Options{})
+		r, err := bench.RunShardEngine(w6, n)
 		if err != nil {
 			panic(err)
 		}

@@ -101,9 +101,7 @@ func (w *Workload) parseRules() (*rules.RuleSet, error) {
 
 // Options tune a run.
 type Options struct {
-	DisableMerging bool
 	IncludeActions bool // run conditions and actions (excluded by default, as in the paper)
-	Interpreted    bool // force the per-event AST interpreter: linear leaf probing, the reference for the compiled hot path (A5)
 }
 
 // Result is one measured run.
@@ -123,17 +121,15 @@ func (r Result) Throughput() float64 {
 	return float64(r.Events) / r.Elapsed.Seconds()
 }
 
-// RunRCEDA measures one pass of the workload through the RCEDA engine.
-func RunRCEDA(w *Workload, opts Options) (Result, error) {
+// RunRCEDA measures one pass of the workload through the RCEDA engine;
+// gopts configure the event-graph builder (graph.WithoutMerging for
+// ablation A1).
+func RunRCEDA(w *Workload, opts Options, gopts ...graph.Option) (Result, error) {
 	rs, err := w.parseRules()
 	if err != nil {
 		return Result{}, err
 	}
-	var bopts []graph.Option
-	if opts.DisableMerging {
-		bopts = append(bopts, graph.WithoutMerging())
-	}
-	b := graph.NewBuilder(bopts...)
+	b := graph.NewBuilder(gopts...)
 
 	var detections uint64
 	onDetect := func(int, *event.Instance) { detections++ }
@@ -142,7 +138,6 @@ func RunRCEDA(w *Workload, opts Options) (Result, error) {
 		st := store.OpenRFID()
 		x = rules.NewExecutor(rs, st, noopProcs(), nil)
 		x.TraceFirings = false
-		x.Interpreted = opts.Interpreted
 		onDetectX := func(rid int, in *event.Instance) {
 			detections++
 			x.Dispatch(rid, in)
@@ -156,11 +151,10 @@ func RunRCEDA(w *Workload, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	eng, err := detect.New(detect.Config{
-		Graph:       b.Finalize(),
-		Groups:      w.Groups,
-		TypeOf:      w.TypeOf,
-		OnDetect:    onDetect,
-		Interpreted: opts.Interpreted,
+		Graph:    b.Finalize(),
+		Groups:   w.Groups,
+		TypeOf:   w.TypeOf,
+		OnDetect: onDetect,
 	})
 	if err != nil {
 		return Result{}, err
@@ -266,7 +260,7 @@ func RunPipelined(w *Workload, opts Options) (Result, error) {
 // on the workload. The observation stream is fed through the router in
 // batches; detections are counted at the merged fan-in, so the result is
 // comparable with RunRCEDA.
-func RunShardEngine(w *Workload, n int, opts Options) (Result, error) {
+func RunShardEngine(w *Workload, n int) (Result, error) {
 	rs, err := w.parseRules()
 	if err != nil {
 		return Result{}, err
@@ -277,12 +271,11 @@ func RunShardEngine(w *Workload, n int, opts Options) (Result, error) {
 	}
 	var detections uint64
 	eng, err := shard.New(shard.Config{
-		Rules:       shRules,
-		Shards:      n,
-		Groups:      w.Groups,
-		TypeOf:      w.TypeOf,
-		Interpreted: opts.Interpreted,
-		OnDetect:    func(int, *event.Instance) { detections++ },
+		Rules:    shRules,
+		Shards:   n,
+		Groups:   w.Groups,
+		TypeOf:   w.TypeOf,
+		OnDetect: func(int, *event.Instance) { detections++ },
 	})
 	if err != nil {
 		return Result{}, err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"rcep/internal/core/graph"
 )
 
 func TestFig9WorkloadSizing(t *testing.T) {
@@ -78,7 +80,7 @@ func TestMergingAblationSameDetections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunRCEDA(w, Options{DisableMerging: true})
+	b, err := RunRCEDA(w, Options{}, graph.WithoutMerging())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestRunShardEngineMatchesSingle(t *testing.T) {
 		t.Fatal("workload produced no detections; benchmark is vacuous")
 	}
 	for _, n := range []int{1, 2, 4, 8} {
-		r, err := RunShardEngine(w, n, Options{})
+		r, err := RunShardEngine(w, n)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", n, err)
 		}

@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"rcep/internal/core/detect"
@@ -35,7 +37,7 @@ func detSig(rid int, inst *event.Instance) string {
 // shard/v1 (or single-engine) checkpoint after that many observations,
 // abandons the first engine, restores into a fresh one and finishes the
 // stream there — detections before and after the cut concatenate.
-func captureStream(t *testing.T, w *Workload, shards int, interpreted bool, checkpointAt int) []string {
+func captureStream(t *testing.T, w *Workload, shards int, checkpointAt int) []string {
 	t.Helper()
 	rs, err := w.parseRules()
 	if err != nil {
@@ -63,11 +65,10 @@ func captureStream(t *testing.T, w *Workload, shards int, interpreted bool, chec
 				t.Fatal(err)
 			}
 			eng, err := detect.New(detect.Config{
-				Graph:       b.Finalize(),
-				Groups:      w.Groups,
-				TypeOf:      w.TypeOf,
-				OnDetect:    onDetect,
-				Interpreted: interpreted,
+				Graph:    b.Finalize(),
+				Groups:   w.Groups,
+				TypeOf:   w.TypeOf,
+				OnDetect: onDetect,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -79,12 +80,11 @@ func captureStream(t *testing.T, w *Workload, shards int, interpreted bool, chec
 			shRules[i] = shard.Rule{ID: i, Expr: r.Event}
 		}
 		eng, err := shard.New(shard.Config{
-			Rules:       shRules,
-			Shards:      shards,
-			Groups:      w.Groups,
-			TypeOf:      w.TypeOf,
-			OnDetect:    onDetect,
-			Interpreted: interpreted,
+			Rules:    shRules,
+			Shards:   shards,
+			Groups:   w.Groups,
+			TypeOf:   w.TypeOf,
+			OnDetect: onDetect,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -163,44 +163,68 @@ func diffStreams(t *testing.T, label string, want, got []string) {
 	}
 }
 
+// withoutSeq drops detSig's trailing Seq field: each shard numbers its
+// own instances, so Seq is comparable only at one width.
+func withoutSeq(sigs []string) []string {
+	out := make([]string, len(sigs))
+	for i, s := range sigs {
+		out[i] = s[:strings.LastIndexByte(s, '|')]
+	}
+	return out
+}
+
+// asMultiset returns a sorted copy for order-insensitive comparison.
+func asMultiset(in []string) []string {
+	out := append([]string(nil), in...)
+	sort.Strings(out)
+	return out
+}
+
+// bareStream is the suite's reference: the workload through one bare
+// detect.Engine, uninterrupted.
+func bareStream(t *testing.T, w *Workload) []string {
+	t.Helper()
+	ref := captureStream(t, w, 1, 0)
+	if len(ref) == 0 {
+		t.Fatal("the bare engine produced no detections; workload is vacuous")
+	}
+	return ref
+}
+
 // TestHotpathEquivalence is the metamorphic core of the suite: on the
-// bench workload (every rule family, negation included), the compiled
-// hot path must deliver the interpreted oracle's detection stream
-// byte-for-byte — same order, same intervals, same bindings, same
-// sequence numbers — at every shard width.
+// bench workload (every rule family, negation included), the engine at
+// every shard width must deliver the bare engine's detections — same
+// intervals, same bindings, same multiplicities.
 func TestHotpathEquivalence(t *testing.T) {
 	w := hotpathWorkload(t)
+	ref := asMultiset(withoutSeq(bareStream(t, w)))
 	for _, shards := range []int{1, 2, 4, 8} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			oracle := captureStream(t, w, shards, true, 0)
-			if len(oracle) == 0 {
-				t.Fatal("oracle produced no detections; workload is vacuous")
-			}
-			got := captureStream(t, w, shards, false, 0)
-			diffStreams(t, "compiled vs interpreted", oracle, got)
+			got := captureStream(t, w, shards, 0)
+			diffStreams(t, "multiset vs bare engine", ref, asMultiset(withoutSeq(got)))
 		})
 	}
 }
 
 // TestHotpathEquivalenceAcrossCheckpoint adds the persistence leg: the
-// compiled engine checkpoints mid-stream (single-engine and shard/v1
-// formats), restores into a fresh compiled engine — whose plans and
-// intern table are rebuilt from scratch, never serialized — and must
-// still reproduce the uninterrupted interpreted oracle. Sequence numbers
-// are part of the signature: checkpoints preserve the counters.
+// engine checkpoints mid-stream (single-engine and shard/v1 formats),
+// restores into a fresh engine — whose plans and intern table are
+// rebuilt from scratch, never serialized — and must reproduce its width's
+// uninterrupted stream byte for byte, order and sequence numbers included
+// (checkpoints preserve the counters), whose multiset is the bare
+// engine's.
 func TestHotpathEquivalenceAcrossCheckpoint(t *testing.T) {
 	w := hotpathWorkload(t)
+	ref := asMultiset(withoutSeq(bareStream(t, w)))
 	cut := len(w.Observations) / 2
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			oracle := captureStream(t, w, shards, true, 0)
-			if len(oracle) == 0 {
-				t.Fatal("oracle produced no detections; workload is vacuous")
-			}
-			got := captureStream(t, w, shards, false, cut)
-			diffStreams(t, "compiled+checkpoint vs interpreted", oracle, got)
+			whole := captureStream(t, w, shards, 0)
+			diffStreams(t, "multiset vs bare engine", ref, asMultiset(withoutSeq(whole)))
+			got := captureStream(t, w, shards, cut)
+			diffStreams(t, "checkpointed vs uninterrupted", whole, got)
 		})
 	}
 }

@@ -202,15 +202,7 @@ func (c *trackConn) Close() error {
 // ingestions, and returns the merged detection sequence.
 func runCluster(t *testing.T, seed int64, workers int, rules []shard.Rule, stream []event.Observation, plan *faults.ClusterPlan) ([]string, int, error) {
 	t.Helper()
-	return runClusterMode(t, seed, workers, rules, stream, plan, false)
-}
-
-// runClusterMode is runCluster with the workers' hot path selectable:
-// interpreted = true runs every worker engine through the AST
-// interpreter (the oracle mode of the compiled-plan equivalence suite).
-func runClusterMode(t *testing.T, seed int64, workers int, rules []shard.Rule, stream []event.Observation, plan *faults.ClusterPlan, interpreted bool) ([]string, int, error) {
-	t.Helper()
-	base := WorkerConfig{Rules: rules, Shards: 4, Groups: genGroups, TypeOf: genTypeOf, Interpreted: interpreted}
+	base := WorkerConfig{Rules: rules, Shards: 4, Groups: genGroups, TypeOf: genTypeOf}
 	procs := make([]*workerProc, workers)
 	addrs := make([]string, workers)
 	for i := range procs {

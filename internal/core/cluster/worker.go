@@ -57,10 +57,6 @@ type WorkerConfig struct {
 
 	detect.Limits
 
-	// Interpreted selects the per-event AST interpreter in this worker's
-	// shard engines instead of the compiled plans (oracle mode).
-	Interpreted bool
-
 	// BootID names this worker incarnation. It must change across
 	// process restarts (a PID + start-time string, a counter in tests):
 	// the coordinator uses it to distinguish a restarted worker (engine
@@ -414,8 +410,7 @@ func (w *Worker) newFeed(m wire.Message) (*feed, error) {
 				InstSeq: inst.Seq, Binds: inst.Binds,
 			})
 		},
-		Limits:      w.cfg.Limits,
-		Interpreted: w.cfg.Interpreted,
+		Limits: w.cfg.Limits,
 	})
 	if err != nil {
 		f.out.close()

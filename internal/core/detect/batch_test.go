@@ -63,8 +63,8 @@ func TestIngestBatchAtomicOnStale(t *testing.T) {
 	}
 }
 
-// TestIngestBatchEquivalentToIngest pins "Ingest is IngestBatch of one" in
-// both execution modes: however a stream is cut into IngestBatch calls —
+// TestIngestBatchEquivalentToIngest pins "Ingest is IngestBatch of one":
+// however a stream is cut into IngestBatch calls —
 // one call, two calls split at every point, or batches of one — the
 // detections and the checkpoint taken after the last observation are
 // exactly those of one-at-a-time Ingest.
@@ -85,9 +85,9 @@ func TestIngestBatchEquivalentToIngest(t *testing.T) {
 	}
 	// run feeds the stream cut at the given indices and returns the
 	// detections (after Close) and the pre-Close checkpoint.
-	run := func(t *testing.T, interpreted, perObs bool, cuts ...int) ([]string, []byte) {
+	run := func(t *testing.T, perObs bool, cuts ...int) ([]string, []byte) {
 		t.Helper()
-		h := newHarness(t, rules, func(c *Config) { c.Interpreted = interpreted })
+		h := newHarness(t, rules, nil)
 		if perObs {
 			h.feed(stream...)
 		} else {
@@ -110,33 +110,29 @@ func TestIngestBatchEquivalentToIngest(t *testing.T) {
 		}
 		return sigs, ck.Bytes()
 	}
-	for _, mode := range []struct {
-		name        string
-		interpreted bool
-	}{{"compiled", false}, {"interpreted", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			want, wantCk := run(t, mode.interpreted, true)
-			if len(want) < 3 {
-				t.Fatalf("one-at-a-time run produced %d detections; workload is vacuous", len(want))
+	// The engine compiles every rule; the subtest keeps the mode's name.
+	t.Run("compiled", func(t *testing.T) {
+		want, wantCk := run(t, true)
+		if len(want) < 3 {
+			t.Fatalf("one-at-a-time run produced %d detections; workload is vacuous", len(want))
+		}
+		feeds := map[string][]int{"one call": nil}
+		var ones []int
+		for i := 1; i < len(stream); i++ {
+			feeds[fmt.Sprintf("split at %d", i)] = []int{i}
+			ones = append(ones, i)
+		}
+		feeds["batches of one"] = ones
+		for name, cuts := range feeds {
+			got, gotCk := run(t, false, cuts...)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: detections\n got %v\nwant %v", name, got, want)
 			}
-			feeds := map[string][]int{"one call": nil}
-			var ones []int
-			for i := 1; i < len(stream); i++ {
-				feeds[fmt.Sprintf("split at %d", i)] = []int{i}
-				ones = append(ones, i)
+			if !bytes.Equal(gotCk, wantCk) {
+				t.Errorf("%s: checkpoint differs from one-at-a-time ingest\n got %s\nwant %s", name, gotCk, wantCk)
 			}
-			feeds["batches of one"] = ones
-			for name, cuts := range feeds {
-				got, gotCk := run(t, mode.interpreted, false, cuts...)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: detections\n got %v\nwant %v", name, got, want)
-				}
-				if !bytes.Equal(gotCk, wantCk) {
-					t.Errorf("%s: checkpoint differs from one-at-a-time ingest\n got %s\nwant %s", name, gotCk, wantCk)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestIngestBatchEmpty(t *testing.T) {

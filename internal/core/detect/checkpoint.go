@@ -234,9 +234,9 @@ func (e *Engine) RestoreCheckpoint(r io.Reader) error {
 				begin: cn.Open.Begin,
 				last:  cn.Open.Last, version: cn.Open.Version,
 			}
-			// Accumulators are maintained in both execution modes, so a
-			// guarded node's live open sequence always carries exactly
-			// one per aggregated variable; anything else is corruption.
+			// A guarded node's live open sequence always carries exactly
+			// one accumulator per aggregated variable; anything else is
+			// corruption.
 			var aggVars []string
 			if st.guard != nil {
 				aggVars = st.guard.aggVars

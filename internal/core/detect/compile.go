@@ -13,12 +13,9 @@ import (
 // Symbols, its predicates pre-resolved to (source attribute, operator,
 // literal) triples, and its binding template pre-sorted — so matching an
 // observation is integer compares plus one exact-size Bindings fill, with
-// no Term/Pred AST walk and no ParseScalar.
-//
-// The interpreted matcher (matchPrim) stays alive behind
-// Config.Interpreted as the oracle; the equivalence suite in
-// internal/bench asserts both paths produce byte-identical detection
-// streams.
+// no Term/Pred AST walk and no ParseScalar. The plans are the engine's
+// only leaf matcher; prim_ref_test.go keeps a string-based linear matcher
+// as their test-only reference.
 
 // Attribute sources a compiled predicate or binding slot can draw from.
 const (
@@ -35,11 +32,11 @@ const (
 )
 
 // predPlan is one lowered attribute predicate. Evaluation is always a
-// string compare against val: the interpreted path's
+// string compare against val: the rule language's
 // Value.Compare(ParseScalar(val)) reduces to exactly that because the
 // left-hand side is always a string attribute — equal strings compare
 // equal in every ParseScalar interpretation, and mixed kinds fall back to
-// string comparison (see matchPrim).
+// string comparison.
 //
 // memo caches an object predicate's verdict per object symbol (0 unknown,
 // 1 pass, 2 fail): the outcome is a pure function of its argument string —
@@ -77,15 +74,13 @@ type primPlan struct {
 	readerPreds, preds []predPlan
 
 	// binds is the pattern's binding template in final sorted order,
-	// replicating the Set-insertion semantics of the interpreted builder
-	// (duplicate variables resolve to the last Set in reader, object, at
-	// order).
+	// replicating Bindings.Set insertion (duplicate variables resolve to
+	// the last Set in reader, object, at order).
 	binds []bindSlot
 
 	// dead marks a pattern that can never match any observation (unknown
-	// predicate function or unresolvable predicate argument) — the
-	// interpreted matcher rejects such patterns per event; the plan
-	// rejects them at compile time.
+	// predicate function or unresolvable predicate argument); the plan
+	// rejects it at compile time.
 	dead bool
 
 	// guard is the node's compiled WHERE runtime, shared with the
@@ -155,7 +150,9 @@ func compilePrim(n *graph.Node, intern *event.Interner) *primPlan {
 }
 
 // compilePredArg resolves a predicate argument to its observation
-// attribute at compile time, mirroring Engine.predArg case for case.
+// attribute at compile time: a variable names the reader or object
+// position it binds, and a bare (argument-less) predicate on a literal or
+// anonymous reader tests the reader.
 func compilePredArg(p *event.Prim, arg string) (uint8, bool) {
 	switch {
 	case p.Reader.IsVar() && p.Reader.Var == arg:
@@ -169,10 +166,10 @@ func compilePredArg(p *event.Prim, arg string) (uint8, bool) {
 }
 
 // buildPlans compiles every primitive pattern into e.plans, in node-ID
-// order (graph.Prims is ID-ordered, the order the interpreted engine
-// probes). Dead plans — patterns the interpreted matcher would reject on
-// every observation — are left out: neither path ever matches them, so
-// skipping them cannot shift Seq numbering.
+// order (graph.Prims is ID-ordered, the paper's probe order, which fixes
+// Seq numbering). Dead plans — patterns that reject every observation —
+// are left out: they never match, so skipping them cannot shift Seq
+// numbering.
 func (e *Engine) buildPlans() {
 	for _, p := range e.g.Prims {
 		if pl := compilePrim(p, e.intern); !pl.dead {
@@ -207,13 +204,12 @@ next:
 	return list
 }
 
-// ingestCompiled dispatches one observation through the compiled plans.
-// It mirrors the interpreted probe loop in step exactly —
-// including Seq numbering — but probes only the reader's dispatch list,
-// compares interned symbols and fills pre-sorted binding templates. The
-// observation is passed by pointer so the dispatch loop never copies the
-// struct.
-func (e *Engine) ingestCompiled(obs *event.Observation) {
+// dispatchObs matches one observation against the compiled plans in
+// node-ID order — the paper's linear probe, and so its Seq numbering —
+// but probes only the reader's dispatch list, compares interned symbols
+// and fills pre-sorted binding templates. The observation is passed by
+// pointer so the dispatch loop never copies the struct.
+func (e *Engine) dispatchObs(obs *event.Observation) {
 	rsym := e.symOf(obs.Reader)
 	plans, ok := e.dispatch[rsym]
 	if !ok {
@@ -281,8 +277,8 @@ func (e *Engine) matchPlan(pl *primPlan, obs *event.Observation, osym event.Symb
 }
 
 // predPass evaluates one compiled predicate on an attribute value. It is
-// the one predicate evaluator of the compiled path: plansFor applies it
-// to readers, matchPlan to objects.
+// the engine's one predicate evaluator: plansFor applies it to readers,
+// matchPlan to objects.
 func (e *Engine) predPass(pp *predPlan, arg string, sym event.Symbol) bool {
 	switch pp.kind {
 	case predGroup:
@@ -314,9 +310,9 @@ func (e *Engine) groupsOfSym(sym event.Symbol, s string) []string {
 	return e.groupsBySym[i]
 }
 
-// typeOfSym memoizes the type function by Symbol. Unlike the interpreted
-// path's bounded map, the flat cache grows with the intern table, which
-// already retains one entry per distinct object.
+// typeOfSym memoizes the type function by Symbol. The flat cache grows
+// with the intern table, which already retains one entry per distinct
+// object.
 func (e *Engine) typeOfSym(sym event.Symbol, s string) string {
 	i := int(sym)
 	if i >= len(e.typeBySym) {
@@ -330,12 +326,12 @@ func (e *Engine) typeOfSym(sym event.Symbol, s string) string {
 	return e.typeBySym[i]
 }
 
-// projectFilter is projectBinds drawing from the engine's freelist on the
-// compiled path. Filters are transient: they parameterize a single
-// negation/window query and never escape into emitted instances, so the
-// backing arrays recycle. Pair every call with releaseFilter.
+// projectFilter is projectBinds drawing from the engine's freelist.
+// Filters are transient: they parameterize a single negation/window query
+// and never escape into emitted instances, so the backing arrays recycle.
+// Pair every call with releaseFilter.
 func (e *Engine) projectFilter(binds event.Bindings, vars []string) event.Bindings {
-	if !e.compiled || len(vars) == 0 {
+	if len(vars) == 0 {
 		return projectBinds(binds, vars)
 	}
 	var out event.Bindings
@@ -358,16 +354,16 @@ func (e *Engine) projectFilter(binds event.Bindings, vars []string) event.Bindin
 // (occurs → lazyClose → emit → deliver) nest safely: inner calls pop and
 // push their own entries while the outer filter stays checked out.
 func (e *Engine) releaseFilter(f event.Bindings) {
-	if !e.compiled || f == nil {
+	if f == nil {
 		return
 	}
 	e.filterPool = append(e.filterPool, f[:0])
 }
 
-// newPseudo returns a pseudo event, recycled from the freelist on the
-// compiled path. drainPseudo returns each fired event to the pool: fire
-// retains nothing of the struct itself (the payload instance is
-// independently owned), and the heap has already dropped its pointer.
+// newPseudo returns a pseudo event, recycled from the freelist.
+// drainPseudo returns each fired event to the pool: fire retains nothing
+// of the struct itself (the payload instance is independently owned), and
+// the heap has already dropped its pointer.
 func (e *Engine) newPseudo() *pseudoEvent {
 	if n := len(e.psPool); n > 0 {
 		ps := e.psPool[n-1]

@@ -13,10 +13,9 @@ import (
 )
 
 // TestPlanProbesFlatInRuleCount pins the rule-count axis of the paper's
-// Fig. 9b on the compiled path: on the detect_only benchmark's generator
-// stream, the plans an observation probes track the plans it matches, no
-// matter how many lines (and so how many group-typed loc rules) the
-// script has. A dispatch that probed every variable-reader plan would
+// Fig. 9b: on the detect_only benchmark's generator stream, the plans an
+// observation probes track the plans it matches, no matter how many lines
+// (and so how many group-typed loc rules) the script has. A dispatch that probed every variable-reader plan would
 // grow from about 6.6 to 126.6 probes per observation over these sizes.
 func TestPlanProbesFlatInRuleCount(t *testing.T) {
 	const n = 10_000

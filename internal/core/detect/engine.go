@@ -36,20 +36,9 @@ type Config struct {
 	// Limits bounds per-node state; the zero value is unbounded.
 	Limits
 
-	// Interpreted forces the paper's per-event interpretation path: every
-	// observation linearly probes every leaf pattern (Term/Pred AST walks,
-	// string compares). Default off: the engine compiles primitive
-	// patterns into prepared plans at construction (compile.go), interns
-	// reader/object strings at ingest and probes only the plans the
-	// reader's literal and reader predicates admit (one dispatch list per
-	// distinct reader). The interpreted path is kept as the reference for
-	// equivalence testing.
-	Interpreted bool
-
-	// Interner supplies a shared intern table for the compiled path —
-	// shard engines pass one table to every worker so symbols agree
-	// across shards. Nil gives the engine a private table. Ignored when
-	// Interpreted is set.
+	// Interner supplies a shared intern table — shard engines pass one
+	// table to every worker so symbols agree across shards. Nil gives the
+	// engine a private table.
 	Interner *event.Interner
 }
 
@@ -104,19 +93,14 @@ type Engine struct {
 	pseq    uint64 // pseudo scheduling counter
 	m       Metrics
 
-	// groupCache and typeCache memoize the group(r) and type(o)
-	// functions: reader groups and object types are deployment
-	// configuration, constant for the engine's lifetime (paper §2.1).
-	groupCache map[string][]string
-	typeCache  map[string]string
-
-	// Compiled hot path (compile.go). plans holds every live primitive
+	// Prepared hot path (compile.go). plans holds every live primitive
 	// plan in node-ID order; dispatch maps each reader Symbol the engine
 	// has seen to the plans that reader can match, built lazily by
-	// plansFor; groupsBySym/typeBySym are flat per-symbol memoizations
-	// replacing the string-keyed caches above; filterPool and psPool are
-	// freelists for transient query filters and fired pseudo events.
-	compiled    bool
+	// plansFor; groupsBySym/typeBySym are flat per-symbol memoizations of
+	// the group(r) and type(o) functions — deployment configuration,
+	// constant for the engine's lifetime (paper §2.1); filterPool and
+	// psPool are freelists for transient query filters and fired pseudo
+	// events.
 	intern      *event.Interner
 	plans       []*primPlan
 	dispatch    map[event.Symbol][]*primPlan
@@ -154,12 +138,8 @@ const (
 	bindSlabSize = 1024
 )
 
-// newInstance allocates an event instance — slab-carved on the compiled
-// path, plain on the interpreted oracle.
+// newInstance carves an event instance out of the instance slab.
 func (e *Engine) newInstance(begin, end event.Time, binds event.Bindings, seq uint64) *event.Instance {
-	if !e.compiled {
-		return &event.Instance{Begin: begin, End: end, Binds: binds, Seq: seq}
-	}
 	if len(e.instSlab) == cap(e.instSlab) {
 		e.instSlab = make([]event.Instance, 0, instSlabSize)
 	}
@@ -171,9 +151,6 @@ func (e *Engine) newInstance(begin, end event.Time, binds event.Bindings, seq ui
 // The returned slice has cap == n, so append-style growth relocates off
 // the slab instead of clobbering a neighbour.
 func (e *Engine) allocBinds(n int) event.Bindings {
-	if !e.compiled {
-		return make(event.Bindings, n)
-	}
 	if cap(e.bindSlab)-len(e.bindSlab) < n {
 		size := bindSlabSize
 		if n > size {
@@ -186,12 +163,8 @@ func (e *Engine) allocBinds(n int) event.Bindings {
 	return event.Bindings(e.bindSlab[off : off+n : off+n])
 }
 
-// mergeBinds is Bindings.Merge allocating its result from the slab on the
-// compiled path; byte-for-byte the same result either way.
+// mergeBinds is Bindings.Merge allocating its result from the slab.
 func (e *Engine) mergeBinds(b, o event.Bindings) event.Bindings {
-	if !e.compiled {
-		return b.Merge(o)
-	}
 	if len(b) == 0 && len(o) == 0 {
 		return nil
 	}
@@ -272,8 +245,7 @@ type openSeq struct {
 	version uint64
 	// accs are running aggregate accumulators for the node's guard,
 	// indexed like guardState.aggVars; nil until the first element of a
-	// guarded run. Maintained in both execution modes so checkpoints are
-	// mode-independent.
+	// guarded run.
 	accs []event.AggAcc
 }
 
@@ -315,14 +287,14 @@ func New(cfg Config) (*Engine, error) {
 		return nil, errors.New("detect: Config.Graph is required")
 	}
 	e := &Engine{
-		g:          cfg.Graph,
-		groups:     cfg.Groups,
-		typeOf:     cfg.TypeOf,
-		onDetect:   cfg.OnDetect,
-		now:        event.MinTime,
-		maxOpen:    cfg.MaxOpenSequence,
-		groupCache: map[string][]string{},
-		typeCache:  map[string]string{},
+		g:        cfg.Graph,
+		groups:   cfg.Groups,
+		typeOf:   cfg.TypeOf,
+		onDetect: cfg.OnDetect,
+		now:      event.MinTime,
+		maxOpen:  cfg.MaxOpenSequence,
+		intern:   cfg.Interner,
+		symCache: make(map[string]event.Symbol, 256),
 	}
 	if e.groups == nil {
 		e.groups = func(r string) []string { return []string{r} }
@@ -332,6 +304,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if e.onDetect == nil {
 		e.onDetect = func(int, *event.Instance) {}
+	}
+	if e.intern == nil {
+		e.intern = event.NewInterner()
 	}
 	maxID := 0
 	for _, n := range cfg.Graph.Nodes {
@@ -348,7 +323,7 @@ func New(cfg Config) (*Engine, error) {
 	for _, n := range cfg.Graph.Nodes {
 		st := &nodeState{n: n}
 		if n.Guard != nil {
-			st.guard = newGuardState(n, !cfg.Interpreted)
+			st.guard = newGuardState(n)
 		}
 		if n.Kind == graph.KindAnd || n.Kind == graph.KindSeq {
 			st.left = limit(newBuffer(n.JoinVars))
@@ -390,20 +365,11 @@ func New(cfg Config) (*Engine, error) {
 			e.states[n.ID].right = limit(newBuffer(n.JoinVars))
 		}
 	}
-	if !cfg.Interpreted {
-		e.compiled = true
-		e.intern = cfg.Interner
-		if e.intern == nil {
-			e.intern = event.NewInterner()
-		}
-		e.symCache = make(map[string]event.Symbol, 256)
-		e.buildPlans()
-	}
+	e.buildPlans()
 	return e, nil
 }
 
-// Interner returns the engine's intern table, or nil on the interpreted
-// path.
+// Interner returns the engine's intern table.
 func (e *Engine) Interner() *event.Interner { return e.intern }
 
 // closureDelay bounds emission lag: how long after an instance's End the
@@ -463,28 +429,15 @@ func (e *Engine) Ingest(obs event.Observation) error {
 // step applies one observation known to be in order: pending pseudo
 // events scheduled strictly before its time fire first (the engine always
 // consumes the earliest event of the observation and pseudo queues, paper
-// §4.5), the clock advances, and the observation is dispatched — through
-// its reader's compiled dispatch list, or on the interpreted reference by
-// probing every leaf pattern as the paper's engine does.
+// §4.5), the clock advances, and the observation is dispatched through
+// its reader's dispatch list.
 func (e *Engine) step(o *event.Observation) {
 	if len(e.pq) > 0 && e.pq[0].exec < o.At {
 		e.drainPseudo(o.At, true)
 	}
 	e.now = o.At
 	e.m.Observations++
-	if e.compiled {
-		e.ingestCompiled(o)
-		return
-	}
-	e.m.PlanProbes += uint64(len(e.g.Prims))
-	for _, prim := range e.g.Prims {
-		binds, ok := e.matchPrim(prim, *o)
-		if !ok {
-			continue
-		}
-		e.m.PrimMatches++
-		e.emit(prim, e.newInstance(o.At, o.At, binds, e.nextSeq()))
-	}
+	e.dispatchObs(o)
 }
 
 // IngestBatch feeds a whole batch in timestamp order. The call is atomic
@@ -495,9 +448,9 @@ func (e *Engine) step(o *event.Observation) {
 //
 // An already-sorted batch (the normal case — read cycles arrive in order)
 // is consumed in place with no copy; an unsorted one is stably sorted into
-// an engine-owned scratch buffer, never mutating the caller's slice. On
-// the compiled path step is inlined into the loop, so the batch costs one
-// function call plus the per-observation matching work.
+// an engine-owned scratch buffer, never mutating the caller's slice. step
+// is inlined into the loop, so the batch costs one function call plus the
+// per-observation matching work.
 func (e *Engine) IngestBatch(batch []event.Observation) error {
 	if len(batch) == 0 {
 		return nil
@@ -511,12 +464,6 @@ func (e *Engine) IngestBatch(batch []event.Observation) error {
 	if e.now != event.MinTime && sorted[0].At < e.now {
 		return fmt.Errorf("%w: batch starts at %s, engine at %s", ErrOutOfOrder, sorted[0].At, e.now)
 	}
-	if !e.compiled {
-		for i := range sorted {
-			e.step(&sorted[i])
-		}
-		return nil
-	}
 	// step, inlined: this loop is the engine's hot path.
 	e.m.Observations += uint64(len(sorted))
 	for i := range sorted {
@@ -525,7 +472,7 @@ func (e *Engine) IngestBatch(batch []event.Observation) error {
 			e.drainPseudo(o.At, true)
 		}
 		e.now = o.At
-		e.ingestCompiled(o)
+		e.dispatchObs(o)
 	}
 	return nil
 }
@@ -570,119 +517,6 @@ func (e *Engine) nextSeq() uint64 {
 	return e.seq
 }
 
-// matchPrim matches an observation against a primitive pattern and returns
-// the variable bindings.
-func (e *Engine) matchPrim(n *graph.Node, obs event.Observation) (event.Bindings, bool) {
-	p := n.Prim
-	anon := func(t event.Term) bool { return t.Var == "" && t.Lit == "" }
-	if !p.Reader.IsVar() && !anon(p.Reader) && p.Reader.Lit != obs.Reader {
-		return nil, false
-	}
-	if !p.Object.IsVar() && !anon(p.Object) && p.Object.Lit != obs.Object {
-		return nil, false
-	}
-	for _, pred := range p.Preds {
-		var got event.Value
-		switch pred.Fn {
-		case "group":
-			// group(r) op 'g': satisfied when some group of the reader
-			// satisfies the comparison (equality membership in the
-			// common case).
-			arg, ok := e.predArg(p, pred.Arg, obs)
-			if !ok {
-				return nil, false
-			}
-			matched := false
-			for _, g := range e.groupsOf(arg) {
-				if pred.Op.Eval(compareStr(g, pred.Val)) {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				return nil, false
-			}
-			continue
-		case "type":
-			arg, ok := e.predArg(p, pred.Arg, obs)
-			if !ok {
-				return nil, false
-			}
-			got = event.StringValue(e.typeOfObj(arg))
-		case "":
-			arg, ok := e.predArg(p, pred.Arg, obs)
-			if !ok {
-				return nil, false
-			}
-			got = event.StringValue(arg)
-		default:
-			return nil, false
-		}
-		want := event.ParseScalar(pred.Val)
-		cmp, ok := got.Compare(want)
-		if !ok {
-			// Fall back to string comparison for mixed kinds.
-			cmp = compareStr(got.String(), pred.Val)
-		}
-		if !pred.Op.Eval(cmp) {
-			return nil, false
-		}
-	}
-	binds := make(event.Bindings, 0, 3)
-	if p.Reader.IsVar() {
-		binds = binds.Set(p.Reader.Var, event.StringValue(obs.Reader))
-	}
-	if p.Object.IsVar() {
-		binds = binds.Set(p.Object.Var, event.StringValue(obs.Object))
-	}
-	if p.At.IsVar() {
-		binds = binds.Set(p.At.Var, event.TimeValue(obs.At))
-	}
-	if !e.guardPassBinds(n, binds) {
-		return nil, false
-	}
-	return binds, true
-}
-
-// predArg resolves a predicate's argument variable against the observation
-// attributes it could be bound to.
-func (e *Engine) predArg(p *event.Prim, arg string, obs event.Observation) (string, bool) {
-	switch {
-	case p.Reader.IsVar() && p.Reader.Var == arg:
-		return obs.Reader, true
-	case p.Object.IsVar() && p.Object.Var == arg:
-		return obs.Object, true
-	case !p.Reader.IsVar() && arg == "":
-		return obs.Reader, true
-	}
-	return "", false
-}
-
-// groupsOf memoizes the group function.
-func (e *Engine) groupsOf(reader string) []string {
-	if g, ok := e.groupCache[reader]; ok {
-		return g
-	}
-	g := e.groups(reader)
-	e.groupCache[reader] = g
-	return g
-}
-
-// typeOfObj memoizes the type function. Object populations are unbounded
-// in long runs, so the cache resets past a size bound rather than grow
-// forever (readers, by contrast, are a small fixed set).
-func (e *Engine) typeOfObj(object string) string {
-	if t, ok := e.typeCache[object]; ok {
-		return t
-	}
-	if len(e.typeCache) >= 1<<16 {
-		e.typeCache = make(map[string]string, 1<<10)
-	}
-	t := e.typeOf(object)
-	e.typeCache[object] = t
-	return t
-}
-
 func compareStr(a, b string) int {
 	switch {
 	case a < b:
@@ -719,11 +553,9 @@ func (e *Engine) drainPseudo(limit event.Time, strict bool) {
 		}
 		e.m.PseudoFired++
 		e.fire(top)
-		if e.compiled {
-			// fire keeps no reference to the struct (the payload
-			// instance is independently owned), so it recycles.
-			*top = pseudoEvent{}
-			e.psPool = append(e.psPool, top)
-		}
+		// fire keeps no reference to the struct (the payload instance is
+		// independently owned), so it recycles.
+		*top = pseudoEvent{}
+		e.psPool = append(e.psPool, top)
 	}
 }

@@ -10,9 +10,10 @@ import (
 	"rcep/internal/core/event"
 )
 
-// Guard tests run every scenario through both execution modes and demand
-// byte-identical detection streams: the interpreted tree-walk is the
-// oracle for the compiled guard programs.
+// Guard tests state each scenario's expected detections by hand; the
+// compiled guard programs themselves are checked against a tree fold in
+// guard_ref_test.go. The BothModes names date from when a second,
+// interpreted engine ran beside the compiled one.
 
 func gvar(n string) event.GExpr { return &event.GVar{Name: n} }
 func gint(i int64) event.GExpr  { return &event.GLit{V: event.IntValue(i)} }
@@ -20,28 +21,11 @@ func gbin(op event.GuardOp, l, r event.GExpr) event.GExpr {
 	return &event.GBin{Op: op, L: l, R: r}
 }
 
-// runGuardBoth feeds the same history through an interpreted and a
-// compiled engine and fails unless the two detection streams agree
-// exactly (rule, span, Seq numbering and bindings).
-func runGuardBoth(t *testing.T, rules map[int]event.Expr, history []event.Observation) []detection {
+// runGuard feeds the history through a fresh engine and returns its
+// detections after Close.
+func runGuard(t *testing.T, rules map[int]event.Expr, history []event.Observation) []detection {
 	t.Helper()
-	var streams [2][]detection
-	for i, interpreted := range []bool{true, false} {
-		h := newHarness(t, rules, func(cfg *Config) { cfg.Interpreted = interpreted })
-		streams[i] = h.run(history...)
-	}
-	if len(streams[0]) != len(streams[1]) {
-		t.Fatalf("interpreted detections = %d, compiled = %d", len(streams[0]), len(streams[1]))
-	}
-	for i := range streams[0] {
-		a, b := streams[0][i], streams[1][i]
-		if a.rule != b.rule || a.inst.Begin != b.inst.Begin || a.inst.End != b.inst.End ||
-			a.inst.Seq != b.inst.Seq || a.inst.Binds.String() != b.inst.Binds.String() {
-			t.Fatalf("detection %d diverges:\ninterpreted %d %v %v\ncompiled    %d %v %v",
-				i, a.rule, a.inst, a.inst.Binds, b.rule, b.inst, b.inst.Binds)
-		}
-	}
-	return streams[1]
+	return newHarness(t, rules, nil).run(history...)
 }
 
 func TestGuardSeqInequalityBothModes(t *testing.T) {
@@ -63,7 +47,7 @@ func TestGuardSeqInequalityBothModes(t *testing.T) {
 		obs("s", "16", 4), // 16 > 10+5 passes → pairs the oldest (10)
 		obs("s", "30", 5), // 30 > 12+5 passes → pairs 12
 	}
-	got := runGuardBoth(t, rules, history)
+	got := runGuard(t, rules, history)
 	if len(got) != 2 {
 		t.Fatalf("detections = %d, want 2", len(got))
 	}
@@ -96,7 +80,7 @@ func TestGuardAggregateSeqPlusBothModes(t *testing.T) {
 		// Run 3: 3 elements, max 6 → max fails.
 		obs("s", "5", 20), obs("s", "6", 21), obs("s", "4", 22),
 	}
-	got := runGuardBoth(t, rules, history)
+	got := runGuard(t, rules, history)
 	if len(got) != 1 {
 		t.Fatalf("detections = %d, want 1", len(got))
 	}
@@ -120,12 +104,12 @@ func TestScopedNegationBothModes(t *testing.T) {
 	}
 	history := []event.Observation{
 		obs("ckr", "bag1", 1),
-		obs("ckr", "bag2", 2), // never loaded → fires at 7
-		obs("ldr", "bag1", 3), // bag1 loaded in time
+		obs("ckr", "bag2", 2),                            // never loaded → fires at 7
+		obs("ldr", "bag1", 3),                            // bag1 loaded in time
 		obs("ckr2", "bag3", 10), obs("ldr2", "bag3", 12), // checked in → silent
 		obs("ldr2", "bag4", 20), // no check-in in [15,20) → fires
 	}
-	got := runGuardBoth(t, rules, history)
+	got := runGuard(t, rules, history)
 	var lost, stray int
 	for _, d := range got {
 		switch d.rule {
@@ -159,7 +143,7 @@ func TestScopedNegationAndBothModes(t *testing.T) {
 		obs("b", "k", 3),   // within 3s of o1 → suppressed
 		obs("a", "o2", 10), // clean window → fires at 13
 	}
-	got := runGuardBoth(t, rules, history)
+	got := runGuard(t, rules, history)
 	if len(got) != 1 || got[0].inst.Binds.Val("x").Str() != "o2" {
 		t.Fatalf("detections = %v, want one for o2", got)
 	}
@@ -186,7 +170,7 @@ func TestGuardPullSeqInitiatorBothModes(t *testing.T) {
 		obs("q", "5", 5), // 5 > 7 fails; run stays unconsumed
 		obs("q", "9", 6), // 9 > 7 passes → consumes the run
 	}
-	got := runGuardBoth(t, rules, history)
+	got := runGuard(t, rules, history)
 	if len(got) != 1 {
 		t.Fatalf("detections = %d, want 1", len(got))
 	}
@@ -208,44 +192,36 @@ func guardedCheckpointRules() map[int]event.Expr {
 }
 
 // TestGuardedCheckpointRoundTrip splits a guarded TSEQ+ run across a
-// save/restore in both execution modes: the restored accumulators must
-// produce the same detection the uninterrupted engine does.
+// save/restore: the restored accumulators must produce the same detection
+// the uninterrupted engine does.
 func TestGuardedCheckpointRoundTrip(t *testing.T) {
 	first := []event.Observation{obs("s", "9", 1), obs("s", "8", 2)}
 	second := []event.Observation{obs("s", "7", 3)} // sum 24 ≥ 20 → fires
-	for _, interpreted := range []bool{true, false} {
-		mod := func(cfg *Config) { cfg.Interpreted = interpreted }
 
-		var whole []detection
-		base := newHarness(t, guardedCheckpointRules(), mod)
-		base.feed(first...)
-		base.feed(second...)
-		base.eng.Close()
-		whole = base.sights
+	whole := runGuard(t, guardedCheckpointRules(), append(first, second...))
 
-		split := newHarness(t, guardedCheckpointRules(), mod)
-		split.feed(first...)
-		var buf bytes.Buffer
-		if err := split.eng.SaveCheckpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(buf.String(), `"aggs"`) {
-			t.Fatalf("checkpoint lacks aggregate accumulators: %s", buf.String())
-		}
-		restored := newHarness(t, guardedCheckpointRules(), mod)
-		if err := restored.eng.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		restored.feed(second...)
-		restored.eng.Close()
+	split := newHarness(t, guardedCheckpointRules(), nil)
+	split.feed(first...)
+	var buf bytes.Buffer
+	if err := split.eng.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"aggs"`) {
+		t.Fatalf("checkpoint lacks aggregate accumulators: %s", buf.String())
+	}
+	restored := newHarness(t, guardedCheckpointRules(), nil)
+	if err := restored.eng.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	restored.feed(second...)
+	restored.eng.Close()
 
-		if len(whole) != 1 || len(restored.sights) != 1 {
-			t.Fatalf("interpreted=%v: whole=%d restored=%d detections, want 1 each", interpreted, len(whole), len(restored.sights))
-		}
-		a, b := whole[0].inst, restored.sights[0].inst
-		if a.Begin != b.Begin || a.End != b.End || a.Binds.String() != b.Binds.String() {
-			t.Fatalf("interpreted=%v: restored detection %v %v != %v %v", interpreted, b, b.Binds, a, a.Binds)
-		}
+	if len(whole) != 1 || len(restored.sights) != 1 {
+		t.Fatalf("whole=%d restored=%d detections, want 1 each", len(whole), len(restored.sights))
+	}
+	a, b := whole[0].inst, restored.sights[0].inst
+	if a.Begin != b.Begin || a.End != b.End || a.Binds.String() != b.Binds.String() {
+		t.Fatalf("restored detection %v %v != %v %v", b, b.Binds, a, a.Binds)
 	}
 }
 
@@ -315,8 +291,7 @@ func TestGuardedCheckpointCorruption(t *testing.T) {
 }
 
 // TestGuardedSeqPlusTruncationBothModes drives a guarded run past
-// MaxOpenSequence so the accumulators are rebuilt from the retained half,
-// and checks both modes agree on the outcome.
+// MaxOpenSequence so the accumulators are rebuilt from the retained half.
 func TestGuardedSeqPlusTruncationBothModes(t *testing.T) {
 	rules := map[int]event.Expr{
 		1: &event.Within{
@@ -331,24 +306,58 @@ func TestGuardedSeqPlusTruncationBothModes(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		history = append(history, obs("s", "2", 1+float64(i)))
 	}
-	var streams [2][]detection
-	for i, interpreted := range []bool{true, false} {
-		h := newHarness(t, rules, func(cfg *Config) {
-			cfg.Interpreted = interpreted
-			cfg.MaxOpenSequence = 4
-		})
-		streams[i] = h.run(history...)
+	// Each overflow past 4 sheds the older half (5 → 3 elements), so the
+	// run that closes holds the reads at 9..12s.
+	h := newHarness(t, rules, func(cfg *Config) { cfg.MaxOpenSequence = 4 })
+	got := h.run(history...)
+	if len(got) != 1 {
+		t.Fatalf("detections = %d, want 1", len(got))
 	}
-	if len(streams[0]) == 0 {
-		t.Fatal("truncated guarded run produced no detections")
+	if b, e := got[0].inst.Begin, got[0].inst.End; b != ts(9) || e != ts(12) {
+		t.Errorf("detected span [%v,%v], want [9s,12s]", b, e)
 	}
-	if len(streams[0]) != len(streams[1]) {
-		t.Fatalf("interpreted = %d detections, compiled = %d", len(streams[0]), len(streams[1]))
+	if v := got[0].inst.Binds.Val("v"); len(v.List()) != 4 {
+		t.Errorf("retained run v = %v, want 4 elements", v)
 	}
-	for i := range streams[0] {
-		a, b := streams[0][i].inst, streams[1][i].inst
-		if a.Begin != b.Begin || a.End != b.End || a.Binds.String() != b.Binds.String() {
-			t.Fatalf("detection %d diverges after truncation", i)
+}
+
+// TestGuardProgramHandCases runs hand-stated guard trees through
+// compileGuard: connectives, payload coercion, time arithmetic, nulls and
+// incomparable kinds.
+func TestGuardProgramHandCases(t *testing.T) {
+	b := event.Bindings{}.
+		Set("i", event.IntValue(10)).
+		Set("f", event.FloatValue(2.5)).
+		Set("s", event.StringValue("27.5")).
+		Set("w", event.StringValue("word")).
+		Set("t1", event.TimeValue(ts(10))).
+		Set("t2", event.TimeValue(ts(25)))
+	flit := func(f float64) event.GExpr { return &event.GLit{V: event.FloatValue(f)} }
+	slit := func(s string) event.GExpr { return &event.GLit{V: event.StringValue(s)} }
+	cases := []struct {
+		g    event.GExpr
+		want bool
+	}{
+		{gbin(event.GuardGt, gvar("i"), gint(9)), true},
+		{gbin(event.GuardGt, gvar("s"), gint(8)), true}, // payload coercion
+		{gbin(event.GuardLt, gvar("s"), gint(8)), false},
+		{gbin(event.GuardGe, gvar("f"), flit(2.5)), true},
+		{gbin(event.GuardGt, gvar("t2"), gbin(event.GuardAdd, gvar("t1"), gint(5))), true},
+		{gbin(event.GuardGt, gvar("t2"), gbin(event.GuardAdd, gvar("t1"), gint(20))), false},
+		{gbin(event.GuardEq, gvar("w"), slit("word")), true},
+		{gbin(event.GuardGt, gvar("w"), gint(1)), false},    // incomparable
+		{gbin(event.GuardGt, gvar("none"), gint(0)), false}, // unbound → Null → false
+		{gbin(event.GuardGt, gbin(event.GuardDiv, gvar("i"), gint(0)), gint(-1)), false},
+		{&event.GNot{X: gbin(event.GuardEq, gvar("i"), gint(3))}, true},
+		{gbin(event.GuardOr, gbin(event.GuardEq, gvar("i"), gint(3)), gbin(event.GuardEq, gvar("f"), flit(2.5))), true},
+		{gbin(event.GuardAnd, gbin(event.GuardEq, gvar("i"), gint(10)), gbin(event.GuardEq, gvar("w"), slit("x"))), false},
+		{gbin(event.GuardLt, &event.GNeg{X: gvar("i")}, gint(0)), true},
+		{gbin(event.GuardEq, &event.GAgg{Op: event.AggCount, Name: "none"}, gint(0)), false}, // unbound aggregate → Null
+	}
+	for i, c := range cases {
+		prog := compileGuard(c.g, nil)
+		if got := event.GuardTruthy(prog(&guardCtx{lk: event.BindsLookup(b)})); got != c.want {
+			t.Errorf("case %d %s: got %v, want %v", i, c.g, got, c.want)
 		}
 	}
 }

@@ -7,36 +7,31 @@ import (
 
 // Guard evaluation (DESIGN.md §10). A guarded node carries a WHERE
 // predicate over its instance bindings — inequalities and arithmetic
-// between constituents, and aggregates over SEQ+ runs. Like primitive
-// matching, guards exist twice: the interpreted oracle walks the GExpr
-// tree per check (event.EvalGuard), while the compiled path lowers the
-// tree once at engine construction into a closure program (guardFn) that
-// reads aggregates straight out of the open sequence's running
-// accumulators instead of re-folding the collected lists. Both paths
-// share the semantic helpers in event (GuardCompare, GuardArith,
-// GuardTruthy), so a guard decides identically in either mode.
+// between constituents, and aggregates over SEQ+ runs. The engine lowers
+// the GExpr tree once at construction into a closure program (guardFn)
+// that reads aggregates straight out of the open sequence's running
+// accumulators instead of re-folding the collected lists. The semantics
+// live in event's helpers (GuardCompare, GuardArith, GuardTruthy,
+// FoldAgg); guard_ref_test.go keeps a tree fold over those helpers as the
+// program's test-only reference.
 
 // guardState is the per-node guard runtime.
 type guardState struct {
-	expr event.GExpr
 	// aggVars lists the variables aggregated over, sorted and deduped —
 	// the index space for openSeq.accs and checkpointed accumulators.
 	aggVars []string
-	// prog is the compiled program; nil on the interpreted path.
+	// prog is the compiled program.
 	prog guardFn
 }
 
-// newGuardState builds the guard runtime for a guarded node, compiling
-// the program when the engine runs the compiled hot path.
-func newGuardState(n *graph.Node, compiled bool) *guardState {
-	gs := &guardState{expr: n.Guard, aggVars: event.GuardAggVars(n.Guard)}
-	if compiled {
-		idx := make(map[string]int, len(gs.aggVars))
-		for i, v := range gs.aggVars {
-			idx[v] = i
-		}
-		gs.prog = compileGuard(n.Guard, idx)
+// newGuardState builds and compiles the guard runtime for a guarded node.
+func newGuardState(n *graph.Node) *guardState {
+	gs := &guardState{aggVars: event.GuardAggVars(n.Guard)}
+	idx := make(map[string]int, len(gs.aggVars))
+	for i, v := range gs.aggVars {
+		idx[v] = i
 	}
+	gs.prog = compileGuard(n.Guard, idx)
 	return gs
 }
 
@@ -137,10 +132,7 @@ func (e *Engine) guardPass(gs *guardState, lk event.GuardLookup, accs []event.Ag
 	if gs == nil {
 		return true
 	}
-	if gs.prog != nil {
-		return event.GuardTruthy(gs.prog(&guardCtx{lk: lk, accs: accs}))
-	}
-	return event.EvalGuard(gs.expr, lk)
+	return event.GuardTruthy(gs.prog(&guardCtx{lk: lk, accs: accs}))
 }
 
 // guardPassBinds checks n's guard against a single instance's bindings.

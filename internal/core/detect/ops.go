@@ -399,9 +399,8 @@ func (e *Engine) closeOpen(n *graph.Node, st *nodeState) {
 	inst := e.newInstance(rec.begin, rec.last, event.CollectLists(rec.elems), e.nextSeq())
 	accs := rec.accs
 	st.open = nil
-	// The guard sees the run's running accumulators (compiled path) or
-	// folds the collected lists (interpreted oracle); the Seq number is
-	// consumed either way so both paths stay aligned.
+	// The guard reads the run's running accumulators; the Seq number is
+	// consumed whether or not it passes.
 	pass := st.guard == nil || e.guardPass(st.guard, event.BindsLookup(inst.Binds), accs)
 	// CollectLists copied the element values out and the emitted instance
 	// owns its own bindings, so the run's struct and arrays recycle for
@@ -486,9 +485,8 @@ func (e *Engine) querySeqPlus(n *graph.Node, w0, w1 event.Time, filter event.Bin
 	if len(elems) == 0 {
 		return nil
 	}
-	// The Seq number is consumed before the guards so both execution
-	// modes number later instances identically even when the run is
-	// rejected.
+	// The Seq number is consumed before the guards, so a rejected run
+	// still shifts the numbering of later instances.
 	seqInst := e.newInstance(begin, end, event.CollectLists(elems), e.nextSeq())
 	if st.guard != nil && !e.guardPass(st.guard, event.BindsLookup(seqInst.Binds), nil) {
 		return nil

@@ -139,53 +139,6 @@ func PairLookup(primary, fallback Bindings) GuardLookup {
 	}
 }
 
-// EvalGuard is the interpreted (oracle) guard evaluator: it walks the
-// tree and reports whether the guard holds. Missing variables evaluate
-// to Null, and Null propagates to false — a guard over an unbound
-// variable never passes.
-func EvalGuard(g GExpr, lk GuardLookup) bool {
-	return GuardTruthy(evalGuard(g, lk))
-}
-
-func evalGuard(g GExpr, lk GuardLookup) Value {
-	switch n := g.(type) {
-	case *GLit:
-		return n.V
-	case *GVar:
-		v, _ := lk(n.Name)
-		return v
-	case *GAgg:
-		v, _ := lk(n.Name)
-		out, err := FoldAgg(n.Op, v)
-		if err != nil {
-			return Null
-		}
-		return out
-	case *GNot:
-		return BoolValue(!GuardTruthy(evalGuard(n.X, lk)))
-	case *GNeg:
-		return GuardNegate(evalGuard(n.X, lk))
-	case *GBin:
-		switch n.Op {
-		case GuardAnd:
-			if !GuardTruthy(evalGuard(n.L, lk)) {
-				return BoolValue(false)
-			}
-			return BoolValue(GuardTruthy(evalGuard(n.R, lk)))
-		case GuardOr:
-			if GuardTruthy(evalGuard(n.L, lk)) {
-				return BoolValue(true)
-			}
-			return BoolValue(GuardTruthy(evalGuard(n.R, lk)))
-		case GuardEq, GuardNe, GuardLt, GuardLe, GuardGt, GuardGe:
-			return BoolValue(GuardCompare(n.Op, evalGuard(n.L, lk), evalGuard(n.R, lk)))
-		default:
-			return GuardArith(n.Op, evalGuard(n.L, lk), evalGuard(n.R, lk))
-		}
-	}
-	return Null
-}
-
 // GuardNum widens a value to float64 for guard arithmetic: ints, floats,
 // timestamps (seconds) and numeric payload strings qualify.
 func GuardNum(v Value) (float64, bool) {

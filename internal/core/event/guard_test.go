@@ -5,44 +5,44 @@ import (
 	"time"
 )
 
-func lk(b Bindings) GuardLookup { return BindsLookup(b) }
-
+// TestGuardCompareAndArith pins the comparison and arithmetic helpers
+// every guard evaluation bottoms out in. Guard trees over them are
+// covered in internal/core/detect, which compiles them.
 func TestGuardCompareAndArith(t *testing.T) {
-	b := Bindings{}.
-		Set("i", IntValue(10)).
-		Set("f", FloatValue(2.5)).
-		Set("s", StringValue("27.5")).
-		Set("w", StringValue("word")).
-		Set("t1", TimeValue(Time(10*time.Second))).
-		Set("t2", TimeValue(Time(25*time.Second)))
+	i, f := IntValue(10), FloatValue(2.5)
+	s, w := StringValue("27.5"), StringValue("word")
+	t1, t2 := TimeValue(Time(10*time.Second)), TimeValue(Time(25*time.Second))
 	cases := []struct {
-		g    GExpr
-		want bool
+		name      string
+		got, want bool
 	}{
-		{&GBin{Op: GuardGt, L: &GVar{"i"}, R: &GLit{IntValue(9)}}, true},
-		{&GBin{Op: GuardGt, L: &GVar{"s"}, R: &GLit{IntValue(8)}}, true}, // payload coercion
-		{&GBin{Op: GuardLt, L: &GVar{"s"}, R: &GLit{IntValue(8)}}, false},
-		{&GBin{Op: GuardGe, L: &GVar{"f"}, R: &GLit{FloatValue(2.5)}}, true},
-		{&GBin{Op: GuardGt, L: &GVar{"t2"}, R: &GBin{Op: GuardAdd, L: &GVar{"t1"}, R: &GLit{IntValue(5)}}}, true},
-		{&GBin{Op: GuardGt, L: &GVar{"t2"}, R: &GBin{Op: GuardAdd, L: &GVar{"t1"}, R: &GLit{IntValue(20)}}}, false},
-		{&GBin{Op: GuardEq, L: &GVar{"w"}, R: &GLit{StringValue("word")}}, true},
-		{&GBin{Op: GuardGt, L: &GVar{"w"}, R: &GLit{IntValue(1)}}, false},   // incomparable
-		{&GBin{Op: GuardGt, L: &GVar{"none"}, R: &GLit{IntValue(0)}}, false}, // unbound → Null → false
-		{&GBin{Op: GuardGt, L: &GBin{Op: GuardDiv, L: &GVar{"i"}, R: &GLit{IntValue(0)}}, R: &GLit{IntValue(-1)}}, false},
-		{&GNot{&GBin{Op: GuardEq, L: &GVar{"i"}, R: &GLit{IntValue(3)}}}, true},
-		{&GBin{Op: GuardOr, L: &GBin{Op: GuardEq, L: &GVar{"i"}, R: &GLit{IntValue(3)}}, R: &GBin{Op: GuardEq, L: &GVar{"f"}, R: &GLit{FloatValue(2.5)}}}, true},
-		{&GBin{Op: GuardAnd, L: &GBin{Op: GuardEq, L: &GVar{"i"}, R: &GLit{IntValue(10)}}, R: &GBin{Op: GuardEq, L: &GVar{"w"}, R: &GLit{StringValue("x")}}}, false},
-		{&GBin{Op: GuardLt, L: &GNeg{&GVar{"i"}}, R: &GLit{IntValue(0)}}, true},
+		{"i > 9", GuardCompare(GuardGt, i, IntValue(9)), true},
+		{"payload coercion: s > 8", GuardCompare(GuardGt, s, IntValue(8)), true},
+		{"s < 8", GuardCompare(GuardLt, s, IntValue(8)), false},
+		{"f >= 2.5", GuardCompare(GuardGe, f, FloatValue(2.5)), true},
+		{"f <= 2.5", GuardCompare(GuardLe, f, FloatValue(2.5)), true},
+		{"f < 2.5", GuardCompare(GuardLt, f, FloatValue(2.5)), false},
+		{"f != 2.5", GuardCompare(GuardNe, f, FloatValue(2.5)), false},
+		{"t2 > t1 + 5", GuardCompare(GuardGt, t2, GuardArith(GuardAdd, t1, IntValue(5))), true},
+		{"t2 > t1 + 20", GuardCompare(GuardGt, t2, GuardArith(GuardAdd, t1, IntValue(20))), false},
+		{"w = 'word'", GuardCompare(GuardEq, w, StringValue("word")), true},
+		{"incomparable: w > 1", GuardCompare(GuardGt, w, IntValue(1)), false},
+		{"null: none > 0", GuardCompare(GuardGt, Null, IntValue(0)), false},
+		{"division by zero: i / 0 > -1", GuardCompare(GuardGt, GuardArith(GuardDiv, i, IntValue(0)), IntValue(-1)), false},
+		{"-i < 0", GuardCompare(GuardLt, GuardNegate(i), IntValue(0)), true},
+		{"i * f = 25", GuardCompare(GuardEq, GuardArith(GuardMul, i, f), IntValue(25)), true},
+		{"i - 10 is falsy", GuardTruthy(GuardArith(GuardSub, i, IntValue(10))), false},
+		{"null is falsy", GuardTruthy(Null), false},
 	}
-	for i, c := range cases {
-		if got := EvalGuard(c.g, lk(b)); got != c.want {
-			t.Errorf("case %d %s: got %v, want %v", i, c.g, got, c.want)
+	for _, c := range cases {
+		if c.got != c.want {
+			t.Errorf("%s: got %v, want %v", c.name, c.got, c.want)
 		}
 	}
 }
 
-// TestAggAccMatchesFold pins the accumulator invariant the compiled path
-// relies on: incremental Add over a run equals FoldAgg over the
+// TestAggAccMatchesFold pins the accumulator invariant compiled guards
+// rely on: incremental Add over a run equals FoldAgg over the
 // collected list binding, op by op.
 func TestAggAccMatchesFold(t *testing.T) {
 	runs := [][]Value{
@@ -51,8 +51,8 @@ func TestAggAccMatchesFold(t *testing.T) {
 		{IntValue(3), IntValue(5), IntValue(1)},
 		{IntValue(3), FloatValue(2.5)},
 		{StringValue("27.5"), StringValue("4"), Null},
-		{StringValue("word"), IntValue(1)},            // non-numeric under SUM/AVG
-		{BoolValue(true), IntValue(2)},                // incomparable under MIN/MAX
+		{StringValue("word"), IntValue(1)}, // non-numeric under SUM/AVG
+		{BoolValue(true), IntValue(2)},     // incomparable under MIN/MAX
 		{TimeValue(Time(5 * time.Second)), TimeValue(Time(9 * time.Second))},
 	}
 	for ri, run := range runs {

@@ -16,8 +16,9 @@ import (
 
 // Group-indexed dispatch applies reader predicates once per reader, when
 // the reader's dispatch list is built, instead of once per probe. The
-// differential below holds the compiled path to the interpreted oracle on
-// rules whose reader is constrained by exactly those predicates.
+// differential below holds sharded and checkpointed runs to the bare
+// engine on rules whose reader is constrained by exactly those predicates;
+// detect's primitive-match reference checks the bare engine itself.
 
 // dispatchGroups places readers in zero, one or several groups.
 var dispatchGroups = map[string][]string{
@@ -122,7 +123,7 @@ func dispatchSig(rid int, inst *event.Instance) string {
 
 // runDispatch replays the stream at a shard width (0: a bare
 // detect.Engine), optionally through a checkpoint and restore at cut.
-func runDispatch(t *testing.T, width int, interpreted bool, intern *event.Interner, cut int) []string {
+func runDispatch(t *testing.T, width int, intern *event.Interner, cut int) []string {
 	t.Helper()
 	rules, stream := dispatchRules(), dispatchStream()
 	var got []string
@@ -142,14 +143,14 @@ func runDispatch(t *testing.T, width int, interpreted bool, intern *event.Intern
 				}
 			}
 			eng, err := detect.New(detect.Config{Graph: b.Finalize(), Groups: dispatchGroupsOf, TypeOf: dispatchTypeOf,
-				OnDetect: onDetect, Interpreted: interpreted, Interner: intern})
+				OnDetect: onDetect, Interner: intern})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return eng
 		}
 		eng, err := New(Config{Rules: rules, Shards: width, Groups: dispatchGroupsOf, TypeOf: dispatchTypeOf,
-			OnDetect: onDetect, Interpreted: interpreted, Interner: intern, Batch: 5, SyncEvery: 64})
+			OnDetect: onDetect, Interner: intern, Batch: 5, SyncEvery: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,35 +180,50 @@ func runDispatch(t *testing.T, width int, interpreted bool, intern *event.Intern
 	return got
 }
 
-// TestReaderPredicateDispatchMatchesInterpreted holds compiled dispatch
-// to the interpreted oracle, byte for byte with Seq, at widths 0 (a bare
-// engine), 1, 2 and 4, whole and through a mid-stream checkpoint. Every
-// compiled run shares one Interner, so later runs meet readers whose
-// symbols an earlier run assigned after thousands of objects.
+// TestReaderPredicateDispatchMatchesInterpreted holds group-indexed
+// dispatch to the uninterrupted bare engine (width 0), the pattern
+// TestOracleShardEquivalence uses: at widths 0, 1, 2 and 4 the engine
+// delivers the bare engine's detection multiset (Seq aside: each shard
+// numbers its own instances), and through a mid-stream checkpoint it
+// delivers its width's uninterrupted stream byte for byte, Seq included.
+// Every run after the reference shares one Interner, so later runs meet
+// readers whose symbols an earlier run assigned after thousands of
+// objects. The name dates from when the reference was the interpreted
+// engine.
 func TestReaderPredicateDispatchMatchesInterpreted(t *testing.T) {
+	ref := runDispatch(t, 0, nil, 0)
+	// Every rule but the dead 7 and the never-passing 6 fires.
+	fired := map[string]bool{}
+	for _, s := range ref {
+		rid, _, _ := strings.Cut(s, "|")
+		fired[rid] = true
+	}
+	if len(fired) != 9 || fired["6"] || fired["7"] {
+		t.Fatalf("the bare engine fires rules %v, want all but 6 and 7", fired)
+	}
 	intern := event.NewInterner()
-	cuts := []int{0, 1700, 3200}
 	for _, width := range []int{0, 1, 2, 4} {
-		for _, cut := range cuts {
-			want := runDispatch(t, width, true, nil, cut)
-			if width == 0 && cut == 0 {
-				// Every rule but the dead 7 and the never-passing 6 fires.
-				fired := map[string]bool{}
-				for _, s := range want {
-					rid, _, _ := strings.Cut(s, "|")
-					fired[rid] = true
-				}
-				if len(fired) != 9 || fired["6"] || fired["7"] {
-					t.Fatalf("the oracle fires rules %v, want all but 6 and 7", fired)
-				}
-			}
-			got := runDispatch(t, width, false, intern, cut)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("width %d, checkpoint at %d: compiled detections differ from interpreted (%d vs %d)%s",
-					width, cut, len(got), len(want), firstDiff(got, want))
+		whole := runDispatch(t, width, intern, 0)
+		if got, want := asMultiset(withoutSeq(whole)), asMultiset(withoutSeq(ref)); !reflect.DeepEqual(got, want) {
+			t.Errorf("width %d: detection multiset differs from the bare engine's (%d vs %d)%s",
+				width, len(got), len(want), firstDiff(got, want))
+		}
+		for _, cut := range []int{1700, 3200} {
+			if got := runDispatch(t, width, intern, cut); !reflect.DeepEqual(got, whole) {
+				t.Errorf("width %d, checkpoint at %d: detections differ from the uninterrupted run (%d vs %d)%s",
+					width, cut, len(got), len(whole), firstDiff(got, whole))
 			}
 		}
 	}
+}
+
+// withoutSeq drops dispatchSig's trailing Seq field.
+func withoutSeq(sigs []string) []string {
+	out := make([]string, len(sigs))
+	for i, s := range sigs {
+		out[i] = s[:strings.LastIndexByte(s, '|')]
+	}
+	return out
 }
 
 func firstDiff(got, want []string) string {

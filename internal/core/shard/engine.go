@@ -33,13 +33,9 @@ type Config struct {
 
 	detect.Limits
 
-	// Interpreted selects the per-event AST interpreter in every shard
-	// instead of the compiled plans — the oracle for equivalence runs.
-	Interpreted bool
-
-	// Interner is shared across all shard engines on the compiled path
-	// so EPC/reader symbols agree engine-wide (it is safe for concurrent
-	// use). Nil means the engine creates one.
+	// Interner is shared across all shard engines so EPC/reader symbols
+	// agree engine-wide (it is safe for concurrent use). Nil means the
+	// engine creates one.
 	Interner *event.Interner
 
 	// Buffer is the per-shard channel capacity in envelope batches
@@ -242,7 +238,7 @@ func New(cfg Config) (*Engine, error) {
 		buffer = 8
 	}
 	intern := cfg.Interner
-	if intern == nil && !cfg.Interpreted {
+	if intern == nil {
 		intern = event.NewInterner()
 	}
 	e.intern = intern
@@ -267,9 +263,8 @@ func New(cfg Config) (*Engine, error) {
 					fire: w.eng.Now(), rule: rid, seq: w.seq, inst: inst,
 				})
 			},
-			Limits:      cfg.Limits,
-			Interpreted: cfg.Interpreted,
-			Interner:    intern,
+			Limits:   cfg.Limits,
+			Interner: intern,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("shard: %w", err)
@@ -291,9 +286,9 @@ func (e *Engine) Partition() *Partition { return e.part }
 // Shards returns the number of parallel detection engines.
 func (e *Engine) Shards() int { return len(e.workers) }
 
-// Interner returns the intern table shared by every shard worker, or nil
-// on the interpreted path. Ingest adapters use it to canonicalize reader
-// and EPC strings at the edge (see event.Interner.Canon).
+// Interner returns the intern table shared by every shard worker. Ingest
+// adapters use it to canonicalize reader and EPC strings at the edge (see
+// event.Interner.Canon).
 func (e *Engine) Interner() *event.Interner { return e.intern }
 
 // Now returns the router's current virtual time.

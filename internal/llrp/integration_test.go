@@ -102,7 +102,7 @@ func TestFullTower(t *testing.T) {
 		Graph:    b.Finalize(),
 		Groups:   sc.ChainGroups(),
 		TypeOf:   sc.Registry.TypeOf,
-		OnDetect: x.Dispatch,
+		OnDetect: func(rid int, inst *event.Instance) { x.Dispatch(rid, inst) },
 	})
 	if err != nil {
 		t.Fatal(err)

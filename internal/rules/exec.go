@@ -42,17 +42,14 @@ type Executor struct {
 	byIndex []*Rule    // graph rule index → rule
 	plans   []rulePlan // graph rule index → compiled plan (see plan.go)
 
-	// Interpreted forces dispatch through the AST interpreter instead of
-	// the prepared plans — the oracle for the equivalence suite.
-	Interpreted bool
-
 	// OnError receives action/condition errors; default collects them.
 	OnError func(rule *Rule, err error)
 	errs    []error
 	firings []Firing
 
-	// TraceFirings keeps the Firing log (on by default; disable for
-	// long benchmark runs).
+	// TraceFirings keeps the Firing log (on by default). Every record
+	// pins its instance, so long-running callers turn it off and learn
+	// of firings from Dispatch's result instead.
 	TraceFirings bool
 
 	// disabled holds rule IDs whose firing is suppressed at dispatch
@@ -114,86 +111,42 @@ func (x *Executor) SetEnabled(ruleID string, enabled bool) bool {
 
 // Dispatch is the detect.Config.OnDetect callback: evaluate the rule's IF
 // condition against the instance bindings and, when satisfied, run the DO
-// actions in order.
-func (x *Executor) Dispatch(ruleIdx int, inst *event.Instance) {
-	if ruleIdx < 0 || ruleIdx >= len(x.byIndex) {
-		return
+// actions in order through the rule's prepared plan. It reports whether
+// the rule fired — the condition held, whatever its actions then did.
+func (x *Executor) Dispatch(ruleIdx int, inst *event.Instance) bool {
+	if ruleIdx < 0 || ruleIdx >= len(x.plans) {
+		return false
 	}
-	r := x.byIndex[ruleIdx]
+	r, pl := x.byIndex[ruleIdx], &x.plans[ruleIdx]
 	if x.disabled[r.ID] {
-		return
+		return false
 	}
-	if !x.Interpreted && ruleIdx < len(x.plans) {
-		x.dispatchCompiled(r, &x.plans[ruleIdx], inst)
-		return
-	}
-	binds := withImplicitBindings(inst)
-	if r.Cond != nil {
-		v, err := sqlmini.EvalExpr(x.store, r.Cond, binds, x.funcs)
-		if err != nil {
-			x.OnError(r, fmt.Errorf("condition: %w", err))
-			return
-		}
-		if !sqlmini.Truthy(v) {
-			return
-		}
-	}
-	if x.TraceFirings {
-		x.firings = append(x.firings, Firing{RuleID: r.ID, Inst: inst})
-	}
-	for _, a := range r.Actions {
-		if err := x.runAction(r, a, inst, binds); err != nil {
-			x.OnError(r, err)
-			// Subsequent actions still run: the paper's actions are an
-			// ordered list of independent statements.
-		}
-	}
-}
-
-// withImplicitBindings extends the instance bindings with the detection
-// span: event_begin and event_end (timestamps) and event_interval
-// (seconds, float). User variables with the same names win.
-func withImplicitBindings(inst *event.Instance) event.Bindings {
-	binds := inst.Binds.Clone()
-	for k, v := range map[string]event.Value{
-		"event_begin":    event.TimeValue(inst.Begin),
-		"event_end":      event.TimeValue(inst.End),
-		"event_interval": event.DurationValue(inst.Interval()),
-	} {
-		if _, taken := binds.Get(k); !taken {
-			binds = binds.Set(k, v)
-		}
-	}
-	return binds
-}
-
-// dispatchCompiled is Dispatch's body on the prepared-plan path. It must
-// stay behaviorally identical to the interpreted path below, including
-// every error-wrapping format string.
-func (x *Executor) dispatchCompiled(r *Rule, pl *rulePlan, inst *event.Instance) {
 	binds := implicitBindings(inst)
 	if pl.cond != nil {
 		v, err := pl.cond.Eval(x.store, binds)
 		if err != nil {
 			x.OnError(r, fmt.Errorf("condition: %w", err))
-			return
+			return false
 		}
 		if !sqlmini.Truthy(v) {
-			return
+			return false
 		}
 	}
 	if x.TraceFirings {
 		x.firings = append(x.firings, Firing{RuleID: r.ID, Inst: inst})
 	}
 	for i := range pl.actions {
-		if err := x.runActionCompiled(r, &pl.actions[i], inst, binds); err != nil {
+		if err := x.runAction(r, &pl.actions[i], inst, binds); err != nil {
 			x.OnError(r, err)
+			// Subsequent actions still run: the paper's actions are an
+			// ordered list of independent statements.
 		}
 	}
+	return true
 }
 
-// runActionCompiled mirrors runAction over a compiled action plan.
-func (x *Executor) runActionCompiled(r *Rule, ap *actionPlan, inst *event.Instance, binds event.Bindings) error {
+// runAction runs one compiled DO-list entry.
+func (x *Executor) runAction(r *Rule, ap *actionPlan, inst *event.Instance, binds event.Bindings) error {
 	switch act := ap.src.(type) {
 	case *SQLAction:
 		if x.store == nil {
@@ -223,36 +176,4 @@ func (x *Executor) runActionCompiled(r *Rule, ap *actionPlan, inst *event.Instan
 		return nil
 	}
 	return fmt.Errorf("unknown action type %T", ap.src)
-}
-
-func (x *Executor) runAction(r *Rule, a Action, inst *event.Instance, binds event.Bindings) error {
-	switch act := a.(type) {
-	case *SQLAction:
-		if x.store == nil {
-			return fmt.Errorf("action %q needs a data store", act)
-		}
-		if _, err := sqlmini.ExecStmt(x.store, act.Stmt, binds); err != nil {
-			return fmt.Errorf("action %q: %w", act, err)
-		}
-		return nil
-	case *ProcAction:
-		proc, ok := x.procs[act.Name]
-		if !ok {
-			return fmt.Errorf("action %q: no such procedure %s", act, act.Name)
-		}
-		args := make([]event.Value, len(act.Args))
-		for i, ae := range act.Args {
-			v, err := sqlmini.EvalExpr(x.store, ae, binds, x.funcs)
-			if err != nil {
-				return fmt.Errorf("action %q: argument %d: %w", act, i+1, err)
-			}
-			args[i] = v
-		}
-		ctx := ActionContext{RuleID: r.ID, RuleName: r.Name, Inst: inst, Store: x.store}
-		if err := proc(ctx, args); err != nil {
-			return fmt.Errorf("action %q: %w", act, err)
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown action type %T", a)
 }

@@ -7,10 +7,10 @@ import (
 
 // Rule plans (DESIGN.md §9): each bound rule's IF condition and DO list
 // are lowered once at Bind time into sqlmini prepared forms, so a firing
-// evaluates closures instead of re-walking the ASTs. The interpreted
-// dispatch path stays alive behind Executor.Interpreted as the oracle;
-// both paths share the same error-wrapping strings so even failure modes
-// are byte-identical.
+// evaluates closures instead of re-walking the ASTs. The plans are the
+// executor's only dispatch path; plan_test.go checks them against a
+// test-side dispatcher built on the sqlmini interpreters (EvalExpr,
+// ExecStmt), error strings included.
 //
 // Compilation never fails (sqlmini preparation reproduces interpreter
 // errors as error closures), so Bind's behavior is unchanged — the
@@ -33,7 +33,7 @@ type actionPlan struct {
 
 // compileRule lowers one rule. The executor's Funcs map is captured by
 // reference: functions registered after Bind (rcep.RegisterFunc) are
-// visible at evaluation time, as with the interpreter.
+// visible at evaluation time.
 func (x *Executor) compileRule(r *Rule) rulePlan {
 	var pl rulePlan
 	if r.Cond != nil {
@@ -56,11 +56,12 @@ func (x *Executor) compileRule(r *Rule) rulePlan {
 	return pl
 }
 
-// implicitBindings is withImplicitBindings for the compiled path: one
-// exact-capacity allocation, merging the instance bindings with the three
-// detection-span variables (already in sorted order: event_begin <
-// event_end < event_interval) in a single pass. User variables win on
-// collision, matching the interpreted builder.
+// implicitBindings extends the instance bindings with the detection
+// span: event_begin and event_end (timestamps) and event_interval
+// (seconds, float). It makes one exact-capacity allocation, merging the
+// instance bindings with the three span variables (already in sorted
+// order: event_begin < event_end < event_interval) in a single pass. User
+// variables with the same names win.
 func implicitBindings(inst *event.Instance) event.Bindings {
 	imp := [3]event.Binding{
 		{Var: "event_begin", Val: event.TimeValue(inst.Begin)},

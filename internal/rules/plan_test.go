@@ -146,10 +146,96 @@ func FuzzCompileRule(f *testing.F) {
 	})
 }
 
+// refDispatcher is the executor's test-only reference: Dispatch's
+// semantics run straight over the rule ASTs through the sqlmini
+// interpreters (EvalExpr, ExecStmt) instead of prepared plans, with the
+// executor's error wrapping.
+type refDispatcher struct {
+	rules   []*Rule
+	store   *store.Store
+	procs   Procs
+	firings []string
+	errs    []string
+}
+
+// withImplicitBindings extends the instance bindings with the detection
+// span: event_begin and event_end (timestamps) and event_interval
+// (seconds, float). User variables with the same names win.
+func withImplicitBindings(inst *event.Instance) event.Bindings {
+	binds := inst.Binds.Clone()
+	for k, v := range map[string]event.Value{
+		"event_begin":    event.TimeValue(inst.Begin),
+		"event_end":      event.TimeValue(inst.End),
+		"event_interval": event.DurationValue(inst.Interval()),
+	} {
+		if _, taken := binds.Get(k); !taken {
+			binds = binds.Set(k, v)
+		}
+	}
+	return binds
+}
+
+func (d *refDispatcher) dispatch(ruleIdx int, inst *event.Instance) bool {
+	r := d.rules[ruleIdx]
+	binds := withImplicitBindings(inst)
+	fail := func(err error) { d.errs = append(d.errs, fmt.Errorf("rule %s: %w", r.ID, err).Error()) }
+	if r.Cond != nil {
+		v, err := sqlmini.EvalExpr(d.store, r.Cond, binds, nil)
+		if err != nil {
+			fail(fmt.Errorf("condition: %w", err))
+			return false
+		}
+		if !sqlmini.Truthy(v) {
+			return false
+		}
+	}
+	d.firings = append(d.firings, r.ID+"|"+inst.Binds.String())
+	for _, a := range r.Actions {
+		if err := d.runAction(r, a, inst, binds); err != nil {
+			fail(err)
+		}
+	}
+	return true
+}
+
+func (d *refDispatcher) runAction(r *Rule, a Action, inst *event.Instance, binds event.Bindings) error {
+	switch act := a.(type) {
+	case *SQLAction:
+		if d.store == nil {
+			return fmt.Errorf("action %q needs a data store", act)
+		}
+		if _, err := sqlmini.ExecStmt(d.store, act.Stmt, binds); err != nil {
+			return fmt.Errorf("action %q: %w", act, err)
+		}
+		return nil
+	case *ProcAction:
+		proc, ok := d.procs[act.Name]
+		if !ok {
+			return fmt.Errorf("action %q: no such procedure %s", act, act.Name)
+		}
+		args := make([]event.Value, len(act.Args))
+		for i, ae := range act.Args {
+			v, err := sqlmini.EvalExpr(d.store, ae, binds, nil)
+			if err != nil {
+				return fmt.Errorf("action %q: argument %d: %w", act, i+1, err)
+			}
+			args[i] = v
+		}
+		ctx := ActionContext{RuleID: r.ID, RuleName: r.Name, Inst: inst, Store: d.store}
+		if err := proc(ctx, args); err != nil {
+			return fmt.Errorf("action %q: %w", act, err)
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown action type %T", a)
+}
+
 // TestExecutorCompiledMatchesInterpreted drives full Dispatch — implicit
-// bindings, condition, firing log, SQL and procedure actions, error
-// wrapping — through both executor paths and requires identical firings,
-// identical error strings and identical store contents.
+// bindings (user variables shadowing them included), condition, firing
+// log, SQL and procedure actions, error wrapping — through the executor's
+// prepared plans and through the interpreting reference dispatcher, and
+// requires identical firings, identical error strings and identical store
+// contents.
 func TestExecutorCompiledMatchesInterpreted(t *testing.T) {
 	src := `
 CREATE RULE r1, log reads
@@ -161,64 +247,81 @@ CREATE RULE r2, failing parts
 ON observation(r, o, t)
 IF length(o) > 2
 DO INSERT INTO missing VALUES (o); nosuchproc(o); note(bad_var, o)
+
+CREATE RULE r3, span
+ON observation(r, o, t)
+IF event_end > event_begin
+DO note(event_begin, event_end, event_interval)
 `
 	rs, err := ParseScript(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(interpreted bool) (firings []string, errs []string, dump string) {
-		st := fuzzStore(t)
-		var notes []string
-		procs := Procs{"note": func(ctx ActionContext, args []event.Value) error {
+	// Every fourth instance binds the span variables itself, which then
+	// win over the implicit ones; each rule sees both kinds.
+	instances := make([]*event.Instance, 12)
+	for i := range instances {
+		at := event.Time(i) * event.Time(time.Second)
+		binds := event.Bindings{}.Set("r", event.StringValue("rd1")).
+			Set("o", event.StringValue([]string{"tag", "skip", "pallet"}[i%3])).
+			Set("t", event.TimeValue(at))
+		if i%4 == 3 {
+			binds = binds.Set("event_begin", event.IntValue(int64(-i))).
+				Set("event_end", event.StringValue("user end")).
+				Set("event_interval", event.IntValue(99))
+		}
+		instances[i] = &event.Instance{Begin: at, End: at + event.Time(time.Second), Binds: binds, Seq: uint64(i)}
+	}
+	noter := func(notes *[]string) Procs {
+		return Procs{"note": func(ctx ActionContext, args []event.Value) error {
 			parts := make([]string, len(args))
 			for i, a := range args {
 				parts[i] = a.String()
 			}
-			notes = append(notes, ctx.RuleID+":"+strings.Join(parts, ","))
+			*notes = append(*notes, ctx.RuleID+":"+strings.Join(parts, ","))
 			return nil
 		}}
-		x := NewExecutor(rs, st, procs, nil)
-		x.Interpreted = interpreted
-		if err := x.Bind(graph.NewBuilder()); err != nil {
-			t.Fatal(err)
-		}
-		base := event.Time(0)
-		for i := 0; i < 6; i++ {
-			obj := []string{"tag", "skip", "pallet"}[i%3]
-			inst := &event.Instance{
-				Begin: base + event.Time(i)*event.Time(time.Second),
-				End:   base + event.Time(i+1)*event.Time(time.Second),
-				Binds: event.Bindings{}.Set("r", event.StringValue("rd1")).
-					Set("o", event.StringValue(obj)).
-					Set("t", event.TimeValue(base+event.Time(i)*event.Time(time.Second))),
-				Seq: uint64(i),
-			}
-			x.Dispatch(i%2, inst)
-		}
-		for _, fr := range x.Firings() {
-			firings = append(firings, fr.RuleID+"|"+fr.Inst.Binds.String())
-		}
-		for _, e := range x.Errors() {
-			errs = append(errs, e.Error())
-		}
-		firings = append(firings, notes...)
-		return firings, errs, dumpStore(st)
 	}
-	cf, ce, cd := run(false)
-	wf, we, wd := run(true)
-	if fmt.Sprint(cf) != fmt.Sprint(wf) {
-		t.Errorf("firings diverge:\ncompiled:    %v\ninterpreted: %v", cf, wf)
+
+	var cNotes, rNotes []string
+	cStore, rStore := fuzzStore(t), fuzzStore(t)
+	x := NewExecutor(rs, cStore, noter(&cNotes), nil)
+	if err := x.Bind(graph.NewBuilder()); err != nil {
+		t.Fatal(err)
 	}
-	if fmt.Sprint(ce) != fmt.Sprint(we) {
-		t.Errorf("errors diverge:\ncompiled:    %v\ninterpreted: %v", ce, we)
+	ref := &refDispatcher{rules: rs.Rules, store: rStore, procs: noter(&rNotes)}
+	for i, inst := range instances {
+		rule := i % len(rs.Rules)
+		if got, want := x.Dispatch(rule, inst), ref.dispatch(rule, inst); got != want {
+			t.Errorf("instance %d, rule %d: Dispatch fired = %v, reference %v", i, rule, got, want)
+		}
 	}
-	if cd != wd {
-		t.Errorf("stores diverge:\ncompiled:\n%s\ninterpreted:\n%s", cd, wd)
+	var cFirings, cErrs []string
+	for _, fr := range x.Firings() {
+		cFirings = append(cFirings, fr.RuleID+"|"+fr.Inst.Binds.String())
+	}
+	for _, e := range x.Errors() {
+		cErrs = append(cErrs, e.Error())
+	}
+	if len(cFirings) == 0 || len(cErrs) == 0 || len(cNotes) == 0 {
+		t.Fatalf("vacuous run: %d firings, %d errors, %d notes", len(cFirings), len(cErrs), len(cNotes))
+	}
+	if fmt.Sprint(cFirings) != fmt.Sprint(ref.firings) {
+		t.Errorf("firings diverge:\ncompiled:  %v\nreference: %v", cFirings, ref.firings)
+	}
+	if fmt.Sprint(cNotes) != fmt.Sprint(rNotes) {
+		t.Errorf("procedure calls diverge:\ncompiled:  %v\nreference: %v", cNotes, rNotes)
+	}
+	if fmt.Sprint(cErrs) != fmt.Sprint(ref.errs) {
+		t.Errorf("errors diverge:\ncompiled:  %v\nreference: %v", cErrs, ref.errs)
+	}
+	if c, r := dumpStore(cStore), dumpStore(rStore); c != r {
+		t.Errorf("stores diverge:\ncompiled:\n%s\nreference:\n%s", c, r)
 	}
 }
 
 // TestImplicitBindingsEquivalence checks the single-allocation merge
-// against the interpreted builder across collision cases.
+// against the reference builder across collision cases.
 func TestImplicitBindingsEquivalence(t *testing.T) {
 	cases := []event.Bindings{
 		nil,
@@ -234,7 +337,7 @@ func TestImplicitBindingsEquivalence(t *testing.T) {
 		got := implicitBindings(inst)
 		want := withImplicitBindings(inst)
 		if got.String() != want.String() {
-			t.Errorf("case %d: merge %s, interpreted %s", i, got, want)
+			t.Errorf("case %d: merge %s, reference %s", i, got, want)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func TestColdChainEndToEnd(t *testing.T) {
 	}
 	eng, err := detect.New(detect.Config{
 		Graph:    b.Finalize(),
-		OnDetect: x.Dispatch,
+		OnDetect: func(rid int, inst *event.Instance) { x.Dispatch(rid, inst) },
 	})
 	if err != nil {
 		t.Fatal(err)

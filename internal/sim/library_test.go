@@ -62,7 +62,7 @@ func TestLibraryEndToEnd(t *testing.T) {
 	eng, err := detect.New(detect.Config{
 		Graph:    b.Finalize(),
 		TypeOf:   sc.Registry.TypeOf,
-		OnDetect: x.Dispatch,
+		OnDetect: func(rid int, inst *event.Instance) { x.Dispatch(rid, inst) },
 	})
 	if err != nil {
 		t.Fatal(err)

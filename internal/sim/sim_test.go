@@ -123,7 +123,7 @@ func TestEndToEndSupplyChain(t *testing.T) {
 		Graph:    b.Finalize(),
 		Groups:   sc.ChainGroups(),
 		TypeOf:   sc.Registry.TypeOf,
-		OnDetect: x.Dispatch,
+		OnDetect: func(rid int, inst *event.Instance) { x.Dispatch(rid, inst) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestDuplicateRuleOnRawStream(t *testing.T) {
 		Graph:    b.Finalize(),
 		Groups:   sc.Deployment.GroupFunc(),
 		TypeOf:   sc.Registry.TypeOf,
-		OnDetect: x.Dispatch,
+		OnDetect: func(rid int, inst *event.Instance) { x.Dispatch(rid, inst) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestEndToEndLocationHistoryOrder(t *testing.T) {
 		Graph:    b.Finalize(),
 		Groups:   sc.ChainGroups(),
 		TypeOf:   sc.Registry.TypeOf,
-		OnDetect: x.Dispatch,
+		OnDetect: func(rid int, inst *event.Instance) { x.Dispatch(rid, inst) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestEndToEndPalletizedNestedContainment(t *testing.T) {
 		Graph:    b.Finalize(),
 		Groups:   sc.ChainGroups(),
 		TypeOf:   sc.Registry.TypeOf,
-		OnDetect: x.Dispatch,
+		OnDetect: func(rid int, inst *event.Instance) { x.Dispatch(rid, inst) },
 	})
 	if err != nil {
 		t.Fatal(err)

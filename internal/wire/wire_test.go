@@ -381,21 +381,3 @@ func TestServerIngestCanonicalizes(t *testing.T) {
 		t.Fatal("close")
 	}
 }
-
-// TestServerInterpretedNoInterner: the oracle path has no intern table and
-// the server must run without the canonicalization stage.
-func TestServerInterpretedNoInterner(t *testing.T) {
-	srv, err := NewServer(rcep.Config{Rules: dupRule, Interpreted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.Engine().Interner() != nil {
-		t.Fatal("interpreted engine should expose no interner")
-	}
-	if err := srv.ingestBatch(event.Batch{{Reader: "dock1", Object: "p42", At: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Engine().Close(); err != nil {
-		t.Fatal(err)
-	}
-}

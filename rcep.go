@@ -83,25 +83,13 @@ type Config struct {
 	// condition passed).
 	OnDetection func(Detection)
 
-	// DisableMerging turns off common sub-graph merging (for
-	// experiments; keep it on in production).
-	DisableMerging bool
-
-	// Interpreted runs the per-event hot path through the AST
-	// interpreters (linear probing of every leaf pattern, rule conditions
-	// and actions) instead of the plans compiled at CREATE RULE time,
-	// which dispatch each observation to the plans its reader can match
-	// (by literal, group and type), looked up by interned symbol. The
-	// compiled path is the default; the interpreter is kept as the
-	// reference for equivalence and regression runs (see internal/bench).
-	Interpreted bool
-
 	// Shards, when > 1, partitions the rule set by reader/group key
 	// space and runs up to that many detection engines in parallel (see
 	// internal/core/shard). Observations fan out only to the shards
 	// whose rules can match them; detections merge back into a
-	// deterministic order, so Firings and OnDetection behave as with a
-	// single engine. 0 or 1 keeps the classic single-goroutine engine.
+	// deterministic order, so OnDetection and the data store see them as
+	// with a single engine. 0 or 1 keeps the classic single-goroutine
+	// engine.
 	Shards int
 
 	// Limits (MaxPartitionBuffer, MaxHistory, MaxOpenSequence) bound
@@ -189,35 +177,27 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e.exec = rules.NewExecutor(rs, e.store, e.procs, e.funcs)
-	e.exec.Interpreted = cfg.Interpreted
+	// The facade lives as long as its process: a firing log would pin
+	// every fired instance (and its slab) forever.
+	e.exec.TraceFirings = false
 	e.exec.OnError = func(r *rules.Rule, err error) {
 		e.errs = append(e.errs, fmt.Errorf("rule %s: %w", r.ID, err))
 	}
-	var bopts []graph.Option
-	if cfg.DisableMerging {
-		bopts = append(bopts, graph.WithoutMerging())
-	}
-	b := graph.NewBuilder(bopts...)
+	b := graph.NewBuilder()
 	if err := e.exec.Bind(b); err != nil {
 		return nil, fmt.Errorf("rcep: %w", err)
 	}
-	onDetect := e.exec.Dispatch
-	if cfg.OnDetection != nil {
-		user := cfg.OnDetection
-		byIndex := rs.Rules
-		onDetect = func(idx int, inst *event.Instance) {
-			before := len(e.exec.Firings())
-			e.exec.Dispatch(idx, inst)
-			if len(e.exec.Firings()) > before {
-				r := byIndex[idx]
-				user(Detection{
-					RuleID:   r.ID,
-					RuleName: r.Name,
-					Begin:    time.Duration(inst.Begin),
-					End:      time.Duration(inst.End),
-					Bindings: bindingsToAny(inst.Binds),
-				})
-			}
+	user := cfg.OnDetection
+	onDetect := func(idx int, inst *event.Instance) {
+		if e.exec.Dispatch(idx, inst) && user != nil {
+			r := rs.Rules[idx]
+			user(Detection{
+				RuleID:   r.ID,
+				RuleName: r.Name,
+				Begin:    time.Duration(inst.Begin),
+				End:      time.Duration(inst.End),
+				Bindings: bindingsToAny(inst.Binds),
+			})
 		}
 	}
 	if cfg.Shards > 1 {
@@ -226,13 +206,12 @@ func New(cfg Config) (*Engine, error) {
 			shRules[i] = shard.Rule{ID: i, Expr: r.Event}
 		}
 		e.sh, err = shard.New(shard.Config{
-			Rules:       shRules,
-			Shards:      cfg.Shards,
-			Groups:      cfg.Groups,
-			TypeOf:      cfg.TypeOf,
-			OnDetect:    onDetect,
-			Limits:      cfg.Limits,
-			Interpreted: cfg.Interpreted,
+			Rules:    shRules,
+			Shards:   cfg.Shards,
+			Groups:   cfg.Groups,
+			TypeOf:   cfg.TypeOf,
+			OnDetect: onDetect,
+			Limits:   cfg.Limits,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("rcep: %w", err)
@@ -241,12 +220,11 @@ func New(cfg Config) (*Engine, error) {
 		e.shards = e.sh.Shards()
 	} else {
 		e.eng, err = detect.New(detect.Config{
-			Graph:       b.Finalize(),
-			Groups:      cfg.Groups,
-			TypeOf:      cfg.TypeOf,
-			OnDetect:    onDetect,
-			Limits:      cfg.Limits,
-			Interpreted: cfg.Interpreted,
+			Graph:    b.Finalize(),
+			Groups:   cfg.Groups,
+			TypeOf:   cfg.TypeOf,
+			OnDetect: onDetect,
+			Limits:   cfg.Limits,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("rcep: %w", err)
@@ -267,8 +245,7 @@ func New(cfg Config) (*Engine, error) {
 // (≤ Config.Shards) otherwise.
 func (e *Engine) Shards() int { return e.shards }
 
-// Interner returns the engine's shared string intern table, or nil when
-// the interpreted oracle path is active. Ingest adapters (wire server,
+// Interner returns the engine's shared string intern table. Ingest adapters (wire server,
 // LLRP readers) canonicalize reader and EPC strings through it so every
 // long-lived copy downstream shares one instance per distinct value. The
 // table is goroutine-safe and only ever grows.
@@ -280,8 +257,8 @@ func (e *Engine) Interner() *event.Interner {
 }
 
 // sync forces pending sharded detections (and therefore rule actions)
-// to be delivered before state the actions feed — the audit log, the
-// data store — is read. Single-engine mode delivers synchronously, so
+// to be delivered before state the actions feed — the data store — is
+// read. Single-engine mode delivers synchronously, so
 // this is a no-op there.
 func (e *Engine) sync() {
 	if e.sh != nil {
@@ -403,29 +380,6 @@ func (e *Engine) Close() error {
 // Errs returns the rule action/condition errors collected so far.
 func (e *Engine) Errs() []error { return e.errs }
 
-// Firings returns the audit log of rule firings so far. In sharded mode
-// pending detections are flushed first, so the log is complete up to the
-// last ingested observation's virtual time.
-func (e *Engine) Firings() []Detection {
-	e.sync()
-	rs := e.exec.Rules()
-	var out []Detection
-	for _, f := range e.exec.Firings() {
-		var name string
-		if r, ok := rs.Rule(f.RuleID); ok {
-			name = r.Name
-		}
-		out = append(out, Detection{
-			RuleID:   f.RuleID,
-			RuleName: name,
-			Begin:    time.Duration(f.Inst.Begin),
-			End:      time.Duration(f.Inst.End),
-			Bindings: bindingsToAny(f.Inst.Binds),
-		})
-	}
-	return out
-}
-
 // Query runs a SELECT against the embedded RFID data store. In sharded
 // mode pending rule actions are applied first.
 func (e *Engine) Query(sql string) (cols []string, rows [][]any, err error) {
@@ -512,7 +466,7 @@ type fullCheckpoint struct {
 // SaveCheckpoint snapshots the data store AND the engine's in-flight
 // detection state, so a restart (Config.Checkpoint with the same rules)
 // resumes mid-window: buffered constituents, open sequences and pending
-// negation windows all survive. The rule firing audit log does not.
+// negation windows all survive.
 func (e *Engine) SaveCheckpoint(w io.Writer) error {
 	// Pending sharded detections run their actions first so the saved
 	// store matches the saved detection state (which excludes them).

@@ -68,16 +68,19 @@ type facadeRun struct {
 // the audit tables.
 func runFacade(t *testing.T, sc *sim.Scenario, script string, shards int) facadeRun {
 	t.Helper()
+	var run facadeRun
 	eng, err := New(Config{
 		Rules:  script,
 		Groups: sc.ChainGroups(),
 		TypeOf: sc.Registry.TypeOf,
 		Shards: shards,
+		OnDetection: func(d Detection) {
+			run.firings = append(run.firings, detectionSig(d))
+		},
 	})
 	if err != nil {
 		t.Fatalf("New(Shards=%d): %v", shards, err)
 	}
-	var run facadeRun
 	record := func(name string) Proc {
 		return func(ctx ProcContext, args []any) error {
 			run.procs = append(run.procs, fmt.Sprintf("%s|%s|%v", name, ctx.RuleID, args))
@@ -91,8 +94,8 @@ func runFacade(t *testing.T, sc *sim.Scenario, script string, shards int) facade
 			t.Fatalf("Ingest: %v", err)
 		}
 	}
-	for _, d := range eng.Firings() {
-		run.firings = append(run.firings, detectionSig(d))
+	if err := eng.Flush(); err != nil {
+		t.Fatalf("Flush(Shards=%d): %v", shards, err)
 	}
 	run.tables = dumpTables(t, eng)
 	run.shards = eng.Shards()

@@ -51,7 +51,9 @@ DO send_alarm(o4)
 }
 
 func TestFacadeContainmentAndQuery(t *testing.T) {
+	var fs []Detection
 	eng, err := New(Config{
+		OnDetection: func(d Detection) { fs = append(fs, d) },
 		Rules: `
 DEFINE E1 = observation('r1', o1, t1)
 DEFINE E2 = observation('r2', o2, t2)
@@ -89,7 +91,6 @@ DO BULK INSERT INTO OBJECTCONTAINMENT VALUES (o1, o2, t2, 'UC')
 			t.Errorf("row %d: %v", i, rows[i])
 		}
 	}
-	fs := eng.Firings()
 	if len(fs) != 1 || fs[0].RuleID != "r4" || fs[0].RuleName != "containment rule" {
 		t.Fatalf("firings: %+v", fs)
 	}
@@ -463,5 +464,46 @@ DO INSERT INTO ALERTS VALUES ('outfield', o, t1)
 	}
 	if len(rows) != 1 || rows[0][0].(string) != "item1" {
 		t.Fatalf("outfield alert: %v", rows)
+	}
+}
+
+// TestFacadeRetainsNoFiringLog: the facade reports firings through
+// OnDetection only, so a long-running engine does not pin every fired
+// instance in an audit log — in single-engine and sharded mode alike.
+func TestFacadeRetainsNoFiringLog(t *testing.T) {
+	const n = 500
+	for _, shards := range []int{0, 4} {
+		var fired int
+		eng, err := New(Config{
+			Rules: `
+CREATE RULE r1, every read
+ON observation(r, o, t)
+IF o != 'skip'
+DO INSERT INTO ALERTS VALUES ('read', o, t)
+`,
+			Shards:      shards,
+			OnDetection: func(Detection) { fired++ },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			obj := "item"
+			if i%5 == 0 {
+				obj = "skip"
+			}
+			if err := eng.Ingest("dock", obj, sec(float64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want := n - n/5; fired != want {
+			t.Errorf("shards=%d: OnDetection saw %d firings, want %d", shards, fired, want)
+		}
+		if got := len(eng.exec.Firings()); got != 0 {
+			t.Errorf("shards=%d: executor retains %d firing records after %d firings, want 0", shards, got, fired)
+		}
 	}
 }
