@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -137,21 +138,32 @@ func TestWorkerRefusesUnknownSequencedFrame(t *testing.T) {
 }
 
 // frameCounter counts the frames of each type written on a connection.
-// Every protocol frame is one JSON line written in one call.
+// A write may carry several frames, or end inside one, so the written
+// bytes are decoded as a stream: pend holds a frame's start until its
+// newline arrives.
 type frameCounter struct {
 	net.Conn
 	mu     *sync.Mutex
 	counts map[string]int
+	pend   []byte
 }
 
-func (c frameCounter) Write(b []byte) (int, error) {
-	var m struct {
-		Type string `json:"type"`
-	}
-	if json.Unmarshal(b, &m) == nil {
-		c.mu.Lock()
-		c.counts[m.Type]++
-		c.mu.Unlock()
+func (c *frameCounter) Write(b []byte) (int, error) {
+	c.pend = append(c.pend, b...)
+	for {
+		i := bytes.IndexByte(c.pend, '\n')
+		if i < 0 {
+			break
+		}
+		var m struct {
+			Type string `json:"type"`
+		}
+		if json.Unmarshal(c.pend[:i], &m) == nil {
+			c.mu.Lock()
+			c.counts[m.Type]++
+			c.mu.Unlock()
+		}
+		c.pend = c.pend[i+1:]
 	}
 	return c.Conn.Write(b)
 }
@@ -189,7 +201,7 @@ func TestHandoffReplayShipsBatches(t *testing.T) {
 			if err != nil || addr != procs[1].addr {
 				return conn, err
 			}
-			return frameCounter{Conn: conn, mu: &mu, counts: counts}, nil
+			return &frameCounter{Conn: conn, mu: &mu, counts: counts}, nil
 		},
 	})
 	if err != nil {

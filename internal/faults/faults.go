@@ -1,6 +1,6 @@
 // Package faults injects deterministic, seeded failures into the
 // edge-to-engine path so resilience claims can be tested instead of
-// assumed: TCP connection resets (optionally mid-frame), write delays,
+// assumed: TCP connection resets at a byte offset, write delays,
 // transient observation-source failures, and corrupt LLRP frames. Every
 // failure the package produces wraps ErrInjected, so tests can tell
 // injected faults apart from real ones.
@@ -33,22 +33,25 @@ type Source = func(ctx context.Context, emit func(event.Observation) error) erro
 type Option func(*config)
 
 type config struct {
-	resetEvery  int // writes per connection before a reset (0 = never)
+	resetEvery  int // the written byte a connection resets on (0 = never)
 	resetJitter int
-	partialProb float64 // chance a reset tears the frame mid-write
+	partialProb float64 // chance a reset delivers the crossing write's prefix
 	delayProb   float64
 	maxDelay    time.Duration
 	failEvery   int // observations before a source failure (0 = never)
 	failJitter  int
 }
 
-// WithConnReset makes wrapped connections die after every±jitter writes.
+// WithConnReset makes each wrapped connection die on its every±jitter-th
+// written byte. Counting bytes, not Write calls, keeps the schedule
+// independent of how a writer batches its frames.
 func WithConnReset(every, jitter int) Option {
 	return func(c *config) { c.resetEvery, c.resetJitter = every, jitter }
 }
 
-// WithPartialWrites makes a fraction p of injected resets first deliver a
-// prefix of the frame, modelling a connection torn mid-write.
+// WithPartialWrites makes a fraction p of injected resets first deliver
+// the crossing write's bytes up to the reset offset, modelling a
+// connection torn mid-write; the other resets deliver none of that write.
 func WithPartialWrites(p float64) Option {
 	return func(c *config) { c.partialProb = p }
 }
@@ -118,7 +121,7 @@ func (in *Injector) drawLocked(every, jitter int) int {
 func (in *Injector) Conn(c net.Conn) net.Conn {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return &faultConn{Conn: c, in: in, writesLeft: in.drawLocked(in.cfg.resetEvery, in.cfg.resetJitter)}
+	return &faultConn{Conn: c, in: in, bytesLeft: in.drawLocked(in.cfg.resetEvery, in.cfg.resetJitter)}
 }
 
 // Dialer wraps a dial function so every connection it opens carries the
@@ -135,9 +138,9 @@ func (in *Injector) Dialer(dial func() (net.Conn, error)) func() (net.Conn, erro
 
 type faultConn struct {
 	net.Conn
-	in         *Injector
-	writesLeft int // countdown to reset; 0 = never
-	dead       bool
+	in        *Injector
+	bytesLeft int // the reset falls on this byte of the remaining stream; 0 = never
+	dead      bool
 }
 
 func (c *faultConn) Write(p []byte) (int, error) {
@@ -151,13 +154,16 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		delay = time.Duration(c.in.rng.Int63n(int64(c.in.cfg.maxDelay)) + 1)
 	}
 	reset, partial := false, 0
-	if c.writesLeft > 0 {
-		c.writesLeft--
-		if c.writesLeft == 0 {
+	if c.bytesLeft > 0 {
+		if len(p) < c.bytesLeft {
+			c.bytesLeft -= len(p)
+		} else {
+			// This write holds the reset byte: at most the bytes before
+			// it get through.
 			reset, c.dead = true, true
 			c.in.resets++
-			if len(p) > 1 && c.in.rng.Float64() < c.in.cfg.partialProb {
-				partial = 1 + c.in.rng.Intn(len(p)-1)
+			if c.in.rng.Float64() < c.in.cfg.partialProb {
+				partial = c.bytesLeft - 1
 			}
 		}
 	}

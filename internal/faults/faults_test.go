@@ -39,7 +39,8 @@ func writeUntilReset(t *testing.T, in *Injector) (frames int, err error) {
 }
 
 func TestConnResetIsDeterministic(t *testing.T) {
-	mk := func() *Injector { return New(11, WithConnReset(20, 10)) }
+	// 20±10 frames of 14 bytes.
+	mk := func() *Injector { return New(11, WithConnReset(280, 140)) }
 	var first []int
 	for run := 0; run < 2; run++ {
 		in := mk()
@@ -77,8 +78,9 @@ func TestConnWithoutResetPassesThrough(t *testing.T) {
 }
 
 func TestPartialWriteTearsFrame(t *testing.T) {
-	// partialProb 1: the reset write delivers a strict prefix.
-	in := New(3, WithConnReset(5, 0), WithPartialWrites(1))
+	// partialProb 1: the reset write delivers a strict prefix. The reset
+	// falls on byte 46, inside the fifth 10-byte frame.
+	in := New(3, WithConnReset(46, 0), WithPartialWrites(1))
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -102,13 +104,55 @@ func TestPartialWriteTearsFrame(t *testing.T) {
 	if writes != 5 {
 		t.Fatalf("reset after %d writes, want 5", writes)
 	}
-	if !errors.Is(err, ErrInjected) || n <= 0 || n >= len(frame) {
-		t.Fatalf("expected a torn frame: n=%d err=%v", n, err)
+	if !errors.Is(err, ErrInjected) || n != 5 {
+		t.Fatalf("expected a frame torn after 5 bytes: n=%d err=%v", n, err)
 	}
 	got := <-received
 	want := 4*len(frame) + n
 	if len(got) != want {
 		t.Fatalf("peer saw %d bytes, want %d (4 whole frames + %d-byte tear)", len(got), want, n)
+	}
+}
+
+// TestConnResetCountsBytes: the reset falls on the same byte of the
+// stream whatever the write size, so a writer that coalesces frames is
+// torn as often, and at the same offset, as one that writes them singly.
+func TestConnResetCountsBytes(t *testing.T) {
+	stream := bytes.Repeat([]byte("0123456789abcdef"), 250) // 4000 bytes
+	for _, size := range []int{1, 7, 64, 1499, 1500, len(stream)} {
+		for _, partial := range []float64{0, 1} {
+			in := New(9, WithConnReset(1500, 0), WithPartialWrites(partial))
+			a, b := net.Pipe()
+			received := make(chan []byte, 1)
+			go func() {
+				buf, _ := io.ReadAll(b)
+				received <- buf
+			}()
+			c := in.Conn(a)
+			sent := 0
+			var err error
+			for err == nil && sent < len(stream) {
+				var n int
+				n, err = c.Write(stream[sent:min(sent+size, len(stream))])
+				sent += n
+			}
+			got := <-received
+			a.Close()
+			b.Close()
+			// The crossing write starts at a multiple of size; without a
+			// partial delivery none of it gets through.
+			want := 1499
+			if partial == 0 {
+				want = 1499 / size * size
+			}
+			if !errors.Is(err, ErrInjected) || in.Resets() != 1 || len(got) != want || sent != want {
+				t.Fatalf("writes of %d, partial %v: peer saw %d bytes, writer counted %d, resets %d (%v); want %d",
+					size, partial, len(got), sent, in.Resets(), err, want)
+			}
+			if !bytes.Equal(got, stream[:want]) {
+				t.Fatalf("writes of %d: delivered bytes differ from the stream prefix", size)
+			}
+		}
 	}
 }
 

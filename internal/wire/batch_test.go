@@ -97,6 +97,12 @@ DO INSERT INTO ALERTS VALUES ('b', o, t1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Fires arrive before the stats reply Close waits for, on the
+		// read goroutine that also delivers it.
+		var fires []string
+		c.OnFire = func(m Message) {
+			fires = append(fires, fmt.Sprintf("%s %d-%d %v", m.Rule, m.BeginNS, m.EndNS, m.Bindings))
+		}
 		for lo := 0; lo < len(stream); lo += max(chunk, 1) {
 			if chunk == 0 {
 				o := stream[lo]
@@ -117,10 +123,6 @@ DO INSERT INTO ALERTS VALUES ('b', o, t1)
 		}
 		if stats.Observations != 9 { // 11 sent, 2 duplicates dropped
 			t.Fatalf("shards=%d chunk=%d: %d observations reached the engine, want 9", shards, chunk, stats.Observations)
-		}
-		var fires []string
-		for _, m := range c.Firings() {
-			fires = append(fires, fmt.Sprintf("%s %d-%d %v", m.Rule, m.BeginNS, m.EndNS, m.Bindings))
 		}
 		return fires
 	}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,9 +26,9 @@ var ErrRingFull = errors.New("wire: unacked ring is full")
 // (client_id, seq), so observations are applied to the engine exactly
 // once even though the wire is at-least-once.
 //
-// Rule firings received while connected are delivered via OnFire; during
-// an outage broadcasts are missed (the authoritative record is the
-// server's store and OnDetection hook).
+// Rule firings received while connected are delivered via OnFire and not
+// kept; during an outage broadcasts are missed (the authoritative record
+// is the server's store and OnDetection hook).
 type ReliableClient struct {
 	opt  ReliableOptions
 	addr string
@@ -46,7 +45,6 @@ type ReliableClient struct {
 	haveStats  bool
 	stats      Message
 	reconnects int
-	fires      []Message
 	timedOut   bool   // Close drain deadline expired
 	shed       uint64 // observations dropped by the overload policy
 
@@ -408,13 +406,6 @@ func (c *ReliableClient) Flush(timeout time.Duration) error {
 	return nil
 }
 
-// Firings returns the rule firings received so far.
-func (c *ReliableClient) Firings() []Message {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Message(nil), c.fires...)
-}
-
 // Reconnects reports how many times the session was lost and re-dialed.
 func (c *ReliableClient) Reconnects() int {
 	c.mu.Lock()
@@ -587,13 +578,9 @@ func (c *ReliableClient) sleep(d time.Duration) bool {
 // reports whether the client is finished (stats received or aborted) as
 // opposed to needing a reconnect.
 func (c *ReliableClient) session(conn net.Conn) bool {
-	var wmu sync.Mutex
-	enc := json.NewEncoder(conn)
-	write := func(m Message) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return enc.Encode(m)
-	}
+	// Ring frames are flushed once per batch taken; hello, bye, ping and
+	// pong are sent at once.
+	w := newFrameWriter(conn)
 
 	// dead is guarded by c.mu; kill unblocks both the reader (via the
 	// conn close) and the writer (via the broadcast).
@@ -620,7 +607,7 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 
 	// The hello answer (an ack) tells us how far a previous session or
 	// process already got.
-	if err := write(Message{Type: "hello", ClientID: c.opt.ClientID}); err != nil {
+	if err := w.send(&Message{Type: "hello", ClientID: c.opt.ClientID}); err != nil {
 		return false
 	}
 
@@ -636,7 +623,7 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 			for {
 				select {
 				case <-t.C:
-					if err := write(Message{Type: "ping"}); err != nil {
+					if err := w.send(&Message{Type: "ping"}); err != nil {
 						kill()
 						return
 					}
@@ -650,7 +637,7 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		dec := json.NewDecoder(bufio.NewReader(conn))
+		dec := json.NewDecoder(conn)
 		for {
 			if c.opt.PeerTimeout > 0 {
 				_ = conn.SetReadDeadline(time.Now().Add(c.opt.PeerTimeout))
@@ -664,15 +651,11 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 			case "ack":
 				c.handleAck(m.Seq)
 			case "fire":
-				c.mu.Lock()
-				c.fires = append(c.fires, m)
-				cb := c.opt.OnFire
-				c.mu.Unlock()
-				if cb != nil {
+				if cb := c.opt.OnFire; cb != nil {
 					cb(m)
 				}
 			case "ping":
-				if err := write(Message{Type: "pong"}); err != nil {
+				if err := w.send(&Message{Type: "pong"}); err != nil {
 					kill()
 					return
 				}
@@ -699,15 +682,17 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 	}()
 
 	// Writer: replay everything past the server's high-water mark, then
-	// stream new frames as they are enqueued.
+	// stream new frames as they are enqueued. batch is reused across
+	// wakes and cleared after each, so it pins no released frame.
 	cursor := uint64(0)
 	c.mu.Lock()
 	cursor = c.acked
 	c.mu.Unlock()
 	byeSent := false
 	finished := false
+	var batch []Message
 	for {
-		var batch []Message
+		batch = batch[:0]
 		sendBye := false
 		c.mu.Lock()
 		for {
@@ -727,7 +712,7 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 				// Binary search, not seq arithmetic: shedding can leave
 				// gaps in the ring's ascending seqs.
 				lo := sort.Search(n, func(i int) bool { return c.ring[i].Seq > cursor })
-				batch = append([]Message(nil), c.ring[lo:]...)
+				batch = append(batch, c.ring[lo:]...)
 				break
 			}
 			if c.wantBye && !byeSent && c.acked == c.next-1 {
@@ -737,15 +722,20 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 			c.cond.Wait()
 		}
 		c.mu.Unlock()
-		for _, m := range batch {
-			if err := write(m); err != nil {
+		for i := range batch {
+			if err := w.put(&batch[i]); err != nil {
 				kill()
 				goto out
 			}
-			cursor = m.Seq
+			cursor = batch[i].Seq
+		}
+		clear(batch)
+		if err := w.flush(); err != nil {
+			kill()
+			goto out
 		}
 		if sendBye {
-			if err := write(Message{Type: "bye"}); err != nil {
+			if err := w.send(&Message{Type: "bye"}); err != nil {
 				kill()
 				goto out
 			}

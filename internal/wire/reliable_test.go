@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -50,12 +51,31 @@ func chaosObservations(n int) []struct {
 	return obs
 }
 
+// meanFrameBytes is the mean encoded size of the batch frames a reliable
+// client named id sends for obs, newline included.
+func meanFrameBytes(t *testing.T, id string, obs []struct {
+	reader, object string
+	at             time.Duration
+}) int {
+	t.Helper()
+	total := 0
+	for i, o := range obs {
+		b, err := json.Marshal(Message{Type: "batch", ClientID: id, Seq: uint64(i + 1),
+			Batch: []BatchObs{{Reader: o.reader, Object: o.object, AtNS: int64(o.at)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(b) + 1
+	}
+	return total / len(obs)
+}
+
 // TestReliableChaosNoLossNoDup is the acceptance test for the resilience
 // layer: a ReliableClient feeds 10k observations through connections
-// that are forcibly reset every few hundred frames (some torn mid-
-// frame), and the server's detection multiset must match an oracle run
-// with no faults at all — zero observation loss, zero duplicate
-// detections.
+// that are forcibly reset every few hundred frames' worth of bytes (some
+// torn mid-frame), and the server's detection multiset must match an
+// oracle run with no faults at all — zero observation loss, zero
+// duplicate detections.
 func TestReliableChaosNoLossNoDup(t *testing.T) {
 	const n = 10000
 	obs := chaosObservations(n)
@@ -94,8 +114,11 @@ func TestReliableChaosNoLossNoDup(t *testing.T) {
 	defer l.Close()
 	go func() { _ = srv.Serve(l) }()
 
+	// Resets every 400±200 frames, counted in bytes so the schedule does
+	// not depend on how many frames share a write.
+	frame := meanFrameBytes(t, "chaos-edge", obs)
 	inj := faults.New(42,
-		faults.WithConnReset(400, 200),
+		faults.WithConnReset(400*frame, 200*frame),
 		faults.WithPartialWrites(0.5),
 		faults.WithWriteDelay(0.002, time.Millisecond),
 	)

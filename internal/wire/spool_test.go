@@ -53,14 +53,15 @@ func TestLegacySpoolObsFramesBecomeBatches(t *testing.T) {
 	}
 
 	srv, addr := startServer(t, rcep.Config{Rules: dupRule})
-	c, err := DialReliable(addr, ReliableOptions{ClientID: id, Spool: sp, Buffer: 16})
+	var fires []Message // appended on the read goroutine, read after Close
+	c, err := DialReliable(addr, ReliableOptions{ClientID: id, Spool: sp, Buffer: 16,
+		OnFire: func(m Message) { fires = append(fires, m) }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	fires := c.Firings()
 	stats, err := c.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -33,18 +33,30 @@
 // (client_id, seq) at most once — a reconnecting client replays unacked
 // frames and duplicates are dropped, turning at-least-once delivery into
 // engine-side exactly-once. Acks are cumulative: ack N covers every seq
-// ≤ N. A hello frame is answered with the highest seq applied for that
+// ≤ N. They are not sent once per frame: the server sends each client ID
+// it owes an ack at least once every time its input drains (it has no
+// further byte of a frame in hand), so frames that arrive together draw
+// one ack. A hello frame is answered with the highest seq applied for that
 // client, so a resuming client can skip frames the server already has.
 // A sequenced frame of a type the server does not know is refused: an
 // error reply, then the connection closes without claiming the seq, so
 // the next frame's cumulative ack cannot release it unapplied.
+//
+// Every endpoint writes through a frameWriter: frames are encoded into a
+// per-connection buffer and flushed when the writer has nothing more to
+// write — the server when its input drains, a reliable client after the
+// frames it took from its ring, the plain client after every message.
+// No timer holds a frame back, and buffering leaves a frame's bytes as
+// they are, so peers that write one frame per call interoperate.
 package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -158,6 +170,9 @@ type Server struct {
 	pend    event.Batch
 	flush   func() error
 	clients map[*clientConn]bool
+	// fanout is the frame's broadcast list, snapshotted at its first fire
+	// and flushed before applyFrame returns; guarded by emu.
+	fanout  []*clientConn
 	closing bool
 	wg      sync.WaitGroup // live connection handlers
 	opts    serverOpts
@@ -193,22 +208,84 @@ type admitted struct {
 	cc *clientConn
 }
 
-// clientConn is one registered connection: its encoder, the write lock
-// shared by handler replies and broadcasts, and the reliable client IDs
-// seen on it (so a draining shutdown can flush their cumulative acks).
-type clientConn struct {
-	conn net.Conn
-	enc  *json.Encoder
-	mu   sync.Mutex
-	ids  map[string]bool
+// frameWriter is the one write path of every wire endpoint: frames are
+// encoded into a per-connection buffer under a lock and reach the
+// connection when the owner flushes. Once a write fails the buffer keeps
+// the error, so every later put or flush reports it.
+type frameWriter struct {
+	mu  sync.Mutex
+	bw  *bufio.Writer
+	enc *json.Encoder
 }
 
-// reply writes one frame; a dead connection's error is ignored (its
-// handler detaches it).
-func (cc *clientConn) reply(m Message) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	_ = cc.enc.Encode(m)
+func newFrameWriter(w io.Writer) *frameWriter {
+	bw := bufio.NewWriter(w)
+	return &frameWriter{bw: bw, enc: json.NewEncoder(bw)}
+}
+
+// put encodes one frame into the buffer.
+func (w *frameWriter) put(m *Message) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.enc.Encode(m)
+}
+
+// flush writes everything buffered to the connection.
+func (w *frameWriter) flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.bw.Flush()
+}
+
+// send puts one frame and flushes it.
+func (w *frameWriter) send(m *Message) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.enc.Encode(m); err != nil {
+		return err
+	}
+	return w.bw.Flush()
+}
+
+// clientConn is one registered connection: its frame writer, shared by
+// handler replies, broadcasts and pings; the reliable client IDs seen on
+// it (so a draining shutdown can flush their cumulative acks); and the
+// acks its handler owes until the next settle. A dead connection's write
+// errors are ignored: its handler detaches it.
+type clientConn struct {
+	*frameWriter
+	conn net.Conn
+	ids  map[string]bool
+	owed map[string]uint64 // client ID → cumulative ack; handler goroutine only
+}
+
+// settle writes the owed acks, then flushes: the handler's one write per
+// drained read.
+func (cc *clientConn) settle() {
+	for _, seq := range cc.owed {
+		_ = cc.put(&Message{Type: "ack", Seq: seq})
+	}
+	clear(cc.owed)
+	_ = cc.flush()
+}
+
+// drained reports whether the decoder holds no byte of a further frame,
+// so its next Decode reads the connection and may block. An unexpected
+// Buffered type counts as drained: an extra settle costs one write, while
+// a withheld ack stalls a sender whose ring is full.
+func drained(dec *json.Decoder) bool {
+	r, ok := dec.Buffered().(*bytes.Reader)
+	if !ok {
+		return true
+	}
+	for r.Len() > 0 {
+		switch b, _ := r.ReadByte(); b {
+		case ' ', '\t', '\r', '\n':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // Option tunes a Server.
@@ -396,17 +473,19 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
+// broadcast puts a fire frame into every connection's buffer. The engine
+// detects only inside calls the server makes under emu, so the frame's
+// applyFrame flushes what it wrote.
 func (s *Server) broadcast(m Message) {
-	s.cmu.Lock()
-	conns := make([]*clientConn, 0, len(s.clients))
-	for c := range s.clients {
-		conns = append(conns, c)
+	if len(s.fanout) == 0 {
+		s.cmu.Lock()
+		for c := range s.clients {
+			s.fanout = append(s.fanout, c)
+		}
+		s.cmu.Unlock()
 	}
-	s.cmu.Unlock()
-	for _, c := range conns {
-		c.mu.Lock()
-		_ = c.enc.Encode(m) // a dead client is detached by its handler
-		c.mu.Unlock()
+	for _, c := range s.fanout {
+		_ = c.put(&m)
 	}
 }
 
@@ -497,7 +576,7 @@ func (s *Server) RestoreSeqState(state map[string]uint64) {
 
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	cc := &clientConn{conn: conn, enc: json.NewEncoder(conn), ids: map[string]bool{}}
+	cc := &clientConn{frameWriter: newFrameWriter(conn), conn: conn, ids: map[string]bool{}, owed: map[string]uint64{}}
 	s.cmu.Lock()
 	if s.closing {
 		s.cmu.Unlock()
@@ -507,6 +586,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.clients[cc] = true
 	s.cmu.Unlock()
 	defer func() {
+		cc.settle()
 		s.cmu.Lock()
 		delete(s.clients, cc)
 		closing := s.closing
@@ -515,15 +595,16 @@ func (s *Server) handle(conn net.Conn) {
 			// Draining shutdown: flush a final cumulative ack per served
 			// client so the peer can release its unacked ring/spool.
 			for id := range cc.ids {
-				cc.mu.Lock()
-				_ = cc.enc.Encode(Message{Type: "ack", ClientID: id, Seq: s.ackedSeq(id)})
-				cc.mu.Unlock()
+				_ = cc.put(&Message{Type: "ack", ClientID: id, Seq: s.ackedSeq(id)})
 			}
+			_ = cc.flush()
 		}
 		s.wg.Done()
 	}()
 
-	reply := cc.reply
+	// Replies go into the buffer; the settle before the next blocking
+	// read sends them with the owed acks.
+	reply := func(m Message) { _ = cc.put(&m) }
 
 	// Keepalive: ping on an interval; a peer that stays silent past the
 	// read deadline is reaped (Decode fails on the expired deadline).
@@ -540,7 +621,7 @@ func (s *Server) handle(conn net.Conn) {
 			for {
 				select {
 				case <-t.C:
-					reply(Message{Type: "ping"})
+					_ = cc.send(&Message{Type: "ping"})
 				case <-stop:
 					return
 				}
@@ -548,8 +629,13 @@ func (s *Server) handle(conn net.Conn) {
 		}()
 	}
 
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	// The decoder buffers on its own: a second buffer in front of it could
+	// hold frame bytes drained() cannot see.
+	dec := json.NewDecoder(conn)
 	for {
+		if drained(dec) {
+			cc.settle()
+		}
 		if timeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(timeout))
 		}
@@ -623,9 +709,12 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // applyFrame claims one batch/advance frame (unless the admission
-// queue already did), runs it into the engine and sends the error/ack
-// replies — the synchronous tail of the handler, also run by the
-// admission pump.
+// queue already did), runs it into the engine and answers it — the
+// synchronous tail of the handler, also run by the admission pump. On the
+// handler's path the error reply waits in cc's buffer and the ack is owed
+// until the handler settles; the pump sends both at once. Every other
+// connection a fire was put to is flushed before return, so an idle
+// listener never waits on another client's input.
 func (s *Server) applyFrame(cc *clientConn, m Message, claimed bool) {
 	var err error
 	s.emu.Lock()
@@ -650,12 +739,28 @@ func (s *Server) applyFrame(cc *clientConn, m Message, claimed bool) {
 			err = s.eng.Flush()
 		}
 	}
+	for _, c := range s.fanout {
+		if c != cc || claimed {
+			_ = c.flush()
+		}
+	}
+	clear(s.fanout)
+	s.fanout = s.fanout[:0]
 	s.emu.Unlock()
 	if err != nil {
-		cc.reply(Message{Type: "error", Msg: err.Error()})
+		e := &Message{Type: "error", Msg: err.Error()}
+		if claimed {
+			_ = cc.send(e)
+		} else {
+			_ = cc.put(e)
+		}
 	}
 	if m.ClientID != "" && m.Seq > 0 {
-		cc.reply(Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
+		if seq := s.ackedSeq(m.ClientID); claimed {
+			_ = cc.send(&Message{Type: "ack", Seq: seq})
+		} else {
+			cc.owed[m.ClientID] = seq
+		}
 	}
 }
 
@@ -688,13 +793,13 @@ func (s *Server) admitFrame(cc *clientConn, m Message) {
 	a.mu.Unlock()
 	a.cond.Broadcast()
 	if stale {
-		cc.reply(Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
+		_ = cc.send(&Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
 	}
 	// A shed frame was claimed at admission, so its sender still gets the
 	// cumulative ack and releases it — it is handled, just not applied.
 	for _, d := range dropped {
 		if d.m.ClientID != "" && d.m.Seq > 0 {
-			d.cc.reply(Message{Type: "ack", Seq: s.ackedSeq(d.m.ClientID)})
+			_ = d.cc.send(&Message{Type: "ack", Seq: s.ackedSeq(d.m.ClientID)})
 		}
 	}
 }
@@ -786,19 +891,18 @@ func jsonRows(rows [][]any) [][]any {
 }
 
 // Client is a typed connection to a Server. For a client that survives
-// connection loss, see ReliableClient.
+// connection loss, see ReliableClient. It keeps no log of rule firings:
+// OnFire is their delivery.
 type Client struct {
 	conn net.Conn
-	wmu  sync.Mutex // serializes writes (user calls vs keepalive pongs)
-	enc  *json.Encoder
+	w    *frameWriter // flushed per message: user calls and keepalive pongs
 	dec  *json.Decoder
 
-	mu     sync.Mutex
-	fires  []Message
 	result chan Message
 	stats  chan Message
 	status chan Message
-	// OnFire, when set, receives rule firings as they arrive.
+	// OnFire, when set, receives rule firings as they arrive. Set it
+	// before the first frame that can fire.
 	OnFire func(Message)
 	errCh  chan error
 }
@@ -811,8 +915,8 @@ func Dial(addr string) (*Client, error) {
 	}
 	c := &Client{
 		conn:   conn,
-		enc:    json.NewEncoder(conn),
-		dec:    json.NewDecoder(bufio.NewReader(conn)),
+		w:      newFrameWriter(conn),
+		dec:    json.NewDecoder(conn),
 		result: make(chan Message, 1),
 		stats:  make(chan Message, 1),
 		status: make(chan Message, 1),
@@ -834,15 +938,11 @@ func (c *Client) readLoop() {
 		}
 		switch m.Type {
 		case "fire":
-			c.mu.Lock()
-			c.fires = append(c.fires, m)
-			cb := c.OnFire
-			c.mu.Unlock()
-			if cb != nil {
-				cb(m)
+			if c.OnFire != nil {
+				c.OnFire(m)
 			}
 		case "ping":
-			_ = c.write(Message{Type: "pong"})
+			_ = c.w.send(&Message{Type: "pong"})
 		case "result", "error":
 			select {
 			case c.result <- m:
@@ -862,12 +962,6 @@ func (c *Client) readLoop() {
 	}
 }
 
-func (c *Client) write(m Message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.Encode(m)
-}
-
 // Send streams one observation as a batch of one.
 func (c *Client) Send(reader, object string, at time.Duration) error {
 	return c.SendBatch([]BatchObs{{Reader: reader, Object: object, AtNS: int64(at)}})
@@ -878,7 +972,7 @@ func (c *Client) Send(reader, object string, at time.Duration) error {
 func (c *Client) SendBatch(batch []BatchObs) error {
 	for len(batch) > 0 {
 		n := min(len(batch), MaxBatchFrame)
-		if err := c.write(Message{Type: "batch", Batch: batch[:n]}); err != nil {
+		if err := c.w.send(&Message{Type: "batch", Batch: batch[:n]}); err != nil {
 			return err
 		}
 		batch = batch[n:]
@@ -888,12 +982,12 @@ func (c *Client) SendBatch(batch []BatchObs) error {
 
 // Advance moves the server's virtual clock forward.
 func (c *Client) Advance(at time.Duration) error {
-	return c.write(Message{Type: "advance", AtNS: int64(at)})
+	return c.w.send(&Message{Type: "advance", AtNS: int64(at)})
 }
 
 // Query runs SQL on the server's data store.
 func (c *Client) Query(sql string) ([]string, [][]any, error) {
-	if err := c.write(Message{Type: "query", SQL: sql}); err != nil {
+	if err := c.w.send(&Message{Type: "query", SQL: sql}); err != nil {
 		return nil, nil, err
 	}
 	m, ok := <-c.result
@@ -910,7 +1004,7 @@ func (c *Client) Query(sql string) ([]string, [][]any, error) {
 // frame): observations/detections applied, shard count, admission-queue
 // depth and shed counter.
 func (c *Client) Status() (Message, error) {
-	if err := c.write(Message{Type: "status"}); err != nil {
+	if err := c.w.send(&Message{Type: "status"}); err != nil {
 		return Message{}, err
 	}
 	m, ok := <-c.status
@@ -920,16 +1014,9 @@ func (c *Client) Status() (Message, error) {
 	return m, nil
 }
 
-// Firings returns the rule firings received so far.
-func (c *Client) Firings() []Message {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Message(nil), c.fires...)
-}
-
 // Close ends the feed gracefully and returns the server's stats.
 func (c *Client) Close() (Message, error) {
-	if err := c.write(Message{Type: "bye"}); err != nil {
+	if err := c.w.send(&Message{Type: "bye"}); err != nil {
 		c.conn.Close()
 		return Message{}, err
 	}
