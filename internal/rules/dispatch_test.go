@@ -27,7 +27,7 @@ func fuzzBindings(data string) event.Bindings {
 }
 
 // fuzzStore builds one small deterministic store so EXISTS/IN and action
-// statements execute for real on both evaluation paths.
+// statements execute for real under both dispatchers.
 func fuzzStore(t *testing.T) *store.Store {
 	t.Helper()
 	s := store.New()
@@ -71,25 +71,31 @@ func dumpStore(s *store.Store) string {
 	return sb.String()
 }
 
-func sameErr(a, b error) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	return a == nil || a.Error() == b.Error()
+// noter is a procedure registry whose one procedure, note, records each
+// call's rule and arguments.
+func noter(notes *[]string) Procs {
+	return Procs{"note": func(ctx ActionContext, args []event.Value) error {
+		parts := make([]string, len(args))
+		for i, a := range args {
+			parts[i] = a.String()
+		}
+		*notes = append(*notes, ctx.RuleID+":"+strings.Join(parts, ","))
+		return nil
+	}}
 }
 
-// FuzzCompileRule pins the two plan-compilation properties from
-// DESIGN.md §9: any rule that parses must compile, and compiled
-// evaluation must agree with interpreted evaluation — values, store
-// effects and error strings — on arbitrary inputs.
-func FuzzCompileRule(f *testing.F) {
+// FuzzBindRule: every rule that parses binds (or reports why not) and
+// dispatches without panicking, and Dispatch agrees with the reference
+// dispatcher on twin stores — whether each rule fired, the firing log,
+// procedure calls, error texts and the stores' contents.
+func FuzzBindRule(f *testing.F) {
 	for _, s := range seedScripts {
 		f.Add(s, "x,1,2.5")
 	}
 	f.Add(`CREATE RULE a, n ON observation(r, o, t)
 		IF upper(o) = 'X' OR k IN (SELECT k FROM T WHERE n >= 1)
-		DO INSERT INTO T VALUES (o, 9); p(o, t)`, "tag,3")
-	f.Add(`CREATE RULE a, n ON observation(r, o, t) IF f(x) + 1 > 2 AND x IS NOT NULL DO UPDATE T SET n = n + 1 WHERE k = o`, "1,2,3,tag")
+		DO INSERT INTO T VALUES (o, 9); note(o, t)`, "tag,3")
+	f.Add(`CREATE RULE a, n ON observation(r, o, t) IF f(x) + 1 > 2 AND x IS NOT NULL DO UPDATE T SET n = n + 1 WHERE k = o`, "1,2,3,tag,r1,5,7")
 	f.Add(`CREATE RULE a, n ON observation(r, o, t) IF o LIKE 'ta%' AND NOT EXISTS (SELECT * FROM missing) DO DELETE FROM T WHERE n < 0`, "u")
 	f.Fuzz(func(t *testing.T, src, data string) {
 		rs, err := ParseScript(src)
@@ -102,58 +108,50 @@ func FuzzCompileRule(f *testing.F) {
 			}
 			return args[0], nil
 		}}
-		binds := fuzzBindings(data)
-		st := fuzzStore(t)
 		stA, stB := fuzzStore(t), fuzzStore(t)
-		for _, r := range rs.Rules {
-			// Property 1: every parsed rule compiles without panicking.
-			x := &Executor{funcs: funcs}
-			_ = x.compileRule(r)
-
-			// Property 2a: condition equivalence.
-			if r.Cond != nil {
-				prep := sqlmini.PrepareExpr(r.Cond, funcs)
-				gv, ge := prep.Eval(st, binds)
-				wv, we := sqlmini.EvalExpr(st, r.Cond, binds, funcs)
-				if !sameErr(ge, we) {
-					t.Fatalf("condition %v: compiled err %v, interpreted err %v", r.Cond, ge, we)
-				}
-				if ge == nil && (gv.Kind() != wv.Kind() || !gv.Equal(wv)) {
-					t.Fatalf("condition %v: compiled %v (%v), interpreted %v (%v)", r.Cond, gv, gv.Kind(), wv, wv.Kind())
-				}
-			}
-
-			// Property 2b: SQL action equivalence, effects included.
-			for _, a := range r.Actions {
-				sa, ok := a.(*SQLAction)
-				if !ok {
-					continue
-				}
-				prep := sqlmini.PrepareStmt(sa.Stmt)
-				gr, ge := prep.Exec(stA, binds)
-				wr, we := sqlmini.ExecStmt(stB, sa.Stmt, binds)
-				if !sameErr(ge, we) {
-					t.Fatalf("action %q: compiled err %v, interpreted err %v", sa, ge, we)
-				}
-				if ge == nil && gr.RowsAffected != wr.RowsAffected {
-					t.Fatalf("action %q: compiled affected %d, interpreted %d", sa, gr.RowsAffected, wr.RowsAffected)
-				}
+		var xNotes, rNotes []string
+		x := NewExecutor(rs, stA, noter(&xNotes), funcs)
+		if err := x.Bind(graph.NewBuilder()); err != nil {
+			return
+		}
+		ref := &refDispatcher{rules: rs.Rules, store: stB, procs: noter(&rNotes), funcs: funcs}
+		inst := &event.Instance{Begin: event.Time(time.Second), End: event.Time(3 * time.Second), Binds: fuzzBindings(data)}
+		for i := range rs.Rules {
+			if got, want := x.Dispatch(i, inst), ref.dispatch(i, inst); got != want {
+				t.Fatalf("rule %d: Dispatch fired = %v, reference %v", i, got, want)
 			}
 		}
+		var xFirings, xErrs []string
+		for _, fr := range x.Firings() {
+			xFirings = append(xFirings, fr.RuleID+"|"+fr.Inst.Binds.String())
+		}
+		for _, e := range x.Errors() {
+			xErrs = append(xErrs, e.Error())
+		}
+		if fmt.Sprint(xFirings) != fmt.Sprint(ref.firings) {
+			t.Fatalf("firings diverge:\nDispatch:  %v\nreference: %v", xFirings, ref.firings)
+		}
+		if fmt.Sprint(xErrs) != fmt.Sprint(ref.errs) {
+			t.Fatalf("errors diverge:\nDispatch:  %v\nreference: %v", xErrs, ref.errs)
+		}
+		if fmt.Sprint(xNotes) != fmt.Sprint(rNotes) {
+			t.Fatalf("procedure calls diverge:\nDispatch:  %v\nreference: %v", xNotes, rNotes)
+		}
 		if a, b := dumpStore(stA), dumpStore(stB); a != b {
-			t.Fatalf("store divergence after actions:\ncompiled:\n%s\ninterpreted:\n%s", a, b)
+			t.Fatalf("stores diverge:\nDispatch:\n%s\nreference:\n%s", a, b)
 		}
 	})
 }
 
 // refDispatcher is the executor's test-only reference: Dispatch's
-// semantics run straight over the rule ASTs through the sqlmini
-// interpreters (EvalExpr, ExecStmt) instead of prepared plans, with the
-// executor's error wrapping.
+// semantics written out independently — span bindings built by
+// withImplicitBindings, the firing log, the executor's error wrapping —
+// over sqlmini.EvalExpr and ExecStmt.
 type refDispatcher struct {
 	rules   []*Rule
 	store   *store.Store
 	procs   Procs
+	funcs   sqlmini.Funcs
 	firings []string
 	errs    []string
 }
@@ -180,7 +178,7 @@ func (d *refDispatcher) dispatch(ruleIdx int, inst *event.Instance) bool {
 	binds := withImplicitBindings(inst)
 	fail := func(err error) { d.errs = append(d.errs, fmt.Errorf("rule %s: %w", r.ID, err).Error()) }
 	if r.Cond != nil {
-		v, err := sqlmini.EvalExpr(d.store, r.Cond, binds, nil)
+		v, err := sqlmini.EvalExpr(d.store, r.Cond, binds, d.funcs)
 		if err != nil {
 			fail(fmt.Errorf("condition: %w", err))
 			return false
@@ -215,7 +213,7 @@ func (d *refDispatcher) runAction(r *Rule, a Action, inst *event.Instance, binds
 		}
 		args := make([]event.Value, len(act.Args))
 		for i, ae := range act.Args {
-			v, err := sqlmini.EvalExpr(d.store, ae, binds, nil)
+			v, err := sqlmini.EvalExpr(d.store, ae, binds, d.funcs)
 			if err != nil {
 				return fmt.Errorf("action %q: argument %d: %w", act, i+1, err)
 			}
@@ -230,13 +228,12 @@ func (d *refDispatcher) runAction(r *Rule, a Action, inst *event.Instance, binds
 	return fmt.Errorf("unknown action type %T", a)
 }
 
-// TestExecutorCompiledMatchesInterpreted drives full Dispatch — implicit
-// bindings (user variables shadowing them included), condition, firing
-// log, SQL and procedure actions, error wrapping — through the executor's
-// prepared plans and through the interpreting reference dispatcher, and
-// requires identical firings, identical error strings and identical store
-// contents.
-func TestExecutorCompiledMatchesInterpreted(t *testing.T) {
+// TestExecutorMatchesReference drives full Dispatch — implicit bindings
+// (user variables shadowing them included), condition, firing log, SQL and
+// procedure actions, error wrapping — through the executor and through
+// the reference dispatcher, and requires identical firings, identical
+// error strings and identical store contents.
+func TestExecutorMatchesReference(t *testing.T) {
 	src := `
 CREATE RULE r1, log reads
 ON observation(r, o, t)
@@ -272,17 +269,6 @@ DO note(event_begin, event_end, event_interval)
 		}
 		instances[i] = &event.Instance{Begin: at, End: at + event.Time(time.Second), Binds: binds, Seq: uint64(i)}
 	}
-	noter := func(notes *[]string) Procs {
-		return Procs{"note": func(ctx ActionContext, args []event.Value) error {
-			parts := make([]string, len(args))
-			for i, a := range args {
-				parts[i] = a.String()
-			}
-			*notes = append(*notes, ctx.RuleID+":"+strings.Join(parts, ","))
-			return nil
-		}}
-	}
-
 	var cNotes, rNotes []string
 	cStore, rStore := fuzzStore(t), fuzzStore(t)
 	x := NewExecutor(rs, cStore, noter(&cNotes), nil)
@@ -307,16 +293,16 @@ DO note(event_begin, event_end, event_interval)
 		t.Fatalf("vacuous run: %d firings, %d errors, %d notes", len(cFirings), len(cErrs), len(cNotes))
 	}
 	if fmt.Sprint(cFirings) != fmt.Sprint(ref.firings) {
-		t.Errorf("firings diverge:\ncompiled:  %v\nreference: %v", cFirings, ref.firings)
+		t.Errorf("firings diverge:\nDispatch:  %v\nreference: %v", cFirings, ref.firings)
 	}
 	if fmt.Sprint(cNotes) != fmt.Sprint(rNotes) {
-		t.Errorf("procedure calls diverge:\ncompiled:  %v\nreference: %v", cNotes, rNotes)
+		t.Errorf("procedure calls diverge:\nDispatch:  %v\nreference: %v", cNotes, rNotes)
 	}
 	if fmt.Sprint(cErrs) != fmt.Sprint(ref.errs) {
-		t.Errorf("errors diverge:\ncompiled:  %v\nreference: %v", cErrs, ref.errs)
+		t.Errorf("errors diverge:\nDispatch:  %v\nreference: %v", cErrs, ref.errs)
 	}
 	if c, r := dumpStore(cStore), dumpStore(rStore); c != r {
-		t.Errorf("stores diverge:\ncompiled:\n%s\nreference:\n%s", c, r)
+		t.Errorf("stores diverge:\nDispatch:\n%s\nreference:\n%s", c, r)
 	}
 }
 

@@ -39,8 +39,7 @@ type Executor struct {
 	procs Procs
 	funcs sqlmini.Funcs
 
-	byIndex []*Rule    // graph rule index → rule
-	plans   []rulePlan // graph rule index → compiled plan (see plan.go)
+	byIndex []*Rule // graph rule index → rule
 
 	// OnError receives action/condition errors; default collects them.
 	OnError func(rule *Rule, err error)
@@ -76,7 +75,6 @@ func (x *Executor) Bind(b *graph.Builder) error {
 			return fmt.Errorf("rule %s: %w", r.ID, err)
 		}
 		x.byIndex = append(x.byIndex, r)
-		x.plans = append(x.plans, x.compileRule(r))
 	}
 	return nil
 }
@@ -111,19 +109,22 @@ func (x *Executor) SetEnabled(ruleID string, enabled bool) bool {
 
 // Dispatch is the detect.Config.OnDetect callback: evaluate the rule's IF
 // condition against the instance bindings and, when satisfied, run the DO
-// actions in order through the rule's prepared plan. It reports whether
-// the rule fired — the condition held, whatever its actions then did.
+// actions in order. Conditions, SQL actions and procedure arguments are
+// evaluated over their ASTs by sqlmini's one evaluator; user functions
+// and procedures resolve at dispatch time, so late registration works.
+// It reports whether the rule fired — the condition held, whatever its
+// actions then did.
 func (x *Executor) Dispatch(ruleIdx int, inst *event.Instance) bool {
-	if ruleIdx < 0 || ruleIdx >= len(x.plans) {
+	if ruleIdx < 0 || ruleIdx >= len(x.byIndex) {
 		return false
 	}
-	r, pl := x.byIndex[ruleIdx], &x.plans[ruleIdx]
+	r := x.byIndex[ruleIdx]
 	if x.disabled[r.ID] {
 		return false
 	}
 	binds := implicitBindings(inst)
-	if pl.cond != nil {
-		v, err := pl.cond.Eval(x.store, binds)
+	if r.Cond != nil {
+		v, err := sqlmini.EvalExpr(x.store, r.Cond, binds, x.funcs)
 		if err != nil {
 			x.OnError(r, fmt.Errorf("condition: %w", err))
 			return false
@@ -135,8 +136,8 @@ func (x *Executor) Dispatch(ruleIdx int, inst *event.Instance) bool {
 	if x.TraceFirings {
 		x.firings = append(x.firings, Firing{RuleID: r.ID, Inst: inst})
 	}
-	for i := range pl.actions {
-		if err := x.runAction(r, &pl.actions[i], inst, binds); err != nil {
+	for _, a := range r.Actions {
+		if err := x.runAction(r, a, inst, binds); err != nil {
 			x.OnError(r, err)
 			// Subsequent actions still run: the paper's actions are an
 			// ordered list of independent statements.
@@ -145,25 +146,25 @@ func (x *Executor) Dispatch(ruleIdx int, inst *event.Instance) bool {
 	return true
 }
 
-// runAction runs one compiled DO-list entry.
-func (x *Executor) runAction(r *Rule, ap *actionPlan, inst *event.Instance, binds event.Bindings) error {
-	switch act := ap.src.(type) {
+// runAction runs one DO-list entry.
+func (x *Executor) runAction(r *Rule, a Action, inst *event.Instance, binds event.Bindings) error {
+	switch act := a.(type) {
 	case *SQLAction:
 		if x.store == nil {
 			return fmt.Errorf("action %q needs a data store", act)
 		}
-		if _, err := ap.sql.Exec(x.store, binds); err != nil {
+		if _, err := sqlmini.ExecStmt(x.store, act.Stmt, binds); err != nil {
 			return fmt.Errorf("action %q: %w", act, err)
 		}
 		return nil
 	case *ProcAction:
-		proc, ok := x.procs[ap.name]
+		proc, ok := x.procs[act.Name]
 		if !ok {
-			return fmt.Errorf("action %q: no such procedure %s", act, ap.name)
+			return fmt.Errorf("action %q: no such procedure %s", act, act.Name)
 		}
-		args := make([]event.Value, len(ap.args))
-		for i, af := range ap.args {
-			v, err := af.Eval(x.store, binds)
+		args := make([]event.Value, len(act.Args))
+		for i, ae := range act.Args {
+			v, err := sqlmini.EvalExpr(x.store, ae, binds, x.funcs)
 			if err != nil {
 				return fmt.Errorf("action %q: argument %d: %w", act, i+1, err)
 			}
@@ -175,5 +176,39 @@ func (x *Executor) runAction(r *Rule, ap *actionPlan, inst *event.Instance, bind
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown action type %T", ap.src)
+	return fmt.Errorf("unknown action type %T", a)
+}
+
+// implicitBindings extends the instance bindings with the detection
+// span: event_begin and event_end (timestamps) and event_interval
+// (seconds, float). It makes one exact-capacity allocation, merging the
+// instance bindings with the three span variables (already in sorted
+// order: event_begin < event_end < event_interval) in a single pass. User
+// variables with the same names win.
+func implicitBindings(inst *event.Instance) event.Bindings {
+	imp := [3]event.Binding{
+		{Var: "event_begin", Val: event.TimeValue(inst.Begin)},
+		{Var: "event_end", Val: event.TimeValue(inst.End)},
+		{Var: "event_interval", Val: event.DurationValue(inst.Interval())},
+	}
+	user := inst.Binds
+	out := make(event.Bindings, 0, len(user)+len(imp))
+	i, j := 0, 0
+	for i < len(user) && j < len(imp) {
+		switch {
+		case user[i].Var < imp[j].Var:
+			out = append(out, user[i])
+			i++
+		case user[i].Var > imp[j].Var:
+			out = append(out, imp[j])
+			j++
+		default:
+			out = append(out, user[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, user[i:]...)
+	out = append(out, imp[j:]...)
+	return out
 }

@@ -1,9 +1,9 @@
 package sqlmini
 
 import (
-	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rcep/internal/core/event"
@@ -25,6 +25,17 @@ func Exec(s *store.Store, sql string, params event.Bindings) (*Result, error) {
 		return nil, err
 	}
 	return ExecStmt(s, st, params)
+}
+
+// PreparedStmt is a parsed statement held for repeated execution.
+type PreparedStmt struct{ stmt Stmt }
+
+// PrepareStmt holds st for repeated execution.
+func PrepareStmt(st Stmt) *PreparedStmt { return &PreparedStmt{stmt: st} }
+
+// Exec executes the statement; it is ExecStmt(s, stmt, params).
+func (p *PreparedStmt) Exec(s *store.Store, params event.Bindings) (*Result, error) {
+	return ExecStmt(s, p.stmt, params)
 }
 
 // ExecStmt executes a parsed statement.
@@ -135,14 +146,21 @@ func EvalExpr(s *store.Store, x Expr, params event.Bindings, funcs Funcs) (event
 // Truthy reports whether a value counts as true in a condition.
 func Truthy(v event.Value) bool { return truthy(v) }
 
-// env resolves identifiers during expression evaluation: first the current
-// row's columns, then the named parameters.
+// env is the context of sqlmini's one expression evaluator, eval. A name
+// resolves against the current row of a single table (schema: WHERE and
+// SET) or of a joined relation (rel: qualified names, aliases, the
+// ambiguity error), then against the named parameters. grouped marks a
+// group context: aggregate calls fold over group, the rows of one GROUP BY
+// group, and other names read its first row (see evalAggregate).
 type env struct {
-	store  *store.Store
-	schema store.Schema
-	row    store.Row
-	params event.Bindings
-	funcs  Funcs
+	store   *store.Store
+	schema  store.Schema
+	rel     *relation
+	row     store.Row
+	group   [][]event.Value
+	grouped bool
+	params  event.Bindings
+	funcs   Funcs
 }
 
 func (e *env) resolve(name string) (event.Value, error) {
@@ -152,6 +170,15 @@ func (e *env) resolve(name string) (event.Value, error) {
 				return event.Null, fmt.Errorf("sqlmini: column %s referenced outside a row context", name)
 			}
 			return e.row[i], nil
+		}
+	}
+	if e.rel != nil {
+		i, err := e.rel.index(name)
+		if err == nil {
+			return e.row[i], nil
+		}
+		if err != errNoColumn {
+			return event.Null, err
 		}
 	}
 	if v, ok := e.params.Get(name); ok {
@@ -479,19 +506,7 @@ func likeRec(s, p []rune) bool {
 
 func (e *env) evalScalarCall(c *Call) (event.Value, error) {
 	if c.isAggregate() {
-		if e.schema != nil {
-			// Row contexts (table WHERE scans, UPDATE/DELETE) aggregate
-			// only through the SELECT projection path.
-			return event.Null, fmt.Errorf("sqlmini: aggregate %s outside SELECT projection", c.Name)
-		}
-		if err := checkScalarAggregate(c); err != nil {
-			return event.Null, err
-		}
-		v, err := e.eval(c.Args[0])
-		if err != nil {
-			return event.Null, err
-		}
-		return foldScalarAggregate(c.Name, v)
+		return e.evalAggregate(c)
 	}
 	var args []event.Value
 	for _, a := range c.Args {
@@ -504,47 +519,64 @@ func (e *env) evalScalarCall(c *Call) (event.Value, error) {
 	return e.applyScalar(c.Name, args)
 }
 
-// checkScalarAggregate validates an aggregate call used as a scalar —
-// outside a SELECT projection, in rule conditions and actions, where the
-// argument is a list binding collected from a SEQ+ run.
-func checkScalarAggregate(c *Call) error {
+// evalAggregate folds an aggregate call into an event.AggAcc, the
+// accumulator guards use too (null skipping, int/float widening,
+// comparison families). In a group context the argument is evaluated in
+// each of the group's rows, as a row context. A row context rejects
+// aggregates, so they do not nest. Elsewhere (rule conditions and
+// actions) the argument is one value: a list binding folds element-wise,
+// a scalar as one element, null as none.
+func (e *env) evalAggregate(c *Call) (event.Value, error) {
+	if !e.grouped && (e.schema != nil || e.rel != nil) {
+		return event.Null, fmt.Errorf("sqlmini: aggregate %s outside SELECT projection", c.Name)
+	}
 	if c.Star {
-		return fmt.Errorf("sqlmini: %s(*) is only valid in a SELECT projection", c.Name)
+		switch {
+		case !e.grouped:
+			return event.Null, fmt.Errorf("sqlmini: %s(*) is only valid in a SELECT projection", c.Name)
+		case !strings.EqualFold(c.Name, "count"):
+			return event.Null, fmt.Errorf("sqlmini: %s(*) is not valid", c.Name)
+		}
+		return event.IntValue(int64(len(e.group))), nil
 	}
 	if len(c.Args) != 1 {
-		return fmt.Errorf("sqlmini: %s needs exactly one argument", c.Name)
+		return event.Null, fmt.Errorf("sqlmini: %s needs exactly one argument", c.Name)
 	}
-	return nil
-}
-
-// foldScalarAggregate folds one already-evaluated value: a list folds
-// element-wise, a scalar is a one-element column, null an empty one. The
-// semantics (null skipping, int/float widening, comparison families) are
-// shared with SELECT aggregation via event.FoldAgg, and the error texts
-// match aggregate()'s.
-func foldScalarAggregate(name string, v event.Value) (event.Value, error) {
-	op, ok := event.AggOpNamed(name)
-	if !ok {
-		return event.Null, fmt.Errorf("sqlmini: unknown aggregate %s", name)
-	}
-	res, err := event.FoldAgg(op, v)
-	if err != nil {
-		var ae *event.AggError
-		if errors.As(err, &ae) {
-			if ae.Incomparable {
-				return event.Null, fmt.Errorf("sqlmini: %s over incomparable values", name)
+	var acc event.AggAcc
+	if e.grouped {
+		rowEnv := *e
+		rowEnv.grouped = false
+		for _, r := range e.group {
+			rowEnv.row = r
+			v, err := rowEnv.eval(c.Args[0])
+			if err != nil {
+				return event.Null, err
 			}
-			return event.Null, fmt.Errorf("sqlmini: %s over non-numeric value %s", name, ae.BadVal)
+			acc.Add(v)
 		}
-		return event.Null, fmt.Errorf("sqlmini: %s: %w", name, err)
+	} else {
+		v, err := e.eval(c.Args[0])
+		if err != nil {
+			return event.Null, err
+		}
+		for i := 0; i < v.Len(); i++ {
+			acc.Add(event.CoerceScalar(v.Elem(i)))
+		}
 	}
-	return res, nil
+	op, _ := event.AggOpNamed(c.Name)
+	res, err := acc.Result(op)
+	if ae, ok := err.(*event.AggError); ok {
+		if ae.Incomparable {
+			return event.Null, fmt.Errorf("sqlmini: %s over incomparable values", c.Name)
+		}
+		return event.Null, fmt.Errorf("sqlmini: %s over non-numeric value %s", c.Name, ae.BadVal)
+	}
+	return res, err
 }
 
 // applyScalar dispatches a scalar call on already-evaluated arguments.
 // User functions are looked up dynamically (they may be registered after
-// statements are parsed or prepared) and shadow built-ins, matching
-// case-insensitively.
+// statements are parsed) and shadow built-ins, matching case-insensitively.
 func (e *env) applyScalar(cname string, args []event.Value) (event.Value, error) {
 	if e.funcs != nil {
 		for name, fn := range e.funcs {
@@ -892,162 +924,6 @@ func (r *relation) index(ref string) (int, error) {
 	return found, nil
 }
 
-// relEnv evaluates expressions over a relation row, falling back to named
-// parameters for non-column identifiers.
-type relEnv struct {
-	store  *store.Store
-	rel    *relation
-	row    []event.Value
-	params event.Bindings
-}
-
-func (re *relEnv) eval(x Expr) (event.Value, error) {
-	if ref, ok := x.(*Ref); ok {
-		i, err := re.rel.index(ref.Name)
-		if err == nil {
-			return re.row[i], nil
-		}
-		if err != errNoColumn {
-			return event.Null, err
-		}
-		if v, ok := re.params.Get(ref.Name); ok {
-			return v, nil
-		}
-		return event.Null, fmt.Errorf("sqlmini: unknown column or parameter %q", ref.Name)
-	}
-	// Delegate everything else to the scalar evaluator with a shim
-	// schema-free env; nested Refs are intercepted by copying the
-	// environment rules here.
-	switch n := x.(type) {
-	case *Lit:
-		return n.V, nil
-	case *Unary:
-		v, err := re.eval(n.X)
-		if err != nil {
-			return event.Null, err
-		}
-		ev := &env{store: re.store, params: re.params}
-		return ev.eval(&Unary{Op: n.Op, X: &Lit{V: v}})
-	case *Binary:
-		switch n.Op {
-		case "AND":
-			l, err := re.eval(n.L)
-			if err != nil {
-				return event.Null, err
-			}
-			if !truthy(l) {
-				return event.BoolValue(false), nil
-			}
-			r, err := re.eval(n.R)
-			if err != nil {
-				return event.Null, err
-			}
-			return event.BoolValue(truthy(r)), nil
-		case "OR":
-			l, err := re.eval(n.L)
-			if err != nil {
-				return event.Null, err
-			}
-			if truthy(l) {
-				return event.BoolValue(true), nil
-			}
-			r, err := re.eval(n.R)
-			if err != nil {
-				return event.Null, err
-			}
-			return event.BoolValue(truthy(r)), nil
-		}
-		l, err := re.eval(n.L)
-		if err != nil {
-			return event.Null, err
-		}
-		r, err := re.eval(n.R)
-		if err != nil {
-			return event.Null, err
-		}
-		switch n.Op {
-		case "=", "!=", "<", "<=", ">", ">=":
-			return compareValues(n.Op, l, r)
-		case "||":
-			return event.StringValue(l.String() + r.String()), nil
-		default:
-			return arith(n.Op, l, r)
-		}
-	case *Call:
-		if n.isAggregate() {
-			// Row-context aggregates (a WHERE clause, a non-aggregated
-			// projection mix) stay rejected: aggregation over a relation
-			// happens only through the dedicated SELECT projection path.
-			return event.Null, fmt.Errorf("sqlmini: aggregate %s outside SELECT projection", n.Name)
-		}
-		args := make([]Expr, len(n.Args))
-		for i, a := range n.Args {
-			v, err := re.eval(a)
-			if err != nil {
-				return event.Null, err
-			}
-			args[i] = &Lit{V: v}
-		}
-		ev := &env{store: re.store, params: re.params}
-		return ev.evalScalarCall(&Call{Name: n.Name, Args: args, Star: n.Star})
-	case *Exists:
-		ev := &env{store: re.store, params: re.params}
-		return ev.eval(n)
-	case *InList:
-		v, err := re.eval(n.X)
-		if err != nil {
-			return event.Null, err
-		}
-		var found bool
-		if n.Sub != nil {
-			found, err = inSubquery(re.store, n.Sub, v, re.params)
-			if err != nil {
-				return event.Null, err
-			}
-		} else {
-			for _, le := range n.List {
-				lv, err := re.eval(le)
-				if err != nil {
-					return event.Null, err
-				}
-				if v.Equal(lv) {
-					found = true
-					break
-				}
-			}
-		}
-		if n.Negate {
-			found = !found
-		}
-		return event.BoolValue(found), nil
-	case *IsNull:
-		v, err := re.eval(n.X)
-		if err != nil {
-			return event.Null, err
-		}
-		isNull := v.IsNull()
-		if n.Negate {
-			isNull = !isNull
-		}
-		return event.BoolValue(isNull), nil
-	case *Like:
-		v, err := re.eval(n.X)
-		if err != nil {
-			return event.Null, err
-		}
-		p, err := re.eval(n.Pattern)
-		if err != nil {
-			return event.Null, err
-		}
-		m := likeMatch(v.String(), p.String())
-		if n.Negate {
-			m = !m
-		}
-		return event.BoolValue(m), nil
-	}
-	return event.Null, fmt.Errorf("sqlmini: unsupported expression %T", x)
-}
-
 // tableRelation loads the rows of one table that where (nil: every row)
 // matches as a relation, through the match planner.
 func tableRelation(s *store.Store, name, alias string, where Expr, params event.Bindings) (*relation, error) {
@@ -1135,13 +1011,13 @@ func buildRelation(s *store.Store, sel *Select, params event.Bindings) (*relatio
 			quals: append(append([]string(nil), rel.quals...), right.quals...),
 			names: append(append([]string(nil), rel.names...), right.names...),
 		}
-		re := &relEnv{store: s, rel: joined, params: params}
+		e := env{store: s, rel: joined, params: params}
 		for _, lr := range rel.rows {
 			for _, rr := range right.rows {
 				row := make([]event.Value, 0, len(lr)+len(rr))
 				row = append(append(row, lr...), rr...)
-				re.row = row
-				v, err := re.eval(j.On)
+				e.row = row
+				v, err := e.eval(j.On)
 				if err != nil {
 					return nil, err
 				}
@@ -1153,11 +1029,11 @@ func buildRelation(s *store.Store, sel *Select, params event.Bindings) (*relatio
 		rel = joined
 	}
 	if sel.Where != nil && pushed == nil {
-		re := &relEnv{store: s, rel: rel, params: params}
+		e := env{store: s, rel: rel, params: params}
 		kept := rel.rows[:0]
 		for _, row := range rel.rows {
-			re.row = row
-			v, err := re.eval(sel.Where)
+			e.row = row
+			v, err := e.eval(sel.Where)
 			if err != nil {
 				return nil, err
 			}
@@ -1210,12 +1086,12 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, er
 		for i, it := range sel.Items {
 			res.Columns = append(res.Columns, itemName(it, i))
 		}
-		re := &relEnv{store: s, rel: rel, params: params}
+		e := env{store: s, rel: rel, params: params}
 		for _, row := range rel.rows {
-			re.row = row
+			e.row = row
 			var out []event.Value
 			for _, it := range sel.Items {
-				v, err := re.eval(it.Expr)
+				v, err := e.eval(it.Expr)
 				if err != nil {
 					return nil, err
 				}
@@ -1239,15 +1115,14 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, er
 	if sel.Distinct {
 		seen := map[string]bool{}
 		kept := res.Rows[:0]
+		var key []byte
 		for _, row := range res.Rows {
-			var sb strings.Builder
+			key = key[:0]
 			for _, v := range row {
-				sb.WriteString(store.Format(v))
-				sb.WriteByte('\x00')
+				key = appendKey(key, v)
 			}
-			k := sb.String()
-			if !seen[k] {
-				seen[k] = true
+			if !seen[string(key)] {
+				seen[string(key)] = true
 				kept = append(kept, row)
 			}
 		}
@@ -1266,15 +1141,15 @@ func orderRows(s *store.Store, sel *Select, rel *relation, base [][]event.Value,
 		keys []event.Value
 		row  []event.Value
 	}
-	re := &relEnv{store: s, rel: rel, params: params}
+	e := env{store: s, rel: rel, params: params}
 	items := make([]keyed, len(res.Rows))
 	for i := range res.Rows {
 		if i < len(base) {
-			re.row = base[i]
+			e.row = base[i]
 		}
 		var keys []event.Value
 		for _, k := range sel.OrderBy {
-			v, err := re.eval(k.Expr)
+			v, err := e.eval(k.Expr)
 			if err != nil {
 				return err
 			}
@@ -1370,17 +1245,29 @@ func itemName(it SelectItem, i int) string {
 	return fmt.Sprintf("col%d", i+1)
 }
 
+// appendKey appends v's row key to b: its kind, then its display form,
+// length-prefixed. GROUP BY and DISTINCT compare rows by their keys, so
+// two values are one key exactly when kind and display form agree: NULL,
+// ” and 'null' stay apart, and so do 1 and '1'.
+func appendKey(b []byte, v event.Value) []byte {
+	f := store.Format(v)
+	b = append(b, byte(v.Kind()))
+	b = strconv.AppendInt(b, int64(len(f)), 10)
+	b = append(b, ':')
+	return append(b, f...)
+}
+
 // execAggregate evaluates aggregate projections, optionally grouped and
-// filtered by HAVING.
+// filtered by HAVING, in a group context: aggregate calls fold over the
+// group's rows, other names resolve against its first row (a row of nulls
+// for an empty table).
 func execAggregate(s *store.Store, sel *Select, rel *relation, params event.Bindings, res *Result) error {
 	for i, it := range sel.Items {
 		res.Columns = append(res.Columns, itemName(it, i))
 	}
-	groups := map[string][][]event.Value{}
-	var groupOrder []string
+	var groups [][][]event.Value
 	if len(sel.GroupBy) == 0 {
-		groups[""] = rel.rows
-		groupOrder = []string{""}
+		groups = [][][]event.Value{rel.rows}
 	} else {
 		var positions []int
 		for _, g := range sel.GroupBy {
@@ -1390,23 +1277,32 @@ func execAggregate(s *store.Store, sel *Select, rel *relation, params event.Bind
 			}
 			positions = append(positions, p)
 		}
+		index := map[string]int{}
+		var key []byte
 		for _, r := range rel.rows {
-			var sb strings.Builder
+			key = key[:0]
 			for _, p := range positions {
-				sb.WriteString(r[p].String())
-				sb.WriteByte('\x00')
+				key = appendKey(key, r[p])
 			}
-			k := sb.String()
-			if _, seen := groups[k]; !seen {
-				groupOrder = append(groupOrder, k)
+			g, seen := index[string(key)]
+			if !seen {
+				g = len(groups)
+				index[string(key)] = g
+				groups = append(groups, nil)
 			}
-			groups[k] = append(groups[k], r)
+			groups[g] = append(groups[g], r)
 		}
 	}
-	for _, k := range groupOrder {
-		grows := groups[k]
+	e := env{store: s, rel: rel, grouped: true, params: params}
+	for _, g := range groups {
+		e.group = g
+		if len(g) > 0 {
+			e.row = g[0]
+		} else {
+			e.row = make([]event.Value, len(rel.names))
+		}
 		if sel.Having != nil {
-			v, err := evalWithAggregates(s, sel.Having, rel, grows, params)
+			v, err := e.eval(sel.Having)
 			if err != nil {
 				return err
 			}
@@ -1416,7 +1312,7 @@ func execAggregate(s *store.Store, sel *Select, rel *relation, params event.Bind
 		}
 		var out []event.Value
 		for _, it := range sel.Items {
-			v, err := evalWithAggregates(s, it.Expr, rel, grows, params)
+			v, err := e.eval(it.Expr)
 			if err != nil {
 				return err
 			}
@@ -1425,112 +1321,4 @@ func execAggregate(s *store.Store, sel *Select, rel *relation, params event.Bind
 		res.Rows = append(res.Rows, out)
 	}
 	return nil
-}
-
-// evalWithAggregates evaluates an expression in which aggregate calls
-// reduce over the group rows; other refs resolve against the first row.
-func evalWithAggregates(s *store.Store, x Expr, rel *relation, rows [][]event.Value, params event.Bindings) (event.Value, error) {
-	switch n := x.(type) {
-	case *Call:
-		if !n.isAggregate() {
-			break
-		}
-		return aggregate(s, n, rel, rows, params)
-	case *Binary:
-		l, err := evalWithAggregates(s, n.L, rel, rows, params)
-		if err != nil {
-			return event.Null, err
-		}
-		r, err := evalWithAggregates(s, n.R, rel, rows, params)
-		if err != nil {
-			return event.Null, err
-		}
-		ev := &env{store: s, params: params}
-		return ev.evalBinary(&Binary{Op: n.Op, L: &Lit{V: l}, R: &Lit{V: r}})
-	case *Unary:
-		v, err := evalWithAggregates(s, n.X, rel, rows, params)
-		if err != nil {
-			return event.Null, err
-		}
-		ev := &env{store: s, params: params}
-		return ev.eval(&Unary{Op: n.Op, X: &Lit{V: v}})
-	}
-	re := &relEnv{store: s, rel: rel, params: params}
-	if len(rows) > 0 {
-		re.row = rows[0]
-	} else {
-		re.row = make([]event.Value, len(rel.names))
-	}
-	return re.eval(x)
-}
-
-func aggregate(s *store.Store, c *Call, rel *relation, rows [][]event.Value, params event.Bindings) (event.Value, error) {
-	name := strings.ToLower(c.Name)
-	if c.Star {
-		if name != "count" {
-			return event.Null, fmt.Errorf("sqlmini: %s(*) is not valid", c.Name)
-		}
-		return event.IntValue(int64(len(rows))), nil
-	}
-	if len(c.Args) != 1 {
-		return event.Null, fmt.Errorf("sqlmini: %s needs exactly one argument", c.Name)
-	}
-	re := &relEnv{store: s, rel: rel, params: params}
-	var vals []event.Value
-	for _, r := range rows {
-		re.row = r
-		v, err := re.eval(c.Args[0])
-		if err != nil {
-			return event.Null, err
-		}
-		if !v.IsNull() {
-			vals = append(vals, v)
-		}
-	}
-	switch name {
-	case "count":
-		return event.IntValue(int64(len(vals))), nil
-	case "sum", "avg":
-		var sum float64
-		isFloat := false
-		for _, v := range vals {
-			switch v.Kind() {
-			case event.KindFloat:
-				isFloat = true
-				sum += v.Float()
-			case event.KindInt:
-				sum += float64(v.Int())
-			case event.KindTime:
-				sum += float64(v.Time())
-			default:
-				return event.Null, fmt.Errorf("sqlmini: %s over non-numeric value %s", c.Name, v)
-			}
-		}
-		if name == "avg" {
-			if len(vals) == 0 {
-				return event.Null, nil
-			}
-			return event.FloatValue(sum / float64(len(vals))), nil
-		}
-		if isFloat {
-			return event.FloatValue(sum), nil
-		}
-		return event.IntValue(int64(sum)), nil
-	case "min", "max":
-		if len(vals) == 0 {
-			return event.Null, nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			cmp, ok := v.Compare(best)
-			if !ok {
-				return event.Null, fmt.Errorf("sqlmini: %s over incomparable values", c.Name)
-			}
-			if (name == "min" && cmp < 0) || (name == "max" && cmp > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return event.Null, fmt.Errorf("sqlmini: unknown aggregate %s", c.Name)
 }

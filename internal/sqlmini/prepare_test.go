@@ -30,21 +30,32 @@ func prepStore(t *testing.T) *store.Store {
 	return s
 }
 
-// TestPrepareExprEquivalence sweeps every compileExpr branch — including
-// the error closures — and requires Eval to agree with EvalExpr on value,
-// kind and error string.
+// TestPrepareExprEquivalence holds each expression parsed once, as the
+// rule executor holds a rule's condition, and evaluates it again and
+// again under changing bindings and a changing store. Every evaluation
+// must agree with a fresh parse of the same text on value, kind and error
+// string, so evaluation leaves nothing behind in the held tree.
 func TestPrepareExprEquivalence(t *testing.T) {
-	st := prepStore(t)
 	funcs := Funcs{"twice": func(args []event.Value) (event.Value, error) {
 		if len(args) != 1 {
 			return event.Null, fmt.Errorf("twice wants 1 arg")
 		}
 		return event.IntValue(args[0].Int() * 2), nil
 	}}
-	params := event.Bindings{}.
-		Set("o", event.StringValue("b")).
-		Set("x", event.IntValue(3)).
-		Set("f", event.FloatValue(1.5))
+	bindings := []event.Bindings{
+		event.Bindings{}.
+			Set("o", event.StringValue("b")).
+			Set("x", event.IntValue(3)).
+			Set("f", event.FloatValue(1.5)),
+		event.Bindings{}.
+			Set("o", event.StringValue("z")).
+			Set("x", event.IntValue(0)).
+			Set("f", event.FloatValue(-2)),
+		event.Bindings{}.
+			Set("o", event.StringValue("b")).
+			Set("x", event.IntValue(3)).
+			Set("f", event.FloatValue(1.5)),
+	}
 	exprs := []string{
 		`1`, `'s'`, `x`, `o`, `no_such_var`,
 		`NOT x`, `-x`, `-f`, `-o`,
@@ -60,30 +71,39 @@ func TestPrepareExprEquivalence(t *testing.T) {
 		`o LIKE 'b%'`, `o NOT LIKE '_'`, `o LIKE x`,
 	}
 	for _, src := range exprs {
-		x, err := ParseExpr(src)
+		held, err := ParseExpr(src)
 		if err != nil {
 			t.Fatalf("ParseExpr(%q): %v", src, err)
 		}
-		p := PrepareExpr(x, funcs)
-		gv, ge := p.Eval(st, params)
-		wv, we := EvalExpr(st, x, params, funcs)
-		switch {
-		case (ge == nil) != (we == nil):
-			t.Errorf("%q: prepared err %v, interpreted err %v", src, ge, we)
-		case ge != nil:
-			if ge.Error() != we.Error() {
-				t.Errorf("%q: prepared err %q, interpreted err %q", src, ge, we)
+		st := prepStore(t)
+		for i, params := range bindings {
+			if i == 2 {
+				mustExec(t, st, `INSERT INTO items VALUES ('z', 0)`, nil)
 			}
-		case gv.Kind() != wv.Kind() || !gv.Equal(wv):
-			t.Errorf("%q: prepared %v (%v), interpreted %v (%v)", src, gv, gv.Kind(), wv, wv.Kind())
+			fresh, err := ParseExpr(src)
+			if err != nil {
+				t.Fatalf("ParseExpr(%q): %v", src, err)
+			}
+			gv, ge := EvalExpr(st, held, params, funcs)
+			wv, we := EvalExpr(st, fresh, params, funcs)
+			switch {
+			case (ge == nil) != (we == nil):
+				t.Errorf("%q #%d: held err %v, fresh err %v", src, i, ge, we)
+			case ge != nil:
+				if ge.Error() != we.Error() {
+					t.Errorf("%q #%d: held err %q, fresh err %q", src, i, ge, we)
+				}
+			case gv.Kind() != wv.Kind() || !gv.Equal(wv):
+				t.Errorf("%q #%d: held %v (%v), fresh %v (%v)", src, i, gv, gv.Kind(), wv, wv.Kind())
+			}
 		}
 	}
 }
 
-// TestPrepareStmtEquivalence exercises the compiled INSERT path (explicit
-// columns, schema order, BULK over list bindings, error shapes) and the
-// interpreter fallback for other statements, comparing effects on twin
-// stores.
+// TestPrepareStmtEquivalence requires a PreparedStmt to have the effects
+// of ExecStmt on the same statement (explicit columns, schema order, BULK
+// over list bindings, error shapes, UPDATE and DELETE), comparing results
+// and twin stores.
 func TestPrepareStmtEquivalence(t *testing.T) {
 	stmts := []string{
 		`INSERT INTO items VALUES ('d', 9)`,
@@ -135,16 +155,16 @@ func TestPrepareStmtEquivalence(t *testing.T) {
 		wr, we := ExecStmt(sb, st, p)
 		switch {
 		case (ge == nil) != (we == nil):
-			t.Errorf("%q: prepared err %v, interpreted err %v", src, ge, we)
+			t.Errorf("%q: prepared err %v, direct err %v", src, ge, we)
 		case ge != nil:
 			if ge.Error() != we.Error() {
-				t.Errorf("%q: prepared err %q, interpreted err %q", src, ge, we)
+				t.Errorf("%q: prepared err %q, direct err %q", src, ge, we)
 			}
 		case gr.RowsAffected != wr.RowsAffected:
-			t.Errorf("%q: prepared affected %d, interpreted %d", src, gr.RowsAffected, wr.RowsAffected)
+			t.Errorf("%q: prepared affected %d, direct %d", src, gr.RowsAffected, wr.RowsAffected)
 		}
 		if da, db := dump(sa), dump(sb); da != db {
-			t.Errorf("%q: stores diverge\nprepared:\n%s\ninterpreted:\n%s", src, da, db)
+			t.Errorf("%q: stores diverge\nprepared:\n%s\ndirect:\n%s", src, da, db)
 		}
 	}
 }

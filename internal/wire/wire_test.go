@@ -132,6 +132,12 @@ func TestWireMultipleClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Dial returns once the kernel accepts the connection, before the
+	// server's handler has registered it for broadcasts. A round trip on
+	// c2 proves the registration, so c1's firing cannot race past it.
+	if _, _, err := c2.Query(`SELECT COUNT(*) FROM ALERTS`); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	got := make(chan Message, 4)
 	for _, c := range []*Client{c1, c2} {
