@@ -568,7 +568,7 @@ func (c *Coordinator) ingestLocked(o event.Observation) error {
 
 // maxShipBatch caps how many observations ride one coordinator→worker
 // batch frame. The barrier cadence (SyncEvery) usually seals first;
-// this bound keeps a single frame's JSON body small enough that a slow
+// this bound keeps a single frame small enough that a slow
 // link never stalls behind one giant write.
 const maxShipBatch = 256
 

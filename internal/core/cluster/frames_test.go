@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -139,33 +139,36 @@ func TestWorkerRefusesUnknownSequencedFrame(t *testing.T) {
 
 // frameCounter counts the frames of each type written on a connection.
 // A write may carry several frames, or end inside one, so the written
-// bytes are decoded as a stream: pend holds a frame's start until its
-// newline arrives.
+// bytes go through a pipe to a wire.FrameReader, which decodes them as
+// the worker does.
 type frameCounter struct {
 	net.Conn
-	mu     *sync.Mutex
-	counts map[string]int
-	pend   []byte
+	pw *io.PipeWriter
+}
+
+func countFrames(conn net.Conn, mu *sync.Mutex, counts map[string]int) *frameCounter {
+	pr, pw := io.Pipe()
+	go func() {
+		fr := wire.NewFrameReader(pr)
+		var m wire.Message
+		for fr.Read(&m) == nil {
+			mu.Lock()
+			counts[m.Type]++
+			mu.Unlock()
+		}
+		pr.Close() // a later write fails rather than blocks
+	}()
+	return &frameCounter{Conn: conn, pw: pw}
 }
 
 func (c *frameCounter) Write(b []byte) (int, error) {
-	c.pend = append(c.pend, b...)
-	for {
-		i := bytes.IndexByte(c.pend, '\n')
-		if i < 0 {
-			break
-		}
-		var m struct {
-			Type string `json:"type"`
-		}
-		if json.Unmarshal(c.pend[:i], &m) == nil {
-			c.mu.Lock()
-			c.counts[m.Type]++
-			c.mu.Unlock()
-		}
-		c.pend = c.pend[i+1:]
-	}
+	_, _ = c.pw.Write(b)
 	return c.Conn.Write(b)
+}
+
+func (c *frameCounter) Close() error {
+	c.pw.Close()
+	return c.Conn.Close()
 }
 
 // TestHandoffReplayShipsBatches: re-placing a shard replays its journal
@@ -201,7 +204,7 @@ func TestHandoffReplayShipsBatches(t *testing.T) {
 			if err != nil || addr != procs[1].addr {
 				return conn, err
 			}
-			return &frameCounter{Conn: conn, mu: &mu, counts: counts}, nil
+			return countFrames(conn, &mu, counts), nil
 		},
 	})
 	if err != nil {
@@ -249,12 +252,22 @@ func TestHandoffReplayShipsBatches(t *testing.T) {
 	if coord.Handoffs() != 1 || coord.Placement()[0] != 1 {
 		t.Fatalf("handoffs %d, placement %v: want the shard re-placed on worker 1", coord.Handoffs(), coord.Placement())
 	}
-	mu.Lock()
-	sent := counts["assign"] + counts["batch"] + counts["advance"] + counts["obs"]
-	mu.Unlock()
+	// The counter decodes a write just after the pipe takes it: wait for
+	// the last frames to be counted.
+	var sent int
+	var seen string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		sent = counts["assign"] + counts["batch"] + counts["advance"] + counts["obs"]
+		seen = fmt.Sprint(counts)
+		mu.Unlock()
+		if sent >= want || time.Now().After(deadline) {
+			break
+		}
+	}
 	if sent != want {
 		t.Fatalf("replay of %d observations and %d advances sent %d frames %v, want %d (one per observation would be %d)",
-			obs, advs, sent, counts, want, obs+advs+1)
+			obs, advs, sent, seen, want, obs+advs+1)
 	}
 
 	if err := coord.Close(); err != nil {

@@ -29,7 +29,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -194,23 +193,25 @@ func (w *Worker) handle(conn net.Conn) {
 		w.wg.Done()
 	}()
 
-	var wmu sync.Mutex
-	enc := json.NewEncoder(conn)
-	reply := func(m wire.Message) {
-		wmu.Lock()
-		_ = enc.Encode(m)
-		wmu.Unlock()
-	}
+	fw := wire.NewFrameWriter(conn)
+	reply := func(m wire.Message) { _ = fw.Send(&m) }
 
 	// Boot announcement first, before any request: the coordinator's
 	// dialer reads it to detect restarts before replaying anything.
 	reply(wire.Message{Type: "boot", Msg: w.cfg.BootID})
 
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	fr := wire.NewFrameReader(conn)
+	var m wire.Message
 	for {
-		var m wire.Message
-		if err := dec.Decode(&m); err != nil {
-			return
+		if err := fr.Read(&m); err != nil {
+			// An oversized batch is refused before its seq is claimed,
+			// exactly as wire.Server does; anything else drops the link.
+			var big *wire.BatchTooLargeError
+			if !errors.As(err, &big) {
+				return
+			}
+			reply(wire.Message{Type: "error", Seq: m.Seq, Msg: "cluster: " + big.Error()})
+			continue
 		}
 		switch m.Type {
 		case "hello":
@@ -234,12 +235,6 @@ func (w *Worker) handle(conn net.Conn) {
 			reply(wire.Message{Type: "stats", Observations: obs, Detections: dets})
 			return
 		case "assign", "batch", "advance", "sync", "ckpt", "drain":
-			// An oversized batch is refused before its seq is claimed,
-			// exactly as wire.Server does.
-			if len(m.Batch) > wire.MaxBatchFrame {
-				reply(wire.Message{Type: "error", Seq: m.Seq, Msg: fmt.Sprintf("cluster: batch of %d observations exceeds limit %d", len(m.Batch), wire.MaxBatchFrame)})
-				continue
-			}
 			if !w.sequenced(m, reply) {
 				return
 			}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -173,17 +172,52 @@ func TestBatchFrameOversized(t *testing.T) {
 	}
 	defer conn.Close()
 	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	oversized(t, conn, func(m Message) error { return enc.Encode(m) })
+}
 
+// TestBatchFrameOversizedBinary is the same contract for a binary batch
+// frame: the server consumes the whole frame, so the connection and its
+// symbol table stay in step for the resend.
+func TestBatchFrameOversizedBinary(t *testing.T) {
+	_, addr := startServer(t, rcep.Config{Rules: dupRule})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var first [1]byte
+	tap := func(b []byte) (int, error) {
+		if first[0] == 0 {
+			first[0] = b[0]
+		}
+		return conn.Write(b)
+	}
+	w := NewFrameWriter(writerFunc(tap))
+	oversized(t, conn, func(m Message) error { return w.Send(&m) })
+	if first[0] != batchTag {
+		t.Fatalf("first frame starts with %q, want the binary batch tag", first[0])
+	}
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(b []byte) (int, error) { return f(b) }
+
+// oversized sends a batch of MaxBatchFrame+1 under seq 1, expects an
+// error, resends two observations under the same seq, expects them
+// applied.
+func oversized(t *testing.T, conn net.Conn, send func(Message) error) {
+	t.Helper()
+	fr := NewFrameReader(conn)
 	big := make([]BatchObs, MaxBatchFrame+1)
 	for i := range big {
 		big[i] = BatchObs{Reader: "dock1", Object: "p1", AtNS: int64(i)}
 	}
-	if err := enc.Encode(Message{Type: "batch", ClientID: "f1", Seq: 1, Batch: big}); err != nil {
+	if err := send(Message{Type: "batch", ClientID: "f1", Seq: 1, Batch: big}); err != nil {
 		t.Fatal(err)
 	}
 	var m Message
-	if err := dec.Decode(&m); err != nil {
+	if err := fr.Read(&m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Type != "error" {
@@ -193,11 +227,11 @@ func TestBatchFrameOversized(t *testing.T) {
 	// Re-chunked resend under the SAME seq must apply as fresh. Rule
 	// firings are broadcast on every connection, so skip past those to
 	// the ack.
-	if err := enc.Encode(Message{Type: "batch", ClientID: "f1", Seq: 1, Batch: big[:2]}); err != nil {
+	if err := send(Message{Type: "batch", ClientID: "f1", Seq: 1, Batch: big[:2]}); err != nil {
 		t.Fatal(err)
 	}
 	for {
-		if err := dec.Decode(&m); err != nil {
+		if err := fr.Read(&m); err != nil {
 			t.Fatal(err)
 		}
 		if m.Type == "fire" {
@@ -208,11 +242,11 @@ func TestBatchFrameOversized(t *testing.T) {
 	if m.Type != "ack" || m.Seq != 1 {
 		t.Fatalf("re-chunked resend: reply %+v, want ack seq 1", m)
 	}
-	if err := enc.Encode(Message{Type: "bye"}); err != nil {
+	if err := send(Message{Type: "bye"}); err != nil {
 		t.Fatal(err)
 	}
 	for {
-		if err := dec.Decode(&m); err != nil {
+		if err := fr.Read(&m); err != nil {
 			t.Fatalf("no stats after bye: %v", err)
 		}
 		if m.Type == "stats" {
@@ -315,8 +349,8 @@ DO INSERT INTO ALERTS VALUES ('q', o, t1)
 // JSON, truncated batch arrays, hostile field values — and requires
 // only that the handler neither panics nor hangs. Seeds cover the
 // interesting shapes: a healthy batch, an empty one, torn frames,
-// out-of-order timestamps, and a legacy "obs" frame (refused as an
-// unknown type).
+// out-of-order timestamps, a legacy "obs" frame (refused as an unknown
+// type), and hostile binary batch frames (binarySeeds).
 func FuzzBatchFrame(f *testing.F) {
 	f.Add([]byte(`{"type":"batch","batch":[{"reader":"r1","object":"a","at_ns":0},{"reader":"r1","object":"a","at_ns":1000}]}`))
 	f.Add([]byte(`{"type":"batch","batch":[]}`))
@@ -325,6 +359,9 @@ func FuzzBatchFrame(f *testing.F) {
 	f.Add([]byte(`{"type":"batch","batch":[{"reader":"r1","object":"a","at_ns":5000},{"reader":"r1","object":"a","at_ns":0}]}`))
 	f.Add([]byte("{\"type\":\"batch\",\"batch\":[]}\n{\"type\":\"obs\",\"reader\":\"r1\",\"object\":\"b\",\"at_ns\":1}"))
 	f.Add([]byte{0x00, 0xff, 0x7b})
+	for _, seed := range binarySeeds() {
+		f.Add(seed)
+	}
 
 	srv, err := NewServer(rcep.Config{Rules: dupRule})
 	if err != nil {

@@ -232,23 +232,23 @@ func TestIdleListenerGetsEveryFire(t *testing.T) {
 	}
 }
 
-// TestDrainedCheckAllocatesNothing: the check runs before every Decode.
+// TestDrainedCheckAllocatesNothing: the check runs before every Read.
 func TestDrainedCheckAllocatesNothing(t *testing.T) {
-	dec := json.NewDecoder(strings.NewReader(`{"type":"pong"}` + " \r\n" + `{"type":"pong"}`))
+	fr := NewFrameReader(strings.NewReader(`{"type":"pong"}` + " \r\n" + `{"type":"pong"}`))
 	var m Message
-	if err := dec.Decode(&m); err != nil {
+	if err := fr.Read(&m); err != nil {
 		t.Fatal(err)
 	}
-	if drained(dec) {
+	if fr.drained() {
 		t.Fatal("a buffered second frame counted as drained")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { drained(dec) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { fr.drained() }); allocs != 0 {
 		t.Fatalf("drained allocates %v per call", allocs)
 	}
-	if err := dec.Decode(&m); err != nil {
+	if err := fr.Read(&m); err != nil {
 		t.Fatal(err)
 	}
-	if !drained(dec) {
+	if !fr.drained() {
 		t.Fatal("an empty buffer counted as holding a frame")
 	}
 }

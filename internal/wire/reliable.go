@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -580,7 +579,7 @@ func (c *ReliableClient) sleep(d time.Duration) bool {
 func (c *ReliableClient) session(conn net.Conn) bool {
 	// Ring frames are flushed once per batch taken; hello, bye, ping and
 	// pong are sent at once.
-	w := newFrameWriter(conn)
+	w := NewFrameWriter(conn)
 
 	// dead is guarded by c.mu; kill unblocks both the reader (via the
 	// conn close) and the writer (via the broadcast).
@@ -607,7 +606,7 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 
 	// The hello answer (an ack) tells us how far a previous session or
 	// process already got.
-	if err := w.send(&Message{Type: "hello", ClientID: c.opt.ClientID}); err != nil {
+	if err := w.Send(&Message{Type: "hello", ClientID: c.opt.ClientID}); err != nil {
 		return false
 	}
 
@@ -623,7 +622,7 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 			for {
 				select {
 				case <-t.C:
-					if err := w.send(&Message{Type: "ping"}); err != nil {
+					if err := w.Send(&Message{Type: "ping"}); err != nil {
 						kill()
 						return
 					}
@@ -637,13 +636,13 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		dec := json.NewDecoder(conn)
+		fr := NewFrameReader(conn)
 		for {
 			if c.opt.PeerTimeout > 0 {
 				_ = conn.SetReadDeadline(time.Now().Add(c.opt.PeerTimeout))
 			}
 			var m Message
-			if err := dec.Decode(&m); err != nil {
+			if err := fr.Read(&m); err != nil {
 				kill()
 				return
 			}
@@ -655,7 +654,7 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 					cb(m)
 				}
 			case "ping":
-				if err := w.send(&Message{Type: "pong"}); err != nil {
+				if err := w.Send(&Message{Type: "pong"}); err != nil {
 					kill()
 					return
 				}
@@ -723,19 +722,19 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 		}
 		c.mu.Unlock()
 		for i := range batch {
-			if err := w.put(&batch[i]); err != nil {
+			if err := w.Put(&batch[i]); err != nil {
 				kill()
 				goto out
 			}
 			cursor = batch[i].Seq
 		}
 		clear(batch)
-		if err := w.flush(); err != nil {
+		if err := w.Flush(); err != nil {
 			kill()
 			goto out
 		}
 		if sendBye {
-			if err := w.send(&Message{Type: "bye"}); err != nil {
+			if err := w.Send(&Message{Type: "bye"}); err != nil {
 				kill()
 				goto out
 			}

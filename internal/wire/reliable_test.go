@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -52,22 +52,25 @@ func chaosObservations(n int) []struct {
 }
 
 // meanFrameBytes is the mean encoded size of the batch frames a reliable
-// client named id sends for obs, newline included.
+// client named id sends for obs, measured as one session's FrameWriter
+// writes them: symbol definitions included, on the frames that carry them.
 func meanFrameBytes(t *testing.T, id string, obs []struct {
 	reader, object string
 	at             time.Duration
 }) int {
 	t.Helper()
-	total := 0
+	var buf bytes.Buffer
+	w := NewFrameWriter(&buf)
 	for i, o := range obs {
-		b, err := json.Marshal(Message{Type: "batch", ClientID: id, Seq: uint64(i + 1),
-			Batch: []BatchObs{{Reader: o.reader, Object: o.object, AtNS: int64(o.at)}}})
-		if err != nil {
+		if err := w.Put(&Message{Type: "batch", ClientID: id, Seq: uint64(i + 1),
+			Batch: []BatchObs{{Reader: o.reader, Object: o.object, AtNS: int64(o.at)}}}); err != nil {
 			t.Fatal(err)
 		}
-		total += len(b) + 1
 	}
-	return total / len(obs)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Len() / len(obs)
 }
 
 // TestReliableChaosNoLossNoDup is the acceptance test for the resilience

@@ -1,12 +1,21 @@
-// Package wire exposes an rcep engine over TCP with a newline-delimited
-// JSON protocol, so RFID edge readers (or the simulator) can stream
-// observations to a central event processor and receive rule firings —
-// the deployment shape of the middleware platforms the paper's related
-// work surveys.
+// Package wire exposes an rcep engine over TCP, so RFID edge readers (or
+// the simulator) can stream observations to a central event processor and
+// receive rule firings — the deployment shape of the middleware platforms
+// the paper's related work surveys.
 //
-// Client → server messages:
+// Observations travel in batch frames: one read cycle (DESIGN.md §12)
+// under one sequence number, so one frame, one dedupe decision and one
+// engine hand-off per reader report. A lone observation is a batch of one.
+// Batch frames are binary (codec.go); every other frame is one JSON object,
+// and a JSON batch frame is accepted as the debug rendering:
 //
 //	{"type":"batch","batch":[{"reader":"r1","object":"o1","at_ns":N},...]}
+//
+// Both ends must run this version: an older peer drops the connection on a
+// binary frame without claiming its seq, so nothing is lost.
+//
+// Client → server messages, besides batch:
+//
 //	{"type":"advance","at_ns":5000000000}   // idle-time progress
 //	{"type":"query","sql":"SELECT ..."}
 //	{"type":"hello","client_id":"edge1"}    // reliable feed resume probe
@@ -23,11 +32,6 @@
 //	{"type":"error","msg":"..."}
 //	{"type":"stats","observations":N,"detections":M,"shards":K}   // reply to bye
 //
-// The batch frame is the one frame that carries observations: one read
-// cycle (DESIGN.md §12) under a single sequence number, so one JSON
-// frame, one dedupe decision and one engine hand-off per reader report
-// instead of per tag. A lone observation is a batch of one.
-//
 // Reliable delivery: batch/advance frames may carry client_id and a
 // monotonically increasing seq (starting at 1). The server applies each
 // (client_id, seq) at most once — a reconnecting client replays unacked
@@ -42,17 +46,18 @@
 // error reply, then the connection closes without claiming the seq, so
 // the next frame's cumulative ack cannot release it unapplied.
 //
-// Every endpoint writes through a frameWriter: frames are encoded into a
-// per-connection buffer and flushed when the writer has nothing more to
-// write — the server when its input drains, a reliable client after the
-// frames it took from its ring, the plain client after every message.
-// No timer holds a frame back, and buffering leaves a frame's bytes as
-// they are, so peers that write one frame per call interoperate.
+// Every endpoint writes through a FrameWriter and reads through a
+// FrameReader, one pair per connection, which owns the connection's
+// symbol tables. Frames are encoded into a per-connection buffer and
+// flushed when the writer has nothing more to write — the server when its
+// input drains, a reliable client after the frames it took from its ring,
+// the plain client after every message. No timer holds a frame back, and
+// buffering leaves a frame's bytes as they are, so peers that write one
+// frame per call interoperate.
 package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -208,43 +213,50 @@ type admitted struct {
 	cc *clientConn
 }
 
-// frameWriter is the one write path of every wire endpoint: frames are
+// FrameWriter is the one write path of every wire endpoint: frames are
 // encoded into a per-connection buffer under a lock and reach the
-// connection when the owner flushes. Once a write fails the buffer keeps
-// the error, so every later put or flush reports it.
-type frameWriter struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
+// connection when the owner flushes. Batch frames are encoded in binary,
+// everything else as JSON. Once a write fails the buffer keeps the error,
+// so every later Put or Flush reports it.
+type FrameWriter struct {
+	mu    sync.Mutex
+	bw    *bufio.Writer
+	enc   *json.Encoder
+	batch batchEncoder
 }
 
-func newFrameWriter(w io.Writer) *frameWriter {
+// NewFrameWriter writes frames to w.
+func NewFrameWriter(w io.Writer) *FrameWriter {
 	bw := bufio.NewWriter(w)
-	return &frameWriter{bw: bw, enc: json.NewEncoder(bw)}
+	return &FrameWriter{bw: bw, enc: json.NewEncoder(bw), batch: batchEncoder{ids: map[string]uint32{}}}
 }
 
-// put encodes one frame into the buffer.
-func (w *frameWriter) put(m *Message) error {
+// Put encodes one frame into the buffer.
+func (w *FrameWriter) Put(m *Message) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if m.Type == "batch" {
+		if b, ok := w.batch.encode(m); ok {
+			_, err := w.bw.Write(b)
+			return err
+		}
+	}
 	return w.enc.Encode(m)
 }
 
-// flush writes everything buffered to the connection.
-func (w *frameWriter) flush() error {
+// Flush writes everything buffered to the connection.
+func (w *FrameWriter) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.bw.Flush()
 }
 
-// send puts one frame and flushes it.
-func (w *frameWriter) send(m *Message) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.enc.Encode(m); err != nil {
+// Send puts one frame and flushes it.
+func (w *FrameWriter) Send(m *Message) error {
+	if err := w.Put(m); err != nil {
 		return err
 	}
-	return w.bw.Flush()
+	return w.Flush()
 }
 
 // clientConn is one registered connection: its frame writer, shared by
@@ -253,7 +265,7 @@ func (w *frameWriter) send(m *Message) error {
 // acks its handler owes until the next settle. A dead connection's write
 // errors are ignored: its handler detaches it.
 type clientConn struct {
-	*frameWriter
+	*FrameWriter
 	conn net.Conn
 	ids  map[string]bool
 	owed map[string]uint64 // client ID → cumulative ack; handler goroutine only
@@ -263,29 +275,10 @@ type clientConn struct {
 // drained read.
 func (cc *clientConn) settle() {
 	for _, seq := range cc.owed {
-		_ = cc.put(&Message{Type: "ack", Seq: seq})
+		_ = cc.Put(&Message{Type: "ack", Seq: seq})
 	}
 	clear(cc.owed)
-	_ = cc.flush()
-}
-
-// drained reports whether the decoder holds no byte of a further frame,
-// so its next Decode reads the connection and may block. An unexpected
-// Buffered type counts as drained: an extra settle costs one write, while
-// a withheld ack stalls a sender whose ring is full.
-func drained(dec *json.Decoder) bool {
-	r, ok := dec.Buffered().(*bytes.Reader)
-	if !ok {
-		return true
-	}
-	for r.Len() > 0 {
-		switch b, _ := r.ReadByte(); b {
-		case ' ', '\t', '\r', '\n':
-		default:
-			return false
-		}
-	}
-	return true
+	_ = cc.Flush()
 }
 
 // Option tunes a Server.
@@ -415,7 +408,7 @@ func NewServer(cfg rcep.Config, opts ...Option) (*Server, error) {
 // ingestBatch is the one way observations reach the engine: a batch
 // frame's contents. The caller holds emu.
 func (s *Server) ingestBatch(b event.Batch) error {
-	// Canonicalize at the very head: every JSON frame decodes fresh
+	// Canonicalize at the very head: every connection decodes its own
 	// reader/object strings, and interning them here means the dedup
 	// window, the reorder buffer and all engine state share one instance
 	// per distinct value instead of one per frame.
@@ -485,7 +478,7 @@ func (s *Server) broadcast(m Message) {
 		s.cmu.Unlock()
 	}
 	for _, c := range s.fanout {
-		_ = c.put(&m)
+		_ = c.Put(&m)
 	}
 }
 
@@ -506,7 +499,7 @@ func (s *Server) Shutdown() {
 		conns = append(conns, c)
 	}
 	s.cmu.Unlock()
-	// An immediate read deadline makes each handler's pending Decode
+	// An immediate read deadline makes each handler's pending Read
 	// return after the in-flight frame; the handler sees closing=true and
 	// flushes final acks on its way out.
 	for _, c := range conns {
@@ -576,7 +569,7 @@ func (s *Server) RestoreSeqState(state map[string]uint64) {
 
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	cc := &clientConn{frameWriter: newFrameWriter(conn), conn: conn, ids: map[string]bool{}, owed: map[string]uint64{}}
+	cc := &clientConn{FrameWriter: NewFrameWriter(conn), conn: conn, ids: map[string]bool{}, owed: map[string]uint64{}}
 	s.cmu.Lock()
 	if s.closing {
 		s.cmu.Unlock()
@@ -595,19 +588,19 @@ func (s *Server) handle(conn net.Conn) {
 			// Draining shutdown: flush a final cumulative ack per served
 			// client so the peer can release its unacked ring/spool.
 			for id := range cc.ids {
-				_ = cc.put(&Message{Type: "ack", ClientID: id, Seq: s.ackedSeq(id)})
+				_ = cc.Put(&Message{Type: "ack", ClientID: id, Seq: s.ackedSeq(id)})
 			}
-			_ = cc.flush()
+			_ = cc.Flush()
 		}
 		s.wg.Done()
 	}()
 
 	// Replies go into the buffer; the settle before the next blocking
 	// read sends them with the owed acks.
-	reply := func(m Message) { _ = cc.put(&m) }
+	reply := func(m Message) { _ = cc.Put(&m) }
 
 	// Keepalive: ping on an interval; a peer that stays silent past the
-	// read deadline is reaped (Decode fails on the expired deadline).
+	// read deadline is reaped (Read fails on the expired deadline).
 	timeout := s.opts.peerTimeout
 	if timeout == 0 && s.opts.keepalive > 0 {
 		timeout = 3 * s.opts.keepalive
@@ -621,7 +614,7 @@ func (s *Server) handle(conn net.Conn) {
 			for {
 				select {
 				case <-t.C:
-					_ = cc.send(&Message{Type: "ping"})
+					_ = cc.Send(&Message{Type: "ping"})
 				case <-stop:
 					return
 				}
@@ -629,29 +622,32 @@ func (s *Server) handle(conn net.Conn) {
 		}()
 	}
 
-	// The decoder buffers on its own: a second buffer in front of it could
-	// hold frame bytes drained() cannot see.
-	dec := json.NewDecoder(conn)
+	fr := NewFrameReader(conn)
+	var m Message
 	for {
-		if drained(dec) {
+		if fr.drained() {
 			cc.settle()
 		}
 		if timeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(timeout))
 		}
-		var m Message
-		if err := dec.Decode(&m); err != nil {
-			return // disconnect, deadline expiry, or garbage: drop the connection
+		if s.admit != nil {
+			m = Message{} // a queued frame keeps its batch
+		}
+		if err := fr.Read(&m); err != nil {
+			// An oversized batch is rejected before its seq is claimed:
+			// the sender can re-chunk and resend under the same seq
+			// without leaving a dedupe gap. Anything else — disconnect,
+			// deadline expiry, garbage — drops the connection.
+			var big *BatchTooLargeError
+			if !errors.As(err, &big) {
+				return
+			}
+			reply(Message{Type: "error", Msg: big.Error()})
+			continue
 		}
 		switch m.Type {
 		case "advance", "batch":
-			// An oversized batch is rejected before its seq is claimed:
-			// the sender can re-chunk and resend under the same seq
-			// without leaving a dedupe gap.
-			if len(m.Batch) > MaxBatchFrame {
-				reply(Message{Type: "error", Msg: fmt.Sprintf("batch of %d observations exceeds limit %d", len(m.Batch), MaxBatchFrame)})
-				continue
-			}
 			if m.ClientID != "" && m.Seq > 0 {
 				cc.ids[m.ClientID] = true
 			}
@@ -741,7 +737,7 @@ func (s *Server) applyFrame(cc *clientConn, m Message, claimed bool) {
 	}
 	for _, c := range s.fanout {
 		if c != cc || claimed {
-			_ = c.flush()
+			_ = c.Flush()
 		}
 	}
 	clear(s.fanout)
@@ -750,14 +746,14 @@ func (s *Server) applyFrame(cc *clientConn, m Message, claimed bool) {
 	if err != nil {
 		e := &Message{Type: "error", Msg: err.Error()}
 		if claimed {
-			_ = cc.send(e)
+			_ = cc.Send(e)
 		} else {
-			_ = cc.put(e)
+			_ = cc.Put(e)
 		}
 	}
 	if m.ClientID != "" && m.Seq > 0 {
 		if seq := s.ackedSeq(m.ClientID); claimed {
-			_ = cc.send(&Message{Type: "ack", Seq: seq})
+			_ = cc.Send(&Message{Type: "ack", Seq: seq})
 		} else {
 			cc.owed[m.ClientID] = seq
 		}
@@ -793,13 +789,13 @@ func (s *Server) admitFrame(cc *clientConn, m Message) {
 	a.mu.Unlock()
 	a.cond.Broadcast()
 	if stale {
-		_ = cc.send(&Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
+		_ = cc.Send(&Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
 	}
 	// A shed frame was claimed at admission, so its sender still gets the
 	// cumulative ack and releases it — it is handled, just not applied.
 	for _, d := range dropped {
 		if d.m.ClientID != "" && d.m.Seq > 0 {
-			_ = d.cc.send(&Message{Type: "ack", Seq: s.ackedSeq(d.m.ClientID)})
+			_ = d.cc.Send(&Message{Type: "ack", Seq: s.ackedSeq(d.m.ClientID)})
 		}
 	}
 }
@@ -895,8 +891,8 @@ func jsonRows(rows [][]any) [][]any {
 // OnFire is their delivery.
 type Client struct {
 	conn net.Conn
-	w    *frameWriter // flushed per message: user calls and keepalive pongs
-	dec  *json.Decoder
+	w    *FrameWriter // flushed per message: user calls and keepalive pongs
+	r    *FrameReader
 
 	result chan Message
 	stats  chan Message
@@ -904,7 +900,6 @@ type Client struct {
 	// OnFire, when set, receives rule firings as they arrive. Set it
 	// before the first frame that can fire.
 	OnFire func(Message)
-	errCh  chan error
 }
 
 // Dial connects to a server.
@@ -915,12 +910,11 @@ func Dial(addr string) (*Client, error) {
 	}
 	c := &Client{
 		conn:   conn,
-		w:      newFrameWriter(conn),
-		dec:    json.NewDecoder(conn),
+		w:      NewFrameWriter(conn),
+		r:      NewFrameReader(conn),
 		result: make(chan Message, 1),
 		stats:  make(chan Message, 1),
 		status: make(chan Message, 1),
-		errCh:  make(chan error, 1),
 	}
 	go c.readLoop()
 	return c, nil
@@ -929,8 +923,7 @@ func Dial(addr string) (*Client, error) {
 func (c *Client) readLoop() {
 	for {
 		var m Message
-		if err := c.dec.Decode(&m); err != nil {
-			c.errCh <- err
+		if err := c.r.Read(&m); err != nil {
 			close(c.result)
 			close(c.stats)
 			close(c.status)
@@ -942,7 +935,7 @@ func (c *Client) readLoop() {
 				c.OnFire(m)
 			}
 		case "ping":
-			_ = c.w.send(&Message{Type: "pong"})
+			_ = c.w.Send(&Message{Type: "pong"})
 		case "result", "error":
 			select {
 			case c.result <- m:
@@ -972,7 +965,7 @@ func (c *Client) Send(reader, object string, at time.Duration) error {
 func (c *Client) SendBatch(batch []BatchObs) error {
 	for len(batch) > 0 {
 		n := min(len(batch), MaxBatchFrame)
-		if err := c.w.send(&Message{Type: "batch", Batch: batch[:n]}); err != nil {
+		if err := c.w.Send(&Message{Type: "batch", Batch: batch[:n]}); err != nil {
 			return err
 		}
 		batch = batch[n:]
@@ -982,12 +975,12 @@ func (c *Client) SendBatch(batch []BatchObs) error {
 
 // Advance moves the server's virtual clock forward.
 func (c *Client) Advance(at time.Duration) error {
-	return c.w.send(&Message{Type: "advance", AtNS: int64(at)})
+	return c.w.Send(&Message{Type: "advance", AtNS: int64(at)})
 }
 
 // Query runs SQL on the server's data store.
 func (c *Client) Query(sql string) ([]string, [][]any, error) {
-	if err := c.w.send(&Message{Type: "query", SQL: sql}); err != nil {
+	if err := c.w.Send(&Message{Type: "query", SQL: sql}); err != nil {
 		return nil, nil, err
 	}
 	m, ok := <-c.result
@@ -1004,7 +997,7 @@ func (c *Client) Query(sql string) ([]string, [][]any, error) {
 // frame): observations/detections applied, shard count, admission-queue
 // depth and shed counter.
 func (c *Client) Status() (Message, error) {
-	if err := c.w.send(&Message{Type: "status"}); err != nil {
+	if err := c.w.Send(&Message{Type: "status"}); err != nil {
 		return Message{}, err
 	}
 	m, ok := <-c.status
@@ -1016,7 +1009,7 @@ func (c *Client) Status() (Message, error) {
 
 // Close ends the feed gracefully and returns the server's stats.
 func (c *Client) Close() (Message, error) {
-	if err := c.w.send(&Message{Type: "bye"}); err != nil {
+	if err := c.w.Send(&Message{Type: "bye"}); err != nil {
 		c.conn.Close()
 		return Message{}, err
 	}
