@@ -52,7 +52,7 @@ func main() {
 	}
 	if !*quiet {
 		cfg.OnDetection = func(d rcep.Detection) {
-			fmt.Printf("FIRE %-12s [%v .. %v] %v\n", d.RuleID, d.Begin, d.End, d.Bindings)
+			fmt.Printf("FIRE %-12s [%v .. %v] %v\n", d.RuleID, d.Begin, d.End, d.Bindings())
 		}
 	}
 	eng, err := rcep.New(cfg)

@@ -135,7 +135,7 @@ func main() {
 		}
 	}
 	cfg.OnDetection = func(d rcep.Detection) {
-		log.Printf("FIRE %s [%v..%v] %v", d.RuleID, d.Begin, d.End, d.Bindings)
+		log.Printf("FIRE %s [%v..%v] %v", d.RuleID, d.Begin, d.End, d.Bindings())
 	}
 	var opts []wire.Option
 	if *dedup > 0 {

@@ -25,7 +25,8 @@ IF true
 DO BULK INSERT INTO OBJECTCONTAINMENT VALUES (o1, o2, t2, 'UC')
 `,
 		OnDetection: func(d rcep.Detection) {
-			fmt.Printf("packed %v into %v at %v\n", d.Bindings["o1"], d.Bindings["o2"], d.End)
+			b := d.Bindings()
+			fmt.Printf("packed %v into %v at %v\n", b["o1"], b["o2"], d.End)
 		},
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,7 +21,7 @@ import (
 
 // dialWorker opens a raw protocol connection to a worker, past its boot
 // announcement.
-func dialWorker(t *testing.T, addr string) (net.Conn, *json.Encoder, *json.Decoder) {
+func dialWorker(t *testing.T, addr string) (net.Conn, *json.Encoder, *wire.FrameReader) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -33,16 +32,16 @@ func dialWorker(t *testing.T, addr string) (net.Conn, *json.Encoder, *json.Decod
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	return conn, json.NewEncoder(conn), json.NewDecoder(bufio.NewReader(conn))
+	return conn, json.NewEncoder(conn), wire.NewFrameReader(conn)
 }
 
-func assignFeed(t *testing.T, enc *json.Encoder, dec *json.Decoder, id string) {
+func assignFeed(t *testing.T, enc *json.Encoder, fr *wire.FrameReader, id string) {
 	t.Helper()
 	if err := enc.Encode(wire.Message{Type: "assign", ClientID: id, Seq: 1, Shard: 0}); err != nil {
 		t.Fatal(err)
 	}
 	var m wire.Message
-	if err := dec.Decode(&m); err != nil {
+	if err := fr.Read(&m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Type != "ack" || m.Seq != 1 {
@@ -58,9 +57,9 @@ func TestWorkerRejectsOversizedBatch(t *testing.T) {
 	rules := genRules(rand.New(rand.NewSource(3)), 3)
 	p := newWorkerProc(t, WorkerConfig{Rules: rules, Shards: 4, Groups: genGroups, TypeOf: genTypeOf})
 	defer p.kill()
-	_, enc, dec := dialWorker(t, p.addr)
+	_, enc, fr := dialWorker(t, p.addr)
 	const id = "coord.big.s0.e1"
-	assignFeed(t, enc, dec, id)
+	assignFeed(t, enc, fr, id)
 
 	big := make([]wire.BatchObs, wire.MaxBatchFrame+1)
 	for i := range big {
@@ -77,7 +76,7 @@ func TestWorkerRejectsOversizedBatch(t *testing.T) {
 	var errs int
 	for {
 		var m wire.Message
-		if err := dec.Decode(&m); err != nil {
+		if err := fr.Read(&m); err != nil {
 			t.Fatalf("no stats after bye: %v", err)
 		}
 		switch m.Type {
@@ -109,29 +108,29 @@ func TestWorkerRefusesUnknownSequencedFrame(t *testing.T) {
 		{"legacy-obs", `{"type":"obs","reader":"r0","object":"a","at_ns":0,"client_id":"%s","seq":2}`},
 	} {
 		id := "coord.unknown." + tc.name
-		conn, enc, dec := dialWorker(t, p.addr)
-		assignFeed(t, enc, dec, id)
+		conn, enc, fr := dialWorker(t, p.addr)
+		assignFeed(t, enc, fr, id)
 		if _, err := fmt.Fprintf(conn, tc.frame+"\n", id); err != nil {
 			t.Fatal(err)
 		}
 		var m wire.Message
-		if err := dec.Decode(&m); err != nil || m.Type != "error" {
+		if err := fr.Read(&m); err != nil || m.Type != "error" {
 			t.Fatalf("%s: reply %+v (%v), want error", tc.name, m, err)
 		}
 		_ = enc.Encode(wire.Message{Type: "advance", ClientID: id, Seq: 3, AtNS: 1})
 		var next wire.Message
-		if err := dec.Decode(&next); err == nil {
+		if err := fr.Read(&next); err == nil {
 			t.Fatalf("%s: connection left open, next reply %+v", tc.name, next)
 		} else if ne := (net.Error)(nil); errors.As(err, &ne) && ne.Timeout() {
 			t.Fatalf("%s: connection left open: %v", tc.name, err)
 		}
 		// A fresh connection's hello shows nothing past the assign was
 		// claimed.
-		_, enc2, dec2 := dialWorker(t, p.addr)
+		_, enc2, fr2 := dialWorker(t, p.addr)
 		if err := enc2.Encode(wire.Message{Type: "hello", ClientID: id}); err != nil {
 			t.Fatal(err)
 		}
-		if err := dec2.Decode(&m); err != nil || m.Type != "ack" || m.Seq != 1 {
+		if err := fr2.Read(&m); err != nil || m.Type != "ack" || m.Seq != 1 {
 			t.Fatalf("%s: hello answered %+v (%v), want ack 1", tc.name, m, err)
 		}
 	}

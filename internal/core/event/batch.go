@@ -65,15 +65,22 @@ func (b Batch) Canon(it *Interner) {
 
 // batchPool recycles batch backing arrays across producer/consumer
 // goroutine boundaries (LLRP adapter → pipeline, shard router → worker).
-var batchPool = sync.Pool{
-	New: func() any { return make(Batch, 0, 64) },
-}
+// It holds *Batch boxes, so a put stores a pointer instead of boxing a
+// slice header; the emptied boxes recycle through boxPool.
+var (
+	batchPool = sync.Pool{New: func() any { b := make(Batch, 0, 64); return &b }}
+	boxPool   = sync.Pool{New: func() any { return new(Batch) }}
+)
 
 // GetBatch returns an empty pooled batch. Pass it to PutBatch when the
 // consumer is done with its contents; retaining observations copied OUT
 // of the batch is always safe (Observation is a value type).
 func GetBatch() Batch {
-	return batchPool.Get().(Batch)[:0]
+	box := batchPool.Get().(*Batch)
+	b := (*box)[:0]
+	*box = nil
+	boxPool.Put(box)
+	return b
 }
 
 // PutBatch recycles a batch's backing array. The caller must not touch
@@ -83,5 +90,7 @@ func PutBatch(b Batch) {
 	if cap(b) == 0 || cap(b) > 4096 {
 		return
 	}
-	batchPool.Put(b[:0])
+	box := boxPool.Get().(*Batch)
+	*box = b[:0]
+	batchPool.Put(box)
 }

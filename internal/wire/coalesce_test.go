@@ -36,13 +36,13 @@ func rawFrames(t *testing.T, id string, n int) [][]byte {
 
 // readUntil decodes server frames until one satisfies stop, returning
 // every frame read; it fails the test on a read error or after 10s.
-func readUntil(t *testing.T, conn net.Conn, dec *json.Decoder, stop func(Message) bool) []Message {
+func readUntil(t *testing.T, conn net.Conn, fr *FrameReader, stop func(Message) bool) []Message {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var got []Message
 	for {
 		var m Message
-		if err := dec.Decode(&m); err != nil {
+		if err := fr.Read(&m); err != nil {
 			t.Fatalf("after %d frames: %v", len(got), err)
 		}
 		got = append(got, m)
@@ -53,12 +53,12 @@ func readUntil(t *testing.T, conn net.Conn, dec *json.Decoder, stop func(Message
 }
 
 // bye ends a raw connection and returns the server's stats reply.
-func bye(t *testing.T, conn net.Conn, dec *json.Decoder) Message {
+func bye(t *testing.T, conn net.Conn, fr *FrameReader) Message {
 	t.Helper()
 	if _, err := conn.Write([]byte(`{"type":"bye"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	got := readUntil(t, conn, dec, func(m Message) bool { return m.Type == "stats" })
+	got := readUntil(t, conn, fr, func(m Message) bool { return m.Type == "stats" })
 	return got[len(got)-1]
 }
 
@@ -72,12 +72,12 @@ func TestPipelinedFramesDrawFewerAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	dec := json.NewDecoder(conn)
+	fr := NewFrameReader(conn)
 	const n = 200
 	if _, err := conn.Write(append(bytes.Join(rawFrames(t, "pipe", n), []byte("\n")), '\n')); err != nil {
 		t.Fatal(err)
 	}
-	replies := readUntil(t, conn, dec, func(m Message) bool { return m.Type == "ack" && m.Seq == n })
+	replies := readUntil(t, conn, fr, func(m Message) bool { return m.Type == "ack" && m.Seq == n })
 	acks, last := 0, uint64(0)
 	for _, m := range replies {
 		if m.Type != "ack" {
@@ -91,7 +91,7 @@ func TestPipelinedFramesDrawFewerAcks(t *testing.T) {
 	if acks >= n {
 		t.Fatalf("%d acks for %d pipelined frames, want fewer", acks, n)
 	}
-	if st := bye(t, conn, dec); st.Observations != n {
+	if st := bye(t, conn, fr); st.Observations != n {
 		t.Fatalf("engine counted %d observations, want %d", st.Observations, n)
 	}
 	t.Logf("%d frames in one write drew %d ack(s)", n, acks)
@@ -109,7 +109,7 @@ func TestAckAfterCRLFAndBlankLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	dec := json.NewDecoder(conn)
+	fr := NewFrameReader(conn)
 	frames := rawFrames(t, "crlf", 20)
 	for i, f := range frames {
 		var w []byte
@@ -125,9 +125,9 @@ func TestAckAfterCRLFAndBlankLines(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := uint64(i + 1)
-		readUntil(t, conn, dec, func(m Message) bool { return m.Type == "ack" && m.Seq == want })
+		readUntil(t, conn, fr, func(m Message) bool { return m.Type == "ack" && m.Seq == want })
 	}
-	if st := bye(t, conn, dec); st.Observations != uint64(len(frames)) {
+	if st := bye(t, conn, fr); st.Observations != uint64(len(frames)) {
 		t.Fatalf("engine counted %d observations, want %d", st.Observations, len(frames))
 	}
 }
@@ -220,7 +220,7 @@ func TestIdleListenerGetsEveryFire(t *testing.T) {
 		t.Fatalf("idle listener received %d of %d fires", fires.Load(), want)
 	}
 	// The feeder still gets its own fires and the cumulative ack.
-	got := readUntil(t, feeder, json.NewDecoder(feeder), func(m Message) bool { return m.Type == "ack" && m.Seq == 2*want })
+	got := readUntil(t, feeder, NewFrameReader(feeder), func(m Message) bool { return m.Type == "ack" && m.Seq == 2*want })
 	own := 0
 	for _, m := range got {
 		if m.Type == "fire" {

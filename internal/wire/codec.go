@@ -8,85 +8,191 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
+	"unicode/utf8"
+
+	"rcep/internal/core/event"
+	"rcep/internal/store"
 )
 
-// The binary batch frame, the only frame with observations on the wire:
+// The binary frames: batch (the only frame with observations on the
+// wire), fire and ack. Each is
 //
-//	tag      batchTag, a byte no JSON frame starts with
-//	size     uvarint payload length, at most maxBatchPayload
-//	payload  flags      byte; 1 clears the symbol table first, >1 is malformed
-//	         seq        uvarint (0: unsequenced)
-//	         client ID  symbol
-//	         count      uvarint observations
-//	         count ×    reader symbol, object symbol,
-//	                    zigzag varint At minus the previous observation's
-//	                    (the first's minus 0)
+//	tag      batchTag, fireTag or ackTag, bytes no JSON frame starts with
+//	size     uvarint payload length, at most maxPayload
+//	payload  flags  byte; 1 clears the symbol table first, >1 is malformed
+//	         then the frame's fields:
+//
+//	batch    seq uvarint (0: unsequenced), client ID symbol,
+//	         count uvarint observations, count × reader symbol, object
+//	         symbol, zigzag varint At minus the previous observation's
+//	         (the first's minus 0)
+//	fire     rule symbol, name symbol, zigzag varint begin_ns and end_ns,
+//	         count uvarint bindings, count × variable symbol, value
+//	ack      seq uvarint, client ID symbol
+//
+// A fire's value is a kind byte and its payload: null, false and true
+// carry none; a string is a symbol; an int or a time is a zigzag varint;
+// a float is its 8 IEEE 754 bytes, little-endian; a list is a uvarint
+// count and that many values, nested at most maxDepth deep. A reader
+// decodes a fire into the Message that json.Unmarshal gives for its JSON
+// rendering: a fresh Bindings map of float64 numbers, []any lists and
+// "UC" for the open-ended time (rcep.Detection.Bindings).
 //
 // A symbol is a uvarint index into the connection's symbol table. The
 // index equal to the table's length defines the next entry: a uvarint
 // length of at most maxSymbolLen, then the bytes. The writer clears its
 // table before a frame that could take it past maxSymbols, and sets the
 // flag so the reader clears its own; a new connection starts with both
-// empty. A batch frame carries its client ID, seq and observations and
-// nothing else. A frame the codec cannot carry (a name longer than
-// maxSymbolLen, more distinct names than the table holds, a payload over
-// maxBatchPayload) is written as JSON, which has none of these bounds.
+// empty. A binary frame carries the fields above and nothing else. A
+// frame the codec cannot carry (a name longer than maxSymbolLen, more
+// distinct names than the table holds, a payload over maxPayload, a fire
+// string that is not UTF-8 or a float JSON cannot carry either) is written
+// as JSON, which has none of these bounds.
 const (
-	batchTag        = 0xb7
-	flagReset       = 1
-	maxBatchPayload = 8 << 20
-	maxSymbolLen    = 1 << 10
-	maxSymbols      = 1 << 16
-	maxHeader       = 1 + binary.MaxVarintLen64
+	batchTag     = 0xb7
+	fireTag      = 0xb8
+	ackTag       = 0xb9
+	flagReset    = 1
+	maxPayload   = 8 << 20
+	maxSymbolLen = 1 << 10
+	maxSymbols   = 1 << 16
+	maxDepth     = 16
+	maxHeader    = 1 + binary.MaxVarintLen64
 )
 
-// batchEncoder is a writer's half of the codec: its symbol table and the
+// The kind byte of a fire's binding value.
+const (
+	valNull byte = iota
+	valFalse
+	valTrue
+	valString
+	valInt
+	valFloat
+	valList
+)
+
+// encoder is a writer's half of the codec: its symbol table and the
 // payload scratch.
-type batchEncoder struct {
+type encoder struct {
 	ids   map[string]uint32
 	flags byte // flagReset after the table was cleared, until a frame says so
-	full  bool // a symbol did not fit: the frame goes as JSON
+	full  bool // a field did not fit the codec's bounds: the frame goes as JSON
 	buf   []byte
 }
 
 // encode returns m's framed binary encoding, or false when the codec's
 // bounds cannot carry it.
-func (e *batchEncoder) encode(m *Message) ([]byte, bool) {
-	if len(e.ids)+2*len(m.Batch)+1 > maxSymbols {
+func (e *encoder) encode(m *Message) ([]byte, bool) {
+	tag, need := byte(ackTag), 1
+	switch m.Type {
+	case "batch":
+		tag, need = batchTag, 2*len(m.Batch)+1
+	case "fire":
+		tag, need = fireTag, 2
+		for _, kv := range m.Binds {
+			need += 1 + symbolsIn(kv.Val)
+		}
+	}
+	if len(e.ids)+need > maxSymbols {
 		e.restart()
 	}
 	// The payload goes after room for the longest header, which is filled
 	// in right-aligned once the payload's length is known.
-	p := append(e.buf[:0], make([]byte, maxHeader)...)
-	p = binary.AppendUvarint(append(p, e.flags), m.Seq)
-	p = binary.AppendUvarint(e.sym(p, m.ClientID), uint64(len(m.Batch)))
-	var at int64
-	for _, o := range m.Batch {
-		p = binary.AppendVarint(e.sym(e.sym(p, o.Reader), o.Object), o.AtNS-at)
-		at = o.AtNS
+	p := append(append(e.buf[:0], make([]byte, maxHeader)...), e.flags)
+	switch tag {
+	case batchTag:
+		p = binary.AppendUvarint(p, m.Seq)
+		p = binary.AppendUvarint(e.sym(p, m.ClientID), uint64(len(m.Batch)))
+		var at int64
+		for _, o := range m.Batch {
+			p = binary.AppendVarint(e.sym(e.sym(p, o.Reader), o.Object), o.AtNS-at)
+			at = o.AtNS
+		}
+	case fireTag:
+		p = binary.AppendVarint(e.text(e.text(p, m.Rule), m.Name), m.BeginNS)
+		p = binary.AppendUvarint(binary.AppendVarint(p, m.EndNS), uint64(len(m.Binds)))
+		for _, kv := range m.Binds {
+			p = e.value(e.text(p, kv.Var), kv.Val, 0)
+		}
+	default:
+		p = e.sym(binary.AppendUvarint(p, m.Seq), m.ClientID)
 	}
 	e.buf = p
-	if e.full || len(p)-maxHeader > maxBatchPayload {
+	if e.full || len(p)-maxHeader > maxPayload {
 		e.restart() // drop definitions the reader will never see
 		return nil, false
 	}
 	e.flags = 0
 	var hdr [maxHeader]byte
-	hdr[0] = batchTag
+	hdr[0] = tag
 	h := 1 + binary.PutUvarint(hdr[1:], uint64(len(p)-maxHeader))
 	copy(p[maxHeader-h:], hdr[:h])
 	return p[maxHeader-h:], true
 }
 
+// symbolsIn counts the symbols v can define.
+func symbolsIn(v event.Value) int {
+	switch v.Kind() {
+	case event.KindString, event.KindTime:
+		return 1
+	case event.KindList:
+		n := 0
+		for _, x := range v.List() {
+			n += symbolsIn(x)
+		}
+		return n
+	}
+	return 0
+}
+
+// value appends one binding value as rcep.Detection.Bindings renders it.
+func (e *encoder) value(p []byte, v event.Value, depth int) []byte {
+	switch v.Kind() {
+	case event.KindString:
+		return e.text(append(p, valString), v.Str())
+	case event.KindInt:
+		return binary.AppendVarint(append(p, valInt), v.Int())
+	case event.KindTime:
+		if v.Time() == store.UC {
+			return e.text(append(p, valString), "UC")
+		}
+		return binary.AppendVarint(append(p, valInt), int64(v.Time()))
+	case event.KindFloat:
+		f := v.Float()
+		e.full = e.full || math.IsNaN(f) || math.IsInf(f, 0)
+		return binary.LittleEndian.AppendUint64(append(p, valFloat), math.Float64bits(f))
+	case event.KindBool:
+		if v.Bool() {
+			return append(p, valTrue)
+		}
+		return append(p, valFalse)
+	case event.KindList:
+		e.full = e.full || depth == maxDepth
+		p = binary.AppendUvarint(append(p, valList), uint64(v.Len()))
+		for _, x := range v.List() {
+			p = e.value(p, x, depth+1)
+		}
+		return p
+	}
+	return append(p, valNull)
+}
+
 // restart empties the table; the next frame tells the reader to as well.
-func (e *batchEncoder) restart() {
+func (e *encoder) restart() {
 	clear(e.ids)
 	e.flags, e.full = flagReset, false
 }
 
+// text is sym for a fire's strings, which JSON would carry only as UTF-8.
+func (e *encoder) text(p []byte, s string) []byte {
+	e.full = e.full || !utf8.ValidString(s)
+	return e.sym(p, s)
+}
+
 // sym appends a reference to s, defining it first if the table lacks it.
-func (e *batchEncoder) sym(p []byte, s string) []byte {
+func (e *encoder) sym(p []byte, s string) []byte {
 	id, ok := e.ids[s]
 	switch {
 	case ok:
@@ -112,15 +218,16 @@ func (e *BatchTooLargeError) Error() string {
 // errMalformed is a frame the reader cannot decode: drop the connection.
 var errMalformed = errors.New("wire: malformed frame")
 
-// FrameReader is the one read path of every wire endpoint: binary batch
-// frames and JSON frames (an object read to its closing brace, so no
-// newline is needed) from one buffer, with the connection's symbol table.
+// FrameReader is the one read path of every wire endpoint: binary frames
+// and JSON frames (an object read to its closing brace, so no newline is
+// needed) from one buffer, with the connection's symbol table.
 type FrameReader struct {
-	br   *bufio.Reader
-	syms []string
-	buf  []byte
-	p    []byte // the batch payload still to decode
-	bad  bool   // the payload failed to decode
+	br    *bufio.Reader
+	canon *event.Interner // the server's: names are canonical from definition
+	syms  []string
+	buf   []byte
+	p     []byte // the binary payload still to decode
+	bad   bool   // the payload failed to decode
 }
 
 // NewFrameReader reads frames from r.
@@ -151,10 +258,16 @@ func (r *FrameReader) Read(m *Message) error {
 		if err := json.Unmarshal(r.buf, m); err != nil {
 			return err
 		}
+		if r.canon != nil {
+			for i := range m.Batch {
+				o := &m.Batch[i]
+				o.Reader, o.Object = r.canon.Canon(o.Reader), r.canon.Canon(o.Object)
+			}
+		}
 		n = len(m.Batch)
-	case batchTag:
+	case batchTag, fireTag, ackTag:
 		m.Batch = batch
-		if n, err = r.readBatch(m); err != nil {
+		if n, err = r.readBinary(c, m); err != nil {
 			return err
 		}
 	default:
@@ -202,16 +315,16 @@ func (r *FrameReader) scanJSON() error {
 	return nil
 }
 
-// readBatch decodes a binary batch frame, its tag already read, and
-// returns its observation count. An oversized batch is decoded but its
+// readBinary decodes a binary frame, its tag already read, and returns a
+// batch's observation count. An oversized batch is decoded but its
 // observations are not kept, so the symbol table stays in step.
-func (r *FrameReader) readBatch(m *Message) (int, error) {
+func (r *FrameReader) readBinary(tag byte, m *Message) (int, error) {
 	size, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		return 0, err
 	}
-	if size > maxBatchPayload {
-		return 0, fmt.Errorf("%w: batch payload of %d bytes exceeds %d", errMalformed, size, maxBatchPayload)
+	if size > maxPayload {
+		return 0, fmt.Errorf("%w: payload of %d bytes exceeds %d", errMalformed, size, maxPayload)
 	}
 	r.buf = slices.Grow(r.buf[:0], int(size))[:size]
 	if _, err := io.ReadFull(r.br, r.buf); err != nil {
@@ -223,26 +336,101 @@ func (r *FrameReader) readBatch(m *Message) (int, error) {
 		clear(r.syms)
 		r.syms = r.syms[:0]
 	}
-	m.Type, m.Seq = "batch", r.uvarint()
-	m.ClientID = r.sym()
-	count := r.uvarint()
-	var at int64
-	for i := uint64(0); i < count && !r.bad; i++ {
-		o := BatchObs{Reader: r.sym(), Object: r.sym()}
-		u := r.uvarint() // zigzag, as binary.AppendVarint writes it
-		at += int64(u>>1) ^ -int64(u&1)
-		if o.AtNS = at; count <= MaxBatchFrame {
-			m.Batch = append(m.Batch, o)
+	var count uint64
+	switch tag {
+	case batchTag:
+		m.Type, m.Seq = "batch", r.uvarint()
+		m.ClientID = r.sym()
+		count = r.uvarint()
+		var at int64
+		for i := uint64(0); i < count && !r.bad; i++ {
+			o := BatchObs{Reader: r.sym(), Object: r.sym()}
+			if o.AtNS = at + r.varint(); count <= MaxBatchFrame {
+				m.Batch = append(m.Batch, o)
+			}
+			at = o.AtNS
 		}
+	case fireTag: // as json.Unmarshal reads the JSON rendering: no bindings, no map
+		m.Type, m.Rule, m.Name = "fire", r.text(), r.text()
+		m.BeginNS, m.EndNS = r.varint(), r.varint()
+		n := r.count()
+		if n > 0 {
+			m.Bindings = make(map[string]any, min(n, 16))
+		}
+		for ; n > 0 && !r.bad; n-- {
+			k := r.text()
+			m.Bindings[k] = r.value(0)
+		}
+	default:
+		m.Type, m.Seq = "ack", r.uvarint()
+		m.ClientID = r.sym()
 	}
 	if r.bad || flags > flagReset || len(r.p) > 0 {
-		return 0, fmt.Errorf("%w: batch payload of %d bytes", errMalformed, size)
+		return 0, fmt.Errorf("%w: payload of %d bytes", errMalformed, size)
 	}
 	return int(count), nil
 }
 
+// value decodes one binding value.
+func (r *FrameReader) value(depth int) any {
+	if len(r.p) == 0 {
+		r.bad = true
+		return nil
+	}
+	kind := r.p[0]
+	r.p = r.p[1:]
+	switch kind {
+	case valNull:
+		return nil
+	case valFalse, valTrue:
+		return kind == valTrue
+	case valString:
+		return r.text()
+	case valInt:
+		return float64(r.varint())
+	case valFloat:
+		if len(r.p) < 8 {
+			r.bad = true
+			return nil
+		}
+		f := math.Float64frombits(binary.LittleEndian.Uint64(r.p))
+		r.p = r.p[8:]
+		r.bad = r.bad || math.IsNaN(f) || math.IsInf(f, 0)
+		return f
+	case valList:
+		n := r.count()
+		r.bad = r.bad || depth == maxDepth
+		l := make([]any, 0, min(n, 16))
+		for ; n > 0 && !r.bad; n-- {
+			l = append(l, r.value(depth+1))
+		}
+		return l
+	}
+	r.bad = true
+	return nil
+}
+
+// count decodes an element count, each element taking at least one byte.
+func (r *FrameReader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.p)) {
+		r.p, r.bad = nil, true
+		return 0
+	}
+	return int(n)
+}
+
+// text is sym for a fire's strings, which the writer sends only as UTF-8.
+func (r *FrameReader) text() string {
+	s := r.sym()
+	r.bad = r.bad || !utf8.ValidString(s)
+	return s
+}
+
 // sym decodes a symbol reference, defining the next table entry when the
-// index is the table's length.
+// index is the table's length. A server's reader canonicalises the name
+// there, once for the connection, so every batch it reads arrives
+// canonical.
 func (r *FrameReader) sym() string {
 	id := r.uvarint()
 	if id < uint64(len(r.syms)) {
@@ -254,6 +442,9 @@ func (r *FrameReader) sym() string {
 		return ""
 	}
 	s := string(r.p[:n])
+	if r.canon != nil {
+		s = r.canon.Canon(s)
+	}
 	r.p = r.p[n:]
 	r.syms = append(r.syms, s)
 	return s
@@ -267,4 +458,10 @@ func (r *FrameReader) uvarint() uint64 {
 	}
 	r.p = r.p[k:]
 	return v
+}
+
+// varint decodes a zigzag varint, as binary.AppendVarint writes it.
+func (r *FrameReader) varint() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }

@@ -16,15 +16,16 @@ import (
 
 // detectionKey canonicalizes a detection for multiset comparison.
 func detectionKey(d rcep.Detection) string {
-	keys := make([]string, 0, len(d.Bindings))
-	for k := range d.Bindings {
+	binds := d.Bindings()
+	keys := make([]string, 0, len(binds))
+	for k := range binds {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|%d|%d", d.RuleID, int64(d.Begin), int64(d.End))
 	for _, k := range keys {
-		fmt.Fprintf(&b, "|%s=%v", k, d.Bindings[k])
+		fmt.Fprintf(&b, "|%s=%v", k, binds[k])
 	}
 	return b.String()
 }

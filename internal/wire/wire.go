@@ -6,10 +6,14 @@
 // Observations travel in batch frames: one read cycle (DESIGN.md §12)
 // under one sequence number, so one frame, one dedupe decision and one
 // engine hand-off per reader report. A lone observation is a batch of one.
-// Batch frames are binary (codec.go); every other frame is one JSON object,
-// and a JSON batch frame is accepted as the debug rendering:
+// Batch, fire and ack frames are binary (codec.go); every other frame is
+// one JSON object. The JSON forms of the three binary frames are their
+// debug rendering, accepted by every reader:
 //
 //	{"type":"batch","batch":[{"reader":"r1","object":"o1","at_ns":N},...]}
+//	{"type":"fire","rule":"r5","name":"asset monitoring rule",
+//	 "begin_ns":..., "end_ns":..., "bindings":{"o4":"L1"}}
+//	{"type":"ack","seq":N}                  // cumulative, per client_id
 //
 // Both ends must run this version: an older peer drops the connection on a
 // binary frame without claiming its seq, so nothing is lost.
@@ -22,12 +26,9 @@
 //	{"type":"pong"}                         // keepalive reply
 //	{"type":"bye"}                          // graceful end of this feed
 //
-// Server → client messages:
+// Server → client messages, besides binary fire and ack frames:
 //
-//	{"type":"fire","rule":"r5","name":"asset monitoring rule",
-//	 "begin_ns":..., "end_ns":..., "bindings":{"o4":"L1"}}
 //	{"type":"result","columns":[...],"rows":[[...]]}
-//	{"type":"ack","seq":N}                  // cumulative, per client_id
 //	{"type":"ping"}                         // keepalive probe
 //	{"type":"error","msg":"..."}
 //	{"type":"stats","observations":N,"detections":M,"shards":K}   // reply to bye
@@ -91,12 +92,14 @@ type Message struct {
 	// query
 	SQL string `json:"sql,omitempty"`
 
-	// fire
+	// fire. A server's fire carries the firing's Binds, valid while it is
+	// put; a reader decodes a fire into Bindings.
 	Rule     string         `json:"rule,omitempty"`
 	Name     string         `json:"name,omitempty"`
 	BeginNS  int64          `json:"begin_ns"`
 	EndNS    int64          `json:"end_ns"`
 	Bindings map[string]any `json:"bindings,omitempty"`
+	Binds    event.Bindings `json:"-"`
 
 	// result
 	Columns []string `json:"columns,omitempty"`
@@ -215,30 +218,37 @@ type admitted struct {
 
 // FrameWriter is the one write path of every wire endpoint: frames are
 // encoded into a per-connection buffer under a lock and reach the
-// connection when the owner flushes. Batch frames are encoded in binary,
-// everything else as JSON. Once a write fails the buffer keeps the error,
-// so every later Put or Flush reports it.
+// connection when the owner flushes. Batch, ack and Binds fire frames are
+// encoded in binary, everything else as JSON. Once a write fails the
+// buffer keeps the error, so every later Put or Flush reports it.
 type FrameWriter struct {
 	mu    sync.Mutex
 	bw    *bufio.Writer
 	enc   *json.Encoder
-	batch batchEncoder
+	codec encoder
 }
 
 // NewFrameWriter writes frames to w.
 func NewFrameWriter(w io.Writer) *FrameWriter {
 	bw := bufio.NewWriter(w)
-	return &FrameWriter{bw: bw, enc: json.NewEncoder(bw), batch: batchEncoder{ids: map[string]uint32{}}}
+	return &FrameWriter{bw: bw, enc: json.NewEncoder(bw), codec: encoder{ids: map[string]uint32{}}}
 }
 
 // Put encodes one frame into the buffer.
 func (w *FrameWriter) Put(m *Message) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if m.Type == "batch" {
-		if b, ok := w.batch.encode(m); ok {
+	// A fire with a Bindings map is the JSON debug rendering; one the codec
+	// cannot carry goes as the same rendering of its Binds.
+	if m.Type == "batch" || m.Type == "ack" || m.Type == "fire" && m.Bindings == nil {
+		if b, ok := w.codec.encode(m); ok {
 			_, err := w.bw.Write(b)
 			return err
+		}
+		if m.Type == "fire" {
+			r := *m
+			r.Bindings = rcep.Detection{Binds: m.Binds}.Bindings()
+			m = &r
 		}
 	}
 	return w.enc.Encode(m)
@@ -364,8 +374,7 @@ func NewServer(cfg rcep.Config, opts ...Option) (*Server, error) {
 		}
 		s.broadcast(Message{
 			Type: "fire", Rule: d.RuleID, Name: d.RuleName,
-			BeginNS: int64(d.Begin), EndNS: int64(d.End),
-			Bindings: d.Bindings,
+			BeginNS: int64(d.Begin), EndNS: int64(d.End), Binds: d.Binds,
 		})
 	}
 	eng, err := rcep.New(cfg)
@@ -406,13 +415,11 @@ func NewServer(cfg rcep.Config, opts ...Option) (*Server, error) {
 }
 
 // ingestBatch is the one way observations reach the engine: a batch
-// frame's contents. The caller holds emu.
+// frame's contents, canonical already (the connection's FrameReader
+// interns each name when it is defined, so the dedup window, the reorder
+// buffer and all engine state share one instance per distinct value).
+// The caller holds emu.
 func (s *Server) ingestBatch(b event.Batch) error {
-	// Canonicalize at the very head: every connection decodes its own
-	// reader/object strings, and interning them here means the dedup
-	// window, the reorder buffer and all engine state share one instance
-	// per distinct value instead of one per frame.
-	b.Canon(s.eng.Interner())
 	if s.stages != nil {
 		s.pend = s.pend[:0]
 		for _, o := range b {
@@ -623,6 +630,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	fr := NewFrameReader(conn)
+	fr.canon = s.eng.Interner()
 	var m Message
 	for {
 		if fr.drained() {

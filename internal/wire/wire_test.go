@@ -13,14 +13,13 @@ import (
 	"unsafe"
 
 	"rcep"
-	"rcep/internal/core/event"
 )
 
 func sec(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
-func startServer(t *testing.T, cfg rcep.Config) (*Server, string) {
+func startServer(t *testing.T, cfg rcep.Config, opts ...Option) (*Server, string) {
 	t.Helper()
-	srv, err := NewServer(cfg)
+	srv, err := NewServer(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,47 +342,60 @@ func TestSequencedUnknownFrameRefused(t *testing.T) {
 	}
 }
 
-// TestServerIngestCanonicalizes exercises the intern hook at the head of
-// the ingest chain: object strings decoded from distinct frames must
+// TestServerIngestCanonicalizes: a server connection's reader interns
+// each name once, when its binary symbol is defined or when a JSON batch
+// is unmarshalled, so object strings decoded on distinct connections
 // collapse to one canonical instance before they reach dedup, reorder and
-// the engine, so a firing's bindings carry the first-interned string.
+// the engine, and a firing's bindings carry the first-interned string.
 func TestServerIngestCanonicalizes(t *testing.T) {
-	var dets []rcep.Detection
-	srv, err := NewServer(rcep.Config{
-		Rules:       dupRule,
-		OnDetection: func(d rcep.Detection) { dets = append(dets, d) },
-	}, WithDedup(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := srv.Engine().Interner()
-	if in == nil {
-		t.Fatal("compiled engine exposes no interner")
-	}
-	canon := in.Canon("p" + strconv.Itoa(42)) // first-interned instance
-	for i := 0; i < 2; i++ {
-		// Each loop iteration builds fresh string instances, as a JSON
-		// decoder would per frame.
-		obs := event.Observation{
-			Reader: "dock" + strconv.Itoa(1),
-			Object: "p" + strconv.Itoa(42),
-			At:     event.Time(time.Duration(i) * time.Second),
-		}
-		if err := srv.ingestBatch(event.Batch{obs}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(dets) != 1 {
-		t.Fatalf("got %d detections, want 1", len(dets))
-	}
-	o, ok := dets[0].Bindings["o"].(string)
-	if !ok || o != "p42" {
-		t.Fatalf("binding o = %v", dets[0].Bindings["o"])
-	}
-	if unsafe.StringData(o) != unsafe.StringData(canon) {
-		t.Errorf("binding carries a non-canonical string instance")
-	}
-	if srv.Engine().Close() != nil {
-		t.Fatal("close")
+	for _, binary := range []bool{true, false} {
+		t.Run(map[bool]string{true: "binary", false: "json"}[binary], func(t *testing.T) {
+			var mu sync.Mutex
+			var objs []string
+			srv, addr := startServer(t, rcep.Config{
+				Rules: dupRule,
+				OnDetection: func(d rcep.Detection) {
+					o, _ := d.Binds.Get("o")
+					mu.Lock()
+					objs = append(objs, o.Str())
+					mu.Unlock()
+				},
+			}, WithDedup(time.Millisecond))
+			in := srv.Engine().Interner()
+			if in == nil {
+				t.Fatal("compiled engine exposes no interner")
+			}
+			canon := in.Canon("p" + strconv.Itoa(42)) // first-interned instance
+			for i := 0; i < 2; i++ {
+				// Each frame goes on its own connection, so its reader
+				// decodes a fresh string instance.
+				m := Message{Type: "batch", ClientID: "c" + strconv.Itoa(i), Seq: 1,
+					Batch: []BatchObs{{Reader: "dock1", Object: "p42", AtNS: int64(sec(float64(i)))}}}
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if binary {
+					err = NewFrameWriter(conn).Send(&m)
+				} else {
+					b, _ := json.Marshal(m)
+					_, err = conn.Write(append(b, '\n'))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				readUntil(t, conn, NewFrameReader(conn), func(m Message) bool { return m.Type == "ack" && m.Seq == 1 })
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(objs) != 1 || objs[0] != "p42" {
+				t.Fatalf("bindings o = %q, want one p42", objs)
+			}
+			if unsafe.StringData(objs[0]) != unsafe.StringData(canon) {
+				t.Errorf("binding carries a non-canonical string instance")
+			}
+		})
 	}
 }

@@ -44,13 +44,25 @@ type Observation struct {
 	At     time.Duration
 }
 
-// Detection reports one rule firing.
+// Detection reports one rule firing. Binds is the firing's bindings,
+// sorted by variable: read-only, and valid only for the OnDetection
+// callback. Bindings copies them into a map.
 type Detection struct {
 	RuleID   string
 	RuleName string
 	Begin    time.Duration
 	End      time.Duration
-	Bindings map[string]any
+	Binds    event.Bindings
+}
+
+// Bindings returns the firing's bindings as a fresh plain Go map (see
+// valueToAny).
+func (d Detection) Bindings() map[string]any {
+	out := make(map[string]any, len(d.Binds))
+	for _, kv := range d.Binds {
+		out[kv.Var] = valueToAny(kv.Val)
+	}
+	return out
 }
 
 // ProcContext is passed to registered procedures.
@@ -196,7 +208,7 @@ func New(cfg Config) (*Engine, error) {
 				RuleName: r.Name,
 				Begin:    time.Duration(inst.Begin),
 				End:      time.Duration(inst.End),
-				Bindings: bindingsToAny(inst.Binds),
+				Binds:    inst.Binds,
 			})
 		}
 	}
@@ -524,15 +536,6 @@ func (e *Engine) ShardMetrics() []Metrics {
 			Detections:      m.Detections,
 			Dropped:         m.Dropped,
 		}
-	}
-	return out
-}
-
-// bindingsToAny converts event bindings to a plain Go map.
-func bindingsToAny(b event.Bindings) map[string]any {
-	out := make(map[string]any, len(b))
-	for _, kv := range b {
-		out[kv.Var] = valueToAny(kv.Val)
 	}
 	return out
 }

@@ -24,15 +24,16 @@ func shardScenario() (*sim.Scenario, string) {
 }
 
 func detectionSig(d Detection) string {
-	keys := make([]string, 0, len(d.Bindings))
-	for k := range d.Bindings {
+	binds := d.Bindings()
+	keys := make([]string, 0, len(binds))
+	for k := range binds {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|%s|%s", d.RuleID, d.Begin, d.End)
 	for _, k := range keys {
-		fmt.Fprintf(&b, "|%s=%v", k, d.Bindings[k])
+		fmt.Fprintf(&b, "|%s=%v", k, binds[k])
 	}
 	return b.String()
 }

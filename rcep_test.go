@@ -52,8 +52,9 @@ DO send_alarm(o4)
 
 func TestFacadeContainmentAndQuery(t *testing.T) {
 	var fs []Detection
+	var binds []map[string]any
 	eng, err := New(Config{
-		OnDetection: func(d Detection) { fs = append(fs, d) },
+		OnDetection: func(d Detection) { fs, binds = append(fs, d), append(binds, d.Bindings()) },
 		Rules: `
 DEFINE E1 = observation('r1', o1, t1)
 DEFINE E2 = observation('r2', o2, t2)
@@ -94,13 +95,13 @@ DO BULK INSERT INTO OBJECTCONTAINMENT VALUES (o1, o2, t2, 'UC')
 	if len(fs) != 1 || fs[0].RuleID != "r4" || fs[0].RuleName != "containment rule" {
 		t.Fatalf("firings: %+v", fs)
 	}
-	if lst, ok := fs[0].Bindings["o1"].([]any); !ok || len(lst) != 3 {
-		t.Errorf("o1 binding: %#v", fs[0].Bindings["o1"])
+	if lst, ok := binds[0]["o1"].([]any); !ok || len(lst) != 3 {
+		t.Errorf("o1 binding: %#v", binds[0]["o1"])
 	}
 }
 
 func TestFacadeOnDetectionAndConditions(t *testing.T) {
-	var seen []Detection
+	var seen []map[string]any
 	eng, err := New(Config{
 		Rules: `
 CREATE RULE hot, hot objects
@@ -108,7 +109,7 @@ ON observation(r, o, t)
 IF is_hot(o)
 DO INSERT INTO OBSERVATION VALUES (r, o, t)
 `,
-		OnDetection: func(d Detection) { seen = append(seen, d) },
+		OnDetection: func(d Detection) { seen = append(seen, d.Bindings()) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ DO INSERT INTO OBSERVATION VALUES (r, o, t)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 1 || seen[0].Bindings["o"].(string) != "HOT-1" {
+	if len(seen) != 1 || seen[0]["o"].(string) != "HOT-1" {
 		t.Fatalf("detections: %+v", seen)
 	}
 	_, rows, err := eng.Query(`SELECT * FROM OBSERVATION`)
