@@ -51,18 +51,6 @@ func (b Batch) Sorted() bool {
 	return true
 }
 
-// Canon canonicalizes every observation's reader and object strings
-// through the intern table, in place (see Interner.Canon). A nil interner
-// leaves the batch unchanged.
-func (b Batch) Canon(it *Interner) {
-	if it == nil {
-		return
-	}
-	for i := range b {
-		b[i] = it.CanonObservation(b[i])
-	}
-}
-
 // batchPool recycles batch backing arrays across producer/consumer
 // goroutine boundaries (LLRP adapter → pipeline, shard router → worker).
 // It holds *Batch boxes, so a put stores a pointer instead of boxing a

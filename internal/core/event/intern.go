@@ -93,6 +93,20 @@ func (it *Interner) Canon(s string) string {
 	return it.strs[sym]
 }
 
+// CanonBytes is Canon for a name held in a byte buffer (an EPC rendered
+// into a reused one): a name the table holds costs a lookup and no
+// allocation, and only a first sighting copies b into a string.
+func (it *Interner) CanonBytes(b []byte) string {
+	it.mu.RLock()
+	sym, ok := it.ids[string(b)]
+	s := it.strs[sym]
+	it.mu.RUnlock()
+	if ok {
+		return s
+	}
+	return it.Canon(string(b))
+}
+
 // CanonObservation canonicalizes an observation's reader and object
 // strings in one call (see Canon).
 func (it *Interner) CanonObservation(o Observation) Observation {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestInternerRoundTrip(t *testing.T) {
@@ -114,7 +115,7 @@ func FuzzIntern(f *testing.F) {
 				start = i + 1
 			}
 		}
-		it := NewInterner()
+		it, fresh := NewInterner(), NewInterner()
 		done := make(chan struct{})
 		go func() { // concurrent ingest of the same set
 			defer close(done)
@@ -142,6 +143,15 @@ func FuzzIntern(f *testing.F) {
 			}
 			if got := it.Canon(w); got != w {
 				t.Fatalf("Canon(%q) = %q", w, got)
+			}
+			// CanonBytes returns the canonical instance itself, whether
+			// the table holds the name already (it) or sees it first here
+			// (fresh).
+			for _, in := range []*Interner{it, fresh} {
+				got := in.CanonBytes([]byte(w))
+				if canon := in.Canon(w); got != w || unsafe.StringData(got) != unsafe.StringData(canon) {
+					t.Fatalf("CanonBytes(%q) = %q, not the instance Canon returns", w, got)
+				}
 			}
 		}
 		<-done

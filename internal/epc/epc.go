@@ -16,13 +16,18 @@ type Binary [12]byte
 
 // Hex renders the EPC as 24 uppercase hex digits.
 func (b Binary) Hex() string {
+	var out [24]byte
+	return string(b.AppendHex(out[:0]))
+}
+
+// AppendHex appends the EPC's 24 uppercase hex digits to dst, so a caller
+// with a reused buffer renders it without allocating.
+func (b Binary) AppendHex(dst []byte) []byte {
 	const digits = "0123456789ABCDEF"
-	out := make([]byte, 24)
-	for i, by := range b {
-		out[2*i] = digits[by>>4]
-		out[2*i+1] = digits[by&0xF]
+	for _, by := range b {
+		dst = append(dst, digits[by>>4], digits[by&0xF])
 	}
-	return string(out)
+	return dst
 }
 
 // ParseHex parses a 24-digit hex EPC.

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"rcep/internal/core/event"
@@ -111,8 +112,13 @@ func Encode(m Message) ([]byte, error) {
 
 // Decode parses one frame from buf, returning the message and the number
 // of bytes consumed. io.ErrShortBuffer signals an incomplete frame (read
-// more and retry).
+// more and retry). The message's Tags are freshly allocated.
 func Decode(buf []byte) (Message, int, error) {
+	return decode(buf, nil)
+}
+
+// decode is Decode with the tag reports appended to tags[:0].
+func decode(buf []byte, tags []TagReport) (Message, int, error) {
 	var m Message
 	if len(buf) < headerLen {
 		return m, 0, io.ErrShortBuffer
@@ -135,6 +141,10 @@ func Decode(buf []byte) (Message, int, error) {
 		if len(payload)%tagReportLen != 0 {
 			return m, 0, fmt.Errorf("llrp: report payload of %d bytes is not a whole number of tag reports", len(payload))
 		}
+		if len(payload) == 0 {
+			break
+		}
+		m.Tags = slices.Grow(tags[:0], len(payload)/tagReportLen)
 		for off := 0; off < len(payload); off += tagReportLen {
 			var tr TagReport
 			copy(tr.EPC[:], payload[off:off+12])
@@ -153,28 +163,43 @@ func Decode(buf []byte) (Message, int, error) {
 	return m, int(total), nil
 }
 
-// Reader decodes a frame stream from an io.Reader.
+// Reader decodes a frame stream from an io.Reader. It reuses its read
+// buffer and its tag slice, so a steady stream decodes without
+// allocating.
 type Reader struct {
-	r   io.Reader
-	buf []byte
+	r    io.Reader
+	buf  []byte // buf[off:] is read but not yet decoded
+	off  int
+	tags []TagReport
 }
+
+// minRead is the least buffer space each read from the stream is given.
+const minRead = 4096
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // Next reads and decodes the next frame; io.EOF ends the stream cleanly.
+// The message's Tags are valid until the next call: Next decodes into
+// one reused slice.
 func (fr *Reader) Next() (Message, error) {
 	for {
-		if m, n, err := Decode(fr.buf); err == nil {
-			fr.buf = fr.buf[n:]
+		if m, n, err := decode(fr.buf[fr.off:], fr.tags); err == nil {
+			fr.off += n
+			if m.Tags != nil {
+				fr.tags = m.Tags
+			}
 			return m, nil
 		} else if err != io.ErrShortBuffer {
 			return Message{}, err
 		}
-		chunk := make([]byte, 4096)
-		n, err := fr.r.Read(chunk)
+		// Move the undecoded bytes to the front, then read into the
+		// spare capacity behind them.
+		fr.buf = slices.Grow(fr.buf[:copy(fr.buf, fr.buf[fr.off:])], minRead)
+		fr.off = 0
+		n, err := fr.r.Read(fr.buf[len(fr.buf):cap(fr.buf)])
 		if n > 0 {
-			fr.buf = append(fr.buf, chunk[:n]...)
+			fr.buf = fr.buf[:len(fr.buf)+n]
 			continue
 		}
 		if err != nil {
@@ -210,12 +235,24 @@ type Adapter struct {
 	MinRSSI int16
 
 	// Intern, when set, canonicalizes each observation's reader and
-	// object strings before they reach the sink. Every EPC.Hex() call
-	// allocates a fresh string; interning at the edge means downstream
-	// histories, dedup maps and bindings all share one instance per
-	// distinct tag. Safe to share across adapters — the interner is
+	// object strings before they reach the sink. The EPC is rendered
+	// into a stack buffer and looked up there, so a tag costs one
+	// allocation the first time the interner sees it and none after;
+	// downstream histories, dedup maps and bindings all share one
+	// instance per distinct tag. Without Intern each tag's hex is a new
+	// string. Safe to share across adapters — the interner is
 	// goroutine-safe.
 	Intern *event.Interner
+}
+
+// object names a tag report's EPC: its canonical hex with an interner,
+// a fresh hex string without.
+func (a *Adapter) object(e epc.Binary) string {
+	if a.Intern == nil {
+		return e.Hex()
+	}
+	var hex [24]byte
+	return a.Intern.CanonBytes(e.AppendHex(hex[:0]))
 }
 
 // HandleMessage feeds every tag report of an RO_ACCESS_REPORT to the
@@ -226,6 +263,10 @@ func (a *Adapter) HandleMessage(m Message) error {
 	if m.Type != MsgROAccessReport {
 		return nil
 	}
+	reader := a.ReaderID
+	if a.Intern != nil {
+		reader = a.Intern.Canon(reader)
+	}
 	if a.BatchSink != nil {
 		batch := event.GetBatch()
 		for _, tr := range m.Tags {
@@ -233,8 +274,8 @@ func (a *Adapter) HandleMessage(m Message) error {
 				continue
 			}
 			batch = append(batch, event.Observation{
-				Reader: a.ReaderID,
-				Object: tr.EPC.Hex(),
+				Reader: reader,
+				Object: a.object(tr.EPC),
 				At:     event.Time(tr.Timestamp),
 			})
 		}
@@ -242,7 +283,6 @@ func (a *Adapter) HandleMessage(m Message) error {
 			event.PutBatch(batch)
 			return nil
 		}
-		batch.Canon(a.Intern)
 		return a.BatchSink(batch)
 	}
 	for _, tr := range m.Tags {
@@ -250,12 +290,9 @@ func (a *Adapter) HandleMessage(m Message) error {
 			continue
 		}
 		obs := event.Observation{
-			Reader: a.ReaderID,
-			Object: tr.EPC.Hex(),
+			Reader: reader,
+			Object: a.object(tr.EPC),
 			At:     event.Time(tr.Timestamp),
-		}
-		if a.Intern != nil {
-			obs = a.Intern.CanonObservation(obs)
 		}
 		if err := a.Sink(obs); err != nil {
 			return err

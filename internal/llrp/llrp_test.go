@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
+	stdiotest "testing/iotest"
 	"testing/quick"
 	"time"
 	"unsafe"
@@ -237,8 +239,7 @@ func TestAdapterDrainIntoEngineTypes(t *testing.T) {
 
 // TestAdapterIntern proves the edge-interning contract: with an intern
 // table attached, repeated sightings of one tag reach the sink as the
-// same string instance — EPC.Hex() allocates per report, Canon collapses
-// the copies before they fan out into engine state.
+// same string instance, the one the table holds.
 func TestAdapterIntern(t *testing.T) {
 	in := event.NewInterner()
 	var got []event.Observation
@@ -272,5 +273,109 @@ func TestAdapterIntern(t *testing.T) {
 	}
 	if in.Len() != 2 {
 		t.Errorf("intern table has %d entries, want 2 (reader + EPC)", in.Len())
+	}
+}
+
+// TestReaderChunkingMatchesDecode: whatever sizes the stream's reads come
+// in, Reader yields the messages Decode finds in the whole buffer,
+// including a frame larger than one 4 KiB read.
+func TestReaderChunkingMatchesDecode(t *testing.T) {
+	var big []TagReport
+	for i := uint64(0); i < 300; i++ { // 10 + 300×24 bytes
+		big = append(big, tag(i, time.Duration(i)*time.Millisecond, int16(-i)))
+	}
+	var stream []byte
+	for _, m := range []Message{
+		{Type: MsgROAccessReport, ID: 1, Tags: []TagReport{tag(1, time.Second, -500)}},
+		{Type: MsgKeepalive, ID: 2},
+		{Type: MsgROAccessReport, ID: 3, Tags: big},
+		{Type: MsgROAccessReport, ID: 4},
+		{Type: MsgReaderEvent, ID: 5},
+		{Type: MsgROAccessReport, ID: 6, Tags: big[:3]},
+	} {
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, frame...)
+	}
+	var want []Message
+	for off := 0; off < len(stream); {
+		m, n, err := Decode(stream[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, m)
+		off += n
+	}
+	for name, r := range map[string]func() io.Reader{
+		"whole":   func() io.Reader { return bytes.NewReader(stream) },
+		"onebyte": func() io.Reader { return stdiotest.OneByteReader(bytes.NewReader(stream)) },
+		"half":    func() io.Reader { return stdiotest.HalfReader(bytes.NewReader(stream)) },
+	} {
+		fr := NewReader(r())
+		for i := 0; ; i++ {
+			m, err := fr.Next()
+			if err == io.EOF {
+				if i != len(want) {
+					t.Fatalf("%s: %d messages, want %d", name, i, len(want))
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: message %d: %v", name, i, err)
+			}
+			if i >= len(want) || m.Type != want[i].Type || m.ID != want[i].ID || !slices.Equal(m.Tags, want[i].Tags) {
+				t.Fatalf("%s: message %d = %v %d with %d tags, differs from Decode's", name, i, m.Type, m.ID, len(m.Tags))
+			}
+		}
+	}
+}
+
+// repeatReader serves one byte stream over and over.
+type repeatReader struct {
+	data []byte
+	off  int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.data[r.off:])
+	r.off = (r.off + n) % len(r.data)
+	return n, nil
+}
+
+// TestAdapterKnownEPCAllocatesNothing: once the interner holds a report's
+// EPCs, reading the report and handing its batch on allocates nothing:
+// the frame and tags decode into reused buffers, each EPC's hex into a
+// stack buffer the interner looks up.
+func TestAdapterKnownEPCAllocatesNothing(t *testing.T) {
+	frame, err := Encode(Message{Type: MsgROAccessReport, ID: 1, Tags: []TagReport{
+		tag(1, time.Second, -500), tag(2, time.Second, -500), tag(3, 2*time.Second, -600),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got int
+	a := &Adapter{ReaderID: "dock-1", Intern: event.NewInterner(), BatchSink: func(b event.Batch) error {
+		got += len(b)
+		event.PutBatch(b)
+		return nil
+	}}
+	fr := NewReader(&repeatReader{data: frame})
+	round := func() {
+		m, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.HandleMessage(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		t.Fatalf("Next plus HandleMessage for known EPCs allocates %v times, want 0", n)
+	}
+	if got != 3*1002 || a.Intern.Len() != 4 {
+		t.Fatalf("sink saw %d observations and the interner holds %d names, want %d and 4", got, a.Intern.Len(), 3*1002)
 	}
 }

@@ -441,9 +441,11 @@ func (r *FrameReader) sym() string {
 		r.p, r.bad = nil, true
 		return ""
 	}
-	s := string(r.p[:n])
+	var s string
 	if r.canon != nil {
-		s = r.canon.Canon(s)
+		s = r.canon.CanonBytes(r.p[:n]) // a name the engine knows costs nothing
+	} else {
+		s = string(r.p[:n])
 	}
 	r.p = r.p[n:]
 	r.syms = append(r.syms, s)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -32,15 +33,26 @@ type ReliableClient struct {
 	opt  ReliableOptions
 	addr string
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	ring       []Message // unacked frames; contiguous ascending Seq, ring[0].Seq == acked+1
-	acked      uint64    // highest cumulative ack from the server
-	next       uint64    // next sequence number to assign
-	closing    bool      // Close has begun; no new Sends
-	wantBye    bool      // drain complete → send bye, await stats
-	aborted    bool      // give up: stop the connection manager
-	failed     error     // terminal failure (dial attempts exhausted)
+	mu   sync.Mutex
+	cond *sync.Cond
+	// ring is circular and allocated once: the count unacked frames, in
+	// ascending Seq (with gaps where frames were shed), are at(0) through
+	// at(count-1).
+	ring        []*Message
+	head, count int
+	acked       uint64 // highest cumulative ack from the server
+	next        uint64 // next sequence number to assign
+	// The session writer puts frames outside the lock, so a frame it took
+	// must not be recycled until it is put: sendLo..sendHi are the seqs
+	// it has taken and may still be putting. sendHi is set under mu when
+	// frames are taken and cleared before the next take; sendLo advances,
+	// without the lock, as each frame is put.
+	sendLo     atomic.Uint64
+	sendHi     uint64
+	closing    bool  // Close has begun; no new Sends
+	wantBye    bool  // drain complete → send bye, await stats
+	aborted    bool  // give up: stop the connection manager
+	failed     error // terminal failure (dial attempts exhausted)
 	haveStats  bool
 	stats      Message
 	reconnects int
@@ -117,7 +129,8 @@ type ReliableOptions struct {
 	// state (advance, assign, sync, ...) are never shed; a ring full of
 	// only those still blocks.
 	DropOldestOnFull bool
-	// OnShed observes each frame dropped by DropOldestOnFull.
+	// OnShed observes each frame dropped by DropOldestOnFull. The frame's
+	// Batch is valid only during the callback: its storage is recycled.
 	OnShed func(Message)
 
 	OnFire func(Message)
@@ -225,15 +238,20 @@ func DialReliable(addr string, opt ReliableOptions) (*ReliableClient, error) {
 		c.randf = rand.New(rand.NewSource(seed)).Float64
 	}
 	c.cond = sync.NewCond(&c.mu)
+	var pending []Message
 	if sp := opt.Spool; sp != nil {
-		pending := sp.Pending()
+		pending = sp.Pending()
 		if len(pending) > 0 && pending[0].ClientID != opt.ClientID {
 			return nil, fmt.Errorf("wire: spool belongs to client %q, not %q", pending[0].ClientID, opt.ClientID)
 		}
-		c.ring = pending
 		c.acked = sp.LastAck()
 		c.next = sp.LastSeq() + 1
 	}
+	c.ring = make([]*Message, max(opt.Buffer, len(pending)))
+	for i := range pending {
+		c.ring[i] = &pending[i]
+	}
+	c.count = len(pending)
 	go c.run()
 	return c, nil
 }
@@ -248,11 +266,11 @@ func (c *ReliableClient) Send(reader, object string, at time.Duration) error {
 // SendBatch streams one read cycle of observations through the reliable
 // feed: one sequenced batch frame — one seq, one ack, one engine
 // hand-off — per MaxBatchFrame observations. The input slice is not
-// retained.
+// retained: it is copied into a recycled frame.
 func (c *ReliableClient) SendBatch(batch []BatchObs) error {
 	for len(batch) > 0 {
 		n := min(len(batch), MaxBatchFrame)
-		if _, err := c.enqueue(Message{Type: "batch", Batch: append([]BatchObs(nil), batch[:n]...)}); err != nil {
+		if _, err := c.enqueue(&Message{Type: "batch", Batch: batch[:n]}); err != nil {
 			return err
 		}
 		batch = batch[n:]
@@ -273,7 +291,7 @@ func (c *ReliableClient) BatchNegotiated() bool {
 // delivery guarantee as Send: advances change detection state (negation
 // windows close on them), so they are sequenced and replayed too.
 func (c *ReliableClient) Advance(at time.Duration) error {
-	_, err := c.enqueue(Message{Type: "advance", AtNS: int64(at)})
+	_, err := c.enqueue(&Message{Type: "advance", AtNS: int64(at)})
 	return err
 }
 
@@ -287,7 +305,7 @@ func (c *ReliableClient) SendFrame(m Message) (uint64, error) {
 	if m.Type == "" {
 		return 0, errors.New("wire: SendFrame requires a frame type")
 	}
-	return c.enqueue(m)
+	return c.enqueue(&m)
 }
 
 // TrySendFrame is SendFrame without the backpressure: when the unacked
@@ -301,10 +319,10 @@ func (c *ReliableClient) TrySendFrame(m Message) (uint64, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.ring) >= c.opt.Buffer && !c.shedOldestLocked() {
+	if c.count >= c.opt.Buffer && !c.shedOldestLocked() {
 		return 0, ErrRingFull
 	}
-	return c.enqueueLocked(m)
+	return c.enqueueLocked(&m)
 }
 
 // Unacked reports how many sequenced frames are waiting for a server
@@ -312,7 +330,7 @@ func (c *ReliableClient) TrySendFrame(m Message) (uint64, error) {
 func (c *ReliableClient) Unacked() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.ring)
+	return c.count
 }
 
 // Shed reports how many observations the DropOldestOnFull policy has
@@ -333,24 +351,86 @@ func (c *ReliableClient) shedOldestLocked() bool {
 	if !c.opt.DropOldestOnFull {
 		return false
 	}
-	for i := range c.ring {
-		if c.ring[i].Type == "batch" {
-			dropped := c.ring[i]
-			c.ring = append(c.ring[:i], c.ring[i+1:]...)
-			c.shed += uint64(len(dropped.Batch))
-			if cb := c.opt.OnShed; cb != nil {
-				cb(dropped)
-			}
-			return true
+	for i := 0; i < c.count; i++ {
+		dropped := c.at(i)
+		if dropped.Type != "batch" {
+			continue
 		}
+		c.shed += uint64(len(dropped.Batch))
+		if cb := c.opt.OnShed; cb != nil {
+			cb(*dropped)
+		}
+		// Rotate the shed frame to the front, keeping the others in
+		// order, and release it from there.
+		for ; i > 0; i-- {
+			c.ring[c.slot(i)] = c.at(i - 1)
+		}
+		c.ring[c.head] = dropped
+		c.releaseLocked(1)
+		return true
 	}
 	return false
 }
 
-func (c *ReliableClient) enqueue(m Message) (uint64, error) {
+// slot is the ring index of the i-th oldest unacked frame, and at the
+// frame itself.
+func (c *ReliableClient) slot(i int) int {
+	if i += c.head; i >= len(c.ring) {
+		i -= len(c.ring)
+	}
+	return i
+}
+
+func (c *ReliableClient) at(i int) *Message { return c.ring[c.slot(i)] }
+
+// after is the ring position of the first frame with a seq above seq.
+// A binary search, not seq arithmetic: shedding can leave gaps in the
+// ring's ascending seqs.
+func (c *ReliableClient) after(seq uint64) int {
+	return sort.Search(c.count, func(i int) bool { return c.at(i).Seq > seq })
+}
+
+// takeLocked appends the frames past cursor to batch for the session
+// writer to put, and makes them the window release leaves alone.
+func (c *ReliableClient) takeLocked(cursor uint64, batch []*Message) []*Message {
+	for i := c.after(cursor); i < c.count; i++ {
+		batch = append(batch, c.at(i))
+	}
+	if len(batch) > 0 {
+		c.sendLo.Store(batch[0].Seq)
+		c.sendHi = batch[len(batch)-1].Seq
+	}
+	return batch
+}
+
+// framePool recycles ring frames together with their Batch storage, so a
+// steady feed copies each read cycle into storage it already owns. A
+// pool, not storage kept in the ring's slots: an idle client's frames go
+// back to the collector.
+var framePool = sync.Pool{New: func() any { return new(Message) }}
+
+// releaseLocked drops the n oldest frames from the ring and recycles
+// them, except a frame the session writer has taken and may still be
+// putting: that one is left to the collector.
+func (c *ReliableClient) releaseLocked(n int) {
+	lo := c.sendLo.Load()
+	for i := 0; i < n; i++ {
+		s := c.slot(i)
+		f := c.ring[s]
+		c.ring[s] = nil
+		if f.Seq < lo || f.Seq > c.sendHi {
+			*f = Message{Batch: f.Batch[:0]}
+			framePool.Put(f)
+		}
+	}
+	c.head = c.slot(n)
+	c.count -= n
+}
+
+func (c *ReliableClient) enqueue(m *Message) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.ring) >= c.opt.Buffer && c.failed == nil && !c.closing && !c.aborted {
+	for c.count >= c.opt.Buffer && c.failed == nil && !c.closing && !c.aborted {
 		if c.shedOldestLocked() {
 			break
 		}
@@ -359,24 +439,31 @@ func (c *ReliableClient) enqueue(m Message) (uint64, error) {
 	return c.enqueueLocked(m)
 }
 
-func (c *ReliableClient) enqueueLocked(m Message) (uint64, error) {
+// enqueueLocked sequences a copy of m, its Batch included, in a recycled
+// frame at the back of the ring; m is not retained.
+func (c *ReliableClient) enqueueLocked(m *Message) (uint64, error) {
 	if c.failed != nil {
 		return 0, c.failed
 	}
 	if c.closing || c.aborted {
 		return 0, errors.New("wire: client is closed")
 	}
-	m.ClientID = c.opt.ClientID
-	m.Seq = c.next
+	f := framePool.Get().(*Message)
+	batch := f.Batch[:0]
+	*f = *m
+	f.Batch = append(batch, m.Batch...)
+	f.ClientID = c.opt.ClientID
+	f.Seq = c.next
 	if c.opt.Spool != nil {
-		if err := c.opt.Spool.Append(m); err != nil {
+		if err := c.opt.Spool.Append(*f); err != nil {
 			return 0, fmt.Errorf("wire: spool: %w", err)
 		}
 	}
 	c.next++
-	c.ring = append(c.ring, m)
+	c.ring[c.slot(c.count)] = f
+	c.count++
 	c.cond.Broadcast()
-	return m.Seq, nil
+	return f.Seq, nil
 }
 
 // Flush blocks until every frame sent so far is acked, the timeout
@@ -440,7 +527,7 @@ func (c *ReliableClient) Close() (Message, error) {
 	}
 	stats, ok := c.stats, c.haveStats
 	err := c.failed
-	unacked := len(c.ring)
+	unacked := c.count
 	c.mu.Unlock()
 
 	c.abort()
@@ -637,11 +724,11 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 	go func() {
 		defer close(readerDone)
 		fr := NewFrameReader(conn)
+		var m Message // Read resets it; callbacks get copies
 		for {
 			if c.opt.PeerTimeout > 0 {
 				_ = conn.SetReadDeadline(time.Now().Add(c.opt.PeerTimeout))
 			}
-			var m Message
 			if err := fr.Read(&m); err != nil {
 				kill()
 				return
@@ -682,18 +769,20 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 
 	// Writer: replay everything past the server's high-water mark, then
 	// stream new frames as they are enqueued. batch is reused across
-	// wakes and cleared after each, so it pins no released frame.
+	// wakes and cleared after each, so it pins no released frame. The
+	// frames it holds are the sendLo..sendHi window.
 	cursor := uint64(0)
 	c.mu.Lock()
 	cursor = c.acked
 	c.mu.Unlock()
 	byeSent := false
 	finished := false
-	var batch []Message
+	var batch []*Message
 	for {
 		batch = batch[:0]
 		sendBye := false
 		c.mu.Lock()
+		c.sendHi = 0
 		for {
 			if dead {
 				c.mu.Unlock()
@@ -707,11 +796,7 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 			if cursor < c.acked {
 				cursor = c.acked // acks advanced past our replay cursor
 			}
-			if n := len(c.ring); n > 0 && c.ring[n-1].Seq > cursor {
-				// Binary search, not seq arithmetic: shedding can leave
-				// gaps in the ring's ascending seqs.
-				lo := sort.Search(n, func(i int) bool { return c.ring[i].Seq > cursor })
-				batch = append(batch, c.ring[lo:]...)
+			if batch = c.takeLocked(cursor, batch); len(batch) > 0 {
 				break
 			}
 			if c.wantBye && !byeSent && c.acked == c.next-1 {
@@ -721,12 +806,14 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 			c.cond.Wait()
 		}
 		c.mu.Unlock()
-		for i := range batch {
-			if err := w.Put(&batch[i]); err != nil {
+		for _, f := range batch {
+			seq := f.Seq
+			c.sendLo.Store(seq)
+			if err := w.Put(f); err != nil {
 				kill()
 				goto out
 			}
-			cursor = batch[i].Seq
+			cursor = seq
 		}
 		clear(batch)
 		if err := w.Flush(); err != nil {
@@ -765,15 +852,9 @@ func (c *ReliableClient) handleAck(seq uint64) {
 			// sane to release beyond our own window.
 			seq = c.next - 1
 		}
-		if len(c.ring) > 0 {
-			// The ring's seqs ascend but may have shed gaps; release
-			// exactly the frames the cumulative ack covers.
-			drop := sort.Search(len(c.ring), func(i int) bool { return c.ring[i].Seq > seq })
-			c.ring = c.ring[drop:]
-			if len(c.ring) == 0 {
-				c.ring = nil // release the backing array
-			}
-		}
+		// The ring's seqs ascend but may have shed gaps; release
+		// exactly the frames the cumulative ack covers.
+		c.releaseLocked(c.after(seq))
 		c.acked = seq
 		if c.opt.Spool != nil {
 			_ = c.opt.Spool.Ack(seq)

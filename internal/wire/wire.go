@@ -279,13 +279,15 @@ type clientConn struct {
 	conn net.Conn
 	ids  map[string]bool
 	owed map[string]uint64 // client ID → cumulative ack; handler goroutine only
+	ack  Message           // the frame settle puts each owed ack in
 }
 
 // settle writes the owed acks, then flushes: the handler's one write per
 // drained read.
 func (cc *clientConn) settle() {
 	for _, seq := range cc.owed {
-		_ = cc.Put(&Message{Type: "ack", Seq: seq})
+		cc.ack.Type, cc.ack.Seq = "ack", seq
+		_ = cc.Put(&cc.ack)
 	}
 	clear(cc.owed)
 	_ = cc.Flush()
