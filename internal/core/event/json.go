@@ -24,22 +24,22 @@ func (v Value) MarshalJSON() ([]byte, error) {
 	case KindNull:
 		return []byte("null"), nil
 	case KindString:
-		s := v.s
+		s := v.s()
 		return json.Marshal(valueJSON{S: &s})
 	case KindInt:
-		i := v.i
+		i := v.i()
 		return json.Marshal(valueJSON{I: &i})
 	case KindFloat:
-		f := v.f
+		f := v.f()
 		return json.Marshal(valueJSON{F: &f})
 	case KindBool:
-		b := v.b
+		b := v.b()
 		return json.Marshal(valueJSON{B: &b})
 	case KindTime:
-		t := int64(v.t)
+		t := int64(v.t())
 		return json.Marshal(valueJSON{T: &t})
 	case KindList:
-		l := v.list
+		l := v.l()
 		return json.Marshal(valueJSON{L: &l})
 	}
 	return nil, fmt.Errorf("event: cannot marshal value kind %v", v.kind)

@@ -2,10 +2,12 @@ package event
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic types a Value can hold.
@@ -46,36 +48,62 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed scalar or list used in event bindings, rule
 // conditions and the mini-SQL engine. The zero Value is null.
+//
+// A Value is a 24-byte tagged union, laid out like log/slog.Value: the
+// kind, one payload word n and one pointer p. Ints, times, float bits
+// (math.Float64bits) and bools (0 or 1) live in n and leave p nil. A
+// string is the n bytes at p; a list is the n elements at p. A Binding is
+// therefore 40 bytes, and the collector scans one pointer word per value.
+//
+// Value is not comparable: == would compare string and list pointers, not
+// their contents. Use Equal or Compare. List returns a slice whose cap is
+// its len.
 type Value struct {
+	_    [0]func() // not comparable: == would compare string pointers
 	kind Kind
-	s    string
-	i    int64
-	f    float64
-	b    bool
-	t    Time
-	list []Value
+	n    uint64         // int, float bits, bool, time; string or list length
+	p    unsafe.Pointer // string bytes or list elements
 }
 
 // Null is the null Value.
 var Null = Value{}
 
 // StringValue returns a string Value.
-func StringValue(s string) Value { return Value{kind: KindString, s: s} }
+func StringValue(s string) Value {
+	return Value{kind: KindString, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // IntValue returns an integer Value.
-func IntValue(i int64) Value { return Value{kind: KindInt, i: i} }
+func IntValue(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // FloatValue returns a floating-point Value.
-func FloatValue(f float64) Value { return Value{kind: KindFloat, f: f} }
+func FloatValue(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // BoolValue returns a boolean Value.
-func BoolValue(b bool) Value { return Value{kind: KindBool, b: b} }
+func BoolValue(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // TimeValue returns a timestamp Value.
-func TimeValue(t Time) Value { return Value{kind: KindTime, t: t} }
+func TimeValue(t Time) Value { return Value{kind: KindTime, n: uint64(t)} }
 
 // ListValue returns a list Value holding elems. The slice is not copied.
-func ListValue(elems []Value) Value { return Value{kind: KindList, list: elems} }
+func ListValue(elems []Value) Value {
+	return Value{kind: KindList, n: uint64(len(elems)), p: unsafe.Pointer(unsafe.SliceData(elems))}
+}
+
+// The payload accessors below read n and p as the named kind without
+// checking it; callers switch on kind first.
+
+func (v Value) s() string  { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+func (v Value) b() bool    { return v.n != 0 }
+func (v Value) t() Time    { return Time(v.n) }
+func (v Value) l() []Value { return unsafe.Slice((*Value)(v.p), int(v.n)) }
 
 // Kind returns the value's dynamic kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -84,32 +112,54 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Str returns the string payload; it is only meaningful for KindString.
-func (v Value) Str() string { return v.s }
+func (v Value) Str() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return v.s()
+}
 
 // Int returns the integer payload, converting floats by truncation.
 func (v Value) Int() int64 {
-	if v.kind == KindFloat {
-		return int64(v.f)
+	switch v.kind {
+	case KindInt:
+		return v.i()
+	case KindFloat:
+		return int64(v.f())
 	}
-	return v.i
+	return 0
 }
 
 // Float returns the floating-point payload, converting integers.
 func (v Value) Float() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindFloat:
+		return v.f()
+	case KindInt:
+		return float64(v.i())
 	}
-	return v.f
+	return 0
 }
 
 // Bool returns the boolean payload.
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.kind == KindBool && v.b() }
 
 // Time returns the timestamp payload.
-func (v Value) Time() Time { return v.t }
+func (v Value) Time() Time {
+	if v.kind != KindTime {
+		return 0
+	}
+	return v.t()
+}
 
-// List returns the list payload; it is only meaningful for KindList.
-func (v Value) List() []Value { return v.list }
+// List returns the list payload, with cap == len; it is only meaningful
+// for KindList.
+func (v Value) List() []Value {
+	if v.kind != KindList {
+		return nil
+	}
+	return v.l()
+}
 
 // Len returns the number of list elements, or 1 for scalars and 0 for null.
 func (v Value) Len() int {
@@ -117,7 +167,7 @@ func (v Value) Len() int {
 	case KindNull:
 		return 0
 	case KindList:
-		return len(v.list)
+		return int(v.n)
 	default:
 		return 1
 	}
@@ -126,7 +176,7 @@ func (v Value) Len() int {
 // Elem returns the i'th element for lists, or the value itself for scalars.
 func (v Value) Elem(i int) Value {
 	if v.kind == KindList {
-		return v.list[i]
+		return v.l()[i]
 	}
 	return v
 }
@@ -135,11 +185,12 @@ func (v Value) Elem(i int) Value {
 // numerically (IntValue(3).Equal(FloatValue(3)) is true).
 func (v Value) Equal(w Value) bool {
 	if v.kind == KindList || w.kind == KindList {
-		if v.kind != KindList || w.kind != KindList || len(v.list) != len(w.list) {
+		if v.kind != KindList || w.kind != KindList || v.n != w.n {
 			return false
 		}
-		for i := range v.list {
-			if !v.list[i].Equal(w.list[i]) {
+		vl, wl := v.l(), w.l()
+		for i := range vl {
+			if !vl[i].Equal(wl[i]) {
 				return false
 			}
 		}
@@ -163,18 +214,18 @@ func (v Value) Compare(w Value) (int, bool) {
 	switch {
 	case numeric(v.kind) && numeric(w.kind):
 		if v.kind == KindInt && w.kind == KindInt {
-			return cmpOrdered(v.i, w.i), true
+			return cmpOrdered(v.i(), w.i()), true
 		}
 		return cmpOrdered(v.Float(), w.Float()), true
 	case v.kind == KindString && w.kind == KindString:
-		return strings.Compare(v.s, w.s), true
+		return strings.Compare(v.s(), w.s()), true
 	case v.kind == KindTime && w.kind == KindTime:
-		return cmpOrdered(v.t, w.t), true
+		return cmpOrdered(v.t(), w.t()), true
 	case v.kind == KindBool && w.kind == KindBool:
 		switch {
-		case v.b == w.b:
+		case v.b() == w.b():
 			return 0, true
-		case !v.b:
+		case !v.b():
 			return -1, true
 		default:
 			return 1, true
@@ -200,18 +251,18 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindString:
-		return v.s
+		return v.s()
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.b())
 	case KindTime:
-		return v.t.String()
+		return v.t().String()
 	case KindList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+		parts := make([]string, v.n)
+		for i, e := range v.l() {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
@@ -228,18 +279,18 @@ func (v Value) AppendText(dst []byte) []byte {
 	case KindNull:
 		return append(dst, "null"...)
 	case KindString:
-		return append(dst, v.s...)
+		return append(dst, v.s()...)
 	case KindInt:
-		return strconv.AppendInt(dst, v.i, 10)
+		return strconv.AppendInt(dst, v.i(), 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.f(), 'g', -1, 64)
 	case KindBool:
-		return strconv.AppendBool(dst, v.b)
+		return strconv.AppendBool(dst, v.b())
 	case KindTime:
-		return v.t.AppendText(dst)
+		return v.t().AppendText(dst)
 	case KindList:
 		dst = append(dst, '[')
-		for i, e := range v.list {
+		for i, e := range v.l() {
 			if i > 0 {
 				dst = append(dst, ", "...)
 			}

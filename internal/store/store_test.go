@@ -2,9 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -331,9 +331,22 @@ func TestProbeWithoutIndexFallsBack(t *testing.T) {
 			t.Errorf("indexed=%v: probe on a missing column accepted", indexed)
 		}
 	}
-	if !reflect.DeepEqual(logs[0], logs[1]) {
-		t.Errorf("journals differ:\nscan  %v\nindex %v", logs[0], logs[1])
+	if scan, index := jsonOf(t, logs[0]), jsonOf(t, logs[1]); scan != index {
+		t.Errorf("journals differ:\nscan  %s\nindex %s", scan, index)
 	}
+}
+
+// jsonOf renders v as JSON, which tags every event.Value with its kind.
+// Values hold their payloads behind a pointer, so reflect.DeepEqual would
+// compare string addresses; comparing these renderings is as strict on
+// contents (-0 and 0 differ, and a NaN fails to render).
+func jsonOf(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestLookupWithoutIndexFallsBack(t *testing.T) {
