@@ -77,14 +77,14 @@ func CoerceScalar(v Value) Value {
 // Invariant: an accumulator fed the elements of a list binding in order
 // yields the same Result as FoldAgg over that list.
 type AggAcc struct {
-	N     int64   `json:"n"`               // non-null values accumulated
-	Sum   float64 `json:"sum"`             // running sum (ints widened)
-	Float bool    `json:"float,omitempty"` // saw a float → SUM stays float
-	Bad   string  `json:"bad,omitempty"`   // first non-numeric value (poisons SUM/AVG)
-	HasBad bool   `json:"hasBad,omitempty"`
-	MinV  Value   `json:"min,omitempty"`
-	MaxV  Value   `json:"max,omitempty"`
-	Incmp bool    `json:"incmp,omitempty"` // saw incomparable values (poisons MIN/MAX)
+	N      int64   `json:"n"`               // non-null values accumulated
+	Sum    float64 `json:"sum"`             // running sum (ints widened)
+	Float  bool    `json:"float,omitempty"` // saw a float → SUM stays float
+	Bad    string  `json:"bad,omitempty"`   // first non-numeric value (poisons SUM/AVG)
+	HasBad bool    `json:"hasBad,omitempty"`
+	MinV   Value   `json:"min,omitempty"`
+	MaxV   Value   `json:"max,omitempty"`
+	Incmp  bool    `json:"incmp,omitempty"` // saw incomparable values (poisons MIN/MAX)
 }
 
 // Add folds one value. Nulls are skipped, matching SQL aggregate

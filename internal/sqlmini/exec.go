@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,12 +75,16 @@ func explain(s *store.Store, st Stmt, params event.Bindings) (*Result, error) {
 			add("scan %s (table missing at plan time)", table)
 			return
 		}
-		if p := planMatch(s, tbl, where, params).probe; p.Col != "" {
+		p := planMatch(s, tbl, where, params).probe
+		if p.Col != "" && tbl.HasIndex(p.Col) {
 			add("index probe %s.%s = %s", table, p.Col, p.Val)
 			add("filter remaining predicate")
 			return
 		}
 		add("full scan %s (%d rows)", table, tbl.Len())
+		if p.Col != "" {
+			add("prefilter %s = %s", p.Col, p.Val)
+		}
 		if where != nil {
 			add("filter WHERE")
 		}
@@ -161,6 +166,15 @@ type env struct {
 	grouped bool
 	params  event.Bindings
 	funcs   Funcs
+	subs    []subResult // run ahead by evalSubqueries
+}
+
+// subResult is the outcome of one uncorrelated subquery, run once for a
+// whole statement.
+type subResult struct {
+	sel *Select
+	res *Result
+	err error
 }
 
 func (e *env) resolve(name string) (event.Value, error) {
@@ -220,7 +234,7 @@ func (e *env) eval(x Expr) (event.Value, error) {
 		if e.store == nil {
 			return event.Null, fmt.Errorf("sqlmini: EXISTS requires a data store")
 		}
-		res, err := execSelect(e.store, n.Sub, e.params)
+		res, err := e.subquery(n.Sub)
 		if err != nil {
 			return event.Null, err
 		}
@@ -236,7 +250,7 @@ func (e *env) eval(x Expr) (event.Value, error) {
 		}
 		var found bool
 		if n.Sub != nil {
-			found, err = inSubquery(e.store, n.Sub, v, e.params)
+			found, err = e.inSubquery(n.Sub, v)
 			if err != nil {
 				return event.Null, err
 			}
@@ -286,11 +300,11 @@ func (e *env) eval(x Expr) (event.Value, error) {
 
 // inSubquery evaluates x IN (SELECT ...): the subselect must project a
 // single column; membership compares with coercion-free equality.
-func inSubquery(s *store.Store, sub *Select, v event.Value, params event.Bindings) (bool, error) {
-	if s == nil {
+func (e *env) inSubquery(sub *Select, v event.Value) (bool, error) {
+	if e.store == nil {
 		return false, fmt.Errorf("sqlmini: IN (SELECT ...) requires a data store")
 	}
-	res, err := execSelect(s, sub, params)
+	res, err := e.subquery(sub)
 	if err != nil {
 		return false, err
 	}
@@ -303,6 +317,56 @@ func inSubquery(s *store.Store, sub *Select, v event.Value, params event.Binding
 		}
 	}
 	return false, nil
+}
+
+// subquery returns the result of sub: the run evalSubqueries kept, or a
+// fresh one.
+func (e *env) subquery(sub *Select) (*Result, error) {
+	for _, q := range e.subs {
+		if q.sel == sub {
+			return q.res, q.err
+		}
+	}
+	return execSelect(e.store, sub, e.params)
+}
+
+// evalSubqueries runs the subqueries in x and keeps their results, errors
+// included, for eval to use where it reaches them: an error is raised only
+// there. Subqueries are uncorrelated, they see only the parameters, so one
+// run serves every row. A statement calls it before it takes a table lock,
+// so a subquery on the statement's own table never locks it again.
+func (e *env) evalSubqueries(x Expr) {
+	switch n := x.(type) {
+	case *Unary:
+		e.evalSubqueries(n.X)
+	case *Binary:
+		e.evalSubqueries(n.L)
+		e.evalSubqueries(n.R)
+	case *Call:
+		for _, a := range n.Args {
+			e.evalSubqueries(a)
+		}
+	case *Exists:
+		e.keepSubquery(n.Sub)
+	case *InList:
+		e.evalSubqueries(n.X)
+		for _, a := range n.List {
+			e.evalSubqueries(a)
+		}
+		if n.Sub != nil {
+			e.keepSubquery(n.Sub)
+		}
+	case *IsNull:
+		e.evalSubqueries(n.X)
+	case *Like:
+		e.evalSubqueries(n.X)
+		e.evalSubqueries(n.Pattern)
+	}
+}
+
+func (e *env) keepSubquery(sub *Select) {
+	res, err := e.subquery(sub)
+	e.subs = append(e.subs, subResult{sub, res, err})
 }
 
 func (e *env) evalBinary(n *Binary) (event.Value, error) {
@@ -646,8 +710,9 @@ func execInsert(s *store.Store, ins *Insert, params event.Bindings) (*Result, er
 		return nil, err
 	}
 	schema := tbl.Schema()
-	// Column mapping.
-	positions := make([]int, len(ins.Values))
+	// Column mapping, on the stack for up to eight values.
+	var buf [8]int
+	positions := slices.Grow(buf[:0], len(ins.Values))[:len(ins.Values)]
 	if len(ins.Cols) > 0 {
 		if len(ins.Cols) != len(ins.Values) {
 			return nil, fmt.Errorf("sqlmini: %d columns but %d values", len(ins.Cols), len(ins.Values))
@@ -687,7 +752,7 @@ func execInsert(s *store.Store, ins *Insert, params event.Bindings) (*Result, er
 			}
 			row[positions[j]] = v
 		}
-		if err := tbl.Insert(row); err != nil {
+		if err := tbl.Insert(row); err != nil { // the table keeps row
 			return nil, err
 		}
 		inserted++
@@ -736,47 +801,58 @@ type matcher struct {
 }
 
 // planMatch is the match planner behind SELECT, UPDATE, DELETE and
-// EXPLAIN. It probes the index of the first `col = <row-independent expr>`
-// conjunct of where's AND tree whose column is indexed and whose value
-// the index finds exactly (see probeable); otherwise it scans. Candidates
-// are re-checked against the whole WHERE either way.
+// EXPLAIN. It runs where's subqueries (see evalSubqueries), then turns a
+// `col = <row-independent expr>` conjunct of where's AND tree whose value
+// the store matches exactly (see probeable) into a probe: the first one on
+// an indexed column, else the first one. The store serves a probe from
+// the index, or prefilters its scan with it; candidates are re-checked
+// against the whole WHERE either way. With no such conjunct it scans.
 func planMatch(s *store.Store, tbl *store.Table, where Expr, params event.Bindings) matcher {
 	m := matcher{env: env{store: s, schema: tbl.Schema(), params: params}, where: where}
-	m.probe = m.findProbe(tbl, where)
+	m.env.evalSubqueries(where)
+	m.probe, _ = m.findProbe(tbl, where)
 	return m
 }
 
-func (m *matcher) findProbe(tbl *store.Table, x Expr) store.Probe {
+// findProbe returns x's preferred probe and whether its column is indexed.
+func (m *matcher) findProbe(tbl *store.Table, x Expr) (store.Probe, bool) {
 	b, ok := x.(*Binary)
 	if !ok {
-		return store.Probe{}
+		return store.Probe{}, false
 	}
+	var l, r store.Probe
+	var lIdx, rIdx bool
 	switch b.Op {
 	case "AND":
-		if p := m.findProbe(tbl, b.L); p.Col != "" {
-			return p
+		if l, lIdx = m.findProbe(tbl, b.L); lIdx {
+			return l, true
 		}
-		return m.findProbe(tbl, b.R)
+		r, rIdx = m.findProbe(tbl, b.R)
 	case "=":
-		if p := m.probeOn(tbl, b.L, b.R); p.Col != "" {
-			return p
+		l = m.probeOn(b.L, b.R)
+		if lIdx = l.Col != "" && tbl.HasIndex(l.Col); lIdx {
+			return l, true
 		}
-		return m.probeOn(tbl, b.R, b.L)
+		r = m.probeOn(b.R, b.L)
+		rIdx = r.Col != "" && tbl.HasIndex(r.Col)
 	}
-	return store.Probe{}
+	if rIdx || l.Col == "" {
+		return r, rIdx
+	}
+	return l, false
 }
 
 // probeOn plans `colSide = valSide` as a probe. The value side is
 // evaluated with the table schema set and no row, so a name that is both a
 // column and a parameter resolves to the column, as it does per row, and
 // fails: such a conjunct is row-dependent and cannot probe.
-func (m *matcher) probeOn(tbl *store.Table, colSide, valSide Expr) store.Probe {
+func (m *matcher) probeOn(colSide, valSide Expr) store.Probe {
 	ref, ok := colSide.(*Ref)
 	if !ok {
 		return store.Probe{}
 	}
 	pos := m.env.schema.Index(ref.Name)
-	if pos < 0 || !tbl.HasIndex(ref.Name) {
+	if pos < 0 {
 		return store.Probe{}
 	}
 	v, err := m.env.eval(valSide)
@@ -786,8 +862,8 @@ func (m *matcher) probeOn(tbl *store.Table, colSide, valSide Expr) store.Probe {
 	return store.Probe{Col: ref.Name, Val: v}
 }
 
-// probeable reports whether a hash-index probe for v on a column of the
-// given kind finds every row that `col = v` or `v = col` matches. The
+// probeable reports whether a probe for v on a column of the given kind
+// finds every row that `col = v` or `v = col` matches. The
 // index keys rows by display form, and compareValues converts between
 // kinds in ways a key cannot follow: `n = '5'` matches the int 5 through
 // its display form, and 0.0 equals -0.0 under another key. So v must have
@@ -843,6 +919,11 @@ func execUpdate(s *store.Store, up *Update, params event.Bindings) (*Result, err
 	if err != nil {
 		return nil, err
 	}
+	return updateRows(tbl, up, planMatch(s, tbl, up.Where, params))
+}
+
+// updateRows runs up on the rows m matches.
+func updateRows(tbl *store.Table, up *Update, m matcher) (*Result, error) {
 	schema := tbl.Schema()
 	type setPos struct {
 		pos int
@@ -855,8 +936,8 @@ func execUpdate(s *store.Store, up *Update, params event.Bindings) (*Result, err
 			return nil, fmt.Errorf("sqlmini: %s: no such column %s", up.Table, a.Col)
 		}
 		sets = append(sets, setPos{p, a.Val})
+		m.env.evalSubqueries(a.Val)
 	}
-	m := planMatch(s, tbl, up.Where, params)
 	n, err := tbl.UpdateWhere(m.probe, m.matches, func(r store.Row) (store.Row, error) {
 		m.env.row = r
 		for _, sp := range sets {
@@ -879,7 +960,11 @@ func execDelete(s *store.Store, del *Delete, params event.Bindings) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	m := planMatch(s, tbl, del.Where, params)
+	return deleteRows(tbl, planMatch(s, tbl, del.Where, params))
+}
+
+// deleteRows deletes the rows m matches.
+func deleteRows(tbl *store.Table, m matcher) (*Result, error) {
 	n, err := tbl.DeleteWhere(m.probe, m.matches)
 	if err != nil {
 		return nil, err
@@ -925,7 +1010,8 @@ func (r *relation) index(ref string) (int, error) {
 }
 
 // tableRelation loads the rows of one table that where (nil: every row)
-// matches as a relation, through the match planner.
+// matches as a relation, through the match planner. Its rows are the
+// store's own, so nothing may modify them.
 func tableRelation(s *store.Store, name, alias string, where Expr, params event.Bindings) (*relation, error) {
 	tbl, err := s.Table(name)
 	if err != nil {
@@ -942,7 +1028,7 @@ func tableRelation(s *store.Store, name, alias string, where Expr, params event.
 	}
 	m := planMatch(s, tbl, where, params)
 	if err := m.matchRows(tbl, func(r store.Row) {
-		rel.rows = append(rel.rows, append([]event.Value(nil), r...))
+		rel.rows = append(rel.rows, r) // immutable: aliased, not copied
 	}); err != nil {
 		return nil, err
 	}
@@ -1130,6 +1216,12 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, er
 	}
 	if sel.Limit >= 0 && len(res.Rows) > sel.Limit {
 		res.Rows = res.Rows[:sel.Limit]
+	}
+	if sel.Star && len(sel.Joins) == 0 {
+		// Only here do stored rows reach the caller: copy them.
+		for i, r := range res.Rows {
+			res.Rows[i] = slices.Clone(r)
+		}
 	}
 	return res, nil
 }

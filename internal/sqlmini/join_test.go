@@ -182,8 +182,9 @@ func TestExplain(t *testing.T) {
 		return steps
 	}
 	// SELECT, UPDATE and DELETE show the match planner's choice: a probe
-	// on the indexed object_epc, a scan on loc_id, and a scan when the
-	// value side names a column, even one a parameter shadows.
+	// on the indexed object_epc wherever it sits in the AND tree, a scan on
+	// loc_id, and a scan when the value side names a column, even one a
+	// parameter shadows.
 	shadow := event.MakeBindings(map[string]event.Value{"loc_id": event.StringValue("case1")})
 	for _, tc := range []struct {
 		sql    string
@@ -197,6 +198,7 @@ func TestExplain(t *testing.T) {
 		{`EXPLAIN UPDATE OBJECTLOCATION SET loc_id = 'x' WHERE loc_id = 'x'`, nil, "full scan"},
 		{`EXPLAIN UPDATE OBJECTLOCATION SET tend = 5 WHERE object_epc = loc_id`, shadow, "full scan"},
 		{`EXPLAIN DELETE FROM OBJECTLOCATION WHERE tend = 'UC' AND object_epc = 'case1'`, nil, "index probe OBJECTLOCATION.object_epc = case1"},
+		{`EXPLAIN SELECT * FROM OBJECTLOCATION WHERE loc_id = 'x' AND (tend = 'UC' AND object_epc = 'case1')`, nil, "index probe OBJECTLOCATION.object_epc = case1"},
 		{`EXPLAIN DELETE FROM OBJECTLOCATION WHERE loc_id = 'x'`, nil, "full scan"},
 		{`EXPLAIN DELETE FROM OBJECTLOCATION WHERE loc_id = object_epc`, shadow, "full scan"},
 	} {
@@ -204,6 +206,10 @@ func TestExplain(t *testing.T) {
 		if len(res.Rows) == 0 || !strings.HasPrefix(res.Rows[0][0].Str(), tc.want) {
 			t.Errorf("%s: plan %v, want %q first", tc.sql, res.Rows, tc.want)
 		}
+	}
+	// An unindexed `col = v` prefilters the scan.
+	if steps := plan(`EXPLAIN UPDATE OBJECTLOCATION SET tend = 5 WHERE tend = 'UC' AND loc_id = 'x'`); len(steps) < 2 || steps[1] != "prefilter tend = UC" {
+		t.Errorf("prefiltered plan: %v", steps)
 	}
 	// Joins, grouping, ordering show up as steps.
 	steps := plan(`EXPLAIN SELECT l.loc_id, COUNT(*) FROM OBJECTCONTAINMENT c

@@ -159,12 +159,14 @@ func TestAllocBudgetUpdateUC(t *testing.T) {
 }
 
 // FuzzProbeMatchesScan runs random SELECT, UPDATE and DELETE statements
-// against two copies of one table, one with hash indexes on k, n and at
-// and one without, and requires the same results, the same rows in scan
-// order and the same journaled mutations. The rows mix every kind the
-// columns coerce (strings that look like ints, times and 'UC'; nulls);
-// WHERE clauses are conjunctions whose value sides are literals or
-// parameters, including a parameter that shadows a column.
+// against three copies of one table: one with hash indexes on k, n and at,
+// one without, where a probe prefilters the scan, and a reference whose
+// statements run with the probe forced off (see execWhereOnly), so it
+// evaluates the WHERE on every row. All three must give the same results,
+// the same rows in scan order and the same journaled mutations. The rows
+// mix every kind the columns coerce (strings that look like ints, times
+// and 'UC'; nulls); WHERE clauses are conjunctions whose value sides are
+// literals or parameters, including a parameter that shadows a column.
 func FuzzProbeMatchesScan(f *testing.F) {
 	for seed := int64(0); seed < 48; seed++ {
 		data := make([]byte, 24+seed)
@@ -182,21 +184,65 @@ func FuzzProbeMatchesScan(f *testing.F) {
 		})
 		indexed, idxLog := fuzzTable(t, rows, true)
 		plain, plainLog := fuzzTable(t, rows, false)
+		ref, refLog := fuzzTable(t, rows, false)
 		for n := 1 + g.intn(4); n > 0; n-- {
 			sql := g.stmt()
-			got, gotErr := Exec(indexed, sql, params)
-			want, wantErr := Exec(plain, sql, params)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || jsonOf(t, got) != jsonOf(t, want) {
-				t.Fatalf("%s with %v:\nindexed %v, %v\nscan    %v, %v", sql, params, got, gotErr, want, wantErr)
+			want, wantErr := execWhereOnly(t, ref, sql, params)
+			for name, s := range map[string]*store.Store{"indexed": indexed, "prefiltered": plain} {
+				got, gotErr := Exec(s, sql, params)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || jsonOf(t, got) != jsonOf(t, want) {
+					t.Fatalf("%s with %v:\n%s %v, %v\nwhere-only %v, %v", sql, params, name, got, gotErr, want, wantErr)
+				}
 			}
 		}
-		if got, want := scanRows(t, indexed), scanRows(t, plain); got != want {
-			t.Fatalf("rows differ:\nindexed %s\nscan    %s", got, want)
-		}
-		if got, want := jsonOf(t, *idxLog), jsonOf(t, *plainLog); got != want {
-			t.Fatalf("journals differ:\nindexed %s\nscan    %s", got, want)
+		want, wantLog := scanRows(t, ref), jsonOf(t, *refLog)
+		for name, c := range map[string]struct {
+			s   *store.Store
+			log *[]store.Mutation
+		}{"indexed": {indexed, idxLog}, "prefiltered": {plain, plainLog}} {
+			if got := scanRows(t, c.s); got != want {
+				t.Fatalf("rows differ:\n%s %s\nwhere-only %s", name, got, want)
+			}
+			if got := jsonOf(t, *c.log); got != wantLog {
+				t.Fatalf("journals differ:\n%s %s\nwhere-only %s", name, got, wantLog)
+			}
 		}
 	})
+}
+
+// execWhereOnly runs one of fuzzGen's statements as Exec does, through
+// the same match planner, but with the planned probe dropped: the store
+// evaluates the WHERE on every row.
+func execWhereOnly(t *testing.T, s *store.Store, sql string, params event.Bindings) (*Result, error) {
+	t.Helper()
+	plan := func(table string, where Expr) (*store.Table, matcher) {
+		tbl, err := s.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := planMatch(s, tbl, where, params)
+		m.probe = store.Probe{}
+		return tbl, m
+	}
+	switch st := mustParse(t, sql).(type) {
+	case *Update:
+		tbl, m := plan(st.Table, st.Where)
+		return updateRows(tbl, st, m)
+	case *Delete:
+		return deleteRows(plan(st.Table, st.Where))
+	case *Select: // SELECT * FROM t WHERE ...
+		tbl, m := plan(st.Table, st.Where)
+		res := &Result{}
+		for _, c := range tbl.Schema() {
+			res.Columns = append(res.Columns, c.Name)
+		}
+		if err := m.matchRows(tbl, func(r store.Row) { res.Rows = append(res.Rows, r) }); err != nil {
+			return nil, err
+		}
+		return res, nil
+	}
+	t.Fatalf("unexpected statement %s", sql)
+	return nil, nil
 }
 
 // jsonOf renders v as JSON, which tags every event.Value with its kind.

@@ -37,7 +37,10 @@ func (s Schema) Index(name string) int {
 	return -1
 }
 
-// Row is one table row; len(Row) == len(Schema).
+// Row is one table row; len(Row) == len(Schema). A stored row is
+// immutable: an update stores a new row in its place, so a row Scan,
+// Lookup or the journal hands out stays valid, and unchanged, after the
+// table changes. Callers must not modify it.
 type Row []event.Value
 
 // clone copies a row.
@@ -81,8 +84,7 @@ func (s *Store) CreateTable(name string, schema Schema) error {
 	s.tables[key] = &Table{
 		name:    name,
 		schema:  schema,
-		rows:    map[int64]Row{},
-		indexes: map[int]map[string][]int64{},
+		indexes: map[int]map[string][]int{},
 		journal: s.journal,
 	}
 	return nil
@@ -156,18 +158,24 @@ type Mutation struct {
 
 // Table is a single relation. All methods are safe for concurrent use.
 type Table struct {
-	mu      sync.RWMutex
-	name    string
-	schema  Schema
-	rows    map[int64]Row
-	order   []int64 // insertion order (may contain tombstoned IDs)
+	mu     sync.RWMutex
+	name   string
+	schema Schema
+
+	// rows holds the rows in insertion order, nil where one was deleted;
+	// ids[at] is the ID of rows[at], so ids ascends. live counts the
+	// non-nil rows. A delete compacts both slices once live*2 < len(rows),
+	// so len(rows) <= 2*live+1 after every delete.
+	rows    []Row
+	ids     []int64
+	live    int
 	nextID  int64
-	indexes map[int]map[string][]int64 // column pos → value key → row IDs
+	indexes map[int]map[string][]int // column pos → value key → row positions, ascending
 
 	// matched and updated are UpdateWhere/DeleteWhere scratch, reused
-	// under the write lock: the IDs a statement matched and, for an
+	// under the write lock: the positions a statement matched and, for an
 	// update, their new rows.
-	matched []int64
+	matched []int
 	updated []Row
 
 	// journal, when set, observes every physical mutation under the
@@ -177,7 +185,8 @@ type Table struct {
 
 // Probe restricts UpdateWhere and DeleteWhere to the rows whose column Col
 // equals Val (coerced to the column type), found through Col's hash index
-// when it has one. The zero Probe selects every row.
+// when it has one and checked before the where function otherwise. The
+// zero Probe selects every row.
 type Probe struct {
 	Col string
 	Val event.Value
@@ -193,7 +202,7 @@ func (t *Table) Schema() Schema { return t.schema }
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return t.live
 }
 
 // CreateIndex builds (or rebuilds) a hash index on the named column.
@@ -204,13 +213,12 @@ func (t *Table) CreateIndex(col string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx := map[string][]int64{}
-	for id, r := range t.rows {
-		k := indexKey(r[pos])
-		idx[k] = append(idx[k], id)
-	}
-	for _, ids := range idx {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	idx := map[string][]int{}
+	for at, r := range t.rows {
+		if r != nil {
+			k := indexKey(r[pos])
+			idx[k] = append(idx[k], at)
+		}
 	}
 	t.indexes[pos] = idx
 	return nil
@@ -230,45 +238,40 @@ func (t *Table) HasIndex(col string) bool {
 
 func indexKey(v event.Value) string { return v.String() }
 
-// Insert appends a row, coercing values to the column types.
+// Insert appends vals as a row, coercing them to the column types in
+// place. The table takes ownership of vals: the caller must not use the
+// slice again.
 func (t *Table) Insert(vals []event.Value) error {
 	if len(vals) != len(t.schema) {
 		return fmt.Errorf("store: %s: got %d values, want %d", t.name, len(vals), len(t.schema))
 	}
-	row := make(Row, len(vals))
 	for i, v := range vals {
 		cv, err := Coerce(v, t.schema[i].Type)
 		if err != nil {
 			return fmt.Errorf("store: %s.%s: %v", t.name, t.schema[i].Name, err)
 		}
-		row[i] = cv
+		vals[i] = cv
 	}
+	row := Row(vals)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := t.nextID
 	t.nextID++
-	t.rows[id] = row
-	t.order = append(t.order, id)
-	for pos, idx := range t.indexes {
-		k := indexKey(row[pos])
-		idx[k] = append(idx[k], id)
-	}
+	t.putLocked(len(t.rows), id, row)
 	if t.journal != nil {
-		t.journal(Mutation{Table: t.name, Op: OpInsert, ID: id, Row: row.clone()})
+		t.journal(Mutation{Table: t.name, Op: OpInsert, ID: id, Row: row})
 	}
 	return nil
 }
 
-// Scan visits live rows in insertion order until visit returns false.
+// Scan visits live rows in insertion order until visit returns false. It
+// holds the read lock throughout, so visit must not call into the table.
+// Each row is the stored, immutable one.
 func (t *Table) Scan(visit func(id int64, r Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, id := range t.order {
-		r, ok := t.rows[id]
-		if !ok {
-			continue
-		}
-		if !visit(id, r) {
+	for at, r := range t.rows {
+		if r != nil && !visit(t.ids[at], r) {
 			return
 		}
 	}
@@ -276,7 +279,9 @@ func (t *Table) Scan(visit func(id int64, r Row) bool) {
 
 // Lookup visits rows whose column equals v, using the hash index when one
 // exists and falling back to a scan otherwise. Rows are visited in
-// insertion order.
+// insertion order and are the stored, immutable ones. An index probe
+// snapshots the rows that match and visits them without the lock, so
+// visit may call into the table; the scan holds the lock as Scan does.
 func (t *Table) Lookup(col string, v event.Value, visit func(id int64, r Row) bool) error {
 	pos := t.schema.Index(col)
 	if pos < 0 {
@@ -284,31 +289,31 @@ func (t *Table) Lookup(col string, v event.Value, visit func(id int64, r Row) bo
 	}
 	cv := probeKey(v, t.schema[pos].Type)
 	t.mu.RLock()
-	if idx, ok := t.indexes[pos]; ok {
-		ids := idx[indexKey(cv)]
-		// Copy so the visit callback can mutate the table.
-		snapshot := append([]int64(nil), ids...)
+	idx, ok := t.indexes[pos]
+	if !ok {
 		t.mu.RUnlock()
-		for _, id := range snapshot {
-			t.mu.RLock()
-			r, ok := t.rows[id]
-			t.mu.RUnlock()
-			if !ok || !r[pos].Equal(cv) {
-				continue
-			}
-			if !visit(id, r) {
-				return nil
-			}
-		}
+		t.Scan(func(id int64, r Row) bool {
+			return !r[pos].Equal(cv) || visit(id, r)
+		})
 		return nil
 	}
-	t.mu.RUnlock()
-	t.Scan(func(id int64, r Row) bool {
-		if !r[pos].Equal(cv) {
-			return true
+	type hit struct {
+		id  int64
+		row Row
+	}
+	var buf [8]hit
+	hits := buf[:0]
+	for _, at := range idx[indexKey(cv)] {
+		if r := t.rows[at]; r[pos].Equal(cv) {
+			hits = append(hits, hit{t.ids[at], r})
 		}
-		return visit(id, r)
-	})
+	}
+	t.mu.RUnlock()
+	for _, h := range hits {
+		if !visit(h.id, h.row) {
+			break
+		}
+	}
 	return nil
 }
 
@@ -327,7 +332,8 @@ func (t *Table) Delete(where func(Row) bool) int {
 // UpdateWhere rewrites the rows p selects that where accepts with the
 // assignments set produces from a copy of each, and returns their count.
 // Rows are rewritten and journaled in insertion order. The statement is
-// atomic: if where, set or a column coercion fails, no row changes.
+// atomic: if where, set or a column coercion fails, no row changes. where
+// and set run under the write lock and must not call into the table.
 func (t *Table) UpdateWhere(p Probe, where func(Row) (bool, error), set func(Row) (Row, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -335,8 +341,8 @@ func (t *Table) UpdateWhere(p Probe, where func(Row) (bool, error), set func(Row
 		return 0, err
 	}
 	defer func() { clear(t.updated); t.updated = t.updated[:0] }()
-	for _, id := range t.matched {
-		nr, err := set(t.rows[id].clone())
+	for _, at := range t.matched {
+		nr, err := set(t.rows[at].clone())
 		if err != nil {
 			return 0, err
 		}
@@ -349,17 +355,11 @@ func (t *Table) UpdateWhere(p Probe, where func(Row) (bool, error), set func(Row
 		}
 		t.updated = append(t.updated, nr)
 	}
-	for i, id := range t.matched {
-		r, nr := t.rows[id], t.updated[i]
-		for pos, idx := range t.indexes {
-			if !r[pos].Equal(nr[pos]) {
-				removeID(idx, indexKey(r[pos]), id)
-				addID(idx, indexKey(nr[pos]), id)
-			}
-		}
-		t.rows[id] = nr
+	for i, at := range t.matched {
+		nr := t.updated[i]
+		t.replaceLocked(at, nr)
 		if t.journal != nil {
-			t.journal(Mutation{Table: t.name, Op: OpUpdate, ID: id, Row: nr.clone()})
+			t.journal(Mutation{Table: t.name, Op: OpUpdate, ID: t.ids[at], Row: nr})
 		}
 	}
 	return len(t.matched), nil
@@ -367,37 +367,34 @@ func (t *Table) UpdateWhere(p Probe, where func(Row) (bool, error), set func(Row
 
 // DeleteWhere removes the rows p selects that where accepts and returns
 // their count. Rows are deleted and journaled in insertion order; if where
-// fails, no row is deleted.
+// fails, no row is deleted. where runs under the write lock and must not
+// call into the table.
 func (t *Table) DeleteWhere(p Probe, where func(Row) (bool, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.matchLocked(p, where); err != nil {
 		return 0, err
 	}
-	for _, id := range t.matched {
-		r := t.rows[id]
-		for pos, idx := range t.indexes {
-			removeID(idx, indexKey(r[pos]), id)
-		}
-		delete(t.rows, id)
+	for _, at := range t.matched {
+		t.removeLocked(at)
 		if t.journal != nil {
-			t.journal(Mutation{Table: t.name, Op: OpDelete, ID: id})
+			t.journal(Mutation{Table: t.name, Op: OpDelete, ID: t.ids[at]})
 		}
 	}
-	n := len(t.matched)
-	if n > 0 && len(t.rows)*2 < len(t.order) {
-		t.compactLocked()
-	}
-	return n, nil
+	t.compactLocked()
+	return len(t.matched), nil
 }
 
-// matchLocked fills t.matched with the IDs of the live rows p selects that
-// where accepts, in ascending ID (insertion) order. On a where error
-// t.matched is left empty. The caller holds the write lock.
+// matchLocked fills t.matched with the positions of the live rows p
+// selects that where accepts, in insertion order. A probe on an indexed
+// column visits its key's rows; on another column it checks each row's
+// value before where. On a where error t.matched is left empty. The
+// caller holds the write lock.
 func (t *Table) matchLocked(p Probe, where func(Row) (bool, error)) error {
 	t.matched = t.matched[:0]
-	candidates, pos := t.order, -1
+	pos, n := -1, len(t.rows)
 	var key event.Value
+	var candidates []int
 	if p.Col != "" {
 		if pos = t.schema.Index(p.Col); pos < 0 {
 			return fmt.Errorf("store: %s: no such column %s", t.name, p.Col)
@@ -405,11 +402,16 @@ func (t *Table) matchLocked(p Probe, where func(Row) (bool, error)) error {
 		key = probeKey(p.Val, t.schema[pos].Type)
 		if idx, ok := t.indexes[pos]; ok {
 			candidates = idx[indexKey(key)]
+			n = len(candidates)
 		}
 	}
-	for _, id := range candidates {
-		r, ok := t.rows[id]
-		if !ok || pos >= 0 && !r[pos].Equal(key) {
+	for i := range n {
+		at := i
+		if candidates != nil {
+			at = candidates[i]
+		}
+		r := t.rows[at]
+		if r == nil || pos >= 0 && !r[pos].Equal(key) {
 			continue
 		}
 		ok, err := where(r)
@@ -418,7 +420,7 @@ func (t *Table) matchLocked(p Probe, where func(Row) (bool, error)) error {
 			return err
 		}
 		if ok {
-			t.matched = append(t.matched, id)
+			t.matched = append(t.matched, at)
 		}
 	}
 	return nil
@@ -434,35 +436,108 @@ func probeKey(v event.Value, kind event.Kind) event.Value {
 	return v
 }
 
+// putLocked stores row under id at position at, the position that keeps
+// ids ascending: the end for a new ID, a deleted row's slot for its own
+// ID, or between older and newer IDs for a replayed one.
+func (t *Table) putLocked(at int, id int64, row Row) {
+	switch {
+	case at == len(t.rows):
+		t.rows = append(t.rows, row)
+		t.ids = append(t.ids, id)
+	case t.ids[at] == id:
+		t.rows[at] = row
+	default:
+		t.rows = slices.Insert(t.rows, at, row)
+		t.ids = slices.Insert(t.ids, at, id)
+		for _, idx := range t.indexes {
+			for _, ps := range idx {
+				for i, p := range ps {
+					if p >= at {
+						ps[i] = p + 1
+					}
+				}
+			}
+		}
+	}
+	t.live++
+	for pos, idx := range t.indexes {
+		addPos(idx, indexKey(row[pos]), at)
+	}
+}
+
+// replaceLocked stores nr in place of the row at position at.
+func (t *Table) replaceLocked(at int, nr Row) {
+	r := t.rows[at]
+	for pos, idx := range t.indexes {
+		if !r[pos].Equal(nr[pos]) {
+			removePos(idx, indexKey(r[pos]), at)
+			addPos(idx, indexKey(nr[pos]), at)
+		}
+	}
+	t.rows[at] = nr
+}
+
+// removeLocked deletes the row at position at, leaving its slot nil until
+// compactLocked drops it.
+func (t *Table) removeLocked(at int) {
+	r := t.rows[at]
+	for pos, idx := range t.indexes {
+		removePos(idx, indexKey(r[pos]), at)
+	}
+	t.rows[at] = nil
+	t.live--
+}
+
+// find returns the position of the live row with the given ID.
+func (t *Table) find(id int64) (int, bool) {
+	at, ok := slices.BinarySearch(t.ids, id)
+	return at, ok && t.rows[at] != nil
+}
+
+// compactLocked drops the deleted slots once they outnumber the live
+// rows, into slices sized to the live rows, and renumbers the positions
+// the indexes hold. IDs do not change.
 func (t *Table) compactLocked() {
-	live := t.order[:0]
-	for _, id := range t.order {
-		if _, ok := t.rows[id]; ok {
-			live = append(live, id)
+	if t.live*2 >= len(t.rows) {
+		return
+	}
+	moved := make([]int, len(t.rows)) // old position → new
+	rows, ids := make([]Row, 0, t.live), make([]int64, 0, t.live)
+	for at, r := range t.rows {
+		if r != nil {
+			moved[at] = len(rows)
+			rows = append(rows, r)
+			ids = append(ids, t.ids[at])
 		}
 	}
-	t.order = live
-}
-
-// addID inserts id into key's list in ascending order. IDs are assigned in
-// insertion order, so an index probe visits rows in the order a scan does,
-// even after an update moves a row onto a key holding newer rows.
-func addID(idx map[string][]int64, key string, id int64) {
-	ids := idx[key]
-	i, _ := slices.BinarySearch(ids, id)
-	idx[key] = slices.Insert(ids, i, id)
-}
-
-func removeID(idx map[string][]int64, key string, id int64) {
-	ids := idx[key]
-	for i, x := range ids {
-		if x == id {
-			idx[key] = append(ids[:i], ids[i+1:]...)
-			break
+	t.rows, t.ids = rows, ids
+	for _, idx := range t.indexes {
+		for _, ps := range idx {
+			for i, p := range ps {
+				ps[i] = moved[p]
+			}
 		}
 	}
-	if len(idx[key]) == 0 {
+}
+
+// addPos inserts at into key's list in ascending order, so an index probe
+// visits rows in the order a scan does, even after an update moves a row
+// onto a key holding newer rows.
+func addPos(idx map[string][]int, key string, at int) {
+	ps := idx[key]
+	i, _ := slices.BinarySearch(ps, at)
+	idx[key] = slices.Insert(ps, i, at)
+}
+
+func removePos(idx map[string][]int, key string, at int) {
+	ps := idx[key]
+	if i, ok := slices.BinarySearch(ps, at); ok {
+		ps = slices.Delete(ps, i, i+1)
+	}
+	if len(ps) == 0 {
 		delete(idx, key)
+	} else {
+		idx[key] = ps
 	}
 }
 

@@ -458,3 +458,198 @@ func TestSchemaIndexCaseInsensitive(t *testing.T) {
 		t.Errorf("Schema.Index case handling broken")
 	}
 }
+
+// TestDeleteChurnKeepsRowsBounded: under insert/delete churn the deleted
+// slots are compacted away, len(rows) <= 2*live+1 after every delete, and
+// the index still finds exactly the live rows.
+func TestDeleteChurnKeepsRowsBounded(t *testing.T) {
+	tbl := newTestTable(t)
+	if err := tbl.CreateIndex("epc"); err != nil {
+		t.Fatal(err)
+	}
+	const inserts, maxLive = 100_000, 10
+	for i := 0; i < inserts; i++ {
+		_ = tbl.Insert([]event.Value{event.StringValue(fmt.Sprintf("e%d", i%3)), event.IntValue(int64(i)), event.TimeValue(0)})
+		if tbl.Len() <= maxLive {
+			continue
+		}
+		old := int64(i - maxLive)
+		if n := tbl.Delete(func(r Row) bool { return r[1].Int() == old }); n != 1 {
+			t.Fatalf("insert %d: deleted %d rows", i, n)
+		}
+		if live, slots := tbl.Len(), len(tbl.rows); slots > 2*live+1 {
+			t.Fatalf("insert %d: %d slots for %d live rows", i, slots, live)
+		}
+	}
+	for k := 0; k < 3; k++ {
+		key := fmt.Sprintf("e%d", k)
+		if got, want := lookupQtys(tbl, key), scanQtys(tbl, key); got != want {
+			t.Errorf("key %s: index %s, scan %s", key, got, want)
+		}
+	}
+}
+
+// lookupQtys and scanQtys list the (id, qty) of the rows whose epc is key,
+// found through Lookup and through Scan.
+func lookupQtys(tbl *Table, key string) string {
+	var sb strings.Builder
+	_ = tbl.Lookup("epc", event.StringValue(key), func(id int64, r Row) bool {
+		fmt.Fprintf(&sb, "%d:%d ", id, r[1].Int())
+		return true
+	})
+	return sb.String()
+}
+
+func scanQtys(tbl *Table, key string) string {
+	var sb strings.Builder
+	tbl.Scan(func(id int64, r Row) bool {
+		if r[0].Str() == key {
+			fmt.Fprintf(&sb, "%d:%d ", id, r[1].Int())
+		}
+		return true
+	})
+	return sb.String()
+}
+
+// TestCompactionKeepsOrderProbesAndReplay drives a journaled, indexed
+// table through inserts, updates that move rows between keys and deletes
+// that compact it, checking after each round that a scan visits rows in
+// insertion order (IDs and qtys both ascend), that every index probe
+// agrees with the scan, and that replaying the journal by ID onto an
+// empty copy rebuilds the same table.
+func TestCompactionKeepsOrderProbesAndReplay(t *testing.T) {
+	s, replica := New(), New()
+	for _, st := range []*Store{s, replica} {
+		if err := st.CreateTable("items", testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		tb, _ := st.Table("items")
+		if err := tb.CreateIndex("epc"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wal bytes.Buffer
+	w, _ := NewWAL(s, &wal)
+	tbl, _ := s.Table("items")
+	rep, _ := replica.Table("items")
+	nextQty := int64(0)
+	r := rand.New(rand.NewSource(7))
+	compactions := 0
+	for round := 0; round < 40; round++ {
+		for i := r.Intn(30); i > 0; i-- {
+			_ = tbl.Insert([]event.Value{event.StringValue(fmt.Sprintf("e%d", r.Intn(5))), event.IntValue(nextQty), event.TimeValue(0)})
+			nextQty++
+		}
+		mod := int64(2 + r.Intn(3))
+		_, _ = tbl.Update(func(r Row) bool { return r[1].Int()%mod == 0 },
+			func(r Row) (Row, error) { r[0] = event.StringValue(fmt.Sprintf("e%d", r[1].Int()%5)); return r, nil })
+		before := len(tbl.rows)
+		cut := int64(r.Intn(int(nextQty) + 1))
+		tbl.Delete(func(r Row) bool { return r[1].Int() < cut && r[1].Int()%3 != 0 })
+		if len(tbl.rows) < before && tbl.Len() == len(tbl.rows) {
+			compactions++
+		}
+		lastID, lastQty, n := int64(-1), int64(-1), 0
+		tbl.Scan(func(id int64, row Row) bool {
+			if id <= lastID || row[1].Int() <= lastQty {
+				t.Fatalf("round %d: scan visits %d:%d after %d:%d", round, id, row[1].Int(), lastID, lastQty)
+			}
+			lastID, lastQty = id, row[1].Int()
+			n++
+			return true
+		})
+		if n != tbl.Len() {
+			t.Fatalf("round %d: scan found %d rows, Len %d", round, n, tbl.Len())
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ReplayWAL(replica, bytes.NewReader(wal.Bytes())); err != nil {
+			t.Fatalf("round %d: replay: %v", round, err)
+		}
+		wal.Reset()
+		for k := 0; k < 5; k++ {
+			key := fmt.Sprintf("e%d", k)
+			want := scanQtys(tbl, key)
+			if got := lookupQtys(tbl, key); got != want {
+				t.Fatalf("round %d key %s: index %s, scan %s", round, key, got, want)
+			}
+			if got := scanQtys(rep, key); got != want {
+				t.Fatalf("round %d key %s: replica scan %s, want %s", round, key, got, want)
+			}
+			if got := lookupQtys(rep, key); got != want {
+				t.Fatalf("round %d key %s: replica index %s, want %s", round, key, got, want)
+			}
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("no round compacted the table")
+	}
+}
+
+// TestReplayOutOfOrderIDs: a journal may name IDs the table has never
+// assigned in order, or a deleted row's ID again; replay keeps the rows in
+// ID order and the index in step.
+func TestReplayOutOfOrderIDs(t *testing.T) {
+	tbl := newTestTable(t)
+	_ = tbl.CreateIndex("epc")
+	row := func(epc string, qty int64) Row {
+		return Row{event.StringValue(epc), event.IntValue(qty), event.TimeValue(0)}
+	}
+	for _, m := range []Mutation{
+		{Op: OpInsert, ID: 5, Row: row("a", 5)},
+		{Op: OpInsert, ID: 2, Row: row("a", 2)},
+		{Op: OpInsert, ID: 9, Row: row("b", 9)},
+		{Op: OpDelete, ID: 5},
+		{Op: OpInsert, ID: 5, Row: row("a", 55)},
+		{Op: OpInsert, ID: 7, Row: row("a", 7)},
+		{Op: OpUpdate, ID: 9, Row: row("a", 99)},
+	} {
+		if err := tbl.applyMutation(m); err != nil {
+			t.Fatalf("%v %d: %v", m.Op, m.ID, err)
+		}
+	}
+	if err := tbl.applyMutation(Mutation{Op: OpInsert, ID: 7, Row: row("a", 1)}); err == nil {
+		t.Errorf("insert of a live id accepted")
+	}
+	const want = "2:2 5:55 7:7 9:99 "
+	if got := scanQtys(tbl, "a"); got != want {
+		t.Errorf("scan %s, want %s", got, want)
+	}
+	if got := lookupQtys(tbl, "a"); got != want {
+		t.Errorf("index %s, want %s", got, want)
+	}
+	if err := tbl.Insert([]event.Value{event.StringValue("a"), event.IntValue(10), event.TimeValue(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := lookupQtys(tbl, "a"); got != want+"10:10 " {
+		t.Errorf("after insert: index %s", got)
+	}
+}
+
+// TestStoredRowsAreImmutable: a row a scan, lookup or journal handed out
+// keeps its values after the table updates or deletes it.
+func TestStoredRowsAreImmutable(t *testing.T) {
+	tbl := newTestTable(t)
+	_ = tbl.CreateIndex("epc")
+	var journaled Row
+	tbl.journal = func(m Mutation) {
+		if m.Op == OpInsert {
+			journaled = m.Row
+		}
+	}
+	_ = tbl.Insert([]event.Value{event.StringValue("a"), event.IntValue(1), event.TimeValue(0)})
+	var scanned, looked Row
+	tbl.Scan(func(_ int64, r Row) bool { scanned = r; return true })
+	_ = tbl.Lookup("epc", event.StringValue("a"), func(_ int64, r Row) bool { looked = r; return true })
+	if _, err := tbl.Update(func(Row) bool { return true },
+		func(r Row) (Row, error) { r[0], r[1] = event.StringValue("b"), event.IntValue(2); return r, nil }); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Delete(func(Row) bool { return true })
+	for name, r := range map[string]Row{"scan": scanned, "lookup": looked, "journal": journaled} {
+		if r[0].Str() != "a" || r[1].Int() != 1 {
+			t.Errorf("%s row changed to %v", name, r)
+		}
+	}
+}

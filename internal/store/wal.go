@@ -108,51 +108,35 @@ func ReplayWAL(s *Store, r io.Reader) error {
 }
 
 // applyMutation replays one physical mutation, keeping row IDs and
-// indexes consistent.
+// indexes consistent. Rows are found by ID, and a delete compacts as
+// DeleteWhere does.
 func (t *Table) applyMutation(m Mutation) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if (m.Op == OpInsert || m.Op == OpUpdate) && len(m.Row) != len(t.schema) {
+		return fmt.Errorf("%s arity %d vs schema %d", m.Op, len(m.Row), len(t.schema))
+	}
+	at, ok := t.find(m.ID)
 	switch m.Op {
 	case OpInsert:
-		if len(m.Row) != len(t.schema) {
-			return fmt.Errorf("insert arity %d vs schema %d", len(m.Row), len(t.schema))
-		}
-		if _, exists := t.rows[m.ID]; exists {
+		if ok {
 			return fmt.Errorf("insert id %d already exists", m.ID)
 		}
-		t.rows[m.ID] = m.Row
-		t.order = append(t.order, m.ID)
+		t.putLocked(at, m.ID, m.Row)
 		if m.ID >= t.nextID {
 			t.nextID = m.ID + 1
 		}
-		for pos, idx := range t.indexes {
-			k := indexKey(m.Row[pos])
-			idx[k] = append(idx[k], m.ID)
-		}
 	case OpUpdate:
-		old, ok := t.rows[m.ID]
 		if !ok {
 			return fmt.Errorf("update of missing id %d", m.ID)
 		}
-		if len(m.Row) != len(t.schema) {
-			return fmt.Errorf("update arity %d vs schema %d", len(m.Row), len(t.schema))
-		}
-		for pos, idx := range t.indexes {
-			if !old[pos].Equal(m.Row[pos]) {
-				removeID(idx, indexKey(old[pos]), m.ID)
-				addID(idx, indexKey(m.Row[pos]), m.ID)
-			}
-		}
-		t.rows[m.ID] = m.Row
+		t.replaceLocked(at, m.Row)
 	case OpDelete:
-		old, ok := t.rows[m.ID]
 		if !ok {
 			return fmt.Errorf("delete of missing id %d", m.ID)
 		}
-		for pos, idx := range t.indexes {
-			removeID(idx, indexKey(old[pos]), m.ID)
-		}
-		delete(t.rows, m.ID)
+		t.removeLocked(at)
+		t.compactLocked()
 	default:
 		return fmt.Errorf("unknown mutation op %d", m.Op)
 	}
