@@ -3,7 +3,7 @@
 // benchmark/README.md) on two checkouts, the parent commit and the change,
 // and compares them workload by workload. Each workload runs once per
 // checkout untraced (end-to-end metrics) and once traced (per-layer
-// metrics), parent and change alternating, at seed 1.
+// metrics), parent and change alternating, at seed 1 (-seed picks another).
 //
 // The gate fails when
 //
@@ -30,6 +30,7 @@
 //
 //	go run ./cmd/benchgate -base ../parent
 //	go run ./cmd/benchgate -base ../parent -pairs 10 -workload detect_only
+//	go run ./cmd/benchgate -base ../parent -pairs 10 -workload query_mix -seed 2
 //
 // The report is Markdown on stdout; the exit status is 1 on any failure.
 package main
@@ -112,6 +113,9 @@ type metric struct {
 
 var digestRE = regexp.MustCompile(`reference detections (\S+)`)
 
+// seed is the benchmark seed both checkouts run at.
+var seed = 1
+
 // runBenchmark runs one workload in the checkout at dir with the command
 // its BENCHMARK.json names. A run the oracle marks incorrect exits non-zero
 // but still prints its result line; only a missing line is an error.
@@ -120,7 +124,7 @@ func runBenchmark(dir string, command []string, workload string, seconds int, tr
 	if traced {
 		trace = "1"
 	}
-	args := append(append([]string(nil), command[1:]...), "--workload", workload, "--seed", "1",
+	args := append(append([]string(nil), command[1:]...), "--workload", workload, "--seed", strconv.Itoa(seed),
 		"--seconds", strconv.Itoa(seconds), "--trace", trace)
 	cmd := exec.Command(command[0], args...)
 	cmd.Dir = dir
@@ -251,6 +255,7 @@ func main() {
 	pairs := flag.Int("pairs", 0, "instead of gating, run this many alternating pairs and report the times")
 	var workloads names
 	flag.Var(&workloads, "workload", "with -pairs, a workload to run (repeatable; default all)")
+	flag.IntVar(&seed, "seed", seed, "the benchmark seed of every run")
 	flag.Parse()
 	if *base == "" || flag.NArg() > 0 || *pairs < 0 || len(workloads) > 0 && *pairs == 0 {
 		flag.Usage()
@@ -279,7 +284,7 @@ func gate(base string) error {
 	if err != nil {
 		return fmt.Errorf("parent: %w", err)
 	}
-	fmt.Printf("## Benchmark gate: counts gated, times reported (seed 1, %ds runs)\n\n", runSeconds)
+	fmt.Printf("## Benchmark gate: counts gated, times reported (seed %d, %ds runs)\n\n", seed, runSeconds)
 	var fails []string
 	for _, wl := range c.Workloads {
 		if !pc.lists(wl.Name) {

@@ -31,7 +31,7 @@ func runPairs(base string, n int, workloads []string) error {
 	if seconds <= 0 {
 		return fmt.Errorf("BENCHMARK.json: run_seconds is %d", seconds)
 	}
-	fmt.Printf("## Benchmark pairs: times reported (seed 1, %ds untraced runs, %d pairs, run order alternating)\n\n", seconds, n)
+	fmt.Printf("## Benchmark pairs: times reported (seed %d, %ds untraced runs, %d pairs, run order alternating)\n\n", seed, seconds, n)
 	for _, wl := range workloads {
 		if !c.lists(wl) || !pc.lists(wl) {
 			return fmt.Errorf("workload %q is not in both contracts", wl)

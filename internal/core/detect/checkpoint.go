@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
@@ -136,6 +137,9 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 						h.Consumed[consumer] = append(h.Consumed[consumer], i)
 					}
 				}
+			}
+			for _, idxs := range h.Consumed {
+				slices.Sort(idxs) // a set, ranged in map order
 			}
 			cn.Hist = h
 			dirty = true

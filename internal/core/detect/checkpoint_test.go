@@ -206,3 +206,65 @@ func TestCheckpointEmptyEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckpointBytesDeterministic: a history's claimed entries are a set,
+// but a checkpoint lists them in entry order, so saving one engine twice
+// writes the same bytes, and a restored engine saves them again.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	// Two rules share SEQ+(r1) (common sub-graph merging): each consumer
+	// claims every r1 entry of its window from the one history.
+	rules := map[int]event.Expr{
+		1: &event.Within{
+			X:   &event.Seq{L: &event.SeqPlus{X: prim("r1", "o1", "t1")}, R: prim("r2", "o2", "t2")},
+			Max: 10 * time.Second,
+		},
+		2: &event.Within{
+			X:   &event.Seq{L: &event.SeqPlus{X: prim("r1", "o1", "t1")}, R: prim("r3", "o3", "t3")},
+			Max: 10 * time.Second,
+		},
+	}
+	h := newHarness(t, rules, nil)
+	h.feed(
+		obs("r1", "a", 1), obs("r1", "b", 2), obs("r1", "c", 3), obs("r1", "d", 4),
+		obs("r1", "e", 5), obs("r1", "f", 6), obs("r2", "case", 7), obs("r3", "pallet", 8),
+	)
+	consumers := 0
+	for _, st := range h.eng.states {
+		if st == nil || st.hist == nil {
+			continue
+		}
+		for consumer, set := range st.hist.consumed {
+			if len(set) < 2 {
+				t.Fatalf("consumer %d claimed %d entries, want at least 2", consumer, len(set))
+			}
+			consumers++
+		}
+	}
+	if consumers < 2 {
+		t.Fatalf("%d consumers claimed entries, want 2", consumers)
+	}
+	var first bytes.Buffer
+	if err := h.eng.SaveCheckpoint(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
+		var again bytes.Buffer
+		if err := h.eng.SaveCheckpoint(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("save %d differs:\n%s\nfirst:\n%s", i, again.Bytes(), first.Bytes())
+		}
+	}
+	restored := newHarness(t, rules, nil)
+	if err := restored.eng.RestoreCheckpoint(bytes.NewReader(first.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var round bytes.Buffer
+	if err := restored.eng.SaveCheckpoint(&round); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(round.Bytes(), first.Bytes()) {
+		t.Fatalf("restored engine saves other bytes:\n%s\nwant:\n%s", round.Bytes(), first.Bytes())
+	}
+}

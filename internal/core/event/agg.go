@@ -1,7 +1,5 @@
 package event
 
-import "strings"
-
 // AggOp identifies an aggregate function over an event run or a list
 // binding: COUNT, SUM, AVG, MIN, MAX. The semantics mirror sqlmini's
 // SELECT-projection aggregates exactly (null skipping, int/float sum
@@ -26,19 +24,20 @@ func (op AggOp) String() string {
 	return "AGG?"
 }
 
-// AggOpNamed resolves an aggregate name case-insensitively.
+// AggOpNamed resolves an aggregate name case-insensitively. The names are
+// ASCII, so it folds ASCII case and allocates nothing.
 func AggOpNamed(name string) (AggOp, bool) {
-	switch strings.ToLower(name) {
-	case "count":
-		return AggCount, true
-	case "sum":
-		return AggSum, true
-	case "avg":
-		return AggAvg, true
-	case "min":
-		return AggMin, true
-	case "max":
-		return AggMax, true
+	for op, n := range aggOpNames {
+		if len(name) != len(n) {
+			continue
+		}
+		i := 0
+		for i < len(n) && (name[i] == n[i] || name[i] == n[i]+'a'-'A') {
+			i++
+		}
+		if i == len(n) {
+			return AggOp(op), true
+		}
 	}
 	return 0, false
 }

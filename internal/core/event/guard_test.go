@@ -101,3 +101,23 @@ func TestGuardVarsAndAggVars(t *testing.T) {
 		t.Fatalf("GuardAggVars = %v", got)
 	}
 }
+
+// TestAggOpNamed: aggregate names resolve in any ASCII case, exactly as
+// lower-casing them did, and allocate nothing.
+func TestAggOpNamed(t *testing.T) {
+	for name, want := range map[string]AggOp{
+		"count": AggCount, "COUNT": AggCount, "Sum": AggSum, "aVg": AggAvg, "MIN": AggMin, "max": AggMax,
+	} {
+		if op, ok := AggOpNamed(name); !ok || op != want {
+			t.Errorf("AggOpNamed(%q) = %v, %v; want %v", name, op, ok, want)
+		}
+	}
+	for _, name := range []string{"", "coun", "counts", "cOunt ", "ſum", "m1n", "upper", "MAX_"} {
+		if op, ok := AggOpNamed(name); ok {
+			t.Errorf("AggOpNamed(%q) = %v, want no aggregate", name, op)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { AggOpNamed("COUNT") }); allocs != 0 {
+		t.Errorf("AggOpNamed allocates %.1f", allocs)
+	}
+}

@@ -8,8 +8,6 @@
 package sqlmini
 
 import (
-	"strings"
-
 	"rcep/internal/core/event"
 	"rcep/internal/store"
 )
@@ -179,45 +177,37 @@ type Like struct {
 
 func (*Like) isExpr() {}
 
-// aggregateNames lists recognized aggregate functions.
-var aggregateNames = map[string]bool{
-	"count": true, "sum": true, "avg": true, "min": true, "max": true,
+// isAggregate reports whether the call is an aggregate function: COUNT,
+// SUM, AVG, MIN or MAX, in any case.
+func (c *Call) isAggregate() bool {
+	_, ok := event.AggOpNamed(c.Name)
+	return ok
 }
 
-// isAggregate reports whether the call is an aggregate function.
-func (c *Call) isAggregate() bool { return aggregateNames[strings.ToLower(c.Name)] }
-
-// hasAggregate reports whether the expression contains an aggregate call.
-func hasAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
+// aggregateCalls appends to calls the aggregate calls in x, except those
+// in another aggregate's argument, a row context where they do not fold.
+func aggregateCalls(x Expr, calls []*Call) []*Call {
+	switch n := x.(type) {
 	case *Call:
-		if x.isAggregate() {
-			return true
+		if n.isAggregate() {
+			return append(calls, n)
 		}
-		for _, a := range x.Args {
-			if hasAggregate(a) {
-				return true
-			}
+		for _, a := range n.Args {
+			calls = aggregateCalls(a, calls)
 		}
 	case *Unary:
-		return hasAggregate(x.X)
+		return aggregateCalls(n.X, calls)
 	case *Binary:
-		return hasAggregate(x.L) || hasAggregate(x.R)
+		return aggregateCalls(n.R, aggregateCalls(n.L, calls))
 	case *InList:
-		if hasAggregate(x.X) {
-			return true
-		}
-		for _, a := range x.List {
-			if hasAggregate(a) {
-				return true
-			}
+		calls = aggregateCalls(n.X, calls)
+		for _, a := range n.List {
+			calls = aggregateCalls(a, calls)
 		}
 	case *IsNull:
-		return hasAggregate(x.X)
+		return aggregateCalls(n.X, calls)
 	case *Like:
-		return hasAggregate(x.X) || hasAggregate(x.Pattern)
+		return aggregateCalls(n.Pattern, aggregateCalls(n.X, calls))
 	}
-	return false
+	return calls
 }

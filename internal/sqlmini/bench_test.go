@@ -99,3 +99,17 @@ func BenchmarkUpdateUCPattern(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSelectGroupBy is query_mix's GROUP BY: the 12k-row
+// OBJECTLOCATION counted per location.
+func BenchmarkSelectGroupBy(b *testing.B) {
+	s := locationTable(b, 4000)
+	stmt := PrepareStmt(mustParse(b, `SELECT loc_id, COUNT(*) AS n FROM OBJECTLOCATION GROUP BY loc_id`))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stmt.Exec(s, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -154,19 +154,19 @@ func Truthy(v event.Value) bool { return truthy(v) }
 // env is the context of sqlmini's one expression evaluator, eval. A name
 // resolves against the current row of a single table (schema: WHERE and
 // SET) or of a joined relation (rel: qualified names, aliases, the
-// ambiguity error), then against the named parameters. grouped marks a
-// group context: aggregate calls fold over group, the rows of one GROUP BY
-// group, and other names read its first row (see evalAggregate).
+// ambiguity error), then against the named parameters. A set agg marks a
+// group context: aggregate calls read group grp's accumulators in agg, and
+// other names read the group's first row (see evalAggregate).
 type env struct {
-	store   *store.Store
-	schema  store.Schema
-	rel     *relation
-	row     store.Row
-	group   [][]event.Value
-	grouped bool
-	params  event.Bindings
-	funcs   Funcs
-	subs    []subResult // run ahead by evalSubqueries
+	store  *store.Store
+	schema store.Schema
+	rel    *relation
+	row    store.Row
+	agg    *aggState
+	grp    int
+	params event.Bindings
+	funcs  Funcs
+	subs   []subResult // run ahead by evalSubqueries
 }
 
 // subResult is the outcome of one uncorrelated subquery, run once for a
@@ -583,46 +583,46 @@ func (e *env) evalScalarCall(c *Call) (event.Value, error) {
 	return e.applyScalar(c.Name, args)
 }
 
-// evalAggregate folds an aggregate call into an event.AggAcc, the
+// evalAggregate reads an aggregate call off an event.AggAcc, the
 // accumulator guards use too (null skipping, int/float widening,
-// comparison families). In a group context the argument is evaluated in
-// each of the group's rows, as a row context. A row context rejects
-// aggregates, so they do not nest. Elsewhere (rule conditions and
-// actions) the argument is one value: a list binding folds element-wise,
-// a scalar as one element, null as none.
+// comparison families). In a group context it is the group's, folded as
+// the rows were read (see aggState), or the error its argument raised. A
+// row context rejects aggregates, so they do not nest. Elsewhere (rule
+// conditions and actions) the argument is one value: a list binding folds
+// element-wise, a scalar as one element, null as none.
 func (e *env) evalAggregate(c *Call) (event.Value, error) {
-	if !e.grouped && (e.schema != nil || e.rel != nil) {
+	if e.agg == nil && (e.schema != nil || e.rel != nil) {
 		return event.Null, fmt.Errorf("sqlmini: aggregate %s outside SELECT projection", c.Name)
 	}
 	if c.Star {
 		switch {
-		case !e.grouped:
+		case e.agg == nil:
 			return event.Null, fmt.Errorf("sqlmini: %s(*) is only valid in a SELECT projection", c.Name)
 		case !strings.EqualFold(c.Name, "count"):
 			return event.Null, fmt.Errorf("sqlmini: %s(*) is not valid", c.Name)
 		}
-		return event.IntValue(int64(len(e.group))), nil
+		return event.IntValue(e.agg.counts[e.grp]), nil
 	}
 	if len(c.Args) != 1 {
 		return event.Null, fmt.Errorf("sqlmini: %s needs exactly one argument", c.Name)
 	}
-	var acc event.AggAcc
-	if e.grouped {
-		rowEnv := *e
-		rowEnv.grouped = false
-		for _, r := range e.group {
-			rowEnv.row = r
-			v, err := rowEnv.eval(c.Args[0])
-			if err != nil {
-				return event.Null, err
-			}
-			acc.Add(v)
+	var acc *event.AggAcc
+	if e.agg != nil {
+		i := slices.Index(e.agg.calls, c)
+		if i < 0 {
+			return event.Null, fmt.Errorf("sqlmini: internal error: aggregate %s was not folded", c.Name)
 		}
+		i += e.grp * len(e.agg.calls)
+		if err := e.agg.errs[i]; err != nil {
+			return event.Null, err
+		}
+		acc = &e.agg.accs[i]
 	} else {
 		v, err := e.eval(c.Args[0])
 		if err != nil {
 			return event.Null, err
 		}
+		acc = new(event.AggAcc)
 		for i := 0; i < v.Len(); i++ {
 			acc.Add(event.CoerceScalar(v.Elem(i)))
 		}
@@ -1011,8 +1011,9 @@ func (r *relation) index(ref string) (int, error) {
 
 // tableRelation loads the rows of one table that where (nil: every row)
 // matches as a relation, through the match planner. Its rows are the
-// store's own, so nothing may modify them.
-func tableRelation(s *store.Store, name, alias string, where Expr, params event.Bindings) (*relation, error) {
+// store's own, so nothing may modify them. Given a fold, it folds the rows
+// into it as the scan reads them instead.
+func tableRelation(s *store.Store, name, alias string, where Expr, params event.Bindings, fold *aggState) (*relation, error) {
 	tbl, err := s.Table(name)
 	if err != nil {
 		return nil, err
@@ -1027,9 +1028,12 @@ func tableRelation(s *store.Store, name, alias string, where Expr, params event.
 		rel.names = append(rel.names, c.Name)
 	}
 	m := planMatch(s, tbl, where, params)
-	if err := m.matchRows(tbl, func(r store.Row) {
-		rel.rows = append(rel.rows, r) // immutable: aliased, not copied
-	}); err != nil {
+	visit := func(r store.Row) { rel.rows = append(rel.rows, r) } // immutable: aliased, not copied
+	if fold != nil {
+		fold.open(rel)
+		visit = fold.fold
+	}
+	if err := m.matchRows(tbl, visit); err != nil {
 		return nil, err
 	}
 	return rel, nil
@@ -1081,15 +1085,22 @@ func hasQualifiedRef(x Expr) bool {
 	return false
 }
 
-// buildRelation evaluates FROM + JOINs + WHERE into one relation.
-func buildRelation(s *store.Store, sel *Select, params event.Bindings) (*relation, error) {
+// buildRelation evaluates FROM + JOINs + WHERE into one relation. Given a
+// fold, it folds the relation's rows into it instead of keeping them: in
+// the store scan when they are the FROM table's, else once they are joined
+// and filtered.
+func buildRelation(s *store.Store, sel *Select, params event.Bindings, fold *aggState) (*relation, error) {
 	pushed := pushedWhere(sel)
-	rel, err := tableRelation(s, sel.Table, sel.Alias, pushed, params)
+	scanFold := fold
+	if len(sel.Joins) > 0 || sel.Where != nil && pushed == nil {
+		scanFold = nil
+	}
+	rel, err := tableRelation(s, sel.Table, sel.Alias, pushed, params, scanFold)
 	if err != nil {
 		return nil, err
 	}
 	for _, j := range sel.Joins {
-		right, err := tableRelation(s, j.Table, j.Alias, nil, params)
+		right, err := tableRelation(s, j.Table, j.Alias, nil, params, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -1129,25 +1140,33 @@ func buildRelation(s *store.Store, sel *Select, params event.Bindings) (*relatio
 		}
 		rel.rows = kept
 	}
+	if fold != nil && scanFold == nil {
+		fold.open(rel)
+		for _, r := range rel.rows {
+			fold.fold(r)
+		}
+	}
 	return rel, nil
 }
 
 func execSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, error) {
-	rel, err := buildRelation(s, sel, params)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	aggregated := sel.Having != nil || len(sel.GroupBy) > 0
+	var calls []*Call
 	if !sel.Star {
 		for _, it := range sel.Items {
-			if hasAggregate(it.Expr) {
-				aggregated = true
-				break
-			}
+			calls = aggregateCalls(it.Expr, calls)
 		}
 	}
+	aggregated := sel.Having != nil || len(sel.GroupBy) > 0 || len(calls) > 0
 
+	// An aggregated projection folds its rows as they are read.
+	var rel *relation
+	if !aggregated || sel.Star {
+		var err error
+		if rel, err = buildRelation(s, sel, params, nil); err != nil {
+			return nil, err
+		}
+	}
+	res := &Result{}
 	// base tracks the source row behind each result row for ORDER BY.
 	var base [][]event.Value
 	switch {
@@ -1165,7 +1184,7 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, er
 		res.Rows = rel.rows
 		base = rel.rows
 	case aggregated:
-		if err := execAggregate(s, sel, rel, params, res); err != nil {
+		if err := execAggregate(s, sel, aggregateCalls(sel.Having, calls), params, res); err != nil {
 			return nil, err
 		}
 	default:
@@ -1349,50 +1368,102 @@ func appendKey(b []byte, v event.Value) []byte {
 	return append(b, f...)
 }
 
+// aggState folds the rows of an aggregated SELECT into their GROUP BY
+// groups as they are read, keeping no rows. A group keeps its first row,
+// its row count and an accumulator per aggregate call of the projection
+// and HAVING, beside the first error the call's argument raised on its
+// rows, which evalAggregate raises if evaluation reaches the call.
+// Arguments are evaluated on every row, of groups HAVING drops too.
+type aggState struct {
+	calls   []*Call // the aggregate calls of the projection and HAVING
+	groupBy []string
+	keys    []int // groupBy's positions in the relation
+	keyErr  error
+	index   map[string]int
+	key     []byte
+	firsts  []store.Row    // per group: its first row
+	counts  []int64        // and its row count
+	accs    []event.AggAcc // len(calls) per group, in group order
+	errs    []error        // beside accs
+	arg     env            // the row context aggregate arguments see
+}
+
+// open prepares the fold over rel's rows. The arguments' subqueries run
+// here, so none runs while a store scan holds its table's lock.
+func (a *aggState) open(rel *relation) {
+	a.arg.rel = rel
+	for _, c := range a.calls {
+		a.arg.evalSubqueries(c)
+	}
+	for _, g := range a.groupBy {
+		p, err := rel.index(g)
+		if err != nil { // raised after the rows, and so after WHERE errors
+			a.keyErr, a.keys = fmt.Errorf("sqlmini: GROUP BY: %w", err), nil
+			return
+		}
+		a.keys = append(a.keys, p)
+	}
+}
+
+// fold adds one row to its group, opening the group at its first row.
+func (a *aggState) fold(r store.Row) {
+	a.key = a.key[:0] // without GROUP BY, one empty key
+	for _, p := range a.keys {
+		a.key = appendKey(a.key, r[p])
+	}
+	g, seen := a.index[string(a.key)]
+	if !seen {
+		g = len(a.firsts)
+		a.index[string(a.key)] = g
+		a.addGroup(r)
+	}
+	a.counts[g]++
+	at := g * len(a.calls)
+	for i, c := range a.calls {
+		if len(c.Args) != 1 || a.errs[at+i] != nil {
+			continue // COUNT(*) reads rows; evalAggregate rejects other arities
+		}
+		a.arg.row = r
+		v, err := a.arg.eval(c.Args[0])
+		if err != nil {
+			a.errs[at+i] = err
+			continue
+		}
+		a.accs[at+i].Add(v)
+	}
+}
+
+func (a *aggState) addGroup(first store.Row) {
+	a.firsts = append(a.firsts, first)
+	a.counts = append(a.counts, 0)
+	n := len(a.calls) // slots past len are zero: the slices never shrink
+	a.accs = slices.Grow(a.accs, n)[:len(a.accs)+n]
+	a.errs = slices.Grow(a.errs, n)[:len(a.errs)+n]
+}
+
 // execAggregate evaluates aggregate projections, optionally grouped and
-// filtered by HAVING, in a group context: aggregate calls fold over the
-// group's rows, other names resolve against its first row (a row of nulls
-// for an empty table).
-func execAggregate(s *store.Store, sel *Select, rel *relation, params event.Bindings, res *Result) error {
+// filtered by HAVING, over groups folded as the rows are read: inside the
+// store scan for one table, over the joined relation otherwise. Aggregate
+// calls read their group's accumulators, other names its first row (a row
+// of nulls for no rows and no GROUP BY).
+func execAggregate(s *store.Store, sel *Select, calls []*Call, params event.Bindings, res *Result) error {
 	for i, it := range sel.Items {
 		res.Columns = append(res.Columns, itemName(it, i))
 	}
-	var groups [][][]event.Value
-	if len(sel.GroupBy) == 0 {
-		groups = [][][]event.Value{rel.rows}
-	} else {
-		var positions []int
-		for _, g := range sel.GroupBy {
-			p, err := rel.index(g)
-			if err != nil {
-				return fmt.Errorf("sqlmini: GROUP BY: %w", err)
-			}
-			positions = append(positions, p)
-		}
-		index := map[string]int{}
-		var key []byte
-		for _, r := range rel.rows {
-			key = key[:0]
-			for _, p := range positions {
-				key = appendKey(key, r[p])
-			}
-			g, seen := index[string(key)]
-			if !seen {
-				g = len(groups)
-				index[string(key)] = g
-				groups = append(groups, nil)
-			}
-			groups[g] = append(groups[g], r)
-		}
+	a := &aggState{calls: calls, groupBy: sel.GroupBy, index: map[string]int{}, arg: env{store: s, params: params}}
+	rel, err := buildRelation(s, sel, params, a)
+	if err != nil {
+		return err
 	}
-	e := env{store: s, rel: rel, grouped: true, params: params}
-	for _, g := range groups {
-		e.group = g
-		if len(g) > 0 {
-			e.row = g[0]
-		} else {
-			e.row = make([]event.Value, len(rel.names))
-		}
+	if a.keyErr != nil {
+		return a.keyErr
+	}
+	if len(a.firsts) == 0 && len(a.keys) == 0 {
+		a.addGroup(make(store.Row, len(rel.names)))
+	}
+	e := env{store: s, rel: rel, agg: a, params: params}
+	for g, first := range a.firsts {
+		e.grp, e.row = g, first
 		if sel.Having != nil {
 			v, err := e.eval(sel.Having)
 			if err != nil {
@@ -1402,7 +1473,7 @@ func execAggregate(s *store.Store, sel *Select, rel *relation, params event.Bind
 				continue
 			}
 		}
-		var out []event.Value
+		out := make([]event.Value, 0, len(sel.Items))
 		for _, it := range sel.Items {
 			v, err := e.eval(it.Expr)
 			if err != nil {

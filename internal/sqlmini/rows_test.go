@@ -151,22 +151,34 @@ func TestUnindexedProbeErrorsLikeIndexed(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetGroupBy: SELECT reads stored rows in place, so grouping
-// the 12k-row OBJECTLOCATION into its one group allocates per group and
-// per slice doubling (59 at the time of writing, most of them the
-// doublings of the relation's and the group's row lists), not per row.
+// TestAllocBudgetGroupBy: an aggregated SELECT folds each row into its
+// group as the store scan reads it, keeping no rows, so grouping allocates
+// per group and per doubling of the group state, not per row. Grouping the
+// 12k-row OBJECTLOCATION into its one group stays under a fixed budget;
+// grouping it into 4,000 groups stays under a few allocations a group (the
+// group's key, its result row, and a share of the doublings).
 func TestAllocBudgetGroupBy(t *testing.T) {
-	const budget = 64
-	s := locationTable(t, 4000)
-	sel := PrepareStmt(mustParse(t, `SELECT loc_id, COUNT(*) FROM OBJECTLOCATION GROUP BY loc_id`))
-	allocs := testing.AllocsPerRun(10, func() {
-		res, err := sel.Exec(s, nil)
-		if err != nil || len(res.Rows) != 1 || res.Rows[0][1].Int() != 12000 {
-			t.Fatalf("group by: %v, err %v", res, err)
+	const objects = 4000
+	s := locationTable(t, objects)
+	for _, tc := range []struct {
+		sql    string
+		groups int
+		count  int64
+		budget float64
+	}{
+		{`SELECT loc_id, COUNT(*) FROM OBJECTLOCATION GROUP BY loc_id`, 1, 3 * objects, 32},
+		{`SELECT object_epc, COUNT(*) FROM OBJECTLOCATION GROUP BY object_epc`, objects, 3, 4*objects + 32},
+	} {
+		sel := PrepareStmt(mustParse(t, tc.sql))
+		allocs := testing.AllocsPerRun(10, func() {
+			res, err := sel.Exec(s, nil)
+			if err != nil || len(res.Rows) != tc.groups || res.Rows[0][1].Int() != tc.count {
+				t.Fatalf("%s: %d groups, err %v", tc.sql, len(res.Rows), err)
+			}
+		})
+		if allocs > tc.budget {
+			t.Errorf("%s: %.0f allocs over 12k rows (budget %.0f)", tc.sql, allocs, tc.budget)
 		}
-	})
-	if allocs > budget {
-		t.Errorf("allocs per GROUP BY over 12k rows: %.0f (budget %d)", allocs, budget)
 	}
 }
 

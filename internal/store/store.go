@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"rcep/internal/core/event"
 )
@@ -102,15 +103,34 @@ func (s *Store) DropTable(name string) error {
 	return nil
 }
 
-// Table returns the named table.
+// Table returns the named table. The name is folded to its key on the
+// stack, so finding a table allocates nothing.
 func (s *Store) Table(name string) (*Table, error) {
+	var buf [64]byte
+	key := appendLower(buf[:0], name)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t, ok := s.tables[strings.ToLower(name)]
+	t, ok := s.tables[string(key)]
 	if !ok {
 		return nil, fmt.Errorf("store: no such table %s", name)
 	}
 	return t, nil
+}
+
+// appendLower appends strings.ToLower(name) to dst, folding an ASCII
+// name byte by byte.
+func appendLower(dst []byte, name string) []byte {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			return append(dst[:len(dst)-i], strings.ToLower(name)...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // Tables returns the table names, sorted.

@@ -653,3 +653,29 @@ func TestStoredRowsAreImmutable(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocBudgetTableLookup: every statement finds its table by name, and
+// rule actions name theirs in upper case. Folding the name allocates
+// nothing, and a non-ASCII name still folds as strings.ToLower does.
+func TestAllocBudgetTableLookup(t *testing.T) {
+	s := OpenRFID()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Table("OBJECTLOCATION"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("allocs per Table(%q): %.1f, want 0", "OBJECTLOCATION", allocs)
+	}
+	if err := s.CreateTable("Ärger", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ärger", "ÄRGER", "objectlocation", "ObjectLocation"} {
+		if _, err := s.Table(name); err != nil {
+			t.Errorf("Table(%q): %v", name, err)
+		}
+	}
+	if _, err := s.Table("OBJECTLOCATIONS"); err == nil {
+		t.Errorf("Table of a missing name succeeded")
+	}
+}
