@@ -507,36 +507,6 @@ func (c *Coordinator) Ingest(o event.Observation) error {
 	return c.ingestLocked(o)
 }
 
-// IngestBatch stably sorts a copy of the batch by timestamp and feeds
-// it, atomically with respect to ordering failures.
-func (c *Coordinator) IngestBatch(batch []event.Observation) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	sorted := append([]event.Observation(nil), batch...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		if c.err != nil {
-			return c.err
-		}
-		return ErrClosed
-	}
-	if c.err != nil {
-		return c.err
-	}
-	if c.now != event.MinTime && sorted[0].At < c.now {
-		return fmt.Errorf("%w: batch starts at %s, coordinator at %s", detect.ErrOutOfOrder, sorted[0].At, c.now)
-	}
-	for _, o := range sorted {
-		if err := c.ingestLocked(o); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (c *Coordinator) ingestLocked(o event.Observation) error {
 	if c.closed {
 		if c.err != nil {

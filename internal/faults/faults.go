@@ -1,9 +1,8 @@
 // Package faults injects deterministic, seeded failures into the
 // edge-to-engine path so resilience claims can be tested instead of
-// assumed: TCP connection resets at a byte offset, write delays,
-// transient observation-source failures, and corrupt LLRP frames. Every
-// failure the package produces wraps ErrInjected, so tests can tell
-// injected faults apart from real ones.
+// assumed: TCP connection resets at a byte offset, write delays and
+// corrupt LLRP frames. Every failure the package produces wraps
+// ErrInjected, so tests can tell injected faults apart from real ones.
 //
 // All randomness flows from the seed passed to New; two injectors built
 // with the same seed and options produce the same fault schedule, which
@@ -11,23 +10,16 @@
 package faults
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
-
-	"rcep/internal/core/event"
 )
 
 // ErrInjected is wrapped by every failure this package produces.
 var ErrInjected = errors.New("faults: injected failure")
-
-// Source mirrors pipeline.Source structurally, so wrapped sources plug
-// into the pipeline without this package importing it.
-type Source = func(ctx context.Context, emit func(event.Observation) error) error
 
 // Option tunes an Injector.
 type Option func(*config)
@@ -38,8 +30,6 @@ type config struct {
 	partialProb float64 // chance a reset delivers the crossing write's prefix
 	delayProb   float64
 	maxDelay    time.Duration
-	failEvery   int // observations before a source failure (0 = never)
-	failJitter  int
 }
 
 // WithConnReset makes each wrapped connection die on its every±jitter-th
@@ -61,20 +51,13 @@ func WithWriteDelay(p float64, max time.Duration) Option {
 	return func(c *config) { c.delayProb, c.maxDelay = p, max }
 }
 
-// WithSourceFailure makes wrapped sources fail after every±jitter
-// delivered observations.
-func WithSourceFailure(every, jitter int) Option {
-	return func(c *config) { c.failEvery, c.failJitter = every, jitter }
-}
-
-// Injector is a seeded fault schedule shared by the connections and
-// sources it wraps. Safe for concurrent use.
+// Injector is a seeded fault schedule shared by the connections it
+// wraps. Safe for concurrent use.
 type Injector struct {
-	mu          sync.Mutex
-	rng         *rand.Rand
-	cfg         config
-	resets      int
-	sourceFails int
+	mu     sync.Mutex
+	rng    *rand.Rand
+	cfg    config
+	resets int
 }
 
 // New builds an injector from a seed and options.
@@ -91,13 +74,6 @@ func (in *Injector) Resets() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.resets
-}
-
-// SourceFailures reports how many source failures have been injected.
-func (in *Injector) SourceFailures() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.sourceFails
 }
 
 // drawLocked samples every±jitter with a floor of 1; 0 means "never".
@@ -181,49 +157,6 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	}
 	c.Conn.Close()
 	return n, fmt.Errorf("connection reset after %d of %d bytes: %w", n, len(p), ErrInjected)
-}
-
-// SourceWrap returns src with seeded transient failures injected after
-// runs of delivered observations. The wrapper remembers how far it got:
-// a supervisor that re-runs the source resumes right after the last
-// delivered observation instead of replaying from the start, modelling
-// an edge reader that picks up where it crashed.
-func (in *Injector) SourceWrap(src Source) Source {
-	var mu sync.Mutex
-	delivered := 0
-	return func(ctx context.Context, emit func(event.Observation) error) error {
-		mu.Lock()
-		skip := delivered
-		in.mu.Lock()
-		budget := in.drawLocked(in.cfg.failEvery, in.cfg.failJitter)
-		in.mu.Unlock()
-		mu.Unlock()
-
-		seen := 0
-		return src(ctx, func(o event.Observation) error {
-			seen++
-			if seen <= skip {
-				return nil
-			}
-			if err := emit(o); err != nil {
-				return err
-			}
-			mu.Lock()
-			delivered++
-			total := delivered
-			mu.Unlock()
-			if budget > 0 {
-				budget--
-				if budget == 0 {
-					in.mu.Lock()
-					in.sourceFails++
-					in.mu.Unlock()
-					return fmt.Errorf("source failed after %d observations: %w", total, ErrInjected)
-				}
-			}
-			return nil
-		})
-	}
 }
 
 // Corrupt returns a mutated copy of an encoded frame: truncation, bit

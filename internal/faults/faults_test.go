@@ -2,16 +2,11 @@ package faults
 
 import (
 	"bytes"
-	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"testing"
 	"time"
-
-	"rcep/internal/core/event"
-	"rcep/internal/pipeline"
 )
 
 // drainConn returns a net.Pipe endpoint whose peer is continuously
@@ -153,46 +148,6 @@ func TestConnResetCountsBytes(t *testing.T) {
 				t.Fatalf("writes of %d: delivered bytes differ from the stream prefix", size)
 			}
 		}
-	}
-}
-
-func TestSourceWrapResumesWhereItFailed(t *testing.T) {
-	obs := make([]event.Observation, 100)
-	for i := range obs {
-		obs[i] = event.Observation{Reader: "r", Object: fmt.Sprintf("o%d", i), At: event.Time(i)}
-	}
-	in := New(5, WithSourceFailure(30, 10))
-	src := in.SourceWrap(pipeline.SliceSource(obs))
-
-	var got []event.Observation
-	emit := func(o event.Observation) error { got = append(got, o); return nil }
-	runs := 0
-	for {
-		runs++
-		err := src(context.Background(), emit)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrInjected) {
-			t.Fatalf("unexpected error: %v", err)
-		}
-		if runs > 50 {
-			t.Fatal("source never completed")
-		}
-	}
-	if runs < 2 {
-		t.Fatalf("no failures injected across %d observations", len(obs))
-	}
-	if len(got) != len(obs) {
-		t.Fatalf("resume lost or duplicated: got %d observations, want %d", len(got), len(obs))
-	}
-	for i := range got {
-		if got[i] != obs[i] {
-			t.Fatalf("observation %d drifted: %v vs %v", i, got[i], obs[i])
-		}
-	}
-	if in.SourceFailures() != runs-1 {
-		t.Fatalf("failure count %d, runs %d", in.SourceFailures(), runs)
 	}
 }
 

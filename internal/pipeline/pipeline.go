@@ -7,13 +7,12 @@
 //
 // There is one runner. RunBatches moves whole read-cycle batches
 // (event.Batch) over the channels, so every hop — source emit, stage
-// hand-off, sink call — costs one channel operation per read cycle; Run
-// is the same runner fed batches of one. Either way the pipeline
-// serializes everything into the final sink stage, so a single-goroutine
-// detect.Engine can be fed directly, and a sharded engine
-// (internal/core/shard, rcep Config.Shards > 1) fans the serialized
-// stream back out across its workers behind the same sink (its
-// IngestBatch takes the router lock once per batch).
+// hand-off, sink call — costs one channel operation per read cycle. The
+// pipeline serializes everything into the final sink stage, so a
+// single-goroutine detect.Engine can be fed directly, and a sharded
+// engine (internal/core/shard, rcep Config.Shards > 1) fans the
+// serialized stream back out across its workers behind the same sink
+// (its IngestBatch takes the router lock once per batch).
 package pipeline
 
 import (
@@ -27,10 +26,6 @@ import (
 	"rcep/internal/stream"
 )
 
-// Source produces observations by calling emit; it returns when the
-// stream ends or emit fails. Implementations should honor ctx.
-type Source func(ctx context.Context, emit func(event.Observation) error) error
-
 // Stage is a stateful filter: Push transforms/forwards observations to
 // the out function it was constructed with; Flush releases anything still
 // buffered when the stream ends. stream.Dedup and stream.Reorder satisfy
@@ -41,7 +36,7 @@ type Stage interface {
 }
 
 // StageFunc builds a Stage whose output goes to out; the pipeline wires
-// out to the next stage's channel at Run time.
+// out to the next stage's channel when RunBatches starts.
 type StageFunc func(out func(event.Observation) error) Stage
 
 // Dedup returns a duplicate-elimination stage (paper §3.1 low-level
@@ -52,71 +47,6 @@ func Dedup(window time.Duration) StageFunc {
 	}
 }
 
-// Reorder returns a bounded out-of-order buffering stage.
-func Reorder(slack time.Duration) StageFunc {
-	return func(out func(event.Observation) error) Stage {
-		return stream.NewReorder(slack, out)
-	}
-}
-
-// Config assembles a pipeline run.
-type Config struct {
-	Source Source
-	Stages []StageFunc
-	// Sink consumes the fully filtered, ordered stream — typically
-	// detect.Engine.Ingest or rcep.Engine wrappers.
-	Sink func(event.Observation) error
-	// Buffer is the channel capacity between goroutines (default 256).
-	Buffer int
-	// Shed, when set, switches the source admission boundary from
-	// backpressure to drop-oldest load shedding (see ShedPolicy).
-	Shed *ShedPolicy
-}
-
-// SourceError wraps a failure originating in the Source, as opposed to a
-// stage or sink. RunSupervised restarts only on source failures: a
-// broken source (a dropped reader connection) is transient, a broken
-// sink (the engine) is not.
-type SourceError struct{ Err error }
-
-func (e *SourceError) Error() string { return fmt.Sprintf("pipeline: source: %v", e.Err) }
-func (e *SourceError) Unwrap() error { return e.Err }
-
-// Run executes the pipeline until the source ends or any stage fails. It
-// returns the first error (or the context's error on cancellation). The
-// sink has been flushed when Run returns nil; callers still Close()
-// their engine to complete pending pseudo events.
-//
-// Run is RunBatches with every emitted observation travelling as a
-// pooled batch of one, so both share one runner and one set of draining
-// and error semantics.
-func Run(ctx context.Context, cfg Config) error {
-	if cfg.Source == nil || cfg.Sink == nil {
-		return errors.New("pipeline: Source and Sink are required")
-	}
-	buf := cfg.Buffer
-	if buf <= 0 {
-		buf = 256
-	}
-	return runBatches(ctx, BatchedConfig{
-		Source: func(ctx context.Context, emit func(event.Batch) error) error {
-			return cfg.Source(ctx, func(o event.Observation) error {
-				return emit(append(event.GetBatch(), o))
-			})
-		},
-		Stages: cfg.Stages,
-		Sink: func(b event.Batch) error {
-			for _, o := range b {
-				if err := cfg.Sink(o); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Buffer: buf,
-	}, cfg.Shed)
-}
-
 // BatchSource produces whole observation batches — typically one per
 // reader read cycle (llrp.Adapter.BatchSink). Ownership of each emitted
 // batch transfers to the pipeline, which recycles it (event.PutBatch)
@@ -124,9 +54,9 @@ func Run(ctx context.Context, cfg Config) error {
 // steady state allocation-free.
 type BatchSource func(ctx context.Context, emit func(event.Batch) error) error
 
-// BatchedConfig assembles a batched pipeline run: the same shape as
-// Config, but every channel carries a whole batch — one send, one
-// receive and one sink call per read cycle instead of per observation.
+// BatchedConfig assembles a pipeline run. Every channel carries a whole
+// batch — one send, one receive and one sink call per read cycle instead
+// of per observation.
 type BatchedConfig struct {
 	Source BatchSource
 	// Stages are per-observation filters, applied to each batch's
@@ -148,22 +78,14 @@ type BatchedConfig struct {
 
 // RunBatches executes a batched pipeline until the source ends or any
 // stage fails, returning the first error (or the context's error on
-// cancellation).
+// cancellation). It runs a source, one goroutine per stage and a sink,
+// joined by bounded channels of batches.
 //
 // A source failure does not tear the pipeline down mid-flight: the
 // stages drain and flush everything the source emitted before dying, the
-// sink consumes it all, and only then does RunBatches return the
-// *SourceError. This is what makes supervised restarts loss-free —
-// nothing emitted is dropped on the floor.
+// sink consumes it all, and only then does RunBatches return the source
+// error — nothing emitted is dropped on the floor.
 func RunBatches(ctx context.Context, cfg BatchedConfig) error {
-	return runBatches(ctx, cfg, nil)
-}
-
-// runBatches is the one runner behind Run and RunBatches: a source, one
-// goroutine per stage and a sink, joined by bounded channels of batches.
-// With shed set, the admission channel (source → first stage) evicts its
-// oldest batch instead of blocking the source.
-func runBatches(ctx context.Context, cfg BatchedConfig, shed *ShedPolicy) error {
 	if cfg.Source == nil || cfg.Sink == nil {
 		return errors.New("pipeline: Source and Sink are required")
 	}
@@ -228,36 +150,13 @@ func runBatches(ctx context.Context, cfg BatchedConfig, shed *ShedPolicy) error 
 
 	// Source goroutine. A source failure is recorded without cancelling:
 	// closing chans[0] lets the stages drain, flush, and deliver every
-	// batch emitted before the failure. With a ShedPolicy, a full admission
-	// channel evicts its oldest batch instead of blocking the source;
-	// eviction and consumption race benignly (channel ops are atomic, and
-	// either way a slot frees up).
-	admit := send(chans[0])
-	if shed != nil {
-		admit = func(b event.Batch) error {
-			for {
-				select {
-				case chans[0] <- b:
-					return nil
-				case <-ctx.Done():
-					event.PutBatch(b)
-					return ctx.Err()
-				default:
-				}
-				select {
-				case old := <-chans[0]:
-					shed.drop(old)
-				default: // the consumer drained it first
-				}
-			}
-		}
-	}
+	// batch emitted before the failure.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(chans[0])
-		if err := cfg.Source(ctx, admit); err != nil && !errors.Is(err, context.Canceled) {
-			record(&SourceError{Err: err})
+		if err := cfg.Source(ctx, send(chans[0])); err != nil && !errors.Is(err, context.Canceled) {
+			record(fmt.Errorf("pipeline: source: %w", err))
 		}
 	}()
 
@@ -346,37 +245,5 @@ func BatchSliceSource(batches [][]event.Observation) BatchSource {
 			}
 		}
 		return nil
-	}
-}
-
-// SliceSource adapts a pre-built observation slice into a Source.
-func SliceSource(obs []event.Observation) Source {
-	return func(ctx context.Context, emit func(event.Observation) error) error {
-		for _, o := range obs {
-			if err := emit(o); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// ChanSource adapts a channel into a Source; the stream ends when the
-// channel closes.
-func ChanSource(ch <-chan event.Observation) Source {
-	return func(ctx context.Context, emit func(event.Observation) error) error {
-		for {
-			select {
-			case o, ok := <-ch:
-				if !ok {
-					return nil
-				}
-				if err := emit(o); err != nil {
-					return err
-				}
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
 	}
 }

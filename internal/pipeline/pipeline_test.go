@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,14 +24,58 @@ func o(reader, object string, sec float64) event.Observation {
 	return event.Observation{Reader: reader, Object: object, At: ts(sec)}
 }
 
+// chunk splits obs into batches of n; the residue rides in a short last
+// batch.
+func chunk(obs []event.Observation, n int) [][]event.Observation {
+	var batches [][]event.Observation
+	for len(obs) > 0 {
+		k := min(n, len(obs))
+		batches = append(batches, obs[:k])
+		obs = obs[k:]
+	}
+	return batches
+}
+
+// collect is a sink appending every observation it receives to dst.
+func collect(dst *[]event.Observation) func(event.Batch) error {
+	return func(b event.Batch) error {
+		*dst = append(*dst, b...)
+		return nil
+	}
+}
+
+// reorder is a bounded out-of-order buffering stage over stream.Reorder.
+func reorder(slack time.Duration) StageFunc {
+	return func(out func(event.Observation) error) Stage {
+		return stream.NewReorder(slack, out)
+	}
+}
+
+// chanSource emits each observation received on ch as a batch of one;
+// the stream ends when ch closes.
+func chanSource(ch <-chan event.Observation) BatchSource {
+	return func(ctx context.Context, emit func(event.Batch) error) error {
+		for {
+			select {
+			case ob, ok := <-ch:
+				if !ok {
+					return nil
+				}
+				if err := emit(append(event.GetBatch(), ob)); err != nil {
+					return err
+				}
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+	}
+}
+
 func TestPipelinePlain(t *testing.T) {
 	var got []event.Observation
-	err := Run(context.Background(), Config{
-		Source: SliceSource([]event.Observation{o("r", "a", 1), o("r", "b", 2)}),
-		Sink: func(obs event.Observation) error {
-			got = append(got, obs)
-			return nil
-		},
+	err := RunBatches(context.Background(), BatchedConfig{
+		Source: BatchSliceSource([][]event.Observation{{o("r", "a", 1), o("r", "b", 2)}}),
+		Sink:   collect(&got),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +86,7 @@ func TestPipelinePlain(t *testing.T) {
 }
 
 func TestPipelineStagesCompose(t *testing.T) {
-	// Out-of-order source with duplicates → Reorder → Dedup → sink.
+	// Out-of-order source with duplicates → reorder → Dedup → sink.
 	src := []event.Observation{
 		o("r", "x", 1.0),
 		o("r", "y", 3.0),
@@ -49,13 +94,10 @@ func TestPipelineStagesCompose(t *testing.T) {
 		o("r", "z", 4.0),
 	}
 	var got []event.Observation
-	err := Run(context.Background(), Config{
-		Source: SliceSource(src),
-		Stages: []StageFunc{Reorder(5 * time.Second), Dedup(time.Second)},
-		Sink: func(obs event.Observation) error {
-			got = append(got, obs)
-			return nil
-		},
+	err := RunBatches(context.Background(), BatchedConfig{
+		Source: BatchSliceSource(chunk(src, 1)),
+		Stages: []StageFunc{reorder(5 * time.Second), Dedup(time.Second)},
+		Sink:   collect(&got),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +105,7 @@ func TestPipelineStagesCompose(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("expected dedup to drop one: %v", got)
 	}
-	if !stream.IsSorted(got) {
+	if !event.Batch(got).Sorted() {
 		t.Fatalf("reorder failed: %v", got)
 	}
 }
@@ -100,10 +142,10 @@ func TestPipelineFeedsEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = Run(context.Background(), Config{
-		Source: SliceSource(sc.Observations),
+	err = RunBatches(context.Background(), BatchedConfig{
+		Source: BatchSliceSource(chunk(sc.Observations, 16)),
 		Stages: []StageFunc{Dedup(time.Second)},
-		Sink:   eng.Ingest,
+		Sink:   func(b event.Batch) error { return eng.IngestBatch(b) },
 		Buffer: 8,
 	})
 	if err != nil {
@@ -117,40 +159,91 @@ func TestPipelineFeedsEngine(t *testing.T) {
 
 func TestPipelineSinkErrorPropagates(t *testing.T) {
 	boom := fmt.Errorf("sink boom")
-	err := Run(context.Background(), Config{
-		Source: SliceSource([]event.Observation{o("r", "a", 1), o("r", "b", 2)}),
-		Sink:   func(event.Observation) error { return boom },
+	err := RunBatches(context.Background(), BatchedConfig{
+		Source: BatchSliceSource([][]event.Observation{{o("r", "a", 1)}, {o("r", "b", 2)}}),
+		Sink:   func(event.Batch) error { return boom },
 	})
 	if err == nil || !strings.Contains(err.Error(), "sink boom") {
 		t.Fatalf("sink error lost: %v", err)
 	}
 }
 
+// holdAll is a reorder stage whose slack spans the whole stream, so it
+// releases nothing until Flush. It closes full once it holds n
+// observations.
+type holdAll struct {
+	*stream.Reorder
+	n    int
+	full chan struct{}
+}
+
+func (h *holdAll) Push(o event.Observation) error {
+	if h.n--; h.n == 0 {
+		close(h.full)
+	}
+	return h.Reorder.Push(o)
+}
+
+// TestPipelineSourceErrorPropagates: a source that emits several batches
+// and then fails gets its error back from RunBatches, but only after
+// every observation it emitted has reached the sink. The stage holds
+// every observation until its Flush, so the sink sees anything only if
+// the failure drains the stages instead of cancelling them. The held leg
+// fails only once the stage holds every observation; the in-flight leg
+// fails at once, with batches still in the channels.
 func TestPipelineSourceErrorPropagates(t *testing.T) {
-	err := Run(context.Background(), Config{
-		Source: func(ctx context.Context, emit func(event.Observation) error) error {
-			_ = emit(o("r", "a", 1))
-			return fmt.Errorf("source boom")
-		},
-		Sink: func(event.Observation) error { return nil },
-	})
-	if err == nil || !strings.Contains(err.Error(), "source boom") {
-		t.Fatalf("source error lost: %v", err)
+	boom := errors.New("source boom")
+	var emitted []event.Observation
+	for i := 0; i < 5; i++ {
+		for _, dt := range []float64{0.3, 0.1, 0.4, 0.2} { // out of order within each batch
+			emitted = append(emitted, o("r", fmt.Sprintf("x%d", len(emitted)), float64(i)+dt))
+		}
+	}
+	want := append([]event.Observation(nil), emitted...)
+	sort.Slice(want, func(i, j int) bool { return want[i].At < want[j].At })
+
+	for _, held := range []bool{true, false} {
+		full := make(chan struct{})
+		var got []event.Observation
+		err := RunBatches(context.Background(), BatchedConfig{
+			Source: func(ctx context.Context, emit func(event.Batch) error) error {
+				for _, b := range chunk(emitted, 4) {
+					if err := emit(append(event.GetBatch(), b...)); err != nil {
+						return err
+					}
+				}
+				if held {
+					<-full
+				}
+				return boom
+			},
+			Stages: []StageFunc{func(out func(event.Observation) error) Stage {
+				return &holdAll{stream.NewReorder(time.Hour, out), len(emitted), full}
+			}},
+			Sink: collect(&got),
+		})
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "pipeline: source: source boom") {
+			t.Fatalf("held=%t: source error lost: %v", held, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("held=%t: sink got %d of %d emitted observations before the source error returned", held, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("held=%t: observation %d = %v, want %v", held, i, got[i], want[i])
+			}
+		}
 	}
 }
 
 func TestPipelineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var delivered atomic.Int64
 	done := make(chan error, 1)
 	ch := make(chan event.Observation)
 	go func() {
-		done <- Run(ctx, Config{
-			Source: ChanSource(ch),
-			Sink: func(event.Observation) error {
-				delivered.Add(1)
-				return nil
-			},
+		done <- RunBatches(ctx, BatchedConfig{
+			Source: chanSource(ch),
+			Sink:   func(event.Batch) error { return nil },
 		})
 	}()
 	ch <- o("r", "a", 1)
@@ -165,9 +258,10 @@ func TestPipelineCancellation(t *testing.T) {
 	}
 }
 
-// TestPipelineCancelAndFailingSinkUnderRace hammers Run with mid-stream
-// cancellation racing a failing sink (run with -race): the first error
-// must win, Run must return promptly, and no goroutines may leak.
+// TestPipelineCancelAndFailingSinkUnderRace hammers RunBatches with
+// mid-stream cancellation racing a failing sink (run with -race): the
+// first error must win, RunBatches must return promptly, and no
+// goroutines may leak.
 func TestPipelineCancelAndFailingSinkUnderRace(t *testing.T) {
 	base := runtime.NumGoroutine()
 	sinkBoom := errors.New("sink boom")
@@ -175,9 +269,9 @@ func TestPipelineCancelAndFailingSinkUnderRace(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		// An endless source: only cancellation or the sink failure can
 		// end the run.
-		src := func(ctx context.Context, emit func(event.Observation) error) error {
+		src := func(ctx context.Context, emit func(event.Batch) error) error {
 			for t := 0; ; t++ {
-				if err := emit(o("r", fmt.Sprintf("x%d", t), float64(t))); err != nil {
+				if err := emit(append(event.GetBatch(), o("r", fmt.Sprintf("x%d", t), float64(t)))); err != nil {
 					return err
 				}
 			}
@@ -186,11 +280,11 @@ func TestPipelineCancelAndFailingSinkUnderRace(t *testing.T) {
 		var seen atomic.Int64
 		done := make(chan error, 1)
 		go func() {
-			done <- Run(ctx, Config{
+			done <- RunBatches(ctx, BatchedConfig{
 				Source: src,
 				Stages: []StageFunc{Dedup(time.Second)},
-				Sink: func(event.Observation) error {
-					if int(seen.Add(1)) > failAt*10 {
+				Sink: func(b event.Batch) error {
+					if int(seen.Add(int64(len(b)))) > failAt*10 {
 						return sinkBoom
 					}
 					return nil
@@ -234,16 +328,16 @@ func TestPipelineCancelAndFailingSinkUnderRace(t *testing.T) {
 func TestPipelineFirstErrorWins(t *testing.T) {
 	sinkBoom := errors.New("sink boom")
 	srcBoom := errors.New("source boom")
-	err := Run(context.Background(), Config{
-		Source: func(ctx context.Context, emit func(event.Observation) error) error {
+	err := RunBatches(context.Background(), BatchedConfig{
+		Source: func(ctx context.Context, emit func(event.Batch) error) error {
 			for i := 0; i < 1000; i++ {
-				if err := emit(o("r", fmt.Sprintf("x%d", i), float64(i))); err != nil {
+				if err := emit(append(event.GetBatch(), o("r", fmt.Sprintf("x%d", i), float64(i)))); err != nil {
 					return err // cancellation from the sink failure
 				}
 			}
 			return srcBoom
 		},
-		Sink:   func(event.Observation) error { return sinkBoom },
+		Sink:   func(event.Batch) error { return sinkBoom },
 		Buffer: 1,
 	})
 	if !errors.Is(err, sinkBoom) {
@@ -259,9 +353,9 @@ func TestPipelineExternalCancelSurfaces(t *testing.T) {
 	ch := make(chan event.Observation)
 	done := make(chan error, 1)
 	go func() {
-		done <- Run(ctx, Config{
-			Source: ChanSource(ch),
-			Sink:   func(event.Observation) error { return nil },
+		done <- RunBatches(ctx, BatchedConfig{
+			Source: chanSource(ch),
+			Sink:   func(event.Batch) error { return nil },
 		})
 	}()
 	ch <- o("r", "a", 1)
@@ -277,21 +371,7 @@ func TestPipelineExternalCancelSurfaces(t *testing.T) {
 }
 
 func TestPipelineRequiresSourceAndSink(t *testing.T) {
-	if err := Run(context.Background(), Config{}); err == nil {
+	if err := RunBatches(context.Background(), BatchedConfig{}); err == nil {
 		t.Fatalf("empty config accepted")
-	}
-}
-
-func TestChanSourceEndsOnClose(t *testing.T) {
-	ch := make(chan event.Observation, 2)
-	ch <- o("r", "a", 1)
-	close(ch)
-	n := 0
-	err := Run(context.Background(), Config{
-		Source: ChanSource(ch),
-		Sink:   func(event.Observation) error { n++; return nil },
-	})
-	if err != nil || n != 1 {
-		t.Fatalf("chan source: n=%d err=%v", n, err)
 	}
 }

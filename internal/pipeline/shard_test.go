@@ -32,13 +32,7 @@ func TestPipelineFeedsShardedEngine(t *testing.T) {
 		return inst.String() + "#" + rs.Rules[rid].ID
 	}
 
-	// 32-observation batches; the residue rides in a short last batch.
-	var batches [][]event.Observation
-	for obs := sc.Observations; len(obs) > 0; {
-		n := min(32, len(obs))
-		batches = append(batches, obs[:n])
-		obs = obs[n:]
-	}
+	batches := chunk(sc.Observations, 32)
 	runPipe := func(sink func([]event.Observation) error) {
 		t.Helper()
 		err := RunBatches(context.Background(), BatchedConfig{

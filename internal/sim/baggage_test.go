@@ -11,7 +11,6 @@ import (
 	"rcep/internal/rules"
 	"rcep/internal/sqlmini"
 	"rcep/internal/store"
-	"rcep/internal/stream"
 )
 
 func TestGenerateBaggageDeterministic(t *testing.T) {
@@ -20,7 +19,7 @@ func TestGenerateBaggageDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Observations, b.Observations) {
 		t.Fatalf("baggage generation not deterministic")
 	}
-	if !stream.IsSorted(a.Observations) {
+	if !event.Batch(a.Observations).Sorted() {
 		t.Fatalf("baggage stream not sorted")
 	}
 	if len(a.Truth.Lost) == 0 || len(a.Truth.Stray) == 0 {

@@ -11,7 +11,6 @@ import (
 	"rcep/internal/rules"
 	"rcep/internal/sqlmini"
 	"rcep/internal/store"
-	"rcep/internal/stream"
 )
 
 func TestGenerateColdChainDeterministic(t *testing.T) {
@@ -20,7 +19,7 @@ func TestGenerateColdChainDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Observations, b.Observations) {
 		t.Fatalf("cold-chain generation not deterministic")
 	}
-	if !stream.IsSorted(a.Observations) {
+	if !event.Batch(a.Observations).Sorted() {
 		t.Fatalf("cold-chain stream not sorted")
 	}
 	if len(a.Truth.Excursions) == 0 || len(a.Truth.Jumps) == 0 {

@@ -11,7 +11,6 @@ import (
 	"rcep/internal/rules"
 	"rcep/internal/sqlmini"
 	"rcep/internal/store"
-	"rcep/internal/stream"
 )
 
 func TestGenerateLibraryDeterministic(t *testing.T) {
@@ -20,7 +19,7 @@ func TestGenerateLibraryDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Observations, b.Observations) {
 		t.Fatalf("library generation not deterministic")
 	}
-	if !stream.IsSorted(a.Observations) {
+	if !event.Batch(a.Observations).Sorted() {
 		t.Fatalf("library stream not sorted")
 	}
 	if len(a.Truth.Loans) == 0 || len(a.Truth.Thefts) == 0 || len(a.Truth.Returned) == 0 {

@@ -39,7 +39,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateStreamSorted(t *testing.T) {
 	sc := Generate(DefaultConfig())
-	if !stream.IsSorted(sc.Observations) {
+	if !event.Batch(sc.Observations).Sorted() {
 		t.Fatalf("stream not sorted")
 	}
 	if len(sc.Observations) == 0 {
@@ -411,7 +411,7 @@ func TestPalletFlushPartial(t *testing.T) {
 	if sizes[2] != 1 || sizes[1] != 1 {
 		t.Errorf("pallet sizes: %v", sizes)
 	}
-	if !stream.IsSorted(sc.Observations) {
+	if !event.Batch(sc.Observations).Sorted() {
 		t.Errorf("palletized stream not sorted")
 	}
 }

@@ -1,6 +1,7 @@
 // Package stream provides timestamp-ordered plumbing between observation
 // sources and the detection engine: sorting, k-way merging of sorted
-// streams, a bounded out-of-order reorder buffer, and a channel pump.
+// streams, a bounded out-of-order reorder buffer, and duplicate
+// elimination.
 package stream
 
 import (
@@ -16,17 +17,6 @@ import (
 // their source order).
 func Sort(obs []event.Observation) {
 	sort.SliceStable(obs, func(i, j int) bool { return obs[i].At < obs[j].At })
-}
-
-// IsSorted reports whether the observations are in non-decreasing
-// timestamp order.
-func IsSorted(obs []event.Observation) bool {
-	for i := 1; i < len(obs); i++ {
-		if obs[i].At < obs[i-1].At {
-			return false
-		}
-	}
-	return true
 }
 
 // Merge merges already-sorted streams into one sorted stream.
@@ -209,16 +199,4 @@ func (d *Dedup) prune(now event.Time) {
 			delete(d.last, k)
 		}
 	}
-}
-
-// Pump drains a channel of observations into the sink, returning on
-// channel close or the first error. It composes with Reorder.Push for
-// out-of-order sources.
-func Pump(ch <-chan event.Observation, sink func(event.Observation) error) error {
-	for obs := range ch {
-		if err := sink(obs); err != nil {
-			return err
-		}
-	}
-	return nil
 }

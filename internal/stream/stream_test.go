@@ -19,11 +19,11 @@ func o(id string, sec float64) event.Observation {
 
 func TestSortAndIsSorted(t *testing.T) {
 	obs := []event.Observation{o("c", 3), o("a", 1), o("b", 2)}
-	if IsSorted(obs) {
+	if event.Batch(obs).Sorted() {
 		t.Errorf("unsorted reported sorted")
 	}
 	Sort(obs)
-	if !IsSorted(obs) || obs[0].Object != "a" || obs[2].Object != "c" {
+	if !event.Batch(obs).Sorted() || obs[0].Object != "a" || obs[2].Object != "c" {
 		t.Errorf("sort: %v", obs)
 	}
 }
@@ -41,7 +41,7 @@ func TestMerge(t *testing.T) {
 	b := []event.Observation{o("b1", 2), o("b2", 3), o("b3", 5)}
 	var empty []event.Observation
 	got := Merge(a, b, empty)
-	if len(got) != 5 || !IsSorted(got) {
+	if len(got) != 5 || !event.Batch(got).Sorted() {
 		t.Fatalf("merge: %v", got)
 	}
 	want := []string{"a1", "b1", "b2", "a2", "b3"}
@@ -72,7 +72,7 @@ func TestMergeProperty(t *testing.T) {
 			streams = append(streams, st)
 		}
 		m := Merge(streams...)
-		return len(m) == total && IsSorted(m)
+		return len(m) == total && event.Batch(m).Sorted()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -158,28 +158,14 @@ func TestReorderPropertyAgainstSort(t *testing.T) {
 		if err := r.Flush(); err != nil {
 			return false
 		}
-		if len(got) != n || !IsSorted(got) {
-			t.Logf("seed %d: %d released, sorted=%t", seed, len(got), IsSorted(got))
+		if len(got) != n || !event.Batch(got).Sorted() {
+			t.Logf("seed %d: %d released, sorted=%t", seed, len(got), event.Batch(got).Sorted())
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPump(t *testing.T) {
-	ch := make(chan event.Observation, 3)
-	ch <- o("a", 1)
-	ch <- o("b", 2)
-	close(ch)
-	var got int
-	if err := Pump(ch, func(event.Observation) error { got++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Errorf("pumped %d", got)
 	}
 }
 
