@@ -90,14 +90,11 @@ type checkpoint struct {
 	Pseudo      []ckPseudo `json:"pseudo,omitempty"`
 }
 
-// SaveCheckpoint writes the runtime state as JSON. Every buffer is swept
-// first, so the bytes do not depend on when reclaim last ran.
+// SaveCheckpoint writes the runtime state as JSON, as it stands: reclaim
+// events fire at instants fixed by virtual time alone, so the bytes depend
+// only on what was ingested and how far the clock has moved. Armed reclaim
+// events are not written; RestoreCheckpoint re-arms the nodes it fills.
 func (e *Engine) SaveCheckpoint(w io.Writer) error {
-	for _, n := range e.g.Nodes {
-		if st := e.states[n.ID]; st.reclaimEvery > 0 {
-			e.reclaim(n, st)
-		}
-	}
 	ck := checkpoint{
 		Fingerprint: e.g.Fingerprint(),
 		Now:         e.now,
@@ -278,5 +275,14 @@ func (e *Engine) RestoreCheckpoint(r io.Reader) error {
 		e.pq = append(e.pq, ps)
 	}
 	heapInit(&e.pq)
+	// Each filled node's reclaim event goes at the first multiple of its
+	// period not before the clock: an uninterrupted engine either still
+	// holds that event or ran it at this instant, and a sweep drops only
+	// what no future arrival can use.
+	for _, st := range e.states {
+		if st != nil && st.expiring() {
+			e.arm(st, e.now-1)
+		}
+	}
 	return nil
 }

@@ -88,6 +88,7 @@ type Engine struct {
 	states  []*nodeState
 	maxOpen int
 	pq      pseudoHeap
+	rq      reclaimHeap // armed reclaim events (DESIGN.md §12)
 	now     event.Time
 	seq     uint64 // instance arrival counter
 	pseq    uint64 // pseudo scheduling counter
@@ -229,10 +230,17 @@ type nodeState struct {
 	// emit it (e.g. a TSEQ+ closure fires Hi after its last element).
 	closureDelay time.Duration
 
-	// Future arrivals end no earlier than the clock less lag; reclaim
-	// sweeps the buffers every reclaimEvery (0: nothing can expire).
+	// Future arrivals end no earlier than the clock less lag; a buffered
+	// instance expires within reclaimEvery of its arrival (0: nothing
+	// buffered can expire).
 	lag, reclaimEvery time.Duration
-	reclaimAt         event.Time
+
+	// sweep is the period of the node's reclaim event: reclaimEvery, or
+	// Retention for a node whose only expiring state is its history (0:
+	// the node never arms). armed marks an event pending at sweepAt.
+	sweep   time.Duration
+	sweepAt event.Time
+	armed   bool
 }
 
 // openSeq is an in-progress aperiodic sequence. starts tracks each
@@ -279,6 +287,21 @@ func (h *pseudoHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return it
+}
+
+// reclaimHeap orders armed nodes by reclaim instant; a sweep touches only
+// its own node, so ties may fire in any order. A reclaim event takes no
+// pseq and is never checkpointed: a restore re-arms every node it fills.
+type reclaimHeap []*nodeState
+
+func (h reclaimHeap) Len() int           { return len(h) }
+func (h reclaimHeap) Less(i, j int) bool { return h[i].sweepAt < h[j].sweepAt }
+func (h reclaimHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *reclaimHeap) Push(x any)        { *h = append(*h, x.(*nodeState)) }
+func (h *reclaimHeap) Pop() any {
+	old := *h
+	*h = old[:len(old)-1]
+	return old[len(old)-1]
 }
 
 // New builds an engine for a finalized event graph.
@@ -346,6 +369,11 @@ func New(cfg Config) (*Engine, error) {
 			// every future arrival one such span after it arrived.
 			st.lag = emitLag(n)
 			st.reclaimEvery = st.lag + max(n.Within+st.closureDelay, n.Hi, time.Nanosecond)
+		}
+		if st := e.states[n.ID]; st.reclaimEvery > 0 {
+			st.sweep = st.reclaimEvery
+		} else if st.hist != nil {
+			st.sweep = n.Retention
 		}
 		if n.NotChild >= 0 && len(n.JoinVars) > 0 {
 			// The first negation consumer keys the negated child's
@@ -432,7 +460,7 @@ func (e *Engine) Ingest(obs event.Observation) error {
 // §4.5), the clock advances, and the observation is dispatched through
 // its reader's dispatch list.
 func (e *Engine) step(o *event.Observation) {
-	if len(e.pq) > 0 && e.pq[0].exec < o.At {
+	if e.dueBefore(o.At) {
 		e.drainPseudo(o.At, true)
 	}
 	e.now = o.At
@@ -468,7 +496,7 @@ func (e *Engine) IngestBatch(batch []event.Observation) error {
 	e.m.Observations += uint64(len(sorted))
 	for i := range sorted {
 		o := &sorted[i]
-		if len(e.pq) > 0 && e.pq[0].exec < o.At {
+		if e.dueBefore(o.At) {
 			e.drainPseudo(o.At, true)
 		}
 		e.now = o.At
@@ -479,7 +507,8 @@ func (e *Engine) IngestBatch(batch []event.Observation) error {
 
 // AdvanceTo moves virtual time forward to t with no intervening
 // observations, firing every pseudo event scheduled at or before t. Call
-// it when the source is idle so negation windows can expire.
+// it when the source is idle so negation windows can expire and reclaim
+// events release the state no future arrival can use.
 func (e *Engine) AdvanceTo(t event.Time) error {
 	if t < e.now {
 		return fmt.Errorf("%w: AdvanceTo(%s), engine at %s", ErrOutOfOrder, t, e.now)
@@ -507,9 +536,16 @@ func (e *Engine) AdvanceBefore(t event.Time) error {
 
 // Close drains every pending pseudo event, completing all detections whose
 // windows end after the last observation. The engine remains usable; time
-// advances to the last fired pseudo event.
+// advances to the last fired pseudo event. Reclaim events due by then fire
+// with them; later ones stay armed for AdvanceTo.
 func (e *Engine) Close() {
-	e.drainPseudo(event.MaxTime, false)
+	for len(e.pq) > 0 {
+		last := e.pq[0].exec
+		for _, ps := range e.pq {
+			last = max(last, ps.exec)
+		}
+		e.drainPseudo(last, false)
+	}
 }
 
 func (e *Engine) nextSeq() uint64 {
@@ -536,26 +572,37 @@ func (e *Engine) schedule(ps *pseudoEvent) {
 	e.m.PseudoScheduled++
 }
 
-// drainPseudo fires pseudo events up to limit; strict excludes events at
-// exactly limit (they may still be affected by observations at that time).
+// dueBefore reports whether a pseudo or reclaim event is scheduled
+// strictly before t.
+func (e *Engine) dueBefore(t event.Time) bool {
+	return len(e.pq) > 0 && e.pq[0].exec < t || len(e.rq) > 0 && e.rq[0].sweepAt < t
+}
+
+// drainPseudo fires pseudo and reclaim events up to limit in time order;
+// strict excludes events at exactly limit (they may still be affected by
+// observations at that time). At one instant, pseudo events fire before
+// reclaim events.
 func (e *Engine) drainPseudo(limit event.Time, strict bool) {
-	for len(e.pq) > 0 {
-		top := e.pq[0]
-		if strict && top.exec >= limit {
+	due := func(at event.Time) bool { return at < limit || !strict && at == limit }
+	for {
+		query := len(e.pq) > 0 && due(e.pq[0].exec)
+		sweep := len(e.rq) > 0 && due(e.rq[0].sweepAt)
+		switch {
+		case query && (!sweep || e.pq[0].exec <= e.rq[0].sweepAt):
+			top := heap.Pop(&e.pq).(*pseudoEvent)
+			e.now = max(e.now, top.exec)
+			e.m.PseudoFired++
+			e.fire(top)
+			// fire keeps no reference to the struct (the payload instance
+			// is independently owned), so it recycles.
+			*top = pseudoEvent{}
+			e.psPool = append(e.psPool, top)
+		case sweep:
+			st := heap.Pop(&e.rq).(*nodeState)
+			e.now = max(e.now, st.sweepAt)
+			e.sweepNode(st)
+		default:
 			return
 		}
-		if !strict && top.exec > limit {
-			return
-		}
-		heap.Pop(&e.pq)
-		if top.exec > e.now {
-			e.now = top.exec
-		}
-		e.m.PseudoFired++
-		e.fire(top)
-		// fire keeps no reference to the struct (the payload instance is
-		// independently owned), so it recycles.
-		*top = pseudoEvent{}
-		e.psPool = append(e.psPool, top)
 	}
 }

@@ -94,6 +94,38 @@ func TestHistoryCapEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestHistoryCapSparesExpiredEntries: entries past Retention are pruned
+// before the cap evicts, so an expired entry is never counted as dropped.
+// The r2 history's Retention is 20 s, so its reclaim event runs at 20 s,
+// 40 s, …: the read at 100 s follows a sweep that found both entries
+// expired; the read at 39.5 s finds them expired while the last sweep, at
+// 20 s, had not.
+func TestHistoryCapSparesExpiredEntries(t *testing.T) {
+	rules := map[int]event.Expr{
+		1: &event.Within{
+			X:   &event.And{L: prim("r1", "o1", "t1"), R: &event.Not{X: prim("r2", "o2", "t2")}},
+			Max: 5 * time.Second,
+		},
+	}
+	for _, last := range []float64{100, 39.5} {
+		eng, _ := buildEngine(t, Config{Limits: Limits{MaxHistory: 2}}, rules)
+		for _, at := range []float64{0, 1, last} {
+			if err := eng.Ingest(obs("r2", "u", at)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m := eng.Metrics(); m.Dropped != 0 {
+			t.Errorf("last read at %gs: dropped = %d, want 0: both older entries had expired", last, m.Dropped)
+		}
+		nodes, _ := eng.Snapshot()
+		for _, n := range nodes {
+			if n.History > 1 {
+				t.Errorf("last read at %gs: expired entries retained: %+v", last, n)
+			}
+		}
+	}
+}
+
 func TestUnboundedByDefault(t *testing.T) {
 	rules := map[int]event.Expr{
 		1: &event.Seq{L: prim("rA", "o1", "t1"), R: prim("rB", "o2", "t2")},

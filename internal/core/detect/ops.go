@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"container/heap"
 	"time"
 
 	"rcep/internal/core/event"
@@ -17,10 +18,7 @@ func (e *Engine) emit(n *graph.Node, inst *event.Instance) {
 	e.m.Emitted++
 	st := e.states[n.ID]
 	if st.hist != nil {
-		st.hist.add(inst)
-		if n.Retention > 0 {
-			st.hist.pruneBefore(e.now.Add(-n.Retention - time.Nanosecond))
-		}
+		e.record(st, inst)
 	}
 	for _, rid := range n.Rules {
 		e.m.Detections++
@@ -29,6 +27,17 @@ func (e *Engine) emit(n *graph.Node, inst *event.Instance) {
 	for _, p := range n.Parents {
 		e.deliver(p, n, inst)
 	}
+}
+
+// record logs an occurrence in st's history. Entries past Retention go
+// first, so the MaxHistory cap evicts only entries a query can still read;
+// the node's reclaim event prunes the rest once its readers go quiet.
+func (e *Engine) record(st *nodeState, inst *event.Instance) {
+	if r := st.n.Retention; r > 0 {
+		st.hist.pruneBefore(e.now.Add(-r - time.Nanosecond))
+		e.arm(st, e.now)
+	}
+	st.hist.add(inst)
 }
 
 // deliver routes a child occurrence into a parent constructor.
@@ -192,9 +201,6 @@ func (e *Engine) seqDeliver(p *graph.Node, from *graph.Node, inst *event.Instanc
 // there is nothing to match against). arrivedRight distinguishes sequence
 // terminators.
 func (e *Engine) pair(p *graph.Node, st *nodeState, inst *event.Instance, mine, other *buffer, arrivedRight bool) {
-	if st.reclaimEvery > 0 && e.now >= st.reclaimAt {
-		e.reclaim(p, st)
-	}
 	var match *event.Instance
 	if other != nil {
 		cond := e.pairCond(p, inst, arrivedRight)
@@ -214,6 +220,9 @@ func (e *Engine) pair(p *graph.Node, st *nodeState, inst *event.Instance, mine, 
 		e.emit(p, e.combine(p, match, inst))
 	case mine != nil:
 		mine.add(inst)
+		if st.reclaimEvery > 0 {
+			e.arm(st, e.now)
+		}
 	}
 }
 
@@ -277,19 +286,59 @@ func (e *Engine) expired(p *graph.Node, c *event.Instance, end event.Time, arriv
 	return false
 }
 
-// reclaim drops p's pending instances that expired holds for against the
-// earliest End a future arrival can have. A scan drops them only when
-// their key returns; without this, an object read once would hold its
-// instance and partition forever. pair runs it once per reclaimEvery, so
-// an instance is swept at most twice: amortized O(1).
-func (e *Engine) reclaim(p *graph.Node, st *nodeState) {
-	st.reclaimAt = e.now.Add(st.reclaimEvery)
-	floor := e.now.Add(-st.lag)
-	// Only terminators scan a sequence's left buffer.
-	st.left.purge(func(c *event.Instance) bool { return e.expired(p, c, floor, p.Kind == graph.KindSeq) })
-	if st.right != nil {
-		st.right.purge(func(c *event.Instance) bool { return e.expired(p, c, floor, false) })
+// arm schedules st's reclaim event at the next multiple of its sweep
+// period after t (the first one, for t ≥ 0), unless one is pending, so
+// reclaim instants depend on virtual time alone.
+func (e *Engine) arm(st *nodeState, t event.Time) {
+	if st.armed || st.sweep == 0 {
+		return
 	}
+	p := event.Time(st.sweep)
+	if st.sweepAt = t - t%p + p; st.sweepAt <= t {
+		st.sweepAt = event.MaxTime // the multiple overflows
+	}
+	st.armed = true
+	heap.Push(&e.rq, st)
+}
+
+// sweepNode runs st's reclaim event. Buffered instances go once expired
+// holds for them against the earliest End a future arrival can have, with
+// the partitions left empty, and history entries once past Retention; the
+// event re-arms while state that can still expire remains. A scan drops
+// an instance only when its key returns, and a history prunes only when
+// its node emits; without this, a node whose readers go quiet would hold
+// its last window of instances, and an object read once its partition,
+// forever. An instance is swept at most twice after it arrives: amortized
+// O(1).
+func (e *Engine) sweepNode(st *nodeState) {
+	st.armed = false
+	p := st.n
+	if st.reclaimEvery > 0 {
+		floor := e.now.Add(-st.lag)
+		// Only terminators scan a sequence's left buffer.
+		st.left.purge(func(c *event.Instance) bool { return e.expired(p, c, floor, p.Kind == graph.KindSeq) })
+		if st.right != nil {
+			// A sequence's waiting terminator also expires once every
+			// future initiator ends no earlier than it begins.
+			st.right.purge(func(c *event.Instance) bool {
+				return e.expired(p, c, floor, false) || p.Kind == graph.KindSeq && c.Begin <= floor
+			})
+		}
+	}
+	if st.hist != nil && p.Retention > 0 {
+		st.hist.pruneBefore(e.now.Add(-p.Retention - time.Nanosecond))
+	}
+	if st.expiring() {
+		e.arm(st, e.now)
+	}
+}
+
+// expiring reports whether st holds state its reclaim event can release.
+func (st *nodeState) expiring() bool {
+	if st.reclaimEvery > 0 && (st.left.len() > 0 || st.right != nil && st.right.len() > 0) {
+		return true
+	}
+	return st.hist != nil && st.n.Retention > 0 && st.hist.len() > 0
 }
 
 // combine builds the detected instance from an initiator/left candidate
@@ -420,7 +469,7 @@ func (e *Engine) closeOpen(n *graph.Node, st *nodeState) {
 	}
 	e.m.Emitted++
 	if st.hist != nil {
-		st.hist.add(inst)
+		e.record(st, inst)
 	}
 }
 

@@ -22,7 +22,8 @@ type NodeState struct {
 }
 
 // Snapshot returns the runtime state of every graph node, ordered by node
-// ID, plus the number of pending pseudo events.
+// ID, plus the number of pending pseudo events (armed reclaim events are
+// not counted).
 func (e *Engine) Snapshot() ([]NodeState, int) {
 	out := make([]NodeState, 0, len(e.g.Nodes))
 	for _, n := range e.g.Nodes {

@@ -76,7 +76,8 @@ func (h *mergeHeap) Pop() any {
 // Reorder is a bounded out-of-order buffer: it accepts observations up to
 // Slack late and releases them downstream in timestamp order. An
 // observation older than the released watermark is reported to OnDrop
-// (or silently dropped when OnDrop is nil).
+// (or silently dropped when OnDrop is nil); one at the watermark itself
+// is still released, since the output stays non-decreasing.
 type Reorder struct {
 	slack     time.Duration
 	out       func(event.Observation) error
@@ -96,7 +97,7 @@ func NewReorder(slack time.Duration, out func(event.Observation) error) *Reorder
 
 // Push accepts one observation in any order within the slack bound.
 func (r *Reorder) Push(obs event.Observation) error {
-	if obs.At <= r.watermark && r.watermark != event.MinTime {
+	if obs.At < r.watermark {
 		if r.OnDrop != nil {
 			r.OnDrop(obs)
 		}

@@ -126,6 +126,39 @@ func TestReorderDropsTooLate(t *testing.T) {
 	}
 }
 
+// TestReorderKeepsReadAtWatermark: a read exactly at the released
+// watermark (same instant, another reader, slack late) is released in
+// order; only an older one is dropped.
+func TestReorderKeepsReadAtWatermark(t *testing.T) {
+	var got, dropped []event.Observation
+	r := NewReorder(time.Second, func(obs event.Observation) error {
+		got = append(got, obs)
+		return nil
+	})
+	r.OnDrop = func(obs event.Observation) { dropped = append(dropped, obs) }
+	for _, obs := range []event.Observation{o("a", 10), o("c", 11), o("b", 10)} {
+		if err := r.Push(obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Push(o("late", 9)); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, obs := range got {
+		names = append(names, obs.Object)
+	}
+	if strings.Join(names, ",") != "a,b,c" {
+		t.Fatalf("released %v, want a,b,c", names)
+	}
+	if len(dropped) != 1 || dropped[0].Object != "late" {
+		t.Fatalf("dropped %v, want only late@9", dropped)
+	}
+}
+
 func TestReorderPropertyAgainstSort(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
