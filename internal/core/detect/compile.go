@@ -210,13 +210,13 @@ next:
 // and fills pre-sorted binding templates. The observation is passed by
 // pointer so the dispatch loop never copies the struct.
 func (e *Engine) dispatchObs(obs *event.Observation) {
-	rsym := e.symOf(obs.Reader)
+	rsym := e.intern.Intern(obs.Reader)
 	plans, ok := e.dispatch[rsym]
 	if !ok {
 		plans = e.plansFor(rsym, obs.Reader)
 	}
 	e.m.PlanProbes += uint64(len(plans))
-	osym := e.symOf(obs.Object)
+	osym := e.intern.Intern(obs.Object)
 	for _, pl := range plans {
 		binds, ok := e.matchPlan(pl, obs, osym)
 		if !ok {

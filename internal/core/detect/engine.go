@@ -112,12 +112,6 @@ type Engine struct {
 	filterPool  []event.Bindings
 	psPool      []*pseudoEvent
 
-	// symCache is an engine-local (lock-free) mirror of the shared intern
-	// table: the engine is single-goroutine, so hot-path symbol lookups
-	// skip the Interner's RWMutex entirely. Symbols never change once
-	// assigned, so the mirror can only ever agree with the shared table.
-	symCache map[string]event.Symbol
-
 	// instSlab and bindSlab are the hot-path arenas (DESIGN.md §12):
 	// instances and binding arrays are carved out of large slabs instead
 	// of malloc'd one by one. Delivered instances are never recycled —
@@ -192,17 +186,6 @@ func (e *Engine) mergeBinds(b, o event.Bindings) event.Bindings {
 		}
 	}
 	return m
-}
-
-// symOf interns through the engine-local cache, avoiding the shared
-// table's lock on every hit.
-func (e *Engine) symOf(s string) event.Symbol {
-	if sym, ok := e.symCache[s]; ok {
-		return sym
-	}
-	sym := e.intern.Intern(s)
-	e.symCache[s] = sym
-	return sym
 }
 
 // nodeState is the per-node runtime state.
@@ -317,7 +300,6 @@ func New(cfg Config) (*Engine, error) {
 		now:      event.MinTime,
 		maxOpen:  cfg.MaxOpenSequence,
 		intern:   cfg.Interner,
-		symCache: make(map[string]event.Symbol, 256),
 	}
 	if e.groups == nil {
 		e.groups = func(r string) []string { return []string{r} }

@@ -1,6 +1,10 @@
 package event
 
-import "sync"
+import (
+	"hash/maphash"
+	"sync"
+	"sync/atomic"
+)
 
 // Symbol is a dense integer ID for an interned string (reader EPCs, object
 // EPCs, location names). Symbols are assigned sequentially from 1 by an
@@ -18,68 +22,124 @@ type Symbol uint32
 // pattern position is unconstrained". Interners never assign it.
 const NoSymbol Symbol = 0
 
+// A chunk holds the names of 1<<chunkShift consecutive symbols. It never
+// moves, so a name written into it stays readable through any directory
+// that lists it.
+const chunkShift = 10
+
+type chunk [1 << chunkShift]string
+
 // Interner maps strings to dense Symbols. It is safe for concurrent use:
 // ingest entry points (wire connections, LLRP adapters, shard workers)
 // intern concurrently while detection engines resolve.
 //
-// Concurrency contract (DESIGN.md §9): Intern, Lookup, Resolve and Canon
-// may be called from any goroutine. Symbols are assigned exactly once per
-// distinct string and never change or get reused, so a symbol observed by
-// one goroutine resolves to the same string forever on every goroutine.
-// The table only grows; it never evicts (readers are a small fixed set per
-// deployment, objects grow with the distinct tag population — see
-// docs/OPERATIONS.md for sizing).
+// Concurrency contract (DESIGN.md §9): readers take no lock and allocate
+// nothing (Intern, Canon and CanonBytes of a known name, Resolve, Len).
+// Writers, first sightings only, serialise on mu and write the name into
+// its chunk before they store its symbol in a slot, so a reader that finds
+// a slot finds the name. Symbols are assigned once per distinct string, in
+// first-sight order, and never change or get reused. The table only grows;
+// it never evicts (see docs/OPERATIONS.md for sizing).
 type Interner struct {
-	mu   sync.RWMutex
-	ids  map[string]Symbol
-	strs []string // strs[sym] = interned string; strs[0] unused
+	mu    sync.Mutex
+	seed  maphash.Seed
+	n     atomic.Uint32                   // symbols assigned: 1..n
+	dir   atomic.Pointer[[]*chunk]        // (*dir)[(sym-1)>>chunkShift] holds sym's name
+	slots atomic.Pointer[[]atomic.Uint32] // open addressing, at most 3/4 full
 }
 
 // NewInterner returns an empty intern table.
 func NewInterner() *Interner {
-	return &Interner{
-		ids:  make(map[string]Symbol, 64),
-		strs: make([]string, 1, 65),
+	it := &Interner{seed: maphash.MakeSeed()}
+	slots := make([]atomic.Uint32, 64)
+	it.dir.Store(new([]*chunk))
+	it.slots.Store(&slots)
+	return it
+}
+
+// name returns the string sym names; sym must be assigned.
+func (it *Interner) name(sym Symbol) string {
+	return (*it.dir.Load())[(sym-1)>>chunkShift][(sym-1)&(1<<chunkShift-1)]
+}
+
+// find probes slots linearly from s's hash h, up to an empty slot.
+func find[T string | []byte](it *Interner, slots []atomic.Uint32, h uint64, s T) (Symbol, string) {
+	mask := uint64(len(slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		sym := Symbol(slots[i].Load())
+		if sym == NoSymbol {
+			return NoSymbol, ""
+		}
+		if name := it.name(sym); name == string(s) {
+			return sym, name
+		}
 	}
+}
+
+// intern returns s's symbol and first-interned instance, assigning the
+// next symbol on first sight; only then is a []byte s copied.
+func intern[T string | []byte](it *Interner, h uint64, s T) (Symbol, string) {
+	if sym, name := find(it, *it.slots.Load(), h, s); sym != NoSymbol {
+		return sym, name
+	}
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	slots := *it.slots.Load()
+	if sym, name := find(it, slots, h, s); sym != NoSymbol { // another writer won
+		return sym, name
+	}
+	sym, name := Symbol(it.n.Load()+1), string(s)
+	if 4*uint64(sym) > 3*uint64(len(slots)) {
+		slots = it.grow(slots)
+	}
+	dir := *it.dir.Load()
+	if c := int(sym-1) >> chunkShift; c == len(dir) {
+		grown := append(dir[:c:c], new(chunk)) // only a new chunk allocates
+		it.dir.Store(&grown)
+		dir = grown
+	}
+	dir[(sym-1)>>chunkShift][(sym-1)&(1<<chunkShift-1)] = name // the name before its slot
+	it.n.Store(uint32(sym))
+	place(slots, h, sym)
+	return sym, name
+}
+
+// grow publishes a slot table twice the size of slots, holding every
+// assigned symbol. A reader still probing the old one misses only names
+// interned since, and finds them under the lock.
+func (it *Interner) grow(slots []atomic.Uint32) []atomic.Uint32 {
+	bigger := make([]atomic.Uint32, 2*len(slots))
+	for sym := Symbol(1); sym <= Symbol(it.n.Load()); sym++ {
+		place(bigger, maphash.String(it.seed, it.name(sym)), sym)
+	}
+	it.slots.Store(&bigger)
+	return bigger
+}
+
+// place stores sym in the first empty slot from h.
+func place(slots []atomic.Uint32, h uint64, sym Symbol) {
+	mask := uint64(len(slots) - 1)
+	i := h & mask
+	for slots[i].Load() != 0 {
+		i = (i + 1) & mask
+	}
+	slots[i].Store(uint32(sym))
 }
 
 // Intern returns the symbol for s, assigning the next dense symbol on
 // first sight.
 func (it *Interner) Intern(s string) Symbol {
-	it.mu.RLock()
-	sym, ok := it.ids[s]
-	it.mu.RUnlock()
-	if ok {
-		return sym
-	}
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	if sym, ok = it.ids[s]; ok { // lost the race to another writer
-		return sym
-	}
-	sym = Symbol(len(it.strs))
-	it.ids[s] = sym
-	it.strs = append(it.strs, s)
+	sym, _ := intern(it, maphash.String(it.seed, s), s)
 	return sym
-}
-
-// Lookup returns the symbol for s without assigning one.
-func (it *Interner) Lookup(s string) (Symbol, bool) {
-	it.mu.RLock()
-	sym, ok := it.ids[s]
-	it.mu.RUnlock()
-	return sym, ok
 }
 
 // Resolve returns the string a symbol names. ok is false for NoSymbol and
 // symbols this table never assigned.
 func (it *Interner) Resolve(sym Symbol) (string, bool) {
-	it.mu.RLock()
-	defer it.mu.RUnlock()
-	if sym == NoSymbol || int(sym) >= len(it.strs) {
+	if sym == NoSymbol || uint32(sym) > it.n.Load() {
 		return "", false
 	}
-	return it.strs[sym], true
+	return it.name(sym), true
 }
 
 // Canon returns the canonical (first-interned) instance of s. Ingest entry
@@ -87,37 +147,17 @@ func (it *Interner) Resolve(sym Symbol) (string, bool) {
 // pass each attribute through Canon so long-lived engine state retains one
 // string instance per distinct EPC instead of one per observation.
 func (it *Interner) Canon(s string) string {
-	sym := it.Intern(s)
-	it.mu.RLock()
-	defer it.mu.RUnlock()
-	return it.strs[sym]
+	_, name := intern(it, maphash.String(it.seed, s), s)
+	return name
 }
 
 // CanonBytes is Canon for a name held in a byte buffer (an EPC rendered
 // into a reused one): a name the table holds costs a lookup and no
 // allocation, and only a first sighting copies b into a string.
 func (it *Interner) CanonBytes(b []byte) string {
-	it.mu.RLock()
-	sym, ok := it.ids[string(b)]
-	s := it.strs[sym]
-	it.mu.RUnlock()
-	if ok {
-		return s
-	}
-	return it.Canon(string(b))
-}
-
-// CanonObservation canonicalizes an observation's reader and object
-// strings in one call (see Canon).
-func (it *Interner) CanonObservation(o Observation) Observation {
-	o.Reader = it.Canon(o.Reader)
-	o.Object = it.Canon(o.Object)
-	return o
+	_, name := intern(it, maphash.Bytes(it.seed, b), b)
+	return name
 }
 
 // Len returns the number of interned strings.
-func (it *Interner) Len() int {
-	it.mu.RLock()
-	defer it.mu.RUnlock()
-	return len(it.strs) - 1
-}
+func (it *Interner) Len() int { return int(it.n.Load()) }

@@ -2,7 +2,10 @@ package event
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -41,12 +44,6 @@ func TestInternerRoundTrip(t *testing.T) {
 	if _, ok := it.Resolve(Symbol(999)); ok {
 		t.Fatal("Resolve of unassigned symbol succeeded")
 	}
-	if _, ok := it.Lookup("never-seen"); ok {
-		t.Fatal("Lookup of unseen string succeeded")
-	}
-	if sym, ok := it.Lookup("r2"); !ok || sym != syms[1] {
-		t.Fatalf("Lookup(r2) = %d, %v; want %d", sym, ok, syms[1])
-	}
 }
 
 func TestInternerCanonReturnsOneInstance(t *testing.T) {
@@ -56,9 +53,8 @@ func TestInternerCanonReturnsOneInstance(t *testing.T) {
 	if a != b {
 		t.Fatalf("Canon returned different strings: %q vs %q", a, b)
 	}
-	o := it.CanonObservation(Observation{Reader: "reader-" + fmt.Sprint(7), Object: "obj", At: 3})
-	if o.Reader != a || o.Object != "obj" || o.At != 3 {
-		t.Fatalf("CanonObservation mangled the observation: %+v", o)
+	if unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Fatal("Canon returned two instances of one name")
 	}
 }
 
@@ -93,6 +89,144 @@ func TestInternerConcurrent(t *testing.T) {
 				t.Fatalf("goroutines disagree on symbol for epc-%d: %d vs %d", i, syms[0][i], syms[g][i])
 			}
 		}
+	}
+}
+
+// TestInternerGrowsUnderReaders runs writers over overlapping name sets,
+// past several slot-table growths and name-chunk boundaries, while readers
+// resolve and canonicalise every symbol a writer has already returned; run
+// under -race it checks that a reader finding a slot finds its name.
+func TestInternerGrowsUnderReaders(t *testing.T) {
+	const writers, readers, names = 4, 4, 3 * 1024
+	it := NewInterner()
+	copies := make([][]string, writers) // each writer's own instances
+	syms := make([][]Symbol, writers)
+	done := make([]atomic.Int64, writers) // syms[w][:done[w]] are published
+	for w := range copies {
+		copies[w] = make([]string, names)
+		syms[w] = make([]Symbol, names)
+		for i := range copies[w] {
+			copies[w][i] = strings.Clone(fmt.Sprintf("urn:epc:id:sgtin:%d", i))
+		}
+	}
+	order := func(w, k int) int { return (7*k + w*names/writers) % names } // writer w's k-th name
+	var wg, rg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			for pass := 0; ; pass++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w := (r + pass) % writers
+				n := int(done[w].Load())
+				for k := 0; k < n; k++ {
+					i := order(w, k)
+					want := copies[w][i]
+					got, ok := it.Resolve(syms[w][i])
+					if !ok || got != want || it.Canon(want) != got || it.CanonBytes([]byte(want)) != got {
+						t.Errorf("symbol %d: Resolve = %q, %v; want %q", syms[w][i], got, ok, want)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < names; k++ {
+				i := order(w, k)
+				syms[w][i] = it.Intern(copies[w][i])
+				done[w].Store(int64(k + 1))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+	if it.Len() != names {
+		t.Fatalf("Len = %d, want %d", it.Len(), names)
+	}
+	seen := make([]bool, names+1)
+	for i := 0; i < names; i++ {
+		sym := syms[0][i]
+		for w := 1; w < writers; w++ {
+			if syms[w][i] != sym {
+				t.Fatalf("name %d got symbols %d and %d", i, sym, syms[w][i])
+			}
+		}
+		if sym == NoSymbol || int(sym) > names || seen[sym] {
+			t.Fatalf("symbol %d of name %d is not one of a dense 1..%d", sym, i, names)
+		}
+		seen[sym] = true
+		canon := it.Canon(strings.Clone(copies[0][i]))
+		first := false // canon is one writer's instance, the same for every copy
+		for w := 0; w < writers; w++ {
+			first = first || unsafe.StringData(canon) == unsafe.StringData(copies[w][i])
+			if c := it.Canon(copies[w][i]); unsafe.StringData(c) != unsafe.StringData(canon) {
+				t.Fatalf("Canon of name %d returned two instances", i)
+			}
+		}
+		if !first {
+			t.Fatalf("Canon of name %d is not the instance a writer interned", i)
+		}
+	}
+}
+
+// TestInternerReadsAllocateNothing: a known name costs no allocation on
+// any read path.
+func TestInternerReadsAllocateNothing(t *testing.T) {
+	it := NewInterner()
+	for i := 0; i < 2000; i++ {
+		it.Intern(fmt.Sprintf("epc-%d", i))
+	}
+	name := fmt.Sprintf("epc-%d", 1234)
+	b := []byte(name)
+	sym := it.Intern(name)
+	for what, read := range map[string]func(){
+		"Intern":     func() { it.Intern(name) },
+		"Canon":      func() { it.Canon(name) },
+		"CanonBytes": func() { it.CanonBytes(b) },
+		"Resolve":    func() { it.Resolve(sym) },
+	} {
+		if n := testing.AllocsPerRun(1000, read); n != 0 {
+			t.Errorf("%s of a known name allocates %v times, want 0", what, n)
+		}
+	}
+}
+
+// TestInternerBytesPerName bounds what the table retains per name beyond
+// the name's own bytes: a name slot, a share of the slot table and of the
+// chunk directory.
+func TestInternerBytesPerName(t *testing.T) {
+	const names = 1 << 16
+	words := make([]string, names)
+	for i := range words {
+		words[i] = fmt.Sprintf("urn:epc:id:sgtin:0614141.%06d", i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	it := NewInterner()
+	for _, w := range words {
+		it.Intern(w)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / names
+	runtime.KeepAlive(words)
+	if it.Len() != names {
+		t.Fatalf("Len = %d, want %d", it.Len(), names)
+	}
+	t.Logf("%.1f B retained per name", per)
+	if per > 32 {
+		t.Fatalf("the table retains %.1f B per name, want at most 32", per)
 	}
 }
 

@@ -122,7 +122,8 @@ type Scenario struct {
 // do and keeps one string instance per distinct EPC/reader alive.
 func (sc *Scenario) Canonicalize(in *event.Interner) {
 	for i := range sc.Observations {
-		sc.Observations[i] = in.CanonObservation(sc.Observations[i])
+		o := &sc.Observations[i]
+		o.Reader, o.Object = in.Canon(o.Reader), in.Canon(o.Object)
 	}
 }
 

@@ -223,7 +223,7 @@ var errMalformed = errors.New("wire: malformed frame")
 // needed) from one buffer, with the connection's symbol table.
 type FrameReader struct {
 	br    *bufio.Reader
-	canon *event.Interner // the server's: names are canonical from definition
+	canon *event.Interner // the server's: batch names are canonical from definition
 	syms  []string
 	buf   []byte
 	p     []byte // the binary payload still to decode
@@ -340,11 +340,11 @@ func (r *FrameReader) readBinary(tag byte, m *Message) (int, error) {
 	switch tag {
 	case batchTag:
 		m.Type, m.Seq = "batch", r.uvarint()
-		m.ClientID = r.sym()
+		m.ClientID = r.sym(r.canon)
 		count = r.uvarint()
 		var at int64
 		for i := uint64(0); i < count && !r.bad; i++ {
-			o := BatchObs{Reader: r.sym(), Object: r.sym()}
+			o := BatchObs{Reader: r.sym(r.canon), Object: r.sym(r.canon)}
 			if o.AtNS = at + r.varint(); count <= MaxBatchFrame {
 				m.Batch = append(m.Batch, o)
 			}
@@ -363,7 +363,7 @@ func (r *FrameReader) readBinary(tag byte, m *Message) (int, error) {
 		}
 	default:
 		m.Type, m.Seq = "ack", r.uvarint()
-		m.ClientID = r.sym()
+		m.ClientID = r.sym(nil)
 	}
 	if r.bad || flags > flagReset || len(r.p) > 0 {
 		return 0, fmt.Errorf("%w: payload of %d bytes", errMalformed, size)
@@ -420,18 +420,19 @@ func (r *FrameReader) count() int {
 	return int(n)
 }
 
-// text is sym for a fire's strings, which the writer sends only as UTF-8.
+// text is sym for a fire's strings, which the writer sends only as UTF-8,
+// never canonical: a server refuses fire frames and must not keep names.
 func (r *FrameReader) text() string {
-	s := r.sym()
+	s := r.sym(nil)
 	r.bad = r.bad || !utf8.ValidString(s)
 	return s
 }
 
 // sym decodes a symbol reference, defining the next table entry when the
-// index is the table's length. A server's reader canonicalises the name
-// there, once for the connection, so every batch it reads arrives
-// canonical.
-func (r *FrameReader) sym() string {
+// index is the table's length. A server's reader canonicalises the names
+// a batch defines there, once for the connection, so every batch it reads
+// arrives canonical (bar a name a refused frame defined: as decoded).
+func (r *FrameReader) sym(canon *event.Interner) string {
 	id := r.uvarint()
 	if id < uint64(len(r.syms)) {
 		return r.syms[id]
@@ -442,8 +443,8 @@ func (r *FrameReader) sym() string {
 		return ""
 	}
 	var s string
-	if r.canon != nil {
-		s = r.canon.CanonBytes(r.p[:n]) // a name the engine knows costs nothing
+	if canon != nil {
+		s = canon.CanonBytes(r.p[:n]) // a name the engine knows costs nothing
 	} else {
 		s = string(r.p[:n])
 	}

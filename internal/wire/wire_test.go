@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"rcep"
+	"rcep/internal/core/event"
 )
 
 func sec(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
@@ -347,6 +348,40 @@ func TestSequencedUnknownFrameRefused(t *testing.T) {
 // is unmarshalled, so object strings decoded on distinct connections
 // collapse to one canonical instance before they reach dedup, reorder and
 // the engine, and a firing's bindings carry the first-interned string.
+// TestServerIngestCanonicalizesBatchNamesOnly: a server refuses fire
+// frames, so the rule, name and binding strings of one a client sends must
+// not reach the engine's interner, which never evicts.
+func TestServerIngestCanonicalizesBatchNamesOnly(t *testing.T) {
+	srv, addr := startServer(t, rcep.Config{Rules: dupRule})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	before := srv.Engine().Interner().Len()
+	const fires = 50
+	w := NewFrameWriter(conn)
+	for i := 0; i < fires; i++ {
+		n := strconv.Itoa(i)
+		m := Message{Type: "fire", Rule: "rule-" + n, Name: "name-" + n, EndNS: 1,
+			Binds: event.MakeBindings(map[string]event.Value{"var-" + n: event.StringValue("obj-" + n)})}
+		if err := w.Send(&m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused := 0
+	readUntil(t, conn, NewFrameReader(conn), func(m Message) bool {
+		if m.Type == "error" && strings.Contains(m.Msg, `"fire"`) {
+			refused++
+		}
+		return refused == fires
+	})
+	if got := srv.Engine().Interner().Len(); got != before {
+		t.Fatalf("%d refused fire frames took the interner from %d to %d names", fires, before, got)
+	}
+}
+
 func TestServerIngestCanonicalizes(t *testing.T) {
 	for _, binary := range []bool{true, false} {
 		t.Run(map[bool]string{true: "binary", false: "json"}[binary], func(t *testing.T) {
