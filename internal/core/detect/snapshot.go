@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
 	"rcep/internal/core/graph"
@@ -50,14 +48,4 @@ func (e *Engine) Snapshot() ([]NodeState, int) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, len(e.pq)
-}
-
-// DumpState writes a human-readable state report, for diagnostics.
-func (e *Engine) DumpState(w io.Writer) {
-	nodes, pending := e.Snapshot()
-	fmt.Fprintf(w, "engine @ %s, %d pending pseudo event(s)\n", e.now, pending)
-	for _, n := range nodes {
-		fmt.Fprintf(w, "  %-60s left=%d right=%d hist=%d open=%d\n",
-			n.Description, n.LeftBuffer, n.RightBuffer, n.History, n.OpenSequence)
-	}
 }

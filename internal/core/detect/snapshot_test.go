@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +31,7 @@ func TestSnapshotReflectsState(t *testing.T) {
 	}
 	var openSeen, histSeen bool
 	for _, n := range nodes {
-		if n.OpenSequence == 2 {
+		if n.OpenSequence == 2 && strings.Contains(n.Description, "SEQ+") {
 			openSeen = true // the TSEQ+ holds {i1, i2}
 		}
 		if n.History > 0 {
@@ -43,15 +42,6 @@ func TestSnapshotReflectsState(t *testing.T) {
 		t.Errorf("open TSEQ+ run not visible in snapshot: %+v", nodes)
 	}
 	_ = histSeen // history may legitimately be empty here
-
-	var buf bytes.Buffer
-	h.eng.DumpState(&buf)
-	out := buf.String()
-	for _, frag := range []string{"pending pseudo event", "SEQ+", "open=2"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("DumpState missing %q:\n%s", frag, out)
-		}
-	}
 }
 
 func TestSnapshotHistoryRetention(t *testing.T) {

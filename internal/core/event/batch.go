@@ -21,24 +21,6 @@ import "sync"
 // allocates nothing.
 type Batch []Observation
 
-// Window returns the batch's timestamp span [min, max]. ok is false for
-// an empty batch.
-func (b Batch) Window() (lo, hi Time, ok bool) {
-	if len(b) == 0 {
-		return 0, 0, false
-	}
-	lo, hi = b[0].At, b[0].At
-	for _, o := range b[1:] {
-		if o.At < lo {
-			lo = o.At
-		}
-		if o.At > hi {
-			hi = o.At
-		}
-	}
-	return lo, hi, true
-}
-
 // Sorted reports whether observations are in non-decreasing timestamp
 // order — the order every ingest path requires. Read cycles arrive
 // sorted; consumers use this to skip defensive re-sorting.

@@ -181,21 +181,27 @@ func TestBindingsCompatibleAndMerge(t *testing.T) {
 }
 
 func TestBindingsProject(t *testing.T) {
+	project := func(b Bindings, keys ...string) string { return string(b.AppendProject(nil, keys)) }
 	a := MakeBindings(map[string]Value{"r": StringValue("r1"), "o": StringValue("o1")})
-	k1, ok := a.Project([]string{"r"})
-	if !ok || k1 == "" {
-		t.Errorf("project with keys should be ok")
+	k1 := project(a, "r")
+	if k1 == "" {
+		t.Errorf("projection with keys should not be empty")
 	}
-	k2, _ := MakeBindings(map[string]Value{"r": StringValue("r1"), "o": StringValue("oX")}).Project([]string{"r"})
-	if k1 != k2 {
+	if k2 := project(MakeBindings(map[string]Value{"r": StringValue("r1"), "o": StringValue("oX")}), "r"); k1 != k2 {
 		t.Errorf("same projection should produce same key")
 	}
-	k3, _ := MakeBindings(map[string]Value{"r": StringValue("r2")}).Project([]string{"r"})
-	if k1 == k3 {
+	if k3 := project(MakeBindings(map[string]Value{"r": StringValue("r2")}), "r"); k1 == k3 {
 		t.Errorf("different projection should differ")
 	}
-	if _, ok := a.Project(nil); ok {
-		t.Errorf("empty projection should report not-ok")
+	if k := project(a, "r", "missing"); k != "r1\x00null\x00" {
+		t.Errorf("missing key projects as %q, want null", k)
+	}
+	if k := project(a); k != "" {
+		t.Errorf("empty projection = %q", k)
+	}
+	buf := []byte("keep")
+	if got := string(a.AppendProject(buf, []string{"o"})); got != "keepo1\x00" {
+		t.Errorf("AppendProject onto a buffer = %q", got)
 	}
 }
 

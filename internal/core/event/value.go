@@ -431,20 +431,10 @@ func (b Bindings) Merge(o Bindings) Bindings {
 	return m
 }
 
-// Project returns b restricted to the given keys, with a canonical string
-// form usable as a hash key for partitioned instance buffers. Keys missing
-// from b are rendered as null. The second return is false when keys is
-// empty (no partitioning applies).
-func (b Bindings) Project(keys []string) (string, bool) {
-	if len(keys) == 0 {
-		return "", false
-	}
-	return string(b.AppendProject(nil, keys)), true
-}
-
-// AppendProject appends Project's key form to dst — the same bytes, but
-// into a caller-reused buffer so hot-path partition lookups allocate
-// nothing.
+// AppendProject appends to dst the key form of b restricted to the given
+// keys, usable as a hash key for partitioned instance buffers: each key's
+// value text and a NUL, a missing key rendered as null. It writes into a
+// caller-reused buffer, so hot-path partition lookups allocate nothing.
 func (b Bindings) AppendProject(dst []byte, keys []string) []byte {
 	for _, k := range keys {
 		v, _ := b.Get(k)

@@ -182,18 +182,6 @@ func NewPartition(rules []Rule, maxShards int, groups func(string) []string) *Pa
 // maximum; never more than the number of key-space classes).
 func (p *Partition) NumShards() int { return len(p.ByShard) }
 
-// ShardOf returns the shard holding ruleID, or -1.
-func (p *Partition) ShardOf(ruleID int) int {
-	for s, rs := range p.ByShard {
-		for _, r := range rs {
-			if r.ID == ruleID {
-				return s
-			}
-		}
-	}
-	return -1
-}
-
 // appendShard adds s to the sorted set dst.
 func appendShard(dst []int, s int) []int {
 	i := sort.SearchInts(dst, s)

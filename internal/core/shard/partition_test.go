@@ -16,6 +16,18 @@ func seq(l, r event.Expr, max time.Duration) event.Expr {
 	return &event.Within{X: &event.Seq{L: l, R: r}, Max: max}
 }
 
+// shardOf returns the shard whose ByShard list holds ruleID, or -1.
+func shardOf(p *Partition, ruleID int) int {
+	for s, rs := range p.ByShard {
+		for _, r := range rs {
+			if r.ID == ruleID {
+				return s
+			}
+		}
+	}
+	return -1
+}
+
 func TestPartitionDisjointReadersSplit(t *testing.T) {
 	rules := []Rule{
 		{ID: 1, Expr: seq(lit("r0", "o", "t1"), lit("r0", "o", "t2"), time.Second)},
@@ -27,11 +39,11 @@ func TestPartitionDisjointReadersSplit(t *testing.T) {
 		t.Fatalf("3 disjoint rules on 8 shards → %d shards, want 3", p.NumShards())
 	}
 	for _, r := range rules {
-		if p.ShardOf(r.ID) < 0 {
+		if shardOf(p, r.ID) < 0 {
 			t.Errorf("rule %d unassigned", r.ID)
 		}
 	}
-	if s1, s2 := p.ShardOf(1), p.ShardOf(2); s1 == s2 {
+	if s1, s2 := shardOf(p, 1), shardOf(p, 2); s1 == s2 {
 		t.Errorf("disjoint rules 1,2 share shard %d", s1)
 	}
 }
@@ -43,10 +55,10 @@ func TestPartitionSharedReaderCoShards(t *testing.T) {
 		{ID: 3, Expr: seq(lit("r4", "o", "t1"), lit("r5", "o", "t2"), time.Second)},
 	}
 	p := NewPartition(rules, 8, nil)
-	if p.ShardOf(1) != p.ShardOf(2) {
-		t.Errorf("rules sharing reader r1 on different shards: %d vs %d", p.ShardOf(1), p.ShardOf(2))
+	if shardOf(p, 1) != shardOf(p, 2) {
+		t.Errorf("rules sharing reader r1 on different shards: %d vs %d", shardOf(p, 1), shardOf(p, 2))
 	}
-	if p.ShardOf(3) == p.ShardOf(1) {
+	if shardOf(p, 3) == shardOf(p, 1) {
 		t.Errorf("independent rule 3 packed with class of 1,2 despite free shards")
 	}
 }
@@ -63,10 +75,10 @@ func TestPartitionGroupOverlapCoShards(t *testing.T) {
 		{ID: 3, Expr: seq(lit("r1", "o", "t1"), lit("r1", "o", "t2"), time.Second)},
 	}
 	p := NewPartition(rules, 8, genGroups)
-	if p.ShardOf(1) != p.ShardOf(2) {
-		t.Errorf("group-keyed rule 2 not co-sharded with literal rule 1: %d vs %d", p.ShardOf(2), p.ShardOf(1))
+	if shardOf(p, 1) != shardOf(p, 2) {
+		t.Errorf("group-keyed rule 2 not co-sharded with literal rule 1: %d vs %d", shardOf(p, 2), shardOf(p, 1))
 	}
-	if p.ShardOf(3) == p.ShardOf(1) {
+	if shardOf(p, 3) == shardOf(p, 1) {
 		t.Errorf("odd-reader rule 3 packed with even class despite free shards")
 	}
 }
@@ -78,7 +90,7 @@ func TestPartitionWildBroadcast(t *testing.T) {
 	}
 	p := NewPartition(rules, 4, genGroups)
 	r := NewRouter(p, genGroups)
-	wildShard := p.ShardOf(2)
+	wildShard := shardOf(p, 2)
 	for _, reader := range append(append([]string(nil), genReaders...), "rz", "never-seen") {
 		set := r.ShardsFor(reader)
 		found := false
@@ -117,7 +129,7 @@ func TestPartitionRespectsMaxShards(t *testing.T) {
 			t.Errorf("maxShards=%d: %d rule slots, want %d", max, total, len(rules))
 		}
 		for _, rl := range rules {
-			if p.ShardOf(rl.ID) < 0 {
+			if shardOf(p, rl.ID) < 0 {
 				t.Errorf("maxShards=%d: rule %d unassigned", max, rl.ID)
 			}
 		}
@@ -190,7 +202,7 @@ func checkRouterCoverage(t testing.TB, rules []Rule, stream []event.Observation,
 	shards := make([]int, len(rules))
 	for i, rl := range rules {
 		matchers[i] = newLeafMatcher(t, rl.Expr)
-		shards[i] = p.ShardOf(rl.ID)
+		shards[i] = shardOf(p, rl.ID)
 		if shards[i] < 0 || shards[i] >= p.NumShards() {
 			t.Fatalf("rule %d assigned to shard %d of %d", rl.ID, shards[i], p.NumShards())
 		}

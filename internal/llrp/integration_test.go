@@ -73,7 +73,7 @@ func TestFullTower(t *testing.T) {
 			perReader[r] = append(perReader[r], o)
 			return nil
 		}}
-		if err := a.Drain(buf); err != nil {
+		if err := drain(a, buf); err != nil {
 			t.Fatalf("reader %s: %v", r, err)
 		}
 	}

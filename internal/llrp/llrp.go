@@ -300,20 +300,3 @@ func (a *Adapter) HandleMessage(m Message) error {
 	}
 	return nil
 }
-
-// Drain decodes every frame from r through the adapter until EOF.
-func (a *Adapter) Drain(r io.Reader) error {
-	fr := NewReader(r)
-	for {
-		m, err := fr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := a.HandleMessage(m); err != nil {
-			return err
-		}
-	}
-}

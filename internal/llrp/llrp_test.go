@@ -207,6 +207,24 @@ func TestAdapter(t *testing.T) {
 	}
 }
 
+// drain decodes every frame from r and hands it to a until EOF, as a
+// reader connection's loop does.
+func drain(a *Adapter, r io.Reader) error {
+	fr := NewReader(r)
+	for {
+		m, err := fr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := a.HandleMessage(m); err != nil {
+			return err
+		}
+	}
+}
+
 func TestAdapterDrainIntoEngineTypes(t *testing.T) {
 	// Frames → adapter → observations, with EPC decoding for type(o).
 	var wire bytes.Buffer
@@ -224,7 +242,7 @@ func TestAdapterDrainIntoEngineTypes(t *testing.T) {
 		types = append(types, reg.TypeOf(o.Object))
 		return nil
 	}}
-	if err := a.Drain(&wire); err != nil {
+	if err := drain(a, &wire); err != nil {
 		t.Fatal(err)
 	}
 	if len(types) != 3 {

@@ -863,12 +863,13 @@ func (m *matcher) probeOn(colSide, valSide Expr) store.Probe {
 }
 
 // probeable reports whether a probe for v on a column of the given kind
-// finds every row that `col = v` or `v = col` matches. The
-// index keys rows by display form, and compareValues converts between
-// kinds in ways a key cannot follow: `n = '5'` matches the int 5 through
-// its display form, and 0.0 equals -0.0 under another key. So v must have
-// the column's kind (floats excepted), or convert exactly: int and time
-// into each other, 'UC' into time. Null matches nothing and never probes.
+// finds every row that `col = v` or `v = col` matches. A probe finds the
+// cells that Equal v, and compareValues converts between kinds in ways
+// Equal does not: `n = '5'` matches the int 5 through its display form.
+// So v must have the column's kind, or convert exactly: int and time into
+// each other, 'UC' into time. Floats never probe: a NaN Equals every
+// number, so no one chain holds every row a float matches. Null matches
+// nothing and never probes.
 func probeable(v event.Value, kind event.Kind) bool {
 	switch v.Kind() {
 	case kind:

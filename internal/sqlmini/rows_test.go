@@ -184,13 +184,15 @@ func TestAllocBudgetGroupBy(t *testing.T) {
 
 // TestAllocBudgetInsert: an INSERT builds its row once and the table keeps
 // it. A prepared INSERT of a new object into OBJECTLOCATION allocates the
-// row, the object's index entry and the Result; the growth of the row
-// slices and the index map amortizes to about one more.
+// row and the Result; the object's index entry is a slot in the index map
+// and a next position, which allocate nothing of their own. The growth of
+// the row slices, the next positions and the index map amortizes to less
+// than one more.
 func TestAllocBudgetInsert(t *testing.T) {
 	const (
 		objects = 4000
 		runs    = 200
-		budget  = 4
+		budget  = 3
 	)
 	s := locationTable(t, objects)
 	ins := PrepareStmt(mustParse(t, `INSERT INTO OBJECTLOCATION VALUES (o, 'loc', t, 'UC')`))

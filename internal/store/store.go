@@ -6,6 +6,8 @@ package store
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -85,7 +87,6 @@ func (s *Store) CreateTable(name string, schema Schema) error {
 	s.tables[key] = &Table{
 		name:    name,
 		schema:  schema,
-		indexes: map[int]map[string][]int{},
 		journal: s.journal,
 	}
 	return nil
@@ -190,7 +191,7 @@ type Table struct {
 	ids     []int64
 	live    int
 	nextID  int64
-	indexes map[int]map[string][]int // column pos → value key → row positions, ascending
+	indexes []*index
 
 	// matched and updated are UpdateWhere/DeleteWhere scratch, reused
 	// under the write lock: the positions a statement matched and, for an
@@ -233,14 +234,22 @@ func (t *Table) CreateIndex(col string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx := map[string][]int{}
-	for at, r := range t.rows {
-		if r != nil {
-			k := indexKey(r[pos])
-			idx[k] = append(idx[k], at)
+	ix := t.index(pos)
+	if ix == nil {
+		ix = &index{col: pos, seed: maphash.MakeSeed()}
+		t.indexes = append(t.indexes, ix)
+	}
+	ix.build(t.rows)
+	return nil
+}
+
+// index returns the hash index on column pos, or nil.
+func (t *Table) index(pos int) *index {
+	for _, ix := range t.indexes {
+		if ix.col == pos {
+			return ix
 		}
 	}
-	t.indexes[pos] = idx
 	return nil
 }
 
@@ -252,11 +261,8 @@ func (t *Table) HasIndex(col string) bool {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, ok := t.indexes[pos]
-	return ok
+	return t.index(pos) != nil
 }
-
-func indexKey(v event.Value) string { return v.String() }
 
 // Insert appends vals as a row, coercing them to the column types in
 // place. The table takes ownership of vals: the caller must not use the
@@ -309,8 +315,8 @@ func (t *Table) Lookup(col string, v event.Value, visit func(id int64, r Row) bo
 	}
 	cv := probeKey(v, t.schema[pos].Type)
 	t.mu.RLock()
-	idx, ok := t.indexes[pos]
-	if !ok {
+	ix := t.index(pos)
+	if ix == nil {
 		t.mu.RUnlock()
 		t.Scan(func(id int64, r Row) bool {
 			return !r[pos].Equal(cv) || visit(id, r)
@@ -323,7 +329,7 @@ func (t *Table) Lookup(col string, v event.Value, visit func(id int64, r Row) bo
 	}
 	var buf [8]hit
 	hits := buf[:0]
-	for _, at := range idx[indexKey(cv)] {
+	for at := ix.first(cv); at >= 0; at = ix.after(at) {
 		if r := t.rows[at]; r[pos].Equal(cv) {
 			hits = append(hits, hit{t.ids[at], r})
 		}
@@ -341,12 +347,6 @@ func (t *Table) Lookup(col string, v event.Value, visit func(id int64, r Row) bo
 // by set (given the current row); it returns the number of rows updated.
 func (t *Table) Update(where func(Row) bool, set func(Row) (Row, error)) (int, error) {
 	return t.UpdateWhere(Probe{}, func(r Row) (bool, error) { return where(r), nil }, set)
-}
-
-// Delete removes every row matching where and returns the count.
-func (t *Table) Delete(where func(Row) bool) int {
-	n, _ := t.DeleteWhere(Probe{}, func(r Row) (bool, error) { return where(r), nil })
-	return n
 }
 
 // UpdateWhere rewrites the rows p selects that where accepts with the
@@ -407,29 +407,22 @@ func (t *Table) DeleteWhere(p Probe, where func(Row) (bool, error)) (int, error)
 
 // matchLocked fills t.matched with the positions of the live rows p
 // selects that where accepts, in insertion order. A probe on an indexed
-// column visits its key's rows; on another column it checks each row's
+// column walks its key's chain; on another column it checks each row's
 // value before where. On a where error t.matched is left empty. The
 // caller holds the write lock.
 func (t *Table) matchLocked(p Probe, where func(Row) (bool, error)) error {
 	t.matched = t.matched[:0]
-	pos, n := -1, len(t.rows)
+	pos := -1
 	var key event.Value
-	var candidates []int
+	var ix *index
 	if p.Col != "" {
 		if pos = t.schema.Index(p.Col); pos < 0 {
 			return fmt.Errorf("store: %s: no such column %s", t.name, p.Col)
 		}
 		key = probeKey(p.Val, t.schema[pos].Type)
-		if idx, ok := t.indexes[pos]; ok {
-			candidates = idx[indexKey(key)]
-			n = len(candidates)
-		}
+		ix = t.index(pos)
 	}
-	for i := range n {
-		at := i
-		if candidates != nil {
-			at = candidates[i]
-		}
+	for at := ix.first(key); at >= 0 && at < len(t.rows); at = ix.after(at) {
 		r := t.rows[at]
 		if r == nil || pos >= 0 && !r[pos].Equal(key) {
 			continue
@@ -460,38 +453,37 @@ func probeKey(v event.Value, kind event.Kind) event.Value {
 // ids ascending: the end for a new ID, a deleted row's slot for its own
 // ID, or between older and newer IDs for a replayed one.
 func (t *Table) putLocked(at int, id int64, row Row) {
+	t.live++
 	switch {
 	case at == len(t.rows):
 		t.rows = append(t.rows, row)
 		t.ids = append(t.ids, id)
+		for _, ix := range t.indexes {
+			ix.next = append(ix.next, -1)
+		}
 	case t.ids[at] == id:
 		t.rows[at] = row
 	default:
 		t.rows = slices.Insert(t.rows, at, row)
 		t.ids = slices.Insert(t.ids, at, id)
-		for _, idx := range t.indexes {
-			for _, ps := range idx {
-				for i, p := range ps {
-					if p >= at {
-						ps[i] = p + 1
-					}
-				}
-			}
+		for _, ix := range t.indexes {
+			ix.build(t.rows) // every later position moved up by one
 		}
+		return
 	}
-	t.live++
-	for pos, idx := range t.indexes {
-		addPos(idx, indexKey(row[pos]), at)
+	for _, ix := range t.indexes {
+		ix.add(at, row[ix.col])
 	}
 }
 
-// replaceLocked stores nr in place of the row at position at.
+// replaceLocked stores nr in place of the row at position at, relinking it
+// when its chain key changes: a NaN Equals every number but keys apart.
 func (t *Table) replaceLocked(at int, nr Row) {
 	r := t.rows[at]
-	for pos, idx := range t.indexes {
-		if !r[pos].Equal(nr[pos]) {
-			removePos(idx, indexKey(r[pos]), at)
-			addPos(idx, indexKey(nr[pos]), at)
+	for _, ix := range t.indexes {
+		if ix.key(r[ix.col]) != ix.key(nr[ix.col]) {
+			ix.remove(at, r[ix.col])
+			ix.add(at, nr[ix.col])
 		}
 	}
 	t.rows[at] = nr
@@ -501,8 +493,8 @@ func (t *Table) replaceLocked(at int, nr Row) {
 // compactLocked drops it.
 func (t *Table) removeLocked(at int) {
 	r := t.rows[at]
-	for pos, idx := range t.indexes {
-		removePos(idx, indexKey(r[pos]), at)
+	for _, ix := range t.indexes {
+		ix.remove(at, r[ix.col])
 	}
 	t.rows[at] = nil
 	t.live--
@@ -515,49 +507,134 @@ func (t *Table) find(id int64) (int, bool) {
 }
 
 // compactLocked drops the deleted slots once they outnumber the live
-// rows, into slices sized to the live rows, and renumbers the positions
-// the indexes hold. IDs do not change.
+// rows, into slices sized to the live rows, and rebuilds the indexes over
+// the new positions. IDs do not change.
 func (t *Table) compactLocked() {
 	if t.live*2 >= len(t.rows) {
 		return
 	}
-	moved := make([]int, len(t.rows)) // old position → new
 	rows, ids := make([]Row, 0, t.live), make([]int64, 0, t.live)
 	for at, r := range t.rows {
 		if r != nil {
-			moved[at] = len(rows)
 			rows = append(rows, r)
 			ids = append(ids, t.ids[at])
 		}
 	}
 	t.rows, t.ids = rows, ids
-	for _, idx := range t.indexes {
-		for _, ps := range idx {
-			for i, p := range ps {
-				ps[i] = moved[p]
-			}
+	for _, ix := range t.indexes {
+		ix.build(t.rows)
+	}
+}
+
+// index is a hash index on one column. The live positions whose cells
+// share a chain key form a chain in ascending position: heads holds each
+// chain's first and last position and next[at] the position after at on
+// its chain, or -1; len(next) == len(rows). Neither holds a pointer, so
+// the collector does not scan them. Values that are not Equal may share a
+// chain, so a probe checks each position it visits with Equal.
+type index struct {
+	col   int
+	seed  maphash.Seed
+	heads map[uint64]chain
+	next  []int32
+}
+
+type chain struct{ head, tail int32 }
+
+// key is v's chain key, the same for any two values of one kind that are
+// Equal: a string's hash, an int's or a time's word, a float's bits with
+// -0 folded to 0, a bool's 0 or 1, and 0 for null.
+func (ix *index) key(v event.Value) uint64 {
+	switch v.Kind() {
+	case event.KindString:
+		return maphash.String(ix.seed, v.Str())
+	case event.KindInt:
+		return uint64(v.Int())
+	case event.KindTime:
+		return uint64(v.Time())
+	case event.KindFloat:
+		if f := v.Float(); f != 0 {
+			return math.Float64bits(f)
+		}
+	case event.KindBool:
+		if v.Bool() {
+			return 1
+		}
+	}
+	return 0
+}
+
+// build indexes rows afresh, in slices sized to them.
+func (ix *index) build(rows []Row) {
+	ix.heads = make(map[uint64]chain)
+	ix.next = make([]int32, len(rows))
+	for at, r := range rows {
+		if r != nil {
+			ix.add(at, r[ix.col])
 		}
 	}
 }
 
-// addPos inserts at into key's list in ascending order, so an index probe
-// visits rows in the order a scan does, even after an update moves a row
-// onto a key holding newer rows.
-func addPos(idx map[string][]int, key string, at int) {
-	ps := idx[key]
-	i, _ := slices.BinarySearch(ps, at)
-	idx[key] = slices.Insert(ps, i, at)
+// first returns the first position on v's chain, or -1. A nil index
+// stands for a scan, which starts at position 0.
+func (ix *index) first(v event.Value) int {
+	if ix == nil {
+		return 0
+	}
+	if c, ok := ix.heads[ix.key(v)]; ok {
+		return int(c.head)
+	}
+	return -1
 }
 
-func removePos(idx map[string][]int, key string, at int) {
-	ps := idx[key]
-	if i, ok := slices.BinarySearch(ps, at); ok {
-		ps = slices.Delete(ps, i, i+1)
+// after returns the position after at: on at's chain, or, for a nil
+// index, at+1.
+func (ix *index) after(at int) int {
+	if ix == nil {
+		return at + 1
 	}
-	if len(ps) == 0 {
-		delete(idx, key)
+	return int(ix.next[at])
+}
+
+// add links position at into v's chain in ascending order, so a probe
+// visits rows in the order a scan does, even after an update moves a row
+// onto a key holding newer rows. A new row's position, the largest, links
+// at the tail without a walk. link points at the head or next entry that
+// will hold at.
+func (ix *index) add(at int, v event.Value) {
+	k, a := ix.key(v), int32(at)
+	c, ok := ix.heads[k]
+	link := &c.head
+	switch {
+	case !ok:
+		c = chain{-1, a}
+	case a > c.tail:
+		link, c.tail = &ix.next[c.tail], a
+	}
+	for *link >= 0 && *link < a {
+		link = &ix.next[*link]
+	}
+	ix.next[a], *link = *link, a
+	ix.heads[k] = c
+}
+
+// remove unlinks position at from v's chain, dropping the chain once it
+// is empty.
+func (ix *index) remove(at int, v event.Value) {
+	k, a := ix.key(v), int32(at)
+	c := ix.heads[k]
+	link, prev := &c.head, int32(-1)
+	for *link != a {
+		prev, link = *link, &ix.next[*link]
+	}
+	*link = ix.next[a]
+	if c.tail == a {
+		c.tail = prev
+	}
+	if c.head < 0 {
+		delete(ix.heads, k)
 	} else {
-		idx[key] = ps
+		ix.heads[k] = c
 	}
 }
 

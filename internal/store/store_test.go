@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -167,6 +168,13 @@ func TestUpdateAndUC(t *testing.T) {
 	}
 }
 
+// deleteRows removes every row where accepts through DeleteWhere's scan
+// and returns the count.
+func deleteRows(tbl *Table, where func(Row) bool) int {
+	n, _ := tbl.DeleteWhere(Probe{}, func(r Row) (bool, error) { return where(r), nil })
+	return n
+}
+
 func TestDeleteAndCompact(t *testing.T) {
 	tbl := newTestTable(t)
 	for i := 0; i < 100; i++ {
@@ -174,9 +182,9 @@ func TestDeleteAndCompact(t *testing.T) {
 			event.StringValue(fmt.Sprintf("e%d", i)), event.IntValue(int64(i % 2)), event.TimeValue(0),
 		})
 	}
-	n := tbl.Delete(func(r Row) bool { return r[1].Int() == 0 })
+	n := deleteRows(tbl, func(r Row) bool { return r[1].Int() == 0 })
 	if n != 50 || tbl.Len() != 50 {
-		t.Fatalf("Delete: n=%d len=%d", n, tbl.Len())
+		t.Fatalf("DeleteWhere: n=%d len=%d", n, tbl.Len())
 	}
 	count := 0
 	tbl.Scan(func(_ int64, r Row) bool { count++; return true })
@@ -298,7 +306,7 @@ func TestIndexMaintainedAcrossUpdateDelete(t *testing.T) {
 	if countKey("a") != 5 || countKey("b") != 5 {
 		t.Fatalf("after update: a=%d b=%d", countKey("a"), countKey("b"))
 	}
-	tbl.Delete(func(r Row) bool { return r[0].Str() == "b" })
+	deleteRows(tbl, func(r Row) bool { return r[0].Str() == "b" })
 	if countKey("b") != 0 || countKey("a") != 5 {
 		t.Fatalf("after delete: a=%d b=%d", countKey("a"), countKey("b"))
 	}
@@ -474,7 +482,7 @@ func TestDeleteChurnKeepsRowsBounded(t *testing.T) {
 			continue
 		}
 		old := int64(i - maxLive)
-		if n := tbl.Delete(func(r Row) bool { return r[1].Int() == old }); n != 1 {
+		if n := deleteRows(tbl, func(r Row) bool { return r[1].Int() == old }); n != 1 {
 			t.Fatalf("insert %d: deleted %d rows", i, n)
 		}
 		if live, slots := tbl.Len(), len(tbl.rows); slots > 2*live+1 {
@@ -545,7 +553,7 @@ func TestCompactionKeepsOrderProbesAndReplay(t *testing.T) {
 			func(r Row) (Row, error) { r[0] = event.StringValue(fmt.Sprintf("e%d", r[1].Int()%5)); return r, nil })
 		before := len(tbl.rows)
 		cut := int64(r.Intn(int(nextQty) + 1))
-		tbl.Delete(func(r Row) bool { return r[1].Int() < cut && r[1].Int()%3 != 0 })
+		deleteRows(tbl, func(r Row) bool { return r[1].Int() < cut && r[1].Int()%3 != 0 })
 		if len(tbl.rows) < before && tbl.Len() == len(tbl.rows) {
 			compactions++
 		}
@@ -646,7 +654,7 @@ func TestStoredRowsAreImmutable(t *testing.T) {
 		func(r Row) (Row, error) { r[0], r[1] = event.StringValue("b"), event.IntValue(2); return r, nil }); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Delete(func(Row) bool { return true })
+	deleteRows(tbl, func(Row) bool { return true })
 	for name, r := range map[string]Row{"scan": scanned, "lookup": looked, "journal": journaled} {
 		if r[0].Str() != "a" || r[1].Int() != 1 {
 			t.Errorf("%s row changed to %v", name, r)
@@ -677,5 +685,164 @@ func TestAllocBudgetTableLookup(t *testing.T) {
 	}
 	if _, err := s.Table("OBJECTLOCATIONS"); err == nil {
 		t.Errorf("Table of a missing name succeeded")
+	}
+}
+
+// TestChainMatchesScanEveryKeyKind drives an indexed column of each kind,
+// with null cells and, for floats, 0 beside -0, through inserts, updates
+// that move rows between keys, deletes, a compaction and an out-of-order
+// replay. After each step every Lookup, UpdateWhere and DeleteWhere probe
+// must visit exactly the rows a filtered Scan visits, in the same order.
+func TestChainMatchesScanEveryKeyKind(t *testing.T) {
+	negZero := event.FloatValue(math.Copysign(0, -1))
+	for _, tc := range []struct {
+		kind   event.Kind
+		cells  []event.Value // the values rows hold
+		probes []event.Value // probed beside the cells
+	}{
+		{event.KindString,
+			[]event.Value{event.StringValue("a"), event.StringValue("b"), event.StringValue(""), event.Null},
+			[]event.Value{event.StringValue("zz"), event.IntValue(1)}},
+		{event.KindInt,
+			[]event.Value{event.IntValue(0), event.IntValue(1), event.IntValue(-7), event.Null},
+			[]event.Value{event.BoolValue(true), event.FloatValue(1), event.TimeValue(1), event.IntValue(2)}},
+		{event.KindTime,
+			[]event.Value{event.TimeValue(0), event.TimeValue(1), event.TimeValue(UC), event.Null},
+			[]event.Value{event.IntValue(1), event.StringValue("UC"), event.BoolValue(true)}},
+		{event.KindBool,
+			[]event.Value{event.BoolValue(true), event.BoolValue(false), event.Null},
+			[]event.Value{event.IntValue(1), event.StringValue("true")}},
+		{event.KindFloat,
+			[]event.Value{event.FloatValue(0), negZero, event.FloatValue(1.5), event.FloatValue(2), event.Null},
+			[]event.Value{event.IntValue(2), event.IntValue(0), event.BoolValue(false), event.FloatValue(-1.5)}},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			s := New()
+			if err := s.CreateTable("t", Schema{{Name: "k", Type: tc.kind}, {Name: "q", Type: event.KindInt}}); err != nil {
+				t.Fatal(err)
+			}
+			tbl, _ := s.Table("t")
+			if err := tbl.CreateIndex("k"); err != nil {
+				t.Fatal(err)
+			}
+			probes := append(append([]event.Value{}, tc.cells...), tc.probes...)
+			// qs lists the q of the rows visit is given, which are unique.
+			qs := func(each func(visit func(Row))) string {
+				var sb strings.Builder
+				each(func(r Row) { fmt.Fprintf(&sb, "%d ", r[1].Int()) })
+				return sb.String()
+			}
+			check := func(step string) {
+				t.Helper()
+				for _, v := range probes {
+					cv := probeKey(v, tc.kind)
+					want := qs(func(visit func(Row)) {
+						tbl.Scan(func(_ int64, r Row) bool {
+							if r[0].Equal(cv) {
+								visit(r)
+							}
+							return true
+						})
+					})
+					lookup := qs(func(visit func(Row)) {
+						_ = tbl.Lookup("k", v, func(_ int64, r Row) bool { visit(r); return true })
+					})
+					update := qs(func(visit func(Row)) {
+						_, _ = tbl.UpdateWhere(Probe{Col: "k", Val: v},
+							func(r Row) (bool, error) { visit(r); return false, nil },
+							func(r Row) (Row, error) { return r, nil })
+					})
+					del := qs(func(visit func(Row)) {
+						_, _ = tbl.DeleteWhere(Probe{Col: "k", Val: v}, func(r Row) (bool, error) { visit(r); return false, nil })
+					})
+					if lookup != want || update != want || del != want {
+						t.Fatalf("%s: probe %v (%s): scan [%s], Lookup [%s], UpdateWhere [%s], DeleteWhere [%s]",
+							step, v, v.Kind(), want, lookup, update, del)
+					}
+				}
+			}
+			r := rand.New(rand.NewSource(int64(tc.kind)))
+			q := int64(0)
+			insert := func(n int) {
+				for range n {
+					if err := tbl.Insert([]event.Value{tc.cells[r.Intn(len(tc.cells))], event.IntValue(q)}); err != nil {
+						t.Fatal(err)
+					}
+					q++
+				}
+			}
+			insert(60)
+			check("insert")
+			// Every third row moves to another key, landing among rows both
+			// older and newer than itself.
+			if _, err := tbl.UpdateWhere(Probe{}, func(r Row) (bool, error) { return r[1].Int()%3 == 0, nil },
+				func(r Row) (Row, error) { r[0] = tc.cells[int(r[1].Int()/3)%len(tc.cells)]; return r, nil }); err != nil {
+				t.Fatal(err)
+			}
+			// A probed update moves the first cell's rows onto the last's.
+			if _, err := tbl.UpdateWhere(Probe{Col: "k", Val: tc.cells[0]}, func(r Row) (bool, error) { return r[1].Int()%2 == 0, nil },
+				func(r Row) (Row, error) { r[0] = tc.cells[len(tc.cells)-1]; return r, nil }); err != nil {
+				t.Fatal(err)
+			}
+			check("update")
+			deleteRows(tbl, func(r Row) bool { return r[1].Int()%5 == 1 })
+			if len(tbl.rows) == tbl.Len() {
+				t.Fatal("delete compacted; the uncompacted step is not covered")
+			}
+			check("delete")
+			insert(10)
+			deleteRows(tbl, func(r Row) bool { return r[1].Int()%4 != 0 })
+			if len(tbl.rows) != tbl.Len() {
+				t.Fatalf("no compaction: %d positions, %d live", len(tbl.rows), tbl.Len())
+			}
+			check("compact")
+			// Replay reinserts deleted IDs, each between live ones: after the
+			// compaction their slots are gone, so every later position moves.
+			for id := int64(1); id < 40; id += 6 {
+				if err := tbl.applyMutation(Mutation{Op: OpInsert, ID: id, Row: Row{tc.cells[int(id)%len(tc.cells)], event.IntValue(1000 + id)}}); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("replay insert %d", id))
+			}
+			// A deleted slot not yet compacted away takes its ID back in place.
+			if err := tbl.applyMutation(Mutation{Op: OpDelete, ID: 8}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.applyMutation(Mutation{Op: OpInsert, ID: 8, Row: Row{tc.cells[1], event.IntValue(2008)}}); err != nil {
+				t.Fatal(err)
+			}
+			check("replay into a deleted slot")
+		})
+	}
+	// A cell updated to a NaN, which Equals every number, still moves to
+	// its own chain, so deleting the row unlinks it and no chain keeps it.
+	s := New()
+	_ = s.CreateTable("f", Schema{{Name: "f", Type: event.KindFloat}})
+	ft, _ := s.Table("f")
+	_ = ft.CreateIndex("f")
+	for _, f := range []float64{1, 1, 2} {
+		_ = ft.Insert([]event.Value{event.FloatValue(f)})
+	}
+	nan := event.FloatValue(math.NaN())
+	_, _ = ft.UpdateWhere(Probe{}, func(r Row) (bool, error) { return r[0].Float() == 2, nil },
+		func(r Row) (Row, error) { r[0] = nan; return r, nil })
+	deleteRows(ft, func(r Row) bool { return math.IsNaN(r[0].Float()) })
+	for f, want := range map[float64]int{1: 2, 2: 0} {
+		n := 0
+		_ = ft.Lookup("f", event.FloatValue(f), func(int64, Row) bool { n++; return true })
+		if n != want {
+			t.Errorf("after a NaN update and delete: Lookup(%v) found %d rows, want %d", f, n, want)
+		}
+	}
+	// A bool probe shares the chain of an int column's 1s, and finds none.
+	tbl := newTestTable(t)
+	if err := tbl.CreateIndex("qty"); err != nil {
+		t.Fatal(err)
+	}
+	_ = tbl.Insert([]event.Value{event.StringValue("a"), event.IntValue(1), event.TimeValue(0)})
+	n := 0
+	_ = tbl.Lookup("qty", event.BoolValue(true), func(int64, Row) bool { n++; return true })
+	if n != 0 {
+		t.Errorf("BoolValue(true) probe on an int column holding 1 found %d rows", n)
 	}
 }

@@ -66,7 +66,7 @@ func TestWALRecovery(t *testing.T) {
 	})
 	obs, _ := live.Table(TableObservation)
 	_ = obs.Insert([]event.Value{event.StringValue("r1"), event.StringValue("o1"), event.TimeValue(ts(10))})
-	obs.Delete(func(r Row) bool { return true })
+	deleteRows(obs, func(r Row) bool { return true })
 	if err := wal.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestWALRandomizedRecovery(t *testing.T) {
 			)
 		case 2:
 			mod := int64(rng.Intn(7) + 2)
-			tbl.Delete(func(r Row) bool { return r[1].Int()%mod == 0 })
+			deleteRows(tbl, func(r Row) bool { return r[1].Int()%mod == 0 })
 		}
 	}
 	if err := wal.Flush(); err != nil {

@@ -56,6 +56,16 @@ func pendingSeqs(sp *Spool) []uint64 {
 	return out
 }
 
+// quarantined returns the bytes the spool's opens moved to its side file.
+func quarantined(t *testing.T, sp *Spool) []byte {
+	t.Helper()
+	q, err := os.ReadFile(sp.QuarantinePath())
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatalf("quarantine file: %v", err)
+	}
+	return q
+}
+
 // An unclean shutdown that tears the final journal record must not crash
 // recovery or silently discard evidence: the good prefix replays, the
 // torn suffix moves to the .quarantine side file, and the spool stays
@@ -80,14 +90,11 @@ func TestSpoolQuarantinesTornTail(t *testing.T) {
 	if got := pendingSeqs(sp); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("pending after torn tail = %v, want [1 2]", got)
 	}
-	if sp.Quarantined() == 0 {
+	q := quarantined(t, sp)
+	if len(q) == 0 {
 		t.Fatalf("torn tail was not quarantined")
 	}
-	q, err := os.ReadFile(sp.QuarantinePath())
-	if err != nil {
-		t.Fatalf("quarantine file: %v", err)
-	}
-	if len(q) != sp.Quarantined() || !bytes.HasSuffix(data[:cut], q) || bytes.Contains(q, []byte("\n")) {
+	if !bytes.HasSuffix(data[:cut], q) || bytes.Contains(q, []byte("\n")) {
 		t.Fatalf("quarantine holds %q, want the torn final fragment of %q", q, data[:cut])
 	}
 	if sp.LastSeq() != 2 {
@@ -109,8 +116,8 @@ func TestSpoolQuarantinesTornTail(t *testing.T) {
 	if got := pendingSeqs(sp2); len(got) != 3 {
 		t.Fatalf("pending after repair = %v, want [1 2 3]", got)
 	}
-	if sp2.Quarantined() != 0 {
-		t.Fatalf("clean reopen quarantined %d bytes", sp2.Quarantined())
+	if n := len(quarantined(t, sp2)) - len(q); n != 0 {
+		t.Fatalf("clean reopen quarantined %d bytes", n)
 	}
 	_ = sp2.Close()
 }
@@ -142,9 +149,8 @@ func TestSpoolQuarantinesMidFileCorruption(t *testing.T) {
 	if got := pendingSeqs(sp); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("pending after mid-file corruption = %v, want [1]", got)
 	}
-	want := len(corrupt) - len(lines[0])
-	if sp.Quarantined() != want {
-		t.Fatalf("quarantined %d bytes, want %d", sp.Quarantined(), want)
+	if q, want := quarantined(t, sp), corrupt[len(lines[0]):]; !bytes.Equal(q, want) {
+		t.Fatalf("quarantined %q, want %q", q, want)
 	}
 	_ = sp.Close()
 }

@@ -25,15 +25,14 @@ import (
 // under the same seq, so the compacted file and Pending hold only the
 // frames this package still sends.
 type Spool struct {
-	mu          sync.Mutex
-	path        string
-	f           *os.File
-	w           *bufio.Writer
-	enc         *json.Encoder
-	lastSeq     uint64 // highest frame seq ever journaled
-	lastAck     uint64
-	pending     []Message // unacked frames recovered at open
-	quarantined int       // bytes moved to the .quarantine file at open
+	mu      sync.Mutex
+	path    string
+	f       *os.File
+	w       *bufio.Writer
+	enc     *json.Encoder
+	lastSeq uint64 // highest frame seq ever journaled
+	lastAck uint64
+	pending []Message // unacked frames recovered at open
 }
 
 type spoolEntry struct {
@@ -153,7 +152,6 @@ func (s *Spool) replay(r io.Reader) error {
 // operator inspection. Best effort: recovery of the good prefix must not
 // fail because the evidence file could not be written.
 func (s *Spool) quarantine(b []byte) {
-	s.quarantined = len(b)
 	f, err := os.OpenFile(s.QuarantinePath(), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return
@@ -174,14 +172,6 @@ func (s *Spool) applyEntry(e *spoolEntry, frames map[uint64]Message, order *[]ui
 	} else if e.Ack > s.lastAck {
 		s.lastAck = e.Ack
 	}
-}
-
-// Quarantined reports how many bytes of undecodable journal suffix the
-// last open moved aside, and QuarantinePath where they were preserved.
-func (s *Spool) Quarantined() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantined
 }
 
 // QuarantinePath is the side file that receives rejected journal bytes.
