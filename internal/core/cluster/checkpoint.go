@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"rcep/internal/core/event"
+	"rcep/internal/core/shard"
 )
 
 // checkpointFormat versions the coordinator's serialized state.
@@ -119,8 +120,8 @@ func (c *Coordinator) writeCheckpointLocked(w io.Writer) error {
 	}
 	for _, d := range c.pending {
 		ck.Pending = append(ck.Pending, ckPending{
-			Fire: d.fire, Rule: d.rule, Dseq: d.dseq,
-			Begin: d.inst.Begin, End: d.inst.End, Seq: d.inst.Seq, Binds: d.inst.Binds,
+			Fire: d.Fire, Rule: d.Rule, Dseq: d.Seq,
+			Begin: d.Inst.Begin, End: d.Inst.End, Seq: d.Inst.Seq, Binds: d.Inst.Binds,
 		})
 	}
 	return json.NewEncoder(w).Encode(&ck)
@@ -222,9 +223,9 @@ func (c *Coordinator) restore(r io.Reader) error {
 		}
 	}
 	for _, p := range ck.Pending {
-		c.pending = append(c.pending, cdet{
-			fire: p.Fire, rule: p.Rule, dseq: p.Dseq,
-			inst: &event.Instance{Begin: p.Begin, End: p.End, Binds: p.Binds, Seq: p.Seq},
+		c.pending = append(c.pending, shard.Detection{
+			Fire: p.Fire, Rule: p.Rule, Seq: p.Dseq,
+			Inst: &event.Instance{Begin: p.Begin, End: p.End, Binds: p.Binds, Seq: p.Seq},
 		})
 	}
 	return nil

@@ -134,14 +134,6 @@ type jentry struct {
 	at             event.Time
 }
 
-// cdet is a merged-but-undelivered detection.
-type cdet struct {
-	fire event.Time
-	rule int
-	dseq uint64
-	inst *event.Instance
-}
-
 // link is one shard's current placement: a reliable client to the
 // hosting worker plus the mailbox its replies land in.
 type link struct {
@@ -192,8 +184,8 @@ type Coordinator struct {
 	lastCk    []json.RawMessage // last confirmed worker checkpoint per shard
 	ckSum     []uint32
 	ckDetSeq  []uint64
-	detHigh   []uint64 // highest merged detection seq per shard (dedupe)
-	pending   []cdet
+	detHigh   []uint64          // highest merged detection seq per shard (dedupe)
+	pending   []shard.Detection // merged but undelivered; Seq is the shard's dseq
 	now       event.Time
 	sinceSync int
 	sinceCkpt int
@@ -545,19 +537,18 @@ const maxShipBatch = 256
 // sealObsLocked ships shard s's pending observations as one sequenced
 // batch frame — the amortization that makes the coordinator's fan-out
 // cost one link write per read cycle instead of one per observation.
-// The pending slice is handed to the wire layer, which marshals it
-// asynchronously, so it is released rather than recycled. Must run
-// before any non-batch frame is sent on the
-// shard's link: a sync or advance overtaking unsent observations would
-// move the worker's clock past them and poison the feed with
-// out-of-order errors.
+// SendFrame and TrySendFrame copy the batch into a recycled ring frame
+// before they return, so the pending slice is reused for the next batch.
+// Must run before any non-batch frame is sent on the shard's link: a
+// sync or advance overtaking unsent observations would move the worker's
+// clock past them and poison the feed with out-of-order errors.
 func (c *Coordinator) sealObsLocked(s int) {
 	pend := c.obsPend[s]
 	if len(pend) == 0 {
 		return
 	}
-	c.obsPend[s] = nil
 	c.sendShardLocked(s, wire.Message{Type: "batch", Batch: pend})
+	c.obsPend[s] = pend[:0]
 }
 
 // sendShardLocked routes one journaled frame to a shard's current link.
@@ -1031,11 +1022,11 @@ func (c *Coordinator) mergeDetsLocked(s int, dets []wire.ClusterDet) {
 			continue
 		}
 		c.detHigh[s] = d.Dseq
-		c.pending = append(c.pending, cdet{
-			fire: event.Time(d.FireNS),
-			rule: d.Rule,
-			dseq: d.Dseq,
-			inst: &event.Instance{
+		c.pending = append(c.pending, shard.Detection{
+			Fire: event.Time(d.FireNS),
+			Rule: d.Rule,
+			Seq:  d.Dseq,
+			Inst: &event.Instance{
 				Begin: event.Time(d.BeginNS),
 				End:   event.Time(d.EndNS),
 				Binds: d.Binds,
@@ -1045,12 +1036,9 @@ func (c *Coordinator) mergeDetsLocked(s int, dets []wire.ClusterDet) {
 	}
 }
 
-// deliverPendingLocked sorts the undelivered detections by
-// (fire, rule, seq) and invokes OnDetect for every completed fire-time
-// group — those strictly before the delivery cut. The group at the
-// current instant stays pending unless all is set, exactly as in
-// shard.Engine.deliverPending: it may still grow, and delivering it
-// early would make tie order depend on where the barrier fell.
+// deliverPendingLocked delivers every completed fire-time group — those
+// strictly before the delivery cut — through shard.Deliver, the merge
+// order shard.Engine uses.
 //
 // The cut is normally the coordinator's clock, but a detached shard
 // clamps it to its frontier — the clock through which that shard's
@@ -1058,35 +1046,19 @@ func (c *Coordinator) mergeDetsLocked(s int, dets []wire.ClusterDet) {
 // frontier may still gain members when the shard reattaches and its
 // backlog syncs, so delivering it early would break the deterministic
 // merge order. Delivery latency degrades during a partition; order
-// never does.
+// never does. Only a fully confirmed cluster, whose cut is the clock,
+// flushes the group at the current instant when all is set (Sync/Close
+// semantics).
 func (c *Coordinator) deliverPendingLocked(all bool) {
-	sort.Slice(c.pending, func(i, j int) bool {
-		a, b := c.pending[i], c.pending[j]
-		if a.fire != b.fire {
-			return a.fire < b.fire
-		}
-		if a.rule != b.rule {
-			return a.rule < b.rule
-		}
-		return a.dseq < b.dseq
-	})
 	cut := c.now
 	for s := range c.frontier {
 		if c.frontier[s] < cut {
 			cut = c.frontier[s]
 		}
 	}
-	n := sort.Search(len(c.pending), func(i int) bool { return c.pending[i].fire >= cut })
-	if all && cut == c.now {
-		// Only a fully confirmed cluster may flush the group at the
-		// current instant (Sync/Close semantics).
-		n = len(c.pending)
-	}
-	for _, d := range c.pending[:n] {
-		c.delivered++
-		c.cfg.OnDetect(d.rule, d.inst)
-	}
-	c.pending = append(c.pending[:0], c.pending[n:]...)
+	held := len(c.pending)
+	c.pending = shard.Deliver(c.pending, cut, all && cut == c.now, c.cfg.OnDetect)
+	c.delivered += uint64(held - len(c.pending))
 }
 
 // Partition exposes the rule-to-shard assignment.

@@ -24,9 +24,6 @@ const (
 	MaxTime Time = math.MaxInt64
 )
 
-// FromDuration converts an offset from the epoch into a Time.
-func FromDuration(d time.Duration) Time { return Time(d) }
-
 // Add returns t shifted by d. The result saturates at MinTime/MaxTime so
 // constraint arithmetic near the sentinels cannot wrap around.
 func (t Time) Add(d time.Duration) Time {

@@ -2,7 +2,6 @@ package event
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -287,23 +286,4 @@ func Walk(e Expr, visit func(Expr) bool) {
 	case *Within:
 		Walk(x.X, visit)
 	}
-}
-
-// ExprVars returns the sorted set of variables bound anywhere in e.
-func ExprVars(e Expr) []string {
-	set := map[string]struct{}{}
-	Walk(e, func(x Expr) bool {
-		if p, ok := x.(*Prim); ok {
-			for _, v := range p.Vars() {
-				set[v] = struct{}{}
-			}
-		}
-		return true
-	})
-	vars := make([]string, 0, len(set))
-	for k := range set {
-		vars = append(vars, k)
-	}
-	sort.Strings(vars)
-	return vars
 }

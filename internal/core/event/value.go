@@ -1,6 +1,7 @@
 package event
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -202,7 +203,9 @@ func (v Value) Equal(w Value) bool {
 
 // Compare orders two scalar values. It returns -1, 0 or 1 and ok=true when
 // the values are comparable (same family: numeric with numeric, string with
-// string, time with time, bool with bool); otherwise ok is false.
+// string, time with time, bool with bool); otherwise ok is false. Numbers
+// order as cmp.Compare orders them: a NaN equals a NaN and sorts below
+// every number, and -0 equals 0, so Equal is an equivalence on floats.
 func (v Value) Compare(w Value) (int, bool) {
 	switch {
 	case v.kind == KindNull && w.kind == KindNull:
@@ -214,13 +217,13 @@ func (v Value) Compare(w Value) (int, bool) {
 	switch {
 	case numeric(v.kind) && numeric(w.kind):
 		if v.kind == KindInt && w.kind == KindInt {
-			return cmpOrdered(v.i(), w.i()), true
+			return cmp.Compare(v.i(), w.i()), true
 		}
-		return cmpOrdered(v.Float(), w.Float()), true
+		return cmp.Compare(v.Float(), w.Float()), true
 	case v.kind == KindString && w.kind == KindString:
 		return strings.Compare(v.s(), w.s()), true
 	case v.kind == KindTime && w.kind == KindTime:
-		return cmpOrdered(v.t(), w.t()), true
+		return cmp.Compare(v.t(), w.t()), true
 	case v.kind == KindBool && w.kind == KindBool:
 		switch {
 		case v.b() == w.b():
@@ -232,17 +235,6 @@ func (v Value) Compare(w Value) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-func cmpOrdered[T int64 | float64 | Time](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // String renders the value for display and diagnostics.

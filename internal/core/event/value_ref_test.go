@@ -2,6 +2,7 @@ package event
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -12,7 +13,8 @@ import (
 )
 
 // Value reference: the former seven-field struct, one field per payload,
-// with its methods as they were. The 24-byte tagged union in value.go
+// with its methods as they were, except that Compare orders numbers with
+// cmp.Compare as Value.Compare does. The 24-byte tagged union in value.go
 // must agree with it on every accessor, on Equal and Compare, on the text
 // renderings and on the JSON bytes.
 type refValue struct {
@@ -82,13 +84,13 @@ func (v refValue) Compare(w refValue) (int, bool) {
 	switch {
 	case numeric(v.kind) && numeric(w.kind):
 		if v.kind == KindInt && w.kind == KindInt {
-			return cmpOrdered(v.i, w.i), true
+			return cmp.Compare(v.i, w.i), true
 		}
-		return cmpOrdered(v.Float(), w.Float()), true
+		return cmp.Compare(v.Float(), w.Float()), true
 	case v.kind == KindString && w.kind == KindString:
 		return strings.Compare(v.s, w.s), true
 	case v.kind == KindTime && w.kind == KindTime:
-		return cmpOrdered(v.t, w.t), true
+		return cmp.Compare(v.t, w.t), true
 	case v.kind == KindBool && w.kind == KindBool:
 		switch {
 		case v.b == w.b:

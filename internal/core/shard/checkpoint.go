@@ -78,12 +78,12 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 	}
 	for _, d := range e.pending {
 		ck.Pending = append(ck.Pending, ckPending{
-			Fire:  d.fire,
-			Rule:  d.rule,
-			Begin: d.inst.Begin,
-			End:   d.inst.End,
-			Seq:   d.inst.Seq,
-			Binds: d.inst.Binds,
+			Fire:  d.Fire,
+			Rule:  d.Rule,
+			Begin: d.Inst.Begin,
+			End:   d.Inst.End,
+			Seq:   d.Inst.Seq,
+			Binds: d.Inst.Binds,
 		})
 	}
 	return json.NewEncoder(w).Encode(ck)
@@ -145,11 +145,11 @@ func (e *Engine) RestoreCheckpoint(r io.Reader) error {
 	// produced after the restore sort after the restored ones.
 	e.pending = e.pending[:0]
 	for i, p := range ck.Pending {
-		e.pending = append(e.pending, detRec{
-			fire: p.Fire,
-			rule: p.Rule,
-			seq:  uint64(i + 1),
-			inst: &event.Instance{Begin: p.Begin, End: p.End, Binds: p.Binds, Seq: p.Seq},
+		e.pending = append(e.pending, Detection{
+			Fire: p.Fire,
+			Rule: p.Rule,
+			Seq:  uint64(i + 1),
+			Inst: &event.Instance{Begin: p.Begin, End: p.End, Binds: p.Binds, Seq: p.Seq},
 		})
 	}
 	for _, wk := range e.workers {

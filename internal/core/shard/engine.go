@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -38,12 +40,10 @@ type Config struct {
 	// engine creates one.
 	Interner *event.Interner
 
-	// Buffer is the per-shard channel capacity in envelope batches
-	// (default 8); Batch is the number of envelopes per channel send
-	// (default 64). Larger batches amortize channel overhead, smaller
-	// ones reduce shard idle time on skewed fan-out.
-	Buffer int
-	Batch  int
+	// Batch is the number of envelopes per channel send (default 64).
+	// Larger batches amortize channel overhead, smaller ones reduce shard
+	// idle time on skewed fan-out.
+	Batch int
 
 	// SyncEvery bounds how many ingested observations may pass between
 	// delivery barriers (default 4096). At a barrier the router waits
@@ -53,6 +53,12 @@ type Config struct {
 	// synchronization bubble.
 	SyncEvery int
 }
+
+// workerBuffer is each shard's channel capacity in envelope batches: the
+// router may run a few batches ahead of a worker still ingesting an
+// earlier one. Every barrier drains the queue, so a deeper one would only
+// hold more pooled batches.
+const workerBuffer = 8
 
 // opKind discriminates worker envelopes.
 type opKind uint8
@@ -73,16 +79,39 @@ type envelope struct {
 	ack   *sync.WaitGroup
 }
 
-// detRec is one detection captured on a worker, tagged for merging. fire
-// is the shard engine's virtual time at the OnDetect callback — the
-// observation timestamp for observation-triggered detections and the
-// scheduled execution time for pseudo-event detections — which is exactly
-// the virtual time a single engine would fire the same detection at.
-type detRec struct {
-	fire event.Time
-	rule int
-	seq  uint64 // worker-local arrival counter (same-rule tie order)
-	inst *event.Instance
+// Detection is one detection held for merged delivery. Fire is the
+// virtual time it fired at — the observation timestamp for an
+// observation-triggered detection, the scheduled execution time for a
+// pseudo-event one — which is exactly the virtual time a single engine
+// would fire it at. Seq orders one source's detections of one rule at
+// one instant: a worker's arrival counter here, a shard's detection
+// sequence in the cluster coordinator.
+type Detection struct {
+	Fire event.Time
+	Rule int
+	Seq  uint64
+	Inst *event.Instance
+}
+
+// Deliver sorts pending by (Fire, Rule, Seq) and calls onDetect for every
+// detection that fires strictly before cut, or for all of them when all
+// is set. It returns the held rest in pending's backing array. A group at
+// the cut stays held because it may still grow: a pseudo event due there
+// has not fired, and an observation at exactly the cut may still arrive.
+// Delivering it would split the group across calls and make tie order
+// depend on where the cut fell.
+func Deliver(pending []Detection, cut event.Time, all bool, onDetect func(int, *event.Instance)) []Detection {
+	slices.SortFunc(pending, func(a, b Detection) int {
+		return cmp.Or(cmp.Compare(a.Fire, b.Fire), cmp.Compare(a.Rule, b.Rule), cmp.Compare(a.Seq, b.Seq))
+	})
+	n := len(pending)
+	if !all {
+		n = sort.Search(n, func(i int) bool { return pending[i].Fire >= cut })
+	}
+	for _, d := range pending[:n] {
+		onDetect(d.Rule, d.Inst)
+	}
+	return append(pending[:0], pending[n:]...)
 }
 
 // worker runs one detect.Engine on its own goroutine.
@@ -96,7 +125,7 @@ type worker struct {
 	// barriers; the router reads/resets them only after a barrier ack
 	// (the WaitGroup provides the happens-before edge).
 	seq  uint64
-	dets []detRec
+	dets []Detection
 	err  error
 }
 
@@ -199,7 +228,7 @@ type Engine struct {
 	// pending holds detections collected at barriers but not yet
 	// delivered: the fire-time group at the current instant, which may
 	// still grow until the clock strictly passes it.
-	pending []detRec
+	pending []Detection
 }
 
 // New partitions the rules, builds one detect.Engine per shard and starts
@@ -233,10 +262,6 @@ func New(cfg Config) (*Engine, error) {
 	if e.syncEvery <= 0 {
 		e.syncEvery = 4096
 	}
-	buffer := cfg.Buffer
-	if buffer <= 0 {
-		buffer = 8
-	}
 	intern := cfg.Interner
 	if intern == nil {
 		intern = event.NewInterner()
@@ -252,15 +277,15 @@ func New(cfg Config) (*Engine, error) {
 				return nil, fmt.Errorf("shard: %w", err)
 			}
 		}
-		w := &worker{id: s, ch: make(chan []envelope, buffer), done: make(chan struct{})}
+		w := &worker{id: s, ch: make(chan []envelope, workerBuffer), done: make(chan struct{})}
 		eng, err := detect.New(detect.Config{
 			Graph:  b.Finalize(),
 			Groups: cfg.Groups,
 			TypeOf: cfg.TypeOf,
 			OnDetect: func(rid int, inst *event.Instance) {
 				w.seq++
-				w.dets = append(w.dets, detRec{
-					fire: w.eng.Now(), rule: rid, seq: w.seq, inst: inst,
+				w.dets = append(w.dets, Detection{
+					Fire: w.eng.Now(), Rule: rid, Seq: w.seq, Inst: inst,
 				})
 			},
 			Limits:   cfg.Limits,
@@ -521,34 +546,13 @@ func (e *Engine) barrierLocked(deliver bool) error {
 	return e.err
 }
 
-// deliverPending sorts the undelivered detections by (fire, rule, seq) and
-// invokes OnDetect for every completed fire-time group — those strictly
-// before the router's clock. The group at the current instant stays
-// pending unless all is set: a pseudo event due at e.now has not fired yet
-// and an observation at exactly e.now may still arrive, so delivering it
-// now would split the group across batches and make tie order depend on
-// where the barrier fell. Sync and Close pass all=true to flush
-// unconditionally.
+// deliverPending delivers every completed fire-time group — those
+// strictly before the router's clock — through Deliver. Sync and Close
+// pass all=true to flush the group at the current instant too.
 func (e *Engine) deliverPending(all bool) {
-	sort.Slice(e.pending, func(i, j int) bool {
-		a, b := e.pending[i], e.pending[j]
-		if a.fire != b.fire {
-			return a.fire < b.fire
-		}
-		if a.rule != b.rule {
-			return a.rule < b.rule
-		}
-		return a.seq < b.seq
-	})
-	n := len(e.pending)
-	if !all {
-		n = sort.Search(len(e.pending), func(i int) bool { return e.pending[i].fire >= e.now })
-	}
-	for _, d := range e.pending[:n] {
-		e.delivered++
-		e.onDetect(d.rule, d.inst)
-	}
-	e.pending = append(e.pending[:0], e.pending[n:]...)
+	held := len(e.pending)
+	e.pending = Deliver(e.pending, e.now, all, e.onDetect)
+	e.delivered += uint64(held - len(e.pending))
 }
 
 // Metrics returns the aggregate activity counters: Observations is the

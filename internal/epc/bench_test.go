@@ -2,26 +2,6 @@ package epc
 
 import "testing"
 
-func BenchmarkSGTINEncode(b *testing.B) {
-	s := SGTIN{Filter: 3, Partition: 5, CompanyPrefix: 1234567, ItemRef: 654321, Serial: 400001}
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Encode(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSGTINDecode(b *testing.B) {
-	s := SGTIN{Filter: 3, Partition: 5, CompanyPrefix: 1234567, ItemRef: 654321, Serial: 400001}
-	bin, _ := s.Encode()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSGTIN(bin); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkHexRoundTrip(b *testing.B) {
 	g, _ := GID{Manager: 4711, Class: 2, Serial: 99}.Encode()
 	hx := g.Hex()

@@ -1,198 +1,51 @@
 package epc
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestSGTINRoundTrip(t *testing.T) {
-	s := SGTIN{Filter: 3, Partition: 5, CompanyPrefix: 1234567, ItemRef: 654321, Serial: 400001}
-	b, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if SchemeOf(b) != SchemeSGTIN96 {
-		t.Fatalf("scheme: %v", SchemeOf(b))
-	}
-	got, err := DecodeSGTIN(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != s {
-		t.Fatalf("round trip: %+v != %+v", got, s)
-	}
-}
-
-func TestSGTINRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := uint8(r.Intn(7))
-		pt := sgtinPartitions[p]
-		s := SGTIN{
-			Filter:        uint8(r.Intn(8)),
-			Partition:     p,
-			CompanyPrefix: r.Uint64() % pow10(pt.companyDigits),
-			ItemRef:       r.Uint64() % pow10(pt.refDigits),
-			Serial:        r.Uint64() % (1 << 38),
-		}
-		b, err := s.Encode()
-		if err != nil {
-			t.Logf("seed %d: encode: %v", seed, err)
+func TestGIDRoundTripProperty(t *testing.T) {
+	f := func(m, c, s uint64) bool {
+		g := GID{Manager: m % (1 << 28), Class: c % (1 << 24), Serial: s % (1 << 36)}
+		b, err := g.Encode()
+		if err != nil || SchemeOf(b) != SchemeGID96 {
 			return false
 		}
-		got, err := DecodeSGTIN(b)
-		if err != nil || got != s {
-			t.Logf("seed %d: round trip %+v -> %+v (%v)", seed, s, got, err)
+		got, err := DecodeGID(b)
+		if err != nil || got != g {
 			return false
 		}
 		// Hex round trip too.
 		b2, err := ParseHex(b.Hex())
 		return err == nil && b2 == b
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSSCCRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := uint8(r.Intn(7))
-		pt := ssccPartitions[p]
-		s := SSCC{
-			Filter:        uint8(r.Intn(8)),
-			Partition:     p,
-			CompanyPrefix: r.Uint64() % pow10(pt.companyDigits),
-			SerialRef:     r.Uint64() % pow10(pt.refDigits),
-		}
-		b, err := s.Encode()
-		if err != nil {
-			// Serial ref digits can exceed bit capacity at partition 0
-			// (5 digits < 2^18, so this should never fail).
-			t.Logf("seed %d: encode: %v", seed, err)
-			return false
-		}
-		got, err := DecodeSSCC(b)
-		return err == nil && got == s
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGIDRoundTripProperty(t *testing.T) {
-	f := func(m, c, s uint64) bool {
-		g := GID{Manager: m % (1 << 28), Class: c % (1 << 24), Serial: s % (1 << 36)}
-		b, err := g.Encode()
-		if err != nil {
-			return false
-		}
-		got, err := DecodeGID(b)
-		return err == nil && got == g
-	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestSGLNRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := uint8(r.Intn(7))
-		pt := sglnPartitions[p]
-		refMax := pow10(pt.refDigits)
-		s := SGLN{
-			Filter:        uint8(r.Intn(8)),
-			Partition:     p,
-			CompanyPrefix: r.Uint64() % pow10(pt.companyDigits),
-			LocationRef:   r.Uint64() % refMax,
-			Extension:     r.Uint64() % (1 << 41),
-		}
-		b, err := s.Encode()
-		if err != nil {
-			t.Logf("seed %d: encode: %v", seed, err)
-			return false
-		}
-		if SchemeOf(b) != SchemeSGLN96 {
-			return false
-		}
-		got, err := DecodeSGLN(b)
-		if err != nil || got != s {
-			t.Logf("seed %d: %+v -> %+v (%v)", seed, s, got, err)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSGLNURIAndValidation(t *testing.T) {
-	s := SGLN{Filter: 1, Partition: 5, CompanyPrefix: 9991234, LocationRef: 42, Extension: 7}
-	if got := s.URI(); got != "urn:epc:tag:sgln-96:1.9991234.42.7" {
-		t.Errorf("sgln URI: %s", got)
-	}
-	parsed, err := ParseURI(s.URI())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := parsed.(SGLN)
-	if ps.CompanyPrefix != s.CompanyPrefix || ps.LocationRef != s.LocationRef || ps.Extension != s.Extension {
-		t.Errorf("parsed: %+v", ps)
-	}
-	if _, err := ps.Encode(); err != nil {
-		t.Errorf("inferred partition cannot encode: %v", err)
-	}
-	if _, err := (SGLN{Filter: 9}).Encode(); err == nil {
-		t.Errorf("bad filter accepted")
-	}
-	if _, err := (SGLN{Extension: 1 << 41}).Encode(); err == nil {
-		t.Errorf("oversized extension accepted")
-	}
-	if _, err := ParseURI("urn:epc:tag:sgln-96:1.2.3"); err == nil {
-		t.Errorf("short sgln URI accepted")
-	}
-	g, _ := GID{Manager: 1, Class: 2, Serial: 3}.Encode()
-	if _, err := DecodeSGLN(g); err == nil {
-		t.Errorf("decoding GID as SGLN accepted")
-	}
-}
-
 func TestEncodeValidation(t *testing.T) {
-	if _, err := (SGTIN{Filter: 8}).Encode(); err == nil {
-		t.Errorf("filter 8 accepted")
-	}
-	if _, err := (SGTIN{Partition: 7}).Encode(); err == nil {
-		t.Errorf("partition 7 accepted")
-	}
-	if _, err := (SGTIN{Partition: 6, CompanyPrefix: 1_000_000}).Encode(); err == nil {
-		t.Errorf("company prefix over 6 digits accepted at partition 6")
-	}
-	if _, err := (SGTIN{Serial: 1 << 38}).Encode(); err == nil {
-		t.Errorf("serial over 38 bits accepted")
-	}
 	if _, err := (GID{Manager: 1 << 28}).Encode(); err == nil {
 		t.Errorf("GID manager over 28 bits accepted")
 	}
-	if _, err := (SSCC{Partition: 9}).Encode(); err == nil {
-		t.Errorf("SSCC partition 9 accepted")
+	if _, err := (GID{Class: 1 << 24}).Encode(); err == nil {
+		t.Errorf("GID object class over 24 bits accepted")
+	}
+	if _, err := (GID{Serial: 1 << 36}).Encode(); err == nil {
+		t.Errorf("GID serial over 36 bits accepted")
 	}
 }
 
 func TestDecodeWrongScheme(t *testing.T) {
 	g, _ := GID{Manager: 1, Class: 2, Serial: 3}.Encode()
-	if _, err := DecodeSGTIN(g); err == nil {
-		t.Errorf("decoding GID as SGTIN accepted")
+	g[0] = 0x30 // the SGTIN-96 header
+	if SchemeOf(g) != SchemeUnknown {
+		t.Errorf("scheme of header 0x30: %v", SchemeOf(g))
 	}
-	if _, err := DecodeSSCC(g); err == nil {
-		t.Errorf("decoding GID as SSCC accepted")
-	}
-	s, _ := SGTIN{Partition: 1, CompanyPrefix: 1, ItemRef: 1, Serial: 1}.Encode()
-	if _, err := DecodeGID(s); err == nil {
-		t.Errorf("decoding SGTIN as GID accepted")
+	if _, err := DecodeGID(g); err == nil {
+		t.Errorf("decoding an SGTIN-96 header as GID accepted")
 	}
 }
 
@@ -205,101 +58,28 @@ func TestParseHexErrors(t *testing.T) {
 	}
 }
 
-func TestURIs(t *testing.T) {
-	s := SGTIN{Filter: 1, Partition: 5, CompanyPrefix: 1234567, ItemRef: 12, Serial: 999}
-	if got := s.URI(); got != "urn:epc:tag:sgtin-96:1.1234567.12.999" {
-		t.Errorf("sgtin URI: %s", got)
-	}
-	parsed, err := ParseURI(s.URI())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, ok := parsed.(SGTIN)
-	if !ok || ps.CompanyPrefix != s.CompanyPrefix || ps.Serial != s.Serial {
-		t.Errorf("parsed: %+v", parsed)
-	}
-	// The inferred partition must be able to encode the value.
-	if _, err := ps.Encode(); err != nil {
-		t.Errorf("inferred partition cannot encode: %v", err)
-	}
-
-	g := GID{Manager: 77, Class: 4, Serial: 123456}
-	pg, err := ParseURI(g.URI())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pg.(GID) != g {
-		t.Errorf("gid URI round trip: %+v", pg)
-	}
-
-	c := SSCC{Filter: 2, Partition: 4, CompanyPrefix: 87654321, SerialRef: 1234}
-	pc, err := ParseURI(c.URI())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pc.(SSCC); got.CompanyPrefix != c.CompanyPrefix || got.SerialRef != c.SerialRef {
-		t.Errorf("sscc URI round trip: %+v", got)
-	}
-}
-
-func TestParseURIErrors(t *testing.T) {
-	bad := []string{
-		"urn:epc:id:sgtin:1.2.3",
-		"not-a-uri",
-		"urn:epc:tag:sgtin-96:1.2.3",   // 3 fields, needs 4
-		"urn:epc:tag:gid-96:1.2",       // 2 fields, needs 3
-		"urn:epc:tag:sscc-96:1.2.x",    // non-numeric
-		"urn:epc:tag:mystery-96:1.2.3", // unknown scheme
-		"urn:epc:tag:gid-96",           // missing fields entirely
-	}
-	for _, u := range bad {
-		if _, err := ParseURI(u); err == nil {
-			t.Errorf("ParseURI(%q) should fail", u)
-		}
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.MapGIDClass(4, "laptop")
 	r.MapGIDClass(5, "superuser")
-	r.MapSGTIN(1234567, 12, "case")
-	r.Map("plainid-9", "pallet")
-	r.SetFallback(func(o string) string {
-		if strings.HasPrefix(o, "emp-") {
-			return "employee"
-		}
-		return ""
-	})
 
 	laptop, _ := GID{Manager: 1, Class: 4, Serial: 42}.Encode()
 	super, _ := GID{Manager: 1, Class: 5, Serial: 7}.Encode()
 	unknownGID, _ := GID{Manager: 1, Class: 99, Serial: 7}.Encode()
-	caseEPC, _ := SGTIN{Partition: 5, CompanyPrefix: 1234567, ItemRef: 12, Serial: 1}.Encode()
+	otherScheme := laptop
+	otherScheme[0] = 0x30
 
 	cases := map[string]string{
-		laptop.Hex():     "laptop",
-		super.Hex():      "superuser",
-		caseEPC.Hex():    "case",
-		"plainid-9":      "pallet",
-		"emp-33":         "employee",
-		unknownGID.Hex(): "",
-		"mystery":        "",
+		laptop.Hex():      "laptop",
+		super.Hex():       "superuser",
+		unknownGID.Hex():  "",
+		otherScheme.Hex(): "",
+		"mystery":         "",
 	}
 	for obj, want := range cases {
 		if got := r.TypeOf(obj); got != want {
 			t.Errorf("TypeOf(%q) = %q, want %q", obj, got, want)
 		}
-	}
-}
-
-func TestRegistryExplicitBeatsDecoded(t *testing.T) {
-	r := NewRegistry()
-	r.MapGIDClass(4, "laptop")
-	b, _ := GID{Manager: 1, Class: 4, Serial: 42}.Encode()
-	r.Map(b.Hex(), "special-laptop")
-	if got := r.TypeOf(b.Hex()); got != "special-laptop" {
-		t.Errorf("explicit mapping should win: %q", got)
 	}
 }
 

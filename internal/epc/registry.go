@@ -2,34 +2,20 @@ package epc
 
 import "sync"
 
-// Registry implements the user-defined type(o) function of paper §2.1:
-// "the type can be extracted from its EPC value with a user-defined
-// extraction function, or specified by a user with a mapping function".
-// It resolves, in order: an explicit per-EPC mapping, a GID object-class
-// mapping, an SGTIN (company prefix, item reference) mapping, and finally
-// a fallback function.
+// Registry is a user mapping for the type(o) function of paper §2.1
+// ("the type can be extracted from its EPC value with a user-defined
+// extraction function, or specified by a user with a mapping function"):
+// it maps GID-96 object classes to types. Its TypeOf method plugs into
+// rcep.Config.TypeOf, the paper's hook; a caller who types objects some
+// other way supplies its own function there.
 type Registry struct {
 	mu       sync.RWMutex
-	explicit map[string]string    // raw object string → type
-	gidClass map[uint64]string    // GID object class → type
-	sgtin    map[[2]uint64]string // (company prefix, item ref) → type
-	fallback func(object string) string
+	gidClass map[uint64]string // GID object class → type
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		explicit: map[string]string{},
-		gidClass: map[uint64]string{},
-		sgtin:    map[[2]uint64]string{},
-	}
-}
-
-// Map assigns a type to one specific object identifier (any string).
-func (r *Registry) Map(object, typ string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.explicit[object] = typ
+	return &Registry{gidClass: map[uint64]string{}}
 }
 
 // MapGIDClass assigns a type to every GID-96 EPC with the given object
@@ -40,50 +26,19 @@ func (r *Registry) MapGIDClass(class uint64, typ string) {
 	r.gidClass[class] = typ
 }
 
-// MapSGTIN assigns a type to every SGTIN-96 EPC with the given company
-// prefix and item reference.
-func (r *Registry) MapSGTIN(companyPrefix, itemRef uint64, typ string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sgtin[[2]uint64{companyPrefix, itemRef}] = typ
-}
-
-// SetFallback installs a catch-all extraction function.
-func (r *Registry) SetFallback(fn func(object string) string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.fallback = fn
-}
-
-// TypeOf resolves the type of an object identifier. Objects in hex EPC
-// form are decoded; unknown objects yield "".
+// TypeOf resolves the type of an object identifier: a GID-96 EPC in hex
+// form whose object class is mapped yields that class's type, and every
+// other object yields "".
 func (r *Registry) TypeOf(object string) string {
+	b, err := ParseHex(object)
+	if err != nil {
+		return ""
+	}
+	g, err := DecodeGID(b)
+	if err != nil {
+		return ""
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if t, ok := r.explicit[object]; ok {
-		return t
-	}
-	if b, err := ParseHex(object); err == nil {
-		switch SchemeOf(b) {
-		case SchemeGID96:
-			if g, err := DecodeGID(b); err == nil {
-				if t, ok := r.gidClass[g.Class]; ok {
-					return t
-				}
-			}
-		case SchemeSGTIN96:
-			if s, err := DecodeSGTIN(b); err == nil {
-				if t, ok := r.sgtin[[2]uint64{s.CompanyPrefix, s.ItemRef}]; ok {
-					return t
-				}
-			}
-		case SchemeSSCC96:
-			// Logistics units have no item reference; rely on explicit
-			// or fallback mappings.
-		}
-	}
-	if r.fallback != nil {
-		return r.fallback(object)
-	}
-	return ""
+	return r.gidClass[g.Class]
 }

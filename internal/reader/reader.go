@@ -8,7 +8,6 @@ package reader
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"rcep/internal/core/event"
@@ -93,22 +92,6 @@ func (d *Deployment) Add(r *Reader) error {
 	}
 	d.readers[r.ID] = r
 	return nil
-}
-
-// Get returns a reader by ID.
-func (d *Deployment) Get(id string) (*Reader, bool) {
-	r, ok := d.readers[id]
-	return r, ok
-}
-
-// IDs returns all reader IDs, sorted.
-func (d *Deployment) IDs() []string {
-	ids := make([]string, 0, len(d.readers))
-	for id := range d.readers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // GroupsOf implements the group(r) function: a reader's configured groups,

@@ -94,12 +94,6 @@ func TestDeployment(t *testing.T) {
 	if d.LocationOf("r1") != "warehouse" || d.LocationOf("r2") != "r2" {
 		t.Errorf("locations: %v %v", d.LocationOf("r1"), d.LocationOf("r2"))
 	}
-	if ids := d.IDs(); len(ids) != 2 || ids[0] != "r1" {
-		t.Errorf("IDs: %v", ids)
-	}
-	if _, ok := d.Get("r1"); !ok {
-		t.Errorf("Get failed")
-	}
 	fn := d.GroupFunc()
 	if got := fn("r1"); got[0] != "g1" {
 		t.Errorf("GroupFunc: %v", got)

@@ -867,9 +867,10 @@ func (m *matcher) probeOn(colSide, valSide Expr) store.Probe {
 // cells that Equal v, and compareValues converts between kinds in ways
 // Equal does not: `n = '5'` matches the int 5 through its display form.
 // So v must have the column's kind, or convert exactly: int and time into
-// each other, 'UC' into time. Floats never probe: a NaN Equals every
-// number, so no one chain holds every row a float matches. Null matches
-// nothing and never probes.
+// each other, 'UC' into time. Floats never probe: the store would find
+// the same rows (Compare orders NaN and -0 as the index keys them), but
+// SQL creates no index and the RFID schema indexes no float column, so
+// the case stays out. Null matches nothing and never probes.
 func probeable(v event.Value, kind event.Kind) bool {
 	switch v.Kind() {
 	case kind:

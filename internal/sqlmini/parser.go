@@ -26,29 +26,6 @@ func Parse(sql string) (Stmt, error) {
 	return st, nil
 }
 
-// ParseAll parses a semicolon-separated list of statements.
-func ParseAll(sql string) ([]Stmt, error) {
-	s, err := lex.NewStream(sql)
-	if err != nil {
-		return nil, err
-	}
-	var out []Stmt
-	for !s.AtEOF() {
-		st, err := parseStmt(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-		if !s.Accept(";") {
-			break
-		}
-	}
-	if !s.AtEOF() {
-		return nil, lex.Errorf(s.Peek(), "unexpected trailing input %s", s.Peek())
-	}
-	return out, nil
-}
-
 // ParseStream parses one statement from an existing token stream; used by
 // the rules parser to embed SQL actions.
 func ParseStream(s *lex.Stream) (Stmt, error) { return parseStmt(s) }

@@ -286,13 +286,14 @@ func TestIndexProbeMatchesScan(t *testing.T) {
 	}
 }
 
-func TestParseAllSplitsStatements(t *testing.T) {
-	stmts, err := ParseAll(`INSERT INTO a VALUES (1); UPDATE a SET x = 2; DELETE FROM a`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmts) != 3 {
-		t.Fatalf("stmts: %d", len(stmts))
+func TestParseOneStatementEach(t *testing.T) {
+	var stmts []Stmt
+	for _, sql := range []string{`INSERT INTO a VALUES (1);`, `UPDATE a SET x = 2`, `DELETE FROM a`} {
+		st, err := Parse(sql)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", sql, err)
+		}
+		stmts = append(stmts, st)
 	}
 	if _, ok := stmts[0].(*Insert); !ok {
 		t.Errorf("stmt 0: %T", stmts[0])
@@ -302,6 +303,9 @@ func TestParseAllSplitsStatements(t *testing.T) {
 	}
 	if _, ok := stmts[2].(*Delete); !ok {
 		t.Errorf("stmt 2: %T", stmts[2])
+	}
+	if _, err := Parse(`INSERT INTO a VALUES (1); UPDATE a SET x = 2`); err == nil {
+		t.Errorf("Parse accepted a second statement")
 	}
 }
 

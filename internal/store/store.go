@@ -92,18 +92,6 @@ func (s *Store) CreateTable(name string, schema Schema) error {
 	return nil
 }
 
-// DropTable removes a table.
-func (s *Store) DropTable(name string) error {
-	key := strings.ToLower(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tables[key]; !ok {
-		return fmt.Errorf("store: no such table %s", name)
-	}
-	delete(s.tables, key)
-	return nil
-}
-
 // Table returns the named table. The name is folded to its key on the
 // stack, so finding a table allocates nothing.
 func (s *Store) Table(name string) (*Table, error) {
@@ -477,7 +465,8 @@ func (t *Table) putLocked(at int, id int64, row Row) {
 }
 
 // replaceLocked stores nr in place of the row at position at, relinking it
-// when its chain key changes: a NaN Equals every number but keys apart.
+// only when its chain key changes: cells that are not Equal may share a
+// chain, and then the row stays where it is.
 func (t *Table) replaceLocked(at int, nr Row) {
 	r := t.rows[at]
 	for _, ix := range t.indexes {
@@ -543,7 +532,7 @@ type chain struct{ head, tail int32 }
 
 // key is v's chain key, the same for any two values of one kind that are
 // Equal: a string's hash, an int's or a time's word, a float's bits with
-// -0 folded to 0, a bool's 0 or 1, and 0 for null.
+// -0 folded to 0 and every NaN to one NaN, a bool's 0 or 1, and 0 for null.
 func (ix *index) key(v event.Value) uint64 {
 	switch v.Kind() {
 	case event.KindString:
@@ -553,7 +542,10 @@ func (ix *index) key(v event.Value) uint64 {
 	case event.KindTime:
 		return uint64(v.Time())
 	case event.KindFloat:
-		if f := v.Float(); f != 0 {
+		switch f := v.Float(); {
+		case math.IsNaN(f):
+			return math.Float64bits(math.NaN())
+		case f != 0:
 			return math.Float64bits(f)
 		}
 	case event.KindBool:

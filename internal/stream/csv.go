@@ -54,15 +54,3 @@ func ParseCSVLine(line string) (event.Observation, error) {
 		At:     event.Time(secs * float64(time.Second)),
 	}, nil
 }
-
-// WriteCSV writes observations in the CSV interchange form.
-func WriteCSV(w io.Writer, obs []event.Observation) error {
-	bw := bufio.NewWriter(w)
-	for _, o := range obs {
-		if _, err := fmt.Fprintf(bw, "%s,%s,%.3f\n",
-			o.Reader, o.Object, time.Duration(o.At).Seconds()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

@@ -88,7 +88,10 @@ type Config struct {
 	// own group.
 	Groups func(reader string) []string
 
-	// TypeOf maps an object EPC to a type name for type(o) predicates.
+	// TypeOf maps an object EPC to a type name for type(o) predicates:
+	// the user-defined extraction or mapping function of paper §2.1.
+	// epc.Registry.TypeOf maps GID-96 object classes; any other typing
+	// is a function of the caller's own. Nil types every object "".
 	TypeOf func(object string) string
 
 	// OnDetection, when set, observes every rule firing (after the IF
