@@ -274,3 +274,60 @@ func TestHandoffReplayShipsBatches(t *testing.T) {
 	}
 	diffStrings(t, "multiset", asMultiset(runSingle(t, rules, stream)), asMultiset(got))
 }
+
+// holdListener signals each connection it accepts on accepted, then holds
+// it until release closes: a connection between accept and registration.
+type holdListener struct {
+	net.Listener
+	accepted, release chan struct{}
+}
+
+func (l *holdListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+		<-l.release
+	}
+	return c, err
+}
+
+// TestStoppedWorkerServesNothing: a connection accepted before Stop whose
+// handler would start after it is closed unserved, with no boot frame;
+// one accepted after Stop is served.
+func TestStoppedWorkerServesNothing(t *testing.T) {
+	t.Parallel()
+	rules := genRules(rand.New(rand.NewSource(3)), 3)
+	w, err := NewWorker(WorkerConfig{Rules: rules, Shards: 1, Groups: genGroups, TypeOf: genTypeOf, BootID: "boot-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hl := &holdListener{Listener: ln, accepted: make(chan struct{}, 2), release: make(chan struct{})}
+	served := make(chan error, 1)
+	go func() { served <- w.Serve(hl) }()
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+
+	early := dial()
+	<-hl.accepted
+	w.Stop()
+	close(hl.release)
+	if boot, err := readBoot(early, 2*time.Second); err == nil {
+		t.Fatalf("a connection accepted before Stop was served (boot %q)", boot)
+	}
+	if boot, err := readBoot(dial(), 2*time.Second); err != nil || boot != "boot-1" {
+		t.Fatalf("a connection accepted after Stop: boot %q, %v", boot, err)
+	}
+	ln.Close()
+	<-served
+	w.Stop()
+}

@@ -75,11 +75,15 @@ type Worker struct {
 	cfg  WorkerConfig
 	part *shard.Partition
 
-	mu      sync.Mutex
-	feeds   map[string]*feed
-	conns   map[net.Conn]bool
-	closing bool
-	wg      sync.WaitGroup
+	mu    sync.Mutex
+	feeds map[string]*feed
+	conns map[net.Conn]bool
+	// gen counts Stops; stopping is set while one runs. A connection
+	// whose Accept began under an older gen, or that arrives while a Stop
+	// runs, is closed without being served.
+	gen      uint64
+	stopping bool
+	wg       sync.WaitGroup
 }
 
 // feed is the state of one coordinator link: one shard engine driven by
@@ -143,12 +147,26 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 func (w *Worker) NumShards() int { return w.part.NumShards() }
 
 // Serve accepts coordinator connections until the listener is closed.
+// It registers each connection before its handler starts, so a Stop
+// severs every connection it accepted first.
 func (w *Worker) Serve(l net.Listener) error {
 	for {
+		w.mu.Lock()
+		gen := w.gen
+		w.mu.Unlock()
 		conn, err := l.Accept()
 		if err != nil {
 			return err
 		}
+		w.mu.Lock()
+		if w.stopping || w.gen != gen {
+			w.mu.Unlock()
+			conn.Close()
+			continue
+		}
+		w.conns[conn] = true
+		w.wg.Add(1)
+		w.mu.Unlock()
 		go w.handle(conn)
 	}
 }
@@ -160,7 +178,8 @@ func (w *Worker) Serve(l net.Listener) error {
 // while a NEW Worker (fresh BootID) behaves like a process restart.
 func (w *Worker) Stop() {
 	w.mu.Lock()
-	w.closing = true
+	w.gen++
+	w.stopping = true
 	conns := make([]net.Conn, 0, len(w.conns))
 	for c := range w.conns {
 		conns = append(conns, c)
@@ -171,20 +190,12 @@ func (w *Worker) Stop() {
 	}
 	w.wg.Wait()
 	w.mu.Lock()
-	w.closing = false
+	w.stopping = false
 	w.mu.Unlock()
 }
 
+// handle serves one connection Serve registered.
 func (w *Worker) handle(conn net.Conn) {
-	w.mu.Lock()
-	if w.closing {
-		w.mu.Unlock()
-		conn.Close()
-		return
-	}
-	w.wg.Add(1)
-	w.conns[conn] = true
-	w.mu.Unlock()
 	defer func() {
 		conn.Close()
 		w.mu.Lock()

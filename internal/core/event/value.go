@@ -478,9 +478,11 @@ func CollectLists(elems []Bindings) Bindings {
 	if len(elems) == 0 {
 		return nil
 	}
-	// Elements bind few variables; a sorted-insert slice beats a map both
-	// in allocations and in the final sort it makes redundant.
-	var keys []string
+	// Elements bind few variables; a sorted-insert slice, on the stack for
+	// up to eight, beats a map both in allocations and in the final sort
+	// it makes redundant.
+	var buf [8]string
+	keys := buf[:0]
 	for _, e := range elems {
 		for _, kv := range e {
 			i := sort.SearchStrings(keys, kv.Var)

@@ -306,7 +306,7 @@ DO note(event_begin, event_end, event_interval)
 	}
 }
 
-// TestImplicitBindingsEquivalence checks the single-allocation merge
+// TestImplicitBindingsEquivalence checks the one-pass merge
 // against the reference builder across collision cases.
 func TestImplicitBindingsEquivalence(t *testing.T) {
 	cases := []event.Bindings{
@@ -320,7 +320,7 @@ func TestImplicitBindingsEquivalence(t *testing.T) {
 	}
 	for i, binds := range cases {
 		inst := &event.Instance{Begin: 1e9, End: 3e9, Binds: binds, Seq: 7}
-		got := implicitBindings(inst)
+		got := implicitBindings(nil, inst)
 		want := withImplicitBindings(inst)
 		if got.String() != want.String() {
 			t.Errorf("case %d: merge %s, reference %s", i, got, want)

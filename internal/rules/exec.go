@@ -18,7 +18,8 @@ type ActionContext struct {
 }
 
 // Proc is a user-defined procedure invocable from a rule's DO list, e.g.
-// send_alarm.
+// send_alarm. args is valid only during the call: the executor reuses it
+// for the next firing.
 type Proc func(ctx ActionContext, args []event.Value) error
 
 // Procs is a registry of user procedures by (case-sensitive) name.
@@ -55,6 +56,18 @@ type Executor struct {
 	// time. Detection still happens (the graph is shared), only the
 	// condition/action stage is skipped.
 	disabled map[string]bool
+
+	// firing holds the bindings and procedure arguments Dispatch reuses;
+	// one entered during another (a procedure that ingests) takes fresh
+	// slices, so the outer firing's never change under it.
+	firing  scratch
+	running bool
+}
+
+// scratch is one firing's working space.
+type scratch struct {
+	binds event.Bindings
+	args  []event.Value
 }
 
 // NewExecutor wires a parsed rule set to a data store, user procedures and
@@ -113,7 +126,8 @@ func (x *Executor) SetEnabled(ruleID string, enabled bool) bool {
 // evaluated over their ASTs by sqlmini's one evaluator; user functions
 // and procedures resolve at dispatch time, so late registration works.
 // It reports whether the rule fired — the condition held, whatever its
-// actions then did.
+// actions then did. The merged bindings and procedure arguments live in
+// executor-owned slices, valid only during the firing.
 func (x *Executor) Dispatch(ruleIdx int, inst *event.Instance) bool {
 	if ruleIdx < 0 || ruleIdx >= len(x.byIndex) {
 		return false
@@ -122,9 +136,14 @@ func (x *Executor) Dispatch(ruleIdx int, inst *event.Instance) bool {
 	if x.disabled[r.ID] {
 		return false
 	}
-	binds := implicitBindings(inst)
+	sc := &scratch{}
+	if !x.running {
+		x.running, sc = true, &x.firing
+		defer func() { x.running = false }()
+	}
+	sc.binds = implicitBindings(sc.binds[:0], inst)
 	if r.Cond != nil {
-		v, err := sqlmini.EvalExpr(x.store, r.Cond, binds, x.funcs)
+		v, err := sqlmini.EvalExpr(x.store, r.Cond, sc.binds, x.funcs)
 		if err != nil {
 			x.OnError(r, fmt.Errorf("condition: %w", err))
 			return false
@@ -137,7 +156,7 @@ func (x *Executor) Dispatch(ruleIdx int, inst *event.Instance) bool {
 		x.firings = append(x.firings, Firing{RuleID: r.ID, Inst: inst})
 	}
 	for _, a := range r.Actions {
-		if err := x.runAction(r, a, inst, binds); err != nil {
+		if err := x.runAction(r, a, inst, sc); err != nil {
 			x.OnError(r, err)
 			// Subsequent actions still run: the paper's actions are an
 			// ordered list of independent statements.
@@ -147,13 +166,13 @@ func (x *Executor) Dispatch(ruleIdx int, inst *event.Instance) bool {
 }
 
 // runAction runs one DO-list entry.
-func (x *Executor) runAction(r *Rule, a Action, inst *event.Instance, binds event.Bindings) error {
+func (x *Executor) runAction(r *Rule, a Action, inst *event.Instance, sc *scratch) error {
 	switch act := a.(type) {
 	case *SQLAction:
 		if x.store == nil {
 			return fmt.Errorf("action %q needs a data store", act)
 		}
-		if _, err := sqlmini.ExecStmt(x.store, act.Stmt, binds); err != nil {
+		if _, err := sqlmini.ExecStmt(x.store, act.Stmt, sc.binds); err != nil {
 			return fmt.Errorf("action %q: %w", act, err)
 		}
 		return nil
@@ -162,16 +181,16 @@ func (x *Executor) runAction(r *Rule, a Action, inst *event.Instance, binds even
 		if !ok {
 			return fmt.Errorf("action %q: no such procedure %s", act, act.Name)
 		}
-		args := make([]event.Value, len(act.Args))
+		sc.args = sc.args[:0]
 		for i, ae := range act.Args {
-			v, err := sqlmini.EvalExpr(x.store, ae, binds, x.funcs)
+			v, err := sqlmini.EvalExpr(x.store, ae, sc.binds, x.funcs)
 			if err != nil {
 				return fmt.Errorf("action %q: argument %d: %w", act, i+1, err)
 			}
-			args[i] = v
+			sc.args = append(sc.args, v)
 		}
 		ctx := ActionContext{RuleID: r.ID, RuleName: r.Name, Inst: inst, Store: x.store}
-		if err := proc(ctx, args); err != nil {
+		if err := proc(ctx, sc.args); err != nil {
 			return fmt.Errorf("action %q: %w", act, err)
 		}
 		return nil
@@ -179,20 +198,19 @@ func (x *Executor) runAction(r *Rule, a Action, inst *event.Instance, binds even
 	return fmt.Errorf("unknown action type %T", a)
 }
 
-// implicitBindings extends the instance bindings with the detection
-// span: event_begin and event_end (timestamps) and event_interval
-// (seconds, float). It makes one exact-capacity allocation, merging the
-// instance bindings with the three span variables (already in sorted
-// order: event_begin < event_end < event_interval) in a single pass. User
-// variables with the same names win.
-func implicitBindings(inst *event.Instance) event.Bindings {
+// implicitBindings appends to out the instance bindings extended with the
+// detection span: event_begin and event_end (timestamps) and
+// event_interval (seconds, float). It merges the instance bindings with
+// the three span variables (already in sorted order: event_begin <
+// event_end < event_interval) in a single pass. User variables with the
+// same names win.
+func implicitBindings(out event.Bindings, inst *event.Instance) event.Bindings {
 	imp := [3]event.Binding{
 		{Var: "event_begin", Val: event.TimeValue(inst.Begin)},
 		{Var: "event_end", Val: event.TimeValue(inst.End)},
 		{Var: "event_interval", Val: event.DurationValue(inst.Interval())},
 	}
 	user := inst.Binds
-	out := make(event.Bindings, 0, len(user)+len(imp))
 	i, j := 0, 0
 	for i < len(user) && j < len(imp) {
 		switch {

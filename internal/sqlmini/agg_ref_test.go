@@ -15,12 +15,12 @@ import (
 // then the rows of every group, and folds an aggregate call over its
 // group's rows when evaluation reaches the call. FuzzAggregateMatchesReference
 // holds execSelect to it.
-func refSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, error) {
+func refSelect(s *store.Store, sel *Select, params event.Bindings) (Result, error) {
 	rel, err := buildRelation(s, sel, params, nil)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	res := &Result{}
+	var res Result
 	for i, it := range sel.Items {
 		res.Columns = append(res.Columns, itemName(it, i))
 	}
@@ -32,7 +32,7 @@ func refSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, err
 		for _, g := range sel.GroupBy {
 			p, err := rel.index(g)
 			if err != nil {
-				return nil, fmt.Errorf("sqlmini: GROUP BY: %w", err)
+				return Result{}, fmt.Errorf("sqlmini: GROUP BY: %w", err)
 			}
 			positions = append(positions, p)
 		}
@@ -71,7 +71,7 @@ func refSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, err
 		if having != nil {
 			v, err := e.eval(having)
 			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
 			if !truthy(v) {
 				continue
@@ -81,15 +81,15 @@ func refSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, err
 		for _, x := range items {
 			v, err := e.eval(x)
 			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
 			out = append(out, v)
 		}
 		res.Rows = append(res.Rows, out)
 	}
 	if len(sel.OrderBy) > 0 {
-		if err := orderAggregated(sel, res); err != nil {
-			return nil, err
+		if err := orderAggregated(sel, &res); err != nil {
+			return Result{}, err
 		}
 	}
 	if sel.Limit >= 0 && len(res.Rows) > sel.Limit {

@@ -20,10 +20,10 @@ type Result struct {
 
 // Exec parses and executes one statement against the store, resolving
 // named parameters from params (the triggering event's bindings).
-func Exec(s *store.Store, sql string, params event.Bindings) (*Result, error) {
+func Exec(s *store.Store, sql string, params event.Bindings) (Result, error) {
 	st, err := Parse(sql)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	return ExecStmt(s, st, params)
 }
@@ -35,35 +35,41 @@ type PreparedStmt struct{ stmt Stmt }
 func PrepareStmt(st Stmt) *PreparedStmt { return &PreparedStmt{stmt: st} }
 
 // Exec executes the statement; it is ExecStmt(s, stmt, params).
-func (p *PreparedStmt) Exec(s *store.Store, params event.Bindings) (*Result, error) {
+func (p *PreparedStmt) Exec(s *store.Store, params event.Bindings) (Result, error) {
 	return ExecStmt(s, p.stmt, params)
 }
 
-// ExecStmt executes a parsed statement.
-func ExecStmt(s *store.Store, st Stmt, params event.Bindings) (*Result, error) {
+// ExecStmt executes a parsed statement. The Result is a value: a write
+// allocates only the rows it stores.
+func ExecStmt(s *store.Store, st Stmt, params event.Bindings) (Result, error) {
 	switch x := st.(type) {
 	case *CreateTable:
-		if err := s.CreateTable(x.Table, store.Schema(x.Cols)); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		return Result{}, s.CreateTable(x.Table, store.Schema(x.Cols))
 	case *Insert:
 		return execInsert(s, x, params)
 	case *Update:
-		return execUpdate(s, x, params)
+		tbl, err := s.Table(x.Table)
+		if err != nil {
+			return Result{}, err
+		}
+		return updateRows(tbl, x, planMatch(s, tbl, x.Where, params))
 	case *Delete:
-		return execDelete(s, x, params)
+		tbl, err := s.Table(x.Table)
+		if err != nil {
+			return Result{}, err
+		}
+		return deleteRows(tbl, planMatch(s, tbl, x.Where, params))
 	case *Select:
 		return execSelect(s, x, params)
 	case *Explain:
 		return explain(s, x.Stmt, params)
 	}
-	return nil, fmt.Errorf("sqlmini: unsupported statement %T", st)
+	return Result{}, fmt.Errorf("sqlmini: unsupported statement %T", st)
 }
 
 // explain renders the execution plan as one row per step.
-func explain(s *store.Store, st Stmt, params event.Bindings) (*Result, error) {
-	res := &Result{Columns: []string{"step"}}
+func explain(s *store.Store, st Stmt, params event.Bindings) (Result, error) {
+	res := Result{Columns: []string{"step"}}
 	add := func(format string, args ...any) {
 		res.Rows = append(res.Rows, []event.Value{event.StringValue(fmt.Sprintf(format, args...))})
 	}
@@ -131,7 +137,7 @@ func explain(s *store.Store, st Stmt, params event.Bindings) (*Result, error) {
 	case *Explain:
 		add("explain explain: the plan is a plan")
 	default:
-		return nil, fmt.Errorf("sqlmini: cannot explain %T", st)
+		return Result{}, fmt.Errorf("sqlmini: cannot explain %T", st)
 	}
 	return res, nil
 }
@@ -173,7 +179,7 @@ type env struct {
 // whole statement.
 type subResult struct {
 	sel *Select
-	res *Result
+	res Result
 	err error
 }
 
@@ -321,7 +327,7 @@ func (e *env) inSubquery(sub *Select, v event.Value) (bool, error) {
 
 // subquery returns the result of sub: the run evalSubqueries kept, or a
 // fresh one.
-func (e *env) subquery(sub *Select) (*Result, error) {
+func (e *env) subquery(sub *Select) (Result, error) {
 	for _, q := range e.subs {
 		if q.sel == sub {
 			return q.res, q.err
@@ -649,39 +655,21 @@ func (e *env) applyScalar(cname string, args []event.Value) (event.Value, error)
 			}
 		}
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("sqlmini: %s needs %d argument(s), got %d", cname, n, len(args))
-		}
-		return nil
+	name := strings.ToLower(cname)
+	if len(args) != 1 && slices.Contains([]string{"upper", "lower", "length", "abs"}, name) {
+		return event.Null, fmt.Errorf("sqlmini: %s needs 1 argument(s), got %d", cname, len(args))
 	}
-	switch strings.ToLower(cname) {
+	switch name {
 	case "upper":
-		if err := need(1); err != nil {
-			return event.Null, err
-		}
 		return event.StringValue(strings.ToUpper(args[0].String())), nil
 	case "lower":
-		if err := need(1); err != nil {
-			return event.Null, err
-		}
 		return event.StringValue(strings.ToLower(args[0].String())), nil
 	case "length":
-		if err := need(1); err != nil {
-			return event.Null, err
-		}
 		return event.IntValue(int64(len(args[0].String()))), nil
 	case "abs":
-		if err := need(1); err != nil {
-			return event.Null, err
-		}
 		switch args[0].Kind() {
 		case event.KindInt:
-			v := args[0].Int()
-			if v < 0 {
-				v = -v
-			}
-			return event.IntValue(v), nil
+			return event.IntValue(max(args[0].Int(), -args[0].Int())), nil
 		case event.KindFloat:
 			v := args[0].Float()
 			if v < 0 {
@@ -704,10 +692,10 @@ func (e *env) applyScalar(cname string, args []event.Value) (event.Value, error)
 // execInsert inserts one row, or — for BULK INSERT — one row per element
 // of the list-valued parameters referenced by the VALUES exprs (Rule 4's
 // containment aggregation).
-func execInsert(s *store.Store, ins *Insert, params event.Bindings) (*Result, error) {
+func execInsert(s *store.Store, ins *Insert, params event.Bindings) (Result, error) {
 	tbl, err := s.Table(ins.Table)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	schema := tbl.Schema()
 	// Column mapping, on the stack for up to eight values.
@@ -715,49 +703,49 @@ func execInsert(s *store.Store, ins *Insert, params event.Bindings) (*Result, er
 	positions := slices.Grow(buf[:0], len(ins.Values))[:len(ins.Values)]
 	if len(ins.Cols) > 0 {
 		if len(ins.Cols) != len(ins.Values) {
-			return nil, fmt.Errorf("sqlmini: %d columns but %d values", len(ins.Cols), len(ins.Values))
+			return Result{}, fmt.Errorf("sqlmini: %d columns but %d values", len(ins.Cols), len(ins.Values))
 		}
 		for i, c := range ins.Cols {
 			p := schema.Index(c)
 			if p < 0 {
-				return nil, fmt.Errorf("sqlmini: %s: no such column %s", ins.Table, c)
+				return Result{}, fmt.Errorf("sqlmini: %s: no such column %s", ins.Table, c)
 			}
 			positions[i] = p
 		}
 	} else {
 		if len(ins.Values) != len(schema) {
-			return nil, fmt.Errorf("sqlmini: %s has %d columns but %d values given", ins.Table, len(schema), len(ins.Values))
+			return Result{}, fmt.Errorf("sqlmini: %s has %d columns but %d values given", ins.Table, len(schema), len(ins.Values))
 		}
 		for i := range positions {
 			positions[i] = i
 		}
 	}
 
-	n := 1
+	n, p := 1, params
 	if ins.Bulk {
-		n = bulkCardinality(params)
+		// One element view per statement, rewritten for each row.
+		n, p = bulkCardinality(params), make(event.Bindings, len(params))
 	}
 	inserted := 0
 	for i := 0; i < n; i++ {
-		p := params
 		if ins.Bulk {
-			p = elementView(params, i)
+			elementView(p, params, i)
 		}
 		ev := &env{store: s, params: p}
 		row := make([]event.Value, len(schema))
 		for j, ve := range ins.Values {
 			v, err := ev.eval(ve)
 			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
 			row[positions[j]] = v
 		}
 		if err := tbl.Insert(row); err != nil { // the table keeps row
-			return nil, err
+			return Result{}, err
 		}
 		inserted++
 	}
-	return &Result{RowsAffected: inserted}, nil
+	return Result{RowsAffected: inserted}, nil
 }
 
 // bulkCardinality returns the common length of the list-valued bindings
@@ -773,21 +761,18 @@ func bulkCardinality(params event.Bindings) int {
 	return n
 }
 
-// elementView projects list bindings onto their i'th element.
-func elementView(params event.Bindings, i int) event.Bindings {
-	out := make(event.Bindings, 0, len(params))
-	for _, kv := range params {
-		v := kv.Val
-		if v.Kind() == event.KindList {
+// elementView writes into view, of params' length, the projection of
+// params' list bindings onto their i'th element.
+func elementView(view, params event.Bindings, i int) {
+	for j, kv := range params {
+		if v := kv.Val; v.Kind() == event.KindList {
+			kv.Val = event.Null
 			if i < v.Len() {
-				v = v.Elem(i)
-			} else {
-				v = event.Null
+				kv.Val = v.Elem(i)
 			}
 		}
-		out = append(out, event.Binding{Var: kv.Var, Val: v})
+		view[j] = kv
 	}
-	return out
 }
 
 // matcher is the match planner's result for a single-table WHERE: the
@@ -916,26 +901,19 @@ func (m *matcher) matchRows(tbl *store.Table, visit func(store.Row)) error {
 	return err
 }
 
-func execUpdate(s *store.Store, up *Update, params event.Bindings) (*Result, error) {
-	tbl, err := s.Table(up.Table)
-	if err != nil {
-		return nil, err
-	}
-	return updateRows(tbl, up, planMatch(s, tbl, up.Where, params))
-}
-
 // updateRows runs up on the rows m matches.
-func updateRows(tbl *store.Table, up *Update, m matcher) (*Result, error) {
+func updateRows(tbl *store.Table, up *Update, m matcher) (Result, error) {
 	schema := tbl.Schema()
 	type setPos struct {
 		pos int
 		val Expr
 	}
-	var sets []setPos
+	var buf [4]setPos // on the stack for up to four assignments
+	sets := buf[:0]
 	for _, a := range up.Sets {
 		p := schema.Index(a.Col)
 		if p < 0 {
-			return nil, fmt.Errorf("sqlmini: %s: no such column %s", up.Table, a.Col)
+			return Result{}, fmt.Errorf("sqlmini: %s: no such column %s", up.Table, a.Col)
 		}
 		sets = append(sets, setPos{p, a.Val})
 		m.env.evalSubqueries(a.Val)
@@ -951,27 +929,13 @@ func updateRows(tbl *store.Table, up *Update, m matcher) (*Result, error) {
 		}
 		return r, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: n}, nil
-}
-
-func execDelete(s *store.Store, del *Delete, params event.Bindings) (*Result, error) {
-	tbl, err := s.Table(del.Table)
-	if err != nil {
-		return nil, err
-	}
-	return deleteRows(tbl, planMatch(s, tbl, del.Where, params))
+	return Result{RowsAffected: n}, err
 }
 
 // deleteRows deletes the rows m matches.
-func deleteRows(tbl *store.Table, m matcher) (*Result, error) {
+func deleteRows(tbl *store.Table, m matcher) (Result, error) {
 	n, err := tbl.DeleteWhere(m.probe, m.matches)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: n}, nil
+	return Result{RowsAffected: n}, err
 }
 
 // relation is an intermediate query result: qualified columns plus rows.
@@ -1151,7 +1115,7 @@ func buildRelation(s *store.Store, sel *Select, params event.Bindings, fold *agg
 	return rel, nil
 }
 
-func execSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, error) {
+func execSelect(s *store.Store, sel *Select, params event.Bindings) (Result, error) {
 	var calls []*Call
 	if !sel.Star {
 		for _, it := range sel.Items {
@@ -1165,16 +1129,16 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, er
 	if !aggregated || sel.Star {
 		var err error
 		if rel, err = buildRelation(s, sel, params, nil); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
-	res := &Result{}
+	var res Result
 	// base tracks the source row behind each result row for ORDER BY.
 	var base [][]event.Value
 	switch {
 	case sel.Star:
 		if aggregated {
-			return nil, fmt.Errorf("sqlmini: SELECT * with GROUP BY/HAVING is not supported")
+			return Result{}, fmt.Errorf("sqlmini: SELECT * with GROUP BY/HAVING is not supported")
 		}
 		for i := range rel.names {
 			name := rel.names[i]
@@ -1186,8 +1150,8 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, er
 		res.Rows = rel.rows
 		base = rel.rows
 	case aggregated:
-		if err := execAggregate(s, sel, aggregateCalls(sel.Having, calls), params, res); err != nil {
-			return nil, err
+		if err := execAggregate(s, sel, aggregateCalls(sel.Having, calls), params, &res); err != nil {
+			return Result{}, err
 		}
 	default:
 		for i, it := range sel.Items {
@@ -1200,7 +1164,7 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, er
 			for _, it := range sel.Items {
 				v, err := e.eval(it.Expr)
 				if err != nil {
-					return nil, err
+					return Result{}, err
 				}
 				out = append(out, v)
 			}
@@ -1211,12 +1175,12 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (*Result, er
 
 	switch {
 	case len(sel.OrderBy) > 0 && !aggregated:
-		if err := orderRows(s, sel, rel, base, params, res); err != nil {
-			return nil, err
+		if err := orderRows(s, sel, rel, base, params, &res); err != nil {
+			return Result{}, err
 		}
 	case len(sel.OrderBy) > 0:
-		if err := orderAggregated(sel, res); err != nil {
-			return nil, err
+		if err := orderAggregated(sel, &res); err != nil {
+			return Result{}, err
 		}
 	}
 	if sel.Distinct {

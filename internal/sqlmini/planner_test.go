@@ -123,15 +123,15 @@ func mustParse(tb testing.TB, sql string) Stmt {
 }
 
 // TestAllocBudgetUpdateUC pins the allocations of Rule 3's prepared UC
-// update (the `loc` family's action) against a 12k-row OBJECTLOCATION.
-// The budgets are the counts of the full-scan update this planner
-// replaced; probing the index must not cost more.
+// update (the `loc` family's action) against a 12k-row OBJECTLOCATION:
+// the clone of the matching row it stores, and nothing when no row
+// matches.
 func TestAllocBudgetUpdateUC(t *testing.T) {
 	const (
 		objects       = 4000 // three periods each: 12k rows
 		runs          = 50
-		budgetMatch   = 4
-		budgetNoMatch = 3
+		budgetMatch   = 1
+		budgetNoMatch = 0
 	)
 	s := locationTable(t, objects)
 	upd := PrepareStmt(mustParse(t, `UPDATE OBJECTLOCATION SET tend = t WHERE object_epc = o AND tend = 'UC'`))
@@ -213,7 +213,7 @@ func FuzzProbeMatchesScan(f *testing.F) {
 // execWhereOnly runs one of fuzzGen's statements as Exec does, through
 // the same match planner, but with the planned probe dropped: the store
 // evaluates the WHERE on every row.
-func execWhereOnly(t *testing.T, s *store.Store, sql string, params event.Bindings) (*Result, error) {
+func execWhereOnly(t *testing.T, s *store.Store, sql string, params event.Bindings) (Result, error) {
 	t.Helper()
 	plan := func(table string, where Expr) (*store.Table, matcher) {
 		tbl, err := s.Table(table)
@@ -232,17 +232,17 @@ func execWhereOnly(t *testing.T, s *store.Store, sql string, params event.Bindin
 		return deleteRows(plan(st.Table, st.Where))
 	case *Select: // SELECT * FROM t WHERE ...
 		tbl, m := plan(st.Table, st.Where)
-		res := &Result{}
+		var res Result
 		for _, c := range tbl.Schema() {
 			res.Columns = append(res.Columns, c.Name)
 		}
 		if err := m.matchRows(tbl, func(r store.Row) { res.Rows = append(res.Rows, r) }); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		return res, nil
 	}
 	t.Fatalf("unexpected statement %s", sql)
-	return nil, nil
+	return Result{}, nil
 }
 
 // jsonOf renders v as JSON, which tags every event.Value with its kind.

@@ -11,7 +11,7 @@ import (
 
 func ts(sec float64) event.Time { return event.Time(sec * float64(time.Second)) }
 
-func mustExec(t *testing.T, s *store.Store, sql string, params event.Bindings) *Result {
+func mustExec(t *testing.T, s *store.Store, sql string, params event.Bindings) Result {
 	t.Helper()
 	res, err := Exec(s, sql, params)
 	if err != nil {

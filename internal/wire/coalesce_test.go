@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"rcep"
+	"rcep/internal/core/event"
 )
 
 // The write discipline: the server acks once per drained read, not once
@@ -250,6 +252,31 @@ func TestDrainedCheckAllocatesNothing(t *testing.T) {
 	}
 	if !fr.drained() {
 		t.Fatal("an empty buffer counted as holding a frame")
+	}
+}
+
+// TestBroadcastAllocatesNothing: a fire frame put into one connection's
+// buffer allocates nothing once its names are defined on the connection.
+func TestBroadcastAllocatesNothing(t *testing.T) {
+	srv, err := NewServer(rcep.Config{Rules: `
+CREATE RULE r1, repeat read
+ON WITHIN(observation(r, o, t1); observation(r, o, t2), 5sec)
+IF true
+DO INSERT INTO ALERTS VALUES ('dup', o, t1)
+`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.fanout = []*clientConn{{FrameWriter: NewFrameWriter(io.Discard)}}
+	binds := event.MakeBindings(map[string]event.Value{
+		"o": event.StringValue("urn:epc:id:gid:1.2.3"), "r": event.StringValue("dock1"), "t1": event.TimeValue(5),
+	})
+	fire := func() {
+		srv.fire = Message{Type: "fire", Rule: "r1", Name: "repeat read", BeginNS: 5, EndNS: 9, Binds: binds}
+		srv.broadcast()
+	}
+	if allocs := testing.AllocsPerRun(100, fire); allocs != 0 {
+		t.Fatalf("a broadcast to one connection allocates %v", allocs)
 	}
 }
 

@@ -181,6 +181,7 @@ type Server struct {
 	// fanout is the frame's broadcast list, snapshotted at its first fire
 	// and flushed before applyFrame returns; guarded by emu.
 	fanout  []*clientConn
+	fire    Message // the fire frame broadcast puts; guarded by emu
 	closing bool
 	wg      sync.WaitGroup // live connection handlers
 	opts    serverOpts
@@ -374,10 +375,11 @@ func NewServer(cfg rcep.Config, opts ...Option) (*Server, error) {
 		if user != nil {
 			user(d)
 		}
-		s.broadcast(Message{
+		s.fire = Message{
 			Type: "fire", Rule: d.RuleID, Name: d.RuleName,
 			BeginNS: int64(d.Begin), EndNS: int64(d.End), Binds: d.Binds,
-		})
+		}
+		s.broadcast()
 	}
 	eng, err := rcep.New(cfg)
 	if err != nil {
@@ -475,10 +477,11 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// broadcast puts a fire frame into every connection's buffer. The engine
-// detects only inside calls the server makes under emu, so the frame's
-// applyFrame flushes what it wrote.
-func (s *Server) broadcast(m Message) {
+// broadcast puts s.fire into every connection's buffer. The engine
+// detects only inside calls the server makes under emu, so one
+// server-owned frame serves every firing, and the frame's applyFrame
+// flushes what it wrote.
+func (s *Server) broadcast() {
 	if len(s.fanout) == 0 {
 		s.cmu.Lock()
 		for c := range s.clients {
@@ -487,7 +490,7 @@ func (s *Server) broadcast(m Message) {
 		s.cmu.Unlock()
 	}
 	for _, c := range s.fanout {
-		_ = c.Put(&m)
+		_ = c.Put(&s.fire)
 	}
 }
 

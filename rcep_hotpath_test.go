@@ -1,6 +1,8 @@
 package rcep
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 	"time"
@@ -102,6 +104,11 @@ func runFacadeMode(t *testing.T, fs facadeScenario, shards int) facadeRun {
 	if err := eng.Close(); err != nil {
 		t.Fatalf("Close(%s): %v", fs.name, err)
 	}
+	var saved bytes.Buffer
+	if err := eng.SaveStore(&saved); err != nil {
+		t.Fatalf("SaveStore(%s): %v", fs.name, err)
+	}
+	run.store = sha256.Sum256(saved.Bytes())
 	run.tables = dumpTables(t, eng)
 	for _, tbl := range fs.tables {
 		_, rows, err := eng.Query("SELECT * FROM " + tbl)
@@ -114,6 +121,23 @@ func runFacadeMode(t *testing.T, fs facadeScenario, shards int) facadeRun {
 	}
 	run.shards = eng.Shards()
 	return run
+}
+
+// TestFacadeStoreGolden pins, byte for byte, the store each scenario's
+// rule firings leave on one bare engine: the SHA-256 of SaveStore's bytes
+// after Close. A change to how actions execute must not move them.
+func TestFacadeStoreGolden(t *testing.T) {
+	want := map[string]string{
+		"supply-chain": "1fff781e183da57802cbd28f59a1d3b943e489d2782df5a4e21a0a7326fa6e17",
+		"library":      "2efc267838f250f91f445212fceb2050260c22a783528657bf771e443aeb7ea2",
+		"cold-chain":   "12bcedfa2f3eea348250cb507545bbc7f3fab214442e2afc3596320d9844129f",
+		"baggage":      "befa14a928383d3301852b4b23eb252e59b1961743386046c71e57ddcc87fd20",
+	}
+	for _, fs := range hotpathScenarios() {
+		if got := fmt.Sprintf("%x", runFacadeMode(t, fs, 0).store); got != want[fs.name] {
+			t.Errorf("%s: store SHA-256 %s, want %s", fs.name, got, want[fs.name])
+		}
+	}
 }
 
 // TestCompiledFacadeEquivalence runs every library scenario end to end —

@@ -62,6 +62,7 @@ type facadeRun struct {
 	tables  []string
 	procs   []string
 	shards  int
+	store   [32]byte // SHA-256 of SaveStore after Close (runFacadeMode)
 }
 
 // runFacade replays the scenario through an Engine with the given shard
