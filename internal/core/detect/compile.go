@@ -2,6 +2,7 @@ package detect
 
 import (
 	"sort"
+	"strings"
 
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
@@ -259,7 +260,7 @@ func (e *Engine) matchPlan(pl *primPlan, obs *event.Observation, osym event.Symb
 	if len(pl.binds) == 0 {
 		return nil, pl.guard == nil || e.guardPass(pl.guard, event.BindsLookup(nil), nil)
 	}
-	binds := e.allocBinds(len(pl.binds))
+	binds := e.slab.Bindings(len(pl.binds))
 	for i, s := range pl.binds {
 		switch s.src {
 		case srcReader:
@@ -283,15 +284,15 @@ func (e *Engine) predPass(pp *predPlan, arg string, sym event.Symbol) bool {
 	switch pp.kind {
 	case predGroup:
 		for _, g := range e.groupsOfSym(sym, arg) {
-			if pp.op.Eval(compareStr(g, pp.val)) {
+			if pp.op.Eval(strings.Compare(g, pp.val)) {
 				return true
 			}
 		}
 		return false
 	case predType:
-		return pp.op.Eval(compareStr(e.typeOfSym(sym, arg), pp.val))
+		return pp.op.Eval(strings.Compare(e.typeOfSym(sym, arg), pp.val))
 	}
-	return pp.op.Eval(compareStr(arg, pp.val))
+	return pp.op.Eval(strings.Compare(arg, pp.val))
 }
 
 // groupsOfSym memoizes the group function in a flat slice indexed by

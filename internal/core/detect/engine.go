@@ -112,50 +112,50 @@ type Engine struct {
 	filterPool  []event.Bindings
 	psPool      []*pseudoEvent
 
-	// instSlab and bindSlab are the hot-path arenas (DESIGN.md §12):
-	// instances and binding arrays are carved out of large slabs instead
-	// of malloc'd one by one. Delivered instances are never recycled —
-	// a slab is abandoned (kept alive by its outstanding pointers, then
-	// collected with them) once full, which preserves the no-aliasing
-	// contract of TestPooledNoAliasingIntoDetections while cutting the
-	// allocation count by the slab size.
-	instSlab []event.Instance
-	bindSlab []event.Binding
+	// slab holds the hot-path arenas (DESIGN.md §12).
+	slab slabs
 
 	// batchScratch is the engine-owned sort buffer for IngestBatch, so an
 	// unsorted batch costs no allocation after the first.
 	batchScratch []event.Observation
 }
 
-// Arena slab sizes: one malloc amortized over this many objects.
-const (
-	instSlabSize = 256
-	bindSlabSize = 1024
-)
+// slabs are the engine's hot-path arenas (DESIGN.md §12): instances,
+// binding arrays and list values are carved out of chunks instead of
+// malloc'd one by one. A full chunk is abandoned, never recycled: its
+// pieces keep it alive and it is collected with them, which preserves the
+// no-aliasing contract of TestPooledNoAliasingIntoDetections. A piece in
+// history pins its whole chunk, so the sizes (elements per chunk, one
+// malloc each) trade allocations for retained heap.
+type slabs struct {
+	inst  []event.Instance
+	binds []event.Binding
+	vals  []event.Value
+}
+
+const instSlabSize, bindSlabSize, valSlabSize = 64, 256, 256
+
+// carve slices n elements off *slab with cap == n, so an append relocates
+// instead of clobbering a neighbour. A slab without room for n is
+// abandoned for a fresh one of max(size, n).
+func carve[T any](slab *[]T, n, size int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(size, n))
+	}
+	off := len(*slab)
+	*slab = (*slab)[:off+n]
+	return (*slab)[off : off+n : off+n]
+}
+
+// Bindings and Values make slabs the event.Allocator of CollectLists.
+func (s *slabs) Bindings(n int) event.Bindings { return carve(&s.binds, n, bindSlabSize) }
+func (s *slabs) Values(n int) []event.Value    { return carve(&s.vals, n, valSlabSize) }
 
 // newInstance carves an event instance out of the instance slab.
 func (e *Engine) newInstance(begin, end event.Time, binds event.Bindings, seq uint64) *event.Instance {
-	if len(e.instSlab) == cap(e.instSlab) {
-		e.instSlab = make([]event.Instance, 0, instSlabSize)
-	}
-	e.instSlab = append(e.instSlab, event.Instance{Begin: begin, End: end, Binds: binds, Seq: seq})
-	return &e.instSlab[len(e.instSlab)-1]
-}
-
-// allocBinds carves a length-n bindings array out of the bindings slab.
-// The returned slice has cap == n, so append-style growth relocates off
-// the slab instead of clobbering a neighbour.
-func (e *Engine) allocBinds(n int) event.Bindings {
-	if cap(e.bindSlab)-len(e.bindSlab) < n {
-		size := bindSlabSize
-		if n > size {
-			size = n
-		}
-		e.bindSlab = make([]event.Binding, 0, size)
-	}
-	off := len(e.bindSlab)
-	e.bindSlab = e.bindSlab[:off+n]
-	return event.Bindings(e.bindSlab[off : off+n : off+n])
+	in := &carve(&e.slab.inst, 1, instSlabSize)[0]
+	*in = event.Instance{Begin: begin, End: end, Binds: binds, Seq: seq}
+	return in
 }
 
 // mergeBinds is Bindings.Merge allocating its result from the slab.
@@ -163,7 +163,7 @@ func (e *Engine) mergeBinds(b, o event.Bindings) event.Bindings {
 	if len(b) == 0 && len(o) == 0 {
 		return nil
 	}
-	m := e.allocBinds(len(b) + len(o))[:0]
+	m := e.slab.Bindings(len(b) + len(o))[:0]
 	i, j := 0, 0
 	for i < len(b) || j < len(o) {
 		switch {
@@ -395,15 +395,12 @@ func closureDelay(n *graph.Node) time.Duration {
 		return 0
 	case graph.KindSeq:
 		return closureDelay(n.Right())
-	default: // Or, And
-		var d time.Duration
-		for _, c := range n.Children {
-			if cd := closureDelay(c); cd > d {
-				d = cd
-			}
-		}
-		return d
 	}
+	var d time.Duration // Or, And
+	for _, c := range n.Children {
+		d = max(d, closureDelay(c))
+	}
+	return d
 }
 
 // emitLag bounds how far behind the clock an instance n delivers can end:
@@ -533,17 +530,6 @@ func (e *Engine) Close() {
 func (e *Engine) nextSeq() uint64 {
 	e.seq++
 	return e.seq
-}
-
-func compareStr(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // schedule enqueues a pseudo event.

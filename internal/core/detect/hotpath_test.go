@@ -109,6 +109,43 @@ func TestAllocBudgetNegation(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetRunClose pins a closing TSEQ+ run at zero allocations:
+// the run's list bindings and their values come from the engine's arenas,
+// like its elements' bindings and instances. A run of 4 elements binds 2
+// variables, so a list per variable on the heap would cost 3 per close.
+func TestAllocBudgetRunClose(t *testing.T) {
+	rule := &event.TSeqPlus{X: prim("r1", "o", "t"), Lo: 0, Hi: time.Second}
+	runs := 0
+	eng, err := New(Config{Graph: buildGraph(t, map[int]event.Expr{1: rule}),
+		OnDetect: func(_ int, inst *event.Instance) {
+			if inst.Binds.Val("o").Len() == 4 {
+				runs++
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := event.Time(0)
+	run := func() { // closes the run before it
+		now += event.Time(10 * time.Second)
+		for i := range 4 {
+			at := now.Add(time.Duration(i) * 100 * time.Millisecond)
+			if err := eng.Ingest(event.Observation{Reader: "r1", Object: "tag-7", At: at}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 100; i++ {
+		run()
+	}
+	if avg := testing.AllocsPerRun(200, run); avg > 0 {
+		t.Fatalf("a TSEQ+ run and its close allocate %.1f, budget is 0", avg)
+	}
+	if runs != 300 {
+		t.Fatalf("%d runs of 4 closed, want 300", runs)
+	}
+}
+
 // TestAllocBudgetNewObject pins the cost of a join key's first sighting on
 // the duplicate-filter join: the interned object string is the partition
 // key and reclaimed partitions recycle, so an object never seen before

@@ -445,7 +445,7 @@ func (e *Engine) closeOpen(n *graph.Node, st *nodeState) {
 		return
 	}
 	rec := st.open
-	inst := e.newInstance(rec.begin, rec.last, event.CollectLists(rec.elems), e.nextSeq())
+	inst := e.newInstance(rec.begin, rec.last, event.CollectLists(rec.elems, &e.slab), e.nextSeq())
 	accs := rec.accs
 	st.open = nil
 	// The guard reads the run's running accumulators; the Seq number is
@@ -536,7 +536,7 @@ func (e *Engine) querySeqPlus(n *graph.Node, w0, w1 event.Time, filter event.Bin
 	}
 	// The Seq number is consumed before the guards, so a rejected run
 	// still shifts the numbering of later instances.
-	seqInst := e.newInstance(begin, end, event.CollectLists(elems), e.nextSeq())
+	seqInst := e.newInstance(begin, end, event.CollectLists(elems, &e.slab), e.nextSeq())
 	if st.guard != nil && !e.guardPass(st.guard, event.BindsLookup(seqInst.Binds), nil) {
 		return nil
 	}

@@ -81,7 +81,7 @@ func (m *primRef) match(p *event.Prim, obs event.Observation) (event.Bindings, b
 			// satisfies the comparison.
 			matched := false
 			for _, g := range m.groupsOf(arg) {
-				if pred.Op.Eval(compareStr(g, pred.Val)) {
+				if pred.Op.Eval(strings.Compare(g, pred.Val)) {
 					matched = true
 					break
 				}
@@ -100,7 +100,7 @@ func (m *primRef) match(p *event.Prim, obs event.Observation) (event.Bindings, b
 		cmp, ok := got.Compare(event.ParseScalar(pred.Val))
 		if !ok {
 			// Mixed kinds fall back to string comparison.
-			cmp = compareStr(got.String(), pred.Val)
+			cmp = strings.Compare(got.String(), pred.Val)
 		}
 		if !pred.Op.Eval(cmp) {
 			return nil, false

@@ -212,7 +212,7 @@ func TestCollectLists(t *testing.T) {
 		MakeBindings(map[string]Value{"o": StringValue("o2"), "t": TimeValue(ts(2))}),
 		MakeBindings(map[string]Value{"o": StringValue("o3")}),
 	}
-	got := CollectLists(elems)
+	got := CollectLists(elems, nil)
 	ov := got.Val("o")
 	if ov.Kind() != KindList || ov.Len() != 3 || ov.Elem(2).Str() != "o3" {
 		t.Errorf("o list wrong: %v", ov)
@@ -221,7 +221,7 @@ func TestCollectLists(t *testing.T) {
 	if tv.Len() != 3 || !tv.Elem(2).IsNull() {
 		t.Errorf("t list should pad with null: %v", tv)
 	}
-	if CollectLists(nil) != nil {
+	if CollectLists(nil, nil) != nil {
 		t.Errorf("empty collect should be nil")
 	}
 }

@@ -470,13 +470,30 @@ func (b Bindings) AppendText(dst []byte) []byte {
 	return append(dst, '}')
 }
 
+// Allocator supplies the storage CollectLists fills: full-capacity slices
+// of length n. detect carves them out of its engine's arenas.
+type Allocator interface {
+	Bindings(n int) Bindings
+	Values(n int) []Value
+}
+
+// heap is the Allocator of a nil Allocator: plain make.
+type heap struct{}
+
+func (heap) Bindings(n int) Bindings { return make(Bindings, n) }
+func (heap) Values(n int) []Value    { return make([]Value, n) }
+
 // CollectLists merges a sequence of element bindings into list bindings:
 // for every variable bound by any element, the result binds that variable
 // to the ordered list of its values across elements (null where an element
-// did not bind it). Used by SEQ+/TSEQ+ when a sequence closes.
-func CollectLists(elems []Bindings) Bindings {
+// did not bind it). Used by SEQ+/TSEQ+ when a sequence closes. The result
+// and its lists come from a, or from make when a is nil.
+func CollectLists(elems []Bindings, a Allocator) Bindings {
 	if len(elems) == 0 {
 		return nil
+	}
+	if a == nil {
+		a = heap{}
 	}
 	// Elements bind few variables; a sorted-insert slice, on the stack for
 	// up to eight, beats a map both in allocations and in the final sort
@@ -494,13 +511,13 @@ func CollectLists(elems []Bindings) Bindings {
 			keys[i] = kv.Var
 		}
 	}
-	out := make(Bindings, 0, len(keys))
-	for _, k := range keys {
-		vals := make([]Value, len(elems))
+	out := a.Bindings(len(keys))
+	for j, k := range keys {
+		vals := a.Values(len(elems))
 		for i, e := range elems {
 			vals[i], _ = e.Get(k)
 		}
-		out = append(out, Binding{Var: k, Val: ListValue(vals)})
+		out[j] = Binding{Var: k, Val: ListValue(vals)}
 	}
 	return out
 }

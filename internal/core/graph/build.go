@@ -502,20 +502,20 @@ func (b *Builder) assignHistory() {
 		case KindNot:
 			c := n.Child()
 			c.NeedsHistory = true
-			c.Retention = maxDuration(c.Retention, b.lookback(n))
+			c.Retention = max(c.Retention, b.lookback(n))
 		case KindSeqPlus:
 			if n.Mode == ModePull {
 				// Pull SEQ+ answers queries from its child's history.
 				c := n.Child()
 				c.NeedsHistory = true
-				c.Retention = maxDuration(c.Retention, b.lookback(n))
+				c.Retention = max(c.Retention, b.lookback(n))
 			}
 		case KindSeq:
 			if l := n.Left(); l.Kind == KindSeqPlus {
 				// Pulled SEQ+/TSEQ+ initiators are queried (and TSEQ+
 				// lazily closed) on terminator arrival.
 				l.NeedsHistory = true
-				l.Retention = maxDuration(l.Retention, b.lookback(n))
+				l.Retention = max(l.Retention, b.lookback(n))
 			}
 		}
 	}
@@ -554,14 +554,7 @@ func (b *Builder) lookback(n *Node) time.Duration {
 	}
 	var above time.Duration
 	for _, p := range n.Parents {
-		above = maxDuration(above, b.lookback(p))
+		above = max(above, b.lookback(p))
 	}
 	return need + above
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -14,6 +14,7 @@ package eca
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
@@ -350,7 +351,7 @@ func (e *Engine) seqPlusFlush(sp *node) (*inst, bool) {
 	}
 	out := &inst{
 		begin: elems[0].begin, end: elems[len(elems)-1].end,
-		binds: event.CollectLists(binds), ok: ok, seq: e.nextSeq(),
+		binds: event.CollectLists(binds, nil), ok: ok, seq: e.nextSeq(),
 	}
 	if sp.hasWithin && int64(out.end-out.begin) > sp.within {
 		out.ok = false
@@ -371,7 +372,7 @@ func matchPrim(p *event.Prim, obs event.Observation, groups func(string) []strin
 		case "group":
 			matched := false
 			for _, g := range groups(obs.Reader) {
-				if pred.Op.Eval(cmpStr(g, pred.Val)) {
+				if pred.Op.Eval(strings.Compare(g, pred.Val)) {
 					matched = true
 					break
 				}
@@ -380,7 +381,7 @@ func matchPrim(p *event.Prim, obs event.Observation, groups func(string) []strin
 				return nil, false
 			}
 		case "type":
-			if !pred.Op.Eval(cmpStr(typeOf(obs.Object), pred.Val)) {
+			if !pred.Op.Eval(strings.Compare(typeOf(obs.Object), pred.Val)) {
 				return nil, false
 			}
 		default:
@@ -393,7 +394,7 @@ func matchPrim(p *event.Prim, obs event.Observation, groups func(string) []strin
 			default:
 				return nil, false
 			}
-			if !pred.Op.Eval(cmpStr(got, pred.Val)) {
+			if !pred.Op.Eval(strings.Compare(got, pred.Val)) {
 				return nil, false
 			}
 		}
@@ -409,15 +410,4 @@ func matchPrim(p *event.Prim, obs event.Observation, groups func(string) []strin
 		binds = binds.Set(p.At.Var, event.TimeValue(obs.At))
 	}
 	return binds, true
-}
-
-func cmpStr(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }

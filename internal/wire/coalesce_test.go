@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -277,6 +278,34 @@ DO INSERT INTO ALERTS VALUES ('dup', o, t1)
 	}
 	if allocs := testing.AllocsPerRun(100, fire); allocs != 0 {
 		t.Fatalf("a broadcast to one connection allocates %v", allocs)
+	}
+}
+
+// TestAllocBudgetFireRead: reading a fire whose names are defined on the
+// connection allocates only the boxes of its string and its number; the
+// Bindings map is the reader's, reused from fire to fire.
+func TestAllocBudgetFireRead(t *testing.T) {
+	var buf bytes.Buffer
+	w, fr := NewFrameWriter(&buf), NewFrameReader(&buf)
+	fire := Message{Type: "fire", Rule: "r1", Name: "repeat read", BeginNS: 5, EndNS: 9,
+		Binds: event.MakeBindings(map[string]event.Value{
+			"o": event.StringValue("urn:epc:id:gid:1.2.3"), "n": event.IntValue(7), "ok": event.BoolValue(true),
+		})}
+	var m Message
+	round := func() {
+		if err := w.Send(&fire); err != nil {
+			t.Fatal(err)
+		}
+		if err := fr.Read(&m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs > 2 {
+		t.Fatalf("reading a fire allocates %v, budget is 2", allocs)
+	}
+	if want := map[string]any{"o": "urn:epc:id:gid:1.2.3", "n": 7.0, "ok": true}; !reflect.DeepEqual(m.Bindings, want) {
+		t.Fatalf("read bindings %v, want %v", m.Bindings, want)
 	}
 }
 

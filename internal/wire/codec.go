@@ -37,8 +37,9 @@ import (
 // a float is its 8 IEEE 754 bytes, little-endian; a list is a uvarint
 // count and that many values, nested at most maxDepth deep. A reader
 // decodes a fire into the Message that json.Unmarshal gives for its JSON
-// rendering: a fresh Bindings map of float64 numbers, []any lists and
-// "UC" for the open-ended time (rcep.Detection.Bindings).
+// rendering: a Bindings map of float64 numbers, []any lists and "UC" for
+// the open-ended time (rcep.Detection.Bindings), nil for no bindings. The
+// map is the reader's, cleared and refilled by its next binary fire.
 //
 // A symbol is a uvarint index into the connection's symbol table. The
 // index equal to the table's length defines the next entry: a uvarint
@@ -226,8 +227,9 @@ type FrameReader struct {
 	canon *event.Interner // the server's: batch names are canonical from definition
 	syms  []string
 	buf   []byte
-	p     []byte // the binary payload still to decode
-	bad   bool   // the payload failed to decode
+	p     []byte         // the binary payload still to decode
+	bad   bool           // the payload failed to decode
+	binds map[string]any // a binary fire's Bindings, reused by the next fire
 }
 
 // NewFrameReader reads frames from r.
@@ -237,8 +239,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 
 // Read decodes the next frame into m, overwriting it. A binary batch
 // reuses m.Batch's backing array, so a caller that keeps a batch past the
-// next Read must pass a fresh Message. An oversized batch returns
-// *BatchTooLargeError; after any other error the stream is unusable.
+// next Read must pass a fresh Message. A binary fire's Bindings is the
+// reader's own map, valid until the next Read: maps.Clone keeps it. An
+// oversized batch returns *BatchTooLargeError; after any other error the
+// stream is unusable.
 func (r *FrameReader) Read(m *Message) error {
 	batch := m.Batch[:0]
 	*m = Message{} // json.Unmarshal would keep a reused element's old fields
@@ -355,7 +359,11 @@ func (r *FrameReader) readBinary(tag byte, m *Message) (int, error) {
 		m.BeginNS, m.EndNS = r.varint(), r.varint()
 		n := r.count()
 		if n > 0 {
-			m.Bindings = make(map[string]any, min(n, 16))
+			if r.binds == nil {
+				r.binds = make(map[string]any, min(n, 16))
+			}
+			clear(r.binds)
+			m.Bindings = r.binds
 		}
 		for ; n > 0 && !r.bad; n-- {
 			k := r.text()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"net"
@@ -52,7 +53,8 @@ func randomFrame(r *rand.Rand, i int) Message {
 }
 
 // readAll decodes every frame in b into one reused Message, as a server
-// handler does, keeping a copy of each.
+// handler does, keeping a copy of each: a fire's Bindings is the reader's
+// map until the next Read, so the copy clones it.
 func readAll(t *testing.T, b []byte) []Message {
 	t.Helper()
 	fr := NewFrameReader(bytes.NewReader(b))
@@ -67,6 +69,7 @@ func readAll(t *testing.T, b []byte) []Message {
 			t.Fatalf("frame %d: %v", len(out), err)
 		}
 		c := m
+		c.Bindings = maps.Clone(m.Bindings)
 		c.Batch = slices.Clone(m.Batch)
 		if len(c.Batch) == 0 {
 			c.Batch = nil
@@ -454,15 +457,27 @@ func jsonRendering(t *testing.T, m Message) Message {
 // TestFireFrameMatchesJSON: a fire built from event.Bindings goes binary
 // and reads back as the Message json.Unmarshal gives for its JSON
 // rendering — float64 numbers, []any lists, "UC" a string, no map for no
-// bindings — whatever its bindings hold.
+// bindings — whatever its bindings hold. The fires go through one reader,
+// whose Bindings map each fire reuses: the fixed first three (three
+// bindings, then one under other names, then none) catch a key or a map
+// left over from the fire before.
 func TestFireFrameMatchesJSON(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	var buf bytes.Buffer
 	w := NewFrameWriter(&buf)
 	fr := NewFrameReader(&buf)
 	kinds := map[string]bool{}
+	seeds := []Message{
+		{Type: "fire", Rule: "r1", Name: "n", Binds: event.MakeBindings(map[string]event.Value{
+			"o": event.StringValue("p1"), "n": event.IntValue(3), "ok": event.BoolValue(true)})},
+		{Type: "fire", Rule: "r1", Name: "n", Binds: event.Bindings{{Var: "x", Val: event.StringValue("p2")}}},
+		{Type: "fire", Rule: "r1", Name: "n"},
+	}
 	for i := 0; i < 2000; i++ {
 		m := randomFire(r, i)
+		if i < len(seeds) {
+			m = seeds[i]
+		}
 		for _, kv := range m.Binds {
 			kinds[kv.Val.Kind().String()] = true
 		}

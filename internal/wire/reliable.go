@@ -132,7 +132,8 @@ type ReliableOptions struct {
 	// OnShed observes each frame dropped by DropOldestOnFull. The frame's
 	// Batch is valid only during the callback: its storage is recycled.
 	OnShed func(Message)
-
+	// OnFire, when set, receives rule firings as they arrive. A firing's
+	// Bindings is valid during the callback only: maps.Clone keeps it.
 	OnFire func(Message)
 	// OnReconnect is called after each lost session, with the total
 	// reconnect count.
@@ -724,7 +725,9 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 	go func() {
 		defer close(readerDone)
 		fr := NewFrameReader(conn)
-		var m Message // Read resets it; callbacks get copies
+		// Read resets m; callbacks get copies, but a fire's Bindings is
+		// the reader's map, valid until the next Read.
+		var m Message
 		for {
 			if c.opt.PeerTimeout > 0 {
 				_ = conn.SetReadDeadline(time.Now().Add(c.opt.PeerTimeout))

@@ -93,7 +93,8 @@ type Message struct {
 	SQL string `json:"sql,omitempty"`
 
 	// fire. A server's fire carries the firing's Binds, valid while it is
-	// put; a reader decodes a fire into Bindings.
+	// put; a reader decodes a fire into Bindings, valid until its next
+	// Read (during OnFire): maps.Clone keeps it.
 	Rule     string         `json:"rule,omitempty"`
 	Name     string         `json:"name,omitempty"`
 	BeginNS  int64          `json:"begin_ns"`
@@ -911,7 +912,8 @@ type Client struct {
 	stats  chan Message
 	status chan Message
 	// OnFire, when set, receives rule firings as they arrive. Set it
-	// before the first frame that can fire.
+	// before the first frame that can fire. A firing's Bindings is valid
+	// during the callback only: maps.Clone keeps it.
 	OnFire func(Message)
 }
 
