@@ -5,12 +5,13 @@
 //
 // Usage:
 //
-//	experiments fig4              correctness: RCEDA vs type-level ECA (paper §4.1)
-//	experiments fig8              pseudo-event walkthrough (paper §4.5)
 //	experiments fig9 [-quick]     processing time vs #events and vs #rules (paper §5)
 //	experiments ablation [-quick] sub-graph merging, ECA throughput, pipeline, shards
 //	experiments graph             the paper's five rules as a Graphviz event graph
-//	experiments all [-quick]      fig4, fig8, fig9 and ablation
+//	experiments all [-quick]      fig9 and ablation
+//
+// Figs. 4 and 8 are tests: TestFig4CorrectDetection,
+// TestFig4BaselineIsIncorrect and TestFig8PseudoEventDetection.
 package main
 
 import (
@@ -20,10 +21,7 @@ import (
 	"time"
 
 	"rcep/internal/bench"
-	"rcep/internal/core/detect"
-	"rcep/internal/core/event"
 	"rcep/internal/core/graph"
-	"rcep/internal/eca"
 	"rcep/internal/prof"
 	"rcep/internal/rules"
 	"rcep/internal/sim"
@@ -49,10 +47,6 @@ func main() {
 	defer stop()
 
 	switch cmd {
-	case "fig4":
-		fig4()
-	case "fig8":
-		fig8()
 	case "fig9":
 		fig9(*quick)
 	case "ablation":
@@ -60,8 +54,6 @@ func main() {
 	case "graph":
 		graphDot()
 	case "all":
-		fig4()
-		fig8()
 		fig9(*quick)
 		ablation(*quick)
 	default:
@@ -70,7 +62,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: experiments fig4|fig8|fig9|ablation|graph|all [-quick] [-cpuprofile f] [-memprofile f] [-trace f]")
+	fmt.Fprintln(os.Stderr, "usage: experiments fig9|ablation|graph|all [-quick] [-cpuprofile f] [-memprofile f] [-trace f]")
 	os.Exit(2)
 }
 
@@ -89,130 +81,6 @@ func graphDot() {
 	if err := graph.WriteDot(os.Stdout, b.Finalize()); err != nil {
 		panic(err)
 	}
-}
-
-func ts(sec float64) event.Time { return event.Time(sec * float64(time.Second)) }
-
-func prim(reader, objVar, timeVar string) *event.Prim {
-	return &event.Prim{
-		Reader: event.Term{Lit: reader},
-		Object: event.Term{Var: objVar},
-		At:     event.Term{Var: timeVar},
-	}
-}
-
-func fig4Expr() event.Expr {
-	return &event.TSeq{
-		L:  &event.TSeqPlus{X: prim("r1", "o1", "t1"), Lo: 0, Hi: time.Second},
-		R:  prim("r2", "o2", "t2"),
-		Lo: 5 * time.Second, Hi: 10 * time.Second,
-	}
-}
-
-func fig4History() []event.Observation {
-	return []event.Observation{
-		{Reader: "r1", Object: "i1", At: ts(1)}, {Reader: "r1", Object: "i2", At: ts(2)},
-		{Reader: "r1", Object: "i3", At: ts(3)}, {Reader: "r1", Object: "i5", At: ts(5)},
-		{Reader: "r1", Object: "i6", At: ts(6)}, {Reader: "r1", Object: "i7", At: ts(7)},
-		{Reader: "r2", Object: "c1", At: ts(12)}, {Reader: "r2", Object: "c2", At: ts(15)},
-	}
-}
-
-// fig4 reproduces the paper's §4.1/Fig. 4 incorrectness argument.
-func fig4() {
-	fmt.Println("=== Fig 4: instance-level temporal constraints vs type-level ECA ===")
-	fmt.Println("event: E = TSEQ(TSEQ+(E1, 0sec, 1sec); E2, 5sec, 10sec)")
-	fmt.Println("history: e1@1,2,3  e1@5,6,7  e2@12  e2@15")
-	fmt.Println("expected instances: {e1@1,2,3 + e2@12}, {e1@5,6,7 + e2@15}")
-	fmt.Println()
-
-	b := graph.NewBuilder()
-	if _, err := b.AddRule(1, fig4Expr()); err != nil {
-		panic(err)
-	}
-	var rcedaOut []string
-	eng, err := detect.New(detect.Config{
-		Graph: b.Finalize(),
-		OnDetect: func(_ int, in *event.Instance) {
-			items, _ := in.Binds.Get("o1")
-			cs, _ := in.Binds.Get("o2")
-			rcedaOut = append(rcedaOut, fmt.Sprintf("  %v items=%v case=%v", in, items, cs))
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	for _, o := range fig4History() {
-		if err := eng.Ingest(o); err != nil {
-			panic(err)
-		}
-	}
-	eng.Close()
-	fmt.Printf("RCEDA detections: %d\n", len(rcedaOut))
-	for _, s := range rcedaOut {
-		fmt.Println(s)
-	}
-
-	baseline, err := eca.New(eca.Config{Rules: map[int]event.Expr{1: fig4Expr()}})
-	if err != nil {
-		panic(err)
-	}
-	ecaCount := 0
-	baseline2, _ := eca.New(eca.Config{
-		Rules:    map[int]event.Expr{1: fig4Expr()},
-		OnDetect: func(int, *event.Instance) { ecaCount++ },
-	})
-	for _, o := range fig4History() {
-		_ = baseline.Ingest(o)
-		_ = baseline2.Ingest(o)
-	}
-	m := baseline.Metrics()
-	fmt.Printf("type-level ECA detections: %d (assembled %d composite(s), all %d rejected by the post-hoc constraint check)\n",
-		ecaCount, m.Assembled, m.Rejected)
-	fmt.Println()
-}
-
-// fig8 replays the paper's Fig. 8 pseudo-event walkthrough.
-func fig8() {
-	fmt.Println("=== Fig 8: detecting WITHIN(E1 AND NOT E2, 10sec) with pseudo events ===")
-	fmt.Println("history: e2@2  e1@10  e1@20")
-	ex := &event.Within{
-		X:   &event.And{L: prim("r1", "o1", "t1"), R: &event.Not{X: prim("r2", "o2", "t2")}},
-		Max: 10 * time.Second,
-	}
-	b := graph.NewBuilder()
-	if _, err := b.AddRule(1, ex); err != nil {
-		panic(err)
-	}
-	eng, err := detect.New(detect.Config{
-		Graph: b.Finalize(),
-		OnDetect: func(_ int, in *event.Instance) {
-			fmt.Printf("  detected E spanning [%v, %v] with %v\n", in.Begin, in.End, in.Binds)
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	steps := []struct {
-		obs  event.Observation
-		note string
-	}{
-		{event.Observation{Reader: "r2", Object: "u1", At: ts(2)}, "e2@2 recorded in the negated child's history"},
-		{event.Observation{Reader: "r1", Object: "L1", At: ts(10)}, "e1@10 killed by e2@2 in window [0,10]"},
-		{event.Observation{Reader: "r1", Object: "L2", At: ts(20)}, "e1@20 clean in [10,20]; pseudo event scheduled at t=30"},
-	}
-	for _, s := range steps {
-		if err := eng.Ingest(s.obs); err != nil {
-			panic(err)
-		}
-		fmt.Printf("  t=%-4v %s\n", s.obs.At, s.note)
-	}
-	fmt.Println("  advancing to t=30 fires the pseudo event:")
-	if err := eng.AdvanceTo(ts(30)); err != nil {
-		panic(err)
-	}
-	m := eng.Metrics()
-	fmt.Printf("  pseudo events scheduled=%d fired=%d\n\n", m.PseudoScheduled, m.PseudoFired)
 }
 
 // fig9 regenerates the paper's performance figure: total event processing

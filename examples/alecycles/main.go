@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"rcep"
-	"rcep/internal/ale"
 	"rcep/internal/core/event"
 )
 
@@ -30,13 +29,13 @@ func main() {
 	}
 
 	// View 1: ALE event cycles.
-	collector, err := ale.NewCollector(ale.Spec{
+	collector, err := NewCollector(Spec{
 		Name:          "shelf-7-cycles",
 		Readers:       []string{"shelf-7"},
 		Period:        30 * time.Second,
-		Reports:       []ale.ReportType{ale.Additions, ale.Deletions},
+		Reports:       []ReportType{Additions, Deletions},
 		SuppressEmpty: true,
-	}, func(r ale.Report) {
+	}, func(r Report) {
 		fmt.Printf("ALE cycle %d [%v..%v) %-9s %v\n", r.Cycle, r.Start, r.End, r.Type, r.Objects)
 	})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // checkpointFormat versions the coordinator's serialized state.
-const checkpointFormat = "cluster/v1"
+const checkpointFormat = "cluster/v2"
 
 // checkpoint is the JSON form of a quiesced coordinator: per-shard
 // worker engine checkpoints (with end-to-end checksums), the detection
@@ -34,23 +34,16 @@ type checkpoint struct {
 	DetHigh   []uint64          `json:"det_high"`
 	Pending   []ckPending       `json:"pending,omitempty"`
 
-	// Journals carries each shard's journal suffix past what its engine
-	// checkpoint covers, with Jbase its absolute stream offset (0 means
-	// the suffix reaches stream start, preserving the full-replay
-	// fallback). At a quiesced SaveCheckpoint barrier the suffixes are
-	// empty, but a checkpoint published while a shard is detached — its
-	// engine checkpoint frozen at the partition's onset — needs them: a
-	// standby adopting the checkpoint replays the suffix into the
-	// replacement placement, so mid-partition failover loses nothing.
-	Journals [][]ckJentry `json:"journals,omitempty"`
-	Jbase    []int        `json:"jbase,omitempty"`
-}
-
-type ckJentry struct {
-	Adv    bool       `json:"adv,omitempty"`
-	Reader string     `json:"reader,omitempty"`
-	Object string     `json:"object,omitempty"`
-	At     event.Time `json:"at"`
+	// Journals carries each shard's journaled frames past what its
+	// engine checkpoint covers, and Trimmed whether that suffix no longer
+	// reaches stream start (false preserves the full-replay fallback).
+	// At a quiesced SaveCheckpoint barrier the suffixes are empty, but a
+	// checkpoint published while a shard is detached — its engine
+	// checkpoint frozen at the partition's onset — needs them: a standby
+	// adopting the checkpoint replays the suffix into the replacement
+	// placement, so mid-partition failover loses nothing.
+	Journals [][]record `json:"journals"`
+	Trimmed  []bool     `json:"trimmed"`
 }
 
 type ckPending struct {
@@ -64,7 +57,7 @@ type ckPending struct {
 }
 
 // SaveCheckpoint quiesces the cluster at a forced-checkpoint barrier and
-// writes a cluster/v1 snapshot. Completed fire-time groups are delivered
+// writes a cluster/v2 snapshot. Completed fire-time groups are delivered
 // as a side effect; the group at the current instant is serialized so a
 // restart cannot lose or split it.
 func (c *Coordinator) SaveCheckpoint(w io.Writer) error {
@@ -96,8 +89,8 @@ func (c *Coordinator) writeCheckpointLocked(w io.Writer) error {
 		Sums:      make([]uint32, n),
 		DetSeq:    append([]uint64(nil), c.ckDetSeq...),
 		DetHigh:   append([]uint64(nil), c.detHigh...),
-		Journals:  make([][]ckJentry, n),
-		Jbase:     make([]int, n),
+		Journals:  make([][]record, n),
+		Trimmed:   make([]bool, n),
 	}
 	for s := 0; s < n; s++ {
 		ids := make([]int, 0, len(c.part.ByShard[s]))
@@ -111,12 +104,8 @@ func (c *Coordinator) writeCheckpointLocked(w io.Writer) error {
 		if len(c.lastCk[s]) == 0 {
 			start = 0 // no engine checkpoint: the suffix is the whole journal
 		}
-		suffix := make([]ckJentry, 0, len(c.journal[s])-start)
-		for _, j := range c.journal[s][start:] {
-			suffix = append(suffix, ckJentry{Adv: j.adv, Reader: j.reader, Object: j.object, At: j.at})
-		}
-		ck.Journals[s] = suffix
-		ck.Jbase[s] = c.jbase[s] + start
+		ck.Journals[s] = c.journal[s][start:]
+		ck.Trimmed[s] = c.trimmed[s] || start > 0
 	}
 	for _, d := range c.pending {
 		ck.Pending = append(ck.Pending, ckPending{
@@ -145,7 +134,7 @@ func (c *Coordinator) publishCheckpointLocked() error {
 	return nil
 }
 
-// restore loads a cluster/v1 checkpoint into a freshly constructed
+// restore loads a cluster/v2 checkpoint into a freshly constructed
 // coordinator, before any links are placed. Truncated or corrupt state
 // is rejected with a clear error — every per-shard array must be exactly
 // shard-count long and every engine checkpoint must match its checksum —
@@ -163,9 +152,9 @@ func (c *Coordinator) restore(r io.Reader) error {
 		return fmt.Errorf("cluster: restore: checkpoint has %d shards, partition has %d", ck.Shards, n)
 	}
 	if len(ck.Rules) != n || len(ck.Engines) != n || len(ck.Sums) != n ||
-		len(ck.DetSeq) != n || len(ck.DetHigh) != n {
-		return fmt.Errorf("cluster: restore: truncated checkpoint: %d/%d/%d/%d/%d per-shard entries for %d shards",
-			len(ck.Rules), len(ck.Engines), len(ck.Sums), len(ck.DetSeq), len(ck.DetHigh), n)
+		len(ck.DetSeq) != n || len(ck.DetHigh) != n || len(ck.Journals) != n || len(ck.Trimmed) != n {
+		return fmt.Errorf("cluster: restore: truncated checkpoint: %d/%d/%d/%d/%d/%d/%d per-shard entries for %d shards",
+			len(ck.Rules), len(ck.Engines), len(ck.Sums), len(ck.DetSeq), len(ck.DetHigh), len(ck.Journals), len(ck.Trimmed), n)
 	}
 	for s := 0; s < n; s++ {
 		want := c.part.ByShard[s]
@@ -179,12 +168,6 @@ func (c *Coordinator) restore(r io.Reader) error {
 		}
 		if len(ck.Engines[s]) > 0 && crc32.ChecksumIEEE(ck.Engines[s]) != ck.Sums[s] {
 			return fmt.Errorf("cluster: restore: shard %d engine checkpoint fails its checksum (corrupt)", s)
-		}
-	}
-	if len(ck.Journals) > 0 || len(ck.Jbase) > 0 {
-		if len(ck.Journals) != n || len(ck.Jbase) != n {
-			return fmt.Errorf("cluster: restore: truncated checkpoint: %d journal suffixes, %d bases for %d shards",
-				len(ck.Journals), len(ck.Jbase), n)
 		}
 	}
 	// Bump the coordinator generation past the incarnation that wrote
@@ -205,22 +188,11 @@ func (c *Coordinator) restore(r io.Reader) error {
 		c.ckSum[s] = ck.Sums[s]
 		c.ckDetSeq[s] = ck.DetSeq[s]
 		c.detHigh[s] = ck.DetHigh[s]
-		if len(ck.Journals) == n {
-			// The checkpoint carried a journal suffix (non-empty when it
-			// was published while a shard was detached): the initial
-			// placement replays it on top of the engine checkpoint.
-			js := make([]jentry, 0, len(ck.Journals[s]))
-			for _, j := range ck.Journals[s] {
-				js = append(js, jentry{adv: j.Adv, reader: j.Reader, object: j.Object, at: j.At})
-			}
-			c.journal[s] = js
-			c.jbase[s] = ck.Jbase[s]
-		} else {
-			// Legacy checkpoint taken at a quiesced barrier: the journal
-			// suffix past it is empty, but it no longer reaches stream
-			// start.
-			c.jbase[s] = 1
-		}
+		// The suffix is non-empty when the checkpoint was published
+		// while a shard was detached: the initial placement replays it
+		// on top of the engine checkpoint.
+		c.journal[s] = ck.Journals[s]
+		c.trimmed[s] = ck.Trimmed[s]
 	}
 	for _, p := range ck.Pending {
 		c.pending = append(c.pending, shard.Detection{

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -51,11 +52,11 @@ type Config struct {
 
 	// CheckpointEvery takes a worker checkpoint every N barriers
 	// (default 4; negative disables automatic checkpoints). Checkpoints
-	// bound the journal: observations since the last confirmed
+	// bound the journal: the frames shipped since the last confirmed
 	// checkpoint are the replay cost of a handoff.
 	CheckpointEvery int
 
-	// RetainJournal keeps the full observation journal instead of
+	// RetainJournal keeps the full frame journal instead of
 	// truncating it at each confirmed checkpoint. It buys one extra
 	// recovery: a checkpoint that later turns out corrupt can fall back
 	// to a full replay. Memory grows with the stream.
@@ -76,7 +77,7 @@ type Config struct {
 	// link so silently dead links are detected between barriers.
 	LinkKeepalive time.Duration
 
-	// Checkpoint, when set, restores a cluster/v1 coordinator checkpoint
+	// Checkpoint, when set, restores a cluster/v2 coordinator checkpoint
 	// (SaveCheckpoint) before placing shards: workers resume from the
 	// embedded engine states and the held fire group is preserved.
 	Checkpoint io.Reader
@@ -115,7 +116,7 @@ type Config struct {
 	LeaseHolder string
 	LeaseTTL    time.Duration
 
-	// CheckpointPath, when set, publishes a cluster/v1 self-checkpoint
+	// CheckpointPath, when set, publishes a cluster/v2 self-checkpoint
 	// (atomic tmp+rename) after every checkpoint-cadence barrier — the
 	// state a warm standby adopts at takeover.
 	CheckpointPath string
@@ -125,13 +126,22 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// jentry is one journaled routing decision: an observation fanned to a
-// shard, or a clock advance. The journal since the last confirmed
-// checkpoint is exactly what a replacement worker must replay.
-type jentry struct {
-	adv            bool
-	reader, object string
-	at             event.Time
+// record is one journaled frame, as the coordinator shipped it to a
+// shard: a sealed batch of observations, or (nil Batch) a clock advance
+// to AtNS. The records since the last confirmed checkpoint are exactly
+// what a replacement worker must replay; the checkpoint carries them
+// unchanged.
+type record struct {
+	AtNS  int64           `json:"at_ns,omitempty"`
+	Batch []wire.BatchObs `json:"batch,omitempty"`
+}
+
+// msg renders the record as the frame it was shipped as.
+func (r record) msg() wire.Message {
+	if r.Batch == nil {
+		return wire.Message{Type: "advance", AtNS: r.AtNS}
+	}
+	return wire.Message{Type: "batch", Batch: r.Batch}
 }
 
 // link is one shard's current placement: a reliable client to the
@@ -177,9 +187,9 @@ type Coordinator struct {
 	links     []*link
 	epoch     []int
 	down      []bool
-	journal   [][]jentry
-	obsPend   [][]wire.BatchObs // per-shard observations journaled but not yet shipped (sealed into one batch frame)
-	jbase     []int             // absolute stream index of journal[s][0] (0 = journal reaches stream start)
+	journal   [][]record        // per-shard frames shipped, in order
+	obsPend   [][]wire.BatchObs // per-shard observations routed but not yet sealed into a batch frame
+	trimmed   []bool            // journal[s] no longer reaches stream start
 	ckStart   []int             // journal index the last confirmed checkpoint covers up to
 	lastCk    []json.RawMessage // last confirmed worker checkpoint per shard
 	ckSum     []uint32
@@ -275,9 +285,9 @@ func New(cfg Config) (*Coordinator, error) {
 		links:       make([]*link, n),
 		epoch:       make([]int, n),
 		down:        make([]bool, len(cfg.Workers)),
-		journal:     make([][]jentry, n),
+		journal:     make([][]record, n),
 		obsPend:     make([][]wire.BatchObs, n),
-		jbase:       make([]int, n),
+		trimmed:     make([]bool, n),
 		ckStart:     make([]int, n),
 		lastCk:      make([]json.RawMessage, n),
 		ckSum:       make([]uint32, n),
@@ -401,10 +411,8 @@ func (c *Coordinator) startLinkLocked(s, wkr int, useCk bool) error {
 		box.mu.Unlock()
 		box.ping()
 	}
-	// Anything pending for this shard is already journaled, so the
-	// replay below re-sends it on the fresh link; shipping it again as
-	// a batch frame would double-apply it under the new link's seqs.
-	c.obsPend[s] = nil
+	// Observations still pending for this shard are not journaled yet:
+	// they are sealed onto the fresh link after the replay, in order.
 	replay := c.journal[s]
 	if useCk {
 		replay = replay[c.ckStart[s]:]
@@ -439,21 +447,9 @@ func (c *Coordinator) startLinkLocked(s, wkr int, useCk bool) error {
 		return fmt.Errorf("cluster: shard %d on %s: %w", s, addr, err)
 	}
 	lk.assignSeq = seq
-	// Replay in journal order: each run of observations rides batch
-	// frames of at most maxShipBatch, each advance its own frame.
-	for len(replay) > 0 {
-		m := wire.Message{Type: "advance", AtNS: int64(replay[0].at)}
-		if replay[0].adv {
-			replay = replay[1:]
-		} else {
-			m = wire.Message{Type: "batch"}
-			for len(replay) > 0 && !replay[0].adv && len(m.Batch) < maxShipBatch {
-				j := replay[0]
-				m.Batch = append(m.Batch, wire.BatchObs{Reader: j.reader, Object: j.object, AtNS: int64(j.at)})
-				replay = replay[1:]
-			}
-		}
-		if _, err := client.SendFrame(m); err != nil {
+	// Replay the frames as they were first shipped.
+	for _, r := range replay {
+		if _, err := client.SendFrame(r.msg()); err != nil {
 			client.Abort()
 			return fmt.Errorf("cluster: shard %d on %s: replay: %w", s, addr, err)
 		}
@@ -515,7 +511,6 @@ func (c *Coordinator) ingestLocked(o event.Observation) error {
 	c.now = o.At
 	c.ingested++
 	for _, s := range c.router.ShardsFor(o.Reader) {
-		c.journal[s] = append(c.journal[s], jentry{reader: o.Reader, object: o.Object, at: o.At})
 		c.obsPend[s] = append(c.obsPend[s], wire.BatchObs{Reader: o.Reader, Object: o.Object, AtNS: int64(o.At)})
 		if len(c.obsPend[s]) >= maxShipBatch {
 			c.sealObsLocked(s)
@@ -534,21 +529,29 @@ func (c *Coordinator) ingestLocked(o event.Observation) error {
 // link never stalls behind one giant write.
 const maxShipBatch = 256
 
-// sealObsLocked ships shard s's pending observations as one sequenced
-// batch frame — the amortization that makes the coordinator's fan-out
-// cost one link write per read cycle instead of one per observation.
-// SendFrame and TrySendFrame copy the batch into a recycled ring frame
-// before they return, so the pending slice is reused for the next batch.
-// Must run before any non-batch frame is sent on the shard's link: a
-// sync or advance overtaking unsent observations would move the worker's
-// clock past them and poison the feed with out-of-order errors.
+// sealObsLocked journals shard s's pending observations as one batch
+// frame and ships it — the amortization that makes the coordinator's
+// fan-out cost one link write per read cycle instead of one per
+// observation. The journal keeps its own copy; SendFrame and TrySendFrame
+// copy the batch into a recycled ring frame before they return, so the
+// pending slice is reused for the next batch. Must run before any
+// non-batch frame is sent on the shard's link: a sync or advance
+// overtaking unsent observations would move the worker's clock past them
+// and poison the feed with out-of-order errors.
 func (c *Coordinator) sealObsLocked(s int) {
 	pend := c.obsPend[s]
 	if len(pend) == 0 {
 		return
 	}
-	c.sendShardLocked(s, wire.Message{Type: "batch", Batch: pend})
+	c.shipLocked(s, record{Batch: slices.Clone(pend)})
 	c.obsPend[s] = pend[:0]
+}
+
+// shipLocked journals one frame for shard s and sends it on the shard's
+// current link.
+func (c *Coordinator) shipLocked(s int, r record) {
+	c.journal[s] = append(c.journal[s], r)
+	c.sendShardLocked(s, r.msg())
 }
 
 // sendShardLocked routes one journaled frame to a shard's current link.
@@ -595,11 +598,9 @@ func (c *Coordinator) AdvanceTo(t event.Time) error {
 		return fmt.Errorf("%w: AdvanceTo(%s), coordinator at %s", detect.ErrOutOfOrder, t, c.now)
 	}
 	c.now = t
-	m := wire.Message{Type: "advance", AtNS: int64(t)}
 	for s := range c.links {
-		c.journal[s] = append(c.journal[s], jentry{adv: true, at: t})
 		c.sealObsLocked(s) // pending observations precede the advance on this link
-		c.sendShardLocked(s, m)
+		c.shipLocked(s, record{AtNS: int64(t)})
 	}
 	c.sinceSync++
 	if c.sinceSync >= c.cfg.SyncEvery {
@@ -717,6 +718,10 @@ func (c *Coordinator) barrierLocked(drain, deliverAll, forceCkpt bool) error {
 // demands completion) the shard is re-placed on failure until the
 // barrier succeeds or placements are exhausted.
 func (c *Coordinator) syncShardLocked(s int, ckpt, drain bool) error {
+	// Seal first, even for a detached shard that skips the barrier: the
+	// sync frame must not overtake unsent observations, and a checkpoint
+	// written after this barrier must find them in the journal.
+	c.sealObsLocked(s)
 	if c.detached[s] {
 		expired := c.cfg.Clock().Sub(c.detachedAt[s]) >= c.cfg.PartitionGrace
 		// A boot mismatch on reconnect means the worker process
@@ -818,7 +823,6 @@ func (c *Coordinator) clearDetachLocked(s int) {
 // barrierAttemptLocked sends sync (or drain) — plus ckpt when due — to
 // the shard's current placement and waits for the replies.
 func (c *Coordinator) barrierAttemptLocked(s int, ckpt, drain bool) ([]wire.ClusterDet, error) {
-	c.sealObsLocked(s) // the sync frame must not overtake unsent observations
 	lk := c.links[s]
 	deadline := time.Now().Add(c.cfg.BarrierTimeout)
 	typ := "sync"
@@ -867,8 +871,8 @@ func (c *Coordinator) barrierAttemptLocked(s int, ckpt, drain bool) ([]wire.Clus
 		if c.cfg.RetainJournal {
 			c.ckStart[s] = ckPos
 		} else {
-			c.journal[s] = append([]jentry(nil), c.journal[s][ckPos:]...)
-			c.jbase[s] += ckPos
+			c.journal[s] = append([]record(nil), c.journal[s][ckPos:]...)
+			c.trimmed[s] = c.trimmed[s] || ckPos > 0
 			c.ckStart[s] = 0
 		}
 	}
@@ -978,7 +982,7 @@ func (c *Coordinator) handoffLocked(s int, cause error) error {
 		cause = fmt.Errorf("%w: stored checkpoint for shard %d fails its checksum", errAssignFailed, s)
 	}
 	if errors.Is(cause, errAssignFailed) {
-		if c.jbase[s] != 0 {
+		if c.trimmed[s] {
 			return fmt.Errorf("cluster: shard %d: checkpoint rejected and journal was truncated past it (enable RetainJournal for full-replay recovery): %w", s, cause)
 		}
 		// Drop the rejected checkpoint: the journal reaches back to the

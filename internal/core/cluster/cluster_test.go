@@ -121,10 +121,12 @@ func TestCoordinatorCheckpointRestart(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRestoreRejectsCorruptCheckpoint proves cluster/v1
+// TestCoordinatorRestoreRejectsCorruptCheckpoint proves cluster/v2
 // loading never panics on damaged input: truncation at EVERY byte offset
 // either restores cleanly (a prefix that happens to decode whole —
-// only possible at full length) or fails with an error.
+// only possible at full length) or fails with an error. A cluster/v1
+// document, whose journal held one entry per observation, is refused by
+// name.
 func TestCoordinatorRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(9))
@@ -187,6 +189,17 @@ func TestCoordinatorRestoreRejectsCorruptCheckpoint(t *testing.T) {
 		t.Fatalf("bit-flipped checkpoint restored cleanly")
 	} else if !strings.Contains(err.Error(), "cluster: restore") {
 		t.Fatalf("unexpected error for bit flip: %v", err)
+	}
+
+	v1 := bytes.Replace(raw, []byte(`"format":"cluster/v2"`), []byte(`"format":"cluster/v1"`), 1)
+	if bytes.Equal(v1, raw) {
+		t.Fatalf("no cluster/v2 format field in checkpoint")
+	}
+	cfg.Checkpoint = bytes.NewReader(v1)
+	if _, err := New(cfg); err == nil {
+		t.Fatalf("cluster/v1 checkpoint restored cleanly")
+	} else if !strings.Contains(err.Error(), `"cluster/v1"`) {
+		t.Fatalf("cluster/v1 refusal does not name the format: %v", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -357,6 +359,90 @@ func TestClusterStandbyFailover(t *testing.T) {
 	}
 	diffStrings(t, "multiset", oracle, asMultiset(got))
 	diffStrings(t, "order", order, got)
+}
+
+// TestDetachedCheckpointCarriesJournal: a self-checkpoint published
+// while a shard is detached carries the frames journaled for it past its
+// frozen engine checkpoint, and a coordinator restored from that
+// checkpoint replays them — ending with exactly both oracles' detections.
+func TestDetachedCheckpointCarriesJournal(t *testing.T) {
+	t.Parallel()
+	seed := int64(13)
+	r := rand.New(rand.NewSource(seed))
+	rules := genRules(r, 6)
+	stream := genStream(r, 150)
+	cut := len(stream) / 3
+
+	base := WorkerConfig{Rules: rules, Shards: 4, Groups: genGroups, TypeOf: genTypeOf}
+	procs := make([]*workerProc, 4)
+	addrs := make([]string, len(procs))
+	for i := range procs {
+		procs[i] = newWorkerProc(t, base)
+		addrs[i] = procs[i].addr
+		defer procs[i].kill()
+	}
+	ckptPath := filepath.Join(t.TempDir(), "coord.ckpt")
+	var got []string
+	cfg := Config{
+		Rules: rules, Shards: 4, Workers: addrs,
+		Groups: genGroups, TypeOf: genTypeOf,
+		OnDetect:        func(rid int, inst *event.Instance) { got = append(got, sig(rid, inst)) },
+		SyncEvery:       4,
+		CheckpointEvery: 1,
+		BarrierTimeout:  500 * time.Millisecond,
+		PartitionGrace:  time.Minute,
+		CheckpointPath:  ckptPath,
+		Seed:            seed,
+	}
+	coord, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Abort()
+	ingest := func(c *Coordinator, obs []event.Observation) {
+		t.Helper()
+		for _, o := range obs {
+			if err := c.Ingest(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(coord, stream[:cut])
+	const s0 = 0
+	held := procs[coord.Placement()[s0]]
+	held.holdPartition()
+	ingest(coord, stream[cut:2*cut])
+	if coord.Detached() == 0 {
+		t.Fatalf("held partition detached no shard")
+	}
+
+	raw, err := os.ReadFile(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck checkpoint
+	if err := json.Unmarshal(raw, &ck); err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Journals[s0]) == 0 {
+		t.Fatalf("checkpoint published while shard %d was detached carries no journal suffix for it", s0)
+	}
+	coord.Abort()
+	held.heal()
+
+	cfg.Checkpoint = bytes.NewReader(raw)
+	coord2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Abort()
+	got = got[:coord2.Delivered()] // the successor re-delivers from its restored ordinal
+	ingest(coord2, stream[coord2.Ingested():])
+	if err := coord2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	diffStrings(t, "multiset", asMultiset(runSingle(t, rules, stream)), asMultiset(got))
+	diffStrings(t, "order", runShard(t, rules, stream, 4), got)
 }
 
 // TestClusterLeaseFencesZombie proves the fencing half of failover: a

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rcep/internal/core/event"
+	"rcep/internal/core/shard"
 	"rcep/internal/wire"
 )
 
@@ -171,9 +172,10 @@ func (c *frameCounter) Close() error {
 }
 
 // TestHandoffReplayShipsBatches: re-placing a shard replays its journal
-// with each run of observations in batch frames of at most maxShipBatch
-// and each advance in its own frame — not one frame per observation —
-// and the replacement still detects exactly what a single engine does.
+// as the frames first shipped — each run of observations in batch frames
+// of at most maxShipBatch and each advance in its own frame, not one
+// frame per observation — and the replacement still detects exactly what
+// a single engine does.
 func TestHandoffReplayShipsBatches(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(11))
@@ -224,22 +226,30 @@ func TestHandoffReplayShipsBatches(t *testing.T) {
 		}
 	}
 
-	// Frames the replay must send: the assign, each advance, and each
-	// run of observations between advances in maxShipBatch chunks.
-	coord.mu.Lock()
-	var obs, advs, want, run int
-	for _, j := range coord.journal[0] {
-		if j.adv {
-			advs++
-			want += (run + maxShipBatch - 1) / maxShipBatch
-			run = 0
-			continue
+	// Frames the replay must send: the assign, then every frame first
+	// shipped — each advance, and each run of routed observations between
+	// advances, sealed at maxShipBatch and at the advance or the barrier
+	// that ends it.
+	router := shard.NewRouter(shard.NewPartition(rules, 1, genGroups), genGroups)
+	obs, advs, want, run := 0, 0, 1, 0
+	for i, o := range stream {
+		if len(router.ShardsFor(o.Reader)) > 0 {
+			obs++
+			if run++; run == maxShipBatch {
+				want, run = want+1, 0
+			}
 		}
-		obs++
-		run++
+		if i%250 == 249 {
+			advs++
+			if run > 0 {
+				want, run = want+1, 0
+			}
+			want++
+		}
 	}
-	want += (run+maxShipBatch-1)/maxShipBatch + advs + 1
-	coord.mu.Unlock()
+	if run > 0 {
+		want++
+	}
 	if obs <= maxShipBatch || advs == 0 {
 		t.Fatalf("journal holds %d observations and %d advances; the test needs more than %d and some", obs, advs, maxShipBatch)
 	}

@@ -332,10 +332,7 @@ func (w *Worker) sequenced(m wire.Message, reply func(wire.Message)) bool {
 		// engine does not retain the slice, so it goes straight back to
 		// the pool.
 		f.obs += uint64(len(m.Batch))
-		b := event.GetBatch()
-		for _, bo := range m.Batch {
-			b = append(b, event.Observation{Reader: bo.Reader, Object: bo.Object, At: event.Time(bo.AtNS)})
-		}
+		b := wire.FrameBatch(m)
 		err := f.eng.IngestBatch(b)
 		event.PutBatch(b)
 		if err != nil {
@@ -367,7 +364,7 @@ func (w *Worker) sequenced(m wire.Message, reply func(wire.Message)) bool {
 		}
 		// Trim to the compact form JSON re-encoding preserves byte-for-
 		// byte, so the checksum survives every hop (wire, coordinator
-		// memory, cluster/v1 checkpoint) unchanged.
+		// memory, cluster/v2 checkpoint) unchanged.
 		ck := bytes.TrimSpace(buf.Bytes())
 		r := wire.Message{Type: "ckptres", Shard: f.shard, Seq: m.Seq,
 			Ck: json.RawMessage(ck), Sum: crc32.ChecksumIEEE(ck), DetSeq: f.dseq}

@@ -436,15 +436,6 @@ func (b Bindings) AppendProject(dst []byte, keys []string) []byte {
 	return dst
 }
 
-// Vars returns the sorted variable names bound in b.
-func (b Bindings) Vars() []string {
-	vars := make([]string, len(b))
-	for i, kv := range b {
-		vars[i] = kv.Var
-	}
-	return vars
-}
-
 // String renders bindings deterministically (sorted by variable).
 func (b Bindings) String() string {
 	if len(b) == 0 {

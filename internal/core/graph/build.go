@@ -81,9 +81,6 @@ func (b *Builder) Finalize() *Graph {
 	return b.g
 }
 
-// Graph returns the graph under construction without finalizing.
-func (b *Builder) Graph() *Graph { return b.g }
-
 // build converts the expression into a private node tree, folding WITHIN
 // into interval-constraint annotations.
 func (b *Builder) build(expr event.Expr, ruleID int) (*Node, error) {

@@ -42,7 +42,8 @@ func TestGuardedSeqBuildsWithKey(t *testing.T) {
 
 	// The same structure without a guard must not merge with it.
 	b2 := NewBuilder()
-	if _, err := b2.AddRule(0, expr); err != nil {
+	r1, err := b2.AddRule(0, expr)
+	if err != nil {
 		t.Fatal(err)
 	}
 	plain := &event.Within{
@@ -53,7 +54,7 @@ func TestGuardedSeqBuildsWithKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2 == b2.Graph().Roots[0] {
+	if r2 == r1 {
 		t.Fatal("guarded and unguarded roots merged")
 	}
 }

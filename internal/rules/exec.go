@@ -92,9 +92,6 @@ func (x *Executor) Bind(b *graph.Builder) error {
 	return nil
 }
 
-// Rules returns the bound rule set.
-func (x *Executor) Rules() *RuleSet { return x.rs }
-
 // Errors returns the errors collected by the default OnError handler.
 func (x *Executor) Errors() []error { return x.errs }
 

@@ -17,11 +17,6 @@ type Period struct {
 	Start, End event.Time
 }
 
-// Contains reports whether at falls inside the period.
-func (p Period) Contains(at event.Time) bool {
-	return !p.Start.After(at) && at.Before(p.End)
-}
-
 // LocationStay is one entry of an object's location history.
 type LocationStay struct {
 	Location string

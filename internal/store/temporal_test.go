@@ -126,13 +126,3 @@ func TestTraceUnknownObject(t *testing.T) {
 		t.Fatalf("ghost trace: %v %v", trace, err)
 	}
 }
-
-func TestPeriodContains(t *testing.T) {
-	p := Period{Start: ts(1), End: ts(5)}
-	if !p.Contains(ts(1)) || !p.Contains(ts(4.9)) {
-		t.Errorf("inclusive start / interior")
-	}
-	if p.Contains(ts(5)) || p.Contains(ts(0.5)) {
-		t.Errorf("exclusive end / before start")
-	}
-}

@@ -115,9 +115,6 @@ func (r *Reorder) Flush() error {
 	return r.release(event.MaxTime)
 }
 
-// Pending returns the number of buffered observations.
-func (r *Reorder) Pending() int { return len(r.buf) }
-
 func (r *Reorder) release(upto event.Time) error {
 	for len(r.buf) > 0 && r.buf[0].At <= upto {
 		obs := heap.Pop(&r.buf).(event.Observation)

@@ -451,8 +451,8 @@ func (s *Server) handOff(b event.Batch) error {
 	return s.eng.Flush()
 }
 
-// frameBatch copies a batch frame's observations into a pooled batch.
-func frameBatch(m Message) event.Batch {
+// FrameBatch copies a batch frame's observations into a pooled batch.
+func FrameBatch(m Message) event.Batch {
 	b := event.GetBatch()
 	for _, o := range m.Batch {
 		b = append(b, event.Observation{Reader: o.Reader, Object: o.Object, At: event.Time(o.AtNS)})
@@ -735,7 +735,7 @@ func (s *Server) applyFrame(cc *clientConn, m Message, claimed bool) {
 	case m.Type == "batch":
 		// One pooled batch per frame; the engine path consumes it
 		// synchronously, so it recycles immediately.
-		b := frameBatch(m)
+		b := FrameBatch(m)
 		err = s.ingestBatch(b)
 		event.PutBatch(b)
 	default:
