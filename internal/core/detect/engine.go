@@ -22,7 +22,10 @@ type Config struct {
 	Graph *graph.Graph
 
 	// Groups maps a reader EPC to the groups it belongs to. When nil,
-	// every reader is its own group (paper §2.1 default).
+	// every reader is its own group (paper §2.1 default). The engine
+	// calls it once per reader it meets, possibly from several shard
+	// workers at once, and only reads the result, so a function may
+	// return one shared slice per reader.
 	Groups func(reader string) []string
 
 	// TypeOf maps an object EPC to its type name, e.g. "laptop". When

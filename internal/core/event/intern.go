@@ -34,14 +34,16 @@ type chunk [1 << chunkShift]string
 // intern concurrently while detection engines resolve.
 //
 // Concurrency contract (DESIGN.md §9): readers take no lock and allocate
-// nothing (Intern, Canon and CanonBytes of a known name, Resolve, Len).
-// Writers, first sightings only, serialise on mu and write the name into
-// its chunk before they store its symbol in a slot, so a reader that finds
-// a slot finds the name. Symbols are assigned once per distinct string, in
-// first-sight order, and never change or get reused. The table only grows;
-// it never evicts (see docs/OPERATIONS.md for sizing).
+// nothing (Intern, Canon and CanonBytes of a known name, Len). Writers,
+// first sightings only, serialise on mu and write the name into its chunk
+// before they store its symbol in a slot, so a reader that finds a slot
+// finds the name. A string name is kept as given; a []byte one is copied
+// into the table's byte slab first. Symbols are assigned once per distinct
+// string, in first-sight order, and never change or get reused. The table
+// only grows; it never evicts (see docs/OPERATIONS.md for sizing).
 type Interner struct {
 	mu    sync.Mutex
+	slab  []byte // CanonBytes' first sightings, under mu (SlabString)
 	seed  maphash.Seed
 	n     atomic.Uint32                   // symbols assigned: 1..n
 	dir   atomic.Pointer[[]*chunk]        // (*dir)[(sym-1)>>chunkShift] holds sym's name
@@ -77,8 +79,9 @@ func find[T string | []byte](it *Interner, slots []atomic.Uint32, h uint64, s T)
 }
 
 // intern returns s's symbol and first-interned instance, assigning the
-// next symbol on first sight; only then is a []byte s copied.
-func intern[T string | []byte](it *Interner, h uint64, s T) (Symbol, string) {
+// next symbol on first sight. Only then is s kept: a string as given, a
+// []byte (slabbed) copied into the slab.
+func intern[T string | []byte](it *Interner, h uint64, s T, slabbed bool) (Symbol, string) {
 	if sym, name := find(it, *it.slots.Load(), h, s); sym != NoSymbol {
 		return sym, name
 	}
@@ -88,7 +91,12 @@ func intern[T string | []byte](it *Interner, h uint64, s T) (Symbol, string) {
 	if sym, name := find(it, slots, h, s); sym != NoSymbol { // another writer won
 		return sym, name
 	}
-	sym, name := Symbol(it.n.Load()+1), string(s)
+	sym, name := Symbol(it.n.Load()+1), ""
+	if slabbed {
+		name = SlabString(&it.slab, s)
+	} else {
+		name = string(s)
+	}
 	if 4*uint64(sym) > 3*uint64(len(slots)) {
 		slots = it.grow(slots)
 	}
@@ -129,17 +137,8 @@ func place(slots []atomic.Uint32, h uint64, sym Symbol) {
 // Intern returns the symbol for s, assigning the next dense symbol on
 // first sight.
 func (it *Interner) Intern(s string) Symbol {
-	sym, _ := intern(it, maphash.String(it.seed, s), s)
+	sym, _ := intern(it, maphash.String(it.seed, s), s, false)
 	return sym
-}
-
-// Resolve returns the string a symbol names. ok is false for NoSymbol and
-// symbols this table never assigned.
-func (it *Interner) Resolve(sym Symbol) (string, bool) {
-	if sym == NoSymbol || uint32(sym) > it.n.Load() {
-		return "", false
-	}
-	return it.name(sym), true
 }
 
 // Canon returns the canonical (first-interned) instance of s. Ingest entry
@@ -147,15 +146,15 @@ func (it *Interner) Resolve(sym Symbol) (string, bool) {
 // pass each attribute through Canon so long-lived engine state retains one
 // string instance per distinct EPC instead of one per observation.
 func (it *Interner) Canon(s string) string {
-	_, name := intern(it, maphash.String(it.seed, s), s)
+	_, name := intern(it, maphash.String(it.seed, s), s, false)
 	return name
 }
 
 // CanonBytes is Canon for a name held in a byte buffer (an EPC rendered
 // into a reused one): a name the table holds costs a lookup and no
-// allocation, and only a first sighting copies b into a string.
+// allocation, and only a first sighting copies b, into the table's slab.
 func (it *Interner) CanonBytes(b []byte) string {
-	_, name := intern(it, maphash.Bytes(it.seed, b), b)
+	_, name := intern(it, maphash.Bytes(it.seed, b), b, true)
 	return name
 }
 

@@ -3,12 +3,22 @@ package event
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 )
+
+// resolve returns the name sym stands for; ok is false for NoSymbol and
+// symbols the table never assigned.
+func resolve(it *Interner, sym Symbol) (string, bool) {
+	if sym == NoSymbol || int(sym) > it.Len() {
+		return "", false
+	}
+	return it.name(sym), true
+}
 
 func TestInternerRoundTrip(t *testing.T) {
 	it := NewInterner()
@@ -33,16 +43,16 @@ func TestInternerRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", it.Len())
 	}
 	for i, w := range words {
-		got, ok := it.Resolve(syms[i])
+		got, ok := resolve(it, syms[i])
 		if !ok || got != w {
-			t.Fatalf("Resolve(%d) = %q, %v; want %q", syms[i], got, ok, w)
+			t.Fatalf("resolve(%d) = %q, %v; want %q", syms[i], got, ok, w)
 		}
 	}
-	if _, ok := it.Resolve(NoSymbol); ok {
-		t.Fatal("Resolve(NoSymbol) succeeded")
+	if _, ok := resolve(it, NoSymbol); ok {
+		t.Fatal("resolve(NoSymbol) succeeded")
 	}
-	if _, ok := it.Resolve(Symbol(999)); ok {
-		t.Fatal("Resolve of unassigned symbol succeeded")
+	if _, ok := resolve(it, Symbol(999)); ok {
+		t.Fatal("resolve of an unassigned symbol succeeded")
 	}
 }
 
@@ -73,8 +83,8 @@ func TestInternerConcurrent(t *testing.T) {
 			for i := 0; i < strings; i++ {
 				s := fmt.Sprintf("epc-%d", i) // same set from every goroutine
 				syms[g][i] = it.Intern(s)
-				if got, ok := it.Resolve(syms[g][i]); !ok || got != s {
-					panic(fmt.Sprintf("Resolve(%d) = %q, %v", syms[g][i], got, ok))
+				if got, ok := resolve(it, syms[g][i]); !ok || got != s {
+					panic(fmt.Sprintf("resolve(%d) = %q, %v", syms[g][i], got, ok))
 				}
 			}
 		}(g)
@@ -127,9 +137,9 @@ func TestInternerGrowsUnderReaders(t *testing.T) {
 				for k := 0; k < n; k++ {
 					i := order(w, k)
 					want := copies[w][i]
-					got, ok := it.Resolve(syms[w][i])
+					got, ok := resolve(it, syms[w][i])
 					if !ok || got != want || it.Canon(want) != got || it.CanonBytes([]byte(want)) != got {
-						t.Errorf("symbol %d: Resolve = %q, %v; want %q", syms[w][i], got, ok, want)
+						t.Errorf("symbol %d: resolve = %q, %v; want %q", syms[w][i], got, ok, want)
 						return
 					}
 				}
@@ -193,10 +203,63 @@ func TestInternerReadsAllocateNothing(t *testing.T) {
 		"Intern":     func() { it.Intern(name) },
 		"Canon":      func() { it.Canon(name) },
 		"CanonBytes": func() { it.CanonBytes(b) },
-		"Resolve":    func() { it.Resolve(sym) },
+		"name":       func() { _ = it.name(sym) },
 	} {
 		if n := testing.AllocsPerRun(1000, read); n != 0 {
 			t.Errorf("%s of a known name allocates %v times, want 0", what, n)
+		}
+	}
+}
+
+// TestAllocBudgetFirstSightNames: a first-seen name given as bytes costs
+// a copy into the table's slab, not an allocation of its own. Names read
+// back intact after the caller's buffer is overwritten, so the table never
+// aliases it, and a name too long for the slab round-trips too.
+func TestAllocBudgetFirstSightNames(t *testing.T) {
+	const names, prefix = 4096, "urn:epc:id:gid:4711.1."
+	render := func(buf []byte, i int) []byte {
+		buf = append(buf[:0], prefix...)
+		return strconv.AppendInt(buf, 1_000_000+int64(i), 10)
+	}
+	buf := make([]byte, 0, 64)
+	perChunk := slabChunk / len(render(buf, 0))
+	// NewInterner's 4 allocations, the slab's chunks, 2 per slot-table
+	// doubling (64 to 8,192 slots) and 3 per directory chunk.
+	budget := 4 + (names+perChunk-1)/perChunk + 2*7 + 3*(names>>chunkShift)
+	allocs := testing.AllocsPerRun(1, func() {
+		it := NewInterner()
+		for i := 0; i < names; i++ {
+			it.CanonBytes(render(buf, i))
+		}
+	})
+	t.Logf("%v allocations for %d first-seen names, budget %d", allocs, names, budget)
+	if allocs > float64(budget) {
+		t.Fatalf("%d first-seen names allocate %v times, budget %d", names, allocs, budget)
+	}
+
+	it := NewInterner()
+	long := strings.Repeat("x", slabChunk/8+1)
+	got := make([]string, names+1)
+	for i := range got {
+		b := []byte(long)
+		if i < names {
+			b = render(buf, i)
+		}
+		got[i] = it.CanonBytes(b)
+		for j := range b {
+			b[j] = '#'
+		}
+	}
+	for i, s := range got {
+		want := long
+		if i < names {
+			want = string(render(nil, i))
+		}
+		if s != want {
+			t.Fatalf("name %d reads %q after its source was overwritten, want %q", i, s, want)
+		}
+		if name, ok := resolve(it, Symbol(i+1)); !ok || name != want {
+			t.Fatalf("symbol %d names %q, want %q", i+1, name, want)
 		}
 	}
 }
@@ -233,8 +296,9 @@ func TestInternerBytesPerName(t *testing.T) {
 // FuzzIntern checks the intern/resolve round trip and concurrent-ingest
 // safety on arbitrary string sets: every interned string resolves to
 // itself, equal strings get equal symbols, distinct strings get distinct
-// dense symbols, and a second goroutine interning the same set concurrently
-// never perturbs any of that.
+// dense symbols, and two more goroutines interning the same set
+// concurrently, as strings and as bytes in a reused buffer, never perturb
+// any of that. Run it under -race.
 func FuzzIntern(f *testing.F) {
 	f.Add([]byte("r1\x00r2\x00pack_item_L1\x00r1"))
 	f.Add([]byte(""))
@@ -250,11 +314,25 @@ func FuzzIntern(f *testing.F) {
 			}
 		}
 		it, fresh := NewInterner(), NewInterner()
-		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
 		go func() { // concurrent ingest of the same set
-			defer close(done)
+			defer wg.Done()
 			for _, w := range words {
 				it.Intern(w)
+			}
+		}()
+		go func() { // and of the same bytes, from one reused buffer
+			defer wg.Done()
+			var buf []byte
+			for _, w := range words {
+				buf = append(buf[:0], w...)
+				if got := it.CanonBytes(buf); got != w {
+					t.Errorf("concurrent CanonBytes(%q) = %q", w, got)
+				}
+				for i := range buf {
+					buf[i] = 0
+				}
 			}
 		}()
 		bySym := map[Symbol]string{}
@@ -272,8 +350,8 @@ func FuzzIntern(f *testing.F) {
 				t.Fatalf("symbol %d maps to %q and %q", sym, prev, w)
 			}
 			bySym[sym] = w
-			if got, ok := it.Resolve(sym); !ok || got != w {
-				t.Fatalf("Resolve(Intern(%q)) = %q, %v", w, got, ok)
+			if got, ok := resolve(it, sym); !ok || got != w {
+				t.Fatalf("resolve(Intern(%q)) = %q, %v", w, got, ok)
 			}
 			if got := it.Canon(w); got != w {
 				t.Fatalf("Canon(%q) = %q", w, got)
@@ -288,7 +366,7 @@ func FuzzIntern(f *testing.F) {
 				}
 			}
 		}
-		<-done
+		wg.Wait()
 		if it.Len() != len(byStr) {
 			t.Fatalf("Len = %d, want %d distinct strings", it.Len(), len(byStr))
 		}

@@ -106,6 +106,28 @@ func (v Value) b() bool    { return v.n != 0 }
 func (v Value) t() Time    { return Time(v.n) }
 func (v Value) l() []Value { return unsafe.Slice((*Value)(v.p), int(v.n)) }
 
+// slabChunk is the size of a name slab's chunks (DESIGN.md §12). A name
+// longer than slabChunk/8 is allocated alone, so no chunk strands more
+// than an eighth of itself.
+const slabChunk = 4 << 10
+
+// SlabString returns a string holding a copy of b, cut from *slab: the
+// copy is appended to the slab's current chunk, or to a fresh one when it
+// lacks room. A slab is only ever appended to, so bytes under a returned
+// string are never rewritten. Each string pins its whole chunk. The slab
+// is the caller's: it needs whatever lock guards the caller's state.
+func SlabString[T ~string | ~[]byte](slab *[]byte, b T) string {
+	if len(b) == 0 || len(b) > slabChunk/8 {
+		return string(b)
+	}
+	if cap(*slab)-len(*slab) < len(b) {
+		*slab = make([]byte, 0, slabChunk)
+	}
+	n := len(*slab)
+	*slab = append(*slab, b...)
+	return unsafe.String(&(*slab)[n], len(b))
+}
+
 // Kind returns the value's dynamic kind.
 func (v Value) Kind() Kind { return v.kind }
 

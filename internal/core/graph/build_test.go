@@ -42,7 +42,7 @@ func TestPrimitiveIsPush(t *testing.T) {
 	}
 	g := b.Finalize()
 	if len(g.Prims) != 1 || g.Roots[1] != root {
-		t.Errorf("graph bookkeeping wrong: %+v", g.Stats())
+		t.Errorf("graph bookkeeping wrong: %d prims, roots %v", len(g.Prims), g.Roots)
 	}
 }
 
@@ -196,9 +196,14 @@ func TestCommonSubgraphMerging(t *testing.T) {
 	if len(g.Nodes) != 6 {
 		t.Errorf("node count = %d, want 6", len(g.Nodes))
 	}
-	st := g.Stats()
-	if st.Shared < 1 {
-		t.Errorf("no shared nodes reported: %+v", st)
+	multi := 0 // nodes with more than one parent
+	for _, n := range g.Nodes {
+		if len(n.Parents) > 1 {
+			multi++
+		}
+	}
+	if multi < 1 {
+		t.Errorf("no node is shared by two parents")
 	}
 
 	// Without merging: 8 nodes, no sharing.

@@ -227,11 +227,6 @@ type Graph struct {
 	ByKey map[string]*Node // canonical key → node (merging index)
 }
 
-// Stats summarizes graph shape; used by benchmarks and diagnostics.
-type Stats struct {
-	Nodes, Prims, Roots, Shared int
-}
-
 // Fingerprint identifies the graph's exact structure and constraints:
 // engine checkpoints refuse to restore onto a graph with a different
 // fingerprint (node IDs and semantics must line up).
@@ -242,16 +237,4 @@ func (g *Graph) Fingerprint() string {
 		fmt.Fprintf(h, "r%v;", n.Rules)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// Stats returns counts of nodes, leaves, roots and nodes shared by more
-// than one parent (the benefit of common sub-graph merging).
-func (g *Graph) Stats() Stats {
-	st := Stats{Nodes: len(g.Nodes), Prims: len(g.Prims), Roots: len(g.Roots)}
-	for _, n := range g.Nodes {
-		if len(n.Parents) > 1 {
-			st.Shared++
-		}
-	}
-	return st
 }

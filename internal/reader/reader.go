@@ -103,11 +103,6 @@ func (d *Deployment) GroupsOf(id string) []string {
 	return []string{id}
 }
 
-// GroupFunc adapts the deployment for detect.Config.Groups.
-func (d *Deployment) GroupFunc() func(string) []string {
-	return d.GroupsOf
-}
-
 // LocationOf returns the reader's symbolic location (the reader ID when
 // unset), used by location-transformation rules.
 func (d *Deployment) LocationOf(id string) string {

@@ -94,8 +94,4 @@ func TestDeployment(t *testing.T) {
 	if d.LocationOf("r1") != "warehouse" || d.LocationOf("r2") != "r2" {
 		t.Errorf("locations: %v %v", d.LocationOf("r1"), d.LocationOf("r2"))
 	}
-	fn := d.GroupFunc()
-	if got := fn("r1"); got[0] != "g1" {
-		t.Errorf("GroupFunc: %v", got)
-	}
 }

@@ -113,6 +113,8 @@ type Scenario struct {
 	Registry     *epc.Registry
 	Deployment   *reader.Deployment
 	Truth        Truth
+
+	groups map[string][]string // ChainGroups' answer per deployed reader, read-only
 }
 
 // Canonicalize rewrites every observation's reader and object strings to
@@ -166,6 +168,7 @@ func Generate(cfg Config) *Scenario {
 	sc := &Scenario{
 		Registry:   NewRegistry(),
 		Deployment: reader.NewDeployment(),
+		groups:     map[string][]string{},
 		Truth: Truth{
 			Containments: map[string][]string{},
 			CaseRoute:    map[string][]string{},
@@ -199,6 +202,7 @@ func Generate(cfg Config) *Scenario {
 			if err := sc.Deployment.Add(r); err != nil {
 				panic("sim: " + err.Error())
 			}
+			sc.groups[id] = sc.Deployment.GroupsOf(id)
 			return r
 		}
 		packItem := rd(packItemReader(line), fmt.Sprintf("factory-%d", line), fmt.Sprintf("g_pack_item_%d", line))
@@ -212,6 +216,11 @@ func Generate(cfg Config) *Scenario {
 		}
 		if err := sc.Deployment.Add(&shelf.Reader); err != nil {
 			panic("sim: " + err.Error())
+		}
+		sc.groups[shelf.Reader.ID] = sc.Deployment.GroupsOf(shelf.Reader.ID)
+		chain := fmt.Sprintf("g_chain_%d", line)
+		for _, r := range []*reader.Reader{dock, truck, storeDock} {
+			sc.groups[r.ID] = append(sc.groups[r.ID], chain)
 		}
 		pos := rd(posReader(line), fmt.Sprintf("store-%d", line), "")
 		exit := rd(exitReader(line), fmt.Sprintf("building-%d", line), "")
@@ -415,21 +424,14 @@ func AllFamilies() []string { return []string{"dup", "loc", "pack", "shelf", "as
 
 // ChainGroups returns a group function that extends the deployment's
 // groups with per-line "g_chain_N" groups covering the dock, truck and
-// store readers (used by the "loc" family).
+// store readers (used by the "loc" family). The lists are resolved once,
+// by Generate: each call for a deployed reader returns the same slice,
+// which callers must not modify. Any other reader is its own group.
 func (sc *Scenario) ChainGroups() func(string) []string {
-	base := sc.Deployment.GroupFunc()
 	return func(r string) []string {
-		gs := base(r)
-		var line int
-		if n, _ := fmt.Sscanf(r, "dock_W%d", &line); n == 1 {
-			return append(gs, fmt.Sprintf("g_chain_%d", line))
+		if gs, ok := sc.groups[r]; ok {
+			return gs
 		}
-		if n, _ := fmt.Sscanf(r, "truck_T%d", &line); n == 1 {
-			return append(gs, fmt.Sprintf("g_chain_%d", line))
-		}
-		if n, _ := fmt.Sscanf(r, "store_S%d", &line); n == 1 {
-			return append(gs, fmt.Sprintf("g_chain_%d", line))
-		}
-		return gs
+		return sc.Deployment.GroupsOf(r)
 	}
 }

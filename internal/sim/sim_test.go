@@ -222,7 +222,7 @@ func TestDuplicateRuleOnRawStream(t *testing.T) {
 	}
 	eng, err := detect.New(detect.Config{
 		Graph:    b.Finalize(),
-		Groups:   sc.Deployment.GroupFunc(),
+		Groups:   sc.Deployment.GroupsOf,
 		TypeOf:   sc.Registry.TypeOf,
 		OnDetect: func(rid int, inst *event.Instance) { x.Dispatch(rid, inst) },
 	})
@@ -470,5 +470,46 @@ func TestScenarioCanonicalize(t *testing.T) {
 	}
 	if in.Len() != len(first) {
 		t.Errorf("intern table has %d entries, distinct strings %d", in.Len(), len(first))
+	}
+}
+
+// TestChainGroupsResolvedOnce: every reader in the stream gets its group
+// list without allocating, the same slice each call, and the chain readers
+// of line N are in g_chain_N beside their own group.
+func TestChainGroupsResolvedOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CasesPerPallet = 2
+	sc := Generate(cfg)
+	groups := sc.ChainGroups()
+	for _, o := range sc.Observations {
+		gs := groups(o.Reader)
+		if again := groups(o.Reader); unsafe.SliceData(again) != unsafe.SliceData(gs) {
+			t.Fatalf("groups(%q) returned two slices", o.Reader)
+		}
+		want := []string{o.Reader}
+		for _, c := range []struct {
+			reader, group string
+			replaces      bool // a configured group replaces the reader's own
+		}{
+			{"pack_item_L%d", "g_pack_item_%d", true}, {"pack_case_L%d", "g_pack_case_%d", true},
+			{"dock_W%d", "g_chain_%d", false}, {"truck_T%d", "g_chain_%d", false}, {"store_S%d", "g_chain_%d", false},
+		} {
+			var line int
+			if n, _ := fmt.Sscanf(o.Reader, c.reader, &line); n == 1 && c.replaces {
+				want = []string{fmt.Sprintf(c.group, line)}
+			} else if n == 1 {
+				want = append(want, fmt.Sprintf(c.group, line))
+			}
+		}
+		if !reflect.DeepEqual(gs, want) {
+			t.Fatalf("groups(%q) = %v, want %v", o.Reader, gs, want)
+		}
+	}
+	r := sc.Observations[0].Reader
+	if allocs := testing.AllocsPerRun(100, func() { groups(r) }); allocs != 0 {
+		t.Fatalf("groups(%q) allocates %v times", r, allocs)
+	}
+	if gs := groups("no_such_reader"); !reflect.DeepEqual(gs, []string{"no_such_reader"}) {
+		t.Fatalf("an undeployed reader has groups %v, want itself", gs)
 	}
 }

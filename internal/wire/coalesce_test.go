@@ -193,7 +193,7 @@ func TestIdleListenerGetsEveryFire(t *testing.T) {
 		}
 	}
 	// A reply proves the server registered the listener for broadcasts.
-	if _, err := listener.Status(); err != nil {
+	if _, _, err := listener.Query("SELECT * FROM OBSERVATION"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -306,6 +306,35 @@ func TestAllocBudgetFireRead(t *testing.T) {
 	}
 	if want := map[string]any{"o": "urn:epc:id:gid:1.2.3", "n": 7.0, "ok": true}; !reflect.DeepEqual(m.Bindings, want) {
 		t.Fatalf("read bindings %v, want %v", m.Bindings, want)
+	}
+}
+
+// TestAllocBudgetFireTextSymbols: a fire whose string value is a name the
+// connection has not seen reads in one allocation, the string's box; the
+// new name is cut from the reader's slab. The slab's chunks and the symbol
+// table's growth are spread over the run.
+func TestAllocBudgetFireTextSymbols(t *testing.T) {
+	const fires = 200
+	var buf bytes.Buffer
+	w, fr := NewFrameWriter(&buf), NewFrameReader(&buf)
+	for i := 0; i <= fires; i++ {
+		fire := Message{Type: "fire", Rule: "r1", Name: "repeat read", BeginNS: 5, EndNS: 9,
+			Binds: event.MakeBindings(map[string]event.Value{"o": event.StringValue(fmt.Sprintf("urn:epc:id:gid:1.2.%d", i))})}
+		if err := w.Send(&fire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var m Message
+	allocs := testing.AllocsPerRun(fires, func() {
+		if err := fr.Read(&m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("reading a fire with a new string allocates %v, budget is 1", allocs)
+	}
+	if want := fmt.Sprintf("urn:epc:id:gid:1.2.%d", fires); m.Bindings["o"] != want || m.Rule != "r1" {
+		t.Fatalf("last fire reads rule %q, bindings %v; want r1, o = %s", m.Rule, m.Bindings, want)
 	}
 }
 

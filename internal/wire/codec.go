@@ -226,6 +226,7 @@ type FrameReader struct {
 	br    *bufio.Reader
 	canon *event.Interner // the server's: batch names are canonical from definition
 	syms  []string
+	slab  []byte // the bytes of names no interner keeps (event.SlabString)
 	buf   []byte
 	p     []byte         // the binary payload still to decode
 	bad   bool           // the payload failed to decode
@@ -440,6 +441,7 @@ func (r *FrameReader) text() string {
 // index is the table's length. A server's reader canonicalises the names
 // a batch defines there, once for the connection, so every batch it reads
 // arrives canonical (bar a name a refused frame defined: as decoded).
+// Any other name is cut from the reader's slab: a copy, not an allocation.
 func (r *FrameReader) sym(canon *event.Interner) string {
 	id := r.uvarint()
 	if id < uint64(len(r.syms)) {
@@ -454,7 +456,7 @@ func (r *FrameReader) sym(canon *event.Interner) string {
 	if canon != nil {
 		s = canon.CanonBytes(r.p[:n]) // a name the engine knows costs nothing
 	} else {
-		s = string(r.p[:n])
+		s = event.SlabString(&r.slab, r.p[:n])
 	}
 	r.p = r.p[n:]
 	r.syms = append(r.syms, s)

@@ -6,6 +6,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net"
 	"os"
@@ -291,20 +292,26 @@ func TestServerAdmissionShedsOldest(t *testing.T) {
 // The status frame reports overload counters without disturbing the feed.
 func TestWireStatusFrame(t *testing.T) {
 	_, addr := startServerOpts(t, rcep.Config{Rules: dupRule}, WithAdmission(8, true))
-	c, err := Dial(addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Send("r1", "o", sec(1)); err != nil {
+	defer conn.Close()
+	fr := NewFrameReader(conn)
+	batch, err := json.Marshal(Message{Type: "batch", Batch: []BatchObs{{Reader: "r1", Object: "o", AtNS: int64(sec(1))}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(batch); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		m, err := c.Status()
-		if err != nil {
-			t.Fatalf("Status: %v", err)
+		if _, err := conn.Write([]byte(`{"type":"status"}`)); err != nil {
+			t.Fatal(err)
 		}
+		got := readUntil(t, conn, fr, func(m Message) bool { return m.Type == "status" })
+		m := got[len(got)-1]
 		if m.Observations == 1 && m.Queue == 0 {
 			if m.Shed != 0 {
 				t.Fatalf("Shed = %d on an idle server", m.Shed)

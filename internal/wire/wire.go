@@ -910,7 +910,6 @@ type Client struct {
 
 	result chan Message
 	stats  chan Message
-	status chan Message
 	// OnFire, when set, receives rule firings as they arrive. Set it
 	// before the first frame that can fire. A firing's Bindings is valid
 	// during the callback only: maps.Clone keeps it.
@@ -929,7 +928,6 @@ func Dial(addr string) (*Client, error) {
 		r:      NewFrameReader(conn),
 		result: make(chan Message, 1),
 		stats:  make(chan Message, 1),
-		status: make(chan Message, 1),
 	}
 	go c.readLoop()
 	return c, nil
@@ -941,7 +939,6 @@ func (c *Client) readLoop() {
 		if err := c.r.Read(&m); err != nil {
 			close(c.result)
 			close(c.stats)
-			close(c.status)
 			return
 		}
 		switch m.Type {
@@ -959,11 +956,6 @@ func (c *Client) readLoop() {
 		case "stats":
 			select {
 			case c.stats <- m:
-			default:
-			}
-		case "status":
-			select {
-			case c.status <- m:
 			default:
 			}
 		}
@@ -1006,20 +998,6 @@ func (c *Client) Query(sql string) ([]string, [][]any, error) {
 		return nil, nil, errors.New(m.Msg)
 	}
 	return m.Columns, m.Rows, nil
-}
-
-// Status asks the server for its overload counters (see the "status"
-// frame): observations/detections applied, shard count, admission-queue
-// depth and shed counter.
-func (c *Client) Status() (Message, error) {
-	if err := c.w.Send(&Message{Type: "status"}); err != nil {
-		return Message{}, err
-	}
-	m, ok := <-c.status
-	if !ok {
-		return Message{}, errors.New("wire: connection closed")
-	}
-	return m, nil
 }
 
 // Close ends the feed gracefully and returns the server's stats.
