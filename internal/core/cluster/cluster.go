@@ -10,7 +10,6 @@ import (
 	"io"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -894,7 +893,7 @@ func (c *Coordinator) sweepStrayDetsLocked(lk *link, before uint64) {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	batches := make([][]wire.ClusterDet, 0, len(seqs))
 	for _, seq := range seqs {
 		batches = append(batches, lk.box.replies[seq].CDets)

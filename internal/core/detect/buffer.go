@@ -10,7 +10,8 @@
 package detect
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rcep/internal/core/event"
 )
@@ -235,7 +236,7 @@ func (b *buffer) all() []*event.Instance {
 }
 
 func sortInstancesBySeq(s []*event.Instance) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Seq < s[j].Seq })
+	slices.SortFunc(s, func(a, b *event.Instance) int { return cmp.Compare(a.Seq, b.Seq) })
 }
 
 // projectBinds restricts binds to the given variables; used to build

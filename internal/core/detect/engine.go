@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"rcep/internal/core/event"
@@ -138,25 +137,13 @@ type slabs struct {
 
 const instSlabSize, bindSlabSize, valSlabSize = 64, 256, 256
 
-// carve slices n elements off *slab with cap == n, so an append relocates
-// instead of clobbering a neighbour. A slab without room for n is
-// abandoned for a fresh one of max(size, n).
-func carve[T any](slab *[]T, n, size int) []T {
-	if cap(*slab)-len(*slab) < n {
-		*slab = make([]T, 0, max(size, n))
-	}
-	off := len(*slab)
-	*slab = (*slab)[:off+n]
-	return (*slab)[off : off+n : off+n]
-}
-
 // Bindings and Values make slabs the event.Allocator of CollectLists.
-func (s *slabs) Bindings(n int) event.Bindings { return carve(&s.binds, n, bindSlabSize) }
-func (s *slabs) Values(n int) []event.Value    { return carve(&s.vals, n, valSlabSize) }
+func (s *slabs) Bindings(n int) event.Bindings { return event.Carve(&s.binds, n, bindSlabSize) }
+func (s *slabs) Values(n int) []event.Value    { return event.Carve(&s.vals, n, valSlabSize) }
 
 // newInstance carves an event instance out of the instance slab.
 func (e *Engine) newInstance(begin, end event.Time, binds event.Bindings, seq uint64) *event.Instance {
-	in := &carve(&e.slab.inst, 1, instSlabSize)[0]
+	in := &event.Carve(&e.slab.inst, 1, instSlabSize)[0]
 	*in = event.Instance{Begin: begin, End: end, Binds: binds, Seq: seq}
 	return in
 }
@@ -469,7 +456,7 @@ func (e *Engine) IngestBatch(batch []event.Observation) error {
 	if !event.Batch(batch).Sorted() {
 		e.batchScratch = append(e.batchScratch[:0], batch...)
 		sorted = e.batchScratch
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
+		event.Batch(sorted).Sort()
 	}
 	if e.now != event.MinTime && sorted[0].At < e.now {
 		return fmt.Errorf("%w: batch starts at %s, engine at %s", ErrOutOfOrder, sorted[0].At, e.now)

@@ -1,7 +1,8 @@
 package detect
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rcep/internal/core/graph"
 )
@@ -46,6 +47,6 @@ func (e *Engine) Snapshot() ([]NodeState, int) {
 		}
 		out = append(out, ns)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b NodeState) int { return cmp.Compare(a.ID, b.ID) })
 	return out, len(e.pq)
 }

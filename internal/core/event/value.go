@@ -483,6 +483,18 @@ func (b Bindings) AppendText(dst []byte) []byte {
 	return append(dst, '}')
 }
 
+// Carve slices n elements off *slab with cap == n, so an append relocates
+// instead of clobbering a neighbour. A slab without room for n is
+// abandoned for a fresh one of max(size, n).
+func Carve[T any](slab *[]T, n, size int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(size, n))
+	}
+	off := len(*slab)
+	*slab = (*slab)[:off+n]
+	return (*slab)[off : off+n : off+n]
+}
+
 // Allocator supplies the storage CollectLists fills: full-capacity slices
 // of length n. detect carves them out of its engine's arenas.
 type Allocator interface {

@@ -405,7 +405,7 @@ func (e *Engine) IngestBatch(batch []event.Observation) error {
 		// Sorting its own variable keeps the caller's slice (Ingest's
 		// batch of one) off the heap.
 		scratch := append(e.sortScratch[:0], batch...)
-		sort.SliceStable(scratch, func(i, j int) bool { return scratch[i].At < scratch[j].At })
+		event.Batch(scratch).Sort()
 		e.sortScratch, sorted = scratch, scratch
 	}
 	if e.now != event.MinTime && sorted[0].At < e.now {

@@ -15,6 +15,8 @@
 package shard
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"rcep/internal/core/event"
@@ -128,11 +130,8 @@ func NewPartition(rules []Rule, maxShards int, groups func(string) []string) *Pa
 
 	// Longest-processing-time packing: heaviest class onto the lightest
 	// shard. Deterministic: stable sort, ties by first rule index.
-	sort.SliceStable(classes, func(a, b int) bool {
-		if classes[a].weight != classes[b].weight {
-			return classes[a].weight > classes[b].weight
-		}
-		return classes[a].rules[0] < classes[b].rules[0]
+	slices.SortStableFunc(classes, func(a, b *class) int {
+		return cmp.Or(cmp.Compare(b.weight, a.weight), cmp.Compare(a.rules[0], b.rules[0]))
 	})
 	n := maxShards
 	if len(classes) < n {
@@ -168,9 +167,7 @@ func NewPartition(rules []Rule, maxShards int, groups func(string) []string) *Pa
 		}
 	}
 	for s := range p.ByShard {
-		sort.Slice(p.ByShard[s], func(a, b int) bool {
-			return p.ByShard[s][a].ID < p.ByShard[s][b].ID
-		})
+		slices.SortFunc(p.ByShard[s], func(a, b Rule) int { return cmp.Compare(a.ID, b.ID) })
 		if shardWild[s] {
 			p.broadcast = append(p.broadcast, s)
 		}

@@ -1,9 +1,10 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -130,7 +131,7 @@ func NewClusterPlan(seed int64, workers, streamLen int) *ClusterPlan {
 			AtObs: 1 + rng.Intn(streamLen-2), Kind: FaultSlow, Worker: rng.Intn(workers),
 		})
 	}
-	sort.SliceStable(p.Faults, func(i, j int) bool { return p.Faults[i].AtObs < p.Faults[j].AtObs })
+	slices.SortStableFunc(p.Faults, func(a, b ClusterFault) int { return cmp.Compare(a.AtObs, b.AtObs) })
 	return p
 }
 
@@ -200,7 +201,7 @@ func NewDegradedPlan(seed int64, workers int, atNS []int64) *ClusterPlan {
 			)
 		}
 	}
-	sort.SliceStable(p.Faults, func(i, j int) bool { return p.Faults[i].AtObs < p.Faults[j].AtObs })
+	slices.SortStableFunc(p.Faults, func(a, b ClusterFault) int { return cmp.Compare(a.AtObs, b.AtObs) })
 	return p
 }
 

@@ -88,9 +88,12 @@ var twoRune = map[string]bool{
 	"<=": true, ">=": true, "!=": true, "<>": true, "||": true, "&&": true,
 }
 
-// Tokenize splits src into tokens, appending a final EOF token.
+// Tokenize splits src into tokens, appending a final EOF token. The token
+// slice is sized once, for a token per two bytes of src (only runs of
+// one-byte tokens are denser), and token texts are substrings of src:
+// only a string literal with a doubled quote builds its text.
 func Tokenize(src string) ([]Token, error) {
-	var toks []Token
+	toks := make([]Token, 0, len(src)/2+2)
 	line, col := 1, 1
 	i := 0
 	advance := func(n int) {
@@ -106,7 +109,7 @@ func Tokenize(src string) ([]Token, error) {
 	}
 	for i < len(src) {
 		c := src[i]
-		r, _ := utf8.DecodeRuneInString(src[i:])
+		r, size := utf8.DecodeRuneInString(src[i:])
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
 			advance(1)
@@ -118,27 +121,31 @@ func Tokenize(src string) ([]Token, error) {
 			tok := Token{Kind: String, Line: line, Col: col}
 			quote := c
 			advance(1)
-			var sb strings.Builder
+			start := i
+			var text []byte // the text before start, once a doubled quote is seen
 			closed := false
 			for i < len(src) {
 				if src[i] == quote {
 					// Doubled quote is an escaped quote.
 					if i+1 < len(src) && src[i+1] == quote {
-						sb.WriteByte(quote)
+						text = append(text, src[start:i+1]...)
 						advance(2)
+						start = i
 						continue
 					}
-					advance(1)
 					closed = true
 					break
 				}
-				sb.WriteByte(src[i])
 				advance(1)
 			}
 			if !closed {
 				return nil, &Error{Line: tok.Line, Col: tok.Col, Msg: "unterminated string"}
 			}
-			tok.Text = sb.String()
+			tok.Text = src[start:i]
+			if text != nil {
+				tok.Text = string(append(text, tok.Text...))
+			}
+			advance(1)
 			toks = append(toks, tok)
 		case c >= '0' && c <= '9':
 			tok := Token{Kind: Number, Line: line, Col: col}
@@ -166,15 +173,12 @@ func Tokenize(src string) ([]Token, error) {
 		default:
 			tok := Token{Kind: Punct, Line: line, Col: col}
 			if i+1 < len(src) && twoRune[src[i:i+2]] {
-				tok.Text = src[i : i+2]
-				advance(2)
-			} else if strings.ContainsRune("();,=<>*+-/.%!", r) || strings.ContainsRune("¬∧∨", r) {
-				_, size := utf8.DecodeRuneInString(src[i:])
-				tok.Text = string(r)
-				advance(size)
-			} else {
+				size = 2
+			} else if !strings.ContainsRune("();,=<>*+-/.%!", r) && !strings.ContainsRune("¬∧∨", r) {
 				return nil, &Error{Line: line, Col: col, Msg: fmt.Sprintf("unexpected character %q", c)}
 			}
+			tok.Text = src[i : i+size]
+			advance(size)
 			toks = append(toks, tok)
 		}
 	}

@@ -79,7 +79,7 @@ func TestFullTower(t *testing.T) {
 	}
 	var streams [][]event.Observation
 	for _, obs := range perReader {
-		stream.Sort(obs)
+		event.Batch(obs).Sort()
 		streams = append(streams, obs)
 	}
 	merged := stream.Merge(streams...)

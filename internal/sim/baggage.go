@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rcep/internal/core/event"
-	"rcep/internal/stream"
 )
 
 // Baggage-handling scenario: bags are tagged at check-in and read again
@@ -123,7 +122,7 @@ func GenerateBaggage(cfg BaggageConfig) *BaggageScenario {
 		sc.Truth.Stray = append(sc.Truth.Stray, id)
 	}
 
-	stream.Sort(obs)
+	event.Batch(obs).Sort()
 	sc.Observations = obs
 	return sc
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rcep/internal/core/event"
-	"rcep/internal/stream"
 )
 
 // Cold-chain scenario: a chilled dock zone logs temperature probes as
@@ -140,7 +139,7 @@ func GenerateColdChain(cfg ColdChainConfig) *ColdChainScenario {
 		t = t.Add(time.Minute)
 	}
 
-	stream.Sort(obs)
+	event.Batch(obs).Sort()
 	sc.Observations = obs
 	return sc
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rcep/internal/core/event"
-	"rcep/internal/stream"
 )
 
 // Library scenario: the paper's §1 lists library check-in/check-out among
@@ -157,7 +156,7 @@ func GenerateLibrary(cfg LibraryConfig) *LibraryScenario {
 		}
 	}
 
-	stream.Sort(obs)
+	event.Batch(obs).Sort()
 	sc.Observations = obs
 	return sc
 }

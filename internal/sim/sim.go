@@ -339,7 +339,7 @@ func Generate(cfg Config) *Scenario {
 			exitAt = exitAt.Add(30 * time.Second)
 		}
 
-		stream.Sort(lineObs)
+		event.Batch(lineObs).Sort()
 		streams = append(streams, lineObs)
 	}
 	sc.Observations = stream.Merge(streams...)

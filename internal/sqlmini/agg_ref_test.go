@@ -66,7 +66,7 @@ func refSelect(s *store.Store, sel *Select, params event.Bindings) (Result, erro
 		if len(g) > 0 {
 			e.row = g[0]
 		} else {
-			e.row = make([]event.Value, len(rel.names))
+			e.row = make([]event.Value, rel.width())
 		}
 		if having != nil {
 			v, err := e.eval(having)
@@ -342,8 +342,8 @@ func TestUncollectedAggregateFailsLoudly(t *testing.T) {
 	stray := &Call{Name: "SUM", Args: []Expr{&Ref{Name: "n"}}}
 	a := &aggState{calls: []*Call{folded}, index: map[string]int{}}
 	a.addGroup(store.Row{event.IntValue(5)})
-	a.accs[0].Add(event.IntValue(5))
-	e := env{agg: a, row: a.firsts[0]}
+	a.groups[0].aggs[0].acc.Add(event.IntValue(5))
+	e := env{agg: a, row: a.groups[0].first}
 	if v, err := e.eval(folded); err != nil || v.Int() != 5 {
 		t.Fatalf("collected call: %v, %v", v, err)
 	}

@@ -187,27 +187,42 @@ func (c *Call) isAggregate() bool {
 // aggregateCalls appends to calls the aggregate calls in x, except those
 // in another aggregate's argument, a row context where they do not fold.
 func aggregateCalls(x Expr, calls []*Call) []*Call {
+	walk(x, func(x Expr) bool {
+		c, ok := x.(*Call)
+		if ok && c.isAggregate() {
+			calls = append(calls, c)
+			return false
+		}
+		return true
+	})
+	return calls
+}
+
+// walk calls visit on x, then, unless visit returned false, on each of its
+// operands in source order. The statements of subqueries are not walked.
+func walk(x Expr, visit func(Expr) bool) {
+	if x == nil || !visit(x) {
+		return
+	}
 	switch n := x.(type) {
-	case *Call:
-		if n.isAggregate() {
-			return append(calls, n)
-		}
-		for _, a := range n.Args {
-			calls = aggregateCalls(a, calls)
-		}
 	case *Unary:
-		return aggregateCalls(n.X, calls)
+		walk(n.X, visit)
 	case *Binary:
-		return aggregateCalls(n.R, aggregateCalls(n.L, calls))
+		walk(n.L, visit)
+		walk(n.R, visit)
+	case *Call:
+		for _, a := range n.Args {
+			walk(a, visit)
+		}
 	case *InList:
-		calls = aggregateCalls(n.X, calls)
+		walk(n.X, visit)
 		for _, a := range n.List {
-			calls = aggregateCalls(a, calls)
+			walk(a, visit)
 		}
 	case *IsNull:
-		return aggregateCalls(n.X, calls)
+		walk(n.X, visit)
 	case *Like:
-		return aggregateCalls(n.Pattern, aggregateCalls(n.X, calls))
+		walk(n.X, visit)
+		walk(n.Pattern, visit)
 	}
-	return calls
 }

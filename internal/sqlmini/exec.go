@@ -1,10 +1,9 @@
 package sqlmini
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 
 	"rcep/internal/core/event"
@@ -342,32 +341,17 @@ func (e *env) subquery(sub *Select) (Result, error) {
 // run serves every row. A statement calls it before it takes a table lock,
 // so a subquery on the statement's own table never locks it again.
 func (e *env) evalSubqueries(x Expr) {
-	switch n := x.(type) {
-	case *Unary:
-		e.evalSubqueries(n.X)
-	case *Binary:
-		e.evalSubqueries(n.L)
-		e.evalSubqueries(n.R)
-	case *Call:
-		for _, a := range n.Args {
-			e.evalSubqueries(a)
-		}
-	case *Exists:
-		e.keepSubquery(n.Sub)
-	case *InList:
-		e.evalSubqueries(n.X)
-		for _, a := range n.List {
-			e.evalSubqueries(a)
-		}
-		if n.Sub != nil {
+	walk(x, func(x Expr) bool {
+		switch n := x.(type) {
+		case *Exists:
 			e.keepSubquery(n.Sub)
+		case *InList:
+			if n.Sub != nil {
+				e.keepSubquery(n.Sub)
+			}
 		}
-	case *IsNull:
-		e.evalSubqueries(n.X)
-	case *Like:
-		e.evalSubqueries(n.X)
-		e.evalSubqueries(n.Pattern)
-	}
+		return true
+	})
 }
 
 func (e *env) keepSubquery(sub *Select) {
@@ -607,7 +591,7 @@ func (e *env) evalAggregate(c *Call) (event.Value, error) {
 		case !strings.EqualFold(c.Name, "count"):
 			return event.Null, fmt.Errorf("sqlmini: %s(*) is not valid", c.Name)
 		}
-		return event.IntValue(e.agg.counts[e.grp]), nil
+		return event.IntValue(e.agg.groups[e.grp].count), nil
 	}
 	if len(c.Args) != 1 {
 		return event.Null, fmt.Errorf("sqlmini: %s needs exactly one argument", c.Name)
@@ -618,11 +602,11 @@ func (e *env) evalAggregate(c *Call) (event.Value, error) {
 		if i < 0 {
 			return event.Null, fmt.Errorf("sqlmini: internal error: aggregate %s was not folded", c.Name)
 		}
-		i += e.grp * len(e.agg.calls)
-		if err := e.agg.errs[i]; err != nil {
-			return event.Null, err
+		slot := &e.agg.groups[e.grp].aggs[i]
+		if slot.err != nil {
+			return event.Null, slot.err
 		}
-		acc = &e.agg.accs[i]
+		acc = &slot.acc
 	} else {
 		v, err := e.eval(c.Args[0])
 		if err != nil {
@@ -938,12 +922,27 @@ func deleteRows(tbl *store.Table, m matcher) (Result, error) {
 	return Result{RowsAffected: n}, err
 }
 
-// relation is an intermediate query result: qualified columns plus rows.
-// Joins concatenate relations column-wise.
+// relation is an intermediate query result: the columns of its tables,
+// in order, plus rows. Joins concatenate relations column-wise.
 type relation struct {
-	quals []string // table name or alias per column
-	names []string
-	rows  [][]event.Value
+	tables []relTable
+	one    [1]relTable // tables' backing for a single table
+	rows   [][]event.Value
+}
+
+// relTable is one table of a relation: its name or alias and its schema.
+type relTable struct {
+	qual   string
+	schema store.Schema
+}
+
+// width returns the relation's column count.
+func (r *relation) width() int {
+	n := 0
+	for _, t := range r.tables {
+		n += len(t.schema)
+	}
+	return n
 }
 
 // errNoColumn distinguishes "not a column" (fall back to parameters) from
@@ -952,24 +951,30 @@ var errNoColumn = fmt.Errorf("sqlmini: no such column")
 
 // index resolves a possibly qualified column reference.
 func (r *relation) index(ref string) (int, error) {
-	if qual, col, ok := strings.Cut(ref, "."); ok {
-		for i := range r.names {
-			if strings.EqualFold(r.quals[i], qual) && strings.EqualFold(r.names[i], col) {
-				return i, nil
-			}
-		}
-		return -1, fmt.Errorf("sqlmini: no column %s.%s", qual, col)
+	qual, col, qualified := strings.Cut(ref, ".")
+	if !qualified {
+		col = ref
 	}
-	found := -1
-	for i := range r.names {
-		if strings.EqualFold(r.names[i], ref) {
+	found, off := -1, 0
+	for _, t := range r.tables {
+		for i, c := range t.schema {
+			if !strings.EqualFold(c.Name, col) || qualified && !strings.EqualFold(t.qual, qual) {
+				continue
+			}
+			if qualified {
+				return off + i, nil
+			}
 			if found >= 0 {
 				return -1, fmt.Errorf("sqlmini: column %s is ambiguous (qualify it)", ref)
 			}
-			found = i
+			found = off + i
 		}
+		off += len(t.schema)
 	}
-	if found < 0 {
+	switch {
+	case qualified:
+		return -1, fmt.Errorf("sqlmini: no column %s.%s", qual, col)
+	case found < 0:
 		return -1, errNoColumn
 	}
 	return found, nil
@@ -984,15 +989,11 @@ func tableRelation(s *store.Store, name, alias string, where Expr, params event.
 	if err != nil {
 		return nil, err
 	}
-	qual := alias
-	if qual == "" {
-		qual = tbl.Name()
+	if alias == "" {
+		alias = tbl.Name()
 	}
-	rel := &relation{}
-	for _, c := range tbl.Schema() {
-		rel.quals = append(rel.quals, qual)
-		rel.names = append(rel.names, c.Name)
-	}
+	rel := &relation{one: [1]relTable{{alias, tbl.Schema()}}}
+	rel.tables = rel.one[:]
 	m := planMatch(s, tbl, where, params)
 	visit := func(r store.Row) { rel.rows = append(rel.rows, r) } // immutable: aliased, not copied
 	if fold != nil {
@@ -1019,36 +1020,14 @@ func pushedWhere(sel *Select) Expr {
 // column reference (those need the relation resolver, not the plain
 // schema resolver).
 func hasQualifiedRef(x Expr) bool {
-	switch n := x.(type) {
-	case nil:
-		return false
-	case *Ref:
-		return strings.Contains(n.Name, ".")
-	case *Unary:
-		return hasQualifiedRef(n.X)
-	case *Binary:
-		return hasQualifiedRef(n.L) || hasQualifiedRef(n.R)
-	case *Call:
-		for _, a := range n.Args {
-			if hasQualifiedRef(a) {
-				return true
-			}
+	found := false
+	walk(x, func(x Expr) bool {
+		if r, ok := x.(*Ref); ok && strings.Contains(r.Name, ".") {
+			found = true
 		}
-	case *InList:
-		if hasQualifiedRef(n.X) {
-			return true
-		}
-		for _, a := range n.List {
-			if hasQualifiedRef(a) {
-				return true
-			}
-		}
-	case *IsNull:
-		return hasQualifiedRef(n.X)
-	case *Like:
-		return hasQualifiedRef(n.X) || hasQualifiedRef(n.Pattern)
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // buildRelation evaluates FROM + JOINs + WHERE into one relation. Given a
@@ -1070,10 +1049,7 @@ func buildRelation(s *store.Store, sel *Select, params event.Bindings, fold *agg
 		if err != nil {
 			return nil, err
 		}
-		joined := &relation{
-			quals: append(append([]string(nil), rel.quals...), right.quals...),
-			names: append(append([]string(nil), rel.names...), right.names...),
-		}
+		joined := &relation{tables: slices.Concat(rel.tables, right.tables)}
 		e := env{store: s, rel: joined, params: params}
 		for _, lr := range rel.rows {
 			for _, rr := range right.rows {
@@ -1133,49 +1109,47 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (Result, err
 		}
 	}
 	var res Result
-	// base tracks the source row behind each result row for ORDER BY.
-	var base [][]event.Value
 	switch {
 	case sel.Star:
 		if aggregated {
 			return Result{}, fmt.Errorf("sqlmini: SELECT * with GROUP BY/HAVING is not supported")
 		}
-		for i := range rel.names {
-			name := rel.names[i]
-			if len(sel.Joins) > 0 {
-				name = rel.quals[i] + "." + name
+		for _, t := range rel.tables {
+			for _, c := range t.schema {
+				if len(sel.Joins) > 0 {
+					c.Name = t.qual + "." + c.Name
+				}
+				res.Columns = append(res.Columns, c.Name)
 			}
-			res.Columns = append(res.Columns, name)
 		}
 		res.Rows = rel.rows
-		base = rel.rows
 	case aggregated:
 		if err := execAggregate(s, sel, aggregateCalls(sel.Having, calls), params, &res); err != nil {
 			return Result{}, err
 		}
 	default:
-		for i, it := range sel.Items {
-			res.Columns = append(res.Columns, itemName(it, i))
-		}
+		res.Columns = itemNames(sel.Items)
 		e := env{store: s, rel: rel, params: params}
-		for _, row := range rel.rows {
+		if len(rel.rows) > 0 {
+			res.Rows = make([][]event.Value, len(rel.rows))
+		}
+		var vals []event.Value
+		for i, row := range rel.rows {
 			e.row = row
-			var out []event.Value
-			for _, it := range sel.Items {
+			res.Rows[i] = event.Carve(&vals, len(sel.Items), len(rel.rows)*len(sel.Items))
+			for j, it := range sel.Items {
 				v, err := e.eval(it.Expr)
 				if err != nil {
 					return Result{}, err
 				}
-				out = append(out, v)
+				res.Rows[i][j] = v
 			}
-			res.Rows = append(res.Rows, out)
-			base = append(base, row)
 		}
 	}
 
 	switch {
 	case len(sel.OrderBy) > 0 && !aggregated:
-		if err := orderRows(s, sel, rel, base, params, &res); err != nil {
+		if err := orderRows(s, sel, rel, params, &res); err != nil {
 			return Result{}, err
 		}
 	case len(sel.OrderBy) > 0:
@@ -1186,14 +1160,14 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (Result, err
 	if sel.Distinct {
 		seen := map[string]bool{}
 		kept := res.Rows[:0]
-		var key []byte
+		var key, slab []byte
 		for _, row := range res.Rows {
 			key = key[:0]
 			for _, v := range row {
 				key = appendKey(key, v)
 			}
 			if !seen[string(key)] {
-				seen[string(key)] = true
+				seen[event.SlabString(&slab, key)] = true
 				kept = append(kept, row)
 			}
 		}
@@ -1204,51 +1178,44 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (Result, err
 	}
 	if sel.Star && len(sel.Joins) == 0 {
 		// Only here do stored rows reach the caller: copy them.
+		var vals []event.Value
 		for i, r := range res.Rows {
-			res.Rows[i] = slices.Clone(r)
+			res.Rows[i] = event.Carve(&vals, len(r), len(res.Rows)*len(r))
+			copy(res.Rows[i], r)
 		}
 	}
 	return res, nil
 }
 
-// orderRows sorts the projected rows by keys evaluated against the source
-// rows (aligned index-wise with the result).
-func orderRows(s *store.Store, sel *Select, rel *relation, base [][]event.Value, params event.Bindings, res *Result) error {
+// orderRows sorts the projected rows by keys evaluated against the
+// relation's rows (aligned index-wise with the result).
+func orderRows(s *store.Store, sel *Select, rel *relation, params event.Bindings, res *Result) error {
 	type keyed struct {
 		keys []event.Value
 		row  []event.Value
 	}
 	e := env{store: s, rel: rel, params: params}
 	items := make([]keyed, len(res.Rows))
+	var vals []event.Value
 	for i := range res.Rows {
-		if i < len(base) {
-			e.row = base[i]
-		}
-		var keys []event.Value
-		for _, k := range sel.OrderBy {
+		e.row = rel.rows[i]
+		keys := event.Carve(&vals, len(sel.OrderBy), len(res.Rows)*len(sel.OrderBy))
+		for ki, k := range sel.OrderBy {
 			v, err := e.eval(k.Expr)
 			if err != nil {
 				return err
 			}
-			keys = append(keys, v)
+			keys[ki] = v
 		}
 		items[i] = keyed{keys, res.Rows[i]}
 	}
-	sort.SliceStable(items, func(a, b int) bool {
+	slices.SortStableFunc(items, func(a, b keyed) int {
 		for ki, k := range sel.OrderBy {
-			cmp, ok := items[a].keys[ki].Compare(items[b].keys[ki])
-			if !ok {
-				cmp = strings.Compare(items[a].keys[ki].String(), items[b].keys[ki].String())
+			if c := orderCompare(a.keys[ki], b.keys[ki], k.Desc); c != 0 {
+				return c
 			}
-			if cmp == 0 {
-				continue
-			}
-			if k.Desc {
-				return cmp > 0
-			}
-			return cmp < 0
 		}
-		return false
+		return 0
 	})
 	for i := range items {
 		res.Rows[i] = items[i].row
@@ -1290,23 +1257,37 @@ func orderAggregated(sel *Select, res *Result) error {
 		}
 		positions[ki] = pos
 	}
-	sort.SliceStable(res.Rows, func(a, b int) bool {
+	slices.SortStableFunc(res.Rows, func(a, b []event.Value) int {
 		for ki, pos := range positions {
-			cmp, ok := res.Rows[a][pos].Compare(res.Rows[b][pos])
-			if !ok {
-				cmp = strings.Compare(res.Rows[a][pos].String(), res.Rows[b][pos].String())
+			if c := orderCompare(a[pos], b[pos], sel.OrderBy[ki].Desc); c != 0 {
+				return c
 			}
-			if cmp == 0 {
-				continue
-			}
-			if sel.OrderBy[ki].Desc {
-				return cmp > 0
-			}
-			return cmp < 0
 		}
-		return false
+		return 0
 	})
 	return nil
+}
+
+// orderCompare orders two ORDER BY key values, by their display forms
+// where Compare cannot order them.
+func orderCompare(a, b event.Value, desc bool) int {
+	c, ok := a.Compare(b)
+	if !ok {
+		c = strings.Compare(a.String(), b.String())
+	}
+	if desc {
+		return -c
+	}
+	return c
+}
+
+// itemNames returns the result columns of a projection.
+func itemNames(items []SelectItem) []string {
+	names := make([]string, len(items))
+	for i, it := range items {
+		names[i] = itemName(it, i)
+	}
+	return names
 }
 
 func itemName(it SelectItem, i int) string {
@@ -1322,24 +1303,22 @@ func itemName(it SelectItem, i int) string {
 	return fmt.Sprintf("col%d", i+1)
 }
 
-// appendKey appends v's row key to b: its kind, then its display form,
-// length-prefixed. GROUP BY and DISTINCT compare rows by their keys, so
-// two values are one key exactly when kind and display form agree: NULL,
-// ” and 'null' stay apart, and so do 1 and '1'.
+// appendKey appends v's row key to b: its kind, then its display form
+// (Value.AppendText), length-prefixed. GROUP BY and DISTINCT compare rows
+// by their keys, so two values are one key exactly when kind and display
+// form agree: NULL, ” and 'null' stay apart, and so do 1 and '1'.
 func appendKey(b []byte, v event.Value) []byte {
-	f := store.Format(v)
-	b = append(b, byte(v.Kind()))
-	b = strconv.AppendInt(b, int64(len(f)), 10)
-	b = append(b, ':')
-	return append(b, f...)
+	b = append(b, byte(v.Kind()), 0, 0, 0, 0)
+	n := len(b)
+	b = v.AppendText(b)
+	binary.BigEndian.PutUint32(b[n-4:n], uint32(len(b)-n))
+	return b
 }
 
 // aggState folds the rows of an aggregated SELECT into their GROUP BY
-// groups as they are read, keeping no rows. A group keeps its first row,
-// its row count and an accumulator per aggregate call of the projection
-// and HAVING, beside the first error the call's argument raised on its
-// rows, which evalAggregate raises if evaluation reaches the call.
-// Arguments are evaluated on every row, of groups HAVING drops too.
+// groups as they are read, keeping no rows. Arguments are evaluated on
+// every row, of groups HAVING drops too. Group keys are cut from one byte
+// slab, and the groups' accumulators from one slot slab.
 type aggState struct {
 	calls   []*Call // the aggregate calls of the projection and HAVING
 	groupBy []string
@@ -1347,11 +1326,26 @@ type aggState struct {
 	keyErr  error
 	index   map[string]int
 	key     []byte
-	firsts  []store.Row    // per group: its first row
-	counts  []int64        // and its row count
-	accs    []event.AggAcc // len(calls) per group, in group order
-	errs    []error        // beside accs
-	arg     env            // the row context aggregate arguments see
+	keySlab []byte
+	groups  []group
+	slots   []aggSlot // the slab groups' aggs are carved from
+	arg     env       // the row context aggregate arguments see
+}
+
+// group is one GROUP BY group: its first row, its row count and a slot per
+// aggregate call.
+type group struct {
+	first store.Row
+	count int64
+	aggs  []aggSlot
+}
+
+// aggSlot is one aggregate call's accumulator in a group, beside the
+// first error the call's argument raised on the group's rows, which
+// evalAggregate raises if evaluation reaches the call.
+type aggSlot struct {
+	acc event.AggAcc
+	err error
 }
 
 // open prepares the fold over rel's rows. The arguments' subqueries run
@@ -1379,32 +1373,33 @@ func (a *aggState) fold(r store.Row) {
 	}
 	g, seen := a.index[string(a.key)]
 	if !seen {
-		g = len(a.firsts)
-		a.index[string(a.key)] = g
+		g = len(a.groups)
+		a.index[event.SlabString(&a.keySlab, a.key)] = g
 		a.addGroup(r)
 	}
-	a.counts[g]++
-	at := g * len(a.calls)
+	grp := &a.groups[g]
+	grp.count++
 	for i, c := range a.calls {
-		if len(c.Args) != 1 || a.errs[at+i] != nil {
+		slot := &grp.aggs[i]
+		if len(c.Args) != 1 || slot.err != nil {
 			continue // COUNT(*) reads rows; evalAggregate rejects other arities
 		}
 		a.arg.row = r
 		v, err := a.arg.eval(c.Args[0])
 		if err != nil {
-			a.errs[at+i] = err
+			slot.err = err
 			continue
 		}
-		a.accs[at+i].Add(v)
+		slot.acc.Add(v)
 	}
 }
 
+// addGroup opens a group. Its slots are carved from a.slots, whose chunks
+// hold as many groups as are open, at least 8: a fold of n groups makes
+// O(log n) of them.
 func (a *aggState) addGroup(first store.Row) {
-	a.firsts = append(a.firsts, first)
-	a.counts = append(a.counts, 0)
-	n := len(a.calls) // slots past len are zero: the slices never shrink
-	a.accs = slices.Grow(a.accs, n)[:len(a.accs)+n]
-	a.errs = slices.Grow(a.errs, n)[:len(a.errs)+n]
+	slots := event.Carve(&a.slots, len(a.calls), max(len(a.groups), 8)*len(a.calls))
+	a.groups = append(a.groups, group{first: first, aggs: slots})
 }
 
 // execAggregate evaluates aggregate projections, optionally grouped and
@@ -1413,9 +1408,7 @@ func (a *aggState) addGroup(first store.Row) {
 // calls read their group's accumulators, other names its first row (a row
 // of nulls for no rows and no GROUP BY).
 func execAggregate(s *store.Store, sel *Select, calls []*Call, params event.Bindings, res *Result) error {
-	for i, it := range sel.Items {
-		res.Columns = append(res.Columns, itemName(it, i))
-	}
+	res.Columns = itemNames(sel.Items)
 	a := &aggState{calls: calls, groupBy: sel.GroupBy, index: map[string]int{}, arg: env{store: s, params: params}}
 	rel, err := buildRelation(s, sel, params, a)
 	if err != nil {
@@ -1424,12 +1417,14 @@ func execAggregate(s *store.Store, sel *Select, calls []*Call, params event.Bind
 	if a.keyErr != nil {
 		return a.keyErr
 	}
-	if len(a.firsts) == 0 && len(a.keys) == 0 {
-		a.addGroup(make(store.Row, len(rel.names)))
+	if len(a.groups) == 0 && len(a.keys) == 0 {
+		a.addGroup(make(store.Row, rel.width()))
 	}
 	e := env{store: s, rel: rel, agg: a, params: params}
-	for g, first := range a.firsts {
-		e.grp, e.row = g, first
+	rows := make([][]event.Value, 0, len(a.groups))
+	var vals []event.Value
+	for g, grp := range a.groups {
+		e.grp, e.row = g, grp.first
 		if sel.Having != nil {
 			v, err := e.eval(sel.Having)
 			if err != nil {
@@ -1439,15 +1434,18 @@ func execAggregate(s *store.Store, sel *Select, calls []*Call, params event.Bind
 				continue
 			}
 		}
-		out := make([]event.Value, 0, len(sel.Items))
-		for _, it := range sel.Items {
+		out := event.Carve(&vals, len(sel.Items), len(a.groups)*len(sel.Items))
+		for i, it := range sel.Items {
 			v, err := e.eval(it.Expr)
 			if err != nil {
 				return err
 			}
-			out = append(out, v)
+			out[i] = v
 		}
-		res.Rows = append(res.Rows, out)
+		rows = append(rows, out)
+	}
+	if len(rows) > 0 {
+		res.Rows = rows
 	}
 	return nil
 }

@@ -153,10 +153,11 @@ func TestUnindexedProbeErrorsLikeIndexed(t *testing.T) {
 
 // TestAllocBudgetGroupBy: an aggregated SELECT folds each row into its
 // group as the store scan reads it, keeping no rows, so grouping allocates
-// per group and per doubling of the group state, not per row. Grouping the
-// 12k-row OBJECTLOCATION into its one group stays under a fixed budget;
-// grouping it into 4,000 groups stays under a few allocations a group (the
-// group's key, its result row, and a share of the doublings).
+// per doubling of the group state and per slab chunk, not per row or per
+// group. Grouping the 12k-row OBJECTLOCATION into its one group stays
+// under a fixed budget; grouping it into 4,000 groups stays under a
+// thirty-second of an allocation a group: group keys are cut from a byte
+// slab, accumulators from a slot slab and result rows from one array.
 func TestAllocBudgetGroupBy(t *testing.T) {
 	const objects = 4000
 	s := locationTable(t, objects)
@@ -167,7 +168,7 @@ func TestAllocBudgetGroupBy(t *testing.T) {
 		budget float64
 	}{
 		{`SELECT loc_id, COUNT(*) FROM OBJECTLOCATION GROUP BY loc_id`, 1, 3 * objects, 32},
-		{`SELECT object_epc, COUNT(*) FROM OBJECTLOCATION GROUP BY object_epc`, objects, 3, 4*objects + 32},
+		{`SELECT object_epc, COUNT(*) FROM OBJECTLOCATION GROUP BY object_epc`, objects, 3, objects/32 + 32},
 	} {
 		sel := PrepareStmt(mustParse(t, tc.sql))
 		allocs := testing.AllocsPerRun(10, func() {

@@ -1,7 +1,8 @@
 package store
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rcep/internal/core/event"
 )
@@ -32,57 +33,43 @@ type ContainmentSpan struct {
 // LocationHistory returns the object's location history ordered by start
 // time.
 func LocationHistory(s *Store, objectEPC string) ([]LocationStay, error) {
-	t, err := s.Table(TableLocation)
-	if err != nil {
-		return nil, err
-	}
-	var out []LocationStay
-	if err := t.Lookup("object_epc", event.StringValue(objectEPC), func(_ int64, r Row) bool {
-		out = append(out, LocationStay{
-			Location: r[1].Str(),
-			Period:   Period{Start: r[2].Time(), End: r[3].Time()},
-		})
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out, nil
+	return history(s, TableLocation, objectEPC, func(loc string, p Period) LocationStay { return LocationStay{loc, p} })
 }
 
 // ContainmentHistory returns the object's containment history ordered by
 // start time.
 func ContainmentHistory(s *Store, objectEPC string) ([]ContainmentSpan, error) {
-	t, err := s.Table(TableContainment)
+	return history(s, TableContainment, objectEPC, func(parent string, p Period) ContainmentSpan { return ContainmentSpan{parent, p} })
+}
+
+// history returns the object's rows of a history table, each made an
+// entry by mk from its second column and its period, ordered by start.
+func history[T interface{ period() Period }](s *Store, table, objectEPC string, mk func(string, Period) T) ([]T, error) {
+	t, err := s.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	var out []ContainmentSpan
+	var out []T
 	if err := t.Lookup("object_epc", event.StringValue(objectEPC), func(_ int64, r Row) bool {
-		out = append(out, ContainmentSpan{
-			Parent: r[1].Str(),
-			Period: Period{Start: r[2].Time(), End: r[3].Time()},
-		})
+		out = append(out, mk(r[1].Str(), Period{Start: r[2].Time(), End: r[3].Time()}))
 		return true
 	}); err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	slices.SortFunc(out, func(a, b T) int { return cmp.Compare(a.period().Start, b.period().Start) })
 	return out, nil
 }
 
+func (p Period) period() Period { return p }
+
 // EffectiveLocationAt resolves where an object actually was at time at:
 // its own recorded location if any, else its container's effective
-// location at that time, following the containment chain (bounded against
-// cycles).
+// location at that time, following the containment chain. A chain over
+// 64 deep, as a containment cycle in corrupt data makes it, resolves to
+// nowhere.
 func EffectiveLocationAt(s *Store, objectEPC string, at event.Time) (string, bool) {
-	seen := map[string]bool{}
 	cur := objectEPC
 	for depth := 0; depth < 64; depth++ {
-		if seen[cur] {
-			return "", false // containment cycle: corrupt data
-		}
-		seen[cur] = true
 		if loc, ok := LocationAt(s, cur, at); ok {
 			return loc, true
 		}
@@ -102,19 +89,19 @@ func EffectiveLocationAt(s *Store, objectEPC string, at event.Time) (string, boo
 func Trace(s *Store, objectEPC string) ([]LocationStay, error) {
 	// Collect candidate boundary timestamps: the object's own rows plus
 	// every ancestor's rows reachable through its containment spans.
-	bounds := map[event.Time]bool{}
+	ts := make([]event.Time, 0, 16) // on the stack for up to 16 boundaries
+	addBounds := func(p Period) {
+		ts = append(ts, p.Start)
+		if p.End != UC {
+			ts = append(ts, p.End)
+		}
+	}
 	addHistory := func(epc string) error {
 		hist, err := LocationHistory(s, epc)
-		if err != nil {
-			return err
-		}
 		for _, h := range hist {
-			bounds[h.Start] = true
-			if h.End != UC {
-				bounds[h.End] = true
-			}
+			addBounds(h.Period)
 		}
-		return nil
+		return err
 	}
 	if err := addHistory(objectEPC); err != nil {
 		return nil, err
@@ -124,24 +111,18 @@ func Trace(s *Store, objectEPC string) ([]LocationStay, error) {
 		return nil, err
 	}
 	for _, sp := range spans {
-		bounds[sp.Start] = true
-		if sp.End != UC {
-			bounds[sp.End] = true
-		}
+		addBounds(sp.Period)
 		// One level of ancestry is enough for boundary detection in
 		// practice; deeper chains re-resolve per boundary below.
 		if err := addHistory(sp.Parent); err != nil {
 			return nil, err
 		}
 	}
-	if len(bounds) == 0 {
+	if len(ts) == 0 {
 		return nil, nil
 	}
-	ts := make([]event.Time, 0, len(bounds))
-	for b := range bounds {
-		ts = append(ts, b)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
+	ts = slices.Compact(ts)
 
 	var out []LocationStay
 	for i, start := range ts {

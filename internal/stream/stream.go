@@ -1,23 +1,15 @@
 // Package stream provides timestamp-ordered plumbing between observation
-// sources and the detection engine: sorting, k-way merging of sorted
-// streams, a bounded out-of-order reorder buffer, and duplicate
-// elimination.
+// sources and the detection engine: k-way merging of sorted streams, a
+// bounded out-of-order reorder buffer, and duplicate elimination.
 package stream
 
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 	"time"
 
 	"rcep/internal/core/event"
 )
-
-// Sort orders observations by timestamp (stable, so same-time events keep
-// their source order).
-func Sort(obs []event.Observation) {
-	sort.SliceStable(obs, func(i, j int) bool { return obs[i].At < obs[j].At })
-}
 
 // Merge merges already-sorted streams into one sorted stream.
 func Merge(streams ...[]event.Observation) []event.Observation {

@@ -22,7 +22,7 @@ func TestSortAndIsSorted(t *testing.T) {
 	if event.Batch(obs).Sorted() {
 		t.Errorf("unsorted reported sorted")
 	}
-	Sort(obs)
+	event.Batch(obs).Sort()
 	if !event.Batch(obs).Sorted() || obs[0].Object != "a" || obs[2].Object != "c" {
 		t.Errorf("sort: %v", obs)
 	}
@@ -30,7 +30,7 @@ func TestSortAndIsSorted(t *testing.T) {
 
 func TestSortIsStable(t *testing.T) {
 	obs := []event.Observation{o("first", 1), o("second", 1), o("third", 1)}
-	Sort(obs)
+	event.Batch(obs).Sort()
 	if obs[0].Object != "first" || obs[2].Object != "third" {
 		t.Errorf("stability lost: %v", obs)
 	}

@@ -882,22 +882,17 @@ func (s *Server) ackedSeq(clientID string) uint64 {
 	return s.lastSeq[clientID]
 }
 
-// jsonRows converts query rows into JSON-safe values (durations become
-// nanosecond integers).
+// jsonRows makes the rows Engine.Query returned, which are the server's,
+// JSON-safe in place: durations become nanosecond integers.
 func jsonRows(rows [][]any) [][]any {
-	out := make([][]any, len(rows))
-	for i, r := range rows {
-		row := make([]any, len(r))
+	for _, r := range rows {
 		for j, v := range r {
 			if d, ok := v.(time.Duration); ok {
-				row[j] = int64(d)
-			} else {
-				row[j] = v
+				r[j] = int64(d)
 			}
 		}
-		out[i] = row
 	}
-	return out
+	return rows
 }
 
 // Client is a typed connection to a Server. For a client that survives

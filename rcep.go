@@ -396,22 +396,25 @@ func (e *Engine) Close() error {
 func (e *Engine) Errs() []error { return e.errs }
 
 // Query runs a SELECT against the embedded RFID data store. In sharded
-// mode pending rule actions are applied first.
+// mode pending rule actions are applied first. The rows are the caller's:
+// they share one backing array, and each has cap == len, so an append to
+// one row relocates it instead of writing into the next.
 func (e *Engine) Query(sql string) (cols []string, rows [][]any, err error) {
 	e.sync()
 	res, err := sqlmini.Exec(e.store, sql, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rcep: %w", err)
 	}
-	out := make([][]any, len(res.Rows))
+	w := len(res.Columns) // every result row's width
+	cells := make([]any, len(res.Rows)*w)
+	rows = make([][]any, len(res.Rows))
 	for i, r := range res.Rows {
-		row := make([]any, len(r))
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
 		for j, v := range r {
-			row[j] = valueToAny(v)
+			rows[i][j] = valueToAny(v)
 		}
-		out[i] = row
 	}
-	return res.Columns, out, nil
+	return res.Columns, rows, nil
 }
 
 // Exec runs a non-SELECT SQL statement against the embedded store and
