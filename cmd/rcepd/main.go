@@ -55,10 +55,8 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7411", "listen address")
 		simTypes  = flag.Bool("simtypes", false, "resolve type(o) via the simulator's GID registry")
 		snapshot  = flag.String("snapshot", "", "checkpoint file: store + in-flight detection state (load at start, save on shutdown)")
-		dedup     = flag.Duration("dedup", 0, "duplicate-read filter window (0 = off)")
 		reorder   = flag.Duration("reorder", 0, "out-of-order tolerance across connections (0 = off)")
-		keepalive = flag.Duration("keepalive", 0, "keepalive ping interval; dead peers are reaped (0 = off)")
-		peerTO    = flag.Duration("peer-timeout", 0, "drop connections silent longer than this (0 = 3×keepalive)")
+		keepalive = flag.Duration("keepalive", 0, "keepalive ping interval; peers silent for 3 intervals are reaped (0 = off)")
 		shards    = flag.Int("shards", 1, "max parallel detection engines; rules partition by reader/group key space (1 = classic single engine)")
 		role      = flag.String("role", "server", "server | worker | coordinator (cluster mode)")
 		clusterWs = flag.String("cluster-workers", "", "comma-separated worker addresses (coordinator role)")
@@ -138,17 +136,11 @@ func main() {
 		log.Printf("FIRE %s [%v..%v] %v", d.RuleID, d.Begin, d.End, d.Bindings())
 	}
 	var opts []wire.Option
-	if *dedup > 0 {
-		opts = append(opts, wire.WithDedup(*dedup))
-	}
 	if *reorder > 0 {
 		opts = append(opts, wire.WithReorder(*reorder))
 	}
 	if *keepalive > 0 {
 		opts = append(opts, wire.WithKeepalive(*keepalive))
-	}
-	if *peerTO > 0 {
-		opts = append(opts, wire.WithPeerTimeout(*peerTO))
 	}
 	if *admit > 0 {
 		opts = append(opts, wire.WithAdmission(*admit, *admitShed))

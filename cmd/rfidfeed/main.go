@@ -1,26 +1,32 @@
 // Command rfidfeed streams a CSV observation file (the format rfidsim
 // emits: "reader,object,seconds") to an rcepd server over the wire
-// protocol. It is the edge-reader side of the paper's deployment shape,
-// with optional fault tolerance: in -reconnect mode frames are sequenced
-// and buffered until acked, the connection is re-dialed with exponential
-// backoff on loss, and unacked frames are replayed; with -spool they are
-// additionally journaled to disk so a crashed feeder resumes where it
-// left off.
+// protocol. It is the edge-reader side of the paper's deployment shape
+// (Fig. 2). Consecutive rows with the same reader and time form one read
+// cycle. With -dedup the cycles pass a duplicate filter first: duplicate
+// reads are dropped here at the edge, not by rcepd, which assumes each
+// reader is fed by one rfidfeed. Each surviving cycle travels as one
+// sequenced frame, buffered until acked. A lost connection is re-dialed
+// with exponential backoff and the unacked frames are replayed; with
+// -spool they are also journaled to disk, so a crashed feeder resumes
+// where it left off.
 //
 // Usage:
 //
-//	rfidsim -lines 2 | rfidfeed -addr 127.0.0.1:7411 -reconnect -client-id edge1
+//	rfidsim -lines 2 | rfidfeed -addr 127.0.0.1:7411 -dedup 1s
 //	rfidfeed -addr 127.0.0.1:7411 -input stream.csv -spool edge1.spool -client-id edge1
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
 
 	"rcep/internal/core/event"
+	"rcep/internal/pipeline"
 	"rcep/internal/stream"
 	"rcep/internal/wire"
 )
@@ -29,23 +35,29 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7411", "rcepd address")
 		inputPath = flag.String("input", "-", "observation CSV; - for stdin")
-		clientID  = flag.String("client-id", "", "stable feed identity for reliable delivery (required with -reconnect/-spool)")
-		reconnect = flag.Bool("reconnect", false, "reliable mode: sequence, ack, buffer, and reconnect with backoff")
-		spoolPath = flag.String("spool", "", "journal unacked frames here (implies -reconnect)")
-		buffer    = flag.Int("buffer", 1024, "unacked frame ring capacity (reliable mode)")
-		backoff   = flag.Duration("backoff", 50*time.Millisecond, "initial reconnect backoff (reliable mode)")
-		maxBack   = flag.Duration("max-backoff", 0, "reconnect backoff ceiling (reliable mode; 0 = library default)")
-		multi     = flag.Float64("backoff-multiplier", 0, "reconnect backoff growth factor (reliable mode; 0 = library default)")
-		jitter    = flag.Float64("jitter", -1, "reconnect backoff jitter fraction 0..1 (reliable mode; -1 = library default)")
-		maxTries  = flag.Int("max-attempts", 0, "give up after this many consecutive failed reconnects (reliable mode; 0 = retry forever)")
-		drainTO   = flag.Duration("drain-timeout", 0, "bound on waiting for final acks at close (reliable mode; 0 = library default)")
-		keepalive = flag.Duration("keepalive", 0, "ping a silent connection this often (reliable mode; 0 = off)")
-		peerTO    = flag.Duration("peer-timeout", 0, "declare the connection dead after this much silence (reliable mode; 0 = 3×keepalive)")
+		clientID  = flag.String("client-id", "", "feed identity the server applies each frame once under (default: a fresh one per run; required with -spool)")
+		spoolPath = flag.String("spool", "", "journal unacked frames here, so a restarted feed resumes")
+		dedup     = flag.Duration("dedup", 0, "drop a reader's repeated reads of an object within this window (0 = off)")
+		buffer    = flag.Int("buffer", 1024, "unacked frame ring capacity")
+		backoff   = flag.Duration("backoff", 50*time.Millisecond, "initial reconnect backoff")
+		maxBack   = flag.Duration("max-backoff", 0, "reconnect backoff ceiling (0 = library default)")
+		maxTries  = flag.Int("max-attempts", 0, "give up after this many consecutive failed reconnects (0 = retry forever)")
+		drainTO   = flag.Duration("drain-timeout", 0, "bound on waiting for final acks at close (0 = library default)")
+		keepalive = flag.Duration("keepalive", 0, "ping a silent connection this often; a server silent for 3 intervals is re-dialed (0 = off)")
 		advance   = flag.Duration("advance", 0, "advance the server clock to this offset after the feed (0 = off)")
 		quiet     = flag.Bool("quiet", false, "suppress per-firing output")
 	)
 	flag.Parse()
 
+	if *clientID == "" {
+		if *spoolPath != "" {
+			log.Fatal("-spool needs -client-id: a spool resumes one feed identity across runs")
+		}
+		// Fresh per run: a rerun starts again at seq 1, which the server
+		// would drop as a stale replay under an identity it already knows.
+		host, _ := os.Hostname()
+		*clientID = fmt.Sprintf("rfidfeed-%s-%d-%d", host, os.Getpid(), time.Now().UnixNano())
+	}
 	in := os.Stdin
 	if *inputPath != "-" {
 		f, err := os.Open(*inputPath)
@@ -56,93 +68,100 @@ func main() {
 		in = f
 	}
 
-	onFire := func(m wire.Message) {
-		if !*quiet {
-			fmt.Printf("FIRE %-12s [%d .. %d] %v\n", m.Rule, m.BeginNS, m.EndNS, m.Bindings)
-		}
+	opt := wire.ReliableOptions{
+		ClientID:     *clientID,
+		Buffer:       *buffer,
+		Backoff:      *backoff,
+		MaxBackoff:   *maxBack,
+		MaxAttempts:  *maxTries,
+		DrainTimeout: *drainTO,
+		Keepalive:    *keepalive,
+		OnFire: func(m wire.Message) {
+			if !*quiet {
+				fmt.Printf("FIRE %-12s [%d .. %d] %v\n", m.Rule, m.BeginNS, m.EndNS, m.Bindings)
+			}
+		},
+		OnReconnect: func(n int) {
+			log.Printf("connection lost, reconnect #%d (unacked frames will be replayed)", n)
+		},
 	}
-
-	reliable := *reconnect || *spoolPath != ""
-	var (
-		send   func(event.Observation) error
-		adv    func(time.Duration) error
-		finish func() (wire.Message, error)
-		rc     *wire.ReliableClient
-	)
-	if reliable {
-		if *clientID == "" {
-			log.Fatal("reliable mode needs -client-id (a stable identity the server dedupes on)")
-		}
-		opt := wire.ReliableOptions{
-			ClientID:     *clientID,
-			Buffer:       *buffer,
-			Backoff:      *backoff,
-			MaxBackoff:   *maxBack,
-			Multiplier:   *multi,
-			MaxAttempts:  *maxTries,
-			DrainTimeout: *drainTO,
-			Keepalive:    *keepalive,
-			PeerTimeout:  *peerTO,
-			OnFire:       onFire,
-			OnReconnect: func(n int) {
-				log.Printf("connection lost, reconnect #%d (unacked frames will be replayed)", n)
-			},
-		}
-		if *jitter >= 0 {
-			opt.Jitter = *jitter
-		}
-		if err := opt.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		if *spoolPath != "" {
-			sp, err := wire.OpenSpool(*spoolPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if pending := sp.Pending(); len(pending) > 0 {
-				log.Printf("spool %s: replaying %d unacked frames from a previous run", *spoolPath, len(pending))
-			}
-			opt.Spool = sp
-		}
-		c, err := wire.DialReliable(*addr, opt)
+	if *spoolPath != "" {
+		sp, err := wire.OpenSpool(*spoolPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rc = c
-		send = func(o event.Observation) error {
-			return c.Send(o.Reader, o.Object, time.Duration(o.At))
+		if pending := sp.Pending(); len(pending) > 0 {
+			log.Printf("spool %s: replaying %d unacked frames from a previous run", *spoolPath, len(pending))
 		}
-		adv = c.Advance
-		finish = c.Close
-	} else {
-		c, err := wire.Dial(*addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.OnFire = onFire
-		send = func(o event.Observation) error {
-			return c.Send(o.Reader, o.Object, time.Duration(o.At))
-		}
-		adv = c.Advance
-		finish = c.Close
+		opt.Spool = sp
 	}
-
-	n, err := stream.ReadCSV(in, send)
+	c, err := wire.DialReliable(*addr, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *advance > 0 {
-		if err := adv(*advance); err != nil {
-			log.Fatal(err)
-		}
-	}
-	stats, err := finish()
+	n, stats, err := feed(c, in, *dedup, *advance)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if rc != nil && rc.Reconnects() > 0 {
-		log.Printf("survived %d reconnects", rc.Reconnects())
+	if c.Reconnects() > 0 {
+		log.Printf("survived %d reconnects", c.Reconnects())
 	}
 	fmt.Printf("-- fed %d observations; server total: %d observations, %d detections\n",
 		n, stats.Observations, stats.Detections)
+}
+
+// feed sends the CSV observations read from in through c, one SendBatch
+// per read cycle (consecutive rows with the same reader and time), past a
+// pipeline.Dedup stage when dedup > 0. An advance > 0 then moves the
+// server clock to that offset. feed closes c, draining what was sent even
+// after a bad row, and returns the rows read and the server's stats.
+func feed(c *wire.ReliableClient, in io.Reader, dedup, advance time.Duration) (int, wire.Message, error) {
+	var stages []pipeline.StageFunc
+	if dedup > 0 {
+		stages = append(stages, pipeline.Dedup(dedup))
+	}
+	rows := 0
+	var frame []wire.BatchObs
+	err := pipeline.RunBatches(context.Background(), pipeline.BatchedConfig{
+		Source: func(_ context.Context, emit func(event.Batch) error) error {
+			var cycle event.Batch
+			n, err := stream.ReadCSV(in, func(o event.Observation) error {
+				if len(cycle) > 0 && (o.Reader != cycle[0].Reader || o.At != cycle[0].At) {
+					b := cycle
+					cycle = nil
+					if err := emit(b); err != nil {
+						return err
+					}
+				}
+				if cycle == nil {
+					cycle = event.GetBatch()
+				}
+				cycle = append(cycle, o)
+				return nil
+			})
+			rows = n
+			if len(cycle) > 0 {
+				if eerr := emit(cycle); err == nil {
+					err = eerr
+				}
+			}
+			return err
+		},
+		Stages: stages,
+		Sink: func(b event.Batch) error {
+			frame = frame[:0]
+			for _, o := range b {
+				frame = append(frame, wire.BatchObs{Reader: o.Reader, Object: o.Object, AtNS: int64(o.At)})
+			}
+			return c.SendBatch(frame)
+		},
+	})
+	if err == nil && advance > 0 {
+		err = c.Advance(advance)
+	}
+	stats, cerr := c.Close()
+	if err == nil {
+		err = cerr
+	}
+	return rows, stats, err
 }

@@ -72,10 +72,6 @@ type Config struct {
 	// merge path dedupes by detection sequence.
 	BarrierTimeout time.Duration
 
-	// LinkKeepalive, when > 0, runs the wire keepalive on each worker
-	// link so silently dead links are detected between barriers.
-	LinkKeepalive time.Duration
-
 	// Checkpoint, when set, restores a cluster/v2 coordinator checkpoint
 	// (SaveCheckpoint) before placing shards: workers resume from the
 	// embedded engine states and the held fire group is preserved.
@@ -429,7 +425,6 @@ func (c *Coordinator) startLinkLocked(s, wkr int, useCk bool) error {
 		MaxBackoff:   500 * time.Millisecond,
 		Seed:         c.cfg.Seed + int64(s)*1009 + int64(c.epoch[s])*7919,
 		DrainTimeout: c.cfg.BarrierTimeout,
-		Keepalive:    c.cfg.LinkKeepalive,
 		OnFrame:      onFrame,
 	})
 	if err != nil {

@@ -50,7 +50,7 @@ func TestBatchFrameEndToEnd(t *testing.T) {
 		t.Fatalf("stats after batch: %+v", stats)
 	}
 
-	// With filter stages configured, the framing of a stream is invisible:
+	// With a reorder stage configured, the framing of a stream is invisible:
 	// the same stream sent one observation at a time (Send) and in batch
 	// frames of several must produce the identical fire sequence, on a
 	// single and on a sharded engine.
@@ -64,16 +64,15 @@ ON WITHIN(observation('dock3', o, t1); observation('dock4', o, t2), 10sec)
 IF true
 DO INSERT INTO ALERTS VALUES ('b', o, t1)
 `
-	// Duplicate reads (dropped by dedup) and late arrivals within the
-	// reorder slack; no two completions share an instant.
+	// Late arrivals within the reorder slack; no two completions share an
+	// instant.
 	stream := []BatchObs{
 		{Reader: "dock1", Object: "p1", AtNS: int64(sec(1))},
 		{Reader: "dock3", Object: "q1", AtNS: int64(sec(1.5))},
-		{Reader: "dock1", Object: "p1", AtNS: int64(sec(1.2))}, // late duplicate
+		{Reader: "dock1", Object: "p0", AtNS: int64(sec(1.2))}, // late
 		{Reader: "dock2", Object: "p1", AtNS: int64(sec(3))},
 		{Reader: "dock1", Object: "p2", AtNS: int64(sec(2.5))}, // late
 		{Reader: "dock4", Object: "q1", AtNS: int64(sec(4))},
-		{Reader: "dock4", Object: "q1", AtNS: int64(sec(4.1))}, // duplicate
 		{Reader: "dock3", Object: "q2", AtNS: int64(sec(5))},
 		{Reader: "dock2", Object: "p2", AtNS: int64(sec(6))},
 		{Reader: "dock4", Object: "q2", AtNS: int64(sec(7))},
@@ -82,7 +81,7 @@ DO INSERT INTO ALERTS VALUES ('b', o, t1)
 	runStaged := func(t *testing.T, shards, chunk int) []string {
 		t.Helper()
 		srv, err := NewServer(rcep.Config{Rules: stagedRules, Shards: shards},
-			WithDedup(500*time.Millisecond), WithReorder(2*time.Second))
+			WithReorder(2*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,8 +119,8 @@ DO INSERT INTO ALERTS VALUES ('b', o, t1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Observations != 9 { // 11 sent, 2 duplicates dropped
-			t.Fatalf("shards=%d chunk=%d: %d observations reached the engine, want 9", shards, chunk, stats.Observations)
+		if stats.Observations != 10 {
+			t.Fatalf("shards=%d chunk=%d: %d observations reached the engine, want 10", shards, chunk, stats.Observations)
 		}
 		return fires
 	}

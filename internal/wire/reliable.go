@@ -14,7 +14,7 @@ import (
 
 // ErrRingFull is returned by TrySendFrame when the unacked ring is at
 // capacity and no shed policy is configured: the caller must either wait
-// (Send/SendFrame block) or treat the link as saturated.
+// (SendBatch/SendFrame block) or treat the link as saturated.
 var ErrRingFull = errors.New("wire: unacked ring is full")
 
 // ReliableClient is the fault-tolerant counterpart of Client for edge
@@ -61,7 +61,7 @@ type ReliableClient struct {
 
 	abortCh chan struct{} // closed exactly once on abort/terminal failure
 	doneCh  chan struct{} // closed when the connection manager exits
-	randf   func() float64
+	rng     *rand.Rand    // reconnect jitter, used under mu
 
 	greeted bool // an ack has arrived: the first one answers the session's hello
 }
@@ -80,23 +80,18 @@ type ReliableOptions struct {
 	Dial func() (net.Conn, error)
 
 	// Buffer bounds the unacked ring (default 1024). A full ring blocks
-	// Send — backpressure toward the edge reader instead of silent loss.
+	// SendBatch — backpressure toward the edge reader instead of silent loss.
 	Buffer int
 
-	Backoff    time.Duration // initial reconnect delay (default 50ms)
-	MaxBackoff time.Duration // backoff cap (default 5s)
-	Multiplier float64       // backoff growth factor (default 2; 0 = default)
-	Jitter     float64       // ± fraction of each delay (default 0.2)
+	// Reconnect delays start at Backoff (default 50ms) and double up to
+	// MaxBackoff (default 5s), each spread by ±20% jitter.
+	Backoff    time.Duration
+	MaxBackoff time.Duration
 	// Seed seeds this client's private jitter RNG for reproducible tests.
 	// When zero, the seed is derived from ClientID, so a fleet of clients
 	// restarting together still spreads its reconnects instead of jittering
 	// in lockstep off a shared zero seed.
 	Seed int64
-	// Rand, when set, replaces the jitter RNG entirely with a caller-owned
-	// source of values in [0, 1). It is called serially under the client's
-	// lock, so a plain *rand.Rand method is safe; chaos harnesses inject a
-	// deterministic sequence here.
-	Rand func() float64
 	// MaxAttempts caps consecutive failed dials before the client fails
 	// terminally (0 = retry forever).
 	MaxAttempts int
@@ -107,13 +102,10 @@ type ReliableOptions struct {
 
 	// Keepalive, when > 0, sends a ping frame to the server on this
 	// interval while a session is up, so a silently dead link is detected
-	// even when the feed itself is idle. PeerTimeout is the matching read
-	// deadline: a server that sends nothing (acks, pongs, pings, fires)
-	// for longer than PeerTimeout is treated as dead and the client
-	// reconnects. Zero PeerTimeout with Keepalive set defaults to
-	// 3×Keepalive; both zero disables the machinery.
-	Keepalive   time.Duration
-	PeerTimeout time.Duration
+	// even when the feed itself is idle: a server that sends nothing
+	// (acks, pongs, pings, fires) for 3×Keepalive is treated as dead and
+	// the client reconnects. Zero disables the machinery.
+	Keepalive time.Duration
 
 	// Spool, when set, journals every sequenced frame and ack so a
 	// restarted process resumes the feed (see OpenSpool).
@@ -141,14 +133,20 @@ type ReliableOptions struct {
 	// OnFrame observes server frames the client does not consume itself
 	// (anything but ack/fire/ping/stats — e.g. error frames, or the
 	// cluster protocol's dets/ckptres replies). It runs on the session's
-	// read goroutine: it must not block on this client's own Send/Flush.
+	// read goroutine: it must not block on this client's own SendBatch/Flush.
 	OnFrame func(Message)
 }
 
-// Validate rejects nonsensical option values with an error naming the
+// Backoff growth factor and jitter fraction of every reconnect delay.
+const (
+	backoffMultiplier = 2
+	backoffJitter     = 0.2
+)
+
+// validate rejects nonsensical option values with an error naming the
 // field, instead of silently "defaulting" them into something the caller
 // did not ask for. Zero values still mean "use the default".
-func (o *ReliableOptions) Validate() error {
+func (o *ReliableOptions) validate() error {
 	if o.ClientID == "" {
 		return errors.New("wire: ReliableOptions.ClientID is required")
 	}
@@ -163,7 +161,6 @@ func (o *ReliableOptions) Validate() error {
 		{"MaxBackoff", o.MaxBackoff},
 		{"DrainTimeout", o.DrainTimeout},
 		{"Keepalive", o.Keepalive},
-		{"PeerTimeout", o.PeerTimeout},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("wire: negative %s %v", d.name, d.v)
@@ -172,26 +169,17 @@ func (o *ReliableOptions) Validate() error {
 	if o.MaxBackoff > 0 && o.Backoff > 0 && o.MaxBackoff < o.Backoff {
 		return fmt.Errorf("wire: MaxBackoff %v below initial Backoff %v", o.MaxBackoff, o.Backoff)
 	}
-	if o.Multiplier != 0 && o.Multiplier < 1 {
-		return fmt.Errorf("wire: backoff Multiplier %v < 1 would shrink delays", o.Multiplier)
-	}
-	if o.Jitter < 0 || o.Jitter > 1 {
-		return fmt.Errorf("wire: Jitter %v outside [0, 1]", o.Jitter)
-	}
 	if o.MaxAttempts < 0 {
 		return fmt.Errorf("wire: negative MaxAttempts %d", o.MaxAttempts)
-	}
-	if o.PeerTimeout > 0 && o.Keepalive > 0 && o.PeerTimeout <= o.Keepalive {
-		return fmt.Errorf("wire: PeerTimeout %v not above Keepalive %v would reap live links", o.PeerTimeout, o.Keepalive)
 	}
 	return nil
 }
 
 // DialReliable starts a reliable feed to addr. It returns immediately;
 // the connection is established (and re-established) in the background,
-// and Send buffers until the link is up.
+// and SendBatch buffers until the link is up.
 func DialReliable(addr string, opt ReliableOptions) (*ReliableClient, error) {
-	if err := opt.Validate(); err != nil {
+	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	if opt.Dial == nil {
@@ -209,17 +197,8 @@ func DialReliable(addr string, opt ReliableOptions) (*ReliableClient, error) {
 	if opt.MaxBackoff < opt.Backoff {
 		opt.MaxBackoff = opt.Backoff
 	}
-	if opt.Multiplier == 0 {
-		opt.Multiplier = 2
-	}
-	if opt.Jitter == 0 {
-		opt.Jitter = 0.2
-	}
 	if opt.DrainTimeout == 0 {
 		opt.DrainTimeout = 10 * time.Second
-	}
-	if opt.PeerTimeout == 0 && opt.Keepalive > 0 {
-		opt.PeerTimeout = 3 * opt.Keepalive
 	}
 	c := &ReliableClient{
 		opt:     opt,
@@ -227,17 +206,14 @@ func DialReliable(addr string, opt ReliableOptions) (*ReliableClient, error) {
 		next:    1,
 		abortCh: make(chan struct{}),
 		doneCh:  make(chan struct{}),
-		randf:   opt.Rand,
 	}
-	if c.randf == nil {
-		seed := opt.Seed
-		if seed == 0 {
-			h := fnv.New64a()
-			h.Write([]byte(opt.ClientID))
-			seed = int64(h.Sum64())
-		}
-		c.randf = rand.New(rand.NewSource(seed)).Float64
+	seed := opt.Seed
+	if seed == 0 {
+		h := fnv.New64a()
+		h.Write([]byte(opt.ClientID))
+		seed = int64(h.Sum64())
 	}
+	c.rng = rand.New(rand.NewSource(seed))
 	c.cond = sync.NewCond(&c.mu)
 	var pending []Message
 	if sp := opt.Spool; sp != nil {
@@ -257,17 +233,12 @@ func DialReliable(addr string, opt ReliableOptions) (*ReliableClient, error) {
 	return c, nil
 }
 
-// Send streams one observation through the reliable feed as a batch of
-// one. It blocks only when the unacked ring is full, and fails once the
-// client is closing or terminally failed.
-func (c *ReliableClient) Send(reader, object string, at time.Duration) error {
-	return c.SendBatch([]BatchObs{{Reader: reader, Object: object, AtNS: int64(at)}})
-}
-
 // SendBatch streams one read cycle of observations through the reliable
 // feed: one sequenced batch frame — one seq, one ack, one engine
-// hand-off — per MaxBatchFrame observations. The input slice is not
-// retained: it is copied into a recycled frame.
+// hand-off — per MaxBatchFrame observations. It blocks only when the
+// unacked ring is full, and fails once the client is closing or
+// terminally failed. The input slice is not retained: it is copied into a
+// recycled frame.
 func (c *ReliableClient) SendBatch(batch []BatchObs) error {
 	for len(batch) > 0 {
 		n := min(len(batch), MaxBatchFrame)
@@ -289,7 +260,7 @@ func (c *ReliableClient) BatchNegotiated() bool {
 }
 
 // Advance moves the server's virtual clock forward, with the same
-// delivery guarantee as Send: advances change detection state (negation
+// delivery guarantee as SendBatch: advances change detection state (negation
 // windows close on them), so they are sequenced and replayed too.
 func (c *ReliableClient) Advance(at time.Duration) error {
 	_, err := c.enqueue(&Message{Type: "advance", AtNS: int64(at)})
@@ -629,18 +600,18 @@ func (c *ReliableClient) run() {
 }
 
 func (c *ReliableClient) nextBackoff(d time.Duration) time.Duration {
-	d = time.Duration(float64(d) * c.opt.Multiplier)
+	d *= backoffMultiplier
 	if d > c.opt.MaxBackoff {
 		d = c.opt.MaxBackoff
 	}
 	return d
 }
 
-// jittered spreads d by ±Jitter so a fleet of edge clients does not
-// reconnect in lockstep after a server restart.
+// jittered spreads d by ±backoffJitter so a fleet of edge clients does
+// not reconnect in lockstep after a server restart.
 func (c *ReliableClient) jittered(d time.Duration) time.Duration {
 	c.mu.Lock()
-	f := 1 + c.opt.Jitter*(2*c.randf()-1)
+	f := 1 + backoffJitter*(2*c.rng.Float64()-1)
 	c.mu.Unlock()
 	j := time.Duration(float64(d) * f)
 	if j < time.Millisecond {
@@ -729,8 +700,8 @@ func (c *ReliableClient) session(conn net.Conn) bool {
 		// the reader's map, valid until the next Read.
 		var m Message
 		for {
-			if c.opt.PeerTimeout > 0 {
-				_ = conn.SetReadDeadline(time.Now().Add(c.opt.PeerTimeout))
+			if c.opt.Keepalive > 0 {
+				_ = conn.SetReadDeadline(time.Now().Add(deadIntervals * c.opt.Keepalive))
 			}
 			if err := fr.Read(&m); err != nil {
 				kill()

@@ -332,3 +332,106 @@ func TestReliableGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 	t.Fatal("client never failed despite MaxAttempts")
 }
+
+// TestReliableKeepaliveRedialsSilentPeer: a peer that accepts and then
+// never answers is declared dead after 3×Keepalive of silence, and the
+// client dials again; meanwhile the client's own pings reach the peer.
+func TestReliableKeepaliveRedialsSilentPeer(t *testing.T) {
+	const ka = 30 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// Buffered past what a run produces (a session every ~3×ka, a ping
+	// every ka), so the peer never blocks on the test.
+	accepted := make(chan time.Time, 8)
+	pings := make(chan struct{}, 64)
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- time.Now()
+			go func() {
+				defer conn.Close()
+				fr := NewFrameReader(conn)
+				var m Message
+				for fr.Read(&m) == nil {
+					if m.Type == "ping" {
+						pings <- struct{}{}
+					}
+				}
+			}()
+		}
+	}()
+	lost := make(chan time.Time, 8) // OnReconnect must not block the client
+	c, err := DialReliable(l.Addr().String(), ReliableOptions{
+		ClientID:     "silent-peer",
+		Backoff:      time.Millisecond,
+		Keepalive:    ka,
+		DrainTimeout: 50 * time.Millisecond,
+		OnReconnect:  func(int) { lost <- time.Now() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Abort()
+	first := <-accepted
+	select {
+	case at := <-lost:
+		if d := at.Sub(first); d < 2*ka || d > time.Second {
+			t.Fatalf("silent peer declared dead after %v, want about %v", d, 3*ka)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("client never gave up on a silent peer")
+	}
+	select {
+	case <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("client did not dial again after declaring the peer dead")
+	}
+	select {
+	case <-pings:
+	default:
+		t.Fatal("the silent peer received no keepalive ping")
+	}
+}
+
+// TestReliableKeepaliveHoldsIdleSession: a live server that sends nothing
+// of its own still answers pings, so an idle feed keeps one session across
+// many keepalive intervals.
+func TestReliableKeepaliveHoldsIdleSession(t *testing.T) {
+	const ka = 20 * time.Millisecond
+	_, addr := startServer(t, rcep.Config{Rules: dupRule})
+	c, err := DialReliable(addr, ReliableOptions{
+		ClientID:     "idle-edge",
+		Backoff:      time.Millisecond,
+		Keepalive:    ka,
+		DrainTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send("dock", "a", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * ka)
+	if err := c.Send("dock", "a", time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Reconnects(); n != 0 {
+		t.Fatalf("idle session was redialed %d times", n)
+	}
+	if stats.Observations != 2 || stats.Detections != 1 {
+		t.Fatalf("stats %+v, want 2 observations and 1 detection", stats)
+	}
+}

@@ -47,12 +47,18 @@
 // error reply, then the connection closes without claiming the seq, so
 // the next frame's cumulative ack cannot release it unapplied.
 //
+// Duplicate reads are filtered at the edge (rfidfeed -dedup, a
+// pipeline.Dedup stage), not here. That relies on each reader being fed by
+// one edge: the duplicate key includes the reader, so an edge that sees
+// all of a reader's observations drops exactly what a server-side filter
+// would.
+//
 // Every endpoint writes through a FrameWriter and reads through a
 // FrameReader, one pair per connection, which owns the connection's
 // symbol tables. Frames are encoded into a per-connection buffer and
 // flushed when the writer has nothing more to write — the server when its
 // input drains, a reliable client after the frames it took from its ring,
-// the plain client after every message. No timer holds a frame back, and
+// the query client after every message. No timer holds a frame back, and
 // buffering leaves a frame's bytes as they are, so peers that write one
 // frame per call interoperate.
 package wire
@@ -171,13 +177,11 @@ type Server struct {
 	emu sync.Mutex
 	cmu sync.Mutex
 	eng *rcep.Engine
-	// stages is the configured filter chain (reorder in front of dedup);
-	// its terminal appends survivors to pend for handOff. Nil when no
-	// filter is configured. flush releases the reorder buffer into the
-	// engine. All three are guarded by emu.
-	stages  func(event.Observation) error
+	// reorder is the configured reorder buffer (nil without WithReorder);
+	// it appends what it releases to pend for one handOff. Both are
+	// guarded by emu.
+	reorder *stream.Reorder
 	pend    event.Batch
-	flush   func() error
 	clients map[*clientConn]bool
 	// fanout is the frame's broadcast list, snapshotted at its first fire
 	// and flushed before applyFrame returns; guarded by emu.
@@ -299,19 +303,10 @@ func (cc *clientConn) settle() {
 type Option func(*serverOpts)
 
 type serverOpts struct {
-	dedupWindow  time.Duration
 	reorderSlack time.Duration
 	keepalive    time.Duration
-	peerTimeout  time.Duration
 	admitCap     int
 	admitDrop    bool
-}
-
-// WithDedup installs a duplicate filter in front of the engine: repeated
-// (reader, object) reads within the window are dropped (paper §3.1
-// low-level filtering at the middleware boundary).
-func WithDedup(window time.Duration) Option {
-	return func(o *serverOpts) { o.dedupWindow = window }
 }
 
 // WithReorder installs a bounded reorder buffer in front of the engine,
@@ -322,19 +317,16 @@ func WithReorder(slack time.Duration) Option {
 }
 
 // WithKeepalive makes the server send a ping frame on every connection
-// each interval. Combined with the peer timeout (default 3×interval) it
-// reaps dead peers: a client that neither sends frames nor answers pings
-// is disconnected instead of holding a goroutine forever.
+// each interval and reap dead peers: a client that neither sends frames
+// nor answers pings for deadIntervals intervals is disconnected instead
+// of holding a goroutine forever.
 func WithKeepalive(interval time.Duration) Option {
 	return func(o *serverOpts) { o.keepalive = interval }
 }
 
-// WithPeerTimeout sets the per-connection read deadline explicitly. A
-// connection that stays silent longer than d is closed. Zero with
-// keepalive enabled defaults to 3× the keepalive interval.
-func WithPeerTimeout(d time.Duration) Option {
-	return func(o *serverOpts) { o.peerTimeout = d }
-}
+// deadIntervals is how many keepalive intervals of silence declare a peer
+// dead, to the server and to a ReliableClient alike.
+const deadIntervals = 3
 
 // WithAdmission puts a bounded queue of the given capacity between
 // connection handlers and the engine, making overload behavior explicit
@@ -387,28 +379,11 @@ func NewServer(cfg rcep.Config, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	s.eng = eng
-	// The filter chain runs under emu (stages are stateful and
-	// single-writer): reorder in front of dedup, survivors collected in
-	// pend for one engine hand-off per frame.
-	if so.dedupWindow > 0 || so.reorderSlack > 0 {
-		s.stages = func(o event.Observation) error {
+	if so.reorderSlack > 0 {
+		s.reorder = stream.NewReorder(so.reorderSlack, func(o event.Observation) error {
 			s.pend = append(s.pend, o)
 			return nil
-		}
-	}
-	if so.dedupWindow > 0 {
-		s.stages = stream.NewDedup(so.dedupWindow, s.stages).Push
-	}
-	if so.reorderSlack > 0 {
-		r := stream.NewReorder(so.reorderSlack, s.stages)
-		s.stages = r.Push
-		s.flush = func() error {
-			s.pend = s.pend[:0]
-			if err := r.Flush(); err != nil {
-				return err
-			}
-			return s.handOff(s.pend)
-		}
+		})
 	}
 	if so.admitCap > 0 {
 		s.admit = &admission{cap: so.admitCap, drop: so.admitDrop}
@@ -421,14 +396,14 @@ func NewServer(cfg rcep.Config, opts ...Option) (*Server, error) {
 
 // ingestBatch is the one way observations reach the engine: a batch
 // frame's contents, canonical already (the connection's FrameReader
-// interns each name when it is defined, so the dedup window, the reorder
-// buffer and all engine state share one instance per distinct value).
-// The caller holds emu.
+// interns each name when it is defined, so the reorder buffer and all
+// engine state share one instance per distinct value), through the
+// reorder buffer when one is configured. The caller holds emu.
 func (s *Server) ingestBatch(b event.Batch) error {
-	if s.stages != nil {
+	if s.reorder != nil {
 		s.pend = s.pend[:0]
 		for _, o := range b {
-			if err := s.stages(o); err != nil {
+			if err := s.reorder.Push(o); err != nil {
 				return err
 			}
 		}
@@ -612,12 +587,9 @@ func (s *Server) handle(conn net.Conn) {
 	// read sends them with the owed acks.
 	reply := func(m Message) { _ = cc.Put(&m) }
 
-	// Keepalive: ping on an interval; a peer that stays silent past the
-	// read deadline is reaped (Read fails on the expired deadline).
-	timeout := s.opts.peerTimeout
-	if timeout == 0 && s.opts.keepalive > 0 {
-		timeout = 3 * s.opts.keepalive
-	}
+	// Keepalive: ping on an interval; a peer that stays silent for
+	// deadIntervals intervals is reaped (Read fails on the expired deadline).
+	timeout := deadIntervals * s.opts.keepalive
 	if s.opts.keepalive > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
@@ -739,8 +711,12 @@ func (s *Server) applyFrame(cc *clientConn, m Message, claimed bool) {
 		err = s.ingestBatch(b)
 		event.PutBatch(b)
 	default:
-		if s.flush != nil {
-			err = s.flush()
+		if s.reorder != nil {
+			// An advance releases everything the reorder buffer holds.
+			s.pend = s.pend[:0]
+			if err = s.reorder.Flush(); err == nil {
+				err = s.handOff(s.pend)
+			}
 		}
 		if err == nil {
 			err = s.eng.AdvanceTo(time.Duration(m.AtNS))
@@ -895,12 +871,12 @@ func jsonRows(rows [][]any) [][]any {
 	return rows
 }
 
-// Client is a typed connection to a Server. For a client that survives
-// connection loss, see ReliableClient. It keeps no log of rule firings:
-// OnFire is their delivery.
+// Client is a typed connection to a Server for queries and firing
+// watches (rcepq); observations travel through a ReliableClient. It keeps
+// no log of rule firings: OnFire is their delivery.
 type Client struct {
 	conn net.Conn
-	w    *FrameWriter // flushed per message: user calls and keepalive pongs
+	w    *FrameWriter // flushed per message: queries, bye and keepalive pongs
 	r    *FrameReader
 
 	result chan Message
@@ -955,29 +931,6 @@ func (c *Client) readLoop() {
 			}
 		}
 	}
-}
-
-// Send streams one observation as a batch of one.
-func (c *Client) Send(reader, object string, at time.Duration) error {
-	return c.SendBatch([]BatchObs{{Reader: reader, Object: object, AtNS: int64(at)}})
-}
-
-// SendBatch streams one read cycle of observations, as one batch frame
-// per MaxBatchFrame observations.
-func (c *Client) SendBatch(batch []BatchObs) error {
-	for len(batch) > 0 {
-		n := min(len(batch), MaxBatchFrame)
-		if err := c.w.Send(&Message{Type: "batch", Batch: batch[:n]}); err != nil {
-			return err
-		}
-		batch = batch[n:]
-	}
-	return nil
-}
-
-// Advance moves the server's virtual clock forward.
-func (c *Client) Advance(at time.Duration) error {
-	return c.w.Send(&Message{Type: "advance", AtNS: int64(at)})
 }
 
 // Query runs SQL on the server's data store.

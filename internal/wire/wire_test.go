@@ -192,9 +192,8 @@ DO INSERT INTO ALERTS VALUES ('outfield', o, t1)
 	_, _ = c.Close()
 }
 
-func TestWireReorderAndDedupStages(t *testing.T) {
-	srv, err := NewServer(rcep.Config{Rules: dupRule},
-		WithReorder(5*time.Second), WithDedup(time.Second))
+func TestWireReorderStage(t *testing.T) {
+	srv, err := NewServer(rcep.Config{Rules: dupRule}, WithReorder(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +211,11 @@ func TestWireReorderAndDedupStages(t *testing.T) {
 	fires := make(chan Message, 4)
 	c.OnFire = func(m Message) { fires <- m }
 
-	// Out of order + a near-duplicate: reorder fixes the order, dedup
-	// drops the 0.5s repeat, leaving exactly one valid pairing (3s gap).
+	// Out of order: reorder fixes the order, leaving exactly one valid
+	// pairing (3s gap).
 	_ = c.Send("dock", "p", sec(3))
-	_ = c.Send("dock", "p", sec(0))   // late but inside the slack
-	_ = c.Send("dock", "p", sec(3.5)) // duplicate of 3s read
-	_ = c.Send("dock", "p", sec(20))  // flush trigger, outside windows
+	_ = c.Send("dock", "p", sec(0))  // late but inside the slack
+	_ = c.Send("dock", "p", sec(20)) // flush trigger, outside windows
 	_ = c.Advance(sec(60))
 
 	select {
@@ -230,14 +228,13 @@ func TestWireReorderAndDedupStages(t *testing.T) {
 	}
 	select {
 	case m := <-fires:
-		t.Fatalf("unexpected extra firing (dedup failed?): %+v", m)
+		t.Fatalf("unexpected extra firing: %+v", m)
 	case <-time.After(200 * time.Millisecond):
 	}
 	stats, err := c.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 sent, 1 deduplicated → 3 ingested.
 	if stats.Observations != 3 {
 		t.Fatalf("observations after stages: %+v", stats)
 	}
@@ -395,7 +392,7 @@ func TestServerIngestCanonicalizes(t *testing.T) {
 					objs = append(objs, o.Str())
 					mu.Unlock()
 				},
-			}, WithDedup(time.Millisecond))
+			})
 			in := srv.Engine().Interner()
 			if in == nil {
 				t.Fatal("compiled engine exposes no interner")
