@@ -41,7 +41,7 @@ func shardRules(script string) ([]shard.Rule, error) {
 }
 
 // runWorker serves shard engines until SIGINT/SIGTERM.
-func runWorker(addr, script, bootID string, shards int, simTypes bool, outboxDir string) {
+func runWorker(addr, script, bootID string, shards int, simTypes bool) {
 	rls, err := shardRules(script)
 	if err != nil {
 		log.Fatal(err)
@@ -49,12 +49,7 @@ func runWorker(addr, script, bootID string, shards int, simTypes bool, outboxDir
 	if bootID == "" {
 		bootID = fmt.Sprintf("pid%d-%d", os.Getpid(), time.Now().UnixNano())
 	}
-	if outboxDir != "" {
-		if err := os.MkdirAll(outboxDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-	}
-	cfg := cluster.WorkerConfig{Rules: rls, Shards: shards, BootID: bootID, OutboxDir: outboxDir}
+	cfg := cluster.WorkerConfig{Rules: rls, Shards: shards, BootID: bootID}
 	if simTypes {
 		cfg.TypeOf = sim.NewRegistry().TypeOf
 	}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rcepd -rules rules.rcep [-addr :7411] [-simtypes] [-snapshot store.json]
-//	rcepd -role worker -rules rules.rcep -addr :7412 [-boot-id edge-a] [-outbox-dir dir]
+//	rcepd -role worker -rules rules.rcep -addr :7412 [-boot-id edge-a]
 //	rcepd -role coordinator -rules rules.rcep -cluster-workers :7412,:7413 [-input obs.csv]
 //	rcepd -role coordinator -standby -lease coord.lease -coord-checkpoint coord.ckpt ...
 //
@@ -15,7 +15,8 @@
 // accepting, then drains every connection (flushing final cumulative
 // acks so reliable feeders do not replay into the next incarnation), and
 // only then snapshots — the file also carries the per-client sequence
-// state ("rcepd/v2" envelope; bare engine checkpoints still load).
+// state ("rcepd/v2" envelope). A file in any other format, such as a bare
+// engine checkpoint from before the envelope, is refused by name.
 //
 // -role worker and -role coordinator run the distributed cluster mode
 // (see internal/core/cluster and docs/OPERATIONS.md).
@@ -64,7 +65,6 @@ func main() {
 		input     = flag.String("input", "-", "observation CSV, - for stdin (coordinator role)")
 		admit     = flag.Int("admit", 0, "bounded admission queue capacity between connections and the engine (0 = direct)")
 		admitShed = flag.Bool("admit-shed", false, "shed the oldest queued observation when the admission queue is full, instead of backpressuring (needs -admit)")
-		outboxDir = flag.String("outbox-dir", "", "WAL directory for per-shard detection outboxes (worker role)")
 		leasePath = flag.String("lease", "", "coordinator lease file on shared storage; enables fail-stop fencing and standby failover (coordinator role)")
 		leaseHold = flag.String("lease-holder", "", "name this coordinator writes into the lease (default coord-<pid>)")
 		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "lease renewal validity; a standby takes over this long after the last renewal")
@@ -92,7 +92,7 @@ func main() {
 	switch *role {
 	case "server":
 	case "worker":
-		runWorker(*addr, string(script), *bootID, *shards, *simTypes, *outboxDir)
+		runWorker(*addr, string(script), *bootID, *shards, *simTypes)
 		return
 	case "coordinator":
 		if *clusterWs == "" {
@@ -119,15 +119,16 @@ func main() {
 		switch {
 		case err == nil:
 			var v2 snapshotV2
-			if json.Unmarshal(raw, &v2) == nil && v2.Format == "rcepd/v2" {
-				seqState = v2.Seq
-				cfg.Checkpoint = bytes.NewReader(v2.Engine)
-				log.Printf("restoring rcepd/v2 checkpoint from %s (%d reliable client(s))", *snapshot, len(v2.Seq))
-			} else {
-				// Legacy snapshot: the file IS the engine checkpoint.
-				cfg.Checkpoint = bytes.NewReader(raw)
-				log.Printf("restoring checkpoint from %s", *snapshot)
+			if err := json.Unmarshal(raw, &v2); err != nil {
+				log.Fatalf("snapshot %s is not an rcepd/v2 envelope: %v", *snapshot, err)
 			}
+			if v2.Format != "rcepd/v2" {
+				// A bare engine checkpoint, written before the envelope, has no format.
+				log.Fatalf("snapshot %s has format %q, not \"rcepd/v2\"; re-save it with the build that wrote it", *snapshot, v2.Format)
+			}
+			seqState = v2.Seq
+			cfg.Checkpoint = bytes.NewReader(v2.Engine)
+			log.Printf("restoring rcepd/v2 checkpoint from %s (%d reliable client(s))", *snapshot, len(v2.Seq))
 		case !os.IsNotExist(err):
 			log.Fatal(err)
 		}

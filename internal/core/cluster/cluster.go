@@ -1059,9 +1059,6 @@ func (c *Coordinator) deliverPendingLocked(all bool) {
 	c.delivered += uint64(held - len(c.pending))
 }
 
-// Partition exposes the rule-to-shard assignment.
-func (c *Coordinator) Partition() *shard.Partition { return c.part }
-
 // Shards returns the number of placed shard engines.
 func (c *Coordinator) Shards() int { return c.part.NumShards() }
 
@@ -1134,17 +1131,4 @@ func (c *Coordinator) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
-}
-
-// InjectCheckpointCorruption mutates the stored checkpoint for one shard
-// — the chaos hook proving the corrupt-checkpoint fallback (assign
-// rejection → full journal replay). A no-op when no checkpoint has been
-// taken yet.
-func (c *Coordinator) InjectCheckpointCorruption(s int, mutate func([]byte) []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s < 0 || s >= len(c.lastCk) || len(c.lastCk[s]) == 0 {
-		return
-	}
-	c.lastCk[s] = mutate(append([]byte(nil), c.lastCk[s]...))
 }

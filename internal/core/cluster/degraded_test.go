@@ -28,7 +28,7 @@ type degradedStats struct {
 
 // runDegraded drives the stream through a cluster configured for
 // degraded-mode operation — partition grace, lease, published
-// self-checkpoint, WAL-backed worker outboxes — applying held
+// self-checkpoint — applying held
 // partitions, coordinator kills (answered by a warm standby takeover),
 // sustained overload, and worker crashes from the fault plan. Deliveries
 // are deduped across coordinator incarnations by delivery ordinal: a
@@ -44,13 +44,7 @@ func runDegraded(t *testing.T, seed int64, workers int, rules []shard.Rule, stre
 	procs := make([]*workerProc, workers)
 	addrs := make([]string, workers)
 	for i := range procs {
-		base := WorkerConfig{
-			Rules: rules, Shards: 4, Groups: genGroups, TypeOf: genTypeOf,
-			OutboxDir: filepath.Join(dir, fmt.Sprintf("worker-%d", i)),
-		}
-		if err := os.MkdirAll(base.OutboxDir, 0o755); err != nil {
-			t.Fatalf("outbox dir: %v", err)
-		}
+		base := WorkerConfig{Rules: rules, Shards: 4, Groups: genGroups, TypeOf: genTypeOf}
 		procs[i] = newWorkerProc(t, base)
 		addrs[i] = procs[i].addr
 	}
@@ -624,17 +618,13 @@ func TestClusterColdRestartAgainstLiveWorkers(t *testing.T) {
 	diffStrings(t, "second order", order, second)
 }
 
-// TestOutboxWAL pins the worker detection outbox: cumulative confirm
-// trimming, stale-mark no-ops, the on-disk WAL artifact, and the
-// fresh-lineage reset a new assign performs.
-func TestOutboxWAL(t *testing.T) {
-	dir := t.TempDir()
+// TestOutboxConfirmAndFreshLineage pins the worker detection outbox:
+// cumulative confirm trimming, stale-mark no-ops, and the fresh lineage a
+// new assign starts.
+func TestOutboxConfirmAndFreshLineage(t *testing.T) {
 	det := func(dseq uint64) wire.ClusterDet { return wire.ClusterDet{Rule: 1, Dseq: dseq} }
 
-	ob, err := newOutbox(dir, 3, 5)
-	if err != nil {
-		t.Fatalf("newOutbox: %v", err)
-	}
+	ob := newOutbox(5)
 	ob.add(det(6))
 	ob.add(det(7))
 	ob.add(det(8))
@@ -649,39 +639,16 @@ func TestOutboxWAL(t *testing.T) {
 	if p := ob.pending(); len(p) != 1 || p[0].Dseq != 8 {
 		t.Fatalf("pending after stale confirm(6) = %v, want [dseq 8]", p)
 	}
-	path := filepath.Join(dir, "shard-3.outbox")
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatalf("outbox WAL missing: %v", err)
-	}
-	if st.Size() == 0 {
-		t.Fatalf("outbox WAL empty despite unconfirmed detections")
-	}
-	if ob.walErr != nil {
-		t.Fatalf("walErr = %v", ob.walErr)
-	}
-	ob.close()
 
-	// A fresh assign starts a fresh lineage: the previous incarnation's
-	// spool is removed, nothing is merged.
-	ob2, err := newOutbox(dir, 3, 0)
-	if err != nil {
-		t.Fatalf("newOutbox (fresh assign): %v", err)
-	}
+	// A fresh assign starts a fresh lineage: nothing of the previous
+	// incarnation is merged.
+	ob2 := newOutbox(0)
 	if p := ob2.pending(); len(p) != 0 {
 		t.Fatalf("fresh outbox pending = %v, want empty", p)
 	}
-	ob2.close()
-
-	// Memory-only mode (no OutboxDir) keeps full protocol behavior.
-	ob3, err := newOutbox("", 0, 0)
-	if err != nil {
-		t.Fatalf("newOutbox (memory): %v", err)
+	ob2.add(det(1))
+	ob2.confirm(1)
+	if p := ob2.pending(); len(p) != 0 {
+		t.Fatalf("pending after confirm(1) = %v, want empty", p)
 	}
-	ob3.add(det(1))
-	ob3.confirm(1)
-	if p := ob3.pending(); len(p) != 0 {
-		t.Fatalf("memory outbox pending = %v, want empty", p)
-	}
-	ob3.close()
 }

@@ -1,12 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-
-	"rcep/internal/wire"
-)
+import "rcep/internal/wire"
 
 // outbox holds a feed's detections from the moment the engine fires them
 // until the coordinator confirms it merged them. It replaces the old
@@ -17,48 +11,21 @@ import (
 // (Message.DetSeq). The coordinator dedupes by dseq, so re-sending a
 // superset is always safe — and a reply lost to a flaky link during a
 // long partition can never strand a detection, no matter how many
-// reconnect replays happen in between.
-//
-// With WorkerConfig.OutboxDir set, the unconfirmed set is additionally
-// journaled through the wire spool WAL (one entry per detection, keyed
-// by dseq; confirmations journal as cumulative acks). The memory copy
-// stays authoritative for the protocol; the WAL is the operator-facing
-// artifact — detections a crashed worker had fired but never got
-// confirmed survive on disk for audit, exactly like an edge spool.
+// reconnect replays happen in between. A worker that crashes loses its
+// outbox with its engines; the coordinator re-places the shard and the
+// new engine re-detects from the journal.
 type outbox struct {
 	mem       []wire.ClusterDet // unconfirmed, ascending dseq
 	confirmed uint64            // coordinator-confirmed detection high-water mark
-	sp        *wire.Spool
-	walErr    error // first WAL failure; memory path keeps working
 }
 
-// newOutbox opens the outbox for one assigned shard. A fresh assign
+// newOutbox starts the outbox for one assigned shard. A fresh assign
 // starts a fresh detection lineage at base (the coordinator's confirmed
 // DetSeq): the new engine re-detects everything past it
-// deterministically, so any spool left by a previous incarnation is
-// removed rather than merged.
-func newOutbox(dir string, shard int, base uint64) (*outbox, error) {
-	ob := &outbox{confirmed: base}
-	if dir == "" {
-		return ob, nil
-	}
-	path := filepath.Join(dir, fmt.Sprintf("shard-%d.outbox", shard))
-	_ = os.Remove(path)
-	_ = os.Remove(path + ".quarantine")
-	sp, err := wire.OpenSpool(path)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d outbox: %w", shard, err)
-	}
-	ob.sp = sp
-	return ob, nil
-}
+// deterministically.
+func newOutbox(base uint64) *outbox { return &outbox{confirmed: base} }
 
-func (ob *outbox) add(d wire.ClusterDet) {
-	ob.mem = append(ob.mem, d)
-	if ob.sp != nil && ob.walErr == nil {
-		ob.walErr = ob.sp.Append(wire.Message{Type: "cdet", Seq: d.Dseq, CDets: []wire.ClusterDet{d}})
-	}
-}
+func (ob *outbox) add(d wire.ClusterDet) { ob.mem = append(ob.mem, d) }
 
 // confirm trims everything at or below the coordinator's high-water
 // mark. Marks are cumulative, so a stale (replayed) frame's lower mark
@@ -73,20 +40,10 @@ func (ob *outbox) confirm(detHigh uint64) {
 		i++
 	}
 	ob.mem = append(ob.mem[:0], ob.mem[i:]...)
-	if ob.sp != nil && ob.walErr == nil {
-		ob.walErr = ob.sp.Ack(detHigh)
-	}
 }
 
 // pending returns a copy of the unconfirmed detections, in dseq order —
 // the payload of every sync and drain reply, fresh or replayed.
 func (ob *outbox) pending() []wire.ClusterDet {
 	return append([]wire.ClusterDet(nil), ob.mem...)
-}
-
-func (ob *outbox) close() {
-	if ob.sp != nil {
-		_ = ob.sp.Close()
-		ob.sp = nil
-	}
 }

@@ -62,12 +62,6 @@ type WorkerConfig struct {
 	// state gone, shard must be re-placed) from a transient network
 	// failure (state intact, replay suffices).
 	BootID string
-
-	// OutboxDir, when set, backs each feed's detection outbox with a
-	// wire spool WAL (one file per hosted shard) so detections fired but
-	// never coordinator-confirmed survive on disk. Empty keeps the
-	// outbox memory-only; the protocol is identical either way.
-	OutboxDir string
 }
 
 // Worker hosts shard detection engines for a cluster coordinator.
@@ -142,9 +136,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		conns: map[net.Conn]bool{},
 	}, nil
 }
-
-// NumShards returns the number of partitions this worker can host.
-func (w *Worker) NumShards() int { return w.part.NumShards() }
 
 // Serve accepts coordinator connections until the listener is closed.
 // It registers each connection before its handler starts, so a Stop
@@ -303,7 +294,6 @@ func (w *Worker) sequenced(m wire.Message, reply func(wire.Message)) bool {
 		// growing one dead engine per epoch.
 		for id, old := range w.feeds {
 			if old.eng != nil && old.shard == m.Shard {
-				old.out.close()
 				delete(w.feeds, id)
 			}
 		}
@@ -395,12 +385,7 @@ func (w *Worker) newFeed(m wire.Message) (*feed, error) {
 			return nil, fmt.Errorf("cluster: assign shard %d: %w", s, err)
 		}
 	}
-	f := &feed{shard: s, dseq: m.DetSeq, replies: map[uint64]wire.Message{}}
-	out, err := newOutbox(w.cfg.OutboxDir, s, m.DetSeq)
-	if err != nil {
-		return nil, err
-	}
-	f.out = out
+	f := &feed{shard: s, dseq: m.DetSeq, out: newOutbox(m.DetSeq), replies: map[uint64]wire.Message{}}
 	eng, err := detect.New(detect.Config{
 		Graph:  b.Finalize(),
 		Groups: w.cfg.Groups,
@@ -416,17 +401,14 @@ func (w *Worker) newFeed(m wire.Message) (*feed, error) {
 		Limits: w.cfg.Limits,
 	})
 	if err != nil {
-		f.out.close()
 		return nil, fmt.Errorf("cluster: assign shard %d: %w", s, err)
 	}
 	f.eng = eng
 	if len(m.Ck) > 0 {
 		if m.Sum != 0 && crc32.ChecksumIEEE(m.Ck) != m.Sum {
-			f.out.close()
 			return nil, fmt.Errorf("cluster: assign shard %d: checkpoint checksum mismatch (corrupt handoff state)", s)
 		}
 		if err := restoreGuarded(eng, m.Ck); err != nil {
-			f.out.close()
 			return nil, fmt.Errorf("cluster: assign shard %d: %w", s, err)
 		}
 	}

@@ -304,10 +304,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Partition exposes the rule-to-shard assignment (for tests, metrics and
-// diagnostics).
-func (e *Engine) Partition() *Partition { return e.part }
-
 // Shards returns the number of parallel detection engines.
 func (e *Engine) Shards() int { return len(e.workers) }
 
@@ -315,13 +311,6 @@ func (e *Engine) Shards() int { return len(e.workers) }
 // adapters use it to canonicalize reader and EPC strings at the edge (see
 // event.Interner.Canon).
 func (e *Engine) Interner() *event.Interner { return e.intern }
-
-// Now returns the router's current virtual time.
-func (e *Engine) Now() event.Time {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
 
 // Err returns the first shard failure, if any. The router pre-validates
 // timestamp ordering, so shard failures indicate a bug rather than bad

@@ -179,9 +179,6 @@ func binary(k graph.Kind, l, r event.Expr, lo, hi int64, hasDist bool) (*node, e
 	return &node{kind: k, children: []*node{ln, rn}, lo: lo, hi: hi, hasDist: hasDist}, nil
 }
 
-// Metrics returns a snapshot of the counters.
-func (e *Engine) Metrics() Metrics { return e.m }
-
 // Ingest feeds one observation through every rule tree.
 func (e *Engine) Ingest(obs event.Observation) error {
 	e.m.Observations++

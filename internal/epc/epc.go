@@ -69,23 +69,9 @@ func setBits(b *Binary, start, width int, v uint64) {
 	}
 }
 
-// Scheme identifies an EPC encoding scheme by its 8-bit header.
-type Scheme uint8
-
-// The decoded scheme and its TDS v1.1 header value; every other header is
-// SchemeUnknown.
-const (
-	SchemeUnknown Scheme = 0x00
-	SchemeGID96   Scheme = 0x35
-)
-
-// SchemeOf returns the scheme of a binary EPC.
-func SchemeOf(b Binary) Scheme {
-	if Scheme(b[0]) == SchemeGID96 {
-		return SchemeGID96
-	}
-	return SchemeUnknown
-}
+// headerGID96 is the TDS v1.1 8-bit header of GID-96, the one scheme
+// decoded.
+const headerGID96 = 0x35
 
 func checkField(name string, v uint64, bits int) error {
 	if v >= 1<<bits {
@@ -115,7 +101,7 @@ func (g GID) Encode() (Binary, error) {
 	if err := checkField("serial", g.Serial, 36); err != nil {
 		return b, err
 	}
-	setBits(&b, 0, 8, uint64(SchemeGID96))
+	setBits(&b, 0, 8, headerGID96)
 	setBits(&b, 8, 28, g.Manager)
 	setBits(&b, 36, 24, g.Class)
 	setBits(&b, 60, 36, g.Serial)
@@ -125,7 +111,7 @@ func (g GID) Encode() (Binary, error) {
 // DecodeGID unpacks a GID-96 EPC.
 func DecodeGID(b Binary) (GID, error) {
 	var g GID
-	if Scheme(b[0]) != SchemeGID96 {
+	if b[0] != headerGID96 {
 		return g, fmt.Errorf("epc: not a gid-96 (header 0x%02X)", b[0])
 	}
 	g.Manager = getBits(b, 8, 28)

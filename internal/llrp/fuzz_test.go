@@ -33,7 +33,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(c)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, n, err := Decode(data)
+		m, n, err := decode(data, nil)
 		if err != nil {
 			return
 		}
@@ -44,7 +44,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded frame does not re-encode: %v", err)
 		}
-		m2, n2, err := Decode(re)
+		m2, n2, err := decode(re, nil)
 		if err != nil || n2 != len(re) {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -110,14 +110,9 @@ func Encode(m Message) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses one frame from buf, returning the message and the number
+// decode parses one frame from buf, returning the message and the number
 // of bytes consumed. io.ErrShortBuffer signals an incomplete frame (read
-// more and retry). The message's Tags are freshly allocated.
-func Decode(buf []byte) (Message, int, error) {
-	return decode(buf, nil)
-}
-
-// decode is Decode with the tag reports appended to tags[:0].
+// more and retry). The message's Tags are appended to tags[:0].
 func decode(buf []byte, tags []TagReport) (Message, int, error) {
 	var m Message
 	if len(buf) < headerLen {

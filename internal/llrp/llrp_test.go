@@ -35,7 +35,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, n, err := Decode(frame)
+	got, n, err := decode(frame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, n, err := Decode(frame)
+		got, n, err := decode(frame, nil)
 		if err != nil || n != len(frame) || got.ID != m.ID || len(got.Tags) != len(m.Tags) {
 			return false
 		}
@@ -89,7 +89,7 @@ func TestControlMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := Decode(frame)
+		got, _, err := decode(frame, nil)
 		if err != nil || got.Type != mt || got.ID != 7 || got.Tags != nil {
 			t.Errorf("%v: %+v err=%v", mt, got, err)
 		}
@@ -102,23 +102,23 @@ func TestControlMessages(t *testing.T) {
 func TestDecodeErrors(t *testing.T) {
 	good, _ := Encode(Message{Type: MsgKeepalive, ID: 1})
 
-	if _, _, err := Decode(good[:4]); err != io.ErrShortBuffer {
+	if _, _, err := decode(good[:4], nil); err != io.ErrShortBuffer {
 		t.Errorf("short header: %v", err)
 	}
 	bad := append([]byte(nil), good...)
 	bad[0] = 9
-	if _, _, err := Decode(bad); err == nil {
+	if _, _, err := decode(bad, nil); err == nil {
 		t.Errorf("wrong version accepted")
 	}
 	bad = append([]byte(nil), good...)
 	bad[1] = 0x77
-	if _, _, err := Decode(bad); err == nil {
+	if _, _, err := decode(bad, nil); err == nil {
 		t.Errorf("unknown type accepted")
 	}
 	// Oversized length field.
 	bad = append([]byte(nil), good...)
 	bad[2], bad[3], bad[4], bad[5] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, err := Decode(bad); err == nil {
+	if _, _, err := decode(bad, nil); err == nil {
 		t.Errorf("huge frame length accepted")
 	}
 	// Ragged report payload.
@@ -127,7 +127,7 @@ func TestDecodeErrors(t *testing.T) {
 	// Fix up the length field to the truncated size so it decodes far
 	// enough to hit the payload check.
 	rep[5] = byte(len(rep))
-	if _, _, err := Decode(rep); err == nil {
+	if _, _, err := decode(rep, nil); err == nil {
 		t.Errorf("ragged payload accepted")
 	}
 }
@@ -295,7 +295,7 @@ func TestAdapterIntern(t *testing.T) {
 }
 
 // TestReaderChunkingMatchesDecode: whatever sizes the stream's reads come
-// in, Reader yields the messages Decode finds in the whole buffer,
+// in, Reader yields the messages decode finds in the whole buffer,
 // including a frame larger than one 4 KiB read.
 func TestReaderChunkingMatchesDecode(t *testing.T) {
 	var big []TagReport
@@ -319,7 +319,7 @@ func TestReaderChunkingMatchesDecode(t *testing.T) {
 	}
 	var want []Message
 	for off := 0; off < len(stream); {
-		m, n, err := Decode(stream[off:])
+		m, n, err := decode(stream[off:], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func TestReaderChunkingMatchesDecode(t *testing.T) {
 				t.Fatalf("%s: message %d: %v", name, i, err)
 			}
 			if i >= len(want) || m.Type != want[i].Type || m.ID != want[i].ID || !slices.Equal(m.Tags, want[i].Tags) {
-				t.Fatalf("%s: message %d = %v %d with %d tags, differs from Decode's", name, i, m.Type, m.ID, len(m.Tags))
+				t.Fatalf("%s: message %d = %v %d with %d tags, differs from decode's", name, i, m.Type, m.ID, len(m.Tags))
 			}
 		}
 	}

@@ -117,18 +117,6 @@ type Scenario struct {
 	groups map[string][]string // ChainGroups' answer per deployed reader, read-only
 }
 
-// Canonicalize rewrites every observation's reader and object strings to
-// their canonical interned instances, in place. Generators build strings
-// with fmt.Sprintf per sighting; feeding a scenario through the engine's
-// intern table before replay mirrors what the wire and LLRP ingest edges
-// do and keeps one string instance per distinct EPC/reader alive.
-func (sc *Scenario) Canonicalize(in *event.Interner) {
-	for i := range sc.Observations {
-		o := &sc.Observations[i]
-		o.Reader, o.Object = in.Canon(o.Reader), in.Canon(o.Object)
-	}
-}
-
 // Registry returns a type registry with the scenario's class mappings.
 func NewRegistry() *epc.Registry {
 	r := epc.NewRegistry()

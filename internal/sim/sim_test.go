@@ -438,41 +438,6 @@ func TestScenarioStatsSummary(t *testing.T) {
 	}
 }
 
-// TestScenarioCanonicalize: after canonicalizing through an intern table,
-// the stream is value-identical and every repeated sighting of a reader
-// or EPC shares one string instance.
-func TestScenarioCanonicalize(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 11
-	sc := Generate(cfg)
-	before := make([]event.Observation, len(sc.Observations))
-	copy(before, sc.Observations)
-
-	in := event.NewInterner()
-	sc.Canonicalize(in)
-	if len(sc.Observations) != len(before) {
-		t.Fatal("canonicalize changed the stream length")
-	}
-	first := map[string]*byte{}
-	for i, o := range sc.Observations {
-		if o != before[i] {
-			t.Fatalf("observation %d changed value: %+v vs %+v", i, o, before[i])
-		}
-		for _, s := range []string{o.Reader, o.Object} {
-			if p, ok := first[s]; ok {
-				if unsafe.StringData(s) != p {
-					t.Fatalf("observation %d: %q is not the canonical instance", i, s)
-				}
-			} else {
-				first[s] = unsafe.StringData(s)
-			}
-		}
-	}
-	if in.Len() != len(first) {
-		t.Errorf("intern table has %d entries, distinct strings %d", in.Len(), len(first))
-	}
-}
-
 // TestChainGroupsResolvedOnce: every reader in the stream gets its group
 // list without allocating, the same slice each call, and the chain readers
 // of line N are in g_chain_N beside their own group.

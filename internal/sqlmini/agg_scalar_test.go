@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rcep/internal/core/event"
+	"rcep/internal/lex"
 	"rcep/internal/store"
 )
 
@@ -25,13 +26,27 @@ func aggParams() event.Bindings {
 	})
 }
 
+// mustParseExpr parses src as one whole expression, the way the rules
+// parser reads a condition.
+func mustParseExpr(t *testing.T, src string) Expr {
+	t.Helper()
+	s, err := lex.NewStream(src)
+	if err != nil {
+		t.Fatalf("%q: %v", src, err)
+	}
+	x, err := ParseExprStream(s)
+	if err == nil && !s.AtEOF() {
+		err = lex.Errorf(s.Peek(), "unexpected trailing input %s", s.Peek())
+	}
+	if err != nil {
+		t.Fatalf("%q: %v", src, err)
+	}
+	return x
+}
+
 func evalScalar(t *testing.T, src string, params event.Bindings) (event.Value, error) {
 	t.Helper()
-	x, err := ParseExpr(src)
-	if err != nil {
-		t.Fatalf("ParseExpr(%q): %v", src, err)
-	}
-	return EvalExpr(store.New(), x, params, nil)
+	return EvalExpr(store.New(), mustParseExpr(t, src), params, nil)
 }
 
 func TestScalarAggregatesFoldLists(t *testing.T) {

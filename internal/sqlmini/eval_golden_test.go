@@ -70,10 +70,7 @@ func renderGolden(t *testing.T, s *store.Store, src string, params event.Binding
 		}
 		return sb.String()
 	}
-	x, err := ParseExpr(src)
-	if err != nil {
-		t.Fatalf("%q parses neither as a statement nor as an expression: %v", src, err)
-	}
+	x := mustParseExpr(t, src)
 	funcs := Funcs{"twice": func(args []event.Value) (event.Value, error) {
 		if len(args) != 1 {
 			return event.Null, fmt.Errorf("twice wants 1 arg")

@@ -30,22 +30,6 @@ func Parse(sql string) (Stmt, error) {
 // the rules parser to embed SQL actions.
 func ParseStream(s *lex.Stream) (Stmt, error) { return parseStmt(s) }
 
-// ParseExpr parses a standalone expression (e.g. a rule condition).
-func ParseExpr(src string) (Expr, error) {
-	s, err := lex.NewStream(src)
-	if err != nil {
-		return nil, err
-	}
-	e, err := parseExpr(s)
-	if err != nil {
-		return nil, err
-	}
-	if !s.AtEOF() {
-		return nil, lex.Errorf(s.Peek(), "unexpected trailing input %s", s.Peek())
-	}
-	return e, nil
-}
-
 // ParseExprStream parses one expression from an existing token stream;
 // used by the rules parser to embed conditions.
 func ParseExprStream(s *lex.Stream) (Expr, error) { return parseExpr(s) }

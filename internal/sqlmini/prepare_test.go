@@ -71,19 +71,13 @@ func TestPrepareExprEquivalence(t *testing.T) {
 		`o LIKE 'b%'`, `o NOT LIKE '_'`, `o LIKE x`,
 	}
 	for _, src := range exprs {
-		held, err := ParseExpr(src)
-		if err != nil {
-			t.Fatalf("ParseExpr(%q): %v", src, err)
-		}
+		held := mustParseExpr(t, src)
 		st := prepStore(t)
 		for i, params := range bindings {
 			if i == 2 {
 				mustExec(t, st, `INSERT INTO items VALUES ('z', 0)`, nil)
 			}
-			fresh, err := ParseExpr(src)
-			if err != nil {
-				t.Fatalf("ParseExpr(%q): %v", src, err)
-			}
+			fresh := mustParseExpr(t, src)
 			gv, ge := EvalExpr(st, held, params, funcs)
 			wv, we := EvalExpr(st, fresh, params, funcs)
 			switch {

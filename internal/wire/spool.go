@@ -21,9 +21,9 @@ import (
 // ack. Opening compacts the file down to the still-unacked frames.
 //
 // Spools written by older clients journal one "obs" frame per
-// observation; opening turns each into a one-observation batch frame
-// under the same seq, so the compacted file and Pending hold only the
-// frames this package still sends.
+// observation. Opening refuses one that still holds an unacked "obs"
+// frame and leaves the file as it is: drain it with the build that wrote
+// it first.
 type Spool struct {
 	mu      sync.Mutex
 	path    string
@@ -117,15 +117,6 @@ func (s *Spool) replay(r io.Reader) error {
 				}
 				break
 			}
-			if e.M != nil && e.M.Type == "obs" {
-				// An older client's single-observation frame: its reader,
-				// object and at_ns fields are exactly a BatchObs.
-				var legacy struct {
-					M BatchObs `json:"m"`
-				}
-				_ = json.Unmarshal(line, &legacy) // the line already decoded once
-				e.M.Type, e.M.AtNS, e.M.Batch = "batch", 0, []BatchObs{legacy.M}
-			}
 			s.applyEntry(&e, frames, &order)
 		}
 		if err == io.EOF {
@@ -139,6 +130,9 @@ func (s *Spool) replay(r io.Reader) error {
 	}
 	for _, seq := range order {
 		if seq > s.lastAck {
+			if frames[seq].Type == "obs" {
+				return fmt.Errorf("wire: spool %s holds unacked \"obs\" frames, an older client's format; drain it with the build that wrote it", s.path)
+			}
 			s.pending = append(s.pending, frames[seq])
 		}
 	}
