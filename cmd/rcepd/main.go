@@ -18,6 +18,10 @@
 // state ("rcepd/v2" envelope). A file in any other format, such as a bare
 // engine checkpoint from before the envelope, is refused by name.
 //
+// Overload is met by backpressure alone: each frame is applied before it
+// is acked, a server that falls behind reads more slowly, and feeders
+// wait on their unacked rings; no observation is shed.
+//
 // -role worker and -role coordinator run the distributed cluster mode
 // (see internal/core/cluster and docs/OPERATIONS.md).
 package main
@@ -63,8 +67,6 @@ func main() {
 		clusterWs = flag.String("cluster-workers", "", "comma-separated worker addresses (coordinator role)")
 		bootID    = flag.String("boot-id", "", "worker incarnation ID; must differ across restarts (worker role; default pid+start time)")
 		input     = flag.String("input", "-", "observation CSV, - for stdin (coordinator role)")
-		admit     = flag.Int("admit", 0, "bounded admission queue capacity between connections and the engine (0 = direct)")
-		admitShed = flag.Bool("admit-shed", false, "shed the oldest queued observation when the admission queue is full, instead of backpressuring (needs -admit)")
 		leasePath = flag.String("lease", "", "coordinator lease file on shared storage; enables fail-stop fencing and standby failover (coordinator role)")
 		leaseHold = flag.String("lease-holder", "", "name this coordinator writes into the lease (default coord-<pid>)")
 		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "lease renewal validity; a standby takes over this long after the last renewal")
@@ -143,9 +145,6 @@ func main() {
 	if *keepalive > 0 {
 		opts = append(opts, wire.WithKeepalive(*keepalive))
 	}
-	if *admit > 0 {
-		opts = append(opts, wire.WithAdmission(*admit, *admitShed))
-	}
 	srv, err := wire.NewServer(cfg, opts...)
 	if err != nil {
 		log.Fatal(err)
@@ -187,9 +186,6 @@ func main() {
 	// and sequence state include everything the feeders were told is
 	// safely applied.
 	srv.Shutdown()
-	if *admit > 0 {
-		log.Printf("admission queue shed %d observation(s) lifetime (query live counts with a \"status\" frame)", srv.Shed())
-	}
 	if *snapshot != "" {
 		if err := saveSnapshot(srv, *snapshot); err != nil {
 			log.Printf("snapshot save failed: %v", err)

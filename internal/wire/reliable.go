@@ -6,16 +6,33 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // ErrRingFull is returned by TrySendFrame when the unacked ring is at
-// capacity and no shed policy is configured: the caller must either wait
-// (SendBatch/SendFrame block) or treat the link as saturated.
+// capacity: the caller must either wait (SendBatch/SendFrame block) or
+// treat the link as saturated.
 var ErrRingFull = errors.New("wire: unacked ring is full")
+
+// ReusedClientIDError fails a ReliableClient whose server acks a seq this
+// client never sent: the ID fed the server before, which drops every
+// frame up to its old high-water mark as a stale replay. Every sequenced
+// frame is acked only once applied and seqs are contiguous, so an ack at
+// or past the next seq can mean nothing else. A reuse goes unseen when
+// the new feed has sequenced past the old mark before the server answers
+// its hello: that looks like a resumed feed.
+type ReusedClientIDError struct {
+	ClientID  string
+	ServerSeq uint64 // the server's high-water seq for ClientID
+	Sent      uint64 // frames this client has sequenced: seqs 1 through Sent
+}
+
+func (e *ReusedClientIDError) Error() string {
+	return fmt.Sprintf("wire: client ID %q was used before: the server has applied up to seq %d, this client has sequenced %d frame(s); use a fresh ID, or the spool of the feed that used it",
+		e.ClientID, e.ServerSeq, e.Sent)
+}
 
 // ReliableClient is the fault-tolerant counterpart of Client for edge
 // readers: every batch/advance frame gets a monotonically increasing
@@ -35,9 +52,8 @@ type ReliableClient struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// ring is circular and allocated once: the count unacked frames, in
-	// ascending Seq (with gaps where frames were shed), are at(0) through
-	// at(count-1).
+	// ring is circular and allocated once: the count unacked frames,
+	// seqs acked+1 through next-1, are at(0) through at(count-1).
 	ring        []*Message
 	head, count int
 	acked       uint64 // highest cumulative ack from the server
@@ -56,8 +72,7 @@ type ReliableClient struct {
 	haveStats  bool
 	stats      Message
 	reconnects int
-	timedOut   bool   // Close drain deadline expired
-	shed       uint64 // observations dropped by the overload policy
+	timedOut   bool // Close drain deadline expired
 
 	abortCh chan struct{} // closed exactly once on abort/terminal failure
 	doneCh  chan struct{} // closed when the connection manager exits
@@ -71,7 +86,8 @@ type ReliableClient struct {
 // identity the server dedupes on and must be stable across reconnects
 // (and across process restarts when a Spool is used — but never reused
 // for a different logical feed, or the server will drop its frames as
-// stale replays).
+// stale replays; a reuse the client can see fails it with
+// ReusedClientIDError).
 type ReliableOptions struct {
 	ClientID string
 
@@ -80,7 +96,9 @@ type ReliableOptions struct {
 	Dial func() (net.Conn, error)
 
 	// Buffer bounds the unacked ring (default 1024). A full ring blocks
-	// SendBatch — backpressure toward the edge reader instead of silent loss.
+	// SendBatch — backpressure toward the edge reader instead of silent
+	// loss. Nothing is ever shed: under the paper's negation and chronicle
+	// semantics a missing observation changes which events fire.
 	Buffer int
 
 	// Reconnect delays start at Backoff (default 50ms) and double up to
@@ -111,19 +129,6 @@ type ReliableOptions struct {
 	// restarted process resumes the feed (see OpenSpool).
 	Spool *Spool
 
-	// DropOldestOnFull switches the overload policy from backpressure to
-	// load shedding: when the unacked ring is full, the oldest sheddable
-	// frame (type "batch") is dropped — and counted via Shed/OnShed —
-	// instead of the send blocking. Saturation then costs coverage of the
-	// oldest observations, never latency or ordering: the server applies
-	// sequenced frames in seq order and tolerates gaps, so the surviving
-	// stream is a prefix-dropped subsequence. Frames that carry protocol
-	// state (advance, assign, sync, ...) are never shed; a ring full of
-	// only those still blocks.
-	DropOldestOnFull bool
-	// OnShed observes each frame dropped by DropOldestOnFull. The frame's
-	// Batch is valid only during the callback: its storage is recycled.
-	OnShed func(Message)
 	// OnFire, when set, receives rule firings as they arrive. A firing's
 	// Bindings is valid during the callback only: maps.Clone keeps it.
 	OnFire func(Message)
@@ -281,17 +286,16 @@ func (c *ReliableClient) SendFrame(m Message) (uint64, error) {
 }
 
 // TrySendFrame is SendFrame without the backpressure: when the unacked
-// ring is full it returns ErrRingFull immediately (or sheds the oldest
-// observation if DropOldestOnFull is set) instead of blocking. A cluster
-// coordinator uses it to keep feeding a detached worker's replay ring
-// without ever stalling the healthy shards behind a partitioned link.
+// ring is full it returns ErrRingFull immediately instead of blocking. A
+// cluster coordinator uses it to keep feeding a detached worker's replay
+// ring without ever stalling the healthy shards behind a partitioned link.
 func (c *ReliableClient) TrySendFrame(m Message) (uint64, error) {
 	if m.Type == "" {
 		return 0, errors.New("wire: SendFrame requires a frame type")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.count >= c.opt.Buffer && !c.shedOldestLocked() {
+	if c.count >= c.opt.Buffer {
 		return 0, ErrRingFull
 	}
 	return c.enqueueLocked(&m)
@@ -305,44 +309,9 @@ func (c *ReliableClient) Unacked() int {
 	return c.count
 }
 
-// Shed reports how many observations the DropOldestOnFull policy has
-// discarded.
-func (c *ReliableClient) Shed() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shed
-}
-
-// shedOldestLocked drops the oldest sheddable (batch) frame from the
-// ring, reporting whether a slot was freed. Only observations are safe
-// to shed: the server applies frames in seq order but tolerates
-// seq gaps, and a missing observation (or whole read cycle) degrades
-// coverage, while a missing advance/assign/sync frame would corrupt
-// protocol state.
-func (c *ReliableClient) shedOldestLocked() bool {
-	if !c.opt.DropOldestOnFull {
-		return false
-	}
-	for i := 0; i < c.count; i++ {
-		dropped := c.at(i)
-		if dropped.Type != "batch" {
-			continue
-		}
-		c.shed += uint64(len(dropped.Batch))
-		if cb := c.opt.OnShed; cb != nil {
-			cb(*dropped)
-		}
-		// Rotate the shed frame to the front, keeping the others in
-		// order, and release it from there.
-		for ; i > 0; i-- {
-			c.ring[c.slot(i)] = c.at(i - 1)
-		}
-		c.ring[c.head] = dropped
-		c.releaseLocked(1)
-		return true
-	}
-	return false
-}
+// Shed is always 0: nothing is shed. Only the benchmark calls it; ROADMAP
+// item 2's benchmark change deletes it.
+func (c *ReliableClient) Shed() uint64 { return 0 }
 
 // slot is the ring index of the i-th oldest unacked frame, and at the
 // frame itself.
@@ -355,11 +324,10 @@ func (c *ReliableClient) slot(i int) int {
 
 func (c *ReliableClient) at(i int) *Message { return c.ring[c.slot(i)] }
 
-// after is the ring position of the first frame with a seq above seq.
-// A binary search, not seq arithmetic: shedding can leave gaps in the
-// ring's ascending seqs.
+// after is the ring position of the first frame with a seq above seq:
+// the ring holds exactly the seqs acked+1 through next-1.
 func (c *ReliableClient) after(seq uint64) int {
-	return sort.Search(c.count, func(i int) bool { return c.at(i).Seq > seq })
+	return int(min(max(seq, c.acked)-c.acked, uint64(c.count)))
 }
 
 // takeLocked appends the frames past cursor to batch for the session
@@ -403,9 +371,6 @@ func (c *ReliableClient) enqueue(m *Message) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.count >= c.opt.Buffer && c.failed == nil && !c.closing && !c.aborted {
-		if c.shedOldestLocked() {
-			break
-		}
 		c.cond.Wait()
 	}
 	return c.enqueueLocked(m)
@@ -815,19 +780,18 @@ out:
 	return finished
 }
 
-// handleAck releases every ring frame covered by the cumulative ack.
+// handleAck releases every ring frame covered by the cumulative ack, and
+// fails the client on an ack for a seq it never sent.
 func (c *ReliableClient) handleAck(seq uint64) {
 	c.mu.Lock()
 	c.greeted = true
+	if seq >= c.next {
+		err := &ReusedClientIDError{ClientID: c.opt.ClientID, ServerSeq: seq, Sent: c.next - 1}
+		c.mu.Unlock()
+		c.fail(err)
+		return
+	}
 	if seq > c.acked {
-		if seq >= c.next {
-			// The server knows this client ID from a previous life with
-			// more frames than we ever sent: a ClientID reuse. Nothing
-			// sane to release beyond our own window.
-			seq = c.next - 1
-		}
-		// The ring's seqs ascend but may have shed gaps; release
-		// exactly the frames the cumulative ack covers.
 		c.releaseLocked(c.after(seq))
 		c.acked = seq
 		if c.opt.Spool != nil {

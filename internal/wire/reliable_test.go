@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -240,10 +241,15 @@ func TestReliableResumeSkipsAppliedFrames(t *testing.T) {
 	// arrived back.
 	srv.claimSeq("edge9", 2)
 
+	// The session starts once all three frames are enqueued: a hello
+	// answered with 2 while this client has sent less than seq 2 would
+	// name a reused ID, not a resumed feed.
+	sent := make(chan struct{})
 	c, err := DialReliable(addr, ReliableOptions{
 		ClientID:     "edge9",
 		Backoff:      time.Millisecond,
 		DrainTimeout: 5 * time.Second,
+		Dial:         func() (net.Conn, error) { <-sent; return net.Dial("tcp", addr) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,12 +265,52 @@ func TestReliableResumeSkipsAppliedFrames(t *testing.T) {
 	if err := c.Send("dock", "c", 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	close(sent)
 	stats, err := c.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Observations != 1 {
 		t.Fatalf("server ingested %d observations, want 1 (two were stale replays)", stats.Observations)
+	}
+}
+
+// TestReliableReusedClientIDFails: a second feed under a client ID the
+// server already applied 5 frames from must fail loudly, naming the ID
+// and the server's seq, instead of having its frames dropped as stale
+// replays while Close reports success.
+func TestReliableReusedClientIDFails(t *testing.T) {
+	srv, addr := startServer(t, rcep.Config{Rules: dupRule})
+	feed := func(n int) (sendErr, closeErr error) {
+		c, err := DialReliable(addr, ReliableOptions{ClientID: "edge", Backoff: time.Millisecond, DrainTimeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n && sendErr == nil; i++ {
+			sendErr = c.SendBatch([]BatchObs{{Reader: "dock", Object: fmt.Sprint("o", i), AtNS: int64(i) * int64(time.Second)}})
+		}
+		_, closeErr = c.Close()
+		return sendErr, closeErr
+	}
+	if sendErr, closeErr := feed(5); sendErr != nil || closeErr != nil {
+		t.Fatalf("first feed: send %v, close %v", sendErr, closeErr)
+	}
+	sendErr, closeErr := feed(3)
+	var reused *ReusedClientIDError
+	if !errors.As(closeErr, &reused) {
+		t.Fatalf("second feed under the same ID: Close = %v, want a ReusedClientIDError", closeErr)
+	}
+	if reused.ClientID != "edge" || reused.ServerSeq != 5 {
+		t.Fatalf("error names client %q at server seq %d, want \"edge\" at 5", reused.ClientID, reused.ServerSeq)
+	}
+	if sendErr != nil && !errors.As(sendErr, &reused) {
+		t.Fatalf("SendBatch failed with %v, want nil or the ReusedClientIDError", sendErr)
+	}
+	if got := srv.Engine().Metrics().Observations; got != 5 {
+		t.Fatalf("server holds %d observations, want the first feed's 5", got)
+	}
+	if got := srv.SeqState()["edge"]; got != 5 {
+		t.Fatalf("server seq for edge = %d, want 5", got)
 	}
 }
 

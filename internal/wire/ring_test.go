@@ -34,106 +34,83 @@ type modelFrame struct {
 }
 
 // TestReliableRingMatchesModel drives the circular ring through seeded
-// enqueues, cumulative acks (some past the next seq), DropOldestOnFull
-// sheds and replay takes from the ack cursor, and after every step
-// compares it with a plain slice that follows the sliding ring's
-// semantics: frames in ascending seq, an ack drops the prefix it covers,
-// a shed removes the oldest batch frame, a take is the suffix past the
-// cursor. A frame the take holds must keep its contents, even once an
-// ack releases it, until the next take ends the window.
+// enqueues, cumulative acks and replay takes from the ack cursor, and
+// after every step compares it with a plain slice that follows the
+// sliding ring's semantics: frames in ascending seq, an ack drops the
+// prefix it covers, a take is the suffix past the cursor. Nothing is
+// shed, so the ring must hold exactly the seqs acked+1 through next-1. A
+// frame the take holds must keep its contents, even once an ack releases
+// it, until the next take ends the window.
 func TestReliableRingMatchesModel(t *testing.T) {
 	for _, buffer := range []int{1, 2, 7, 1024} {
-		for _, shed := range []bool{false, true} {
-			t.Run(fmt.Sprintf("buffer=%d/shed=%v", buffer, shed), func(t *testing.T) {
-				var shedSeen, shedWant [][]BatchObs
-				c := offlineClient(t, ReliableOptions{
-					ClientID: "model", Buffer: buffer, DropOldestOnFull: shed,
-					OnShed: func(m Message) { shedSeen = append(shedSeen, slices.Clone(m.Batch)) },
-				})
-				seed := int64(buffer) * 2
-				if shed {
-					seed++
-				}
-				rng := rand.New(rand.NewSource(seed))
-				var model, held []modelFrame
-				var taken []*Message
-				next, acked, shedObs := uint64(1), uint64(0), uint64(0)
-				phase := 2*buffer + 50
-				for step := 0; step < 6*buffer+3000; step++ {
-					outage := step/phase%2 == 1 // no acks: the ring fills
-					switch r := rng.Intn(10); {
-					case r < 6 || outage && r < 9:
-						m := Message{Type: "advance", AtNS: int64(step)}
-						if rng.Intn(4) > 0 {
-							m.Type = "batch"
-							for k := rng.Intn(5) + 1; k > 0; k-- {
-								m.Batch = append(m.Batch, BatchObs{Reader: fmt.Sprint("r", rng.Intn(3)), Object: fmt.Sprint("o", step), AtNS: int64(k)})
-							}
-						}
-						seq, err := c.TrySendFrame(m)
-						full := len(model) >= buffer
-						if i := slices.IndexFunc(model, func(f modelFrame) bool { return f.typ == "batch" }); full && shed && i >= 0 {
-							shedObs += uint64(len(model[i].batch))
-							shedWant = append(shedWant, model[i].batch)
-							model = slices.Delete(model, i, i+1)
-							full = false
-						}
-						if full {
-							if !errors.Is(err, ErrRingFull) {
-								t.Fatalf("step %d: full ring took a frame: seq %d, err %v", step, seq, err)
-							}
-							break
-						}
-						if err != nil || seq != next {
-							t.Fatalf("step %d: enqueue = %d, %v; want seq %d", step, seq, err, next)
-						}
-						model = append(model, modelFrame{next, m.Type, slices.Clone(m.Batch)})
-						next++
-					case r < 9:
-						seq := acked + uint64(rng.Intn(int(next-acked)+3))
-						c.handleAck(seq)
-						if seq > acked {
-							seq = min(seq, next-1)
-							model = slices.DeleteFunc(model, func(f modelFrame) bool { return f.seq <= seq })
-							acked = seq
-						}
-					default:
-						for i, f := range taken {
-							if got := frameOf(f); !sameFrame(got, held[i]) {
-								t.Fatalf("step %d: taken frame %d changed before the next take: %+v", step, held[i].seq, got)
-							}
-						}
-						cursor := acked + uint64(rng.Intn(int(next-acked)))
-						c.mu.Lock()
-						taken = c.takeLocked(cursor, taken[:0])
-						c.mu.Unlock()
-						held = held[:0]
-						for _, f := range model {
-							if f.seq > cursor {
-								held = append(held, f)
-							}
-						}
-						if len(taken) != len(held) {
-							t.Fatalf("step %d: take past %d holds %d frames, want %d", step, cursor, len(taken), len(held))
-						}
-						for i, f := range taken {
-							if got := frameOf(f); !sameFrame(got, held[i]) {
-								t.Fatalf("step %d: take[%d] = %+v, want %+v", step, i, got, held[i])
-							}
+		// shed=false names the only policy: nothing is shed.
+		t.Run(fmt.Sprintf("buffer=%d/shed=false", buffer), func(t *testing.T) {
+			c := offlineClient(t, ReliableOptions{ClientID: "model", Buffer: buffer})
+			rng := rand.New(rand.NewSource(int64(buffer) * 2))
+			var model, held []modelFrame
+			var taken []*Message
+			next, acked := uint64(1), uint64(0)
+			phase := 2*buffer + 50
+			for step := 0; step < 6*buffer+3000; step++ {
+				outage := step/phase%2 == 1 // no acks: the ring fills
+				switch r := rng.Intn(10); {
+				case r < 6 || outage && r < 9:
+					m := Message{Type: "advance", AtNS: int64(step)}
+					if rng.Intn(4) > 0 {
+						m.Type = "batch"
+						for k := rng.Intn(5) + 1; k > 0; k-- {
+							m.Batch = append(m.Batch, BatchObs{Reader: fmt.Sprint("r", rng.Intn(3)), Object: fmt.Sprint("o", step), AtNS: int64(k)})
 						}
 					}
-					checkRing(t, step, c, model)
-					if c.Shed() != shedObs || len(shedSeen) != len(shedWant) {
-						t.Fatalf("step %d: shed %d observations in %d frames, want %d in %d", step, c.Shed(), len(shedSeen), shedObs, len(shedWant))
+					seq, err := c.TrySendFrame(m)
+					if len(model) >= buffer {
+						if !errors.Is(err, ErrRingFull) {
+							t.Fatalf("step %d: full ring took a frame: seq %d, err %v", step, seq, err)
+						}
+						break
+					}
+					if err != nil || seq != next {
+						t.Fatalf("step %d: enqueue = %d, %v; want seq %d", step, seq, err, next)
+					}
+					model = append(model, modelFrame{next, m.Type, slices.Clone(m.Batch)})
+					next++
+				case r < 9:
+					// An ack past next-1 fails the client (ReusedClientIDError);
+					// TestReliableReusedClientIDFails covers it.
+					seq := acked + uint64(rng.Intn(int(next-acked)))
+					c.handleAck(seq)
+					if seq > acked {
+						model = slices.DeleteFunc(model, func(f modelFrame) bool { return f.seq <= seq })
+						acked = seq
+					}
+				default:
+					for i, f := range taken {
+						if got := frameOf(f); !sameFrame(got, held[i]) {
+							t.Fatalf("step %d: taken frame %d changed before the next take: %+v", step, held[i].seq, got)
+						}
+					}
+					cursor := acked + uint64(rng.Intn(int(next-acked)))
+					c.mu.Lock()
+					taken = c.takeLocked(cursor, taken[:0])
+					c.mu.Unlock()
+					held = held[:0]
+					for _, f := range model {
+						if f.seq > cursor {
+							held = append(held, f)
+						}
+					}
+					if len(taken) != len(held) {
+						t.Fatalf("step %d: take past %d holds %d frames, want %d", step, cursor, len(taken), len(held))
+					}
+					for i, f := range taken {
+						if got := frameOf(f); !sameFrame(got, held[i]) {
+							t.Fatalf("step %d: take[%d] = %+v, want %+v", step, i, got, held[i])
+						}
 					}
 				}
-				for i := range shedWant {
-					if !slices.Equal(shedSeen[i], shedWant[i]) {
-						t.Fatalf("OnShed frame %d saw %v, want %v", i, shedSeen[i], shedWant[i])
-					}
-				}
-			})
-		}
+				checkRing(t, step, c, model, acked, next)
+			}
+		})
 	}
 }
 
@@ -143,18 +120,21 @@ func sameFrame(a, b modelFrame) bool {
 	return a.seq == b.seq && a.typ == b.typ && slices.Equal(a.batch, b.batch)
 }
 
-// checkRing compares the client's ring with the model, oldest first.
-func checkRing(t *testing.T, step int, c *ReliableClient, model []modelFrame) {
+// checkRing compares the client's ring with the model, oldest first, and
+// asserts that it holds exactly the seqs acked+1 through next-1: the
+// layout the arithmetic of after relies on.
+func checkRing(t *testing.T, step int, c *ReliableClient, model []modelFrame, acked, next uint64) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.count != len(model) {
-		t.Fatalf("step %d: ring holds %d frames, model %d", step, c.count, len(model))
+	if c.count != len(model) || c.acked != acked || c.next != next || uint64(c.count) != next-1-acked {
+		t.Fatalf("step %d: ring holds %d frames, acked %d, next %d; want %d frames (model %d), acked %d, next %d",
+			step, c.count, c.acked, c.next, next-1-acked, len(model), acked, next)
 	}
 	for i, want := range model {
 		f := c.at(i)
-		if !sameFrame(frameOf(f), want) || f.ClientID != "model" {
-			t.Fatalf("step %d: ring[%d] = %+v (client %q), want %+v", step, i, frameOf(f), f.ClientID, want)
+		if !sameFrame(frameOf(f), want) || f.ClientID != "model" || f.Seq != acked+1+uint64(i) {
+			t.Fatalf("step %d: ring[%d] = %+v (client %q), want %+v with seq %d", step, i, frameOf(f), f.ClientID, want, acked+1+uint64(i))
 		}
 	}
 }

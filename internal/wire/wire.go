@@ -22,6 +22,7 @@
 //
 //	{"type":"advance","at_ns":5000000000}   // idle-time progress
 //	{"type":"query","sql":"SELECT ..."}
+//	{"type":"status"}                       // engine progress, feed continues
 //	{"type":"hello","client_id":"edge1"}    // reliable feed resume probe
 //	{"type":"pong"}                         // keepalive reply
 //	{"type":"bye"}                          // graceful end of this feed
@@ -32,6 +33,7 @@
 //	{"type":"ping"}                         // keepalive probe
 //	{"type":"error","msg":"..."}
 //	{"type":"stats","observations":N,"detections":M,"shards":K}   // reply to bye
+//	{"type":"status","observations":N,"detections":M,"shards":K}  // reply to status
 //
 // Reliable delivery: batch/advance frames may carry client_id and a
 // monotonically increasing seq (starting at 1). The server applies each
@@ -46,6 +48,14 @@
 // A sequenced frame of a type the server does not know is refused: an
 // error reply, then the connection closes without claiming the seq, so
 // the next frame's cumulative ack cannot release it unapplied.
+//
+// Overload has one policy, backpressure. Every frame takes one path —
+// claim, apply, ack — on the handler that read it, so an ack always means
+// applied; a server that falls behind reads more slowly, and a sender's
+// bounded unacked ring fills until its sends block. Nothing is shed:
+// under negation and chronicle consumption a dropped observation changes
+// which events fire. A feed's seqs are therefore contiguous, and a
+// client acked for a seq it never sent fails with ReusedClientIDError.
 //
 // Duplicate reads are filtered at the edge (rfidfeed -dedup, a
 // pipeline.Dedup stage), not here. That relies on each reader being fed by
@@ -112,17 +122,11 @@ type Message struct {
 	Columns []string `json:"columns,omitempty"`
 	Rows    [][]any  `json:"rows,omitempty"`
 
-	// error / stats
+	// error / stats / status
 	Msg          string `json:"msg,omitempty"`
 	Observations uint64 `json:"observations,omitempty"`
 	Detections   uint64 `json:"detections,omitempty"`
 	Shards       int    `json:"shards,omitempty"` // detection shards serving the engine
-
-	// status (reply to a "status" frame): overload visibility. Shed is
-	// how many observations the admission queue has dropped under its
-	// drop-oldest policy; Queue is the current admission-queue depth.
-	Shed  uint64 `json:"shed,omitempty"`
-	Queue int    `json:"queue,omitempty"`
 
 	// cluster mode (internal/core/cluster). Coordinator → worker frames
 	// reuse the sequenced batch/advance machinery and add: "assign" (host
@@ -196,30 +200,6 @@ type Server struct {
 	// client's replayed frames dedupe correctly.
 	seqMu   sync.Mutex
 	lastSeq map[string]uint64
-
-	// admit, when configured (WithAdmission), decouples frame arrival
-	// from engine application behind a bounded queue.
-	admit    *admission
-	pumpDone chan struct{}
-}
-
-// admission is the bounded queue between connection handlers and the
-// engine. Full + dropOldest → the oldest queued observation is shed (and
-// counted); full without dropOldest → the handler blocks, pushing
-// backpressure into the client's unacked ring.
-type admission struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []admitted
-	cap    int
-	drop   bool
-	shed   uint64
-	closed bool
-}
-
-type admitted struct {
-	m  Message
-	cc *clientConn
 }
 
 // FrameWriter is the one write path of every wire endpoint: frames are
@@ -305,8 +285,6 @@ type Option func(*serverOpts)
 type serverOpts struct {
 	reorderSlack time.Duration
 	keepalive    time.Duration
-	admitCap     int
-	admitDrop    bool
 }
 
 // WithReorder installs a bounded reorder buffer in front of the engine,
@@ -327,29 +305,6 @@ func WithKeepalive(interval time.Duration) Option {
 // deadIntervals is how many keepalive intervals of silence declare a peer
 // dead, to the server and to a ReliableClient alike.
 const deadIntervals = 3
-
-// WithAdmission puts a bounded queue of the given capacity between
-// connection handlers and the engine, making overload behavior explicit
-// end to end. When the queue is full, dropOldest=false blocks the
-// handler (backpressure into the sender's unacked ring — nothing is
-// lost, latency grows); dropOldest=true sheds the oldest queued
-// observation instead, counting it in the shed counter surfaced by the
-// "status" frame, so a saturated server keeps bounded latency at the
-// cost of the stalest coverage. Advance frames are never shed — they
-// carry clock state, and dropping one could silently change detection
-// results.
-//
-// In admission mode an ack means "admitted": the frame is applied in
-// order (or knowingly shed) before Shutdown returns, and ingest errors
-// are reported asynchronously as error frames. Queries still run
-// synchronously and may observe the engine a few queued frames behind
-// the acks.
-func WithAdmission(capacity int, dropOldest bool) Option {
-	return func(o *serverOpts) {
-		o.admitCap = capacity
-		o.admitDrop = dropOldest
-	}
-}
 
 // NewServer builds a server around a fresh engine. The config's
 // OnDetection, if set, still runs in addition to the broadcast.
@@ -384,12 +339,6 @@ func NewServer(cfg rcep.Config, opts ...Option) (*Server, error) {
 			s.pend = append(s.pend, o)
 			return nil
 		})
-	}
-	if so.admitCap > 0 {
-		s.admit = &admission{cap: so.admitCap, drop: so.admitDrop}
-		s.admit.cond = sync.NewCond(&s.admit.mu)
-		s.pumpDone = make(chan struct{})
-		go s.pump()
 	}
 	return s, nil
 }
@@ -494,39 +443,16 @@ func (s *Server) Shutdown() {
 		_ = c.conn.SetReadDeadline(time.Now())
 	}
 	s.wg.Wait()
-	// With every handler gone no new frames can be admitted; drain the
-	// queue so everything acked-as-admitted is applied before the caller
-	// snapshots the engine.
-	if s.admit != nil {
-		s.admit.mu.Lock()
-		s.admit.closed = true
-		s.admit.mu.Unlock()
-		s.admit.cond.Broadcast()
-		<-s.pumpDone
-	}
 }
 
-// Shed reports how many observations the admission queue has dropped
-// under its drop-oldest policy (0 without WithAdmission).
-func (s *Server) Shed() uint64 {
-	if s.admit == nil {
-		return 0
-	}
-	s.admit.mu.Lock()
-	defer s.admit.mu.Unlock()
-	return s.admit.shed
-}
+// Shed is always 0: nothing is shed. Only the benchmark calls it; ROADMAP
+// item 2's benchmark change deletes it.
+func (s *Server) Shed() uint64 { return 0 }
 
-// QueueDepth reports the current admission-queue depth (0 without
-// WithAdmission).
-func (s *Server) QueueDepth() int {
-	if s.admit == nil {
-		return 0
-	}
-	s.admit.mu.Lock()
-	defer s.admit.mu.Unlock()
-	return len(s.admit.q)
-}
+// QueueDepth is always 0: frames are applied as they are read, with no
+// queue between. Only the benchmark calls it; ROADMAP item 2's benchmark
+// change deletes it.
+func (s *Server) QueueDepth() int { return 0 }
 
 // SeqState snapshots the per-client cumulative ack state (highest applied
 // sequence number per client ID). Persist it alongside the engine
@@ -617,9 +543,6 @@ func (s *Server) handle(conn net.Conn) {
 		if timeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(timeout))
 		}
-		if s.admit != nil {
-			m = Message{} // a queued frame keeps its batch
-		}
 		if err := fr.Read(&m); err != nil {
 			// An oversized batch is rejected before its seq is claimed:
 			// the sender can re-chunk and resend under the same seq
@@ -637,11 +560,7 @@ func (s *Server) handle(conn net.Conn) {
 			if m.ClientID != "" && m.Seq > 0 {
 				cc.ids[m.ClientID] = true
 			}
-			if s.admit != nil {
-				s.admitFrame(cc, m)
-				continue
-			}
-			s.applyFrame(cc, m, false)
+			s.applyFrame(cc, m)
 		case "hello":
 			// Resume probe: tell the client how far this feed already got.
 			if m.ClientID != "" {
@@ -663,15 +582,11 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			reply(Message{Type: "result", Columns: cols, Rows: jsonRows(rows)})
 		case "status":
-			// Overload visibility: engine progress plus the admission
-			// queue's shed counter and depth.
+			// Engine progress, without ending the feed.
 			s.emu.Lock()
 			met := s.eng.Metrics()
 			s.emu.Unlock()
-			reply(Message{
-				Type: "status", Observations: met.Observations, Detections: met.Detections,
-				Shards: s.eng.Shards(), Shed: s.Shed(), Queue: s.QueueDepth(),
-			})
+			reply(Message{Type: "status", Observations: met.Observations, Detections: met.Detections, Shards: s.eng.Shards()})
 		case "bye":
 			s.emu.Lock()
 			met := s.eng.Metrics()
@@ -690,18 +605,16 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// applyFrame claims one batch/advance frame (unless the admission
-// queue already did), runs it into the engine and answers it — the
-// synchronous tail of the handler, also run by the admission pump. On the
-// handler's path the error reply waits in cc's buffer and the ack is owed
-// until the handler settles; the pump sends both at once. Every other
+// applyFrame claims one batch/advance frame, runs it into the engine and
+// answers it: the error reply waits in cc's buffer and the ack is owed
+// until the handler settles, so an ack always means applied. Every other
 // connection a fire was put to is flushed before return, so an idle
 // listener never waits on another client's input.
-func (s *Server) applyFrame(cc *clientConn, m Message, claimed bool) {
+func (s *Server) applyFrame(cc *clientConn, m Message) {
 	var err error
 	s.emu.Lock()
 	switch {
-	case !claimed && !s.claim(m):
+	case !s.claim(m):
 		// Stale replay: dropped, but still acked below so the sender can
 		// release its buffer.
 	case m.Type == "batch":
@@ -726,7 +639,7 @@ func (s *Server) applyFrame(cc *clientConn, m Message, claimed bool) {
 		}
 	}
 	for _, c := range s.fanout {
-		if c != cc || claimed {
+		if c != cc {
 			_ = c.Flush()
 		}
 	}
@@ -734,100 +647,18 @@ func (s *Server) applyFrame(cc *clientConn, m Message, claimed bool) {
 	s.fanout = s.fanout[:0]
 	s.emu.Unlock()
 	if err != nil {
-		e := &Message{Type: "error", Msg: err.Error()}
-		if claimed {
-			_ = cc.Send(e)
-		} else {
-			_ = cc.Put(e)
-		}
+		_ = cc.Put(&Message{Type: "error", Msg: err.Error()})
 	}
 	if m.ClientID != "" && m.Seq > 0 {
-		if seq := s.ackedSeq(m.ClientID); claimed {
-			_ = cc.Send(&Message{Type: "ack", Seq: seq})
-		} else {
-			cc.owed[m.ClientID] = seq
-		}
-	}
-}
-
-// admitFrame claims one frame and enqueues it on the admission queue,
-// applying the configured overload policy when it is full.
-func (s *Server) admitFrame(cc *clientConn, m Message) {
-	a := s.admit
-	var dropped []admitted
-	a.mu.Lock()
-	// A replay already known stale must not shed or wait to make room.
-	stale := m.ClientID != "" && m.Seq > 0 && m.Seq <= s.ackedSeq(m.ClientID)
-	for !stale && len(a.q) >= a.cap && !a.closed {
-		if a.drop {
-			if i := oldestSheddable(a.q); i >= 0 {
-				dropped = append(dropped, a.q[i])
-				a.shed += uint64(len(a.q[i].m.Batch))
-				a.q = append(a.q[:i], a.q[i+1:]...)
-				continue
-			}
-		}
-		// Backpressure (or a queue full of unsheddable advance frames):
-		// block the handler; the sender's unacked ring absorbs the stall.
-		a.cond.Wait()
-	}
-	if !stale && !a.closed {
-		if stale = !s.claim(m); !stale {
-			a.q = append(a.q, admitted{m: m, cc: cc})
-		}
-	}
-	a.mu.Unlock()
-	a.cond.Broadcast()
-	if stale {
-		_ = cc.Send(&Message{Type: "ack", Seq: s.ackedSeq(m.ClientID)})
-	}
-	// A shed frame was claimed at admission, so its sender still gets the
-	// cumulative ack and releases it — it is handled, just not applied.
-	for _, d := range dropped {
-		if d.m.ClientID != "" && d.m.Seq > 0 {
-			_ = d.cc.Send(&Message{Type: "ack", Seq: s.ackedSeq(d.m.ClientID)})
-		}
-	}
-}
-
-// oldestSheddable finds the oldest coverage-only frame: batch frames may
-// be shed, advance frames never (they carry clock state).
-func oldestSheddable(q []admitted) int {
-	for i := range q {
-		if q[i].m.Type == "batch" {
-			return i
-		}
-	}
-	return -1
-}
-
-// pump drains the admission queue into the engine in arrival order,
-// exiting only when the queue is closed and empty (Shutdown).
-func (s *Server) pump() {
-	defer close(s.pumpDone)
-	a := s.admit
-	for {
-		a.mu.Lock()
-		for len(a.q) == 0 && !a.closed {
-			a.cond.Wait()
-		}
-		if len(a.q) == 0 {
-			a.mu.Unlock()
-			return
-		}
-		e := a.q[0]
-		a.q = a.q[1:]
-		a.mu.Unlock()
-		a.cond.Broadcast()
-		s.applyFrame(e.cc, e.m, true)
+		cc.owed[m.ClientID] = s.ackedSeq(m.ClientID)
 	}
 }
 
 // claim records a sequenced frame as handled and reports whether it is
 // fresh: sequenced frames apply at most once per (client_id, seq);
-// unsequenced ones always do. It runs under the lock that orders the
-// hand-off — emu, or the admission queue's — so a frame claimed on a dying
-// connection cannot be overtaken by its successor replayed on a new one.
+// unsequenced ones always do. It runs under emu, the lock that orders the
+// hand-off, so a frame claimed on a dying connection cannot be overtaken
+// by its successor replayed on a new one.
 func (s *Server) claim(m Message) bool {
 	if m.ClientID == "" || m.Seq == 0 {
 		return true
