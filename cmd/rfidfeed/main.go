@@ -23,6 +23,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"sync"
 	"time"
 
 	"rcep/internal/core/event"
@@ -68,6 +69,7 @@ func main() {
 		in = f
 	}
 
+	var refused refusals
 	opt := wire.ReliableOptions{
 		ClientID:     *clientID,
 		Buffer:       *buffer,
@@ -84,6 +86,7 @@ func main() {
 		OnReconnect: func(n int) {
 			log.Printf("connection lost, reconnect #%d (unacked frames will be replayed)", n)
 		},
+		OnFrame: refused.observe,
 	}
 	if *spoolPath != "" {
 		sp, err := wire.OpenSpool(*spoolPath)
@@ -99,7 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, stats, err := feed(c, in, *dedup, *advance)
+	n, stats, err := feed(c, in, *dedup, *advance, &refused)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,12 +113,44 @@ func main() {
 		n, stats.Observations, stats.Detections)
 }
 
+// refusals counts the server's error frames: frames the engine refused,
+// say for arriving behind its clock. The server acks them all the same,
+// since sending them again cannot help.
+type refusals struct {
+	mu    sync.Mutex
+	n     int
+	first string
+}
+
+// observe is the client's OnFrame callback.
+func (r *refusals) observe(m wire.Message) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m.Type == "error" {
+		if r.n++; r.n == 1 {
+			r.first = m.Msg
+		}
+	}
+}
+
+func (r *refusals) err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.n == 0 {
+		return nil
+	}
+	return fmt.Errorf("the server refused %d frame(s); the first: %s", r.n, r.first)
+}
+
 // feed sends the CSV observations read from in through c, one SendBatch
 // per read cycle (consecutive rows with the same reader and time), past a
 // pipeline.Dedup stage when dedup > 0. An advance > 0 then moves the
 // server clock to that offset. feed closes c, draining what was sent even
-// after a bad row, and returns the rows read and the server's stats.
-func feed(c *wire.ReliableClient, in io.Reader, dedup, advance time.Duration) (int, wire.Message, error) {
+// after a bad row, and returns the rows read and the server's stats. A
+// frame the server refused (counted by refused, c's OnFrame) fails the
+// feed: the stats reply follows every earlier error frame, so the count
+// is complete once Close returns.
+func feed(c *wire.ReliableClient, in io.Reader, dedup, advance time.Duration, refused *refusals) (int, wire.Message, error) {
 	var stages []pipeline.StageFunc
 	if dedup > 0 {
 		stages = append(stages, pipeline.Dedup(dedup))
@@ -162,6 +197,9 @@ func feed(c *wire.ReliableClient, in io.Reader, dedup, advance time.Duration) (i
 	stats, cerr := c.Close()
 	if err == nil {
 		err = cerr
+	}
+	if err == nil {
+		err = refused.err()
 	}
 	return rows, stats, err
 }

@@ -40,18 +40,11 @@ func seed7CSV() []byte {
 	return b.Bytes()
 }
 
-// feedServer feeds csv to a fresh in-process server running dupRule and
-// returns the rows read, the server's stats, the frames the client sent
-// (its last acked seq) and the server's detections in firing order.
-func feedServer(t *testing.T, csv []byte, dedup time.Duration) (int, wire.Message, uint64, []string) {
+// serve starts an in-process server running dupRule and returns its
+// address; onDetection sees every detection.
+func serve(t *testing.T, onDetection func(rcep.Detection)) string {
 	t.Helper()
-	var mu sync.Mutex
-	var dets []string
-	srv, err := wire.NewServer(rcep.Config{Rules: dupRule, OnDetection: func(d rcep.Detection) {
-		mu.Lock()
-		dets = append(dets, fmt.Sprint(d.RuleID, d.Begin, d.End, d.Bindings()))
-		mu.Unlock()
-	}})
+	srv, err := wire.NewServer(rcep.Config{Rules: dupRule, OnDetection: onDetection})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,19 +52,44 @@ func feedServer(t *testing.T, csv []byte, dedup time.Duration) (int, wire.Messag
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
 	go func() { _ = srv.Serve(l) }()
-	c, err := wire.DialReliable(l.Addr().String(), wire.ReliableOptions{ClientID: "edge1", Backoff: time.Millisecond})
+	return l.Addr().String()
+}
+
+// feedAs feeds csv to the server at addr under the given client ID, the
+// way main does, and returns the rows read, the server's stats, the
+// client's last acked seq and feed's error.
+func feedAs(t *testing.T, addr, id string, csv []byte, dedup time.Duration) (int, wire.Message, uint64, error) {
+	t.Helper()
+	var refused refusals
+	c, err := wire.DialReliable(addr, wire.ReliableOptions{ClientID: id, Backoff: time.Millisecond, OnFrame: refused.observe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, stats, err := feed(c, bytes.NewReader(csv), dedup, 0)
+	n, stats, err := feed(c, bytes.NewReader(csv), dedup, 0, &refused)
+	return n, stats, c.Acked(), err
+}
+
+// feedServer feeds csv to a fresh in-process server running dupRule and
+// returns the rows read, the server's stats, the frames the client sent
+// (its last acked seq) and the server's detections in firing order.
+func feedServer(t *testing.T, csv []byte, dedup time.Duration) (int, wire.Message, uint64, []string) {
+	t.Helper()
+	var mu sync.Mutex
+	var dets []string
+	addr := serve(t, func(d rcep.Detection) {
+		mu.Lock()
+		dets = append(dets, fmt.Sprint(d.RuleID, d.Begin, d.End, d.Bindings()))
+		mu.Unlock()
+	})
+	n, stats, acked, err := feedAs(t, addr, "edge1", csv, dedup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	return n, stats, c.Acked(), dets
+	return n, stats, acked, dets
 }
 
 // reference runs csv through an optional stream.Dedup into a bare engine
@@ -170,5 +188,23 @@ func TestFeedGroupsReadCycles(t *testing.T) {
 			t.Errorf("dedup=%v: %d rows, %d observations in %d frames; want 7, %d in %d",
 				tc.dedup, n, stats.Observations, frames, tc.obs, tc.frames)
 		}
+	}
+}
+
+// TestFeedFailsOnRefusedFrames: a stream behind the engine clock of a
+// server that already took the seed-7 stream is refused frame by frame,
+// and the feed fails once Close returns, naming the count and the first
+// refusal.
+func TestFeedFailsOnRefusedFrames(t *testing.T) {
+	addr := serve(t, nil)
+	if _, _, _, err := feedAs(t, addr, "edge1", seed7CSV(), 0); err != nil {
+		t.Fatalf("seed-7 feed: %v", err)
+	}
+	n, _, frames, err := feedAs(t, addr, "edge2", []byte("r1,a,0.5\nr1,b,1.0\n"), 0)
+	if n != 2 || frames != 2 {
+		t.Fatalf("fed %d rows in %d frames, want 2 in 2", n, frames)
+	}
+	if err == nil || !strings.Contains(err.Error(), "refused 2 frame(s)") || !strings.Contains(err.Error(), "out of timestamp order") {
+		t.Fatalf("late feed: err = %v, want 2 refused frames, the first out of order", err)
 	}
 }

@@ -84,7 +84,7 @@ func (c *Coordinator) writeCheckpointLocked(w io.Writer) error {
 		Now:       c.now,
 		Ingested:  c.ingested,
 		Delivered: c.delivered,
-		Rules:     make([][]int, n),
+		Rules:     c.part.RuleIDs(),
 		Engines:   make([]json.RawMessage, n),
 		Sums:      make([]uint32, n),
 		DetSeq:    append([]uint64(nil), c.ckDetSeq...),
@@ -93,11 +93,6 @@ func (c *Coordinator) writeCheckpointLocked(w io.Writer) error {
 		Trimmed:   make([]bool, n),
 	}
 	for s := 0; s < n; s++ {
-		ids := make([]int, 0, len(c.part.ByShard[s]))
-		for _, r := range c.part.ByShard[s] {
-			ids = append(ids, r.ID)
-		}
-		ck.Rules[s] = ids
 		ck.Engines[s] = c.lastCk[s]
 		ck.Sums[s] = c.ckSum[s]
 		start := c.ckStart[s]
@@ -156,16 +151,10 @@ func (c *Coordinator) restore(r io.Reader) error {
 		return fmt.Errorf("cluster: restore: truncated checkpoint: %d/%d/%d/%d/%d/%d/%d per-shard entries for %d shards",
 			len(ck.Rules), len(ck.Engines), len(ck.Sums), len(ck.DetSeq), len(ck.DetHigh), len(ck.Journals), len(ck.Trimmed), n)
 	}
+	if err := c.part.CheckRuleIDs(ck.Rules); err != nil {
+		return fmt.Errorf("cluster: restore: %w", err)
+	}
 	for s := 0; s < n; s++ {
-		want := c.part.ByShard[s]
-		if len(ck.Rules[s]) != len(want) {
-			return fmt.Errorf("cluster: restore: shard %d has %d rules in checkpoint, %d in partition", s, len(ck.Rules[s]), len(want))
-		}
-		for i, r := range want {
-			if ck.Rules[s][i] != r.ID {
-				return fmt.Errorf("cluster: restore: shard %d rule %d is %d in checkpoint, %d in partition (rule set changed?)", s, i, ck.Rules[s][i], r.ID)
-			}
-		}
 		if len(ck.Engines[s]) > 0 && crc32.ChecksumIEEE(ck.Engines[s]) != ck.Sums[s] {
 			return fmt.Errorf("cluster: restore: shard %d engine checkpoint fails its checksum (corrupt)", s)
 		}

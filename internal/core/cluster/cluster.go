@@ -115,10 +115,6 @@ type Config struct {
 	// (atomic tmp+rename) after every checkpoint-cadence barrier — the
 	// state a warm standby adopts at takeover.
 	CheckpointPath string
-
-	// Clock overrides the wall clock for the partition grace timer and
-	// the lease (tests inject it). Defaults to time.Now.
-	Clock func() time.Time
 }
 
 // record is one journaled frame, as the coordinator shipped it to a
@@ -223,10 +219,10 @@ type Coordinator struct {
 // dropped. The generation bump on checkpoint restore covers restarts
 // that go through a checkpoint; the nonce covers the rest (cold starts
 // against long-running workers, which all share gen 0).
-func instanceID(clock func() time.Time) string {
+func instanceID() string {
 	var b [5]byte
 	if _, err := crand.Read(b[:]); err != nil {
-		return fmt.Sprintf("t%x", clock().UnixNano())
+		return fmt.Sprintf("t%x", time.Now().UnixNano())
 	}
 	return hex.EncodeToString(b[:])
 }
@@ -235,15 +231,8 @@ func instanceID(clock func() time.Time) string {
 // restores a coordinator checkpoint, and places every shard. It fails if
 // any initial placement cannot be established.
 func New(cfg Config) (*Coordinator, error) {
-	if len(cfg.Rules) == 0 {
-		return nil, errors.New("cluster: Config.Rules is empty")
-	}
-	seen := map[int]bool{}
-	for _, r := range cfg.Rules {
-		if seen[r.ID] {
-			return nil, fmt.Errorf("cluster: duplicate rule ID %d", r.ID)
-		}
-		seen[r.ID] = true
+	if err := shard.CheckRules(cfg.Rules); err != nil {
+		return nil, fmt.Errorf("cluster: Config.Rules: %w", err)
 	}
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("cluster: Config.Workers is empty")
@@ -264,9 +253,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.OnDetect == nil {
 		cfg.OnDetect = func(int, *event.Instance) {}
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 10 * time.Second
@@ -294,7 +280,7 @@ func New(cfg Config) (*Coordinator, error) {
 		forceRepl:   make([]bool, n),
 		probeAck:    make([]uint64, n),
 		frontier:    make([]event.Time, n),
-		inst:        instanceID(cfg.Clock),
+		inst:        instanceID(),
 		now:         event.MinTime,
 	}
 	if cfg.Checkpoint != nil {
@@ -308,7 +294,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.LeasePath != "" {
 		// Acquiring bumps the lease term, which fences the previous
 		// holder: its next renewal sees the foreign term and fail-stops.
-		l, err := acquireLease(cfg.LeasePath, cfg.LeaseHolder, cfg.LeaseTTL, cfg.Clock)
+		l, err := acquireLease(cfg.LeasePath, cfg.LeaseHolder, cfg.LeaseTTL)
 		if err != nil {
 			return nil, err
 		}
@@ -631,9 +617,12 @@ func (c *Coordinator) Close() error {
 	return c.err
 }
 
+// releaseLeaseLocked expires the grant at once, so a standby need not
+// wait out the TTL after a clean shutdown. Best effort: a lease already
+// taken over stays the successor's.
 func (c *Coordinator) releaseLeaseLocked() {
 	if c.lease != nil {
-		_ = c.lease.release()
+		_ = c.lease.extend(time.Now())
 		c.lease = nil
 	}
 }
@@ -673,7 +662,7 @@ func (c *Coordinator) barrierLocked(drain, deliverAll, forceCkpt bool) error {
 		// standby bumped the term and owns the cluster now. Fail-stop
 		// here — issuing one more barrier as a zombie could race the
 		// successor's assigns.
-		if err := c.lease.renew(); err != nil {
+		if err := c.lease.extend(time.Now().Add(c.lease.ttl)); err != nil {
 			if c.err == nil {
 				c.err = err
 			}
@@ -717,7 +706,7 @@ func (c *Coordinator) syncShardLocked(s int, ckpt, drain bool) error {
 	// written after this barrier must find them in the journal.
 	c.sealObsLocked(s)
 	if c.detached[s] {
-		expired := c.cfg.Clock().Sub(c.detachedAt[s]) >= c.cfg.PartitionGrace
+		expired := time.Since(c.detachedAt[s]) >= c.cfg.PartitionGrace
 		// A boot mismatch on reconnect means the worker process
 		// restarted and the feed's engine state is gone — the one thing
 		// detached mode was preserving. Re-place immediately.
@@ -798,7 +787,7 @@ func linkBootMismatch(lk *link) bool {
 func (c *Coordinator) detachLocked(s int, cause error) {
 	lk := c.links[s]
 	c.detached[s] = true
-	c.detachedAt[s] = c.cfg.Clock()
+	c.detachedAt[s] = time.Now()
 	c.detachCause[s] = cause
 	c.forceRepl[s] = false
 	c.probeAck[s] = lk.client.Acked()

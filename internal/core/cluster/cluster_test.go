@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rcep/internal/core/event"
+	"rcep/internal/core/shard"
 	"rcep/internal/faults"
 	"rcep/internal/wire"
 )
@@ -41,6 +42,35 @@ func TestClusterOracleEquivalence(t *testing.T) {
 }
 
 func planName(seed int64) string { return fmt.Sprintf("seed=%d", seed) }
+
+// TestClusterSameInstantAdvance: an explicit advance to the instant every
+// shard already stands at fires the negation window due there before the
+// cancelling observation at that instant arrives, as in a single engine.
+// The second rule puts the negation rule's readers in a shard of their
+// own.
+func TestClusterSameInstantAdvance(t *testing.T) {
+	t.Parallel()
+	rules := []shard.Rule{
+		{ID: 1, Expr: &event.Within{
+			X:   &event.And{L: lit("r1", "o", "t1"), R: &event.Not{X: lit("r2", "o", "t2")}},
+			Max: 5 * time.Second,
+		}},
+		{ID: 2, Expr: lit("r3", "o3", "t3")},
+	}
+	at5 := event.Time(5 * time.Second)
+	stream := []event.Observation{
+		{Reader: "r1", Object: "o1", At: 0},
+		{Reader: "r2", Object: "other", At: at5},
+		{At: at5}, // AdvanceTo(5s)
+		{Reader: "r2", Object: "o1", At: at5},
+	}
+	got, _, err := runCluster(t, 1, 2, rules, stream, nil)
+	if err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+	want := []string{"1|0.000s|5.000s|{o=o1 t1=0.000s}"}
+	diffStrings(t, "detections", want, got)
+}
 
 // TestCoordinatorCheckpointRestart proves the coordinator's own
 // checkpoint round-trips mid-stream: detections delivered before the

@@ -15,7 +15,6 @@ import (
 	"rcep/internal/core/event"
 	"rcep/internal/core/shard"
 	"rcep/internal/faults"
-	"rcep/internal/wire"
 )
 
 // degradedStats accumulates resilience counters across every coordinator
@@ -616,39 +615,4 @@ func TestClusterColdRestartAgainstLiveWorkers(t *testing.T) {
 	}
 	diffStrings(t, "second multiset", oracle, asMultiset(second))
 	diffStrings(t, "second order", order, second)
-}
-
-// TestOutboxConfirmAndFreshLineage pins the worker detection outbox:
-// cumulative confirm trimming, stale-mark no-ops, and the fresh lineage a
-// new assign starts.
-func TestOutboxConfirmAndFreshLineage(t *testing.T) {
-	det := func(dseq uint64) wire.ClusterDet { return wire.ClusterDet{Rule: 1, Dseq: dseq} }
-
-	ob := newOutbox(5)
-	ob.add(det(6))
-	ob.add(det(7))
-	ob.add(det(8))
-	if n := len(ob.pending()); n != 3 {
-		t.Fatalf("pending = %d, want 3", n)
-	}
-	ob.confirm(7)
-	if p := ob.pending(); len(p) != 1 || p[0].Dseq != 8 {
-		t.Fatalf("pending after confirm(7) = %v, want [dseq 8]", p)
-	}
-	ob.confirm(6) // stale replayed mark: cumulative, must be a no-op
-	if p := ob.pending(); len(p) != 1 || p[0].Dseq != 8 {
-		t.Fatalf("pending after stale confirm(6) = %v, want [dseq 8]", p)
-	}
-
-	// A fresh assign starts a fresh lineage: nothing of the previous
-	// incarnation is merged.
-	ob2 := newOutbox(0)
-	if p := ob2.pending(); len(p) != 0 {
-		t.Fatalf("fresh outbox pending = %v, want empty", p)
-	}
-	ob2.add(det(1))
-	ob2.confirm(1)
-	if p := ob2.pending(); len(p) != 0 {
-		t.Fatalf("pending after confirm(1) = %v, want empty", p)
-	}
 }

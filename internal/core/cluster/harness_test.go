@@ -199,7 +199,8 @@ func (c *trackConn) Close() error {
 
 // runCluster drives the stream through a real multi-process-shaped
 // cluster (N workers over TCP), applying the fault plan between
-// ingestions, and returns the merged detection sequence.
+// ingestions, and returns the merged detection sequence. An observation
+// with no reader stands for an explicit AdvanceTo its instant.
 func runCluster(t *testing.T, seed int64, workers int, rules []shard.Rule, stream []event.Observation, plan *faults.ClusterPlan) ([]string, int, error) {
 	t.Helper()
 	base := WorkerConfig{Rules: rules, Shards: 4, Groups: genGroups, TypeOf: genTypeOf}
@@ -246,7 +247,11 @@ func runCluster(t *testing.T, seed int64, workers int, rules []shard.Rule, strea
 			applyFault(procs, coord, plans[fi], killed)
 			fi++
 		}
-		if err := coord.Ingest(o); err != nil {
+		step := coord.Ingest
+		if o.Reader == "" {
+			step = func(o event.Observation) error { return coord.AdvanceTo(o.At) }
+		}
+		if err := step(o); err != nil {
 			return got, coord.Handoffs(), err
 		}
 	}

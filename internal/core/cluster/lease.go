@@ -31,7 +31,6 @@ type lease struct {
 	path   string
 	holder string
 	ttl    time.Duration
-	clock  func() time.Time
 	term   uint64
 }
 
@@ -67,7 +66,7 @@ func writeLeaseDoc(path string, doc leaseDoc) error {
 
 // acquireLease takes the lease at path for holder, refusing while a
 // different holder's grant is unexpired. Taking it bumps the term.
-func acquireLease(path, holder string, ttl time.Duration, clock func() time.Time) (*lease, error) {
+func acquireLease(path, holder string, ttl time.Duration) (*lease, error) {
 	if holder == "" {
 		holder = fmt.Sprintf("coord-%d", os.Getpid())
 	}
@@ -75,21 +74,22 @@ func acquireLease(path, holder string, ttl time.Duration, clock func() time.Time
 	if err != nil {
 		return nil, err
 	}
-	now := clock()
+	now := time.Now()
 	if ok && doc.Holder != holder && doc.ExpiresNS > now.UnixNano() {
 		return nil, fmt.Errorf("cluster: lease %s held by %q for another %s", path, doc.Holder,
 			time.Duration(doc.ExpiresNS-now.UnixNano()).Round(time.Millisecond))
 	}
-	l := &lease{path: path, holder: holder, ttl: ttl, clock: clock, term: doc.Term + 1}
+	l := &lease{path: path, holder: holder, ttl: ttl, term: doc.Term + 1}
 	if err := writeLeaseDoc(path, leaseDoc{Holder: holder, Term: l.term, ExpiresNS: now.Add(ttl).UnixNano()}); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// renew extends the grant — but only while the file still records this
-// lease's holder and term. Any mismatch means a takeover happened.
-func (l *lease) renew() error {
+// extend rewrites the grant to expire at exp — but only while the file
+// still records this lease's holder and term. Any mismatch means a
+// takeover happened, and the successor's record is left untouched.
+func (l *lease) extend(exp time.Time) error {
 	doc, ok, err := readLeaseDoc(l.path)
 	if err != nil {
 		return err
@@ -97,19 +97,5 @@ func (l *lease) renew() error {
 	if !ok || doc.Holder != l.holder || doc.Term != l.term {
 		return fmt.Errorf("%w: term %d now held by %q (term %d)", ErrLeaseLost, l.term, doc.Holder, doc.Term)
 	}
-	return writeLeaseDoc(l.path, leaseDoc{Holder: l.holder, Term: l.term, ExpiresNS: l.clock().Add(l.ttl).UnixNano()})
-}
-
-// release expires the grant immediately so a standby need not wait out
-// the TTL after a clean shutdown. Best effort: if the lease was already
-// taken over, the successor's record is left untouched.
-func (l *lease) release() error {
-	doc, ok, err := readLeaseDoc(l.path)
-	if err != nil {
-		return err
-	}
-	if !ok || doc.Holder != l.holder || doc.Term != l.term {
-		return nil
-	}
-	return writeLeaseDoc(l.path, leaseDoc{Holder: l.holder, Term: l.term, ExpiresNS: l.clock().UnixNano()})
+	return writeLeaseDoc(l.path, leaseDoc{Holder: l.holder, Term: l.term, ExpiresNS: exp.UnixNano()})
 }

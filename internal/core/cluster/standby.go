@@ -44,7 +44,7 @@ func (s *Standby) TryTakeover() (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if held && doc.Holder != s.cfg.LeaseHolder && doc.ExpiresNS > s.clock()().UnixNano() {
+	if held && doc.Holder != s.cfg.LeaseHolder && doc.ExpiresNS > time.Now().UnixNano() {
 		return nil, nil // the active coordinator is still renewing
 	}
 	cfg := s.cfg
@@ -59,11 +59,4 @@ func (s *Standby) TryTakeover() (*Coordinator, error) {
 	// No published checkpoint means the active died before its first
 	// checkpoint barrier: take over cold from stream start.
 	return New(cfg)
-}
-
-func (s *Standby) clock() func() time.Time {
-	if s.cfg.Clock != nil {
-		return s.cfg.Clock
-	}
-	return time.Now
 }

@@ -14,9 +14,9 @@
 // addressed to its predecessor's identities), so the
 // worker inherits the wire layer's dedupe-by-sequence guarantee: after a
 // reconnect, replayed frames are re-acked and skipped, and reply-bearing
-// frames are re-answered — sync/drain from the detection outbox, ckpt
-// from a cached-reply window — so a reply lost with the connection is
-// never lost for good.
+// frames are re-answered — sync/drain from the shard host's unconfirmed
+// detections, ckpt from a cached-reply window — so a reply lost with the
+// connection is never lost for good.
 //
 // The first frame on every accepted connection is a boot announcement
 // ({"type":"boot","msg":<boot id>}). A coordinator that reconnects and
@@ -39,7 +39,6 @@ import (
 
 	"rcep/internal/core/detect"
 	"rcep/internal/core/event"
-	"rcep/internal/core/graph"
 	"rcep/internal/core/shard"
 	"rcep/internal/wire"
 )
@@ -80,26 +79,38 @@ type Worker struct {
 	wg       sync.WaitGroup
 }
 
-// feed is the state of one coordinator link: one shard engine driven by
-// one sequenced frame stream.
+// feed is the state of one coordinator link: one shard host driven by
+// one sequenced frame stream. The host holds each detection until a sync
+// or drain frame's DetSeq mark confirms it (DESIGN.md §11).
 type feed struct {
 	shard   int
 	lastSeq uint64
-	eng     *detect.Engine
-	dseq    uint64
+	host    *shard.Host
 	obs     uint64
-	out     *outbox
-	drained bool
 
 	// replies caches the last few checkpoint responses keyed by request
 	// sequence. If the connection dies after the worker sent a ckptres
 	// but before the coordinator received it, the replayed request is
 	// stale (already applied) — the cached reply is the only copy.
-	// Sync/drain replies need no cache: the outbox answers stale
-	// replays with the full unconfirmed set, which the coordinator's
-	// dseq dedupe reduces to exactly the lost reply's content.
+	// Sync/drain replies need no cache: the host answers stale replays
+	// with the full unconfirmed set, which the coordinator's dseq dedupe
+	// reduces to exactly the lost reply's content.
 	replies map[uint64]wire.Message
 	order   []uint64
+}
+
+// dets renders the host's unconfirmed detections, in dseq order, as the
+// payload of a sync or drain reply.
+func (f *feed) dets(m wire.Message) wire.Message {
+	var out []wire.ClusterDet
+	for _, d := range f.host.Pending() {
+		out = append(out, wire.ClusterDet{
+			Rule: d.Rule, Dseq: d.Seq, FireNS: int64(d.Fire),
+			BeginNS: int64(d.Inst.Begin), EndNS: int64(d.Inst.End),
+			InstSeq: d.Inst.Seq, Binds: d.Inst.Binds,
+		})
+	}
+	return wire.Message{Type: "dets", Shard: f.shard, Seq: m.Seq, CDets: out}
 }
 
 const replyCacheSize = 8
@@ -116,15 +127,8 @@ func (f *feed) cache(seq uint64, m wire.Message) {
 // NewWorker validates the configuration and computes the shared
 // partition. Serve then accepts coordinator links.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	if len(cfg.Rules) == 0 {
-		return nil, errors.New("cluster: WorkerConfig.Rules is empty")
-	}
-	seen := map[int]bool{}
-	for _, r := range cfg.Rules {
-		if seen[r.ID] {
-			return nil, fmt.Errorf("cluster: duplicate rule ID %d", r.ID)
-		}
-		seen[r.ID] = true
+	if err := shard.CheckRules(cfg.Rules); err != nil {
+		return nil, fmt.Errorf("cluster: WorkerConfig.Rules: %w", err)
 	}
 	if cfg.BootID == "" {
 		return nil, errors.New("cluster: WorkerConfig.BootID is required")
@@ -231,7 +235,7 @@ func (w *Worker) handle(conn net.Conn) {
 			w.mu.Lock()
 			var obs, dets uint64
 			if f := w.feeds[m.ClientID]; f != nil {
-				obs, dets = f.obs, f.dseq
+				obs, dets = f.obs, f.host.Seq()
 			}
 			w.mu.Unlock()
 			reply(wire.Message{Type: "stats", Observations: obs, Detections: dets})
@@ -265,14 +269,14 @@ func (w *Worker) sequenced(m wire.Message, reply func(wire.Message)) bool {
 	f := w.feeds[m.ClientID]
 	if f != nil && m.Seq <= f.lastSeq {
 		// Stale replay after a reconnect: already applied. Reply-bearing
-		// frames are re-answered — sync/drain fresh from the outbox (a
+		// frames are re-answered — sync/drain fresh from the host (a
 		// superset of the lost reply, which the coordinator's dseq
 		// dedupe shrinks back), ckpt from the cached-reply window — then
 		// re-acked.
 		switch m.Type {
 		case "sync", "drain":
-			f.out.confirm(m.DetSeq)
-			reply(wire.Message{Type: "dets", Shard: f.shard, Seq: m.Seq, CDets: f.out.pending()})
+			f.host.Confirm(m.DetSeq)
+			reply(f.dets(m))
 		default:
 			if r, ok := f.replies[m.Seq]; ok {
 				reply(r)
@@ -282,7 +286,7 @@ func (w *Worker) sequenced(m wire.Message, reply func(wire.Message)) bool {
 		return true
 	}
 	if m.Type == "assign" {
-		if f != nil && f.eng != nil {
+		if f != nil {
 			reply(wire.Message{Type: "error", Shard: m.Shard, Seq: m.Seq, Msg: fmt.Sprintf("cluster: feed %s is already assigned", m.ClientID)})
 			return false
 		}
@@ -293,7 +297,7 @@ func (w *Worker) sequenced(m wire.Message, reply func(wire.Message)) bool {
 		// get the no-feed refusal below — and keeps the feed map from
 		// growing one dead engine per epoch.
 		for id, old := range w.feeds {
-			if old.eng != nil && old.shard == m.Shard {
+			if old.shard == m.Shard {
 				delete(w.feeds, id)
 			}
 		}
@@ -315,6 +319,11 @@ func (w *Worker) sequenced(m wire.Message, reply func(wire.Message)) bool {
 		return false
 	}
 	f.lastSeq = m.Seq
+	fail := func(err error) {
+		if err != nil {
+			reply(wire.Message{Type: "error", Shard: f.shard, Seq: m.Seq, Msg: err.Error()})
+		}
+	}
 	switch m.Type {
 	case "batch":
 		// One coordinator fan-out cycle in one frame: unpack into a
@@ -323,33 +332,22 @@ func (w *Worker) sequenced(m wire.Message, reply func(wire.Message)) bool {
 		// the pool.
 		f.obs += uint64(len(m.Batch))
 		b := wire.FrameBatch(m)
-		err := f.eng.IngestBatch(b)
+		err := f.host.Ingest(b)
 		event.PutBatch(b)
-		if err != nil {
-			reply(wire.Message{Type: "error", Shard: f.shard, Seq: m.Seq, Msg: err.Error()})
-		}
+		fail(err)
 	case "advance":
-		if at := event.Time(m.AtNS); at >= f.eng.Now() {
-			if err := f.eng.AdvanceTo(at); err != nil {
-				reply(wire.Message{Type: "error", Shard: f.shard, Seq: m.Seq, Msg: err.Error()})
-			}
-		}
+		fail(f.host.Advance(event.Time(m.AtNS), false))
 	case "sync":
-		// The barrier catch-up is strict (AdvanceBefore): pseudo events
-		// due exactly at the coordinator's clock must stay pending, since
-		// an observation at that instant may still arrive. Mirrors the
-		// in-process shard engine's opCatchUp.
-		if at := event.Time(m.AtNS); at >= f.eng.Now() {
-			if err := f.eng.AdvanceBefore(at); err != nil {
-				reply(wire.Message{Type: "error", Shard: f.shard, Seq: m.Seq, Msg: err.Error()})
-			}
-		}
-		f.out.confirm(m.DetSeq)
-		reply(wire.Message{Type: "dets", Shard: f.shard, Seq: m.Seq, CDets: f.out.pending()})
+		// The barrier catch-up is strict: pseudo events due exactly at
+		// the coordinator's clock stay pending, since an observation at
+		// that instant may still arrive.
+		fail(f.host.Advance(event.Time(m.AtNS), true))
+		f.host.Confirm(m.DetSeq)
+		reply(f.dets(m))
 	case "ckpt":
 		var buf bytes.Buffer
-		if err := f.eng.SaveCheckpoint(&buf); err != nil {
-			reply(wire.Message{Type: "error", Shard: f.shard, Seq: m.Seq, Msg: err.Error()})
+		if err := f.host.Save(&buf); err != nil {
+			fail(err)
 			break
 		}
 		// Trim to the compact form JSON re-encoding preserves byte-for-
@@ -357,76 +355,39 @@ func (w *Worker) sequenced(m wire.Message, reply func(wire.Message)) bool {
 		// memory, cluster/v2 checkpoint) unchanged.
 		ck := bytes.TrimSpace(buf.Bytes())
 		r := wire.Message{Type: "ckptres", Shard: f.shard, Seq: m.Seq,
-			Ck: json.RawMessage(ck), Sum: crc32.ChecksumIEEE(ck), DetSeq: f.dseq}
+			Ck: json.RawMessage(ck), Sum: crc32.ChecksumIEEE(ck), DetSeq: f.host.Seq()}
 		f.cache(m.Seq, r)
 		reply(r)
 	case "drain":
-		if !f.drained {
-			f.eng.Close()
-			f.drained = true
-		}
-		f.out.confirm(m.DetSeq)
-		reply(wire.Message{Type: "dets", Shard: f.shard, Seq: m.Seq, CDets: f.out.pending()})
+		f.host.Drain()
+		f.host.Confirm(m.DetSeq)
+		reply(f.dets(m))
 	}
 	reply(wire.Message{Type: "ack", Seq: f.lastSeq})
 	return true
 }
 
-// newFeed builds the shard engine for an assign frame, restoring the
+// newFeed builds the shard host for an assign frame, restoring the
 // carried checkpoint when present.
 func (w *Worker) newFeed(m wire.Message) (*feed, error) {
 	s := m.Shard
 	if s < 0 || s >= w.part.NumShards() {
 		return nil, fmt.Errorf("cluster: assign: shard %d out of range (partition has %d)", s, w.part.NumShards())
 	}
-	b := graph.NewBuilder()
-	for _, r := range w.part.ByShard[s] {
-		if _, err := b.AddRule(r.ID, r.Expr); err != nil {
-			return nil, fmt.Errorf("cluster: assign shard %d: %w", s, err)
-		}
-	}
-	f := &feed{shard: s, dseq: m.DetSeq, out: newOutbox(m.DetSeq), replies: map[uint64]wire.Message{}}
-	eng, err := detect.New(detect.Config{
-		Graph:  b.Finalize(),
-		Groups: w.cfg.Groups,
-		TypeOf: w.cfg.TypeOf,
-		OnDetect: func(rid int, inst *event.Instance) {
-			f.dseq++
-			f.out.add(wire.ClusterDet{
-				Rule: rid, Dseq: f.dseq, FireNS: int64(f.eng.Now()),
-				BeginNS: int64(inst.Begin), EndNS: int64(inst.End),
-				InstSeq: inst.Seq, Binds: inst.Binds,
-			})
-		},
-		Limits: w.cfg.Limits,
-	})
+	h, err := shard.NewHost(w.part, s, shard.Config{Groups: w.cfg.Groups, TypeOf: w.cfg.TypeOf, Limits: w.cfg.Limits})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: assign shard %d: %w", s, err)
 	}
-	f.eng = eng
 	if len(m.Ck) > 0 {
 		if m.Sum != 0 && crc32.ChecksumIEEE(m.Ck) != m.Sum {
 			return nil, fmt.Errorf("cluster: assign shard %d: checkpoint checksum mismatch (corrupt handoff state)", s)
 		}
-		if err := restoreGuarded(eng, m.Ck); err != nil {
+		// A fresh assign starts a fresh detection lineage at the
+		// coordinator's confirmed DetSeq: the engine re-detects
+		// everything past it deterministically.
+		if err := h.Restore(m.Ck, m.DetSeq); err != nil {
 			return nil, fmt.Errorf("cluster: assign shard %d: %w", s, err)
 		}
 	}
-	return f, nil
-}
-
-// restoreGuarded turns a panicking restore — truncated or corrupt bytes
-// tripping an unchecked index deep in the engine — into an error, so a
-// bad checkpoint degrades to the replay-from-journal fallback instead of
-// taking the worker down.
-func restoreGuarded(eng *detect.Engine, ck []byte) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: corrupt checkpoint: restore panicked: %v", r)
-		}
-	}()
-	if err := eng.RestoreCheckpoint(bytes.NewReader(ck)); err != nil {
-		return fmt.Errorf("cluster: corrupt checkpoint: %w", err)
-	}
-	return nil
+	return &feed{shard: s, host: h, replies: map[uint64]wire.Message{}}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"rcep/internal/core/event"
 )
@@ -63,18 +64,14 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 		Idx:       e.idx,
 		Ingested:  e.ingested,
 		Delivered: e.delivered,
+		Rules:     e.part.RuleIDs(),
 	}
 	for s, wk := range e.workers {
 		var buf bytes.Buffer
-		if err := wk.eng.SaveCheckpoint(&buf); err != nil {
+		if err := wk.host.Save(&buf); err != nil {
 			return fmt.Errorf("shard: checkpoint shard %d: %w", s, err)
 		}
 		ck.Engines = append(ck.Engines, buf.Bytes())
-		ids := make([]int, len(e.part.ByShard[s]))
-		for i, r := range e.part.ByShard[s] {
-			ids[i] = r.ID
-		}
-		ck.Rules = append(ck.Rules, ids)
 	}
 	for _, d := range e.pending {
 		ck.Pending = append(ck.Pending, ckPending{
@@ -119,30 +116,21 @@ func (e *Engine) RestoreCheckpoint(r io.Reader) error {
 		return fmt.Errorf("shard: restore: truncated checkpoint: %d rule lists and %d engine states for %d shards",
 			len(ck.Rules), len(ck.Engines), ck.Shards)
 	}
-	for s := range e.workers {
-		want := e.part.ByShard[s]
-		if len(ck.Rules[s]) != len(want) {
-			return fmt.Errorf("shard: restore: shard %d holds %d rules, checkpoint %d (different partition?)", s, len(want), len(ck.Rules[s]))
-		}
-		for i, r := range want {
-			if ck.Rules[s][i] != r.ID {
-				return fmt.Errorf("shard: restore: shard %d rule %d is %d, checkpoint has %d (different partition?)", s, i, r.ID, ck.Rules[s][i])
-			}
-		}
+	if err := e.part.CheckRuleIDs(ck.Rules); err != nil {
+		return fmt.Errorf("shard: restore: %w", err)
 	}
 	// The workers have not been handed any envelopes yet, so their
 	// engines are untouched; restoring here is safe and the pre-restore
 	// writes become visible to the workers through the first channel
-	// send.
+	// send. Re-inject the held-back fire-time group: saved order
+	// preserves each worker's arrival order, so renumbering 1..k keeps the
+	// (fire, rule, seq) tie-break intact, and each host numbers past k so
+	// detections produced after the restore sort after the restored ones.
 	for s, wk := range e.workers {
-		if err := wk.eng.RestoreCheckpoint(bytes.NewReader(ck.Engines[s])); err != nil {
+		if err := wk.host.Restore(ck.Engines[s], uint64(len(ck.Pending))); err != nil {
 			return fmt.Errorf("shard: restore shard %d: %w", s, err)
 		}
 	}
-	// Re-inject the held-back fire-time group. Saved order preserves each
-	// worker's arrival order, so renumbering 1..k keeps the (fire, rule,
-	// seq) tie-break intact; worker counters resume past k so detections
-	// produced after the restore sort after the restored ones.
 	e.pending = e.pending[:0]
 	for i, p := range ck.Pending {
 		e.pending = append(e.pending, Detection{
@@ -152,12 +140,34 @@ func (e *Engine) RestoreCheckpoint(r io.Reader) error {
 			Inst: &event.Instance{Begin: p.Begin, End: p.End, Binds: p.Binds, Seq: p.Seq},
 		})
 	}
-	for _, wk := range e.workers {
-		wk.seq = uint64(len(ck.Pending))
-	}
 	e.now = ck.Now
 	e.idx = ck.Idx
 	e.ingested = ck.Ingested
 	e.delivered = ck.Delivered
+	return nil
+}
+
+// RuleIDs lists each shard's rule IDs in ByShard order: the layout a
+// checkpoint records, so that a restore can tell it was cut from this
+// partition.
+func (p *Partition) RuleIDs() [][]int {
+	ids := make([][]int, len(p.ByShard))
+	for s, rules := range p.ByShard {
+		ids[s] = make([]int, len(rules))
+		for i, r := range rules {
+			ids[s][i] = r.ID
+		}
+	}
+	return ids
+}
+
+// CheckRuleIDs reports the first shard whose recorded rule IDs differ
+// from RuleIDs. ids must hold one list per shard.
+func (p *Partition) CheckRuleIDs(ids [][]int) error {
+	for s, want := range p.RuleIDs() {
+		if !slices.Equal(ids[s], want) {
+			return fmt.Errorf("shard %d holds rules %v in checkpoint, %v in partition (different partition?)", s, ids[s], want)
+		}
+	}
 	return nil
 }

@@ -10,7 +10,6 @@ import (
 
 	"rcep/internal/core/detect"
 	"rcep/internal/core/event"
-	"rcep/internal/core/graph"
 )
 
 // ErrClosed is returned by ingestion calls after Close.
@@ -114,19 +113,16 @@ func Deliver(pending []Detection, cut event.Time, all bool, onDetect func(int, *
 	return append(pending[:0], pending[n:]...)
 }
 
-// worker runs one detect.Engine on its own goroutine.
+// worker drives one shard's Host on its own goroutine.
 type worker struct {
-	id   int
-	eng  *detect.Engine
+	host *Host
 	ch   chan []envelope
 	done chan struct{}
 
-	// The fields below are owned by the worker goroutine between
-	// barriers; the router reads/resets them only after a barrier ack
-	// (the WaitGroup provides the happens-before edge).
-	seq  uint64
-	dets []Detection
-	err  error
+	// host and err are owned by the worker goroutine between barriers;
+	// the router reads them only after a barrier ack (the WaitGroup
+	// provides the happens-before edge).
+	err error
 }
 
 func (w *worker) loop() {
@@ -139,32 +135,15 @@ func (w *worker) loop() {
 				// batch fast path consumes it in place, then the backing
 				// array recycles for the router's next fan-out.
 				if w.err == nil {
-					if err := w.eng.IngestBatch(env.batch); err != nil {
-						w.err = fmt.Errorf("shard %d: %w", w.id, err)
-					}
+					w.err = w.host.Ingest(env.batch)
 				}
 				event.PutBatch(env.batch)
-			case opAdvance:
-				// Close (opDrain) can move the shard clock past the
-				// router's; skipping a stale advance keeps it a no-op.
-				if w.err == nil && env.at > w.eng.Now() {
-					if err := w.eng.AdvanceTo(env.at); err != nil {
-						w.err = fmt.Errorf("shard %d: %w", w.id, err)
-					}
-				}
-			case opCatchUp:
-				// Barrier pre-advance: fire only pseudo events strictly
-				// before the router's clock. An observation at exactly
-				// env.at may still arrive after the barrier, so pseudo
-				// events due at env.at itself must stay pending — firing
-				// them here would diverge from a single engine.
-				if w.err == nil && env.at > w.eng.Now() {
-					if err := w.eng.AdvanceBefore(env.at); err != nil {
-						w.err = fmt.Errorf("shard %d: %w", w.id, err)
-					}
+			case opAdvance, opCatchUp:
+				if w.err == nil {
+					w.err = w.host.Advance(env.at, env.op == opCatchUp)
 				}
 			case opDrain:
-				w.eng.Close()
+				w.host.Drain()
 			case opBarrier:
 				env.ack.Done()
 			}
@@ -234,15 +213,8 @@ type Engine struct {
 // New partitions the rules, builds one detect.Engine per shard and starts
 // the shard workers. The returned engine must be Closed to stop them.
 func New(cfg Config) (*Engine, error) {
-	if len(cfg.Rules) == 0 {
-		return nil, errors.New("shard: Config.Rules is empty")
-	}
-	seen := map[int]bool{}
-	for _, r := range cfg.Rules {
-		if seen[r.ID] {
-			return nil, fmt.Errorf("shard: duplicate rule ID %d", r.ID)
-		}
-		seen[r.ID] = true
+	if err := CheckRules(cfg.Rules); err != nil {
+		return nil, fmt.Errorf("shard: Config.Rules: %w", err)
 	}
 	part := NewPartition(cfg.Rules, cfg.Shards, cfg.Groups)
 	e := &Engine{
@@ -262,40 +234,19 @@ func New(cfg Config) (*Engine, error) {
 	if e.syncEvery <= 0 {
 		e.syncEvery = 4096
 	}
-	intern := cfg.Interner
-	if intern == nil {
-		intern = event.NewInterner()
+	if cfg.Interner == nil {
+		cfg.Interner = event.NewInterner()
 	}
-	e.intern = intern
+	e.intern = cfg.Interner
 	e.workers = make([]*worker, part.NumShards())
 	e.pend = make([][]envelope, part.NumShards())
 	e.obsPend = make([]event.Batch, part.NumShards())
-	for s := 0; s < part.NumShards(); s++ {
-		b := graph.NewBuilder()
-		for _, r := range part.ByShard[s] {
-			if _, err := b.AddRule(r.ID, r.Expr); err != nil {
-				return nil, fmt.Errorf("shard: %w", err)
-			}
-		}
-		w := &worker{id: s, ch: make(chan []envelope, workerBuffer), done: make(chan struct{})}
-		eng, err := detect.New(detect.Config{
-			Graph:  b.Finalize(),
-			Groups: cfg.Groups,
-			TypeOf: cfg.TypeOf,
-			OnDetect: func(rid int, inst *event.Instance) {
-				w.seq++
-				w.dets = append(w.dets, Detection{
-					Fire: w.eng.Now(), Rule: rid, Seq: w.seq, Inst: inst,
-				})
-			},
-			Limits:   cfg.Limits,
-			Interner: intern,
-		})
+	for s := range e.workers {
+		h, err := NewHost(part, s, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
-		w.eng = eng
-		e.workers[s] = w
+		e.workers[s] = &worker{host: h, ch: make(chan []envelope, workerBuffer), done: make(chan struct{})}
 		e.pend[s] = make([]envelope, 0, e.batch)
 	}
 	for _, w := range e.workers {
@@ -522,12 +473,12 @@ func (e *Engine) barrierLocked(deliver bool) error {
 	}
 	wg.Wait()
 	e.sinceSync = 0
-	for _, w := range e.workers {
+	for s, w := range e.workers {
 		if w.err != nil && e.err == nil {
-			e.err = w.err
+			e.err = fmt.Errorf("shard %d: %w", s, w.err)
 		}
-		e.pending = append(e.pending, w.dets...)
-		w.dets = w.dets[:0]
+		e.pending = append(e.pending, w.host.Pending()...)
+		w.host.Confirm(w.host.Seq())
 	}
 	if deliver {
 		e.deliverPending(false)
@@ -560,7 +511,7 @@ func (e *Engine) Metrics() detect.Metrics {
 	}
 	var m detect.Metrics
 	for _, w := range e.workers {
-		sm := w.eng.Metrics()
+		sm := w.host.Metrics()
 		m.PlanProbes += sm.PlanProbes
 		m.PrimMatches += sm.PrimMatches
 		m.Emitted += sm.Emitted
@@ -583,7 +534,7 @@ func (e *Engine) ShardMetrics() []detect.Metrics {
 	}
 	out := make([]detect.Metrics, len(e.workers))
 	for i, w := range e.workers {
-		out[i] = w.eng.Metrics()
+		out[i] = w.host.Metrics()
 	}
 	return out
 }

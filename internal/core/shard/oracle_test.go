@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"rcep/internal/core/detect"
 	"rcep/internal/core/event"
@@ -194,12 +195,19 @@ func TestOracleBatchedIngest(t *testing.T) {
 
 // TestOracleAdvanceTo interleaves explicit time advances (which fire
 // pending pseudo events with no observation) with the stream and checks
-// equivalence still holds.
+// equivalence still holds. The stream is rounded to whole seconds so
+// window deadlines meet arrivals, and half of the advances go to the
+// current observation's own instant: that advance must fire the pseudo
+// events due there before a later observation at the same instant can
+// cancel them, exactly as detect.AdvanceTo does.
 func TestOracleAdvanceTo(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rules := genRules(r, 3+r.Intn(8))
 		stream := genStream(r, 50+r.Intn(50))
+		for i := range stream {
+			stream[i].At -= stream[i].At % event.Time(time.Second)
+		}
 
 		b := graph.NewBuilder()
 		for _, rl := range rules {
@@ -242,7 +250,10 @@ func TestOracleAdvanceTo(t *testing.T) {
 				t.Fatalf("shard Ingest: %v", err)
 			}
 			if i%7 == 3 {
-				adv := o.At + event.Time(r.Intn(3_000_000_000))
+				adv := o.At
+				if r.Intn(2) == 0 {
+					adv += event.Time(1+r.Intn(2)) * event.Time(time.Second)
+				}
 				if i+1 < len(stream) && adv > stream[i+1].At {
 					adv = stream[i+1].At // keep the rest of the stream ingestible
 				}
@@ -262,7 +273,7 @@ func TestOracleAdvanceTo(t *testing.T) {
 		diffStrings(t, "advance multiset", asMultiset(oracle), asMultiset(got))
 		return !t.Failed()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

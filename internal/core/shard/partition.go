@@ -16,6 +16,8 @@ package shard
 
 import (
 	"cmp"
+	"errors"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -27,6 +29,21 @@ import (
 type Rule struct {
 	ID   int
 	Expr event.Expr
+}
+
+// CheckRules reports an empty rule set or a duplicate rule ID.
+func CheckRules(rules []Rule) error {
+	if len(rules) == 0 {
+		return errors.New("no rules")
+	}
+	seen := make(map[int]bool, len(rules))
+	for _, r := range rules {
+		if seen[r.ID] {
+			return fmt.Errorf("duplicate rule ID %d", r.ID)
+		}
+		seen[r.ID] = true
+	}
+	return nil
 }
 
 // Partition is the static assignment of rules to shards plus the routing

@@ -18,10 +18,10 @@ type storeJSON struct {
 }
 
 type tableJSON struct {
-	Name    string        `json:"name"`
-	Columns []columnJSON  `json:"columns"`
-	Indexes []string      `json:"indexes,omitempty"`
-	Rows    [][]valueJSON `json:"rows"`
+	Name    string       `json:"name"`
+	Columns []columnJSON `json:"columns"`
+	Indexes []string     `json:"indexes,omitempty"`
+	Rows    []Row        `json:"rows"` // cells in event.Value's JSON codec
 }
 
 type columnJSON struct {
@@ -29,72 +29,8 @@ type columnJSON struct {
 	Type string `json:"type"`
 }
 
-// valueJSON is a tagged union for one cell.
-type valueJSON struct {
-	S *string      `json:"s,omitempty"`
-	I *int64       `json:"i,omitempty"`
-	F *float64     `json:"f,omitempty"`
-	B *bool        `json:"b,omitempty"`
-	T *int64       `json:"t,omitempty"` // time in ns; MaxInt64 = UC
-	L *[]valueJSON `json:"l,omitempty"`
-}
-
-func toJSONValue(v event.Value) valueJSON {
-	switch v.Kind() {
-	case event.KindString:
-		s := v.Str()
-		return valueJSON{S: &s}
-	case event.KindInt:
-		i := v.Int()
-		return valueJSON{I: &i}
-	case event.KindFloat:
-		f := v.Float()
-		return valueJSON{F: &f}
-	case event.KindBool:
-		b := v.Bool()
-		return valueJSON{B: &b}
-	case event.KindTime:
-		t := int64(v.Time())
-		return valueJSON{T: &t}
-	case event.KindList:
-		l := make([]valueJSON, v.Len())
-		for i := 0; i < v.Len(); i++ {
-			l[i] = toJSONValue(v.Elem(i))
-		}
-		return valueJSON{L: &l}
-	}
-	return valueJSON{} // null
-}
-
-func fromJSONValue(v valueJSON) event.Value {
-	switch {
-	case v.S != nil:
-		return event.StringValue(*v.S)
-	case v.I != nil:
-		return event.IntValue(*v.I)
-	case v.F != nil:
-		return event.FloatValue(*v.F)
-	case v.B != nil:
-		return event.BoolValue(*v.B)
-	case v.T != nil:
-		return event.TimeValue(event.Time(*v.T))
-	case v.L != nil:
-		elems := make([]event.Value, len(*v.L))
-		for i, e := range *v.L {
-			elems[i] = fromJSONValue(e)
-		}
-		return event.ListValue(elems)
-	}
-	return event.Null
-}
-
-func kindName(k event.Kind) string { return k.String() }
-
 func kindFromName(s string) (event.Kind, error) {
-	for _, k := range []event.Kind{
-		event.KindNull, event.KindString, event.KindInt,
-		event.KindFloat, event.KindBool, event.KindTime, event.KindList,
-	} {
+	for k := event.KindNull; k <= event.KindList; k++ {
 		if k.String() == s {
 			return k, nil
 		}
@@ -113,17 +49,13 @@ func (s *Store) Save(w io.Writer) error {
 		}
 		tj := tableJSON{Name: t.Name()}
 		for _, c := range t.Schema() {
-			tj.Columns = append(tj.Columns, columnJSON{Name: c.Name, Type: kindName(c.Type)})
+			tj.Columns = append(tj.Columns, columnJSON{Name: c.Name, Type: c.Type.String()})
 			if t.HasIndex(c.Name) {
 				tj.Indexes = append(tj.Indexes, c.Name)
 			}
 		}
 		t.Scan(func(_ int64, r Row) bool {
-			row := make([]valueJSON, len(r))
-			for i, v := range r {
-				row[i] = toJSONValue(v)
-			}
-			tj.Rows = append(tj.Rows, row)
+			tj.Rows = append(tj.Rows, r) // stored rows are immutable
 			return true
 		})
 		doc.Tables = append(doc.Tables, tj)
@@ -156,11 +88,7 @@ func Load(r io.Reader) (*Store, error) {
 			return nil, err
 		}
 		for ri, row := range tj.Rows {
-			vals := make([]event.Value, len(row))
-			for i, v := range row {
-				vals[i] = fromJSONValue(v)
-			}
-			if err := t.Insert(vals); err != nil {
+			if err := t.Insert(row); err != nil {
 				return nil, fmt.Errorf("store: load %s row %d: %w", tj.Name, ri, err)
 			}
 		}

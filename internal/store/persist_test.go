@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -113,5 +114,78 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader(`{"tables":[{"name":"t","columns":[{"name":"a","type":"int"}],"rows":[[{"s":"notint"}]]}]}`)); err == nil {
 		t.Errorf("type mismatch accepted")
+	}
+}
+
+// sameValue reports whether two values have the same kind and contents,
+// NULLs included at any depth.
+func sameValue(a, b event.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case event.KindNull:
+		return true
+	case event.KindList:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameValue(a.Elem(i), b.Elem(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
+}
+
+// TestLoadSnapshotWithNullCells: a snapshot written when NULL cells were
+// rendered as {} (testdata/snapshot_nulls.json) still loads, NULLs inside
+// nested lists included, and saving it again renders them as null.
+func TestLoadSnapshotWithNullCells(t *testing.T) {
+	raw, err := os.ReadFile("testdata/snapshot_nulls.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := s.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.HasIndex("s") {
+		t.Errorf("index on s lost")
+	}
+	want := []Row{
+		{
+			event.StringValue("x"),
+			event.ListValue([]event.Value{event.IntValue(1), event.StringValue("a"),
+				event.ListValue([]event.Value{event.BoolValue(true), event.Null, event.FloatValue(0.5)})}),
+			event.Null,
+			event.TimeValue(1500000000),
+		},
+		{event.Null, event.Null, event.IntValue(-3), event.Null},
+	}
+	var got []Row
+	tbl.Scan(func(_ int64, r Row) bool { got = append(got, r); return true })
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			if !sameValue(got[i][j], want[i][j]) {
+				t.Errorf("row %d col %d = %v (%v), want %v (%v)", i, j, got[i][j], got[i][j].Kind(), want[i][j], want[i][j].Kind())
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if resaved := bytes.ReplaceAll(raw, []byte("{}"), []byte("null")); !bytes.Equal(buf.Bytes(), resaved) {
+		t.Errorf("re-saved snapshot\n%s\nwant\n%s", buf.Bytes(), resaved)
 	}
 }

@@ -3,6 +3,7 @@ package rcep
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -256,5 +257,57 @@ func TestShardedSingleCheckpointGuard(t *testing.T) {
 		Checkpoint: bytes.NewReader(shardedCk.Bytes()),
 	}); err == nil {
 		t.Errorf("single engine accepted a sharded checkpoint")
+	}
+}
+
+// TestShardedSameInstantAdvance: an explicit advance to the instant the
+// engine is already at fires the pseudo events due there, at every width,
+// so an observation arriving at that instant afterwards cannot cancel
+// them (paper §4: pseudo events share the observation queue). The second
+// rule puts the negation rule's readers in a shard of their own.
+func TestShardedSameInstantAdvance(t *testing.T) {
+	const script = `
+DEFINE A = observation('r1', o, t1)
+DEFINE B = observation('r2', o, t2)
+CREATE RULE neg, window closes unseen
+ON WITHIN(A AND NOT B, 5sec)
+IF true
+DO INSERT INTO ALERTS VALUES ('neg', o, t1)
+CREATE RULE other, second key space
+ON observation('r3', o3, t3)
+IF true
+DO INSERT INTO ALERTS VALUES ('other', o3, t3)
+`
+	for _, shards := range []int{0, 1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var got []string
+			eng, err := New(Config{Rules: script, Shards: shards, OnDetection: func(d Detection) {
+				got = append(got, detectionSig(d))
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shards > 1 && eng.Shards() < 2 {
+				t.Fatalf("Shards() = %d, want a real partition", eng.Shards())
+			}
+			steps := []func() error{
+				func() error { return eng.Ingest("r1", "o1", 0) },
+				func() error { return eng.Ingest("r2", "other", 5*time.Second) },
+				func() error { return eng.AdvanceTo(5 * time.Second) },
+				func() error { return eng.Ingest("r2", "o1", 5*time.Second) },
+			}
+			for i, step := range steps {
+				if err := step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"neg|0s|5s|o=o1|t1=0s"}
+			if !slices.Equal(got, want) {
+				t.Fatalf("detections %q, want %q", got, want)
+			}
+		})
 	}
 }
