@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unicode"
 	"unicode/utf8"
 )
 
-// FuzzTokenize: the tokenizer must never panic or loop, must return the
-// reference's tokens (kind, text, line, col) or its error, and every token
+// FuzzTokenize: the pooled scanner must never panic or loop, must return
+// the reference's tokens (kind, text, line, col) or its error, and every token
 // must carry sane positions. Run with `go test -fuzz FuzzTokenize` for a
 // real fuzzing session; the seed corpus runs as part of the normal suite.
 func FuzzTokenize(f *testing.F) {
@@ -34,7 +35,8 @@ func FuzzTokenize(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		toks, err := Tokenize(src)
+		var s Stream
+		err := s.Open(src)
 		want, wantErr := refTokenize(src)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("error %v, reference %v", err, wantErr)
@@ -42,6 +44,8 @@ func FuzzTokenize(f *testing.F) {
 		if err != nil {
 			return
 		}
+		defer s.Close() // the next input scans into this buffer
+		toks := s.toks
 		if len(toks) != len(want) {
 			t.Fatalf("%d tokens, reference %d:\n%v\n%v", len(toks), len(want), toks, want)
 		}
@@ -61,9 +65,10 @@ func FuzzTokenize(f *testing.F) {
 	})
 }
 
-// refTokenize is Tokenize as it was before token texts became substrings
-// of the source: it builds every string literal and punctuation text.
-// FuzzTokenize holds Tokenize to it.
+// refTokenize is the tokenizer as it was before token texts became
+// substrings of the source and bytes were classified directly: it decodes
+// every rune, advances the position byte by byte, and builds every string
+// literal and punctuation text. FuzzTokenize holds the scanner to it.
 func refTokenize(src string) ([]Token, error) {
 	var toks []Token
 	line, col := 1, 1
@@ -140,7 +145,7 @@ func refTokenize(src string) ([]Token, error) {
 			toks = append(toks, tok)
 		default:
 			tok := Token{Kind: Punct, Line: line, Col: col}
-			if i+1 < len(src) && twoRune[src[i:i+2]] {
+			if i+1 < len(src) && refTwoRune[src[i:i+2]] {
 				tok.Text = src[i : i+2]
 				advance(2)
 			} else if strings.ContainsRune("();,=<>*+-/.%!", r) || strings.ContainsRune("¬∧∨", r) {
@@ -155,4 +160,18 @@ func refTokenize(src string) ([]Token, error) {
 	}
 	toks = append(toks, Token{Kind: EOF, Line: line, Col: col})
 	return toks, nil
+}
+
+// refTwoRune, isIdentStart and isIdentPart are the reference's character
+// classes, as the tokenizer had them before it classified bytes directly.
+var refTwoRune = map[string]bool{
+	"<=": true, ">=": true, "!=": true, "<>": true, "||": true, "&&": true,
+}
+
+func isIdentStart(r rune) bool {
+	return r == '_' || unicode.IsLetter(r)
+}
+
+func isIdentPart(r rune) bool {
+	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }

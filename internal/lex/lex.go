@@ -7,7 +7,7 @@ package lex
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -40,7 +40,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Token is one lexical unit. Line and Col are 1-based.
+// Token is one lexical unit. Line and Col are 1-based; Col counts bytes,
+// so a multi-byte rune earlier on the line moves it by its length.
 type Token struct {
 	Kind Kind
 	Text string // identifier text, unquoted string value, number, or punct
@@ -54,7 +55,8 @@ func (t Token) Is(punct string) bool { return t.Kind == Punct && t.Text == punct
 // IsKeyword reports whether the token is the given keyword,
 // case-insensitively.
 func (t Token) IsKeyword(kw string) bool {
-	return t.Kind == Ident && strings.EqualFold(t.Text, kw)
+	// Identifiers and keywords are ASCII, so a length mismatch settles it.
+	return t.Kind == Ident && len(t.Text) == len(kw) && strings.EqualFold(t.Text, kw)
 }
 
 // String implements fmt.Stringer.
@@ -83,131 +85,132 @@ func Errorf(t Token, format string, args ...any) error {
 	return &Error{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// twoRune lists the recognized two-rune punctuation tokens.
-var twoRune = map[string]bool{
-	"<=": true, ">=": true, "!=": true, "<>": true, "||": true, "&&": true,
+// twoRune reports whether p is a two-rune punctuation token.
+func twoRune(p string) bool {
+	return p == "<=" || p == ">=" || p == "!=" || p == "<>" || p == "||" || p == "&&"
 }
 
-// Tokenize splits src into tokens, appending a final EOF token. The token
-// slice is sized once, for a token per two bytes of src (only runs of
-// one-byte tokens are denser), and token texts are substrings of src:
-// only a string literal with a doubled quote builds its text.
-func Tokenize(src string) ([]Token, error) {
-	toks := make([]Token, 0, len(src)/2+2)
-	line, col := 1, 1
-	i := 0
-	advance := func(n int) {
-		for k := 0; k < n; k++ {
-			if src[i+k] == '\n' {
-				line++
-				col = 1
-			} else {
-				col++
-			}
-		}
-		i += n
-	}
-	for i < len(src) {
-		c := src[i]
-		r, size := utf8.DecodeRuneInString(src[i:])
+// identByte reports whether c continues an identifier: identifiers are
+// ASCII letters, digits and '_', so no byte of a multi-byte rune does.
+func identByte(c byte) bool { return c|0x20-'a' < 26 || c-'0' < 10 || c == '_' }
+
+// scan appends src's tokens and a final EOF token to toks, in one pass
+// that classifies bytes and decodes a rune only for the punctuation ¬∧∨.
+// Col is a byte column: the offset from the line's first byte, plus one.
+// Token texts are substrings of src: only a string literal with a doubled
+// quote builds its text. On an error it returns the tokens scanned so far.
+func scan(toks []Token, src string) ([]Token, error) {
+	line, lineStart := 1, 0
+	for i := 0; i < len(src); {
+		c, start := src[i], i
+		tok := Token{Line: line, Col: i - lineStart + 1}
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			advance(1)
+			if c == '\n' {
+				line, lineStart = line+1, i+1
+			}
+			i++
+			continue
 		case c == '-' && i+1 < len(src) && src[i+1] == '-':
 			for i < len(src) && src[i] != '\n' {
-				advance(1)
+				i++
 			}
+			continue
 		case c == '\'' || c == '"':
-			tok := Token{Kind: String, Line: line, Col: col}
-			quote := c
-			advance(1)
-			start := i
+			tok.Kind = String
 			var text []byte // the text before start, once a doubled quote is seen
-			closed := false
-			for i < len(src) {
-				if src[i] == quote {
-					// Doubled quote is an escaped quote.
-					if i+1 < len(src) && src[i+1] == quote {
-						text = append(text, src[start:i+1]...)
-						advance(2)
-						start = i
-						continue
-					}
-					closed = true
-					break
+			for i, start = i+1, i+1; ; i++ {
+				if i == len(src) {
+					return toks, &Error{Line: tok.Line, Col: tok.Col, Msg: "unterminated string"}
 				}
-				advance(1)
-			}
-			if !closed {
-				return nil, &Error{Line: tok.Line, Col: tok.Col, Msg: "unterminated string"}
+				if src[i] == '\n' {
+					line, lineStart = line+1, i+1
+				} else if src[i] == c {
+					if i+1 == len(src) || src[i+1] != c {
+						break
+					}
+					// Doubled quote is an escaped quote.
+					text = append(text, src[start:i+1]...)
+					i++
+					start = i + 1
+				}
 			}
 			tok.Text = src[start:i]
 			if text != nil {
 				tok.Text = string(append(text, tok.Text...))
 			}
-			advance(1)
-			toks = append(toks, tok)
-		case c >= '0' && c <= '9':
-			tok := Token{Kind: Number, Line: line, Col: col}
-			start := i
-			for i < len(src) && (src[i] >= '0' && src[i] <= '9' || src[i] == '.') {
-				advance(1)
+			i++
+		case c-'0' < 10:
+			tok.Kind = Number
+			for i < len(src) && (src[i]-'0' < 10 || src[i] == '.') {
+				i++
 			}
 			tok.Text = src[start:i]
 			if strings.Count(tok.Text, ".") > 1 {
-				return nil, &Error{Line: tok.Line, Col: tok.Col, Msg: "malformed number " + tok.Text}
+				return toks, &Error{Line: tok.Line, Col: tok.Col, Msg: "malformed number " + tok.Text}
 			}
-			toks = append(toks, tok)
-		case c < utf8.RuneSelf && isIdentStart(r):
-			tok := Token{Kind: Ident, Line: line, Col: col}
-			start := i
-			for i < len(src) {
-				r2, size := utf8.DecodeRuneInString(src[i:])
-				if r2 >= utf8.RuneSelf || !isIdentPart(r2) {
-					break
-				}
-				advance(size)
+		case identByte(c):
+			tok.Kind = Ident
+			for i < len(src) && identByte(src[i]) {
+				i++
 			}
 			tok.Text = src[start:i]
-			toks = append(toks, tok)
 		default:
-			tok := Token{Kind: Punct, Line: line, Col: col}
-			if i+1 < len(src) && twoRune[src[i:i+2]] {
+			tok.Kind = Punct
+			r, size := rune(c), 1
+			if c >= utf8.RuneSelf {
+				r, size = utf8.DecodeRuneInString(src[i:])
+			}
+			switch {
+			case i+1 < len(src) && twoRune(src[i:i+2]):
 				size = 2
-			} else if !strings.ContainsRune("();,=<>*+-/.%!", r) && !strings.ContainsRune("¬∧∨", r) {
-				return nil, &Error{Line: line, Col: col, Msg: fmt.Sprintf("unexpected character %q", c)}
+			case !strings.ContainsRune("();,=<>*+-/.%!¬∧∨", r):
+				return toks, &Error{Line: tok.Line, Col: tok.Col, Msg: fmt.Sprintf("unexpected character %q", c)}
 			}
 			tok.Text = src[i : i+size]
-			advance(size)
-			toks = append(toks, tok)
+			i += size
 		}
+		toks = append(toks, tok)
 	}
-	toks = append(toks, Token{Kind: EOF, Line: line, Col: col})
-	return toks, nil
-}
-
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
-
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+	return append(toks, Token{Kind: EOF, Line: line, Col: len(src) - lineStart + 1}), nil
 }
 
 // Stream is a token cursor with one-token lookahead helpers used by the
-// recursive-descent parsers.
+// recursive-descent parsers. Its tokens live in a pooled buffer: Open
+// fills one, Close gives it back.
 type Stream struct {
 	toks []Token
 	pos  int
+	buf  *[]Token // the pooled buffer toks was scanned into
 }
 
-// NewStream tokenizes src and returns a cursor over it.
-func NewStream(src string) (*Stream, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
+// maxPooledTokens bounds the buffers the pool keeps: Close drops a buffer
+// that grew above it, so one long script does not pin its tokens' room.
+const maxPooledTokens = 1024
+
+var tokenPool = sync.Pool{New: func() any { b := make([]Token, 0, 64); return &b }} // 64: a statement's worth
+
+// Open tokenizes src into a pooled buffer and puts the cursor on its first
+// token. On an error it keeps no buffer; otherwise Close must follow once
+// the parse is done.
+func (s *Stream) Open(src string) (err error) {
+	s.buf, s.pos = tokenPool.Get().(*[]Token), 0
+	if s.toks, err = scan((*s.buf)[:0], src); err != nil {
+		s.Close()
 	}
-	return &Stream{toks: toks}, nil
+	return err
+}
+
+// Close returns the token buffer to the pool unless it holds more than
+// maxPooledTokens. Tokens copied out of the stream stay valid, since their
+// texts point into the source; a slice from Slice does not.
+func (s *Stream) Close() {
+	if cap(s.toks) <= maxPooledTokens {
+		clear(s.toks)
+		*s.buf = s.toks[:0]
+		tokenPool.Put(s.buf)
+	}
+	s.toks, s.buf = nil, nil
 }
 
 // Peek returns the current token without consuming it.
@@ -238,7 +241,8 @@ func (s *Stream) AtEOF() bool { return s.Peek().Kind == EOF }
 func (s *Stream) Pos() int { return s.pos }
 
 // Slice returns the tokens in [from, to), e.g. to recover the source text
-// of an embedded statement for diagnostics.
+// of an embedded statement for diagnostics. They are the stream's own and
+// valid only until Close.
 func (s *Stream) Slice(from, to int) []Token { return s.toks[from:to] }
 
 // JoinText renders a token slice back into approximate source text.

@@ -1,9 +1,32 @@
 package lex
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
+
+// tokenize scans src through a pooled stream and returns a copy of its
+// tokens.
+func tokenize(src string) ([]Token, error) {
+	var s Stream
+	if err := s.Open(src); err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return slices.Clone(s.toks), nil
+}
+
+// open returns a stream over src that is closed when the test ends.
+func open(t *testing.T, src string) *Stream {
+	t.Helper()
+	s := new(Stream)
+	if err := s.Open(src); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
 
 func kinds(toks []Token) []Kind {
 	out := make([]Kind, len(toks))
@@ -14,7 +37,7 @@ func kinds(toks []Token) []Kind {
 }
 
 func TestTokenizeBasics(t *testing.T) {
-	toks, err := Tokenize(`CREATE RULE r4, 'containment rule' ON TSEQ(E1; E2, 0.1sec, 10sec)`)
+	toks, err := tokenize(`CREATE RULE r4, 'containment rule' ON TSEQ(E1; E2, 0.1sec, 10sec)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +62,7 @@ func TestTokenizeBasics(t *testing.T) {
 }
 
 func TestTokenizeStringsAndEscapes(t *testing.T) {
-	toks, err := Tokenize(`'it''s' "double" 'mix"ed'`)
+	toks, err := tokenize(`'it''s' "double" 'mix"ed'`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +72,7 @@ func TestTokenizeStringsAndEscapes(t *testing.T) {
 }
 
 func TestTokenizeComments(t *testing.T) {
-	toks, err := Tokenize("a -- comment here\nb")
+	toks, err := tokenize("a -- comment here\nb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +85,7 @@ func TestTokenizeComments(t *testing.T) {
 }
 
 func TestTokenizeTwoRunePuncts(t *testing.T) {
-	toks, err := Tokenize("a <= b >= c != d <> e || f")
+	toks, err := tokenize("a <= b >= c != d <> e || f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,22 +102,19 @@ func TestTokenizeTwoRunePuncts(t *testing.T) {
 }
 
 func TestTokenizeErrors(t *testing.T) {
-	if _, err := Tokenize("'unterminated"); err == nil {
+	if _, err := tokenize("'unterminated"); err == nil {
 		t.Errorf("unterminated string accepted")
 	}
-	if _, err := Tokenize("1.2.3"); err == nil {
+	if _, err := tokenize("1.2.3"); err == nil {
 		t.Errorf("malformed number accepted")
 	}
-	if _, err := Tokenize("a $ b"); err == nil {
+	if _, err := tokenize("a $ b"); err == nil {
 		t.Errorf("stray character accepted")
 	}
 }
 
 func TestStreamHelpers(t *testing.T) {
-	s, err := NewStream("ON event IF true")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, "ON event IF true")
 	if !s.Peek().IsKeyword("on") {
 		t.Errorf("Peek/IsKeyword failed")
 	}
@@ -124,7 +144,7 @@ func TestStreamHelpers(t *testing.T) {
 }
 
 func TestExpectErrors(t *testing.T) {
-	s, _ := NewStream("abc")
+	s := open(t, "abc")
 	if _, err := s.Expect("("); err == nil {
 		t.Errorf("Expect should fail")
 	} else if !strings.Contains(err.Error(), "line 1:1") {
@@ -133,17 +153,14 @@ func TestExpectErrors(t *testing.T) {
 	if _, err := s.ExpectKeyword("on"); err == nil {
 		t.Errorf("ExpectKeyword should fail on wrong keyword")
 	}
-	s2, _ := NewStream("123")
+	s2 := open(t, "123")
 	if _, err := s2.ExpectIdent(); err == nil {
 		t.Errorf("ExpectIdent should fail on number")
 	}
 }
 
 func TestPosSliceJoinText(t *testing.T) {
-	s, err := NewStream(`INSERT INTO t VALUES ('it''s', 5)`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, `INSERT INTO t VALUES ('it''s', 5)`)
 	start := s.Pos()
 	for !s.AtEOF() {
 		s.Next()
@@ -158,11 +175,11 @@ func TestPosSliceJoinText(t *testing.T) {
 		t.Errorf("JoinText prefix: %q", text)
 	}
 	// Round trip: the joined text must lex to the same token kinds.
-	toks2, err := Tokenize(text)
+	toks2, err := tokenize(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(toks2)-1 != len(toks) { // Slice excludes EOF; Tokenize adds one
+	if len(toks2)-1 != len(toks) { // Slice excludes EOF; scan adds one
 		t.Errorf("token count drift: %d vs %d", len(toks2)-1, len(toks))
 	}
 }
@@ -191,7 +208,7 @@ func TestKindAndTokenStrings(t *testing.T) {
 }
 
 func TestUnicodePunct(t *testing.T) {
-	toks, err := Tokenize("E1 ∧ ¬E2 ∨ E3")
+	toks, err := tokenize("E1 ∧ ¬E2 ∨ E3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,5 +219,45 @@ func TestUnicodePunct(t *testing.T) {
 	want := []string{"E1", "∧", "¬", "E2", "∨", "E3"}
 	if strings.Join(texts, " ") != strings.Join(want, " ") {
 		t.Errorf("unicode puncts: %v", texts)
+	}
+}
+
+func BenchmarkScanProbe(b *testing.B) {
+	const src = `SELECT loc_id, tstart, tend FROM OBJECTLOCATION WHERE object_epc = 'urn:epc:id:gid:1.1.000000000042'`
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var s Stream
+		if err := s.Open(src); err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+}
+
+// TestCloseDropsBuffersAboveTheLimit: Close hands a buffer of
+// maxPooledTokens back to the pool, emptied and cleared so that it pins no
+// source, and drops a buffer one token larger.
+func TestCloseDropsBuffersAboveTheLimit(t *testing.T) {
+	for _, size := range []int{maxPooledTokens, maxPooledTokens + 1} {
+		var held []Token
+		s := Stream{toks: make([]Token, 2, size), buf: &held}
+		s.toks[0] = Token{Kind: Ident, Text: "held", Line: 1, Col: 1}
+		toks := s.toks
+		s.Close()
+		if pooled := cap(held) == size; pooled != (size <= maxPooledTokens) {
+			t.Errorf("a buffer of %d tokens: pooled %v, limit %d", size, pooled, maxPooledTokens)
+		}
+		if size <= maxPooledTokens && (len(held) != 0 || toks[0] != Token{}) {
+			t.Errorf("pooled buffer of %d tokens kept len %d, first token %+v", size, len(held), toks[0])
+		}
+		if s.toks != nil || s.buf != nil {
+			t.Errorf("closed stream still holds its buffer")
+		}
+	}
+	// A source of more tokens than the limit still scans whole.
+	src := strings.Repeat("a ", maxPooledTokens)
+	toks, err := tokenize(src)
+	if err != nil || len(toks) != maxPooledTokens+1 || toks[maxPooledTokens].Kind != EOF {
+		t.Fatalf("%d tokens, err %v; want %d", len(toks), err, maxPooledTokens+1)
 	}
 }

@@ -13,11 +13,13 @@ import (
 // ParseScript parses a rule script: any number of DEFINE and CREATE RULE
 // statements.
 func ParseScript(src string) (*RuleSet, error) {
-	s, err := lex.NewStream(src)
-	if err != nil {
+	var stream lex.Stream
+	if err := stream.Open(src); err != nil {
 		return nil, err
 	}
-	p := &parser{s: s, rs: &RuleSet{Defs: map[string]event.Expr{}}}
+	defer stream.Close()
+	s, rs := &stream, &RuleSet{Defs: map[string]event.Expr{}}
+	p := &parser{s: s, rs: rs} // return rs, not p.rs, so that the stream stays on the stack
 	for !s.AtEOF() {
 		t := s.Peek()
 		switch {
@@ -35,7 +37,7 @@ func ParseScript(src string) (*RuleSet, error) {
 			return nil, lex.Errorf(t, "expected DEFINE or CREATE RULE, found %s", t)
 		}
 	}
-	return p.rs, nil
+	return rs, nil
 }
 
 type parser struct {

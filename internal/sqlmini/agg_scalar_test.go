@@ -30,11 +30,12 @@ func aggParams() event.Bindings {
 // parser reads a condition.
 func mustParseExpr(t *testing.T, src string) Expr {
 	t.Helper()
-	s, err := lex.NewStream(src)
-	if err != nil {
+	var s lex.Stream
+	if err := s.Open(src); err != nil {
 		t.Fatalf("%q: %v", src, err)
 	}
-	x, err := ParseExprStream(s)
+	defer s.Close()
+	x, err := ParseExprStream(&s)
 	if err == nil && !s.AtEOF() {
 		err = lex.Errorf(s.Peek(), "unexpected trailing input %s", s.Peek())
 	}

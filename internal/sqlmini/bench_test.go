@@ -42,6 +42,18 @@ func BenchmarkParseSelect(b *testing.B) {
 	}
 }
 
+// probeSQL is query_mix's point query, the one a facade read parses most.
+const probeSQL = `SELECT loc_id, tstart, tend FROM OBJECTLOCATION WHERE object_epc = 'urn:epc:id:gid:1.1.000000000042'`
+
+func BenchmarkParseProbe(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(probeSQL); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSelectScan(b *testing.B) {
 	s := benchDB(b, 10_000, false)
 	stmt, _ := Parse(`SELECT COUNT(*) FROM t WHERE k = 'k42'`)

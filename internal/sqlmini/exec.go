@@ -928,6 +928,7 @@ type relation struct {
 	tables []relTable
 	one    [1]relTable // tables' backing for a single table
 	rows   [][]event.Value
+	few    [4][]event.Value // rows' first backing: a point probe's few rows need no list
 }
 
 // relTable is one table of a relation: its name or alias and its schema.
@@ -993,7 +994,7 @@ func tableRelation(s *store.Store, name, alias string, where Expr, params event.
 		alias = tbl.Name()
 	}
 	rel := &relation{one: [1]relTable{{alias, tbl.Schema()}}}
-	rel.tables = rel.one[:]
+	rel.tables, rel.rows = rel.one[:], rel.few[:0]
 	m := planMatch(s, tbl, where, params)
 	visit := func(r store.Row) { rel.rows = append(rel.rows, r) } // immutable: aliased, not copied
 	if fold != nil {
@@ -1122,7 +1123,9 @@ func execSelect(s *store.Store, sel *Select, params event.Bindings) (Result, err
 				res.Columns = append(res.Columns, c.Name)
 			}
 		}
-		res.Rows = rel.rows
+		if len(rel.rows) > 0 { // no rows is a nil list, as in the projection below
+			res.Rows = rel.rows
+		}
 	case aggregated:
 		if err := execAggregate(s, sel, aggregateCalls(sel.Having, calls), params, &res); err != nil {
 			return Result{}, err

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"rcep/internal/core/event"
@@ -136,7 +137,11 @@ func FormatExpr(x Expr) string {
 		if n.Op == "NOT" {
 			return "NOT " + FormatExpr(n.X)
 		}
-		return n.Op + FormatExpr(n.X)
+		s := FormatExpr(n.X)
+		if s[0] == '-' { // "--" would open a comment
+			s = "(" + s + ")"
+		}
+		return n.Op + s
 	case *Binary:
 		return "(" + FormatExpr(n.L) + " " + n.Op + " " + FormatExpr(n.R) + ")"
 	case *Call:
@@ -193,6 +198,12 @@ func formatLit(v event.Value) string {
 			return "true"
 		}
 		return "false"
+	case event.KindFloat: // digits and a point, the form the lexer reads as a float
+		s := strconv.FormatFloat(v.Float(), 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
 	default:
 		return v.String()
 	}

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -37,5 +38,23 @@ func TestFormatStmtRoundTrip(t *testing.T) {
 		if reflect.TypeOf(s1) != reflect.TypeOf(s2) {
 			t.Errorf("statement type drift: %T vs %T", s1, s2)
 		}
+	}
+}
+
+// TestParsedStatementOutlivesItsTokens: a parse scans into a pooled token
+// buffer and returns it, so the next parse overwrites those tokens. A
+// statement parsed earlier must not change: its tree keeps strings cut
+// from its own source, never a token.
+func TestParsedStatementOutlivesItsTokens(t *testing.T) {
+	const a = `SELECT loc_id AS l, tend FROM OBJECTLOCATION WHERE ((object_epc = 'it''s') AND (tstart > 5)) ORDER BY tend DESC LIMIT 3`
+	stA := mustParse(t, a)
+	if got := FormatStmt(stA); got != a {
+		t.Fatalf("A formats to %s", got)
+	}
+	for i := range 4 { // B reuses A's buffer, and overwrites every token A had
+		mustParse(t, fmt.Sprintf(`UPDATE OBJECTCONTAINMENT SET tend = %d, parent_epc = 'case-1' WHERE (object_epc = 'o') AND (tend = 'UC') AND (n IN (1, 2, 3))`, i))
+	}
+	if got := FormatStmt(stA); got != a {
+		t.Errorf("after B, A formats to %s", got)
 	}
 }

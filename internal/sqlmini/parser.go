@@ -11,11 +11,12 @@ import (
 
 // Parse parses a single SQL statement.
 func Parse(sql string) (Stmt, error) {
-	s, err := lex.NewStream(sql)
-	if err != nil {
+	var s lex.Stream
+	if err := s.Open(sql); err != nil {
 		return nil, err
 	}
-	st, err := parseStmt(s)
+	defer s.Close()
+	st, err := parseStmt(&s)
 	if err != nil {
 		return nil, err
 	}
@@ -230,6 +231,8 @@ func parseSelect(s *lex.Stream) (*Select, error) {
 	if s.Accept("*") {
 		sel.Star = true
 	} else {
+		var buf [8]SelectItem // the items gather here; sel.Items is made once, at their count
+		items := buf[:0]
 		for {
 			e, err := parseExpr(s)
 			if err != nil {
@@ -243,11 +246,12 @@ func parseSelect(s *lex.Stream) (*Select, error) {
 				}
 				item.Alias = a.Text
 			}
-			sel.Items = append(sel.Items, item)
+			items = append(items, item)
 			if !s.Accept(",") {
 				break
 			}
 		}
+		sel.Items = append(make([]SelectItem, 0, len(items)), items...)
 	}
 	if _, err := s.ExpectKeyword("from"); err != nil {
 		return nil, err

@@ -2,11 +2,14 @@ package sqlmini
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rcep/internal/core/event"
+	"rcep/internal/lex"
 	"rcep/internal/store"
 )
 
@@ -210,5 +213,32 @@ func TestAllocBudgetInsert(t *testing.T) {
 	})
 	if allocs > budget {
 		t.Errorf("allocs per INSERT: %.1f (budget %d)", allocs, budget)
+	}
+}
+
+// TestAllocBudgetParse: after warm-up a parse allocates its tree and no
+// token storage: tokens are scanned into a pooled buffer, and the item
+// list is made once, at its length. The probe's tree is eight objects:
+// the Select, its item list, three column references, and the WHERE's
+// comparison, column and literal. Its 13 tokens alone would take more
+// bytes than the whole tree.
+func TestAllocBudgetParse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers")
+	}
+	const tree, runs = 8, 100
+	mustParse(t, probeSQL) // warm the pool
+	if allocs := testing.AllocsPerRun(runs, func() { mustParse(t, probeSQL) }); allocs > tree {
+		t.Errorf("a parse of the probe allocates %.1f times, want its %d tree objects", allocs, tree)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		mustParse(t, probeSQL)
+	}
+	runtime.ReadMemStats(&after)
+	tokens := 13 * unsafe.Sizeof(lex.Token{})
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b >= uint64(tokens) {
+		t.Errorf("a parse of the probe allocates %d B, as much as its %d B of tokens", b, tokens)
 	}
 }

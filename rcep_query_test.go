@@ -44,16 +44,18 @@ DO UPDATE OBJECTLOCATION SET tend = t WHERE object_epc = o AND tend = 'UC';
 }
 
 // TestAllocBudgetQuery pins what the read path allocates through the
-// facade. A query allocates its parse tree, one token slice, its relation
-// (and the doublings of its row list) and its result: the row lists and
-// one backing array each of values and of cells, plus a box for each
-// string cell and each number of 256 or more. Nothing is allocated per
-// token, per column of the relation or per result row, and a GROUP BY
+// facade. A query allocates its parse tree, its relation (whose first four
+// rows need no list of their own, and whose row list doubles from there)
+// and its result: the row lists and one backing array each of values and
+// of cells, plus a box for each string cell and each number of 256 or
+// more. Tokens are scanned into a pooled buffer, and nothing is allocated
+// per token, per column of the relation or per result row; a GROUP BY
 // allocates per group only the box of its string key. The budgets of the
 // GROUP BY and the trace, which fill maps, leave a few allocations for the
 // map implementation of the Go release. Before results were carved from
 // one array, and tokens cut from the source, the four measured 58, 67, 316
-// and 17.
+// and 17; before tokens were pooled and the item and row lists sized, the
+// first three measured 27, 28 and 101.
 func TestAllocBudgetQuery(t *testing.T) {
 	eng := queryEngine(t)
 	for _, tc := range []struct {
@@ -65,15 +67,15 @@ func TestAllocBudgetQuery(t *testing.T) {
 		{"probe", func() (int, error) {
 			_, rows, err := eng.Query(`SELECT loc_id, tstart, tend FROM OBJECTLOCATION WHERE object_epc = 'obj-42'`)
 			return len(rows), err
-		}, 3, 27},
+		}, 3, 21},
 		{"scan", func() (int, error) {
 			_, rows, err := eng.Query(`SELECT object_epc FROM OBJECTCONTAINMENT WHERE parent_epc = 'case-7'`)
 			return len(rows), err
-		}, 10, 28},
+		}, 10, 24},
 		{"group", func() (int, error) {
 			_, rows, err := eng.Query(`SELECT loc_id, COUNT(*) AS n FROM OBJECTLOCATION GROUP BY loc_id`)
 			return len(rows), err
-		}, 60, 105},
+		}, 60, 103},
 		{"trace", func() (int, error) {
 			stays, err := eng.Trace("obj-42")
 			return len(stays), err
